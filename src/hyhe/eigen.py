@@ -3,9 +3,15 @@
 The variational problem is min over (c, k) of the Rayleigh quotient
 E(k, c) = (k^2 c'Kc + k c'Pc) / c'Wc.  For fixed k this is a symmetric
 generalized eigenproblem; W is positive definite, so a Cholesky reduction
-W = L L' turns it into an ordinary one for x = L'c.  Eigenpairs are seeded
-in float64 and polished by Rayleigh-quotient iteration in mpmath, which
-converges to working precision in two or three solves.
+W = L L' turns it into an ordinary one for x = L'c.
+
+The linear algebra runs on Python ints in fixed point: a real v is held as
+round(v * 2**F) with F = mp.prec + guard bits, and the guard grows with the
+conditioning of W, measured by its smallest Cholesky pivot.  The matrices are
+built straight from their exact Fractions.  At each k, float64 eigh gives a
+shift sigma0 and a seed vector; one pivoted LU of A(k) - sigma0 I then drives
+fixed-shift inverse iteration, a pair of triangular solves per step, until x
+stops moving.  Results leave the kernel as mpf at the working precision.
 
 Minimizing over k at the solved state gives the fixed-point map
 k <- -P_q / (2 K_q).  The map is a contraction with rate 1 - O(1e-5), so
@@ -14,10 +20,23 @@ secant iteration on h(k) = g(k) - k, which lands in a handful of solves and
 satisfies the same fixed-point condition at exit.
 """
 
+import math
 from dataclasses import dataclass, field
+from fractions import Fraction
+from operator import mul
 
 import numpy as np
 from mpmath import mp
+
+# Guard bits above mp.prec before the conditioning term: they absorb the
+# O(n^2) ulps of rounding that the triangular solves accumulate.
+_GUARD_BITS = 32
+# The float64 shift must resolve the lowest gap by this many bits, which is
+# the least the inverse iteration then gains per step.
+_SEED_BITS = 20
+# Back substitutions per k; at >= _SEED_BITS bits a step this covers
+# F <= 1280 bits (about 380 digits).
+_MAX_STEPS = 64
 
 
 class AssemblyError(ValueError):
@@ -41,70 +60,109 @@ class VariationalResult:
     trace: list = field(default_factory=list)   # [(k, E)] per outer step
 
 
-def _to_mp(frac_matrix, n):
-    out = mp.matrix(n)
-    for i in range(n):
-        for j in range(n):
-            v = frac_matrix[i][j]
-            out[i, j] = mp.mpf(v.numerator) / v.denominator
-    return out
+def _fixed(q, F):
+    """round(q * 2**F) for an exact rational q (Fraction, int or float)."""
+    q = Fraction(q)
+    return ((q.numerator << (F + 1)) // q.denominator + 1) >> 1
 
 
-def _tri_solve(L, B):
-    """Solve L X = B for lower-triangular L (columnwise forward pass)."""
-    n = L.rows
-    X = mp.matrix(n, B.cols)
-    for col in range(B.cols):
-        for i in range(n):
-            acc = B[i, col]
-            for k in range(i):
-                acc -= L[i, k] * X[k, col]
-            X[i, col] = acc / L[i, i]
-    return X
+def _fixed_mpf(v, F):
+    man, exp = mp.mpf(v).man_exp
+    return _fixed(Fraction(man << exp) if exp >= 0
+                  else Fraction(man, 1 << -exp), F)
 
 
-def _reduce_sym(L, A):
-    """L^{-1} A L^{-T} for symmetric A."""
-    return _tri_solve(L, _tri_solve(L, A).T)
+def _to_mpf(v, F):
+    return mp.ldexp(mp.mpf(v), -F)
 
 
-def _upper_t_solve(L, x):
-    """Solve L' c = x (back substitution against the transpose)."""
-    n = L.rows
-    c = mp.matrix(n, 1)
+def _fixed_matrix(frac_matrix, F):
+    return [[_fixed(v, F) for v in row] for row in frac_matrix]
+
+
+def _cholesky(Wq, F):
+    """Fixed-point L with Wq = L L', and the smallest pivot L_jj^2 (scale 4**F).
+
+    Raises ValueError, as mp.cholesky does, when W is not positive definite.
+    """
+    n = len(Wq)
+    L = [[0] * n for _ in range(n)]
+    min_pivot = None
+    for j in range(n):
+        Lj = L[j]
+        d = (Wq[j][j] << F) - sum(v * v for v in Lj[:j])
+        if d <= 0:
+            raise ValueError(
+                f"overlap matrix is not positive definite (pivot {j})")
+        min_pivot = d if min_pivot is None else min(min_pivot, d)
+        Lj[j] = ljj = math.isqrt(d)
+        for i in range(j + 1, n):
+            Li = L[i]
+            Li[j] = ((Wq[i][j] << F) - sum(map(mul, Li[:j], Lj))) // ljj
+    return L, min_pivot
+
+
+def _solve_lower(L, b, F):
+    """y = L^{-1} b by forward substitution."""
+    y = []
+    for i, Li in enumerate(L):
+        y.append(((b[i] << F) - sum(map(mul, Li, y))) // Li[i])
+    return y
+
+
+def _solve_upper_t(L, x, F):
+    """c = L'^{-1} x by back substitution against the transpose."""
+    n = len(x)
+    c = [0] * n
     for i in range(n - 1, -1, -1):
-        acc = x[i]
+        acc = x[i] << F
         for k in range(i + 1, n):
-            acc -= L[k, i] * c[k]
-        c[i] = acc / L[i, i]
+            acc -= L[k][i] * c[k]
+        c[i] = acc // L[i][i]
     return c
+
+
+def _reduce_sym(L, A, F):
+    """L^{-1} A L^{-T} for symmetric A (rows of A serve as its columns)."""
+    Y = [_solve_lower(L, col, F) for col in A]      # Y[j] = column j of L^-1 A
+    return [_solve_lower(L, [col[i] for col in Y], F) for i in range(len(A))]
+
+
+def _matvec(A, x, F):
+    return [sum(map(mul, row, x)) >> F for row in A]
+
+
+def _dot(x, y, F):
+    return sum(map(mul, x, y)) >> F
 
 
 class ReducedSystem:
     """One Hamiltonian after the Cholesky congruence.
 
-    Holds the reduced kinetic-like and potential forms (mp and float64
-    copies), the Cholesky factor for back-transforming coefficients, and the
-    original overlap for normalization checks.
+    L, K_red and P_red are fixed-point int matrices at scale 2**frac_bits:
+    the Cholesky factor for back-transforming coefficients and the reduced
+    kinetic-like and potential forms.  K_float/P_float are float64 copies
+    for seeding the eigensolve.
     """
 
-    def __init__(self, L, K_red, P_red, label=""):
+    def __init__(self, L, K_red, P_red, frac_bits, label=""):
         self.L = L
-        self.n = L.rows
+        self.n = len(L)
         self.K_red = K_red
         self.P_red = P_red
+        self.frac_bits = frac_bits
         self.label = label
-        self.K_float = np.array(
-            [[float(K_red[i, j]) for j in range(self.n)] for i in range(self.n)])
-        self.P_float = np.array(
-            [[float(P_red[i, j]) for j in range(self.n)] for i in range(self.n)])
+        scale = 1 << frac_bits
+        self.K_float = np.array([[v / scale for v in row] for row in K_red])
+        self.P_float = np.array([[v / scale for v in row] for row in P_red])
 
     def coefficients(self, x):
         """Back-transform a reduced eigenvector; c'Wc = |x|^2 by construction."""
-        c = _upper_t_solve(self.L, x)
+        F = self.frac_bits
+        c = _solve_upper_t(self.L, x, F)
         if c[0] < 0:
-            c = -c
-        return c
+            c = [-v for v in c]
+        return [_to_mpf(v, F) for v in c]
 
 
 def build_systems(matrices, mass_ratio=None, include=("inf", "0")):
@@ -113,67 +171,143 @@ def build_systems(matrices, mass_ratio=None, include=("inf", "0")):
     "inf" is the clamped-nucleus problem (kinetic matrix alone); "0" folds
     nuclear motion in: K_0 = (1 + 1/M) K + (1/M) M_pol, which inherits the
     k^2 scaling tag, so the same Rayleigh-quotient machinery applies.
+
+    The guard bits above mp.prec are _GUARD_BITS plus the bits of
+    max W_jj / min pivot, the growth the reduction suffers from the
+    conditioning of W; the factor is recomputed at that width when a first
+    pass at _GUARD_BITS alone falls short.
     """
-    n = matrices.n_basis
-    W = _to_mp(matrices.W, n)
-    K = _to_mp(matrices.K, n)
-    P = _to_mp(matrices.P, n)
-    L = mp.cholesky(W)
-    P_red = _reduce_sym(L, P)
+    if "0" in include and mass_ratio is None:
+        raise ValueError("nuclear-motion Hamiltonian needs a mass ratio")
+    F = mp.prec + _GUARD_BITS
+    Wq = _fixed_matrix(matrices.W, F)
+    L, min_pivot = _cholesky(Wq, F)
+    max_diag = max(row[j] for j, row in enumerate(Wq))
+    cond_bits = ((max_diag << F) // min_pivot).bit_length() - 1
+    if cond_bits:
+        F += cond_bits
+        L, _ = _cholesky(_fixed_matrix(matrices.W, F), F)
+    K = _fixed_matrix(matrices.K, F)
+    P_red = _reduce_sym(L, _fixed_matrix(matrices.P, F), F)
     systems = {}
     if "inf" in include:
-        systems["inf"] = ReducedSystem(L, _reduce_sym(L, K), P_red, label="inf")
+        systems["inf"] = ReducedSystem(L, _reduce_sym(L, K, F), P_red, F,
+                                       label="inf")
     if "0" in include:
-        if mass_ratio is None:
-            raise ValueError("nuclear-motion Hamiltonian needs a mass ratio")
-        minv = 1 / mp.mpf(mass_ratio)
-        M_pol = _to_mp(matrices.M_pol, n)
-        K0 = (1 + minv) * K + minv * M_pol
-        systems["0"] = ReducedSystem(L, _reduce_sym(L, K0), P_red, label="0")
+        minv = _fixed_mpf(1 / mp.mpf(mass_ratio), F)
+        M_pol = _fixed_matrix(matrices.M_pol, F)
+        K0 = [[a + ((minv * (a + b)) >> F) for a, b in zip(rk, rm)]
+              for rk, rm in zip(K, M_pol)]
+        systems["0"] = ReducedSystem(L, _reduce_sym(L, K0, F), P_red, F,
+                                     label="0")
     return systems
 
 
-def _lowest_pair(system, k):
-    """Smallest eigenpair of A(k) = k^2 K_red + k P_red.
+def _lu(M, F):
+    """Pivoted LU of M in place (unit-lower multipliers below U); row order.
 
-    float64 eigh seeds the inverse/Rayleigh iteration; each mp step solves
-    (A - sigma I) y = x and updates sigma to the Rayleigh quotient.
+    A zero pivot means the shift hit an eigenvalue exactly; one ulp stands
+    in for it, a perturbation below the fixed-point rounding.
     """
-    n = system.n
-    km = mp.mpf(k)
-    A = km * km * system.K_red + km * system.P_red
-    kf = float(km)
+    n = len(M)
+    order = list(range(n))
+    for c in range(n):
+        p = max(range(c, n), key=lambda r: abs(M[r][c]))
+        M[c], M[p] = M[p], M[c]
+        order[c], order[p] = order[p], order[c]
+        row = M[c]
+        row[c] = piv = row[c] or 1
+        tail = row[c + 1:]
+        for r in range(c + 1, n):
+            Mr = M[r]
+            f = (Mr[c] << F) // piv
+            Mr[c] = f
+            if f:
+                Mr[c + 1:] = [a - ((f * b) >> F)
+                              for a, b in zip(Mr[c + 1:], tail)]
+    return order
+
+
+def _lu_solve(M, order, b, F):
+    n = len(M)
+    z = [b[i] for i in order]
+    for i in range(1, n):
+        z[i] -= sum(map(mul, M[i][:i], z)) >> F
+    y = [0] * n
+    for i in range(n - 1, -1, -1):
+        row = M[i]
+        y[i] = ((z[i] << F) - sum(map(mul, row[i + 1:], y[i + 1:]))) // row[i]
+    return y
+
+
+def _normalized(y, F):
+    norm = math.isqrt(sum(v * v for v in y))
+    return [(v << F) // norm for v in y]
+
+
+def _lowest_pair(system, k):
+    """Smallest eigenpair of A(k) = k^2 K_red + k P_red, x as fixed-point ints.
+
+    float64 eigh gives the shift sigma0 and the seed; one pivoted LU of
+    A - sigma0 I serves every inverse-iteration step.  Each step gains about
+    log2(gap / |lambda0 - sigma0|) bits, so a gap the float64 shift cannot
+    resolve by _SEED_BITS bits raises, as does a run out of steps.
+    """
+    n, F = system.n, system.frac_bits
+    k = mp.mpf(k)
+    kq = _fixed_mpf(k, F)
+    k2 = (kq * kq) >> F
+    A = [[(k2 * a + kq * b) >> F for a, b in zip(rk, rp)]
+         for rk, rp in zip(system.K_red, system.P_red)]
+    kf = float(k)
     A_float = kf * kf * system.K_float + kf * system.P_float
     evals, evecs = np.linalg.eigh(A_float)
-    if n > 1 and abs(evals[1] - evals[0]) < 1e-20 * max(1.0, abs(evals[0])):
-        raise ConvergenceError(
-            f"(near-)degenerate lowest eigenvalue at k={kf}: "
-            f"{evals[0]!r} vs {evals[1]!r}")
-    x = mp.matrix([mp.mpf(v) for v in evecs[:, 0]])
-    sigma = mp.mpf(evals[0])
-    tol = mp.mpf(10) ** (-mp.dps + 8)
-    for _ in range(12):
-        try:
-            y = mp.lu_solve(A - sigma * mp.eye(n), x)
-        except ZeroDivisionError:
-            # sigma hit an eigenvalue exactly; nudge by one ulp-scale step
-            y = mp.lu_solve(A - sigma * (1 + tol) * mp.eye(n), x)
-        x = y / mp.norm(y)
-        sigma_new = (x.T * (A * x))[0, 0]
-        done = abs(sigma_new - sigma) < tol * max(1, abs(sigma_new))
-        sigma = sigma_new
-        if done:
+    if n > 1:
+        gap = evals[1] - evals[0]
+        resolved = (2 ** _SEED_BITS * n * np.finfo(float).eps
+                    * max(abs(evals[0]), abs(evals[-1])))
+        if gap <= resolved:
+            raise ConvergenceError(
+                f"(near-)degenerate lowest eigenvalue at k={kf}: gap "
+                f"{gap:.2g} is within {resolved:.2g}, what the float64 "
+                "shift resolves")
+    sigma0 = _fixed(evals[0], F)
+    M = [row[:] for row in A]
+    for i in range(n):
+        M[i][i] -= sigma0
+    order = _lu(M, F)
+    tol = 1 << max(0, F - mp.prec)
+    x = _normalized([_fixed(v, F) for v in evecs[:, 0]], F)
+    for _ in range(_MAX_STEPS):
+        x_new = _normalized(_lu_solve(M, order, x, F), F)
+        if _dot(x_new, x, F) < 0:
+            x_new = [-v for v in x_new]
+        moved = max(abs(a - b) for a, b in zip(x_new, x))
+        x = x_new
+        if moved <= tol:
             break
-    r = A * x - sigma * x
-    residual = mp.norm(r) / max(mp.mnorm(A, 1), mp.mpf(1))
-    return sigma, x, residual
+    else:
+        raise ConvergenceError(
+            f"inverse iteration at k={mp.nstr(k, 17)} did not converge: "
+            f"step cap {_MAX_STEPS} reached")
+    Ax = _matvec(A, x, F)
+    sigma = _dot(x, Ax, F)
+    r = [a - ((sigma * b) >> F) for a, b in zip(Ax, x)]
+    a_norm = max(sum(map(abs, row)) for row in A)
+    residual = mp.mpf(math.isqrt(sum(v * v for v in r))) / max(a_norm, 1 << F)
+    return _to_mpf(sigma, F), x, residual
 
 
 def solve_fixed_k(system, k):
-    """Ground state at fixed exponent: (E, x, K_q, P_q, residual)."""
+    """Ground state at fixed exponent: (E, x, K_q, P_q, residual).
+
+    x is the unit reduced eigenvector as fixed-point ints at scale
+    2**system.frac_bits; the rest are mpf.
+    """
     E, x, residual = _lowest_pair(system, k)
-    K_q = (x.T * (system.K_red * x))[0, 0]
-    P_q = (x.T * (system.P_red * x))[0, 0]
+    F = system.frac_bits
+    K_q = _to_mpf(_dot(x, _matvec(system.K_red, x, F), F), F)
+    P_q = _to_mpf(_dot(x, _matvec(system.P_red, x, F), F), F)
     if K_q <= 0:
         raise AssemblyError(
             f"kinetic quadratic form is not positive (K_q = {mp.nstr(K_q, 8)}); "
@@ -241,9 +375,8 @@ def optimize_k(system, k_init=2.0, k_tol=1e-12, max_outer_iters=60,
 def _finish(system, k_opt, iterations, trace):
     E, x, K_q, P_q, residual = solve_fixed_k(system, k_opt)
     trace.append((k_opt, E))
-    coeffs = system.coefficients(x)
     return VariationalResult(
-        energy=E, k_opt=k_opt, coeffs=[coeffs[i] for i in range(system.n)],
+        energy=E, k_opt=k_opt, coeffs=system.coefficients(x),
         n_basis=system.n, iterations=iterations, residual=residual,
         trace=trace)
 

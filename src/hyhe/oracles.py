@@ -8,7 +8,9 @@ term *definitions* (the shared contract), never integral or matrix routines.
 Also provides the one-parameter product-state (hydrogenic screening) limits,
 where every pipeline quantity has a pencil-and-paper value, and a standalone
 tensor quadrature built on numpy's Gauss rules (the production engine uses
-scipy's -- independent node/weight computations).
+scipy's -- independent node/weight computations), and the mpmath-matrix
+Cholesky reduction and Rayleigh-quotient eigensolve that the fixed-point
+integer kernel in `eigen` is checked against.
 """
 
 import math
@@ -205,3 +207,91 @@ def triple_quad_mp(f, maxdegree=5):
 
     return mp.quad(lambda s: mp.e ** (-2 * s) * middle(s),
                    [0, mp.inf], maxdegree=maxdegree + 2)
+
+
+# ---------------------------------------------------------------------------
+# mpmath reference eigensolve (the production kernel runs on fixed-point ints)
+# ---------------------------------------------------------------------------
+
+def to_mp(frac_matrix, n):
+    out = mp.matrix(n)
+    for i in range(n):
+        for j in range(n):
+            v = frac_matrix[i][j]
+            out[i, j] = mp.mpf(v.numerator) / v.denominator
+    return out
+
+
+def tri_solve(L, B):
+    """Solve L X = B for lower-triangular L (columnwise forward pass)."""
+    n = L.rows
+    X = mp.matrix(n, B.cols)
+    for col in range(B.cols):
+        for i in range(n):
+            acc = B[i, col]
+            for k in range(i):
+                acc -= L[i, k] * X[k, col]
+            X[i, col] = acc / L[i, i]
+    return X
+
+
+def reduce_sym(L, A):
+    """L^{-1} A L^{-T} for symmetric A."""
+    return tri_solve(L, tri_solve(L, A).T)
+
+
+def upper_t_solve(L, x):
+    """Solve L' c = x (back substitution against the transpose)."""
+    n = L.rows
+    c = mp.matrix(n, 1)
+    for i in range(n - 1, -1, -1):
+        acc = x[i]
+        for k in range(i + 1, n):
+            acc -= L[k, i] * c[k]
+        c[i] = acc / L[i, i]
+    return c
+
+
+def mp_reduce_pencil(matrices, mass_ratio=None):
+    """(L, K_red, P_red) by mp.cholesky; K_0 = (1+1/M) K + M_pol/M if M given."""
+    n = matrices.n_basis
+    L = mp.cholesky(to_mp(matrices.W, n))
+    K = to_mp(matrices.K, n)
+    if mass_ratio is not None:
+        minv = 1 / mp.mpf(mass_ratio)
+        K = (1 + minv) * K + minv * to_mp(matrices.M_pol, n)
+    return L, reduce_sym(L, K), reduce_sym(L, to_mp(matrices.P, n))
+
+
+def mp_solve_fixed_k(L, K_red, P_red, k):
+    """Ground state at fixed k by mp Rayleigh-quotient iteration.
+
+    Returns (E, K_q, P_q, coeffs) with coeffs[0] >= 0, as the production
+    solve does.  Each step refactors A - sigma I with mp.lu_solve.
+    """
+    n = L.rows
+    km = mp.mpf(k)
+    A = km * km * K_red + km * P_red
+    evals, evecs = np.linalg.eigh(
+        np.array([[float(A[i, j]) for j in range(n)] for i in range(n)]))
+    x = mp.matrix([mp.mpf(v) for v in evecs[:, 0]])
+    sigma = mp.mpf(evals[0])
+    tol = mp.mpf(10) ** (-mp.dps + 8)
+    for _ in range(12):
+        try:
+            y = mp.lu_solve(A - sigma * mp.eye(n), x)
+        except ZeroDivisionError:
+            # sigma hit an eigenvalue exactly; nudge by one ulp-scale step
+            y = mp.lu_solve(A - sigma * (1 + tol) * mp.eye(n), x)
+        x = y / mp.norm(y)
+        sigma_new = (x.T * (A * x))[0, 0]
+        done = abs(sigma_new - sigma) < tol * max(1, abs(sigma_new))
+        sigma = sigma_new
+        if done:
+            break
+    K_q = (x.T * (K_red * x))[0, 0]
+    P_q = (x.T * (P_red * x))[0, 0]
+    c = upper_t_solve(L, x)
+    if c[0] < 0:
+        c = -c
+    return sigma, K_q, P_q, [c[i] for i in range(n)]

@@ -1,11 +1,16 @@
+from fractions import Fraction
+from types import SimpleNamespace
+
 import pytest
 from mpmath import mp
 
+from hyhe import eigen
 from hyhe.basis import enumerate_basis
 from hyhe.eigen import (AssemblyError, ConvergenceError, ReducedSystem,
                         build_systems, ground_state_pair, optimize_k,
                         solve_fixed_k)
 from hyhe.matrices import build_operator_matrices, check_normalized
+from hyhe.oracles import mp_reduce_pencil, mp_solve_fixed_k
 
 M_HELIUM = "7294.299508"
 
@@ -13,6 +18,17 @@ M_HELIUM = "7294.299508"
 def systems_n(n, mass_ratio=M_HELIUM):
     mats = build_operator_matrices(enumerate_basis(n))
     return mats, build_systems(mats, mass_ratio=mass_ratio)
+
+
+def fixed_system(K_red, P_red, frac_bits=200):
+    """A ReducedSystem with L = I from small exact matrices."""
+    n = len(K_red)
+
+    def fixed(rows):
+        return [[int(Fraction(v) * 2 ** frac_bits) for v in row] for row in rows]
+
+    eye = [[int(i == j) for j in range(n)] for i in range(n)]
+    return ReducedSystem(fixed(eye), fixed(K_red), fixed(P_red), frac_bits)
 
 
 def test_seed_energies_exact():
@@ -116,16 +132,75 @@ def test_secant_converges_where_plain_map_crawls():
 
 def test_assembly_guard_on_nonpositive_kinetic():
     with mp.workdps(30):
-        bad = ReducedSystem(mp.eye(1), mp.matrix([[-1]]), mp.matrix([[1]]))
+        bad = fixed_system([[-1]], [[1]])
         with pytest.raises(AssemblyError):
             solve_fixed_k(bad, 2)
 
 
 def test_degenerate_spectrum_guard():
     with mp.workdps(30):
-        flat = ReducedSystem(mp.eye(2), mp.eye(2), mp.zeros(2, 2))
+        flat = fixed_system([[1, 0], [0, 1]], [[0, 0], [0, 0]])
         with pytest.raises(ConvergenceError, match="degenerate"):
             solve_fixed_k(flat, 2)
+
+
+def test_near_degenerate_gap_guard():
+    # A = diag(1, 1 + 1e-13): a float64 shift cannot separate the pair
+    with mp.workdps(30):
+        close = fixed_system([[1, 0], [0, 1]], [[0, 0], [0, 1e-13]])
+        with pytest.raises(ConvergenceError, match="degenerate") as err:
+            solve_fixed_k(close, 1)
+        assert "gap 1e-13" in str(err.value)
+
+
+def test_inverse_iteration_step_cap(monkeypatch):
+    monkeypatch.setattr(eigen, "_MAX_STEPS", 1)
+    with mp.workdps(40):
+        _, systems = systems_n(6)
+        with pytest.raises(ConvergenceError,
+                           match=r"k=2\.0 did not converge: step cap 1"):
+            solve_fixed_k(systems["inf"], 2)
+
+
+def test_nonpositive_overlap_rejected():
+    one = Fraction(1)
+    mats = SimpleNamespace(n_basis=2, W=[[one, 2 * one], [2 * one, one]],
+                           K=[[one, 0 * one], [0 * one, one]],
+                           P=[[0 * one] * 2] * 2, M_pol=[[0 * one] * 2] * 2)
+    with mp.workdps(30):
+        with pytest.raises(ValueError, match="not positive definite"):
+            build_systems(mats, include=("inf",))
+
+
+def test_reduction_matches_mp_oracle():
+    with mp.workdps(50):
+        tol = mp.mpf(10) ** (-mp.dps + 10)
+        mats, systems = systems_n(13)
+        for label, mass_ratio in (("inf", None), ("0", M_HELIUM)):
+            system = systems[label]
+            _, K_ref, P_ref = mp_reduce_pencil(mats, mass_ratio)
+            scale = mp.mpf(2) ** system.frac_bits
+            for got, ref in ((system.K_red, K_ref), (system.P_red, P_ref)):
+                worst = max(abs(got[i][j] / scale - ref[i, j])
+                            for i in range(13) for j in range(13))
+                assert worst < tol, (label, worst)
+
+
+@pytest.mark.parametrize("n, dps", [(22, 100), (50, 50)])
+def test_fixed_k_solve_matches_mp_oracle(n, dps):
+    # N = 50 is the worst-conditioned W the program solves (cond ~ 4e13)
+    with mp.workdps(dps):
+        tol = mp.mpf(10) ** (-dps + 10)
+        k = mp.mpf("2.0451487")
+        mats = build_operator_matrices(enumerate_basis(n))
+        system = build_systems(mats, include=("inf",))["inf"]
+        E, x, K_q, P_q, _ = solve_fixed_k(system, k)
+        E_ref, K_ref, P_ref, c_ref = mp_solve_fixed_k(*mp_reduce_pencil(mats), k)
+        assert abs(E - E_ref) < tol
+        assert abs(K_q - K_ref) < tol
+        assert abs(P_q - P_ref) < tol
+        coeffs = system.coefficients(x)
+        assert max(abs(a - b) for a, b in zip(coeffs, c_ref)) < tol
 
 
 def test_nuclear_motion_needs_mass_ratio():
