@@ -15,8 +15,8 @@ from .corrections import CorrectionBreakdown, breit_correction, \
     radiative_correction, total_energy
 from .eigen import VariationalResult, ground_state_pair, optimize_k, \
     solve_fixed_k, build_systems
-from .integrals import IntegralTable, base_integral, log_integral, \
-    quad_integral, raw_moment
+from .integrals import base_integral, log_integral, quad_integral, \
+    raw_moment
 from .matrices import ExpectationSet, OperatorMatrices, \
     build_operator_matrices, delta_expectations, expectation_set, \
     log_momentum_expectation, p4_expectation
@@ -31,8 +31,7 @@ __all__ = [
     "total_energy",
     "VariationalResult", "ground_state_pair", "optimize_k", "solve_fixed_k",
     "build_systems",
-    "IntegralTable", "base_integral", "log_integral", "quad_integral",
-    "raw_moment",
+    "base_integral", "log_integral", "quad_integral", "raw_moment",
     "ExpectationSet", "OperatorMatrices", "build_operator_matrices",
     "delta_expectations", "expectation_set", "log_momentum_expectation",
     "p4_expectation",

@@ -1,14 +1,13 @@
 """Command-line interface.
 
 Verbs: `tables` (the default four-size sweep), `sweep --n-list`, `solve --n`,
-`corrections --n`.  Global options pick the config file, precision, alpha,
-output format and integral-cache location; every option can also come from
-an HYHE_-prefixed environment variable.
+`corrections --n`.  Global options pick the config file, precision, alpha
+and output format; every option can also come from an HYHE_-prefixed
+environment variable.
 
 Exit codes: 0 all rows ok, 1 at least one row failed, 2 usage error.
 """
 
-import os
 import sys
 
 import click
@@ -16,7 +15,6 @@ from mpmath import mp
 
 from .config import load_config, with_overrides, ConfigError
 from .constants import PhysicalConstants, ConstantsError
-from .integrals import IntegralTable
 from .report import (ReportDocument, UsageError, run_tables, solve_single,
                      corrections_single)
 
@@ -24,21 +22,10 @@ CONTEXT_SETTINGS = {"auto_envvar_prefix": "HYHE", "help_option_names": ["-h", "-
 
 
 class _App:
-    def __init__(self, config, constants, fmt, cache_dir, no_cache):
+    def __init__(self, config, constants, fmt):
         self.config = config
         self.constants = constants
         self.fmt = fmt
-        self.cache_dir = cache_dir
-        self.no_cache = no_cache
-
-    def table(self):
-        if self.no_cache or not self.cache_dir:
-            return None, None
-        os.makedirs(self.cache_dir, exist_ok=True)
-        path = os.path.join(self.cache_dir, "integrals.json")
-        table = IntegralTable()
-        table.load(path)
-        return table, path
 
 
 @click.group(context_settings=CONTEXT_SETTINGS)
@@ -50,12 +37,8 @@ class _App:
               help="override the fine-structure constant")
 @click.option("--format", "fmt", type=click.Choice(["human", "json", "csv"]),
               default=None, help="output format (default from config)")
-@click.option("--cache-dir", type=click.Path(), default=None,
-              help="directory for the persistent integral cache")
-@click.option("--no-cache", is_flag=True, default=False,
-              help="disable the persistent integral cache")
 @click.pass_context
-def main(ctx, config_path, precision, alpha, fmt, cache_dir, no_cache):
+def main(ctx, config_path, precision, alpha, fmt):
     """Helium ground-state energies with relativistic and QED corrections."""
     try:
         config = load_config(config_path)
@@ -66,7 +49,7 @@ def main(ctx, config_path, precision, alpha, fmt, cache_dir, no_cache):
         constants.validate()
     except (ConfigError, ConstantsError) as exc:
         raise click.UsageError(str(exc))
-    ctx.obj = _App(config, constants, fmt or config.output, cache_dir, no_cache)
+    ctx.obj = _App(config, constants, fmt or config.output)
 
 
 def _emit_document(app, doc):
@@ -75,13 +58,10 @@ def _emit_document(app, doc):
 
 
 def _run_sweep(app, n_list):
-    table, path = app.table()
     try:
-        doc = run_tables(app.config, app.constants, n_list=n_list, table=table)
+        doc = run_tables(app.config, app.constants, n_list=n_list)
     except UsageError as exc:
         raise click.UsageError(str(exc))
-    if table is not None and path:
-        table.save(path)
     _emit_document(app, doc)
 
 

@@ -19,17 +19,12 @@ Scaling: against e^{-2ks} every value picks up k^{-(a+b+c+3)} for raw keys,
 k^{-(a+b+c+6)} for base keys; ln(u) keys obey J(k) = (J(1) - ln k * I(1)) k^{-p}.
 """
 
-import json
 import math
-import threading
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 from mpmath import mp
-from scipy.special import roots_laguerre, roots_legendre
-
-ENGINE_VERSION = "hyhe-integrals-1"
 
 
 class IntegralDomainError(ValueError):
@@ -143,79 +138,6 @@ def log_integral_quad_mp(a, b, c):
     return total
 
 
-class IntegralTable:
-    """Explicit integral cache with optional on-disk JSON persistence.
-
-    Caches both closed-form families ("raw" volume-cancelled moments, which
-    matrix assembly consumes, and "base" volume-included integrals).  A
-    version mismatch silently invalidates a cache file.  Thread-safe; warm
-    hits are bit-identical to cold computation because only final exact
-    Fractions are stored.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._maps = {"raw": {}, "base": {}}
-        self.hits = 0
-        self.misses = 0
-
-    def _get(self, family, key, compute):
-        with self._lock:
-            store = self._maps[family]
-            if key in store:
-                self.hits += 1
-                return store[key]
-        value = compute(*key)
-        with self._lock:
-            self._maps[family][key] = value
-            self.misses += 1
-        return value
-
-    def raw(self, a, b, c):
-        return self._get("raw", (a, b, c), raw_moment)
-
-    def base(self, a, b, c):
-        return self._get("base", (a, b, c), base_integral)
-
-    def k_scaling(self, a, b, c):
-        return k_scaling_exponent(a, b, c, with_volume=True)
-
-    def stats(self):
-        with self._lock:
-            return {"entries": sum(len(m) for m in self._maps.values()),
-                    "hits": self.hits, "misses": self.misses}
-
-    def save(self, path):
-        with self._lock:
-            payload = {
-                "engine": ENGINE_VERSION,
-                **{family: {f"{a},{b},{c}": f"{v.numerator}/{v.denominator}"
-                            for (a, b, c), v in sorted(store.items())}
-                   for family, store in self._maps.items()},
-            }
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=0, sort_keys=True)
-
-    def load(self, path):
-        """Merge a cache file in; returns False on a missing/stale file."""
-        try:
-            with open(path) as fh:
-                payload = json.load(fh)
-        except (OSError, json.JSONDecodeError):
-            return False
-        if payload.get("engine") != ENGINE_VERSION:
-            return False
-        for family in ("raw", "base"):
-            loaded = {}
-            for key, sval in payload.get(family, {}).items():
-                a, b, c = (int(x) for x in key.split(","))
-                num, _, den = sval.partition("/")
-                loaded[(a, b, c)] = Fraction(int(num), int(den or 1))
-            with self._lock:
-                self._maps[family].update(loaded)
-        return True
-
-
 # ---------------------------------------------------------------------------
 # quadrature engine
 # ---------------------------------------------------------------------------
@@ -227,6 +149,10 @@ def _tensor_rule(n):
     """Nodes/weights for the box map s = x/2 (Laguerre), u = y*s, t = z*u."""
     if n in _rule_cache:
         return _rule_cache[n]
+    # scipy is needed only by this test-side engine; importing it here keeps
+    # it off the import path of the production pipeline and the CLI
+    from scipy.special import roots_laguerre, roots_legendre
+
     xs, ws = roots_laguerre(n)
     ys, wys = roots_legendre(n)
     # shift Legendre to [0, 1]
@@ -292,7 +218,7 @@ WEIGHT_LN_U = "ln_u"
 WEIGHT_VOLUME_CANCELLED = "volume_cancelled"
 
 
-def integral_for(expr, extra_weight=WEIGHT_NONE, table=None):
+def integral_for(expr, extra_weight=WEIGHT_NONE):
     """Dispatch a SteuExpression with the e^{-2s} tag to the exact families.
 
     ``none``: monomials get the volume factor (base family).
@@ -308,7 +234,7 @@ def integral_for(expr, extra_weight=WEIGHT_NONE, table=None):
     for (a, b, c), v in expr.terms.items():
         vmp = mp.mpf(v.numerator) / v.denominator
         if extra_weight == WEIGHT_NONE:
-            piece = table.base(a, b, c) if table is not None else base_integral(a, b, c)
+            piece = base_integral(a, b, c)
             total += vmp * mp.mpf(piece.numerator) / piece.denominator
         elif extra_weight == WEIGHT_LN_U:
             total += vmp * log_base_integral(a, b, c)

@@ -26,26 +26,25 @@ under t -> -t (electron exchange), so this equals half the full-t integral
 in the same units throughout.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 from mpmath import mp
 
-from .basis import BasisTerm, padd, pdiff, pmul, pscale
+from .basis import padd, pdiff, pmul, pscale, pshift
 from .integrals import raw_moment
 
-F0, F1 = Fraction(0), Fraction(1)
-
 # geometric weight polynomials (coordinates s, t, u; keys are exponents)
-VOLUME = {(2, 0, 1): F1, (0, 2, 1): -F1}                      # u(s^2 - t^2)
-ANGLE_AC = pmul({(0, 0, 2): F1, (1, 1, 0): -F1},
-                {(1, 0, 0): F1, (0, 1, 0): F1})               # (s+t)(u^2 - st)
-ANGLE_BC = pmul({(0, 0, 2): F1, (1, 1, 0): F1},
-                {(1, 0, 0): F1, (0, 1, 0): -F1})              # (s-t)(st + u^2)
-COS_VOLUME = {(2, 0, 1): F1, (0, 2, 1): F1, (0, 0, 3): -2 * F1}  # u(s^2+t^2-2u^2)
-ATTRACTION_VOLUME = {(1, 0, 1): -4 * F1}   # -(1/r1 + 1/r2) * vol = -4su
-REPULSION_VOLUME = {(2, 0, 0): F1, (0, 2, 0): -F1}            # (1/u) * vol
+VOLUME = {(2, 0, 1): 1, (0, 2, 1): -1}                        # u(s^2 - t^2)
+ANGLE_AC = pmul({(0, 0, 2): 1, (1, 1, 0): -1},
+                {(1, 0, 0): 1, (0, 1, 0): 1})                 # (s+t)(u^2 - st)
+ANGLE_BC = pmul({(0, 0, 2): 1, (1, 1, 0): 1},
+                {(1, 0, 0): 1, (0, 1, 0): -1})                # (s-t)(st + u^2)
+COS_VOLUME = {(2, 0, 1): 1, (0, 2, 1): 1, (0, 0, 3): -2}      # u(s^2+t^2-2u^2)
+ATTRACTION_VOLUME = {(1, 0, 1): -4}        # -(1/r1 + 1/r2) * vol = -4su
+REPULSION_VOLUME = {(2, 0, 0): 1, (0, 2, 0): -1}              # (1/u) * vol
 
 
 def measure_constant():
@@ -57,13 +56,18 @@ class NormalizationError(ValueError):
     """Expectation values require a state normalized to <U|U> = 1."""
 
 
-def derivative_symbols(term):
-    """(p, a, b, c) polynomial dicts for one basis term (e^{-s} folded out)."""
-    p = {(term.l, 2 * term.m, term.n): F1}
+def _derivative_polys(p):
+    """(a, b, c) of the module docstring for a polynomial p (e^{-s} folded out)."""
     p_s, p_t, p_u = pdiff(p, 0), pdiff(p, 1), pdiff(p, 2)
-    a = padd(padd(p_s, pscale(p, -F1)), pscale(p_t, -F1))
-    b = padd(padd(p_s, pscale(p, -F1)), p_t)
-    return p, a, b, p_u
+    a = padd(padd(p_s, p, -1), p_t, -1)
+    b = padd(padd(p_s, p, -1), p_t)
+    return a, b, p_u
+
+
+def derivative_symbols(term):
+    """(p, a, b, c) integer polynomial dicts for one basis term (e^{-s} folded out)."""
+    p = {(term.l, 2 * term.m, term.n): 1}
+    return (p, *_derivative_polys(p))
 
 
 def project_even_t(poly):
@@ -71,18 +75,19 @@ def project_even_t(poly):
     return {k: v for k, v in poly.items() if k[1] % 2 == 0}
 
 
-def integrate_projected(poly, lookup=raw_moment):
-    """Exact integral of an even-projected polynomial against e^{-2s}.
+def integrate_projected(poly, divisor=1):
+    """Exact integral of the even-t part of an integer polynomial, / divisor.
 
-    The integrand must already contain whatever volume/cancellation factors
-    apply; this is a plain sum of raw moments.  ``lookup`` lets callers
-    route through an explicit IntegralTable.
+    The integrand is taken against e^{-2s} and must already contain whatever
+    volume/cancellation factors apply.  The coefficients are summed against
+    the raw moments over D, the lcm of the moments' denominators, so the one
+    Fraction built is the result, Fraction(numerator, divisor * D).
     """
-    total = F0
-    for (a, b, c), v in poly.items():
-        if b % 2 == 0:
-            total += v * lookup(a, b, c)
-    return total
+    moments = [(v, raw_moment(a, b, c))
+               for (a, b, c), v in poly.items() if b % 2 == 0]
+    D = math.lcm(*(m.denominator for _, m in moments))
+    numerator = sum(v * m.numerator * (D // m.denominator) for v, m in moments)
+    return Fraction(numerator, divisor * D)
 
 
 def evaluate_poly(poly, s, t, u):
@@ -127,53 +132,61 @@ class OperatorMatrices:
     K_SCALING = {"W": 0, "K": 2, "P": 1, "M_pol": 2}
 
 
-def build_operator_matrices(basis, Z=2, table=None):
+def build_operator_matrices(basis, Z=2):
     """Assemble overlap, kinetic, potential and mass-polarization matrices.
 
-    ``table`` (an IntegralTable) makes the moment lookups go through an
-    explicit, persistable cache; results are bit-identical either way.
+    All polynomials carry integer coefficients; each element is one
+    integrate_projected call, so one Fraction per element.  W, attraction
+    and repulsion depend only on the exponent sum of the pair and are
+    integrated once per distinct sum.  The kinetic and mass-polarization
+    integrands (module docstring) are regrouped so that each product pairs
+    a per-term factor of i with a derivative symbol of j, or the reverse:
+
+      2 K_ij:  ka_i a_j + kb_i b_j + kc_i c_j + kc_j c_i
+      2 M_ij:  mb_i b_j + mb_j b_i + mc_i c_j + mc_j c_i     (both orders)
+
+    with ka = vol a, kb = vol b, kc = vol c + ac a + bc b,
+    mb = cos a - bc c and mc = -(ac a + vol c).
     """
-    lookup = table.raw if table is not None else raw_moment
     n = len(basis)
-    ps, As, Bs, Cs = [], [], [], []
-    for term in basis:
-        p, a, b, c = derivative_symbols(term)
-        ps.append(p)
-        As.append(a)
-        Bs.append(b)
-        Cs.append(c)
+    syms = [derivative_symbols(term) for term in basis]
+    ka, kb, kc, mb, mc = [], [], [], [], []
+    for _, a, b, c in syms:
+        vol_c, ac_a = pmul(VOLUME, c), pmul(ANGLE_AC, a)
+        ka.append(pmul(VOLUME, a))
+        kb.append(pmul(VOLUME, b))
+        kc.append(padd(padd(vol_c, ac_a), pmul(ANGLE_BC, b)))
+        mb.append(padd(pmul(COS_VOLUME, a), pmul(ANGLE_BC, c), -1))
+        mc.append(pscale(padd(ac_a, vol_c), -1))
 
-    W = [[F0] * n for _ in range(n)]
-    K = [[F0] * n for _ in range(n)]
-    Va = [[F0] * n for _ in range(n)]
-    Vr = [[F0] * n for _ in range(n)]
-    M = [[F0] * n for _ in range(n)]
-    for i in range(n):
+    by_sum = {}
+    W = [[None] * n for _ in range(n)]
+    K = [[None] * n for _ in range(n)]
+    P = [[None] * n for _ in range(n)]
+    Va = [[None] * n for _ in range(n)]
+    Vr = [[None] * n for _ in range(n)]
+    M = [[None] * n for _ in range(n)]
+    for i, t_i in enumerate(basis):
+        _, _, b_i, c_i = syms[i]
         for j in range(i + 1):
-            pij = pmul(ps[i], ps[j])
-            W[i][j] = W[j][i] = integrate_projected(pmul(pij, VOLUME), lookup)
-            Va[i][j] = Va[j][i] = integrate_projected(
-                pmul(pij, ATTRACTION_VOLUME), lookup)
-            Vr[i][j] = Vr[j][i] = integrate_projected(
-                pmul(pij, REPULSION_VOLUME), lookup)
+            t_j = basis[j]
+            _, a_j, b_j, c_j = syms[j]
+            e = (t_i.l + t_j.l, 2 * (t_i.m + t_j.m), t_i.n + t_j.n)
+            if e not in by_sum:
+                w = integrate_projected(pshift(VOLUME, *e))
+                va = integrate_projected(pshift(ATTRACTION_VOLUME, *e))
+                vr = integrate_projected(pshift(REPULSION_VOLUME, *e))
+                by_sum[e] = (w, va, vr, Z * va + vr)
+            W[i][j], Va[i][j], Vr[i][j], P[i][j] = by_sum[e]
+            W[j][i], Va[j][i], Vr[j][i], P[j][i] = by_sum[e]
 
-            g = pmul(VOLUME, padd(padd(pmul(As[i], As[j]), pmul(Bs[i], Bs[j])),
-                                  pscale(pmul(Cs[i], Cs[j]), 2 * F1)))
-            g = padd(g, pmul(ANGLE_AC, padd(pmul(As[i], Cs[j]), pmul(As[j], Cs[i]))))
-            g = padd(g, pmul(ANGLE_BC, padd(pmul(Bs[i], Cs[j]), pmul(Bs[j], Cs[i]))))
-            K[i][j] = K[j][i] = Fraction(1, 2) * integrate_projected(g, lookup)
+            g = padd(padd(padd(pmul(ka[i], a_j), pmul(kb[i], b_j)),
+                          pmul(kc[i], c_j)), pmul(kc[j], c_i))
+            K[i][j] = K[j][i] = integrate_projected(g, 2)
+            h = padd(padd(padd(pmul(mb[i], b_j), pmul(mb[j], b_i)),
+                          pmul(mc[i], c_j)), pmul(mc[j], c_i))
+            M[i][j] = M[j][i] = integrate_projected(h, 2)
 
-            # grad_1 . grad_2, symmetrized over (i, j)
-            acc = F0
-            for x, y in ((i, j), (j, i)):
-                h = pmul(COS_VOLUME, pmul(As[x], Bs[y]))
-                h = padd(h, pscale(pmul(ANGLE_AC, pmul(As[x], Cs[y])), -F1))
-                h = padd(h, pscale(pmul(ANGLE_BC, pmul(Cs[x], Bs[y])), -F1))
-                h = padd(h, pscale(pmul(VOLUME, pmul(Cs[x], Cs[y])), -F1))
-                acc += integrate_projected(h, lookup)
-            M[i][j] = M[j][i] = Fraction(1, 2) * acc
-
-    P = [[Z * Va[i][j] + Vr[i][j] for j in range(n)] for i in range(n)]
     return OperatorMatrices(n_basis=n, Z=Z, W=W, K=K, P=P, M_pol=M,
                             attraction=Va, repulsion=Vr)
 
@@ -207,32 +220,6 @@ def _state_poly(basis, coeffs):
         key = (term.l, 2 * term.m, term.n)
         poly[key] = poly.get(key, mp.mpf(0)) + mp.mpf(cf)
     return poly
-
-
-def _d(poly, axis):
-    out = {}
-    for key, v in poly.items():
-        if key[axis] > 0:
-            k2 = list(key)
-            k2[axis] -= 1
-            out[tuple(k2)] = v * key[axis]
-    return out
-
-
-def _add(p, q, f=1):
-    out = dict(p)
-    for key, v in q.items():
-        out[key] = out.get(key, mp.mpf(0)) + f * v
-    return out
-
-
-def _mul(p, q):
-    out = {}
-    for k1, v1 in p.items():
-        for k2, v2 in q.items():
-            kk = (k1[0] + k2[0], k1[1] + k2[1], k1[2] + k2[2])
-            out[kk] = out.get(kk, mp.mpf(0)) + v1 * v2
-    return out
 
 
 def _flip_t(poly):
@@ -341,17 +328,17 @@ def reduced_laplacian(poly):
     with T0 = p_ss - 2 p_s + p + p_tt + p_uu - 2(p_st - p_t),
          T1 = 2 (p_su - p_u - p_tu), T2 = 4 (p_s - p - p_t), T3 = 2 p_u.
     """
-    p_s, p_t, p_u = _d(poly, 0), _d(poly, 1), _d(poly, 2)
-    T0 = _add(_add(_add(_d(p_s, 0), p_s, -2), poly), _add(_d(p_t, 1), _d(p_u, 2)))
-    T0 = _add(T0, _add(_d(p_s, 1), p_t, -1), -2)
-    T1 = {k: 2 * v for k, v in _add(_add(_d(p_s, 2), p_u, -1), _d(p_t, 2), -1).items()}
-    T2 = {k: 4 * v for k, v in _add(_add(p_s, poly, -1), p_t, -1).items()}
-    T3 = {k: 2 * v for k, v in p_u.items()}
-    out = _mul(T0, {(1, 0, 1): mp.mpf(1), (0, 1, 1): mp.mpf(-1)})
-    out = _add(out, _mul(T1, {(0, 0, 2): mp.mpf(1), (1, 1, 0): mp.mpf(-1)}))
-    out = _add(out, _mul(T2, {(0, 0, 1): mp.mpf(1)}))
-    out = _add(out, _mul(T3, {(1, 0, 0): mp.mpf(1), (0, 1, 0): mp.mpf(-1)}))
-    return {k: v for k, v in out.items() if v != 0}
+    p_s, p_t, p_u = pdiff(poly, 0), pdiff(poly, 1), pdiff(poly, 2)
+    T0 = padd(padd(padd(pdiff(p_s, 0), p_s, -2), poly),
+              padd(pdiff(p_t, 1), pdiff(p_u, 2)))
+    T0 = padd(T0, padd(pdiff(p_s, 1), p_t, -1), -2)
+    T1 = pscale(padd(padd(pdiff(p_s, 2), p_u, -1), pdiff(p_t, 2), -1), 2)
+    T2 = pscale(padd(padd(p_s, poly, -1), p_t, -1), 4)
+    T3 = pscale(p_u, 2)
+    out = pmul(T0, {(1, 0, 1): 1, (0, 1, 1): -1})
+    out = padd(out, pmul(T1, {(0, 0, 2): 1, (1, 1, 0): -1}))
+    out = padd(out, pshift(T2, dc=1))
+    return padd(out, pmul(T3, {(1, 0, 0): 1, (0, 1, 0): -1}))
 
 
 def _channel_sum(poly, minus):
@@ -373,11 +360,11 @@ def p4_expectation(basis, coeffs, k, wq):
     """
     poly = _state_poly(basis, coeffs)
     T = reduced_laplacian(poly)
-    T2 = _mul(T, T)
-    s_plus_t = {(1, 0, 0): mp.mpf(1), (0, 1, 0): mp.mpf(1)}
-    s_minus_t = {(1, 0, 0): mp.mpf(1), (0, 1, 0): mp.mpf(-1)}
-    I1 = _channel_sum(_mul(T2, s_plus_t), minus=True)
-    I2 = _channel_sum(_mul(_flip_t(T2), s_minus_t), minus=False)
+    T2 = pmul(T, T)
+    s_plus_t = {(1, 0, 0): 1, (0, 1, 0): 1}
+    s_minus_t = {(1, 0, 0): 1, (0, 1, 0): -1}
+    I1 = _channel_sum(pmul(T2, s_plus_t), minus=True)
+    I2 = _channel_sum(pmul(_flip_t(T2), s_minus_t), minus=False)
     return mp.mpf(k) ** 4 * (I1 + I2) / wq
 
 
@@ -423,19 +410,10 @@ def _logmom_numerator(basis, coeffs):
     angular factors into polynomials after clearing u^2.
     """
     poly = _state_poly(basis, coeffs)
-    p_s, p_t, p_u = _d(poly, 0), _d(poly, 1), _d(poly, 2)
-    a = _add(_add(p_s, poly, -1), p_t, -1)
-    b = _add(_add(p_s, poly, -1), p_t, 1)
-    vol = {(2, 0, 1): mp.mpf(1), (0, 2, 1): mp.mpf(-1)}
-    num = _mul(_mul(poly, p_u), vol)
-    num = _add(num, _mul(_mul(poly, a),
-                         _mul({(0, 0, 2): mp.mpf(1), (1, 1, 0): mp.mpf(-1)},
-                              {(1, 0, 0): mp.mpf(1), (0, 1, 0): mp.mpf(1)})),
-               mp.mpf(0.5))
-    num = _add(num, _mul(_mul(poly, b),
-                         _mul({(0, 0, 2): mp.mpf(1), (1, 1, 0): mp.mpf(1)},
-                              {(1, 0, 0): mp.mpf(1), (0, 1, 0): mp.mpf(-1)})),
-               mp.mpf(0.5))
+    a, b, p_u = _derivative_polys(poly)
+    num = pmul(pmul(poly, p_u), VOLUME)
+    num = padd(num, pmul(pmul(poly, a), ANGLE_AC), mp.mpf(0.5))
+    num = padd(num, pmul(pmul(poly, b), ANGLE_BC), mp.mpf(0.5))
     # exchange-odd parts cancel against the mirrored half domain
     return {key: v for key, v in num.items() if key[1] % 2 == 0}
 

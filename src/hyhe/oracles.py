@@ -1,9 +1,8 @@
 """Independent cross-checks in explicit Cartesian coordinates.
 
-Everything here works from electron position vectors and finite differences,
-deliberately sharing no code with the closed-form integral engine: these are
-the referees, not the players.  The only imports from the package are basis
-term *definitions* (the shared contract), never integral or matrix routines.
+The Cartesian probes work from electron position vectors and finite
+differences, deliberately sharing no code with the closed-form integral
+engine: these are the referees, not the players.
 
 Also provides the one-parameter product-state (hydrogenic screening) limits,
 where every pipeline quantity has a pencil-and-paper value, and a standalone
@@ -11,13 +10,24 @@ tensor quadrature built on numpy's Gauss rules (the production engine uses
 scipy's -- independent node/weight computations), and the mpmath-matrix
 Cholesky reduction and Rayleigh-quotient eigensolve that the fixed-point
 integer kernel in `eigen` is checked against.
+
+The Fraction-valued operator assembly at the end is the reference for the
+integer assembly in `matrices`.  It keeps its own copy of the weight
+polynomials and does all arithmetic in Fractions, pair by pair; it shares
+only the polynomial primitives and the raw-moment closed form, which the
+integral tests check against quadrature.
 """
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 from mpmath import mp
+
+from .basis import padd, pdiff, pmul, pscale
+from .integrals import raw_moment
+from .matrices import OperatorMatrices
 
 
 @dataclass(frozen=True)
@@ -295,3 +305,74 @@ def mp_solve_fixed_k(L, K_red, P_red, k):
     if c[0] < 0:
         c = -c
     return sigma, K_q, P_q, [c[i] for i in range(n)]
+
+
+# ---------------------------------------------------------------------------
+# Fraction reference assembly (production assembles on integer coefficients)
+# ---------------------------------------------------------------------------
+
+def fraction_operator_matrices(basis, Z=2):
+    """W, K, P, M_pol, attraction, repulsion with every step in Fractions.
+
+    Each element builds its own integrand polynomials with Fraction
+    coefficients and integrates them monomial by monomial, exactly as the
+    assembly did before it moved to integer coefficients.  Returns an
+    `OperatorMatrices`.
+    """
+    F0, F1 = Fraction(0), Fraction(1)
+    volume = {(2, 0, 1): F1, (0, 2, 1): -F1}
+    angle_ac = pmul({(0, 0, 2): F1, (1, 1, 0): -F1},
+                    {(1, 0, 0): F1, (0, 1, 0): F1})
+    angle_bc = pmul({(0, 0, 2): F1, (1, 1, 0): F1},
+                    {(1, 0, 0): F1, (0, 1, 0): -F1})
+    cos_volume = {(2, 0, 1): F1, (0, 2, 1): F1, (0, 0, 3): -2 * F1}
+    attraction_volume = {(1, 0, 1): -4 * F1}
+    repulsion_volume = {(2, 0, 0): F1, (0, 2, 0): -F1}
+
+    def integrate(poly):
+        total = F0
+        for (a, b, c), v in poly.items():
+            if b % 2 == 0:
+                total += v * raw_moment(a, b, c)
+        return total
+
+    n = len(basis)
+    ps, As, Bs, Cs = [], [], [], []
+    for term in basis:
+        p = {(term.l, 2 * term.m, term.n): F1}
+        p_s, p_t, p_u = pdiff(p, 0), pdiff(p, 1), pdiff(p, 2)
+        ps.append(p)
+        As.append(padd(padd(p_s, pscale(p, -F1)), pscale(p_t, -F1)))
+        Bs.append(padd(padd(p_s, pscale(p, -F1)), p_t))
+        Cs.append(p_u)
+
+    W = [[F0] * n for _ in range(n)]
+    K = [[F0] * n for _ in range(n)]
+    Va = [[F0] * n for _ in range(n)]
+    Vr = [[F0] * n for _ in range(n)]
+    M = [[F0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            pij = pmul(ps[i], ps[j])
+            W[i][j] = W[j][i] = integrate(pmul(pij, volume))
+            Va[i][j] = Va[j][i] = integrate(pmul(pij, attraction_volume))
+            Vr[i][j] = Vr[j][i] = integrate(pmul(pij, repulsion_volume))
+
+            g = pmul(volume, padd(padd(pmul(As[i], As[j]), pmul(Bs[i], Bs[j])),
+                                  pscale(pmul(Cs[i], Cs[j]), 2 * F1)))
+            g = padd(g, pmul(angle_ac, padd(pmul(As[i], Cs[j]), pmul(As[j], Cs[i]))))
+            g = padd(g, pmul(angle_bc, padd(pmul(Bs[i], Cs[j]), pmul(Bs[j], Cs[i]))))
+            K[i][j] = K[j][i] = Fraction(1, 2) * integrate(g)
+
+            acc = F0
+            for x, y in ((i, j), (j, i)):
+                h = pmul(cos_volume, pmul(As[x], Bs[y]))
+                h = padd(h, pscale(pmul(angle_ac, pmul(As[x], Cs[y])), -F1))
+                h = padd(h, pscale(pmul(angle_bc, pmul(Cs[x], Bs[y])), -F1))
+                h = padd(h, pscale(pmul(volume, pmul(Cs[x], Cs[y])), -F1))
+                acc += integrate(h)
+            M[i][j] = M[j][i] = Fraction(1, 2) * acc
+
+    P = [[Z * Va[i][j] + Vr[i][j] for j in range(n)] for i in range(n)]
+    return OperatorMatrices(n_basis=n, Z=Z, W=W, K=K, P=P, M_pol=M,
+                            attraction=Va, repulsion=Vr)

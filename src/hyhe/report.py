@@ -25,7 +25,7 @@ from .corrections import total_energy
 from .eigen import build_systems, ground_state_pair, optimize_k
 from .matrices import build_operator_matrices, expectation_set
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 CSV_COLUMNS = ("N", "E_inf", "dE_inf", "E0", "dE0", "deltaE2", "deltaE3",
                "E_total", "dE_total", "k_opt")
@@ -67,7 +67,6 @@ class ReportDocument:
     engine_version: str
     config: dict
     constants: dict
-    cache: dict
     rows: list = field(default_factory=list)
 
     @property
@@ -80,7 +79,6 @@ class ReportDocument:
             "engine_version": self.engine_version,
             "config": self.config,
             "constants": self.constants,
-            "cache": self.cache,
             "rows": [asdict(row) for row in self.rows],
         }
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -93,7 +91,6 @@ class ReportDocument:
             engine_version=payload["engine_version"],
             config=payload["config"],
             constants=payload["constants"],
-            cache=payload["cache"],
             rows=[Row(**row) for row in payload["rows"]],
         )
         recompute_deltas(doc.rows)
@@ -121,9 +118,6 @@ class ReportDocument:
             f"{k}={v}" for k, v in sorted(self.constants.items())))
         lines.append("config:    " + ", ".join(
             f"{k}={v}" for k, v in sorted(self.config.items())))
-        if self.cache:
-            lines.append("cache:     " + ", ".join(
-                f"{k}={v}" for k, v in sorted(self.cache.items())))
         lines.append("")
         head = (f"{'N':>4} {'E_inf':>15} {'dE_inf':>12} {'E0':>15} {'dE0':>12} "
                 f"{'deltaE2':>12} {'deltaE3':>12} {'E_total':>15} "
@@ -174,12 +168,12 @@ def recompute_deltas(rows):
     return rows
 
 
-def compute_row(n, config, constants, table=None):
+def compute_row(n, config, constants):
     """Run the full pipeline for one basis size; returns (Row, results)."""
     t0 = time.time()
     with mp.workdps(config.precision_digits):
         basis = enumerate_basis(n)
-        mats = build_operator_matrices(basis, Z=constants.Z, table=table)
+        mats = build_operator_matrices(basis, Z=constants.Z)
         res_inf, res_0 = ground_state_pair(
             mats, constants.mass_ratio_M, k_init=config.k_init,
             k_tol=config.k_tol, max_outer_iters=config.max_outer_iters)
@@ -200,7 +194,7 @@ def compute_row(n, config, constants, table=None):
     return row, (res_inf, res_0, exps, breakdown)
 
 
-def run_tables(config=None, constants=None, n_list=None, table=None):
+def run_tables(config=None, constants=None, n_list=None):
     """Sweep the basis sizes and assemble a ReportDocument.
 
     A failing size produces a failure row instead of aborting the sweep;
@@ -217,7 +211,7 @@ def run_tables(config=None, constants=None, n_list=None, table=None):
     rows = []
     for n in n_list:
         try:
-            row, _ = compute_row(n, config, constants, table=table)
+            row, _ = compute_row(n, config, constants)
         except Exception as exc:  # noqa: BLE001 - failure rows are the contract
             row = Row(N=n, ok=False, error=f"{type(exc).__name__}: {exc}")
         rows.append(row)
@@ -227,7 +221,6 @@ def run_tables(config=None, constants=None, n_list=None, table=None):
         engine_version=ENGINE_VERSION,
         config=config.echo(),
         constants=constants.echo(),
-        cache=table.stats() if table is not None else {},
         rows=rows,
     )
 

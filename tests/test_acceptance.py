@@ -25,8 +25,7 @@ from hyhe.config import RunConfig
 from hyhe.constants import PhysicalConstants, default_constants
 from hyhe.corrections import total_energy
 from hyhe.eigen import build_systems, optimize_k, solve_fixed_k
-from hyhe.integrals import (IntegralTable, base_integral, k_scaling_exponent,
-                            quad_integral)
+from hyhe.integrals import base_integral, k_scaling_exponent, quad_integral
 from hyhe.matrices import (build_operator_matrices, check_normalized,
                            derivative_symbols, evaluate_poly, expectation_set,
                            log_momentum_integrands, reduced_laplacian)
@@ -52,11 +51,10 @@ REF_E_BENCH = "-2.90338629"
 def sweep():
     config = RunConfig()
     constants = default_constants()
-    table = IntegralTable()
     out = {}
     for n in SIZES:
         row, (res_inf, res_0, exps, breakdown) = compute_row(
-            n, config, constants, table=table)
+            n, config, constants)
         assert row.ok, row.error
         out[n] = {"row": row, "inf": res_inf, "0": res_0,
                   "exps": exps, "breakdown": breakdown}

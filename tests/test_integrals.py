@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from hyhe.basis import SteuExpression
-from hyhe.integrals import (ENGINE_VERSION, IntegralDomainError, IntegralTable,
-                            QuadratureError, WEIGHT_LN_U, WEIGHT_NONE,
+from hyhe.integrals import (IntegralDomainError, QuadratureError, WEIGHT_LN_U, WEIGHT_NONE,
                             WEIGHT_VOLUME_CANCELLED, base_integral,
                             base_integral_real, integral_for, k_scaling_exponent,
                             log_base_integral, log_integral_quad_mp, quad_base_integral,
@@ -68,43 +67,6 @@ def test_scaling_law_against_quadrature(a, b, c, k):
     val = quad_integral(f, target=1e-12)
     expected = float(base_integral(a, b, c)) * k ** (-k_scaling_exponent(a, b, c))
     assert val == pytest.approx(expected, rel=1e-10)
-
-
-def test_table_stats_and_families():
-    table = IntegralTable()
-    table.base(0, 0, 0)
-    table.base(0, 0, 0)
-    table.raw(0, 0, 0)
-    stats = table.stats()
-    assert stats == {"entries": 2, "hits": 1, "misses": 2}
-    assert table.base(1, 0, 0) == base_integral(1, 0, 0)
-    assert table.k_scaling(1, 0, 0) == 7
-
-
-def test_table_save_load_round_trip(tmp_path):
-    table = IntegralTable()
-    keys = [(0, 0, 0), (3, 2, 1), (6, 4, 2), (1, 0, -1)]
-    for key in keys:
-        table.raw(*key)
-        table.base(key[0], key[1], abs(key[2]))
-    path = tmp_path / "integrals.json"
-    table.save(path)
-
-    warm = IntegralTable()
-    assert warm.load(path) is True
-    for key in keys:
-        assert warm.raw(*key) == raw_moment(*key)
-    assert warm.stats()["hits"] == len(keys)  # all warm hits, bit-identical
-
-
-def test_table_rejects_stale_version(tmp_path):
-    path = tmp_path / "integrals.json"
-    path.write_text('{"engine": "hyhe-integrals-0", "raw": {"0,0,0": "1/8"}}')
-    table = IntegralTable()
-    assert table.load(path) is False
-    assert table.raw(0, 0, 0) == raw_moment(0, 0, 0)  # not poisoned
-    assert table.load(tmp_path / "missing.json") is False
-    assert ENGINE_VERSION == "hyhe-integrals-1"
 
 
 def test_quad_reference_integrands():
@@ -183,11 +145,10 @@ def test_log_moment_scaling_law():
 
 
 def test_integral_for_dispatch():
-    table = IntegralTable()
     expr = SteuExpression({(1, 0, 0): Fraction(2), (0, 0, 1): Fraction(-1)},
                           exp_degree=2)
     with mp.workdps(30):
-        plain = integral_for(expr, WEIGHT_NONE, table)
+        plain = integral_for(expr, WEIGHT_NONE)
         expected = 2 * mpf_of(base_integral(1, 0, 0)) - mpf_of(base_integral(0, 0, 1))
         assert abs(plain - expected) == 0
 
@@ -198,8 +159,6 @@ def test_integral_for_dispatch():
         logged = integral_for(expr, WEIGHT_LN_U)
         expected = 2 * log_base_integral(1, 0, 0) - log_base_integral(0, 0, 1)
         assert abs(logged - expected) == 0
-
-    assert table.stats()["entries"] == 2
 
 
 def test_integral_for_requires_squared_exponential():

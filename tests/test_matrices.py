@@ -11,6 +11,7 @@ from hyhe.matrices import (ANGLE_AC, ANGLE_BC, ATTRACTION_VOLUME, COS_VOLUME,
                            OperatorMatrices, build_operator_matrices,
                            check_normalized, evaluate_poly, evaluate_poly_mp,
                            measure_constant, project_even_t, reduced_laplacian)
+from hyhe.oracles import fraction_operator_matrices
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +76,16 @@ def test_overlap_positive_definite():
     W = np.array([[float(v) for v in row] for row in mats.W])
     np.linalg.cholesky(W)  # raises LinAlgError if not PD
     assert np.linalg.eigvalsh(W).min() > 0
+
+
+@pytest.mark.parametrize("Z", [1, 2])
+@pytest.mark.parametrize("n", [1, 7, 22, 50])
+def test_integer_assembly_matches_fraction_oracle(n, Z):
+    basis = enumerate_basis(n)
+    fast = build_operator_matrices(basis, Z=Z)
+    ref = fraction_operator_matrices(basis, Z=Z)
+    for name in ("W", "K", "P", "M_pol", "attraction", "repulsion"):
+        assert getattr(fast, name) == getattr(ref, name), name
 
 
 def test_k_scaling_constants():

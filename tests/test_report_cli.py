@@ -2,11 +2,14 @@ import csv
 import io
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
 from mpmath import mp
 
+import hyhe
 import hyhe.report as report
 from hyhe.cli import main
 from hyhe.config import RunConfig
@@ -54,6 +57,18 @@ def test_json_round_trip_is_stable(two_row_doc):
     assert clone.rows[0].E_inf == two_row_doc.rows[0].E_inf
 
 
+def test_json_schema_v2_reads_v1(two_row_doc):
+    payload = json.loads(two_row_doc.to_json())
+    assert payload["schema_version"] == 2 and "cache" not in payload
+    # a version-1 document carried the removed integral-cache statistics
+    old = dict(payload, schema_version=1,
+               cache={"entries": 6, "hits": 4, "misses": 6})
+    clone = ReportDocument.from_json(json.dumps(old))
+    assert clone.schema_version == 1
+    assert [row.E_total for row in clone.rows] == \
+        [row.E_total for row in two_row_doc.rows]
+
+
 def test_csv_shape(two_row_doc):
     parsed = list(csv.reader(io.StringIO(two_row_doc.to_csv())))
     assert parsed[0] == list(CSV_COLUMNS)
@@ -71,10 +86,10 @@ def test_human_rendering(two_row_doc):
 def test_failure_rows_keep_the_sweep_alive(monkeypatch):
     real = report.compute_row
 
-    def flaky(n, config, constants, table=None):
+    def flaky(n, config, constants):
         if n == 2:
             raise RuntimeError("boom")
-        return real(n, config, constants, table=table)
+        return real(n, config, constants)
 
     monkeypatch.setattr(report, "compute_row", flaky)
     doc = run_tables(n_list=[1, 2, 3])
@@ -104,18 +119,18 @@ runner = CliRunner()
 
 
 def test_cli_sweep_human():
-    result = runner.invoke(main, ["--no-cache", "sweep", "--n-list", "1"])
+    result = runner.invoke(main, ["sweep", "--n-list", "1"])
     assert result.exit_code == 0, result.output
     assert "-2.84765625" in result.output
 
 
 def test_cli_sweep_csv_and_json():
-    result = runner.invoke(main, ["--no-cache", "--format", "csv",
+    result = runner.invoke(main, ["--format", "csv",
                                   "sweep", "--n-list", "1,2"])
     assert result.exit_code == 0
     assert result.output.splitlines()[0] == ",".join(CSV_COLUMNS)
 
-    result = runner.invoke(main, ["--no-cache", "--format", "json",
+    result = runner.invoke(main, ["--format", "json",
                                   "sweep", "--n-list", "1"])
     assert result.exit_code == 0
     payload = json.loads(result.output)
@@ -124,12 +139,12 @@ def test_cli_sweep_csv_and_json():
 
 
 def test_cli_solve_both_hamiltonians():
-    result = runner.invoke(main, ["--no-cache", "solve", "--n", "1"])
+    result = runner.invoke(main, ["solve", "--n", "1"])
     assert result.exit_code == 0
     assert "nuclear-motion" in result.output
     assert "1.687268686" in result.output
 
-    result = runner.invoke(main, ["--no-cache", "solve", "--n", "1",
+    result = runner.invoke(main, ["solve", "--n", "1",
                                   "--no-nuclear-motion"])
     assert result.exit_code == 0
     assert "clamped-nucleus" in result.output
@@ -137,13 +152,13 @@ def test_cli_solve_both_hamiltonians():
 
 
 def test_cli_solve_rejects_csv():
-    result = runner.invoke(main, ["--no-cache", "--format", "csv",
+    result = runner.invoke(main, ["--format", "csv",
                                   "solve", "--n", "1"])
     assert result.exit_code == 2
 
 
 def test_cli_corrections_breakdown():
-    result = runner.invoke(main, ["--no-cache", "--format", "json",
+    result = runner.invoke(main, ["--format", "json",
                                   "corrections", "--n", "1"])
     assert result.exit_code == 0, result.output
     fields = json.loads(result.output)
@@ -154,45 +169,49 @@ def test_cli_corrections_breakdown():
 
 
 def test_cli_usage_errors():
-    assert runner.invoke(main, ["--no-cache", "sweep", "--n-list", "x"]).exit_code == 2
-    assert runner.invoke(main, ["--no-cache", "sweep", "--n-list", ""]).exit_code == 2
-    assert runner.invoke(main, ["--no-cache", "solve", "--n", "0"]).exit_code == 2
-    assert runner.invoke(main, ["--no-cache", "--alpha", "0",
+    assert runner.invoke(main, ["sweep", "--n-list", "x"]).exit_code == 2
+    assert runner.invoke(main, ["sweep", "--n-list", ""]).exit_code == 2
+    assert runner.invoke(main, ["solve", "--n", "0"]).exit_code == 2
+    assert runner.invoke(main, ["--alpha", "0",
                                 "sweep", "--n-list", "1"]).exit_code == 2
 
 
 def test_cli_env_overrides_flow_into_config():
     # precision below the floor proves HYHE_ env vars reach load_config
-    result = runner.invoke(main, ["--no-cache", "sweep", "--n-list", "1"],
+    result = runner.invoke(main, ["sweep", "--n-list", "1"],
                            env={"HYHE_PRECISION_DIGITS": "10"})
     assert result.exit_code == 2
-    result = runner.invoke(main, ["--no-cache", "sweep", "--n-list", "1"],
+    result = runner.invoke(main, ["sweep", "--n-list", "1"],
                            env={"HYHE_OUTPUT": "csv"})
     assert result.exit_code == 0
     assert result.output.splitlines()[0] == ",".join(CSV_COLUMNS)
 
 
 def test_cli_failure_row_exit_code(monkeypatch):
-    def boom(n, config, constants, table=None):
+    def boom(n, config, constants):
         raise RuntimeError("broken")
 
     monkeypatch.setattr(report, "compute_row", boom)
-    result = runner.invoke(main, ["--no-cache", "sweep", "--n-list", "1"])
+    result = runner.invoke(main, ["sweep", "--n-list", "1"])
     assert result.exit_code == 1
     assert "FAILED" in result.output
 
 
-def test_cli_persistent_cache(tmp_path):
-    cache_dir = str(tmp_path / "cache")
-    cold = runner.invoke(main, ["--cache-dir", cache_dir, "--format", "json",
-                                "sweep", "--n-list", "2"])
-    assert cold.exit_code == 0, cold.output
-    assert os.path.exists(os.path.join(cache_dir, "integrals.json"))
-    stats = json.loads(cold.output)["cache"]
-    assert stats["entries"] > 0
-
-    warm = runner.invoke(main, ["--cache-dir", cache_dir, "--format", "json",
-                                "sweep", "--n-list", "2"])
-    warm_stats = json.loads(warm.output)["cache"]
-    assert warm_stats["misses"] == 0
-    assert warm_stats["hits"] >= stats["entries"]
+def test_cli_import_path_leaves_out_scipy():
+    # scipy serves only the test-side tensor quadrature; a fresh interpreter
+    # that imports the CLI and runs a sweep must never load it
+    code = (
+        "import sys\n"
+        "from click.testing import CliRunner\n"
+        "import hyhe.cli\n"
+        "assert 'scipy' not in sys.modules, 'import hyhe.cli loaded scipy'\n"
+        "result = CliRunner().invoke(hyhe.cli.main, ['sweep', '--n-list', '3'])\n"
+        "assert result.exit_code == 0, result.output\n"
+        "assert 'scipy' not in sys.modules, 'sweep loaded scipy'\n"
+    )
+    src = os.path.dirname(os.path.dirname(hyhe.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=300,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
