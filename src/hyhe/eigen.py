@@ -67,7 +67,11 @@ def _fixed(q, F):
 
 
 def _fixed_mpf(v, F):
-    man, exp = mp.mpf(v).man_exp
+    """round(v * 2**F) for a real v that mp.mpf accepts; keeps the sign."""
+    v = mp.mpf(v)
+    man, exp = v.man_exp            # man is the magnitude
+    if v < 0:
+        man = -man
     return _fixed(Fraction(man << exp) if exp >= 0
                   else Fraction(man, 1 << -exp), F)
 

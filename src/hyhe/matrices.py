@@ -34,6 +34,7 @@ import numpy as np
 from mpmath import mp
 
 from .basis import padd, pdiff, pmul, pscale, pshift
+from .eigen import _fixed, _fixed_mpf
 from .integrals import raw_moment
 
 # geometric weight polynomials (coordinates s, t, u; keys are exponents)
@@ -98,16 +99,26 @@ def evaluate_poly(poly, s, t, u):
     return total
 
 
-def evaluate_poly_mp(poly, s, t, u):
-    """mpf value of a polynomial dict at mpf coordinates."""
-    total = mp.mpf(0)
-    for (a, b, c), v in poly.items():
-        if isinstance(v, Fraction):
-            coeff = mp.mpf(v.numerator) / v.denominator
-        else:
-            coeff = mp.mpf(v)
-        total += coeff * s ** a * t ** b * u ** c
-    return total
+def poly_function_mp(poly):
+    """f(s, t, u), the mpf value of a polynomial dict at mpf coordinates.
+
+    The coefficients are converted once, and powers 0 and 1 skip mpf pow,
+    since quadrature calls f at many nodes.
+    """
+    terms = [(mp.mpf(v.numerator) / v.denominator
+              if isinstance(v, Fraction) else mp.mpf(v),
+              [(axis, e) for axis, e in enumerate(key) if e])
+             for key, v in poly.items()]
+
+    def f(s, t, u):
+        xs = (s, t, u)
+        total = mp.mpf(0)
+        for coeff, powers in terms:
+            for axis, e in powers:
+                coeff *= xs[axis] if e == 1 else xs[axis] ** e
+            total += coeff
+        return total
+    return f
 
 
 @dataclass(frozen=True)
@@ -213,17 +224,18 @@ class ExpectationSet:
     log_momentum: object
 
 
-def _state_poly(basis, coeffs):
-    """Collapse a coefficient vector onto one mpf polynomial dict."""
+def _state_poly(basis, values):
+    """One polynomial dict from per-term values (mpf or fixed-point ints)."""
     poly = {}
-    for term, cf in zip(basis, coeffs):
+    for term, v in zip(basis, values):
         key = (term.l, 2 * term.m, term.n)
-        poly[key] = poly.get(key, mp.mpf(0)) + mp.mpf(cf)
+        poly[key] = poly.get(key, 0) + v
     return poly
 
 
-def _flip_t(poly):
-    return {k: (v if k[1] % 2 == 0 else -v) for k, v in poly.items()}
+def _fixed_state_poly(basis, coeffs, F):
+    """The state polynomial with int coefficients round(c * 2**F)."""
+    return _state_poly(basis, [_fixed_mpf(c, F) for c in coeffs])
 
 
 def check_normalized(W, coeffs, tol=1e-10):
@@ -249,71 +261,61 @@ def delta_expectations(basis, coeffs, k, W=None, wq=None):
     integral 4 pi int r^2 (k r)^{g_i + g_j} e^{-2 k r} dr; the normalization
     2 pi^2 Wq turns it into (2 k^3 / pi) sum c_i c_j (g+2)!/2^{g+3}.
     Electron-electron coalescence (u = t = 0, s = 2r) keeps only l-pure
-    terms with an extra 2^{l_i + l_j} from s = 2r.
+    terms with an extra 2^{l_i + l_j} from s = 2r.  Both weights depend on
+    a pair only through g = g_i + g_j, so the double sums run over grade
+    pairs of S_g, the sum of the coefficients of grade g.
     """
     if wq is None:
         if W is None:
             raise ValueError("need either W (to verify normalization) or wq")
         wq = check_normalized(W, coeffs)
     km = mp.mpf(k)
-    tot_n = mp.mpf(0)
-    for i, ti in enumerate(basis):
-        gi = ti.grade
-        for j, tj in enumerate(basis):
-            g = gi + tj.grade
-            # t-power enters as (-r)^{2m}: even, so r1 and r2 agree exactly
-            tot_n += coeffs[i] * coeffs[j] * mp.factorial(g + 2) / mp.mpf(2) ** (g + 3)
-    d1 = km ** 3 * (2 / mp.pi) * tot_n / wq
+    grade_sums, pure_sums = {}, {}
+    for term, c in zip(basis, coeffs):
+        g = term.grade
+        grade_sums[g] = grade_sums.get(g, 0) + c
+        if term.m == 0 and term.n == 0:
+            pure_sums[g] = pure_sums.get(g, 0) + c
+    weight = [mp.factorial(g + 2) / mp.mpf(2) ** (g + 3)
+              for g in range(2 * max(grade_sums) + 1)]
 
-    pure = [(i, t.l) for i, t in enumerate(basis) if t.m == 0 and t.n == 0]
-    tot_e = mp.mpf(0)
-    for i, li in pure:
-        for j, lj in pure:
-            g = li + lj
-            tot_e += (coeffs[i] * coeffs[j] * mp.mpf(2) ** g
-                      * mp.factorial(g + 2) / mp.mpf(4) ** (g + 3))
-    dee = km ** 3 * (2 / mp.pi) * tot_e / wq
+    def pair_sum(sums):
+        return mp.fsum(si * sj * weight[gi + gj]
+                       for gi, si in sums.items() for gj, sj in sums.items())
+
+    # t-power enters as (-r)^{2m}: even, so r1 and r2 agree exactly
+    d1 = km ** 3 * (2 / mp.pi) * pair_sum(grade_sums) / wq
+    # 2^g (g+2)!/4^{g+3} = weight[g] / 8
+    dee = km ** 3 * (2 / mp.pi) * pair_sum(pure_sums) / (8 * wq)
     return d1, dee
 
 
-# --- <p^4> via the reduced-Laplacian series ---------------------------------
+# --- fixed-point series weights ----------------------------------------------
 
-_ZETA2_TAIL = {}
+# Guard bits above mp.prec for the fixed-point expectation sums.  A prefix
+# sum to n carries at most n/2 ulps (n <= 17 at N = 50), and the <p^4>
+# channel sum cancels by a factor of ~70 at N = 50; 32 bits cover both.
+_SUM_GUARD_BITS = 32
 
 
-def _harm(n):
-    return mp.fsum(mp.mpf(1) / j for j in range(1, n + 1))
+def _prefix_sums(n, F):
+    """Fixed-point prefix sums over j = 1..i, for i = 0..n, at scale 2**F.
 
-
-def _lam_minus(a, b):
-    """Exact value of the 1/((s-t)u)-channel moment with t^a u^{b-a} powers.
-
-    Equals (H_b - H_a)/(b - a); the confluent a = b case sums to
-    zeta(2) - sum_{j<=a} 1/j^2.
+    Returns the lists of sum 1/j (harmonic numbers H_i), sum 1/j^2,
+    sum (-1)^{j+1}/j and sum (-1)^{j+1}/j^2, each starting at i = 0.
     """
-    if a == b:
-        if a not in _ZETA2_TAIL:
-            _ZETA2_TAIL[a] = mp.zeta(2) - mp.fsum(
-                mp.mpf(1) / (j * j) for j in range(1, a + 1))
-        return _ZETA2_TAIL[a]
-    if a > b:
-        a, b = b, a
-    return (_harm(b) - _harm(a)) / (b - a)
+    harm, sq, alt, alt_sq = [0], [0], [0], [0]
+    for j in range(1, n + 1):
+        h, z = _fixed(Fraction(1, j), F), _fixed(Fraction(1, j * j), F)
+        sign = 1 if j % 2 else -1
+        harm.append(harm[-1] + h)
+        sq.append(sq[-1] + z)
+        alt.append(alt[-1] + sign * h)
+        alt_sq.append(alt_sq[-1] + sign * z)
+    return harm, sq, alt, alt_sq
 
 
-def _alt_A(n):
-    # (-1)^n (sum_{j<n} (-1)^{j+1}/j - ln 2)
-    s = mp.fsum(mp.mpf((-1) ** (j + 1)) / j for j in range(1, n))
-    return (-1) ** n * (s - mp.ln(2))
-
-
-def _lam_plus(a, b):
-    """Exact value of the 1/((s+t)u)-channel moment (alternating analogue)."""
-    if a == b:
-        s = mp.fsum(mp.mpf((-1) ** (j + 1)) / (j * j) for j in range(1, a + 1))
-        return mp.zeta(2) / 2 - s
-    return (_alt_A(a + 1) - _alt_A(b + 1)) / (b - a)
-
+# --- <p^4> via the reduced-Laplacian series ---------------------------------
 
 def reduced_laplacian(poly):
     """Polynomial T such that Lap_1 (P e^{-s}) = T e^{-s} / ((s-t) u).
@@ -341,31 +343,48 @@ def reduced_laplacian(poly):
     return padd(out, pmul(T3, {(1, 0, 0): 1, (0, 1, 0): -1}))
 
 
-def _channel_sum(poly, minus):
-    """sum over monomials of s-moment times the matching channel moment."""
-    tot = mp.mpf(0)
-    for (A, B, C), v in poly.items():
-        s_mom = mp.factorial(A + B + C) / mp.mpf(2) ** (A + B + C + 1)
-        lam = _lam_minus(B, B + C) if minus else _lam_plus(B, B + C)
-        tot += v * s_mom * lam
-    return tot
-
-
 def p4_expectation(basis, coeffs, k, wq):
     """<p_1^4 + p_2^4> = int (Lap_1 U)^2 + (Lap_2 U)^2 over the half domain.
 
-    (Lap_1 U)^2 vol = T^2 e^{-2s} (s+t)/((s-t)u); the t and u integrals of
-    each monomial are the exact channel moments (lam functions), leaving a
-    plain factorial s-moment.  The electron-2 piece is the t-reflection.
+    (Lap_1 U)^2 vol = T^2 e^{-2s} (s+t)/((s-t)u).  For a monomial
+    s^A t^B u^C of T^2 (s+t) the s integral is (A+B+C)!/2^{A+B+C+1} and the
+    t and u integrals are exact channel moments,
+
+      1/((s-t)u): (H_{B+C} - H_B)/C,
+                  C = 0: zeta(2) - sum_{j<=B} 1/j^2
+      1/((s+t)u): (a_{B+1} - a_{B+C+1})/C,
+                  C = 0: zeta(2)/2 - sum_{j<=B} (-1)^{j+1}/j^2
+
+    with a_n = (-1)^n (sum_{j<n} (-1)^{j+1}/j - ln 2).  The electron-2 piece
+    is the t-reflection of the electron-1 one, so it reads the 1/((s+t)u)
+    moment off the same monomial with sign (-1)^B.
+
+    Everything runs on Python ints: the state at scale 2**F (F = mp.prec +
+    _SUM_GUARD_BITS), T^2 (s+t) exactly at scale 2**(2F), and the channel
+    moments from fixed-point prefix sums; one mpf is made at the end.
     """
-    poly = _state_poly(basis, coeffs)
-    T = reduced_laplacian(poly)
-    T2 = pmul(T, T)
-    s_plus_t = {(1, 0, 0): 1, (0, 1, 0): 1}
-    s_minus_t = {(1, 0, 0): 1, (0, 1, 0): -1}
-    I1 = _channel_sum(pmul(T2, s_plus_t), minus=True)
-    I2 = _channel_sum(pmul(_flip_t(T2), s_minus_t), minus=False)
-    return mp.mpf(k) ** 4 * (I1 + I2) / wq
+    F = mp.prec + _SUM_GUARD_BITS
+    T = reduced_laplacian(_fixed_state_poly(basis, coeffs, F))
+    poly = pmul(pmul(T, T), {(1, 0, 0): 1, (0, 1, 0): 1})
+    harm, sq, alt, alt_sq = _prefix_sums(max(b + c for _, b, c in poly), F)
+    with mp.workprec(F):
+        zeta2, ln2 = _fixed_mpf(mp.zeta(2), F), _fixed_mpf(mp.ln(2), F)
+
+    def a_n(n):
+        v = alt[n - 1] - ln2
+        return -v if n % 2 else v
+
+    total = 0
+    for (a, b, c), v in poly.items():
+        if c:
+            minus = harm[b + c] - harm[b]
+            plus = a_n(b + 1) - a_n(b + c + 1)
+        else:
+            minus, plus = zeta2 - sq[b], (zeta2 >> 1) - alt_sq[b]
+        w = minus - plus if b % 2 else minus + plus
+        n = a + b + c
+        total += (v * math.factorial(n) * w // (c or 1)) >> (n + 1)
+    return mp.mpf(k) ** 4 * mp.ldexp(total, -3 * F) / wq
 
 
 def p4_integrand(basis, coeffs):
@@ -374,8 +393,7 @@ def p4_integrand(basis, coeffs):
     Quadrature route for the same observable as p4_expectation; the
     integrable 1/((s-t)u) edge comes from the electron-1 Coulomb cusp.
     """
-    poly = _state_poly(basis, coeffs)
-    T = reduced_laplacian(poly)
+    T = reduced_laplacian(_state_poly(basis, coeffs))
     Tf = {key: float(v) for key, v in T.items()}
 
     def f(s, t, u):
@@ -402,20 +420,20 @@ def p4_expectation_quad(basis, coeffs, k, wq, quad, target=1e-3):
 
 # --- the logarithmic momentum matrix element --------------------------------
 
-def _logmom_numerator(basis, coeffs):
-    """Polynomial N with U (n.grad_12 U) vol = N e^{-2s} / u^2.
+def _logmom_numerator(poly):
+    """2N for U = poly e^{-s}, where U (n.grad_12 U) vol = N e^{-2s} / u^2.
 
     n = r_12 / r_12; grad_12 acts as (grad_1 - grad_2)/2, and the direction
     cosines r1.n = (u^2 - st)/((s-t)u), r2.n = -(u^2 + st)/((s+t)u) fold the
-    angular factors into polynomials after clearing u^2.
+    angular factors into polynomials after clearing u^2:
+      N = poly (p_u vol + a (s+t)(u^2 - st)/2 + b (s-t)(st + u^2)/2).
+    Doubling keeps the halves integral on int coefficients.
     """
-    poly = _state_poly(basis, coeffs)
     a, b, p_u = _derivative_polys(poly)
-    num = pmul(pmul(poly, p_u), VOLUME)
-    num = padd(num, pmul(pmul(poly, a), ANGLE_AC), mp.mpf(0.5))
-    num = padd(num, pmul(pmul(poly, b), ANGLE_BC), mp.mpf(0.5))
+    factor = padd(padd(pmul(pscale(VOLUME, 2), p_u), pmul(ANGLE_AC, a)),
+                  pmul(ANGLE_BC, b))
     # exchange-odd parts cancel against the mirrored half domain
-    return {key: v for key, v in num.items() if key[1] % 2 == 0}
+    return project_even_t(pmul(poly, factor))
 
 
 def log_momentum_expectation(basis, coeffs, k, wq, gamma=None):
@@ -425,30 +443,36 @@ def log_momentum_expectation(basis, coeffs, k, wq, gamma=None):
     (ln r12 + gamma)/r12^2 term of the alpha^3 shift.  Scale restoration
     sends ln u -> ln u - ln k, so the closed form is
     k^3 (I_log + (gamma - ln k) I_plain) / Wq with the two u^{-2}-weighted
-    moment families; I_log integrates +ln u'.
+    moment families; I_log integrates +ln u'.  A monomial s^A t^B u^C of the
+    numerator N, with M = A + B + C and m = M!/2^{M+1}, contributes
+      plain = m / ((B+1)(B+C)),
+      log   = plain (psi(M+1) - ln 2 - 1/(B+C)),   psi(M+1) = H_M - gamma_E,
+    so it carries plain (H_M - 1/(B+C) + gamma - gamma_E - ln 2k).  As in
+    p4_expectation the sum runs on ints at scale 2**F, with H_M from the
+    fixed-point prefix sums, and one mpf is made at the end.
     """
     if gamma is None:
         gamma = mp.euler
-    num = _logmom_numerator(basis, coeffs)
-    i_plain, i_log = mp.mpf(0), mp.mpf(0)
-    for (A, B, C), v in num.items():
-        c = C - 2
-        n = A + B + c + 3
-        plain = mp.factorial(n - 1) / mp.mpf(2) ** n / ((B + 1) * (B + c + 2))
-        M = A + B + c + 2
-        s_mom = mp.factorial(M) / mp.mpf(2) ** (M + 1)
-        logv = (s_mom * (mp.digamma(M + 1) - mp.ln(2)) / ((B + 1) * (B + c + 2))
-                - s_mom / ((B + 1) * (B + c + 2) ** 2))
-        i_plain += v * plain
-        i_log += v * logv
+    F = mp.prec + _SUM_GUARD_BITS
+    num = _logmom_numerator(_fixed_state_poly(basis, coeffs, F))
+    harm = _prefix_sums(max(sum(key) for key in num), F)[0]
     km = mp.mpf(k)
-    return km ** 3 * (i_log + (gamma - mp.ln(km)) * i_plain) / wq
+    with mp.workprec(F):
+        shift = _fixed_mpf(gamma - mp.euler - mp.ln(2 * km), F)
+    total = 0
+    for (a, b, c), v in num.items():
+        M, d = a + b + c, b + c
+        # harm[d] - harm[d - 1] is the fixed-point 1/d
+        w = harm[M] - harm[d] + harm[d - 1] + shift
+        total += (v * math.factorial(M) * w // ((b + 1) * d)) >> (M + 1)
+    # 2F from N's coefficients, F from the weights, 1 from the doubling
+    return km ** 3 * mp.ldexp(total, -3 * F - 1) / wq
 
 
 def log_momentum_integrands(basis, coeffs):
     """(plain, log) integrand functions for the quadrature cross-check."""
-    num = _logmom_numerator(basis, coeffs)
-    numf = {key: float(v) for key, v in num.items()}
+    num = _logmom_numerator(_state_poly(basis, coeffs))
+    numf = {key: float(v) / 2 for key, v in num.items()}
 
     def plain(s, t, u):
         return evaluate_poly(numf, s, t, u) / (u * u)

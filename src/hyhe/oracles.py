@@ -11,11 +11,14 @@ scipy's -- independent node/weight computations), and the mpmath-matrix
 Cholesky reduction and Rayleigh-quotient eigensolve that the fixed-point
 integer kernel in `eigen` is checked against.
 
-The Fraction-valued operator assembly at the end is the reference for the
-integer assembly in `matrices`.  It keeps its own copy of the weight
+The Fraction-valued operator assembly is the reference for the integer
+assembly in `matrices`.  It keeps its own copy of the weight
 polynomials and does all arithmetic in Fractions, pair by pair; it shares
 only the polynomial primitives and the raw-moment closed form, which the
 integral tests check against quadrature.
+
+The mpf channel-series <p^4> and closed-form log-momentum routes after it
+are the references for the fixed-point-int sums in `matrices`.
 """
 
 import math
@@ -27,7 +30,8 @@ from mpmath import mp
 
 from .basis import padd, pdiff, pmul, pscale
 from .integrals import raw_moment
-from .matrices import OperatorMatrices
+from .matrices import (OperatorMatrices, _logmom_numerator, _state_poly,
+                       reduced_laplacian)
 
 
 @dataclass(frozen=True)
@@ -376,3 +380,87 @@ def fraction_operator_matrices(basis, Z=2):
     P = [[Z * Va[i][j] + Vr[i][j] for j in range(n)] for i in range(n)]
     return OperatorMatrices(n_basis=n, Z=Z, W=W, K=K, P=P, M_pol=M,
                             attraction=Va, repulsion=Vr)
+
+
+# ---------------------------------------------------------------------------
+# mpf reference expectation values (production sums on fixed-point ints)
+# ---------------------------------------------------------------------------
+
+def _harm(n):
+    return mp.fsum(mp.mpf(1) / j for j in range(1, n + 1))
+
+
+def _lam_minus(a, b):
+    """Exact value of the 1/((s-t)u)-channel moment with t^a u^{b-a} powers.
+
+    Equals (H_b - H_a)/(b - a); the confluent a = b case sums to
+    zeta(2) - sum_{j<=a} 1/j^2.
+    """
+    if a == b:
+        return mp.zeta(2) - mp.fsum(mp.mpf(1) / (j * j)
+                                    for j in range(1, a + 1))
+    if a > b:
+        a, b = b, a
+    return (_harm(b) - _harm(a)) / (b - a)
+
+
+def _alt_A(n):
+    # (-1)^n (sum_{j<n} (-1)^{j+1}/j - ln 2)
+    s = mp.fsum(mp.mpf((-1) ** (j + 1)) / j for j in range(1, n))
+    return (-1) ** n * (s - mp.ln(2))
+
+
+def _lam_plus(a, b):
+    """Exact value of the 1/((s+t)u)-channel moment (alternating analogue)."""
+    if a == b:
+        s = mp.fsum(mp.mpf((-1) ** (j + 1)) / (j * j) for j in range(1, a + 1))
+        return mp.zeta(2) / 2 - s
+    return (_alt_A(a + 1) - _alt_A(b + 1)) / (b - a)
+
+
+def _channel_sum(poly, minus):
+    """sum over monomials of s-moment times the matching channel moment."""
+    tot = mp.mpf(0)
+    for (A, B, C), v in poly.items():
+        s_mom = mp.factorial(A + B + C) / mp.mpf(2) ** (A + B + C + 1)
+        lam = _lam_minus(B, B + C) if minus else _lam_plus(B, B + C)
+        tot += v * s_mom * lam
+    return tot
+
+
+def mp_p4_expectation(basis, coeffs, k, wq):
+    """<p_1^4 + p_2^4> by the channel series with every step in mpf.
+
+    The electron-1 and electron-2 channel sums are taken separately, the
+    second on the t-reflected T^2, and each weight is rebuilt from its
+    harmonic-type sums; `matrices.p4_expectation` is checked against this.
+    """
+    T = reduced_laplacian(_state_poly(basis, [mp.mpf(c) for c in coeffs]))
+    T2 = pmul(T, T)
+    flipped = {key: (v if key[1] % 2 == 0 else -v) for key, v in T2.items()}
+    I1 = _channel_sum(pmul(T2, {(1, 0, 0): 1, (0, 1, 0): 1}), minus=True)
+    I2 = _channel_sum(pmul(flipped, {(1, 0, 0): 1, (0, 1, 0): -1}),
+                      minus=False)
+    return mp.mpf(k) ** 4 * (I1 + I2) / wq
+
+
+def mp_log_momentum_expectation(basis, coeffs, k, wq, gamma=None):
+    """Q of `matrices.log_momentum_expectation` in mpf, with mp.digamma."""
+    if gamma is None:
+        gamma = mp.euler
+    num = _logmom_numerator(_state_poly(basis, [mp.mpf(c) for c in coeffs]))
+    i_plain, i_log = mp.mpf(0), mp.mpf(0)
+    for (A, B, C), v in num.items():
+        v = v / 2
+        c = C - 2
+        n = A + B + c + 3
+        plain = mp.factorial(n - 1) / mp.mpf(2) ** n / ((B + 1) * (B + c + 2))
+        M = A + B + c + 2
+        s_mom = mp.factorial(M) / mp.mpf(2) ** (M + 1)
+        d = (B + 1) * (B + c + 2)
+        logv = (s_mom * (mp.digamma(M + 1) - mp.ln(2)) / d
+                - s_mom / (d * (B + c + 2)))
+        i_plain += v * plain
+        i_log += v * logv
+    km = mp.mpf(k)
+    return km ** 3 * (i_log + (gamma - mp.ln(km)) * i_plain) / wq

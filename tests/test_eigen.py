@@ -221,3 +221,17 @@ def test_ground_state_pair_contract():
             assert res.coeffs[0] > 0
             check_normalized(mats.W, res.coeffs)
             assert res.residual < mp.mpf("1e-25")
+
+
+@pytest.mark.parametrize("q, F", [
+    (Fraction(-3, 4), 4), (Fraction(3, 4), 4), (Fraction(0), 4),
+    (Fraction(-12345, 2 ** 20), 8),               # rounds: below 2**-F
+    (Fraction(5, 2 ** 7), 6),                     # tie at scale 2**F
+    (Fraction(-5, 2 ** 7), 6),
+    (Fraction(-884279719003555, 2 ** 48), 200),  # a float of -pi, exact
+])
+def test_fixed_mpf_keeps_sign(q, F):
+    # the mpf mantissa is unsigned; the converter must match the Fraction one
+    with mp.workdps(30):
+        v = mp.mpf(q.numerator) / q.denominator
+        assert eigen._fixed_mpf(v, F) == eigen._fixed(q, F)

@@ -1,14 +1,22 @@
+import os
+import subprocess
+import sys
+
 import pytest
 from mpmath import mp
 
+import hyhe
 from hyhe.basis import enumerate_basis
+from hyhe.constants import default_constants
+from hyhe.eigen import build_systems, optimize_k
 from hyhe.integrals import quad_integral
 from hyhe.matrices import (NormalizationError, build_operator_matrices,
                            check_normalized, delta_expectations,
                            expectation_set, log_momentum_expectation,
                            log_momentum_integrands, p4_expectation,
                            p4_expectation_quad)
-from hyhe.oracles import hydrogenic_reference
+from hyhe.oracles import (hydrogenic_reference, mp_log_momentum_expectation,
+                          mp_p4_expectation)
 
 
 @pytest.fixture(scope="module")
@@ -18,11 +26,12 @@ def seed_state():
     return basis, mats
 
 
-def normalized_state(n):
+def normalized_state(n, alternating=False):
     """A fixed, unoptimized (but exactly normalized) n-term state."""
     basis = enumerate_basis(n)
     mats = build_operator_matrices(basis)
-    raw = [mp.mpf(1) / (i + 2) for i in range(n)]
+    sign = -1 if alternating else 1
+    raw = [mp.mpf(sign) ** i / (i + 2) for i in range(n)]
     wq = mp.mpf(0)
     for i in range(n):
         for j in range(n):
@@ -104,14 +113,15 @@ def test_p4_series_vs_quadrature_correlated():
 def test_p4_channels_vs_tanh_sinh(seed_state):
     # tight version of the quadrature cross-check: adaptive tanh-sinh
     # resolves the 1/(s-t) edge that plain Gauss cannot
-    from hyhe.matrices import _state_poly, evaluate_poly_mp, reduced_laplacian
+    from hyhe.matrices import _state_poly, poly_function_mp, reduced_laplacian
     from hyhe.oracles import triple_quad_mp
 
     with mp.workdps(15):
-        T = reduced_laplacian(_state_poly(enumerate_basis(1), [mp.sqrt(2)]))
+        T = poly_function_mp(reduced_laplacian(
+            _state_poly(enumerate_basis(1), [mp.sqrt(2)])))
 
         def f1(s, t, u):
-            v = evaluate_poly_mp(T, s, t, u)
+            v = T(s, t, u)
             return v * v * (s + t) / ((s - t) * u)
 
         i_minus = triple_quad_mp(f1, maxdegree=3)
@@ -160,3 +170,77 @@ def test_p4_scaling_in_k():
         wq = check_normalized(mats.W, coeffs)
         assert abs(p4_expectation(basis, coeffs, 2, wq)
                    - 16 * p4_expectation(basis, coeffs, 1, wq)) < mp.mpf("1e-20")
+
+
+def optimized_state(n):
+    """The nuclear-motion ground state at its optimal k, at the working dps."""
+    basis = enumerate_basis(n)
+    mats = build_operator_matrices(basis)
+    system = build_systems(mats, mass_ratio=default_constants().mass_ratio_M,
+                           include=("0",))["0"]
+    res = optimize_k(system)
+    return basis, mats, res.coeffs, res.k_opt
+
+
+@pytest.mark.parametrize("state", ["optimized", "alternating"])
+@pytest.mark.parametrize("dps", [50, 100])
+@pytest.mark.parametrize("n", [1, 7, 22, 50])
+def test_fixed_point_routes_match_mp_oracles(n, dps, state):
+    # the int sums against the mpf channel series and the digamma closed form
+    with mp.workdps(dps):
+        if state == "optimized":
+            basis, mats, coeffs, k = optimized_state(n)
+        else:
+            basis, mats, coeffs = normalized_state(n, alternating=True)
+            k = mp.mpf("1.85")
+        wq = check_normalized(mats.W, coeffs)
+        tol = mp.mpf(10) ** (5 - dps)
+        for route, oracle in ((p4_expectation, mp_p4_expectation),
+                              (log_momentum_expectation,
+                               mp_log_momentum_expectation)):
+            mine = route(basis, coeffs, k, wq)
+            ref = oracle(basis, coeffs, k, wq)
+            assert abs(mine - ref) <= tol * abs(ref), (
+                route.__name__, mp.nstr(mine, dps), mp.nstr(ref, dps))
+
+
+_P4_AT_PRECISIONS = """
+import sys
+from mpmath import mp
+from hyhe.basis import enumerate_basis
+from hyhe.constants import default_constants
+from hyhe.eigen import build_systems, optimize_k
+from hyhe.matrices import (build_operator_matrices, check_normalized,
+                           p4_expectation)
+
+basis = enumerate_basis(20)
+mats = build_operator_matrices(basis)
+for dps in map(int, sys.argv[1:]):
+    with mp.workdps(dps):
+        system = build_systems(
+            mats, mass_ratio=default_constants().mass_ratio_M,
+            include=("0",))["0"]
+        res = optimize_k(system)
+        wq = check_normalized(mats.W, res.coeffs)
+        print(mp.nstr(p4_expectation(basis, res.coeffs, res.k_opt, wq), dps))
+"""
+
+
+def test_p4_precision_does_not_leak_between_calls():
+    # a 15-digit <p^4> must leave nothing behind that a later 50-digit one
+    # reads: after it, the 50-digit value equals a fresh process's to the
+    # last digit
+    src = os.path.dirname(os.path.dirname(hyhe.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+
+    def run(*digits):
+        proc = subprocess.run(
+            [sys.executable, "-c", _P4_AT_PRECISIONS, *map(str, digits)],
+            capture_output=True, text=True, timeout=300,
+            env=dict(os.environ, PYTHONPATH=path))
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.split()
+
+    after_15, at_50 = run(15, 50)
+    (fresh_50,) = run(50)
+    assert at_50 == fresh_50

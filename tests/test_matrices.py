@@ -9,8 +9,8 @@ from hyhe.integrals import _mp_laguerre_rule, _mp_legendre_rule, quad_integral
 from hyhe.matrices import (ANGLE_AC, ANGLE_BC, ATTRACTION_VOLUME, COS_VOLUME,
                            REPULSION_VOLUME, VOLUME, NormalizationError,
                            OperatorMatrices, build_operator_matrices,
-                           check_normalized, evaluate_poly, evaluate_poly_mp,
-                           measure_constant, project_even_t, reduced_laplacian)
+                           check_normalized, evaluate_poly, measure_constant,
+                           poly_function_mp, project_even_t, reduced_laplacian)
 from hyhe.oracles import fraction_operator_matrices
 
 
@@ -214,6 +214,7 @@ def _mp_box_quad(poly, k, n=12):
     """Tensor Gauss integral of poly * e^{-2ks} over the half domain."""
     xs, wxs = _mp_laguerre_rule(n)
     ys, wys = _mp_legendre_rule(n)
+    f = poly_function_mp(poly)
     total = mp.mpf(0)
     for xi, wi in zip(xs, wxs):
         s = xi / (2 * k)
@@ -221,7 +222,7 @@ def _mp_box_quad(poly, k, n=12):
             u = yj * s
             acc = mp.mpf(0)
             for zk, wk in zip(ys, wys):
-                acc += wk * evaluate_poly_mp(poly, s, zk * u, u)
+                acc += wk * f(s, zk * u, u)
             total += wi * wj * acc * u * s / (2 * k)
     return total
 
