@@ -8,33 +8,30 @@ perturbative corrections evaluated on the solved state.
 
 __version__ = "hyhe 0.1.0"
 
-from .basis import BasisTerm, SteuExpression, enumerate_basis
+from .basis import BasisTerm, enumerate_basis
 from .config import RunConfig, load_config, DEFAULT_SWEEP
 from .constants import PhysicalConstants, default_constants
 from .corrections import CorrectionBreakdown, breit_correction, \
     radiative_correction, total_energy
 from .eigen import VariationalResult, ground_state_pair, optimize_k, \
     solve_fixed_k, build_systems
-from .integrals import base_integral, log_integral, quad_integral, \
-    raw_moment
+from .integrals import raw_moment
 from .matrices import ExpectationSet, OperatorMatrices, \
     build_operator_matrices, delta_expectations, expectation_set, \
     log_momentum_expectation, p4_expectation
-from .oracles import ElectronConfiguration, hydrogenic_reference
 from .report import ReportDocument, Row, run_tables
 
 __all__ = [
-    "BasisTerm", "SteuExpression", "enumerate_basis",
+    "BasisTerm", "enumerate_basis",
     "RunConfig", "load_config", "DEFAULT_SWEEP",
     "PhysicalConstants", "default_constants",
     "CorrectionBreakdown", "breit_correction", "radiative_correction",
     "total_energy",
     "VariationalResult", "ground_state_pair", "optimize_k", "solve_fixed_k",
     "build_systems",
-    "base_integral", "log_integral", "quad_integral", "raw_moment",
+    "raw_moment",
     "ExpectationSet", "OperatorMatrices", "build_operator_matrices",
     "delta_expectations", "expectation_set", "log_momentum_expectation",
     "p4_expectation",
-    "ElectronConfiguration", "hydrogenic_reference",
     "ReportDocument", "Row", "run_tables",
 ]

@@ -1,34 +1,20 @@
-"""Hylleraas basis enumeration and exact symbolic algebra in (s, t, u).
+"""Hylleraas basis enumeration and exact polynomial algebra in (s, t, u).
 
 The trial function is U = e^{-ks} sum C_lmn (ks)^l (kt)^{2m} (ku)^n with
 s = r1 + r2, t = r2 - r1, u = r12.  All symbolic work happens at k = 1; the
 scaling parameter re-enters only through per-matrix power laws.
 
-An expression is a sparse trivariate polynomial {(a, b, c): Fraction} times
-an implicit exponential e^{-d*s}, d tracked as ``exp_degree``.  Negative b or
-c exponents are permitted (they appear after division by u or t factors);
-basis terms themselves never carry them.
+A polynomial is a sparse dict {(a, b, c): coefficient} over s^a t^b u^c;
+the coefficients may be ints, Fractions or mpf, and callers fold the
+exponential out.  Negative b or c exponents are permitted (they appear
+after division by u or t factors); basis terms themselves never carry them.
 """
 
-import math
-from fractions import Fraction
 from typing import NamedTuple
 
 
 class BasisError(ValueError):
     pass
-
-
-def _exp(x):
-    """Exponential that follows the argument type (float, mpf, numpy array)."""
-    if hasattr(x, "dtype") or hasattr(x, "shape"):
-        import numpy as np
-        return np.exp(x)
-    try:
-        return math.exp(x)
-    except TypeError:
-        from mpmath import mp
-        return mp.exp(x)
 
 
 class BasisTerm(NamedTuple):
@@ -42,7 +28,7 @@ class BasisTerm(NamedTuple):
 
 
 def graded_key(term):
-    """Default ordering inside a grade: (l, 2m, n) lexicographic ascending.
+    """Ordering inside a grade: (l, 2m, n) lexicographic ascending.
 
     This is the order that makes enumerate_basis(3) come out as
     [(0,0,0), (0,0,1), (1,0,0)] -- u before s at grade 1.
@@ -58,10 +44,10 @@ def terms_of_grade(g):
     return out
 
 
-def enumerate_basis(n_basis, order_key=graded_key):
+def enumerate_basis(n_basis):
     """First ``n_basis`` terms in graded order (ascending l + 2m + n).
 
-    Ties inside a grade break by ``order_key``; the enumeration is a prefix
+    Ties inside a grade break by ``graded_key``; the enumeration is a prefix
     of any larger one (nested bases), which the variational monotonicity
     tests rely on.
     """
@@ -70,13 +56,13 @@ def enumerate_basis(n_basis, order_key=graded_key):
     terms = []
     g = 0
     while len(terms) < n_basis:
-        terms.extend(sorted(terms_of_grade(g), key=order_key))
+        terms.extend(sorted(terms_of_grade(g), key=graded_key))
         g += 1
     return terms[:n_basis]
 
 
 # ---------------------------------------------------------------------------
-# polynomial-dict primitives (exact rational coefficients)
+# polynomial-dict primitives
 # ---------------------------------------------------------------------------
 
 def padd(p, q, factor=1):
@@ -125,71 +111,3 @@ def pdiff(p, axis):
 def pshift(p, da=0, db=0, dc=0):
     """Multiply by s^da t^db u^dc (negative shifts = division)."""
     return {(a + da, b + db, c + dc): v for (a, b, c), v in p.items()}
-
-
-class SteuExpression:
-    """Exponential-polynomial expression: (sum of monomials) * e^{-exp_degree*s}."""
-
-    __slots__ = ("terms", "exp_degree")
-
-    def __init__(self, terms=None, exp_degree=1):
-        self.terms = {k: Fraction(v) for k, v in (terms or {}).items() if v}
-        self.exp_degree = exp_degree
-
-    def __eq__(self, other):
-        return (isinstance(other, SteuExpression)
-                and self.exp_degree == other.exp_degree
-                and self.terms == other.terms)
-
-    def __repr__(self):
-        return f"SteuExpression({self.terms!r}, exp_degree={self.exp_degree})"
-
-    def is_zero(self):
-        return not self.terms
-
-    def __add__(self, other):
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        if self.exp_degree != other.exp_degree:
-            raise BasisError("cannot add expressions with different exponentials")
-        return SteuExpression(padd(self.terms, other.terms), self.exp_degree)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, factor):
-        return SteuExpression(pscale(self.terms, Fraction(factor)), self.exp_degree)
-
-    def __mul__(self, other):
-        # product of e^{-d1 s} and e^{-d2 s} polynomials
-        return SteuExpression(pmul(self.terms, other.terms),
-                              self.exp_degree + other.exp_degree)
-
-    def diff(self, var):
-        """Exact partial derivative; d/ds also hits the exponential factor."""
-        axis = {"s": 0, "t": 1, "u": 2}[var]
-        out = pdiff(self.terms, axis)
-        if var == "s" and self.exp_degree:
-            out = padd(out, self.terms, -self.exp_degree)
-        return SteuExpression(out, self.exp_degree)
-
-    def evaluate(self, s, t, u):
-        """Numeric value at a point (works with floats, mpf, numpy arrays)."""
-        total = 0
-        for (a, b, c), v in self.terms.items():
-            total = total + float(v) * s ** a * t ** b * u ** c
-        if self.exp_degree:
-            total = total * _exp(-self.exp_degree * s)
-        return total
-
-
-def basis_expression(term):
-    """Single basis function s^l t^{2m} u^n e^{-s} (scaled variables, k = 1)."""
-    return SteuExpression({(term.l, 2 * term.m, term.n): 1}, exp_degree=1)
-
-
-def grade_counts(max_grade):
-    """Number of terms per grade; cumulative sums give the natural N values."""
-    return {g: len(terms_of_grade(g)) for g in range(max_grade + 1)}

@@ -1,7 +1,8 @@
 """Run configuration: defaults, file/env loading, validation.
 
 Config files are flat ``key = value`` lines with ``#`` comments.  Environment
-variables with the ``HYHE_`` prefix override file values (e.g. HYHE_N_BASIS).
+variables with the ``HYHE_`` prefix override file values (e.g.
+HYHE_PRECISION_DIGITS).
 """
 
 import os
@@ -18,17 +19,13 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    n_basis: int = 50
     precision_digits: int = 50
     k_init: float = 2.0
     k_tol: float = 1e-12
     max_outer_iters: int = 60
-    quadrature_target: float = 1e-14
     output: str = "human"
 
     def validate(self):
-        if self.n_basis < 1:
-            raise ConfigError(f"n_basis must be >= 1, got {self.n_basis}")
         if self.precision_digits < 30:
             raise ConfigError(
                 f"precision_digits must be >= 30, got {self.precision_digits}")
@@ -39,9 +36,6 @@ class RunConfig:
         if self.max_outer_iters < 1:
             raise ConfigError(
                 f"max_outer_iters must be >= 1, got {self.max_outer_iters}")
-        if not self.quadrature_target > 0:
-            raise ConfigError(
-                f"quadrature_target must be positive, got {self.quadrature_target}")
         if self.output not in OUTPUT_FORMATS:
             raise ConfigError(
                 f"output must be one of {OUTPUT_FORMATS}, got {self.output!r}")

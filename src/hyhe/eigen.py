@@ -15,9 +15,9 @@ stops moving.  Results leave the kernel as mpf at the working precision.
 
 Minimizing over k at the solved state gives the fixed-point map
 k <- -P_q / (2 K_q).  The map is a contraction with rate 1 - O(1e-5), so
-the plain iteration needs ~1e5 steps for 1e-12; the default instead runs a
-secant iteration on h(k) = g(k) - k, which lands in a handful of solves and
-satisfies the same fixed-point condition at exit.
+the plain iteration would need ~1e5 steps for 1e-12; a secant iteration on
+h(k) = g(k) - k instead lands in a handful of solves and satisfies the same
+fixed-point condition at exit.
 """
 
 import math
@@ -319,44 +319,25 @@ def solve_fixed_k(system, k):
     return E, x, K_q, P_q, residual
 
 
-def optimize_k(system, k_init=2.0, k_tol=1e-12, max_outer_iters=60,
-               accelerate=True, damping=0.0):
+def optimize_k(system, k_init=2.0, k_tol=1e-12, max_outer_iters=60):
     """Drive k to the self-consistent exponent and return the ground state.
 
-    accelerate=False runs the literal map k <- g(k) = -P_q/(2 K_q)
-    (optionally damped); with the default secant acceleration the root of
-    g(k) - k is found in a handful of eigensolves.  Either way the result
-    satisfies |g(k_opt) - k_opt| <= k_tol.
+    A secant iteration on h(k) = g(k) - k, g(k) = -P_q/(2 K_q), finds the
+    root in a handful of eigensolves; the result satisfies
+    |g(k_opt) - k_opt| <= k_tol.
     """
-    km = mp.mpf(k_init)
     tol = mp.mpf(k_tol)
     trace = []
 
-    def step(k):
+    def g(k):
         E, x, K_q, P_q, residual = solve_fixed_k(system, k)
-        g = -P_q / (2 * K_q)
         trace.append((k, E))
-        return E, x, residual, g
+        return -P_q / (2 * K_q)
 
-    if not accelerate:
-        d = mp.mpf(damping)
-        for it in range(max_outer_iters):
-            E, x, residual, g = step(km)
-            k_next = d * km + (1 - d) * g
-            if abs(k_next - km) <= tol:
-                km = k_next
-                return _finish(system, km, it + 1, trace)
-            km = k_next
-        raise ConvergenceError(
-            f"exponent map did not reach {k_tol:g} in {max_outer_iters} "
-            "iterations", trace=trace)
-
-    # secant on h(k) = g(k) - k
-    k0 = km
-    E0, x0, res0, g0 = step(k0)
-    h0 = g0 - k0
+    k0 = mp.mpf(k_init)
+    h0 = g(k0) - k0
     k1 = k0 + mp.mpf("0.005")
-    E1, x1, res1, g1 = step(k1)
+    g1 = g(k1)
     h1 = g1 - k1
     for it in range(max_outer_iters):
         if h1 == h0:
@@ -369,7 +350,7 @@ def optimize_k(system, k_init=2.0, k_tol=1e-12, max_outer_iters=60,
             return _finish(system, k2, it + 3, trace)
         k0, h0 = k1, h1
         k1 = k2
-        E1, x1, res1, g1 = step(k1)
+        g1 = g(k1)
         h1 = g1 - k1
     raise ConvergenceError(
         f"secant exponent search did not reach {k_tol:g} in "
@@ -386,7 +367,7 @@ def _finish(system, k_opt, iterations, trace):
 
 
 def ground_state_pair(matrices, mass_ratio, k_init=2.0, k_tol=1e-12,
-                      max_outer_iters=60, accelerate=True):
+                      max_outer_iters=60):
     """Clamped-nucleus and moving-nucleus ground states off one reduction.
 
     Each Hamiltonian gets its own converged exponent; sharing k would spoil
@@ -394,8 +375,6 @@ def ground_state_pair(matrices, mass_ratio, k_init=2.0, k_tol=1e-12,
     the cleaner definition.
     """
     systems = build_systems(matrices, mass_ratio=mass_ratio)
-    res_inf = optimize_k(systems["inf"], k_init, k_tol, max_outer_iters,
-                         accelerate=accelerate)
-    res_0 = optimize_k(systems["0"], k_init, k_tol, max_outer_iters,
-                       accelerate=accelerate)
+    res_inf = optimize_k(systems["inf"], k_init, k_tol, max_outer_iters)
+    res_0 = optimize_k(systems["0"], k_init, k_tol, max_outer_iters)
     return res_inf, res_0

@@ -30,11 +30,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
 from mpmath import mp
 
 from .basis import padd, pdiff, pmul, pscale, pshift
-from .eigen import _fixed, _fixed_mpf
+from .eigen import _fixed, _fixed_mpf, _to_mpf
 from .integrals import raw_moment
 
 # geometric weight polynomials (coordinates s, t, u; keys are exponents)
@@ -46,11 +45,6 @@ ANGLE_BC = pmul({(0, 0, 2): 1, (1, 1, 0): 1},
 COS_VOLUME = {(2, 0, 1): 1, (0, 2, 1): 1, (0, 0, 3): -2}      # u(s^2+t^2-2u^2)
 ATTRACTION_VOLUME = {(1, 0, 1): -4}        # -(1/r1 + 1/r2) * vol = -4su
 REPULSION_VOLUME = {(2, 0, 0): 1, (0, 2, 0): -1}              # (1/u) * vol
-
-
-def measure_constant():
-    """d tau1 d tau2 = 2 pi^2 u(s^2 - t^2) ds dt du for S states."""
-    return 2 * mp.pi ** 2
 
 
 class NormalizationError(ValueError):
@@ -89,36 +83,6 @@ def integrate_projected(poly, divisor=1):
     D = math.lcm(*(m.denominator for _, m in moments))
     numerator = sum(v * m.numerator * (D // m.denominator) for v, m in moments)
     return Fraction(numerator, divisor * D)
-
-
-def evaluate_poly(poly, s, t, u):
-    """Numeric value of a polynomial dict; works on floats and numpy arrays."""
-    total = 0.0 * (s + t + u)
-    for (a, b, c), v in poly.items():
-        total = total + float(v) * s ** a * t ** b * u ** c
-    return total
-
-
-def poly_function_mp(poly):
-    """f(s, t, u), the mpf value of a polynomial dict at mpf coordinates.
-
-    The coefficients are converted once, and powers 0 and 1 skip mpf pow,
-    since quadrature calls f at many nodes.
-    """
-    terms = [(mp.mpf(v.numerator) / v.denominator
-              if isinstance(v, Fraction) else mp.mpf(v),
-              [(axis, e) for axis, e in enumerate(key) if e])
-             for key, v in poly.items()]
-
-    def f(s, t, u):
-        xs = (s, t, u)
-        total = mp.mpf(0)
-        for coeff, powers in terms:
-            for axis, e in powers:
-                coeff *= xs[axis] if e == 1 else xs[axis] ** e
-            total += coeff
-        return total
-    return f
 
 
 @dataclass(frozen=True)
@@ -224,6 +188,13 @@ class ExpectationSet:
     log_momentum: object
 
 
+# Guard bits above mp.prec for the fixed-point expectation sums and the
+# normalization check.  A prefix sum to n carries at most n/2 ulps (n <= 17
+# at N = 50), and the <p^4> channel sum cancels by a factor of ~70 at
+# N = 50; 32 bits cover both.
+_SUM_GUARD_BITS = 32
+
+
 def _state_poly(basis, values):
     """One polynomial dict from per-term values (mpf or fixed-point ints)."""
     poly = {}
@@ -239,13 +210,19 @@ def _fixed_state_poly(basis, coeffs, F):
 
 
 def check_normalized(W, coeffs, tol=1e-10):
-    """Return the overlap quadratic form; raise unless it is 1 within tol."""
-    n = len(coeffs)
-    wq = mp.mpf(0)
-    for i in range(n):
-        for j in range(n):
-            wij = W[i][j]
-            wq += coeffs[i] * coeffs[j] * mp.mpf(wij.numerator) / wij.denominator
+    """Return the overlap quadratic form; raise unless it is 1 within tol.
+
+    c'Wc is summed exactly on ints: c at scale 2**F (F = mp.prec +
+    _SUM_GUARD_BITS) and W over D, the lcm of its denominators.  The sum
+    is cut to scale 2**F and made one mpf at the working precision.
+    """
+    F = mp.prec + _SUM_GUARD_BITS
+    c = [_fixed_mpf(v, F) for v in coeffs]
+    D = math.lcm(*(w.denominator for row in W for w in row))
+    total = sum(ci * sum(cj * w.numerator * (D // w.denominator)
+                         for cj, w in zip(c, row))
+                for ci, row in zip(c, W))
+    wq = _to_mpf(total // (D << F), F)
     if abs(wq - 1) > tol:
         raise NormalizationError(
             f"state is not normalized: <U|U> = {mp.nstr(wq, 12)}")
@@ -291,12 +268,6 @@ def delta_expectations(basis, coeffs, k, W=None, wq=None):
 
 
 # --- fixed-point series weights ----------------------------------------------
-
-# Guard bits above mp.prec for the fixed-point expectation sums.  A prefix
-# sum to n carries at most n/2 ulps (n <= 17 at N = 50), and the <p^4>
-# channel sum cancels by a factor of ~70 at N = 50; 32 bits cover both.
-_SUM_GUARD_BITS = 32
-
 
 def _prefix_sums(n, F):
     """Fixed-point prefix sums over j = 1..i, for i = 0..n, at scale 2**F.
@@ -387,37 +358,6 @@ def p4_expectation(basis, coeffs, k, wq):
     return mp.mpf(k) ** 4 * mp.ldexp(total, -3 * F) / wq
 
 
-def p4_integrand(basis, coeffs):
-    """Pointwise (Lap_1 U)^2 * vol * e^{2s} as a function of (s, t, u).
-
-    Quadrature route for the same observable as p4_expectation; the
-    integrable 1/((s-t)u) edge comes from the electron-1 Coulomb cusp.
-    """
-    T = reduced_laplacian(_state_poly(basis, coeffs))
-    Tf = {key: float(v) for key, v in T.items()}
-
-    def f(s, t, u):
-        val = evaluate_poly(Tf, s, t, u)
-        return val * val * (s + t) / ((s - t) * u)
-    return f
-
-
-def p4_expectation_quad(basis, coeffs, k, wq, quad, target=1e-3):
-    """Quadrature evaluation of <p_1^4 + p_2^4> (cross-check route).
-
-    ``quad`` is a callable with the quad_integral signature.  Both electron
-    pieces map onto the half domain; electron 2 is electron 1 at t -> -t.
-    The 1/(s - t) edge limits plain Gauss rules to a few digits, so this is
-    a sanity check on the channel series, not a precision route.
-    """
-    f1 = p4_integrand(basis, coeffs)
-
-    def f2(s, t, u):
-        return f1(s, -t, u)
-    val = quad(f1, target=target) + quad(f2, target=target)
-    return mp.mpf(k) ** 4 * val / wq
-
-
 # --- the logarithmic momentum matrix element --------------------------------
 
 def _logmom_numerator(poly):
@@ -467,19 +407,6 @@ def log_momentum_expectation(basis, coeffs, k, wq, gamma=None):
         total += (v * math.factorial(M) * w // ((b + 1) * d)) >> (M + 1)
     # 2F from N's coefficients, F from the weights, 1 from the doubling
     return km ** 3 * mp.ldexp(total, -3 * F - 1) / wq
-
-
-def log_momentum_integrands(basis, coeffs):
-    """(plain, log) integrand functions for the quadrature cross-check."""
-    num = _logmom_numerator(_state_poly(basis, coeffs))
-    numf = {key: float(v) / 2 for key, v in num.items()}
-
-    def plain(s, t, u):
-        return evaluate_poly(numf, s, t, u) / (u * u)
-
-    def logu(s, t, u):
-        return evaluate_poly(numf, s, t, u) / (u * u) * np.log(u)
-    return plain, logu
 
 
 def expectation_set(basis, coeffs, k, W, gamma=None):

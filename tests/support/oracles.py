@@ -1,24 +1,27 @@
-"""Independent cross-checks in explicit Cartesian coordinates.
+"""Independent cross-checks of the pipeline: the referees, not the players.
 
 The Cartesian probes work from electron position vectors and finite
 differences, deliberately sharing no code with the closed-form integral
-engine: these are the referees, not the players.
+engine.
 
 Also provides the one-parameter product-state (hydrogenic screening) limits,
-where every pipeline quantity has a pencil-and-paper value, and a standalone
-tensor quadrature built on numpy's Gauss rules (the production engine uses
-scipy's -- independent node/weight computations), and the mpmath-matrix
+where every pipeline quantity has a pencil-and-paper value; a standalone
+float64 tensor quadrature built on numpy's Gauss rules (`support.integrals`
+uses scipy's -- independent node/weight computations); a working-precision
+Gauss rule with the 1/(s - t) corner split off by a Duffy transform, which
+integrates the <p^4> channel integrands pointwise; the mpmath-matrix
 Cholesky reduction and Rayleigh-quotient eigensolve that the fixed-point
-integer kernel in `eigen` is checked against.
+integer kernel in `hyhe.eigen` is checked against; and the plain
+fixed-point k map, the reference for its secant search.
 
 The Fraction-valued operator assembly is the reference for the integer
-assembly in `matrices`.  It keeps its own copy of the weight
+assembly in `hyhe.matrices`.  It keeps its own copy of the weight
 polynomials and does all arithmetic in Fractions, pair by pair; it shares
 only the polynomial primitives and the raw-moment closed form, which the
 integral tests check against quadrature.
 
 The mpf channel-series <p^4> and closed-form log-momentum routes after it
-are the references for the fixed-point-int sums in `matrices`.
+are the references for the fixed-point-int sums in `hyhe.matrices`.
 """
 
 import math
@@ -28,10 +31,14 @@ from fractions import Fraction
 import numpy as np
 from mpmath import mp
 
-from .basis import padd, pdiff, pmul, pscale
-from .integrals import raw_moment
-from .matrices import (OperatorMatrices, _logmom_numerator, _state_poly,
-                       reduced_laplacian)
+from hyhe.basis import padd, pdiff, pmul, pscale
+from hyhe.eigen import ConvergenceError, _finish, solve_fixed_k
+from hyhe.integrals import raw_moment
+from hyhe.matrices import (OperatorMatrices, _logmom_numerator, _state_poly,
+                           reduced_laplacian)
+
+from .integrals import _mp_laguerre_rule, _mp_legendre_rule, log_raw_moment
+from .matrices import poly_function_mp
 
 
 @dataclass(frozen=True)
@@ -91,15 +98,6 @@ class CartesianProbe:
         r2 = np.array(cfg.r2, dtype=float)
         (r1 if electron == 1 else r2)[axis] += delta
         return ElectronConfiguration(r1=r1, r2=r2)
-
-    def gradient_fd(self, cfg, electron, h=1e-6):
-        """Central-difference gradient with respect to one electron."""
-        g = np.zeros(3)
-        for axis in range(3):
-            fp = self.value(self._shifted(cfg, electron, axis, +h))
-            fm = self.value(self._shifted(cfg, electron, axis, -h))
-            g[axis] = (fp - fm) / (2 * h)
-        return g
 
     def laplacian_fd(self, cfg, electron=1, h=1e-3):
         """7-point Laplacian, Richardson-extrapolated (h and h/2)."""
@@ -183,7 +181,7 @@ def hydrogenic_reference(k, Z=2):
 
 
 # ---------------------------------------------------------------------------
-# standalone quadrature (numpy Gauss rules; the engine under test uses scipy)
+# standalone quadrature (numpy Gauss rules; support.integrals uses scipy's)
 # ---------------------------------------------------------------------------
 
 def gauss_tensor_value(f, n=48):
@@ -199,28 +197,52 @@ def gauss_tensor_value(f, n=48):
     return math.fsum((f(s, t, u) * w).ravel())
 
 
-def triple_quad_mp(f, maxdegree=5):
-    """Nested tanh-sinh quadrature of f(s,t,u) e^{-2s}; slow but unbiased.
+def duffy_quad_mp(f, nodes=12):
+    """Gauss quadrature of f(s,t,u) e^{-2s} with the s = t corner split off.
 
-    Use only for single spot values in tests -- cost grows as the cube of
-    the node count.  Inner intervals shorter than the working epsilon are
-    handled by the midpoint rule; mpmath's convergence estimator divides by
-    zero on degenerate exact-polynomial intervals otherwise.
+    Under s = x/2, u = y s, t = z u the domain becomes x >= 0 and the unit
+    square in (y, z), and s - t = s (1 - yz) vanishes only at y = z = 1.
+    With a = 1 - y, b = 1 - z, 1 - yz = a + b - ab; the square is split at
+    a = b and each half is mapped by a Duffy transform, a = b r on a < b
+    and b = a r on a > b, so that 1 - yz = b (1 + r - b r) (resp. with a)
+    and the Jacobian b (resp. a) cancels the 1/(s - t) edge.  The rest is
+    smooth: Gauss-Laguerre in x and Gauss-Legendre in the (outer, r)
+    square, ``nodes`` points each, at working precision.  f is called at
+    points only, so this shares nothing with the channel closed forms.
     """
-    tiny = mp.mpf(10) ** (-mp.dps // 2)
+    xs, wxs = _mp_laguerre_rule(nodes)
+    ps, wps = _mp_legendre_rule(nodes)
+    corner = mp.mpf(0)
+    for x, wx in zip(xs, wxs):
+        s = x / 2
+        half = mp.mpf(0)
+        for p, wp in zip(ps, wps):
+            for r, wr in zip(ps, wps):
+                # (a, b) = (p r, p) and (p, p r); the Jacobian of either is p
+                for a, b in ((p * r, p), (p, p * r)):
+                    u = (1 - a) * s
+                    half += wp * wr * p * u * f(s, (1 - b) * u, u)
+        # ds du dt = (dx/2)(s dy)(u dz) with e^{-2s} = e^{-x}
+        corner += wx * half * s / 2
+    return corner
 
-    def inner(s, u):
-        if u < tiny:
-            return u * f(s, u / 2, u)
-        return mp.quad(lambda t: f(s, t, u), [0, u], maxdegree=maxdegree)
 
-    def middle(s):
-        if s < tiny:
-            return s * inner(s, s / 2)
-        return mp.quad(lambda u: inner(s, u), [0, s], maxdegree=maxdegree)
+def duffy_p4_channels(basis, coeffs, nodes=12):
+    """(I_minus, I_plus), the two <p^4> channel integrals at k = 1.
 
-    return mp.quad(lambda s: mp.e ** (-2 * s) * middle(s),
-                   [0, mp.inf], maxdegree=maxdegree + 2)
+    I_minus integrates T^2 (s+t)/((s-t)u), the electron-1 piece, and I_plus
+    its t-reflection, the electron-2 piece, with T = reduced_laplacian of
+    the state; both go through duffy_quad_mp.  <p_1^4 + p_2^4> at exponent
+    k is k^4 (I_minus + I_plus) / Wq.
+    """
+    T = poly_function_mp(reduced_laplacian(_state_poly(basis, coeffs)))
+
+    def electron_1(s, t, u):
+        v = T(s, t, u)
+        return v * v * (s + t) / ((s - t) * u)
+
+    return (duffy_quad_mp(electron_1, nodes),
+            duffy_quad_mp(lambda s, t, u: electron_1(s, -t, u), nodes))
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +331,34 @@ def mp_solve_fixed_k(L, K_red, P_red, k):
     if c[0] < 0:
         c = -c
     return sigma, K_q, P_q, [c[i] for i in range(n)]
+
+
+# ---------------------------------------------------------------------------
+# plain fixed-point k map (production runs a secant search on g(k) - k)
+# ---------------------------------------------------------------------------
+
+def plain_optimize_k(system, k_init=2.0, k_tol=1e-12, max_outer_iters=60,
+                     damping=0.0):
+    """`hyhe.eigen.optimize_k` by the literal map k <- g(k) = -P_q/(2 K_q).
+
+    With damping d the step is k <- d k + (1 - d) g(k).  It stops when a
+    step moves k by at most k_tol and raises ConvergenceError, carrying the
+    (k, E) trace, after max_outer_iters steps.
+    """
+    km = mp.mpf(k_init)
+    tol = mp.mpf(k_tol)
+    d = mp.mpf(damping)
+    trace = []
+    for it in range(max_outer_iters):
+        E, x, K_q, P_q, residual = solve_fixed_k(system, km)
+        trace.append((km, E))
+        k_next = d * km + (1 - d) * (-P_q / (2 * K_q))
+        if abs(k_next - km) <= tol:
+            return _finish(system, k_next, it + 1, trace)
+        km = k_next
+    raise ConvergenceError(
+        f"exponent map did not reach {k_tol:g} in {max_outer_iters} "
+        "iterations", trace=trace)
 
 
 # ---------------------------------------------------------------------------
@@ -445,22 +495,20 @@ def mp_p4_expectation(basis, coeffs, k, wq):
 
 
 def mp_log_momentum_expectation(basis, coeffs, k, wq, gamma=None):
-    """Q of `matrices.log_momentum_expectation` in mpf, with mp.digamma."""
+    """Q of `hyhe.matrices.log_momentum_expectation` in mpf.
+
+    Each monomial s^A t^B u^C of the numerator N/2 is integrated against
+    u^{-2} by the closed forms raw_moment(A, B, C - 2) and
+    log_raw_moment(A, B, C - 2), the latter with mp.digamma.
+    """
     if gamma is None:
         gamma = mp.euler
     num = _logmom_numerator(_state_poly(basis, [mp.mpf(c) for c in coeffs]))
     i_plain, i_log = mp.mpf(0), mp.mpf(0)
     for (A, B, C), v in num.items():
         v = v / 2
-        c = C - 2
-        n = A + B + c + 3
-        plain = mp.factorial(n - 1) / mp.mpf(2) ** n / ((B + 1) * (B + c + 2))
-        M = A + B + c + 2
-        s_mom = mp.factorial(M) / mp.mpf(2) ** (M + 1)
-        d = (B + 1) * (B + c + 2)
-        logv = (s_mom * (mp.digamma(M + 1) - mp.ln(2)) / d
-                - s_mom / (d * (B + c + 2)))
-        i_plain += v * plain
-        i_log += v * logv
+        plain = raw_moment(A, B, C - 2)
+        i_plain += v * mp.mpf(plain.numerator) / plain.denominator
+        i_log += v * log_raw_moment(A, B, C - 2)
     km = mp.mpf(k)
     return km ** 3 * (i_log + (gamma - mp.ln(km)) * i_plain) / wq

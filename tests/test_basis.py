@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyhe.basis import (BasisError, BasisTerm, SteuExpression, basis_expression,
-                        enumerate_basis, grade_counts, terms_of_grade)
+from hyhe.basis import BasisError, BasisTerm, enumerate_basis, terms_of_grade
+from support.basis import SteuExpression, basis_expression, grade_counts
 
 
 def test_first_terms():

@@ -48,7 +48,6 @@ def test_explicit_gamma_string():
 
 def test_runconfig_defaults():
     cfg = RunConfig().validate()
-    assert cfg.n_basis == 50
     assert cfg.precision_digits == 50
     assert cfg.k_init == 2.0
     assert cfg.k_tol == 1e-12
@@ -62,41 +61,52 @@ def test_load_config_none_gives_defaults():
 
 def test_load_config_rejects_unknown_keys():
     with pytest.raises(ConfigError, match="unknown config key"):
-        load_config({"n_basis": "20", "n_bases": "30"}, env={})
+        load_config({"k_init": "1.9", "k_inits": "1.8"}, env={})
 
 
-@pytest.mark.parametrize("doc", [{"n_basis": "0"}, {"precision_digits": "10"}])
+@pytest.mark.parametrize("key", ["n_basis", "quadrature_target"])
+def test_load_config_rejects_removed_keys(key):
+    # the basis size comes from the verb and nothing reads a quadrature
+    # target, so a document that still sets either is refused by name
+    with pytest.raises(ConfigError, match=f"unknown config key.*{key}"):
+        load_config({key: "20"}, env={})
+    with pytest.raises(ConfigError, match=f"unknown config key.*{key}"):
+        load_config(f"precision_digits = 40\n{key} = 20\n", env={})
+
+
+@pytest.mark.parametrize("doc", [{"max_outer_iters": "0"},
+                                 {"precision_digits": "10"}])
 def test_load_config_rejects_out_of_range(doc):
     with pytest.raises(ConfigError):
         load_config(doc, env={})
 
 
 def test_parse_config_text_comments_and_errors():
-    doc = parse_config_text("# header\nn_basis = 30  # inline\n\nk_init = 1.9\n")
-    assert doc == {"n_basis": "30", "k_init": "1.9"}
+    doc = parse_config_text(
+        "# header\nmax_outer_iters = 30  # inline\n\nk_init = 1.9\n")
+    assert doc == {"max_outer_iters": "30", "k_init": "1.9"}
     with pytest.raises(ConfigError, match="line 2"):
-        parse_config_text("n_basis = 30\nnot a pair\n")
+        parse_config_text("max_outer_iters = 30\nnot a pair\n")
 
 
 def test_load_config_from_text_and_path(tmp_path):
-    cfg = load_config("n_basis = 25\nprecision_digits = 35\n", env={})
-    assert (cfg.n_basis, cfg.precision_digits) == (25, 35)
+    cfg = load_config("max_outer_iters = 25\nprecision_digits = 35\n", env={})
+    assert (cfg.max_outer_iters, cfg.precision_digits) == (25, 35)
     p = tmp_path / "run.cfg"
-    p.write_text("n_basis = 12\n")
-    assert load_config(p, env={}).n_basis == 12
+    p.write_text("max_outer_iters = 12\n")
+    assert load_config(p, env={}).max_outer_iters == 12
 
 
 def test_env_overrides_document():
-    cfg = load_config({"n_basis": "20"}, env={"HYHE_N_BASIS": "40",
-                                              "HYHE_OUTPUT": "csv"})
-    assert cfg.n_basis == 40
+    cfg = load_config({"max_outer_iters": "20"},
+                      env={"HYHE_MAX_OUTER_ITERS": "40", "HYHE_OUTPUT": "csv"})
+    assert cfg.max_outer_iters == 40
     assert cfg.output == "csv"
 
 
 def test_round_trip_text():
-    cfg = RunConfig(n_basis=33, precision_digits=42, k_init=1.75,
-                    k_tol=1e-10, max_outer_iters=7, quadrature_target=1e-13,
-                    output="json")
+    cfg = RunConfig(precision_digits=42, k_init=1.75, k_tol=1e-10,
+                    max_outer_iters=7, output="json")
     assert load_config(to_text(cfg), env={}) == cfg
 
 

@@ -10,7 +10,7 @@ from hyhe.eigen import (AssemblyError, ConvergenceError, ReducedSystem,
                         build_systems, ground_state_pair, optimize_k,
                         solve_fixed_k)
 from hyhe.matrices import build_operator_matrices, check_normalized
-from hyhe.oracles import mp_reduce_pencil, mp_solve_fixed_k
+from support.oracles import mp_reduce_pencil, mp_solve_fixed_k, plain_optimize_k
 
 M_HELIUM = "7294.299508"
 
@@ -101,13 +101,15 @@ def test_optimum_independent_of_seed():
 
 def test_plain_map_on_constant_target():
     # at one term g(k) = 27/16 independent of k: the literal map lands in one
-    # step, damped in a few more
+    # step, damped in a few more; the secant search lands on the same k
     with mp.workdps(40):
         _, systems = systems_n(1)
-        res = optimize_k(systems["inf"], accelerate=False)
+        res = plain_optimize_k(systems["inf"])
         assert abs(res.k_opt - mp.mpf(27) / 16) < mp.mpf("1e-12")
-        damped = optimize_k(systems["inf"], accelerate=False, damping=0.5,
-                            max_outer_iters=80)
+        secant = optimize_k(systems["inf"])
+        assert abs(secant.k_opt - res.k_opt) < mp.mpf("1e-12")
+        damped = plain_optimize_k(systems["inf"], damping=0.5,
+                                  max_outer_iters=80)
         assert abs(damped.k_opt - mp.mpf(27) / 16) < mp.mpf("1e-11")
 
 
@@ -115,8 +117,7 @@ def test_plain_map_starves_and_reports():
     with mp.workdps(40):
         _, systems = systems_n(6)
         with pytest.raises(ConvergenceError) as err:
-            optimize_k(systems["inf"], accelerate=False, k_tol=1e-13,
-                       max_outer_iters=5)
+            plain_optimize_k(systems["inf"], k_tol=1e-13, max_outer_iters=5)
         assert len(err.value.trace) == 5
         ks = [k for k, _ in err.value.trace]
         assert ks == sorted(set(ks), key=ks.index)  # no cycling

@@ -9,14 +9,16 @@ import hyhe
 from hyhe.basis import enumerate_basis
 from hyhe.constants import default_constants
 from hyhe.eigen import build_systems, optimize_k
-from hyhe.integrals import quad_integral
 from hyhe.matrices import (NormalizationError, build_operator_matrices,
                            check_normalized, delta_expectations,
                            expectation_set, log_momentum_expectation,
-                           log_momentum_integrands, p4_expectation,
-                           p4_expectation_quad)
-from hyhe.oracles import (hydrogenic_reference, mp_log_momentum_expectation,
-                          mp_p4_expectation)
+                           p4_expectation)
+from support.integrals import quad_integral
+from support.matrices import (log_momentum_integrands, p4_expectation_quad,
+                              p4_integrand)
+from support.oracles import (duffy_p4_channels, gauss_tensor_value,
+                             hydrogenic_reference, mp_log_momentum_expectation,
+                             mp_p4_expectation)
 
 
 @pytest.fixture(scope="module")
@@ -94,10 +96,7 @@ def test_p4_series_vs_quadrature_seed(seed_state):
 
 def test_p4_series_vs_quadrature_correlated():
     # correlated terms put log-type corners at u -> 0, so a fixed 96-node
-    # rule only certifies ~1%; the tight tanh-sinh check lives below
-    from hyhe.matrices import p4_integrand
-    from hyhe.oracles import gauss_tensor_value
-
+    # rule only certifies ~1%; the tight Duffy-split checks live below
     with mp.workdps(30):
         basis, mats, coeffs = normalized_state(5)
         wq = check_normalized(mats.W, coeffs)
@@ -110,30 +109,39 @@ def test_p4_series_vs_quadrature_correlated():
         assert abs(quad - series) < mp.mpf("2e-2") * abs(series)
 
 
-def test_p4_channels_vs_tanh_sinh(seed_state):
-    # tight version of the quadrature cross-check: adaptive tanh-sinh
-    # resolves the 1/(s-t) edge that plain Gauss cannot
-    from hyhe.matrices import _state_poly, poly_function_mp, reduced_laplacian
-    from hyhe.oracles import triple_quad_mp
-
+def test_p4_channels_vs_duffy_gauss(seed_state):
+    # tight version of the quadrature cross-check: the Duffy split of the
+    # s = t corner resolves the 1/(s-t) edge that plain Gauss cannot
     with mp.workdps(15):
-        T = poly_function_mp(reduced_laplacian(
-            _state_poly(enumerate_basis(1), [mp.sqrt(2)])))
-
-        def f1(s, t, u):
-            v = T(s, t, u)
-            return v * v * (s + t) / ((s - t) * u)
-
-        i_minus = triple_quad_mp(f1, maxdegree=3)
-        i_plus = triple_quad_mp(lambda s, t, u: f1(s, -t, u), maxdegree=4)
+        i_minus, i_plus = duffy_p4_channels(enumerate_basis(1), [mp.sqrt(2)])
         # wq = 1, k = 1: the channel sum is the full pair expectation
-        assert abs(i_minus + i_plus - 10) < mp.mpf("1e-6")
-        assert abs(i_plus - mp.mpf(1) / 2) < mp.mpf("1e-10")
+        assert abs(i_minus + i_plus - 10) < mp.mpf("1e-12")
+        assert abs(i_plus - mp.mpf(1) / 2) < mp.mpf("1e-12")
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "p4_expectation leaves out the (-1)^B of the confluent (C = 0) "
+    "1/((s+t)u) channel moment, (-1)^B (zeta(2)/2 - sum_{j<=B} "
+    "(-1)^{j+1}/j^2), so every odd-B, C = 0 monomial of T^2 (s+t) enters "
+    "with the wrong sign; see README.md, Known deviations, 'delta E^(2)'"))
+@pytest.mark.parametrize("alternating", [False, True])
+@pytest.mark.parametrize("n", [3, 7])
+def test_p4_correlated_vs_duffy_gauss(n, alternating):
+    # the odd-B, C = 0 monomials appear once a basis term carries u, so the
+    # one-term checks above cannot see them; 14 nodes resolve these states
+    # to ~1e-18 relative
+    with mp.workdps(30):
+        basis, mats, coeffs = normalized_state(n, alternating=alternating)
+        wq = check_normalized(mats.W, coeffs)
+        k = mp.mpf("1.8")
+        i_minus, i_plus = duffy_p4_channels(basis, coeffs, nodes=14)
+        quad = k ** 4 * (i_minus + i_plus) / wq
+        series = p4_expectation(basis, coeffs, k, wq)
+        assert abs(series - quad) < mp.mpf("1e-15") * quad, (
+            mp.nstr(series, 20), mp.nstr(quad, 20))
 
 
 def test_log_momentum_series_vs_quadrature():
-    from hyhe.oracles import gauss_tensor_value
-
     with mp.workdps(30):
         basis, mats, coeffs = normalized_state(4)
         wq = check_normalized(mats.W, coeffs)

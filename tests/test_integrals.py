@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from hyhe.basis import SteuExpression
-from hyhe.integrals import (IntegralDomainError, QuadratureError, WEIGHT_LN_U, WEIGHT_NONE,
-                            WEIGHT_VOLUME_CANCELLED, base_integral,
-                            base_integral_real, integral_for, k_scaling_exponent,
-                            log_base_integral, log_integral_quad_mp, quad_base_integral,
-                            quad_base_integral_mp, quad_integral, raw_moment)
+from hyhe.integrals import IntegralDomainError, raw_moment
+from support.integrals import (QuadratureError, base_integral,
+                               base_integral_real, k_scaling_exponent,
+                               log_base_integral, log_integral_quad_mp,
+                               quad_base_integral, quad_base_integral_mp,
+                               quad_integral)
 
 
 def mpf_of(fr):
@@ -144,32 +144,9 @@ def test_log_moment_scaling_law():
         assert abs(direct - expected) < mp.mpf("1e-20") * abs(expected)
 
 
-def test_integral_for_dispatch():
-    expr = SteuExpression({(1, 0, 0): Fraction(2), (0, 0, 1): Fraction(-1)},
-                          exp_degree=2)
-    with mp.workdps(30):
-        plain = integral_for(expr, WEIGHT_NONE)
-        expected = 2 * mpf_of(base_integral(1, 0, 0)) - mpf_of(base_integral(0, 0, 1))
-        assert abs(plain - expected) == 0
-
-        cancelled = integral_for(expr, WEIGHT_VOLUME_CANCELLED)
-        expected = 2 * mpf_of(raw_moment(1, 0, 0)) - mpf_of(raw_moment(0, 0, 1))
-        assert abs(cancelled - expected) == 0
-
-        logged = integral_for(expr, WEIGHT_LN_U)
-        expected = 2 * log_base_integral(1, 0, 0) - log_base_integral(0, 0, 1)
-        assert abs(logged - expected) == 0
-
-
-def test_integral_for_requires_squared_exponential():
-    expr = SteuExpression({(0, 0, 0): Fraction(1)}, exp_degree=1)
-    with pytest.raises(IntegralDomainError):
-        integral_for(expr)
-
-
 def test_quad_log_weight_route():
     # the ln(u) corner slows Gauss convergence; this route is for sanity
-    # checks, the digamma closed form is the production path
+    # checks, the digamma closed form is pinned by the tanh-sinh test above
     val = quad_base_integral(0, 0, 0, log_u=True, target=1e-8)
     with mp.workdps(30):
         assert val == pytest.approx(float(log_base_integral(0, 0, 0)), rel=1e-7)

@@ -5,11 +5,13 @@ import pytest
 from mpmath import mp
 
 from hyhe.basis import enumerate_basis
-from hyhe.matrices import derivative_symbols, evaluate_poly, reduced_laplacian
-from hyhe.oracles import (CartesianProbe, ElectronConfiguration,
-                          attraction_identity_residual, direction_cosines,
-                          gauss_tensor_value, hydrogenic_reference,
-                          random_configurations, stu_of, triple_quad_mp)
+from hyhe.matrices import derivative_symbols, reduced_laplacian
+from support.basis import basis_expression
+from support.matrices import evaluate_poly
+from support.oracles import (CartesianProbe, attraction_identity_residual,
+                             direction_cosines, duffy_quad_mp,
+                             gauss_tensor_value, hydrogenic_reference,
+                             random_configurations, stu_of)
 
 
 @pytest.fixture(scope="module")
@@ -48,7 +50,6 @@ def test_direction_cosines_closed_form():
 
 def test_probe_value_consistency(probe):
     basis, coeffs, p = probe
-    from hyhe.basis import basis_expression
     for cfg in random_configurations(10, seed=5):
         s, t, u = stu_of(cfg.r1, cfg.r2)
         direct = sum(c * basis_expression(term).evaluate(1.3 * s, 1.3 * t, 1.3 * u)
@@ -117,7 +118,7 @@ def test_gauss_tensor_volume():
     assert val == pytest.approx(0.5, abs=1e-12)
 
 
-def test_tanh_sinh_volume_spot():
+def test_duffy_volume_spot():
     with mp.workdps(15):
-        val = triple_quad_mp(lambda s, t, u: u * (s * s - t * t), maxdegree=4)
-        assert abs(val - mp.mpf(1) / 2) < mp.mpf("1e-10")
+        val = duffy_quad_mp(lambda s, t, u: u * (s * s - t * t))
+        assert abs(val - mp.mpf(1) / 2) < mp.mpf("1e-12")

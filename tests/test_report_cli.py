@@ -198,16 +198,22 @@ def test_cli_failure_row_exit_code(monkeypatch):
 
 
 def test_cli_import_path_leaves_out_scipy():
-    # scipy serves only the test-side tensor quadrature; a fresh interpreter
-    # that imports the CLI and runs a sweep must never load it
+    # scipy and the referees in tests/support serve only the tests; a fresh
+    # interpreter that imports hyhe and the CLI and runs a sweep must never
+    # load them
     code = (
         "import sys\n"
         "from click.testing import CliRunner\n"
+        "def referees():\n"
+        "    return sorted(m for m in sys.modules if m == 'scipy'\n"
+        "                  or m.startswith(('scipy.', 'support', 'hyhe.oracles')))\n"
+        "import hyhe\n"
+        "assert not referees(), ('import hyhe loaded', referees())\n"
         "import hyhe.cli\n"
-        "assert 'scipy' not in sys.modules, 'import hyhe.cli loaded scipy'\n"
+        "assert not referees(), ('import hyhe.cli loaded', referees())\n"
         "result = CliRunner().invoke(hyhe.cli.main, ['sweep', '--n-list', '3'])\n"
         "assert result.exit_code == 0, result.output\n"
-        "assert 'scipy' not in sys.modules, 'sweep loaded scipy'\n"
+        "assert not referees(), ('sweep loaded', referees())\n"
     )
     src = os.path.dirname(os.path.dirname(hyhe.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
