@@ -5,6 +5,7 @@ itself.  Values are stored as decimal strings so that converting to mpmath
 floats at whatever working precision is active never loses digits.
 """
 
+import math
 from dataclasses import dataclass
 
 from mpmath import mp
@@ -16,6 +17,17 @@ GAMMA_AUTO = "auto"
 
 class ConstantsError(ValueError):
     pass
+
+
+def _finite(name, raw):
+    """float(raw), or ConstantsError naming the field if it is not finite."""
+    try:
+        value = float(raw)
+    except (TypeError, ValueError):
+        value = math.nan
+    if not math.isfinite(value):
+        raise ConstantsError(f"{name} must be a finite decimal, got {raw!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -41,13 +53,14 @@ class PhysicalConstants:
     def validate(self):
         if not (isinstance(self.Z, int) and self.Z >= 1):
             raise ConstantsError(f"Z must be a positive integer, got {self.Z!r}")
-        a = float(self.alpha)
-        if not (0.0 < a < 0.01):
+        if not (0.0 < _finite("alpha", self.alpha) < 0.01):
             raise ConstantsError(f"alpha out of range (0, 0.01): {self.alpha}")
-        if not float(self.mass_ratio_M) > 1000:
+        if not _finite("mass_ratio_M", self.mass_ratio_M) > 1000:
             raise ConstantsError(f"mass_ratio_M must exceed 1000: {self.mass_ratio_M}")
-        for name in ("alpha", "mass_ratio_M", "bethe_beta", "E_exp"):
-            float(getattr(self, name))  # raises if not finite decimal
+        _finite("bethe_beta", self.bethe_beta)
+        _finite("E_exp", self.E_exp)
+        if self.euler_gamma != GAMMA_AUTO:
+            _finite("euler_gamma", self.euler_gamma)
         return self
 
     # mpf views, evaluated at the currently active mp precision

@@ -9,9 +9,10 @@ The linear algebra runs on Python ints in fixed point: a real v is held as
 round(v * 2**F) with F = mp.prec + guard bits, and the guard grows with the
 conditioning of W, measured by its smallest Cholesky pivot.  The matrices are
 built straight from their exact Fractions.  At each k, float64 eigh gives a
-shift sigma0 and a seed vector; one pivoted LU of A(k) - sigma0 I then drives
-fixed-shift inverse iteration, a pair of triangular solves per step, until x
-stops moving.  Results leave the kernel as mpf at the working precision.
+seed vector and an approximate eigenbasis; each step then takes the residual
+of x exactly on the ints and removes it in that eigenbasis, with the lowest
+mode projected out, until the correction falls below the working precision.
+Results leave the kernel as mpf at the working precision.
 
 Minimizing over k at the solved state gives the fixed-point map
 k <- -P_q / (2 K_q).  The map is a contraction with rate 1 - O(1e-5), so
@@ -31,10 +32,10 @@ from mpmath import mp
 # Guard bits above mp.prec before the conditioning term: they absorb the
 # O(n^2) ulps of rounding that the triangular solves accumulate.
 _GUARD_BITS = 32
-# The float64 shift must resolve the lowest gap by this many bits, which is
-# the least the inverse iteration then gains per step.
+# The float64 eigenbasis must resolve the lowest gap by this many bits,
+# which is the least each residual correction then gains.
 _SEED_BITS = 20
-# Back substitutions per k; at >= _SEED_BITS bits a step this covers
+# Residual corrections per k; at >= _SEED_BITS bits a step this covers
 # F <= 1280 bits (about 380 digits).
 _MAX_STEPS = 64
 
@@ -145,8 +146,9 @@ class ReducedSystem:
 
     L, K_red and P_red are fixed-point int matrices at scale 2**frac_bits:
     the Cholesky factor for back-transforming coefficients and the reduced
-    kinetic-like and potential forms.  K_float/P_float are float64 copies
-    for seeding the eigensolve.
+    kinetic-like and potential forms.  K_float/P_float are float64 copies;
+    their eigenbasis seeds the eigensolve and carries its residual
+    corrections.
     """
 
     def __init__(self, L, K_red, P_red, frac_bits, label=""):
@@ -207,43 +209,6 @@ def build_systems(matrices, mass_ratio=None, include=("inf", "0")):
     return systems
 
 
-def _lu(M, F):
-    """Pivoted LU of M in place (unit-lower multipliers below U); row order.
-
-    A zero pivot means the shift hit an eigenvalue exactly; one ulp stands
-    in for it, a perturbation below the fixed-point rounding.
-    """
-    n = len(M)
-    order = list(range(n))
-    for c in range(n):
-        p = max(range(c, n), key=lambda r: abs(M[r][c]))
-        M[c], M[p] = M[p], M[c]
-        order[c], order[p] = order[p], order[c]
-        row = M[c]
-        row[c] = piv = row[c] or 1
-        tail = row[c + 1:]
-        for r in range(c + 1, n):
-            Mr = M[r]
-            f = (Mr[c] << F) // piv
-            Mr[c] = f
-            if f:
-                Mr[c + 1:] = [a - ((f * b) >> F)
-                              for a, b in zip(Mr[c + 1:], tail)]
-    return order
-
-
-def _lu_solve(M, order, b, F):
-    n = len(M)
-    z = [b[i] for i in order]
-    for i in range(1, n):
-        z[i] -= sum(map(mul, M[i][:i], z)) >> F
-    y = [0] * n
-    for i in range(n - 1, -1, -1):
-        row = M[i]
-        y[i] = ((z[i] << F) - sum(map(mul, row[i + 1:], y[i + 1:]))) // row[i]
-    return y
-
-
 def _normalized(y, F):
     norm = math.isqrt(sum(v * v for v in y))
     return [(v << F) // norm for v in y]
@@ -252,10 +217,12 @@ def _normalized(y, F):
 def _lowest_pair(system, k):
     """Smallest eigenpair of A(k) = k^2 K_red + k P_red, x as fixed-point ints.
 
-    float64 eigh gives the shift sigma0 and the seed; one pivoted LU of
-    A - sigma0 I serves every inverse-iteration step.  Each step gains about
-    log2(gap / |lambda0 - sigma0|) bits, so a gap the float64 shift cannot
-    resolve by _SEED_BITS bits raises, as does a run out of steps.
+    float64 eigh gives the seed x and an approximate eigenbasis (lambda_i,
+    v_i).  Each step takes theta = x'Ax and r = Ax - theta x exactly on the
+    ints and removes r in that basis with the lowest mode projected out:
+    x <- x - sum_{i>=1} v_i (v_i'r) / (lambda_i - theta).  A step gains
+    about log2(gap / (n eps |A|)) bits, so a gap the float64 eigenbasis
+    cannot resolve by _SEED_BITS bits raises, as does a run out of steps.
     """
     n, F = system.n, system.frac_bits
     k = mp.mpf(k)
@@ -274,32 +241,29 @@ def _lowest_pair(system, k):
             raise ConvergenceError(
                 f"(near-)degenerate lowest eigenvalue at k={kf}: gap "
                 f"{gap:.2g} is within {resolved:.2g}, what the float64 "
-                "shift resolves")
-    sigma0 = _fixed(evals[0], F)
-    M = [row[:] for row in A]
-    for i in range(n):
-        M[i][i] -= sigma0
-    order = _lu(M, F)
+                "eigenbasis resolves")
+    V, lam = evecs[:, 1:], evals[1:]
     tol = 1 << max(0, F - mp.prec)
     x = _normalized([_fixed(v, F) for v in evecs[:, 0]], F)
     for _ in range(_MAX_STEPS):
-        x_new = _normalized(_lu_solve(M, order, x, F), F)
-        if _dot(x_new, x, F) < 0:
-            x_new = [-v for v in x_new]
-        moved = max(abs(a - b) for a, b in zip(x_new, x))
-        x = x_new
-        if moved <= tol:
+        Ax = _matvec(A, x, F)
+        theta = _dot(x, Ax, F)
+        r = [a - ((theta * b) >> F) for a, b in zip(Ax, x)]
+        # r at ~60 significant bits keeps float() finite for any F
+        s = max(0, max(map(abs, r)).bit_length() - 60)
+        r_f = np.array([float(v >> s) for v in r])
+        d = V @ ((V.T @ r_f) / (lam - theta / (1 << F)))
+        dx = [round(v) << s for v in d.tolist()]
+        if max(map(abs, dx)) <= tol:
             break
+        x = _normalized([a - b for a, b in zip(x, dx)], F)
     else:
         raise ConvergenceError(
-            f"inverse iteration at k={mp.nstr(k, 17)} did not converge: "
+            f"eigenpair correction at k={mp.nstr(k, 17)} did not converge: "
             f"step cap {_MAX_STEPS} reached")
-    Ax = _matvec(A, x, F)
-    sigma = _dot(x, Ax, F)
-    r = [a - ((sigma * b) >> F) for a, b in zip(Ax, x)]
     a_norm = max(sum(map(abs, row)) for row in A)
     residual = mp.mpf(math.isqrt(sum(v * v for v in r))) / max(a_norm, 1 << F)
-    return _to_mpf(sigma, F), x, residual
+    return _to_mpf(theta, F), x, residual
 
 
 def solve_fixed_k(system, k):

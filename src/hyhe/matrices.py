@@ -231,8 +231,8 @@ def check_normalized(W, coeffs, tol=1e-10):
 
 # --- coalescence densities -------------------------------------------------
 
-def delta_expectations(basis, coeffs, k, W=None, wq=None):
-    """(<delta^3(r_1)>, <delta^3(r_12)>) on a normalized state.
+def delta_expectations(basis, coeffs, k, wq):
+    """(<delta^3(r_1)>, <delta^3(r_12)>) on a state of norm wq = c'Wc.
 
     Electron-nucleus coalescence pins s = t = u = r2 and leaves a radial
     integral 4 pi int r^2 (k r)^{g_i + g_j} e^{-2 k r} dr; the normalization
@@ -242,10 +242,6 @@ def delta_expectations(basis, coeffs, k, W=None, wq=None):
     a pair only through g = g_i + g_j, so the double sums run over grade
     pairs of S_g, the sum of the coefficients of grade g.
     """
-    if wq is None:
-        if W is None:
-            raise ValueError("need either W (to verify normalization) or wq")
-        wq = check_normalized(W, coeffs)
     km = mp.mpf(k)
     grade_sums, pure_sums = {}, {}
     for term, c in zip(basis, coeffs):
@@ -412,7 +408,7 @@ def log_momentum_expectation(basis, coeffs, k, wq, gamma=None):
 def expectation_set(basis, coeffs, k, W, gamma=None):
     """All correction-layer expectation values on a normalized state."""
     wq = check_normalized(W, coeffs)
-    d1, dee = delta_expectations(basis, coeffs, k, wq=wq)
+    d1, dee = delta_expectations(basis, coeffs, k, wq)
     p4_pair = p4_expectation(basis, coeffs, k, wq)
     q = log_momentum_expectation(basis, coeffs, k, wq, gamma=gamma)
     return ExpectationSet(k=mp.mpf(k), delta_r1=d1, delta_r12=dee,

@@ -31,6 +31,15 @@ def test_constants_invariants_rejected(kwargs):
         PhysicalConstants(**kwargs).validate()
 
 
+@pytest.mark.parametrize("name, raw", [
+    ("bethe_beta", "nan"), ("E_exp", "nan"), ("E_exp", "-inf"),
+    ("alpha", "abc"), ("mass_ratio_M", None), ("euler_gamma", "abc"),
+])
+def test_constants_reject_unparsed_or_nonfinite(name, raw):
+    with pytest.raises(ConstantsError, match=name):
+        PhysicalConstants(**{name: raw}).validate()
+
+
 def test_gamma_auto_tracks_working_precision():
     c = default_constants()
     with mp.workdps(40):

@@ -187,9 +187,10 @@ def test_reduction_matches_mp_oracle():
                 assert worst < tol, (label, worst)
 
 
-@pytest.mark.parametrize("n, dps", [(22, 100), (50, 50)])
+@pytest.mark.parametrize("n, dps", [(22, 100), (50, 50), (13, 50), (13, 320)])
 def test_fixed_k_solve_matches_mp_oracle(n, dps):
-    # N = 50 is the worst-conditioned W the program solves (cond ~ 4e13)
+    # N = 50 is the worst-conditioned W the program solves (cond ~ 4e13);
+    # at 320 digits F = 1111 bits, so theta and r overflow a plain float()
     with mp.workdps(dps):
         tol = mp.mpf(10) ** (-dps + 10)
         k = mp.mpf("2.0451487")

@@ -72,9 +72,8 @@ def test_electron_density_symmetry():
 
 def test_delta_needs_a_normalization_route(seed_state):
     basis, mats = seed_state
-    with pytest.raises(ValueError):
-        delta_expectations(basis, [mp.sqrt(2)], 2)
-    d1, dee = delta_expectations(basis, [mp.sqrt(2)], 2, W=mats.W)
+    wq = check_normalized(mats.W, [mp.sqrt(2)])
+    d1, dee = delta_expectations(basis, [mp.sqrt(2)], 2, wq)
     assert d1 > dee > 0
 
 

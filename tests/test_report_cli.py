@@ -174,6 +174,8 @@ def test_cli_usage_errors():
     assert runner.invoke(main, ["solve", "--n", "0"]).exit_code == 2
     assert runner.invoke(main, ["--alpha", "0",
                                 "sweep", "--n-list", "1"]).exit_code == 2
+    assert runner.invoke(main, ["--alpha", "abc",
+                                "sweep", "--n-list", "1"]).exit_code == 2
 
 
 def test_cli_env_overrides_flow_into_config():
