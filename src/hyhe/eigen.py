@@ -18,7 +18,14 @@ Minimizing over k at the solved state gives the fixed-point map
 k <- -P_q / (2 K_q).  The map is a contraction with rate 1 - O(1e-5), so
 the plain iteration would need ~1e5 steps for 1e-12; a secant iteration on
 h(k) = g(k) - k instead lands in a handful of solves and satisfies the same
-fixed-point condition at exit.
+fixed-point condition at exit.  The secant first runs on the float64 copies
+of the reduced forms, which costs no mp solve and puts k within float noise
+(~1e-11) of the root; the mp secant then starts there.
+
+The bases are nested prefixes and the Cholesky reduction only ever reads
+leading entries, so the leading n x n blocks of a reduction are, bit for
+bit, the reduction of the n-term prefix at the same fraction bits: one
+reduction at the largest size serves every smaller one (ReducedSystem.leading).
 """
 
 import math
@@ -38,6 +45,15 @@ _SEED_BITS = 20
 # Residual corrections per k; at >= _SEED_BITS bits a step this covers
 # F <= 1280 bits (about 380 digits).
 _MAX_STEPS = 64
+# The float64 secant on h(k) stops once a step is this small (relative to
+# k).  Float64 rounding leaves the root ~1e-11 uncertain at N = 30..50
+# (|h'| ~ 1e-5 turns 1e-16 in h into that much in k), so a tighter exit
+# would only chase noise; the mp secant removes the rest.
+_FLOAT_K_TOL = 1e-10
+# Secant steps the float64 search may take before it counts as failed.
+_FLOAT_MAX_STEPS = 16
+# The mp secant's second point lies this far above the float64 root.
+_FLOAT_SEED_STEP = "1e-8"
 
 
 class AssemblyError(ValueError):
@@ -58,7 +74,8 @@ class VariationalResult:
     n_basis: int
     iterations: int           # outer (k) iterations
     residual: object          # ||A x - E x|| / ||A||, reduced coordinates
-    trace: list = field(default_factory=list)   # [(k, E)] per outer step
+    trace: list = field(default_factory=list)   # [(k, E)] per mp solve
+    k_err: object = None      # |h(k_opt) / s|, s the last secant slope (mpf)
 
 
 def _fixed(q, F):
@@ -162,6 +179,19 @@ class ReducedSystem:
         self.K_float = np.array([[v / scale for v in row] for row in K_red])
         self.P_float = np.array([[v / scale for v in row] for row in P_red])
 
+    def leading(self, n):
+        """The system of the first n basis terms, at the same frac_bits.
+
+        _cholesky and _reduce_sym read only leading entries, so these blocks
+        equal a reduction of the n-term prefix at this F, int for int.
+        """
+        if n == self.n:
+            return self
+        return ReducedSystem([row[:n] for row in self.L[:n]],
+                             [row[:n] for row in self.K_red[:n]],
+                             [row[:n] for row in self.P_red[:n]],
+                             self.frac_bits, label=self.label)
+
     def coefficients(self, x):
         """Back-transform a reduced eigenvector; c'Wc = |x|^2 by construction."""
         F = self.frac_bits
@@ -178,21 +208,23 @@ def build_systems(matrices, mass_ratio=None, include=("inf", "0")):
     nuclear motion in: K_0 = (1 + 1/M) K + (1/M) M_pol, which inherits the
     k^2 scaling tag, so the same Rayleigh-quotient machinery applies.
 
-    The guard bits above mp.prec are _GUARD_BITS plus the bits of
+    The fraction bits are mp.prec + _GUARD_BITS plus the bits of
     max W_jj / min pivot, the growth the reduction suffers from the
-    conditioning of W; the factor is recomputed at that width when a first
-    pass at _GUARD_BITS alone falls short.
+    conditioning of W, measured on a first factor at _GUARD_BITS alone.
     """
     if "0" in include and mass_ratio is None:
         raise ValueError("nuclear-motion Hamiltonian needs a mass ratio")
     F = mp.prec + _GUARD_BITS
     Wq = _fixed_matrix(matrices.W, F)
-    L, min_pivot = _cholesky(Wq, F)
+    _, min_pivot = _cholesky(Wq, F)
     max_diag = max(row[j] for j, row in enumerate(Wq))
     cond_bits = ((max_diag << F) // min_pivot).bit_length() - 1
-    if cond_bits:
-        F += cond_bits
-        L, _ = _cholesky(_fixed_matrix(matrices.W, F), F)
+    return _reduce_at(matrices, F + cond_bits, mass_ratio, include)
+
+
+def _reduce_at(matrices, F, mass_ratio, include):
+    """build_systems at fixed fraction bits F."""
+    L, _ = _cholesky(_fixed_matrix(matrices.W, F), F)
     K = _fixed_matrix(matrices.K, F)
     P_red = _reduce_sym(L, _fixed_matrix(matrices.P, F), F)
     systems = {}
@@ -283,12 +315,47 @@ def solve_fixed_k(system, k):
     return E, x, K_q, P_q, residual
 
 
+def _float_root(system, k_init):
+    """Root of h(k) = g(k) - k on the float64 forms, or None on failure.
+
+    The same secant as optimize_k's, on K_float/P_float.  It fails on a
+    non-finite h, on an iterate outside [k_init/3, 3 k_init], and when no
+    step falls within _FLOAT_K_TOL in _FLOAT_MAX_STEPS.
+    """
+    K, P = system.K_float, system.P_float
+
+    def h(k):
+        x = np.linalg.eigh(k * k * K + k * P)[1][:, 0]
+        return -(x @ P @ x) / (2 * (x @ K @ x)) - k
+
+    try:
+        k0, k1 = k_init, k_init + 0.005
+        h0, h1 = h(k0), h(k1)
+        for _ in range(_FLOAT_MAX_STEPS):
+            if not (math.isfinite(h0) and math.isfinite(h1)):
+                return None
+            if h1 == h0:
+                return k1   # flat secant: h is down to float noise
+            k2 = k1 - h1 * (k1 - k0) / (h1 - h0)
+            if not k_init / 3 <= k2 <= 3 * k_init:
+                return None
+            if abs(k2 - k1) <= _FLOAT_K_TOL * k2:
+                return k2
+            k0, h0, k1 = k1, h1, k2
+            h1 = h(k1)
+    except np.linalg.LinAlgError:
+        return None
+    return None
+
+
 def optimize_k(system, k_init=2.0, k_tol=1e-12, max_outer_iters=60):
     """Drive k to the self-consistent exponent and return the ground state.
 
     A secant iteration on h(k) = g(k) - k, g(k) = -P_q/(2 K_q), finds the
     root in a handful of eigensolves; the result satisfies
-    |g(k_opt) - k_opt| <= k_tol.
+    |g(k_opt) - k_opt| <= k_tol.  The mp secant starts at the float64 root
+    k_f and k_f + 1e-8, or at k_init and k_init + 0.005 when the float64
+    search fails.
     """
     tol = mp.mpf(k_tol)
     trace = []
@@ -298,20 +365,25 @@ def optimize_k(system, k_init=2.0, k_tol=1e-12, max_outer_iters=60):
         trace.append((k, E))
         return -P_q / (2 * K_q)
 
-    k0 = mp.mpf(k_init)
+    k_f = _float_root(system, float(k_init))
+    if k_f is None:
+        k0, step = mp.mpf(k_init), mp.mpf("0.005")
+    else:
+        k0, step = mp.mpf(k_f), mp.mpf(_FLOAT_SEED_STEP)
     h0 = g(k0) - k0
-    k1 = k0 + mp.mpf("0.005")
+    k1 = k0 + step
     g1 = g(k1)
     h1 = g1 - k1
     for it in range(max_outer_iters):
         if h1 == h0:
-            k2 = g1  # flat secant: fall back to the plain map
+            k2 = g1  # flat secant: fall back to the plain map (slope -1)
         else:
             k2 = k1 - h1 * (k1 - k0) / (h1 - h0)
         # keep steps inside a sane bracket around the current iterate
         k2 = max(k1 / 3, min(3 * k1, k2))
         if abs(k2 - k1) <= tol:
-            return _finish(system, k2, it + 3, trace)
+            slope = (h1 - h0) / (k1 - k0) if h1 != h0 else -1
+            return _finish(system, k2, it + 3, trace, slope)
         k0, h0 = k1, h1
         k1 = k2
         g1 = g(k1)
@@ -321,24 +393,24 @@ def optimize_k(system, k_init=2.0, k_tol=1e-12, max_outer_iters=60):
         f"{max_outer_iters} iterations", trace=trace)
 
 
-def _finish(system, k_opt, iterations, trace):
+def _finish(system, k_opt, iterations, trace, slope):
+    """The state at k_opt, with the a-posteriori error |h(k_opt) / slope|."""
     E, x, K_q, P_q, residual = solve_fixed_k(system, k_opt)
     trace.append((k_opt, E))
+    h = -P_q / (2 * K_q) - k_opt
     return VariationalResult(
         energy=E, k_opt=k_opt, coeffs=system.coefficients(x),
         n_basis=system.n, iterations=iterations, residual=residual,
-        trace=trace)
+        trace=trace, k_err=abs(h / slope))
 
 
-def ground_state_pair(matrices, mass_ratio, k_init=2.0, k_tol=1e-12,
-                      max_outer_iters=60):
-    """Clamped-nucleus and moving-nucleus ground states off one reduction.
+def ground_state_pair(systems, k_init=2.0, k_tol=1e-12, max_outer_iters=60):
+    """Clamped-nucleus and moving-nucleus ground states of build_systems'
+    "inf" and "0" systems.
 
     Each Hamiltonian gets its own converged exponent; sharing k would spoil
     neither below the parabola's curvature but the independent optimum is
     the cleaner definition.
     """
-    systems = build_systems(matrices, mass_ratio=mass_ratio)
-    res_inf = optimize_k(systems["inf"], k_init, k_tol, max_outer_iters)
-    res_0 = optimize_k(systems["0"], k_init, k_tol, max_outer_iters)
-    return res_inf, res_0
+    return tuple(optimize_k(systems[label], k_init, k_tol, max_outer_iters)
+                 for label in ("inf", "0"))

@@ -2,7 +2,9 @@
 
 A report row is one basis size N pushed through the whole chain:
 matrices -> both ground states -> expectation values on the nuclear-motion
-state -> correction breakdown.  Numeric cells are stored as strings (20
+state -> correction breakdown.  A sweep assembles and reduces once, at its
+largest N; the bases are nested prefixes, so every row solves the leading
+block of that one stage.  Numeric cells are stored as strings (20
 significant digits) so that emit -> parse -> emit is byte-stable; the
 delta columns (dE_inf, dE0, dE_total: change against the previous row) are
 derived data and are recomputed from the energy columns whenever a document
@@ -14,6 +16,7 @@ import io
 import json
 import time
 from dataclasses import dataclass, field, asdict
+from typing import NamedTuple
 
 from mpmath import mp
 
@@ -25,7 +28,7 @@ from .corrections import total_energy
 from .eigen import build_systems, ground_state_pair, optimize_k
 from .matrices import build_operator_matrices, expectation_set
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 CSV_COLUMNS = ("N", "E_inf", "dE_inf", "E0", "dE0", "deltaE2", "deltaE3",
                "E_total", "dE_total", "k_opt")
@@ -42,8 +45,10 @@ def _fmt(x):
 
 @dataclass
 class Row:
-    """One basis size.  k_opt and residual belong to the nuclear-motion
-    Hamiltonian, whose state also feeds the corrections."""
+    """One basis size.  k_opt, k_err and residual belong to the
+    nuclear-motion Hamiltonian, whose state also feeds the corrections;
+    solves counts the mp eigensolves of both k-searches.  In a sweep,
+    wall_time leaves out the shared assembly and reduction."""
 
     N: int
     ok: bool = True
@@ -58,6 +63,8 @@ class Row:
     dE_total: str = ""
     k_opt: str = ""
     residual: str = ""
+    k_err: str = ""
+    solves: int = 0
     wall_time: str = ""
 
 
@@ -168,16 +175,37 @@ def recompute_deltas(rows):
     return rows
 
 
-def compute_row(n, config, constants):
-    """Run the full pipeline for one basis size; returns (Row, results)."""
+class Stage(NamedTuple):
+    """Basis, exact matrices and both reduced systems at one basis size."""
+
+    basis: list
+    matrices: object
+    systems: dict
+
+
+def build_stage(n, constants):
+    """Assemble and Cholesky-reduce the n-term basis (inside mp.workdps)."""
+    basis = enumerate_basis(n)
+    mats = build_operator_matrices(basis, Z=constants.Z)
+    return Stage(basis, mats, build_systems(mats,
+                                            mass_ratio=constants.mass_ratio_M))
+
+
+def compute_row(n, config, constants, stage=None):
+    """Run the full pipeline for one basis size; returns (Row, results).
+
+    stage is a build_stage result at any size >= n at this precision; each
+    row solves its leading n x n block.  Without one the row builds its own.
+    """
     t0 = time.time()
     with mp.workdps(config.precision_digits):
-        basis = enumerate_basis(n)
-        mats = build_operator_matrices(basis, Z=constants.Z)
+        basis, mats, systems = stage or build_stage(n, constants)
         res_inf, res_0 = ground_state_pair(
-            mats, constants.mass_ratio_M, k_init=config.k_init,
-            k_tol=config.k_tol, max_outer_iters=config.max_outer_iters)
-        exps = expectation_set(basis, res_0.coeffs, res_0.k_opt, mats.W,
+            {label: system.leading(n) for label, system in systems.items()},
+            k_init=config.k_init, k_tol=config.k_tol,
+            max_outer_iters=config.max_outer_iters)
+        exps = expectation_set(basis[:n], res_0.coeffs, res_0.k_opt,
+                               [row[:n] for row in mats.W[:n]],
                                gamma=constants.gamma_mp())
         breakdown = total_energy(res_0.energy, exps, constants)
         row = Row(
@@ -189,6 +217,8 @@ def compute_row(n, config, constants):
             E_total=_fmt(breakdown.E_total),
             k_opt=_fmt(res_0.k_opt),
             residual=mp.nstr(res_0.residual, 3),
+            k_err=mp.nstr(res_0.k_err, 3),
+            solves=len(res_inf.trace) + len(res_0.trace),
             wall_time=f"{time.time() - t0:.2f}",
         )
     return row, (res_inf, res_0, exps, breakdown)
@@ -197,8 +227,11 @@ def compute_row(n, config, constants):
 def run_tables(config=None, constants=None, n_list=None):
     """Sweep the basis sizes and assemble a ReportDocument.
 
-    A failing size produces a failure row instead of aborting the sweep;
-    all_ok reflects it.  An explicitly empty sweep is a usage error.
+    One stage at max(n_list) serves every row.  A failing size produces a
+    failure row instead of aborting the sweep; all_ok reflects it.  When the
+    shared stage itself fails, each size builds its own, so only a size that
+    fails alone gets a failure row.  An explicitly empty sweep is a usage
+    error.
     """
     config = config or RunConfig()
     constants = constants or default_constants()
@@ -208,10 +241,15 @@ def run_tables(config=None, constants=None, n_list=None):
         raise UsageError("empty sweep: need at least one basis size")
     if any(n < 1 for n in n_list):
         raise UsageError(f"basis sizes must be >= 1, got {n_list}")
+    try:
+        with mp.workdps(config.precision_digits):
+            stage = build_stage(max(n_list), constants)
+    except Exception:  # noqa: BLE001 - the rows retry alone and report
+        stage = None
     rows = []
     for n in n_list:
         try:
-            row, _ = compute_row(n, config, constants)
+            row, _ = compute_row(n, config, constants, stage)
         except Exception as exc:  # noqa: BLE001 - failure rows are the contract
             row = Row(N=n, ok=False, error=f"{type(exc).__name__}: {exc}")
         rows.append(row)

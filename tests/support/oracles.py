@@ -354,7 +354,8 @@ def plain_optimize_k(system, k_init=2.0, k_tol=1e-12, max_outer_iters=60,
         trace.append((km, E))
         k_next = d * km + (1 - d) * (-P_q / (2 * K_q))
         if abs(k_next - km) <= tol:
-            return _finish(system, k_next, it + 1, trace)
+            # slope -1 is what the undamped map assumes of h(k) = g(k) - k
+            return _finish(system, k_next, it + 1, trace, -1)
         km = k_next
     raise ConvergenceError(
         f"exponent map did not reach {k_tol:g} in {max_outer_iters} "

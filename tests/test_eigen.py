@@ -54,6 +54,17 @@ def test_seed_optimum_and_virial():
         assert abs(E + K_q * res.k_opt ** 2) < mp.mpf("1e-24")
 
 
+def test_one_term_lands_on_27_16():
+    # at N = 1, g(k) = 27/16 for every k: the float64 secant lands there
+    # exactly and the mp secant confirms it in the usual four solves
+    with mp.workdps(40):
+        _, systems = systems_n(1)
+        assert eigen._float_root(systems["inf"], 2.0) == 1.6875
+        res = optimize_k(systems["inf"])
+        assert res.k_opt == mp.mpf(27) / 16
+        assert len(res.trace) == 4 and res.k_err == 0
+
+
 def test_seed_nuclear_motion_shift():
     with mp.workdps(40):
         _, systems = systems_n(1)
@@ -213,8 +224,8 @@ def test_nuclear_motion_needs_mass_ratio():
 
 def test_ground_state_pair_contract():
     with mp.workdps(40):
-        mats = build_operator_matrices(enumerate_basis(6))
-        res_inf, res_0 = ground_state_pair(mats, mass_ratio=M_HELIUM)
+        mats, systems = systems_n(6)
+        res_inf, res_0 = ground_state_pair(systems)
         shift = res_0.energy - res_inf.energy
         assert mp.mpf("2e-4") < shift < mp.mpf("8e-4")
         assert res_0.k_opt < res_inf.k_opt  # lighter reduced mass, softer pull
@@ -237,3 +248,74 @@ def test_fixed_mpf_keeps_sign(q, F):
     with mp.workdps(30):
         v = mp.mpf(q.numerator) / q.denominator
         assert eigen._fixed_mpf(v, F) == eigen._fixed(q, F)
+
+
+@pytest.mark.parametrize("n, dps, labels", [
+    (20, 50, ("inf", "0")), (40, 50, ("inf", "0")), (40, 100, ("inf",))])
+def test_k_err_bounds_the_k_search(n, dps, labels):
+    # k_err = |h(k_opt) / s| is the secant's own estimate of the distance to
+    # the root; its relative error is O(|k1 - k0| h''/h'), about 5e-8 here,
+    # so it bounds the distance to a 1e-40 search within a factor 2
+    with mp.workdps(dps):
+        _, systems = systems_n(n)
+        for label in labels:
+            res = optimize_k(systems[label])
+            ref = optimize_k(systems[label], k_tol=1e-40)
+            dist = abs(res.k_opt - ref.k_opt)
+            assert res.k_err < mp.mpf("1e-20")
+            assert res.k_err / 2 <= dist <= 2 * res.k_err, (label, dist)
+            assert len(res.trace) <= 5, label   # the float64 seed held
+
+
+def test_float_seed_fallback_keeps_k_opt(monkeypatch):
+    with mp.workdps(50):
+        _, systems = systems_n(20)
+        seeded = optimize_k(systems["0"])
+        monkeypatch.setattr(eigen, "_float_root", lambda system, k: None)
+        unseeded = optimize_k(systems["0"])
+        assert len(unseeded.trace) > len(seeded.trace)
+        assert mp.nstr(unseeded.k_opt, 20) == mp.nstr(seeded.k_opt, 20)
+        assert abs(unseeded.energy - seeded.energy) < mp.mpf("1e-40")
+
+
+def test_float_seed_failures():
+    with mp.workdps(40):
+        _, systems = systems_n(6)
+        system = systems["inf"]
+        assert abs(eigen._float_root(system, 2.0) - 1.8179450639885) < 1e-9
+        # the root 1.818 lies outside [k/3, 3k] for k = 0.5
+        assert eigen._float_root(system, 0.5) is None
+        # the mp secant then starts at k_init and still lands on the root
+        fallback = optimize_k(system, k_init=0.5)
+        assert abs(fallback.k_opt - optimize_k(system).k_opt) < mp.mpf("1e-20")
+        bad = ReducedSystem(system.L, system.K_red, system.P_red,
+                            system.frac_bits)
+        bad.K_float[0, 0] = float("nan")
+        assert eigen._float_root(bad, 2.0) is None
+
+
+def test_float_seed_step_cap(monkeypatch):
+    monkeypatch.setattr(eigen, "_FLOAT_MAX_STEPS", 1)
+    with mp.workdps(40):
+        _, systems = systems_n(6)
+        assert eigen._float_root(systems["inf"], 2.0) is None
+        res = optimize_k(systems["inf"])
+        assert abs(res.k_opt - mp.mpf("1.817945063988518952281646")) < \
+            mp.mpf("1e-20")
+
+
+def test_leading_block_is_the_prefix_reduction():
+    with mp.workdps(50):
+        _, big = systems_n(13)
+        mats7 = build_operator_matrices(enumerate_basis(7))
+        for label in ("inf", "0"):
+            F = big[label].frac_bits
+            lead = big[label].leading(7)
+            alone = eigen._reduce_at(mats7, F, M_HELIUM, (label,))[label]
+            assert lead.n == 7 and lead.label == label
+            assert lead.frac_bits == F
+            assert lead.L == alone.L
+            assert lead.K_red == alone.K_red
+            assert lead.P_red == alone.P_red
+            assert (lead.K_float == alone.K_float).all()
+            assert big[label].leading(13) is big[label]

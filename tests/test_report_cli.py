@@ -13,6 +13,7 @@ import hyhe
 import hyhe.report as report
 from hyhe.cli import main
 from hyhe.config import RunConfig
+from hyhe.constants import default_constants
 from hyhe.report import (CSV_COLUMNS, ReportDocument, Row, UsageError,
                          recompute_deltas, run_tables)
 
@@ -59,7 +60,7 @@ def test_json_round_trip_is_stable(two_row_doc):
 
 def test_json_schema_v2_reads_v1(two_row_doc):
     payload = json.loads(two_row_doc.to_json())
-    assert payload["schema_version"] == 2 and "cache" not in payload
+    assert payload["schema_version"] == 3 and "cache" not in payload
     # a version-1 document carried the removed integral-cache statistics
     old = dict(payload, schema_version=1,
                cache={"entries": 6, "hits": 4, "misses": 6})
@@ -67,6 +68,21 @@ def test_json_schema_v2_reads_v1(two_row_doc):
     assert clone.schema_version == 1
     assert [row.E_total for row in clone.rows] == \
         [row.E_total for row in two_row_doc.rows]
+
+
+def test_json_schema_v3_reads_v2(two_row_doc):
+    payload = json.loads(two_row_doc.to_json())
+    for row in payload["rows"]:
+        assert row["solves"] > 0 and mp.mpf(row["k_err"]) < mp.mpf("1e-20")
+    # a version-2 row had no solve count and no k error
+    old = dict(payload, schema_version=2,
+               rows=[{k: v for k, v in row.items()
+                      if k not in ("solves", "k_err")}
+                     for row in payload["rows"]])
+    clone = ReportDocument.from_json(json.dumps(old))
+    assert clone.schema_version == 2
+    assert [(row.solves, row.k_err) for row in clone.rows] == [(0, "")] * 2
+    assert clone.to_csv() == two_row_doc.to_csv()
 
 
 def test_csv_shape(two_row_doc):
@@ -86,10 +102,10 @@ def test_human_rendering(two_row_doc):
 def test_failure_rows_keep_the_sweep_alive(monkeypatch):
     real = report.compute_row
 
-    def flaky(n, config, constants):
+    def flaky(n, config, constants, stage=None):
         if n == 2:
             raise RuntimeError("boom")
-        return real(n, config, constants)
+        return real(n, config, constants, stage)
 
     monkeypatch.setattr(report, "compute_row", flaky)
     doc = run_tables(n_list=[1, 2, 3])
@@ -104,6 +120,66 @@ def test_failure_rows_keep_the_sweep_alive(monkeypatch):
     assert "FAILED: RuntimeError: boom" in doc.to_human()
     clone = ReportDocument.from_json(doc.to_json())
     assert not clone.all_ok
+
+
+def result_cells(row):
+    return (row.ok, row.E_inf, row.E0, row.deltaE2, row.deltaE3,
+            row.E_total, row.k_opt)
+
+
+@pytest.fixture(scope="module")
+def rows_alone():
+    config = RunConfig()
+    return {n: report.compute_row(n, config, default_constants())[0]
+            for n in (3, 7, 13)}
+
+
+@pytest.mark.parametrize("n_list", [[3, 7, 13], [13, 3, 7, 3]])
+def test_sweep_rows_match_rows_alone(n_list, rows_alone, monkeypatch):
+    # the sweep reduces once, at N = 13, and solves leading blocks of it
+    real = report.build_systems
+    reduced = []
+
+    def counting(mats, **kwargs):
+        reduced.append(mats.n_basis)
+        return real(mats, **kwargs)
+
+    monkeypatch.setattr(report, "build_systems", counting)
+    doc = run_tables(n_list=n_list)
+    assert reduced == [13]
+    assert [row.N for row in doc.rows] == n_list
+    for row in doc.rows:
+        assert result_cells(row) == result_cells(rows_alone[row.N])
+
+
+def test_shared_stage_failure_falls_back_to_rows_alone(monkeypatch,
+                                                        rows_alone):
+    real = report.build_systems
+    calls = []
+
+    def fails_at_13(mats, **kwargs):
+        calls.append(mats.n_basis)
+        if mats.n_basis == 13:
+            raise ValueError("overlap matrix is not positive definite")
+        return real(mats, **kwargs)
+
+    monkeypatch.setattr(report, "build_systems", fails_at_13)
+    doc = run_tables(n_list=[3, 13, 7])
+    assert calls == [13, 3, 13, 7]
+    assert [row.ok for row in doc.rows] == [True, False, True]
+    assert "not positive definite" in doc.rows[1].error
+    for row in (doc.rows[0], doc.rows[2]):
+        assert result_cells(row) == result_cells(rows_alone[row.N])
+
+    # a stage that fails only once leaves every row intact
+    calls.clear()
+    monkeypatch.setattr(report, "build_systems",
+                        lambda mats, **kwargs: fails_at_13(mats, **kwargs)
+                        if not calls else real(mats, **kwargs))
+    doc = run_tables(n_list=[3, 13])
+    assert calls == [13] and doc.all_ok
+    assert [result_cells(row) for row in doc.rows] == \
+        [result_cells(rows_alone[n]) for n in (3, 13)]
 
 
 def test_recompute_deltas_blank_without_predecessor():
@@ -190,7 +266,7 @@ def test_cli_env_overrides_flow_into_config():
 
 
 def test_cli_failure_row_exit_code(monkeypatch):
-    def boom(n, config, constants):
+    def boom(n, config, constants, stage=None):
         raise RuntimeError("broken")
 
     monkeypatch.setattr(report, "compute_row", boom)
