@@ -2,8 +2,9 @@
 
 Verbs: `tables` (the default four-size sweep), `sweep --n-list`, `solve --n`,
 `corrections --n`.  Global options pick the config file, precision, alpha
-and output format; every option can also come from an HYHE_-prefixed
-environment variable.
+and output format; each can also come from one HYHE_-prefixed environment
+variable (HYHE_CONFIG_PATH, HYHE_PRECISION_DIGITS, HYHE_ALPHA, HYHE_OUTPUT).
+An option beats its variable, which beats the config file.
 
 Exit codes: 0 all rows ok, 1 at least one row failed, 2 usage error.
 """
@@ -13,7 +14,7 @@ import sys
 import click
 from mpmath import mp
 
-from .config import load_config, with_overrides, ConfigError
+from .config import OUTPUT_FORMATS, load_config, with_overrides, ConfigError
 from .constants import PhysicalConstants, ConstantsError
 from .report import (ReportDocument, UsageError, run_tables, solve_single,
                      corrections_single)
@@ -22,38 +23,38 @@ CONTEXT_SETTINGS = {"auto_envvar_prefix": "HYHE", "help_option_names": ["-h", "-
 
 
 class _App:
-    def __init__(self, config, constants, fmt):
+    def __init__(self, config, constants):
         self.config = config
         self.constants = constants
-        self.fmt = fmt
 
 
 @click.group(context_settings=CONTEXT_SETTINGS)
 @click.option("--config", "config_path", type=click.Path(exists=True),
               default=None, help="key = value config file")
-@click.option("--precision", type=int, default=None,
+@click.option("--precision", "precision_digits", type=int, default=None,
               help="working precision in decimal digits")
 @click.option("--alpha", type=str, default=None,
               help="override the fine-structure constant")
-@click.option("--format", "fmt", type=click.Choice(["human", "json", "csv"]),
+@click.option("--format", "output", type=click.Choice(OUTPUT_FORMATS),
               default=None, help="output format (default from config)")
 @click.pass_context
-def main(ctx, config_path, precision, alpha, fmt):
+def main(ctx, config_path, precision_digits, alpha, output):
     """Helium ground-state energies with relativistic and QED corrections."""
     try:
         config = load_config(config_path)
-        config = with_overrides(config, precision_digits=precision)
+        config = with_overrides(config, precision_digits=precision_digits,
+                                output=output)
         constants = PhysicalConstants()
         if alpha is not None:
             constants = PhysicalConstants(alpha=alpha)
         constants.validate()
     except (ConfigError, ConstantsError) as exc:
         raise click.UsageError(str(exc))
-    ctx.obj = _App(config, constants, fmt or config.output)
+    ctx.obj = _App(config, constants)
 
 
 def _emit_document(app, doc):
-    click.echo(doc.emit(app.fmt), nl=False)
+    click.echo(doc.emit(app.config.output), nl=False)
     sys.exit(0 if doc.all_ok else 1)
 
 
@@ -94,7 +95,7 @@ def solve(app, n, no_nuclear_motion):
     """Converge one ground state and print (E, k, residual)."""
     if n < 1:
         raise click.UsageError("--n must be >= 1")
-    if app.fmt == "csv":
+    if app.config.output == "csv":
         raise click.UsageError("solve supports human or json output")
     result = solve_single(n, app.config, app.constants,
                           nuclear_motion=not no_nuclear_motion)
@@ -118,7 +119,7 @@ def corrections(app, n):
     """Print the full correction breakdown at one basis size."""
     if n < 1:
         raise click.UsageError("--n must be >= 1")
-    if app.fmt == "csv":
+    if app.config.output == "csv":
         raise click.UsageError("corrections supports human or json output")
     row, res_0, exps, br = corrections_single(n, app.config, app.constants)
     with mp.workdps(app.config.precision_digits):
@@ -148,7 +149,7 @@ def corrections(app, n):
 
 
 def _print_fields(app, fields):
-    if app.fmt == "json":
+    if app.config.output == "json":
         import json
         click.echo(json.dumps(fields, indent=2, sort_keys=True))
     else:

@@ -1,15 +1,14 @@
-"""Run configuration: defaults, file/env loading, validation.
+"""Run configuration: defaults, file loading, validation.
 
-Config files are flat ``key = value`` lines with ``#`` comments.  Environment
-variables with the ``HYHE_`` prefix override file values (e.g.
-HYHE_PRECISION_DIGITS).
+Config files are flat ``key = value`` lines with ``#`` comments.  Nothing
+here reads the environment: the CLI does, and layers its HYHE_ variables
+and options over the file (see hyhe.cli).
 """
 
 import os
 from dataclasses import dataclass, fields, replace
 
 DEFAULT_SWEEP = (20, 30, 40, 50)
-ENV_PREFIX = "HYHE_"
 OUTPUT_FORMATS = ("human", "json", "csv")
 
 
@@ -20,22 +19,12 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class RunConfig:
     precision_digits: int = 50
-    k_init: float = 2.0
-    k_tol: float = 1e-12
-    max_outer_iters: int = 60
     output: str = "human"
 
     def validate(self):
         if self.precision_digits < 30:
             raise ConfigError(
                 f"precision_digits must be >= 30, got {self.precision_digits}")
-        if not self.k_init > 0:
-            raise ConfigError(f"k_init must be positive, got {self.k_init}")
-        if not self.k_tol > 0:
-            raise ConfigError(f"k_tol must be positive, got {self.k_tol}")
-        if self.max_outer_iters < 1:
-            raise ConfigError(
-                f"max_outer_iters must be >= 1, got {self.max_outer_iters}")
         if self.output not in OUTPUT_FORMATS:
             raise ConfigError(
                 f"output must be one of {OUTPUT_FORMATS}, got {self.output!r}")
@@ -53,8 +42,6 @@ def _coerce(key, raw):
     try:
         if ftype is int:
             return int(raw)
-        if ftype is float:
-            return float(raw)
         return str(raw)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config key {key!r}: cannot parse {raw!r}") from exc
@@ -74,12 +61,11 @@ def parse_config_text(text):
     return out
 
 
-def load_config(source=None, env=None):
+def load_config(source=None):
     """Build a RunConfig from a mapping, config-file text, or path.
 
-    Unknown keys are rejected by name.  ``HYHE_*`` environment variables
-    override document values; explicit keyword layering beyond that is the
-    CLI's job.
+    Unknown keys are rejected by name.  Layering environment variables and
+    options over the document is the CLI's job.
     """
     if source is None:
         doc = {}
@@ -93,24 +79,12 @@ def load_config(source=None, env=None):
     else:
         raise ConfigError(f"unsupported config source: {type(source).__name__}")
 
-    env = os.environ if env is None else env
-    for f in fields(RunConfig):
-        env_key = ENV_PREFIX + f.name.upper()
-        if env_key in env:
-            doc[f.name] = env[env_key]
-
     unknown = set(doc) - set(_FIELD_TYPES)
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(sorted(unknown))}")
 
     kwargs = {k: _coerce(k, v) for k, v in doc.items()}
     return RunConfig(**kwargs).validate()
-
-
-def to_text(config):
-    """Serialize to the flat key = value format (round-trips exactly)."""
-    lines = [f"{f.name} = {getattr(config, f.name)}" for f in fields(RunConfig)]
-    return "\n".join(lines) + "\n"
 
 
 def with_overrides(config, **kwargs):

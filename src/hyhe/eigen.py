@@ -145,9 +145,17 @@ def _solve_upper_t(L, x, F):
 
 
 def _reduce_sym(L, A, F):
-    """L^{-1} A L^{-T} for symmetric A (rows of A serve as its columns)."""
+    """L^{-1} A L^{-T} for symmetric A (rows of A serve as its columns).
+
+    The second pass solves row i only up to the diagonal and mirrors it, so
+    the result is exactly symmetric.
+    """
     Y = [_solve_lower(L, col, F) for col in A]      # Y[j] = column j of L^-1 A
-    return [_solve_lower(L, [col[i] for col in Y], F) for i in range(len(A))]
+    R = [_solve_lower(L[:i + 1], [col[i] for col in Y[:i + 1]], F)
+         for i in range(len(A))]
+    for i, row in enumerate(R):
+        row.extend(R[j][i] for j in range(i + 1, len(R)))
+    return R
 
 
 def _matvec(A, x, F):
@@ -355,7 +363,9 @@ def optimize_k(system, k_init=2.0, k_tol=1e-12, max_outer_iters=60):
     root in a handful of eigensolves; the result satisfies
     |g(k_opt) - k_opt| <= k_tol.  The mp secant starts at the float64 root
     k_f and k_f + 1e-8, or at k_init and k_init + 0.005 when the float64
-    search fails.
+    search fails.  The defaults are the only values the pipeline uses;
+    other values serve the tests (a tighter k_tol as a reference, a k_init
+    far from the root to force the fallback).
     """
     tol = mp.mpf(k_tol)
     trace = []
@@ -404,7 +414,7 @@ def _finish(system, k_opt, iterations, trace, slope):
         trace=trace, k_err=abs(h / slope))
 
 
-def ground_state_pair(systems, k_init=2.0, k_tol=1e-12, max_outer_iters=60):
+def ground_state_pair(systems):
     """Clamped-nucleus and moving-nucleus ground states of build_systems'
     "inf" and "0" systems.
 
@@ -412,5 +422,4 @@ def ground_state_pair(systems, k_init=2.0, k_tol=1e-12, max_outer_iters=60):
     neither below the parabola's curvature but the independent optimum is
     the cleaner definition.
     """
-    return tuple(optimize_k(systems[label], k_init, k_tol, max_outer_iters)
-                 for label in ("inf", "0"))
+    return tuple(optimize_k(systems[label]) for label in ("inf", "0"))

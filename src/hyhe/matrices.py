@@ -89,10 +89,10 @@ def integrate_projected(poly, divisor=1):
 class OperatorMatrices:
     """Exact operator matrices (nested lists of Fraction, volume units).
 
-    P = Z * attraction + repulsion.  K_SCALING records how each quadratic
-    form scales when the trial exponent k is restored: the Rayleigh quotient
-    is E(k) = (k^2 Kq + k Pq) / Wq, and the mass-polarization form rides
-    with the kinetic one.
+    P is Z times the nuclear attraction plus the electron repulsion.  When
+    the trial exponent k is restored the Rayleigh quotient is
+    E(k) = (k^2 Kq + k Pq) / Wq, and the mass-polarization form rides with
+    the kinetic one.
     """
 
     n_basis: int
@@ -101,21 +101,18 @@ class OperatorMatrices:
     K: list
     P: list
     M_pol: list
-    attraction: list
-    repulsion: list
-
-    K_SCALING = {"W": 0, "K": 2, "P": 1, "M_pol": 2}
 
 
 def build_operator_matrices(basis, Z=2):
     """Assemble overlap, kinetic, potential and mass-polarization matrices.
 
     All polynomials carry integer coefficients; each element is one
-    integrate_projected call, so one Fraction per element.  W, attraction
-    and repulsion depend only on the exponent sum of the pair and are
-    integrated once per distinct sum.  The kinetic and mass-polarization
-    integrands (module docstring) are regrouped so that each product pairs
-    a per-term factor of i with a derivative symbol of j, or the reverse:
+    integrate_projected call, so one Fraction per element.  W and P depend
+    only on the exponent sum of the pair and are integrated once per
+    distinct sum, P from the one polynomial Z attraction + repulsion.  The
+    kinetic and mass-polarization integrands (module docstring) are
+    regrouped so that each product pairs a per-term factor of i with a
+    derivative symbol of j, or the reverse:
 
       2 K_ij:  ka_i a_j + kb_i b_j + kc_i c_j + kc_j c_i
       2 M_ij:  mb_i b_j + mb_j b_i + mc_i c_j + mc_j c_i     (both orders)
@@ -134,12 +131,11 @@ def build_operator_matrices(basis, Z=2):
         mb.append(padd(pmul(COS_VOLUME, a), pmul(ANGLE_BC, c), -1))
         mc.append(pscale(padd(ac_a, vol_c), -1))
 
+    potential = padd(REPULSION_VOLUME, ATTRACTION_VOLUME, Z)
     by_sum = {}
     W = [[None] * n for _ in range(n)]
     K = [[None] * n for _ in range(n)]
     P = [[None] * n for _ in range(n)]
-    Va = [[None] * n for _ in range(n)]
-    Vr = [[None] * n for _ in range(n)]
     M = [[None] * n for _ in range(n)]
     for i, t_i in enumerate(basis):
         _, _, b_i, c_i = syms[i]
@@ -148,12 +144,10 @@ def build_operator_matrices(basis, Z=2):
             _, a_j, b_j, c_j = syms[j]
             e = (t_i.l + t_j.l, 2 * (t_i.m + t_j.m), t_i.n + t_j.n)
             if e not in by_sum:
-                w = integrate_projected(pshift(VOLUME, *e))
-                va = integrate_projected(pshift(ATTRACTION_VOLUME, *e))
-                vr = integrate_projected(pshift(REPULSION_VOLUME, *e))
-                by_sum[e] = (w, va, vr, Z * va + vr)
-            W[i][j], Va[i][j], Vr[i][j], P[i][j] = by_sum[e]
-            W[j][i], Va[j][i], Vr[j][i], P[j][i] = by_sum[e]
+                by_sum[e] = (integrate_projected(pshift(VOLUME, *e)),
+                             integrate_projected(pshift(potential, *e)))
+            W[i][j], P[i][j] = by_sum[e]
+            W[j][i], P[j][i] = by_sum[e]
 
             g = padd(padd(padd(pmul(ka[i], a_j), pmul(kb[i], b_j)),
                           pmul(kc[i], c_j)), pmul(kc[j], c_i))
@@ -162,8 +156,7 @@ def build_operator_matrices(basis, Z=2):
                           pmul(mc[i], c_j)), pmul(mc[j], c_i))
             M[i][j] = M[j][i] = integrate_projected(h, 2)
 
-    return OperatorMatrices(n_basis=n, Z=Z, W=W, K=K, P=P, M_pol=M,
-                            attraction=Va, repulsion=Vr)
+    return OperatorMatrices(n_basis=n, Z=Z, W=W, K=K, P=P, M_pol=M)
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +186,8 @@ class ExpectationSet:
 # at N = 50), and the <p^4> channel sum cancels by a factor of ~70 at
 # N = 50; 32 bits cover both.
 _SUM_GUARD_BITS = 32
+# check_normalized accepts |c'Wc - 1| up to this.
+_NORM_TOL = 1e-10
 
 
 def _state_poly(basis, values):
@@ -209,8 +204,8 @@ def _fixed_state_poly(basis, coeffs, F):
     return _state_poly(basis, [_fixed_mpf(c, F) for c in coeffs])
 
 
-def check_normalized(W, coeffs, tol=1e-10):
-    """Return the overlap quadratic form; raise unless it is 1 within tol.
+def check_normalized(W, coeffs):
+    """Return the overlap quadratic form; raise unless it is 1 within _NORM_TOL.
 
     c'Wc is summed exactly on ints: c at scale 2**F (F = mp.prec +
     _SUM_GUARD_BITS) and W over D, the lcm of its denominators.  The sum
@@ -223,7 +218,7 @@ def check_normalized(W, coeffs, tol=1e-10):
                          for cj, w in zip(c, row))
                 for ci, row in zip(c, W))
     wq = _to_mpf(total // (D << F), F)
-    if abs(wq - 1) > tol:
+    if abs(wq - 1) > _NORM_TOL:
         raise NormalizationError(
             f"state is not normalized: <U|U> = {mp.nstr(wq, 12)}")
     return wq

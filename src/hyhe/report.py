@@ -201,9 +201,7 @@ def compute_row(n, config, constants, stage=None):
     with mp.workdps(config.precision_digits):
         basis, mats, systems = stage or build_stage(n, constants)
         res_inf, res_0 = ground_state_pair(
-            {label: system.leading(n) for label, system in systems.items()},
-            k_init=config.k_init, k_tol=config.k_tol,
-            max_outer_iters=config.max_outer_iters)
+            {label: system.leading(n) for label, system in systems.items()})
         exps = expectation_set(basis[:n], res_0.coeffs, res_0.k_opt,
                                [row[:n] for row in mats.W[:n]],
                                gamma=constants.gamma_mp())
@@ -274,8 +272,7 @@ def solve_single(n, config=None, constants=None, nuclear_motion=True):
             mats, mass_ratio=constants.mass_ratio_M if nuclear_motion else None,
             include=("0",) if nuclear_motion else ("inf",))
         system = systems["0" if nuclear_motion else "inf"]
-        result = optimize_k(system, k_init=config.k_init, k_tol=config.k_tol,
-                            max_outer_iters=config.max_outer_iters)
+        result = optimize_k(system)
     return result
 
 

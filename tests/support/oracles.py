@@ -367,7 +367,7 @@ def plain_optimize_k(system, k_init=2.0, k_tol=1e-12, max_outer_iters=60,
 # ---------------------------------------------------------------------------
 
 def fraction_operator_matrices(basis, Z=2):
-    """W, K, P, M_pol, attraction, repulsion with every step in Fractions.
+    """W, K, P and M_pol with every step in Fractions.
 
     Each element builds its own integrand polynomials with Fraction
     coefficients and integrates them monomial by monomial, exactly as the
@@ -429,8 +429,7 @@ def fraction_operator_matrices(basis, Z=2):
             M[i][j] = M[j][i] = Fraction(1, 2) * acc
 
     P = [[Z * Va[i][j] + Vr[i][j] for j in range(n)] for i in range(n)]
-    return OperatorMatrices(n_basis=n, Z=Z, W=W, K=K, P=P, M_pol=M,
-                            attraction=Va, repulsion=Vr)
+    return OperatorMatrices(n_basis=n, Z=Z, W=W, K=K, P=P, M_pol=M)
 
 
 # ---------------------------------------------------------------------------

@@ -193,7 +193,7 @@ def test_correction_sign_structure(sweep):
 
 def test_matrix_structure():
     mats = build_operator_matrices(enumerate_basis(12), Z=2)
-    for name in ("W", "K", "P", "M_pol", "attraction", "repulsion"):
+    for name in ("W", "K", "P", "M_pol"):
         m = getattr(mats, name)
         assert all(m[i][j] == m[j][i] for i in range(12) for j in range(i))
     w = np.array([[float(v) for v in row] for row in mats.W])

@@ -2,7 +2,7 @@ import pytest
 from mpmath import mp
 
 from hyhe.config import (ConfigError, RunConfig, load_config, parse_config_text,
-                         to_text, with_overrides, DEFAULT_SWEEP)
+                         with_overrides, DEFAULT_SWEEP)
 from hyhe.constants import ConstantsError, PhysicalConstants, default_constants
 
 
@@ -57,66 +57,52 @@ def test_explicit_gamma_string():
 
 def test_runconfig_defaults():
     cfg = RunConfig().validate()
-    assert cfg.precision_digits == 50
-    assert cfg.k_init == 2.0
-    assert cfg.k_tol == 1e-12
-    assert cfg.output == "human"
+    assert cfg.echo() == {"precision_digits": 50, "output": "human"}
     assert DEFAULT_SWEEP == (20, 30, 40, 50)
 
 
 def test_load_config_none_gives_defaults():
-    assert load_config(None, env={}) == RunConfig()
+    assert load_config(None) == RunConfig()
 
 
 def test_load_config_rejects_unknown_keys():
     with pytest.raises(ConfigError, match="unknown config key"):
-        load_config({"k_init": "1.9", "k_inits": "1.8"}, env={})
+        load_config({"output": "json", "outputs": "csv"})
 
 
-@pytest.mark.parametrize("key", ["n_basis", "quadrature_target"])
+@pytest.mark.parametrize("key", ["n_basis", "quadrature_target", "k_init",
+                                 "k_tol", "max_outer_iters"])
 def test_load_config_rejects_removed_keys(key):
-    # the basis size comes from the verb and nothing reads a quadrature
-    # target, so a document that still sets either is refused by name
+    # the basis size comes from the verb, nothing reads a quadrature target,
+    # and the k-search settings are optimize_k's defaults, so a document
+    # that still sets any of them is refused by name
     with pytest.raises(ConfigError, match=f"unknown config key.*{key}"):
-        load_config({key: "20"}, env={})
+        load_config({key: "20"})
     with pytest.raises(ConfigError, match=f"unknown config key.*{key}"):
-        load_config(f"precision_digits = 40\n{key} = 20\n", env={})
+        load_config(f"precision_digits = 40\n{key} = 20\n")
 
 
-@pytest.mark.parametrize("doc", [{"max_outer_iters": "0"},
+@pytest.mark.parametrize("doc", [{"output": "xml"},
                                  {"precision_digits": "10"}])
 def test_load_config_rejects_out_of_range(doc):
     with pytest.raises(ConfigError):
-        load_config(doc, env={})
+        load_config(doc)
 
 
 def test_parse_config_text_comments_and_errors():
     doc = parse_config_text(
-        "# header\nmax_outer_iters = 30  # inline\n\nk_init = 1.9\n")
-    assert doc == {"max_outer_iters": "30", "k_init": "1.9"}
+        "# header\nprecision_digits = 30  # inline\n\noutput = json\n")
+    assert doc == {"precision_digits": "30", "output": "json"}
     with pytest.raises(ConfigError, match="line 2"):
-        parse_config_text("max_outer_iters = 30\nnot a pair\n")
+        parse_config_text("precision_digits = 30\nnot a pair\n")
 
 
 def test_load_config_from_text_and_path(tmp_path):
-    cfg = load_config("max_outer_iters = 25\nprecision_digits = 35\n", env={})
-    assert (cfg.max_outer_iters, cfg.precision_digits) == (25, 35)
+    cfg = load_config("output = csv\nprecision_digits = 35\n")
+    assert (cfg.output, cfg.precision_digits) == ("csv", 35)
     p = tmp_path / "run.cfg"
-    p.write_text("max_outer_iters = 12\n")
-    assert load_config(p, env={}).max_outer_iters == 12
-
-
-def test_env_overrides_document():
-    cfg = load_config({"max_outer_iters": "20"},
-                      env={"HYHE_MAX_OUTER_ITERS": "40", "HYHE_OUTPUT": "csv"})
-    assert cfg.max_outer_iters == 40
-    assert cfg.output == "csv"
-
-
-def test_round_trip_text():
-    cfg = RunConfig(precision_digits=42, k_init=1.75, k_tol=1e-10,
-                    max_outer_iters=7, output="json")
-    assert load_config(to_text(cfg), env={}) == cfg
+    p.write_text("precision_digits = 42\n")
+    assert load_config(p).precision_digits == 42
 
 
 def test_with_overrides_ignores_none():

@@ -198,6 +198,15 @@ def test_reduction_matches_mp_oracle():
                 assert worst < tol, (label, worst)
 
 
+def test_reduced_forms_are_exactly_symmetric():
+    with mp.workdps(50):
+        _, systems = systems_n(13)
+        for label in ("inf", "0"):
+            for R in (systems[label].K_red, systems[label].P_red):
+                assert all(R[i][j] == R[j][i]
+                           for i in range(13) for j in range(i)), label
+
+
 @pytest.mark.parametrize("n, dps", [(22, 100), (50, 50), (13, 50), (13, 320)])
 def test_fixed_k_solve_matches_mp_oracle(n, dps):
     # N = 50 is the worst-conditioned W the program solves (cond ~ 4e13);

@@ -7,8 +7,8 @@ from mpmath import mp
 from hyhe.basis import enumerate_basis
 from hyhe.matrices import (ANGLE_AC, ANGLE_BC, ATTRACTION_VOLUME, COS_VOLUME,
                            REPULSION_VOLUME, VOLUME, NormalizationError,
-                           OperatorMatrices, build_operator_matrices,
-                           check_normalized, project_even_t, reduced_laplacian)
+                           build_operator_matrices, check_normalized,
+                           project_even_t, reduced_laplacian)
 from support.basis import basis_expression
 from support.integrals import (_mp_laguerre_rule, _mp_legendre_rule,
                                quad_integral)
@@ -34,11 +34,12 @@ def test_overlap_seed_entry(m1):
 def test_screening_ratios(m1):
     # the classic 1s^2 numbers: <V>/<1> = -27/8 (Z=2), kinetic/overlap = 1
     assert m1.P[0][0] / m1.W[0][0] == Fraction(-27, 8)
-    assert m1.repulsion[0][0] / m1.W[0][0] == Fraction(5, 8)
-    assert m1.attraction[0][0] / m1.W[0][0] == Fraction(-2)
     assert m1.K[0][0] == m1.W[0][0]
     h1 = build_operator_matrices(enumerate_basis(1), Z=1)
     assert h1.P[0][0] / h1.W[0][0] == Fraction(-11, 8)
+    # P = Z attraction + repulsion: attraction -2, repulsion 5/8 per overlap
+    assert (m1.P[0][0] - h1.P[0][0]) / m1.W[0][0] == Fraction(-2)
+    assert (2 * h1.P[0][0] - m1.P[0][0]) / m1.W[0][0] == Fraction(5, 8)
 
 
 def test_screening_minimum_exact(m1):
@@ -56,7 +57,7 @@ def test_mass_polarization_vanishes_on_product_state(m1):
 
 def test_nested_bases_share_blocks(m6):
     big = build_operator_matrices(enumerate_basis(20))
-    for name in ("W", "K", "P", "M_pol", "attraction", "repulsion"):
+    for name in ("W", "K", "P", "M_pol"):
         small = getattr(m6, name)
         block = getattr(big, name)
         for i in range(6):
@@ -84,12 +85,8 @@ def test_integer_assembly_matches_fraction_oracle(n, Z):
     basis = enumerate_basis(n)
     fast = build_operator_matrices(basis, Z=Z)
     ref = fraction_operator_matrices(basis, Z=Z)
-    for name in ("W", "K", "P", "M_pol", "attraction", "repulsion"):
+    for name in ("W", "K", "P", "M_pol"):
         assert getattr(fast, name) == getattr(ref, name), name
-
-
-def test_k_scaling_constants():
-    assert OperatorMatrices.K_SCALING == {"W": 0, "K": 2, "P": 1, "M_pol": 2}
 
 
 # --- independent quadrature route for every operator ------------------------
@@ -135,10 +132,9 @@ def test_entries_match_quadrature(m6):
             pij = _poly_fn(pi * pj)
             _close(quad_integral(lambda s, t, u: pij(s, t, u) * vol(s, t, u)),
                    m6.W[i][j])
-            _close(quad_integral(lambda s, t, u: pij(s, t, u) * (s * s - t * t)),
-                   m6.repulsion[i][j])
-            _close(quad_integral(lambda s, t, u: pij(s, t, u) * (-4 * s * u)),
-                   m6.attraction[i][j])
+            _close(quad_integral(lambda s, t, u: pij(s, t, u)
+                                 * (m6.Z * (-4 * s * u) + s * s - t * t)),
+                   m6.P[i][j])
 
             pairs = {(x, y): _poly_fn(syms[i][x] * syms[j][y])
                      for x in (1, 2, 3) for y in (1, 2, 3)}
@@ -288,7 +284,6 @@ def test_exponent_scaling_tags():
                     assert abs(scaled) < mp.mpf("1e-30")
                 else:
                     assert abs(scaled - expected) < mp.mpf("1e-20") * abs(expected)
-                assert OperatorMatrices.K_SCALING[name] == tag
 
 
 def test_check_normalized():

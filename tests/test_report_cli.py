@@ -265,6 +265,27 @@ def test_cli_env_overrides_flow_into_config():
     assert result.output.splitlines()[0] == ",".join(CSV_COLUMNS)
 
 
+def test_cli_option_beats_env_beats_config_file(tmp_path):
+    # each layer sets both precision and format; the human and JSON reports
+    # echo the config the run used
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("precision_digits = 35\noutput = human\n")
+    args = ["--config", str(cfg), "sweep", "--n-list", "1"]
+    env = {"HYHE_PRECISION_DIGITS": None, "HYHE_OUTPUT": None}
+    result = runner.invoke(main, args, env=env)
+    assert result.exit_code == 0, result.output
+    assert "config:    output=human, precision_digits=35" in result.output
+    env = {"HYHE_PRECISION_DIGITS": "40", "HYHE_OUTPUT": "json"}
+    result = runner.invoke(main, args, env=env)
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["config"] == {"output": "json",
+                                                   "precision_digits": 40}
+    result = runner.invoke(main, ["--precision", "45", "--format", "human"]
+                           + args, env=env)
+    assert result.exit_code == 0, result.output
+    assert "config:    output=human, precision_digits=45" in result.output
+
+
 def test_cli_failure_row_exit_code(monkeypatch):
     def boom(n, config, constants, stage=None):
         raise RuntimeError("broken")
