@@ -2,9 +2,10 @@
 
 Verbs: `tables` (the default four-size sweep), `sweep --n-list`, `solve --n`,
 `corrections --n`.  Global options pick the config file, precision, alpha
-and output format; each can also come from one HYHE_-prefixed environment
-variable (HYHE_CONFIG_PATH, HYHE_PRECISION_DIGITS, HYHE_ALPHA, HYHE_OUTPUT).
-An option beats its variable, which beats the config file.
+and output format; each can also come from one environment variable
+(HYHE_CONFIG_PATH, HYHE_PRECISION_DIGITS, HYHE_ALPHA, HYHE_OUTPUT).  An
+option beats its variable, which beats the config file.  The verbs read
+their options from the command line only.
 
 Exit codes: 0 all rows ok, 1 at least one row failed, 2 usage error.
 """
@@ -19,7 +20,7 @@ from .constants import PhysicalConstants, ConstantsError
 from .report import (ReportDocument, UsageError, run_tables, solve_single,
                      corrections_single)
 
-CONTEXT_SETTINGS = {"auto_envvar_prefix": "HYHE", "help_option_names": ["-h", "--help"]}
+CONTEXT_SETTINGS = {"help_option_names": ["-h", "--help"]}
 
 
 class _App:
@@ -30,13 +31,16 @@ class _App:
 
 @click.group(context_settings=CONTEXT_SETTINGS)
 @click.option("--config", "config_path", type=click.Path(exists=True),
-              default=None, help="key = value config file")
+              default=None, envvar="HYHE_CONFIG_PATH",
+              help="key = value config file")
 @click.option("--precision", "precision_digits", type=int, default=None,
+              envvar="HYHE_PRECISION_DIGITS",
               help="working precision in decimal digits")
-@click.option("--alpha", type=str, default=None,
+@click.option("--alpha", type=str, default=None, envvar="HYHE_ALPHA",
               help="override the fine-structure constant")
 @click.option("--format", "output", type=click.Choice(OUTPUT_FORMATS),
-              default=None, help="output format (default from config)")
+              default=None, envvar="HYHE_OUTPUT",
+              help="output format (default from config)")
 @click.pass_context
 def main(ctx, config_path, precision_digits, alpha, output):
     """Helium ground-state energies with relativistic and QED corrections."""

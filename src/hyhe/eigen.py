@@ -99,7 +99,9 @@ def _to_mpf(v, F):
 
 
 def _fixed_matrix(frac_matrix, F):
-    return [[_fixed(v, F) for v in row] for row in frac_matrix]
+    """_fixed of every entry of a matrix of Fractions (or ints), read in place."""
+    return [[((v.numerator << (F + 1)) // v.denominator + 1) >> 1
+             for v in row] for row in frac_matrix]
 
 
 def _cholesky(Wq, F):

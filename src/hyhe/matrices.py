@@ -5,25 +5,41 @@ exponent enters only through the k-scaling tags).  Matrix elements are exact
 rationals in "volume units": the physical element is 2 pi^2 times the stored
 Fraction, and the constant cancels in every Rayleigh quotient.
 
-Derivative bookkeeping (all polynomials fold out e^{-s}):
+Derivative bookkeeping (all polynomials fold out e^{-s}), for p = s^l t^q u^n
+with q = 2m:
 
-  a = (phi_s - phi_t) e^{s} -> p_s - p - p_t      (radial derivative, electron 1)
-  b = (phi_s + phi_t) e^{s} -> p_s - p + p_t      (radial derivative, electron 2)
-  c = phi_u e^{s}           -> p_u                (correlation derivative)
+  X = phi_s e^{s} -> p_s - p = (l/s - 1) p
+  Y = phi_t e^{s} -> p_t     = (q/t) p
+  c = phi_u e^{s} -> p_u     = (n/u) p
 
-Kinetic energy (single electron pair sum, after integration by parts):
+The radial derivatives of electrons 1 and 2 are a = X - Y and b = X + Y,
+and the kinetic energy after integration by parts is
 
   2 K_ij = int vol (a_i a_j + b_i b_j + 2 c_i c_j)
-         + (a_i c_j + a_j c_i)(s+t)(u^2 - s t)
-         + (b_i c_j + b_j c_i)(s-t)(s t + u^2)
+         + (a_i c_j + a_j c_i)(s+t)(u^2 - st)
+         + (b_i c_j + b_j c_i)(s-t)(st + u^2)
 
-Mass polarization grad_1 . grad_2 uses the same symbols with the angular
-weights u(s^2 + t^2 - 2u^2), -(s+t)(u^2 - st), -(s-t)(st + u^2), -vol.
+with vol = u(s^2 - t^2).  Mass polarization grad_1 . grad_2 puts the
+weights cos = u(s^2 + t^2 - 2u^2), -(s+t)(u^2 - st), -(s-t)(st + u^2) and
+-vol on a_x b_y, a_x c_y, c_x b_y and c_x c_y, summed over both orders of
+(i, j), for 2 M_ij.  Since a_i a_j + b_i b_j = 2(X_i X_j + Y_i Y_j),
+a_i b_j + a_j b_i = 2(X_i X_j - Y_i Y_j), and the two angular weights sum
+to 2s(u^2 - t^2) and differ (second minus first) by 2t(s^2 - u^2), both are
+closed forms (E. A. Hylleraas, Z. Phys. 54, 347 (1929)):
 
-The integrand polynomials are integrated over the half domain
-0 <= t <= u <= s with even powers of t only; physical integrands are even
-under t -> -t (electron exchange), so this equals half the full-t integral
-in the same units throughout.
+  K_ij = int vol (X_i X_j + Y_i Y_j + c_i c_j)
+           + s(u^2 - t^2)(X_i c_j + X_j c_i) + t(s^2 - u^2)(Y_i c_j + Y_j c_i)
+  M_ij = int cos (X_i X_j - Y_i Y_j) - vol c_i c_j
+           - s(u^2 - t^2)(X_i c_j + X_j c_i) - t(s^2 - u^2)(Y_i c_j + Y_j c_i)
+
+Every term is even in t, and each is a raw moment at the pair's exponent
+sum plus a fixed offset, times a small integer built from the two terms'
+l, q and n.
+
+The integrands are integrated over the half domain 0 <= t <= u <= s with
+even powers of t only; physical integrands are even under t -> -t (electron
+exchange), so this equals half the full-t integral in the same units
+throughout.
 """
 
 import math
@@ -38,17 +54,50 @@ from .integrals import raw_moment
 
 # geometric weight polynomials (coordinates s, t, u; keys are exponents)
 VOLUME = {(2, 0, 1): 1, (0, 2, 1): -1}                        # u(s^2 - t^2)
+COS_VOLUME = {(2, 0, 1): 1, (0, 2, 1): 1, (0, 0, 3): -2}      # u(s^2+t^2-2u^2)
+S_ANGLE = {(1, 0, 2): 1, (1, 2, 0): -1}                       # s(u^2 - t^2)
+T_ANGLE = {(2, 1, 0): 1, (0, 1, 2): -1}                       # t(s^2 - u^2)
 ANGLE_AC = pmul({(0, 0, 2): 1, (1, 1, 0): -1},
                 {(1, 0, 0): 1, (0, 1, 0): 1})                 # (s+t)(u^2 - st)
 ANGLE_BC = pmul({(0, 0, 2): 1, (1, 1, 0): 1},
                 {(1, 0, 0): 1, (0, 1, 0): -1})                # (s-t)(st + u^2)
-COS_VOLUME = {(2, 0, 1): 1, (0, 2, 1): 1, (0, 0, 3): -2}      # u(s^2+t^2-2u^2)
 ATTRACTION_VOLUME = {(1, 0, 1): -4}        # -(1/r1 + 1/r2) * vol = -4su
 REPULSION_VOLUME = {(2, 0, 0): 1, (0, 2, 0): -1}              # (1/u) * vol
 
 
-class NormalizationError(ValueError):
-    """Expectation values require a state normalized to <U|U> = 1."""
+def _opposite(poly, da=0, db=0, dc=0):
+    """A piece that K and M_pol carry with opposite signs."""
+    shifted = pshift(poly, da, db, dc)
+    return shifted, pscale(shifted, -1)
+
+
+# The closed forms of the module docstring, one piece per pair coefficient:
+# (K weight, M_pol weight) against s^L t^Q u^N, (L, Q, N) the exponent sum.
+# _pair_coefficients lists the coefficients (right) in the same order.
+_PIECES = (
+    (VOLUME, COS_VOLUME),                                   # 1
+    (pshift(VOLUME, -1), pshift(COS_VOLUME, -1)),           # -L
+    (pshift(VOLUME, -2), pshift(COS_VOLUME, -2)),           # l_i l_j
+    (pshift(VOLUME, 0, -2),
+     pshift(pscale(COS_VOLUME, -1), 0, -2)),                # q_i q_j
+    _opposite(VOLUME, 0, 0, -2),                            # n_i n_j
+    _opposite(S_ANGLE, -1, 0, -1),                          # l_i n_j + l_j n_i
+    _opposite(S_ANGLE, 0, 0, -1),                           # -N
+    _opposite(T_ANGLE, 0, -1, -1),                          # q_i n_j + q_j n_i
+)
+
+
+def _pair_coefficients(ti, tj):
+    """Exponent sum (L, Q, N) of a pair and its integer _PIECES coefficients.
+
+    X_i X_j = (l_i l_j / s^2 - L / s + 1) p_i p_j, Y_i Y_j = q_i q_j / t^2,
+    c_i c_j = n_i n_j / u^2, X_i c_j + X_j c_i = ((l_i n_j + l_j n_i) / s - N)
+    / u and Y_i c_j + Y_j c_i = (q_i n_j + q_j n_i) / (t u), each times p_i p_j.
+    """
+    (li, qi, ni), (lj, qj, nj) = ti, tj
+    e = (li + lj, qi + qj, ni + nj)
+    return e, (1, -e[0], li * lj, qi * qj, ni * nj, li * nj + lj * ni,
+               -e[2], qi * nj + qj * ni)
 
 
 def _derivative_polys(p):
@@ -59,30 +108,13 @@ def _derivative_polys(p):
     return a, b, p_u
 
 
-def derivative_symbols(term):
-    """(p, a, b, c) integer polynomial dicts for one basis term (e^{-s} folded out)."""
-    p = {(term.l, 2 * term.m, term.n): 1}
-    return (p, *_derivative_polys(p))
-
-
 def project_even_t(poly):
     """Drop odd powers of t (electron-exchange projection for S singlets)."""
     return {k: v for k, v in poly.items() if k[1] % 2 == 0}
 
 
-def integrate_projected(poly, divisor=1):
-    """Exact integral of the even-t part of an integer polynomial, / divisor.
-
-    The integrand is taken against e^{-2s} and must already contain whatever
-    volume/cancellation factors apply.  The coefficients are summed against
-    the raw moments over D, the lcm of the moments' denominators, so the one
-    Fraction built is the result, Fraction(numerator, divisor * D).
-    """
-    moments = [(v, raw_moment(a, b, c))
-               for (a, b, c), v in poly.items() if b % 2 == 0]
-    D = math.lcm(*(m.denominator for _, m in moments))
-    numerator = sum(v * m.numerator * (D // m.denominator) for v, m in moments)
-    return Fraction(numerator, divisor * D)
+class NormalizationError(ValueError):
+    """Expectation values require a state normalized to <U|U> = 1."""
 
 
 @dataclass(frozen=True)
@@ -106,55 +138,66 @@ class OperatorMatrices:
 def build_operator_matrices(basis, Z=2):
     """Assemble overlap, kinetic, potential and mass-polarization matrices.
 
-    All polynomials carry integer coefficients; each element is one
-    integrate_projected call, so one Fraction per element.  W and P depend
-    only on the exponent sum of the pair and are integrated once per
-    distinct sum, P from the one polynomial Z attraction + repulsion.  The
-    kinetic and mass-polarization integrands (module docstring) are
-    regrouped so that each product pairs a per-term factor of i with a
-    derivative symbol of j, or the reverse:
+    K and M_pol are the closed forms of the module docstring: for a pair
+    with exponent sum e = (L, Q, N) each element is
 
-      2 K_ij:  ka_i a_j + kb_i b_j + kc_i c_j + kc_j c_i
-      2 M_ij:  mb_i b_j + mb_j b_i + mc_i c_j + mc_j c_i     (both orders)
+      sum_k coefficient_k(i, j) * int weight_k s^L t^Q u^N e^{-2s}
 
-    with ka = vol a, kb = vol b, kc = vol c + ac a + bc b,
-    mb = cos a - bc c and mc = -(ac a + vol c).
+    over the eight _PIECES, and only the pieces with a nonzero coefficient
+    are integrated.  W integrates vol and P the one polynomial
+    Z attraction + repulsion; both depend only on e.
+
+    Every sum runs on ints over one common denominator D, the lcm of the
+    denominators of the raw moments the call reads: each moment is looked
+    up once and held as numerator * (D // denominator).  A piece is summed
+    once per (e, piece) and W and P once per e; each element is then one
+    Fraction(numerator, D).
     """
     n = len(basis)
-    syms = [derivative_symbols(term) for term in basis]
-    ka, kb, kc, mb, mc = [], [], [], [], []
-    for _, a, b, c in syms:
-        vol_c, ac_a = pmul(VOLUME, c), pmul(ANGLE_AC, a)
-        ka.append(pmul(VOLUME, a))
-        kb.append(pmul(VOLUME, b))
-        kc.append(padd(padd(vol_c, ac_a), pmul(ANGLE_BC, b)))
-        mb.append(padd(pmul(COS_VOLUME, a), pmul(ANGLE_BC, c), -1))
-        mc.append(pscale(padd(ac_a, vol_c), -1))
+    exps = [(term.l, 2 * term.m, term.n) for term in basis]
+    pairs, pieces = [], set()
+    for i, ti in enumerate(exps):
+        for j in range(i + 1):
+            e, coeffs = _pair_coefficients(ti, exps[j])
+            pairs.append((i, j, e, coeffs))
+            pieces.update((e, k) for k, v in enumerate(coeffs) if v)
 
     potential = padd(REPULSION_VOLUME, ATTRACTION_VOLUME, Z)
-    by_sum = {}
+    sums = {e for _, _, e, _ in pairs}
+    needed = [(e, poly) for e in sums for poly in (VOLUME, potential)]
+    needed += [(e, poly) for e, k in pieces for poly in _PIECES[k]]
+    keys = {(L + a, Q + b, N + c)
+            for (L, Q, N), poly in needed for a, b, c in poly}
+    moments = {key: raw_moment(*key) for key in keys}
+    D = math.lcm(*(m.denominator for m in moments.values()))
+    scaled = {key: m.numerator * (D // m.denominator)
+              for key, m in moments.items()}
+
+    def integral(poly, e):
+        L, Q, N = e
+        return sum(v * scaled[L + a, Q + b, N + c]
+                   for (a, b, c), v in poly.items())
+
+    by_sum = {e: (Fraction(integral(VOLUME, e), D),
+                  Fraction(integral(potential, e), D)) for e in sums}
+    piece_sums = {(e, k): [integral(poly, e) for poly in _PIECES[k]]
+                  for e, k in pieces}
+
     W = [[None] * n for _ in range(n)]
     K = [[None] * n for _ in range(n)]
     P = [[None] * n for _ in range(n)]
     M = [[None] * n for _ in range(n)]
-    for i, t_i in enumerate(basis):
-        _, _, b_i, c_i = syms[i]
-        for j in range(i + 1):
-            t_j = basis[j]
-            _, a_j, b_j, c_j = syms[j]
-            e = (t_i.l + t_j.l, 2 * (t_i.m + t_j.m), t_i.n + t_j.n)
-            if e not in by_sum:
-                by_sum[e] = (integrate_projected(pshift(VOLUME, *e)),
-                             integrate_projected(pshift(potential, *e)))
-            W[i][j], P[i][j] = by_sum[e]
-            W[j][i], P[j][i] = by_sum[e]
-
-            g = padd(padd(padd(pmul(ka[i], a_j), pmul(kb[i], b_j)),
-                          pmul(kc[i], c_j)), pmul(kc[j], c_i))
-            K[i][j] = K[j][i] = integrate_projected(g, 2)
-            h = padd(padd(padd(pmul(mb[i], b_j), pmul(mb[j], b_i)),
-                          pmul(mc[i], c_j)), pmul(mc[j], c_i))
-            M[i][j] = M[j][i] = integrate_projected(h, 2)
+    for i, j, e, coeffs in pairs:
+        W[i][j], P[i][j] = by_sum[e]
+        W[j][i], P[j][i] = by_sum[e]
+        k_num = m_num = 0
+        for k, v in enumerate(coeffs):
+            if v:
+                k_sum, m_sum = piece_sums[e, k]
+                k_num += v * k_sum
+                m_num += v * m_sum
+        K[i][j] = K[j][i] = Fraction(k_num, D)
+        M[i][j] = M[j][i] = Fraction(m_num, D)
 
     return OperatorMatrices(n_basis=n, Z=Z, W=W, K=K, P=P, M_pol=M)
 

@@ -10,7 +10,19 @@ from fractions import Fraction
 import numpy as np
 from mpmath import mp
 
-from hyhe.matrices import _logmom_numerator, _state_poly, reduced_laplacian
+from hyhe.matrices import (_derivative_polys, _logmom_numerator, _state_poly,
+                           reduced_laplacian)
+
+
+def derivative_symbols(term):
+    """(p, a, b, c) integer polynomial dicts for one basis term (e^{-s} folded out).
+
+    a and b are the radial derivatives of electrons 1 and 2 and c the
+    correlation derivative (`hyhe.matrices` module docstring), as polynomials
+    for the pointwise checks.
+    """
+    p = {(term.l, 2 * term.m, term.n): 1}
+    return (p, *_derivative_polys(p))
 
 
 def evaluate_poly(poly, s, t, u):

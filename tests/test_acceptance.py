@@ -26,11 +26,11 @@ from hyhe.constants import PhysicalConstants, default_constants
 from hyhe.corrections import total_energy
 from hyhe.eigen import build_systems, optimize_k, solve_fixed_k
 from hyhe.matrices import (build_operator_matrices, check_normalized,
-                           derivative_symbols, expectation_set,
-                           reduced_laplacian)
+                           expectation_set, reduced_laplacian)
 from hyhe.report import compute_row, solve_single
 from support.integrals import base_integral, k_scaling_exponent, quad_integral
-from support.matrices import evaluate_poly, log_momentum_integrands
+from support.matrices import (derivative_symbols, evaluate_poly,
+                              log_momentum_integrands)
 from support.oracles import (CartesianProbe, direction_cosines,
                              gauss_tensor_value, random_configurations, stu_of)
 

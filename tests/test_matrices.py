@@ -12,7 +12,8 @@ from hyhe.matrices import (ANGLE_AC, ANGLE_BC, ATTRACTION_VOLUME, COS_VOLUME,
 from support.basis import basis_expression
 from support.integrals import (_mp_laguerre_rule, _mp_legendre_rule,
                                quad_integral)
-from support.matrices import evaluate_poly, poly_function_mp
+from support.matrices import (derivative_symbols, evaluate_poly,
+                              poly_function_mp)
 from support.oracles import fraction_operator_matrices
 
 
@@ -80,7 +81,7 @@ def test_overlap_positive_definite():
 
 
 @pytest.mark.parametrize("Z", [1, 2])
-@pytest.mark.parametrize("n", [1, 7, 22, 50])
+@pytest.mark.parametrize("n", [1, 7, 22, 50, 70])
 def test_integer_assembly_matches_fraction_oracle(n, Z):
     basis = enumerate_basis(n)
     fast = build_operator_matrices(basis, Z=Z)
@@ -226,8 +227,6 @@ def _mp_box_quad(poly, k, n=12):
 def test_exponent_scaling_tags():
     # entry(k) = k^(tag - 6) entry(1) for every operator block, verified by
     # high-precision quadrature of the k-dressed integrands at k = 2
-    from hyhe.matrices import derivative_symbols
-
     basis = enumerate_basis(4)
     mats = build_operator_matrices(basis)
     k = mp.mpf(2)

@@ -286,6 +286,17 @@ def test_cli_option_beats_env_beats_config_file(tmp_path):
     assert "config:    output=human, precision_digits=45" in result.output
 
 
+@pytest.mark.parametrize("args, env", [
+    (["--format", "json", "solve"], {"HYHE_SOLVE_N": "3"}),
+    (["sweep"], {"HYHE_SWEEP_N_LIST": "1,2"}),
+])
+def test_cli_verbs_read_no_environment(args, env):
+    # only the four group options have variables; a verb's required option
+    # must come from the command line
+    result = runner.invoke(main, args, env=env)
+    assert result.exit_code == 2, result.output
+
+
 def test_cli_failure_row_exit_code(monkeypatch):
     def boom(n, config, constants, stage=None):
         raise RuntimeError("broken")
