@@ -5,7 +5,9 @@ Verbs: `tables` (the default four-size sweep), `sweep --n-list`, `solve --n`,
 and output format; each can also come from one environment variable
 (HYHE_CONFIG_PATH, HYHE_PRECISION_DIGITS, HYHE_ALPHA, HYHE_OUTPUT).  An
 option beats its variable, which beats the config file.  The verbs read
-their options from the command line only.
+their options from the command line only.  The global `--verbose` flag
+sends the "hyhe" logger's DEBUG records (the k-search trace) to stderr;
+stdout is the same with or without it.
 
 Exit codes: 0 all rows ok, 1 at least one row failed, 2 usage error.
 """
@@ -41,8 +43,10 @@ class _App:
 @click.option("--format", "output", type=click.Choice(OUTPUT_FORMATS),
               default=None, envvar="HYHE_OUTPUT",
               help="output format (default from config)")
+@click.option("--verbose", is_flag=True, default=False,
+              help="log the k-search trace to stderr")
 @click.pass_context
-def main(ctx, config_path, precision_digits, alpha, output):
+def main(ctx, config_path, precision_digits, alpha, output, verbose):
     """Helium ground-state energies with relativistic and QED corrections."""
     try:
         config = load_config(config_path)
@@ -55,6 +59,25 @@ def main(ctx, config_path, precision_digits, alpha, output):
     except (ConfigError, ConstantsError) as exc:
         raise click.UsageError(str(exc))
     ctx.obj = _App(config, constants)
+    if verbose:
+        _log_to_stderr(ctx)
+
+
+def _log_to_stderr(ctx):
+    """Send the "hyhe" logger's DEBUG records to stderr until ctx closes."""
+    import logging  # here, so that a run without --verbose never loads it
+    log = logging.getLogger("hyhe")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(name)s: %(message)s"))
+    level = log.level
+    log.addHandler(handler)
+    log.setLevel(logging.DEBUG)
+
+    def restore():
+        log.removeHandler(handler)
+        log.setLevel(level)
+
+    ctx.call_on_close(restore)
 
 
 def _emit_document(app, doc):

@@ -8,11 +8,14 @@ W = L L' turns it into an ordinary one for x = L'c.
 The linear algebra runs on Python ints in fixed point: a real v is held as
 round(v * 2**F) with F = mp.prec + guard bits, and the guard grows with the
 conditioning of W, measured by its smallest Cholesky pivot.  The matrices are
-built straight from their exact Fractions.  At each k, float64 eigh gives a
-seed vector and an approximate eigenbasis; each step then takes the residual
-of x exactly on the ints and removes it in that eigenbasis, with the lowest
-mode projected out, until the correction falls below the working precision.
-Results leave the kernel as mpf at the working precision.
+built straight from their exact Fractions.  At each k the solve runs on
+B(k) = k K + P rather than A(k) = k^2 K + k P: B has A's eigenvectors and
+theta_A = k theta_B, and it costs one product per entry instead of two.
+float64 eigh of B gives a seed vector and an approximate eigenbasis; each
+step then takes the residual of x exactly on the ints and removes it in that
+eigenbasis, with the lowest mode projected out, until the correction falls
+below the working precision.  Results leave the kernel as mpf at the working
+precision.
 
 Minimizing over k at the solved state gives the fixed-point map
 k <- -P_q / (2 K_q).  The map is a contraction with rate 1 - O(1e-5), so
@@ -20,7 +23,14 @@ the plain iteration would need ~1e5 steps for 1e-12; a secant iteration on
 h(k) = g(k) - k instead lands in a handful of solves and satisfies the same
 fixed-point condition at exit.  The secant first runs on the float64 copies
 of the reduced forms, which costs no mp solve and puts k within float noise
-(~1e-11) of the root; the mp secant then starts there.
+(~1e-11) of the root k_f.  The mp search solves at k_f, then at the Newton
+point k_f - h(k_f)/h'(k_f), with h' from first-order perturbation theory in
+float64 (good to ~1e-9 relative); the secant through those two points meets
+its tolerance on its first step, so a search takes three mp solves.  When
+the float64 slope is unusable it falls back to a second point at k_f + 1e-8.
+Past N ~ 70 the float64 secant stalls in float noise short of its
+tolerance; its best iterate still serves as k_f when the Newton step from
+it is within 1e-8 k.
 
 The bases are nested prefixes and the Cholesky reduction only ever reads
 leading entries, so the leading n x n blocks of a reduction are, bit for
@@ -29,6 +39,7 @@ reduction at the largest size serves every smaller one (ReducedSystem.leading).
 """
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
@@ -52,8 +63,15 @@ _MAX_STEPS = 64
 _FLOAT_K_TOL = 1e-10
 # Secant steps the float64 search may take before it counts as failed.
 _FLOAT_MAX_STEPS = 16
-# The mp secant's second point lies this far above the float64 root.
+# The mp secant's second point lies this far above the float64 root when
+# the Newton step from it is unusable.
 _FLOAT_SEED_STEP = "1e-8"
+# A float64 Newton step longer than this (relative to k) is not trusted.
+_NEWTON_MAX_STEP = 1e-6
+# A float64 search that runs out of steps still returns its best iterate
+# when the Newton step from it is at most this long (relative to k): the
+# mp search only needs a start that close.
+_FLOAT_ACCEPT = 1e-8
 
 
 class AssemblyError(ValueError):
@@ -251,30 +269,48 @@ def _reduce_at(matrices, F, mass_ratio, include):
     return systems
 
 
+def _debug(msg, *args):
+    """Log msg % args at DEBUG on the "hyhe" logger, if logging is loaded.
+
+    Only code that has imported logging can have given a logger a handler,
+    and without one a DEBUG record goes nowhere; so hyhe never imports
+    logging itself, and its import path stays as lean as without the trace.
+    """
+    logging = sys.modules.get("logging")
+    if logging is not None:
+        logging.getLogger("hyhe").debug(msg, *args)
+
+
 def _normalized(y, F):
     norm = math.isqrt(sum(v * v for v in y))
     return [(v << F) // norm for v in y]
 
 
 def _lowest_pair(system, k):
-    """Smallest eigenpair of A(k) = k^2 K_red + k P_red, x as fixed-point ints.
+    """Smallest eigenpair (theta_B, x) of B(k) = k K_red + P_red, as ints.
 
-    float64 eigh gives the seed x and an approximate eigenbasis (lambda_i,
-    v_i).  Each step takes theta = x'Ax and r = Ax - theta x exactly on the
-    ints and removes r in that basis with the lowest mode projected out:
-    x <- x - sum_{i>=1} v_i (v_i'r) / (lambda_i - theta).  A step gains
-    about log2(gap / (n eps |A|)) bits, so a gap the float64 eigenbasis
-    cannot resolve by _SEED_BITS bits raises, as does a run out of steps.
+    B has the eigenvectors of A(k) = k^2 K_red + k P_red, the pencil the
+    energy is read from, and theta_A = k theta_B; B costs one product per
+    entry, and only its lower half is computed (the upper half refers to
+    the same ints).  float64 eigh gives the seed x and an approximate
+    eigenbasis (mu_i, v_i).  Each step takes theta = x'Bx and
+    r = Bx - theta x exactly on the ints and removes r in that basis with
+    the lowest mode projected out:
+    x <- x - sum_{i>=1} v_i (v_i'r) / (mu_i - theta).  A step gains about
+    log2(gap / (n eps |B|)) bits, so a gap the float64 eigenbasis cannot
+    resolve by _SEED_BITS bits raises, as does a run out of steps.  The
+    residual ||r|| / ||B|| does not depend on the scale of the matrix, so
+    it is also A's.
     """
     n, F = system.n, system.frac_bits
     k = mp.mpf(k)
     kq = _fixed_mpf(k, F)
-    k2 = (kq * kq) >> F
-    A = [[(k2 * a + kq * b) >> F for a, b in zip(rk, rp)]
-         for rk, rp in zip(system.K_red, system.P_red)]
+    B = [[((kq * a) >> F) + b for a, b in zip(rk[:i + 1], rp)]
+         for i, (rk, rp) in enumerate(zip(system.K_red, system.P_red))]
+    for i, row in enumerate(B):
+        row.extend(B[j][i] for j in range(i + 1, n))
     kf = float(k)
-    A_float = kf * kf * system.K_float + kf * system.P_float
-    evals, evecs = np.linalg.eigh(A_float)
+    evals, evecs = np.linalg.eigh(kf * system.K_float + system.P_float)
     if n > 1:
         gap = evals[1] - evals[0]
         resolved = (2 ** _SEED_BITS * n * np.finfo(float).eps
@@ -288,9 +324,9 @@ def _lowest_pair(system, k):
     tol = 1 << max(0, F - mp.prec)
     x = _normalized([_fixed(v, F) for v in evecs[:, 0]], F)
     for _ in range(_MAX_STEPS):
-        Ax = _matvec(A, x, F)
-        theta = _dot(x, Ax, F)
-        r = [a - ((theta * b) >> F) for a, b in zip(Ax, x)]
+        Bx = _matvec(B, x, F)
+        theta = _dot(x, Bx, F)
+        r = [a - ((theta * b) >> F) for a, b in zip(Bx, x)]
         # r at ~60 significant bits keeps float() finite for any F
         s = max(0, max(map(abs, r)).bit_length() - 60)
         r_f = np.array([float(v >> s) for v in r])
@@ -303,34 +339,58 @@ def _lowest_pair(system, k):
         raise ConvergenceError(
             f"eigenpair correction at k={mp.nstr(k, 17)} did not converge: "
             f"step cap {_MAX_STEPS} reached")
-    a_norm = max(sum(map(abs, row)) for row in A)
-    residual = mp.mpf(math.isqrt(sum(v * v for v in r))) / max(a_norm, 1 << F)
-    return _to_mpf(theta, F), x, residual
+    b_norm = max(sum(map(abs, row)) for row in B)
+    residual = mp.mpf(math.isqrt(sum(v * v for v in r))) / max(b_norm, 1 << F)
+    return theta, x, residual
 
 
 def solve_fixed_k(system, k):
     """Ground state at fixed exponent: (E, x, K_q, P_q, residual).
 
     x is the unit reduced eigenvector as fixed-point ints at scale
-    2**system.frac_bits; the rest are mpf.
+    2**system.frac_bits; the rest are mpf.  E = k theta_B, K_q = x'K_red x
+    and P_q = theta_B - k K_q, all on the ints.
     """
-    E, x, residual = _lowest_pair(system, k)
+    theta, x, residual = _lowest_pair(system, k)
     F = system.frac_bits
-    K_q = _to_mpf(_dot(x, _matvec(system.K_red, x, F), F), F)
-    P_q = _to_mpf(_dot(x, _matvec(system.P_red, x, F), F), F)
+    kq = _fixed_mpf(k, F)
+    K_q = _dot(x, _matvec(system.K_red, x, F), F)
     if K_q <= 0:
         raise AssemblyError(
-            f"kinetic quadratic form is not positive (K_q = {mp.nstr(K_q, 8)}); "
-            "operator assembly is broken")
-    return E, x, K_q, P_q, residual
+            f"kinetic quadratic form is not positive (K_q = "
+            f"{mp.nstr(_to_mpf(K_q, F), 8)}); operator assembly is broken")
+    P_q = theta - ((kq * K_q) >> F)
+    return (_to_mpf((kq * theta) >> F, F), x, _to_mpf(K_q, F),
+            _to_mpf(P_q, F), residual)
+
+
+def _float_slope(system, k):
+    """h'(k) on the float64 forms, by first-order perturbation theory.
+
+    In the eigenbasis (mu_i, v_i) of B(k) = k K + P the ground vector moves
+    as x' = -sum_{i>=1} v_i v_i'K x / (mu_i - mu_0), which is
+    -sum_{i>=1} v_i v_i'(2kK + P) x / (lambda_i - lambda_0) in the terms of
+    A(k) = k^2 K + k P.  Then K_q' = 2 x'Kx, P_q' = 2 x'Px and
+    h' = g' - 1 = -(P_q' K_q - P_q K_q') / (2 K_q^2) - 1.
+    """
+    K, P = system.K_float, system.P_float
+    mu, V = np.linalg.eigh(k * K + P)
+    x, V = V[:, 0], V[:, 1:]
+    Kx, Px = K @ x, P @ x
+    dx = -V @ ((V.T @ Kx) / (mu[1:] - mu[0]))
+    K_q, P_q = x @ Kx, x @ Px
+    dK_q, dP_q = 2 * (dx @ Kx), 2 * (dx @ Px)
+    return float(-(dP_q * K_q - P_q * dK_q) / (2 * K_q * K_q) - 1)
 
 
 def _float_root(system, k_init):
     """Root of h(k) = g(k) - k on the float64 forms, or None on failure.
 
     The same secant as optimize_k's, on K_float/P_float.  It fails on a
-    non-finite h, on an iterate outside [k_init/3, 3 k_init], and when no
-    step falls within _FLOAT_K_TOL in _FLOAT_MAX_STEPS.
+    non-finite h and on an iterate outside [k_init/3, 3 k_init].  When no
+    step falls within _FLOAT_K_TOL in _FLOAT_MAX_STEPS (past N ~ 70 the
+    steps stall in float noise), it returns the iterate of least |h| if the
+    Newton step from it is within _FLOAT_ACCEPT, and fails otherwise.
     """
     K, P = system.K_float, system.P_float
 
@@ -341,6 +401,7 @@ def _float_root(system, k_init):
     try:
         k0, k1 = k_init, k_init + 0.005
         h0, h1 = h(k0), h(k1)
+        best = min((abs(h0), k0), (abs(h1), k1))
         for _ in range(_FLOAT_MAX_STEPS):
             if not (math.isfinite(h0) and math.isfinite(h1)):
                 return None
@@ -353,6 +414,11 @@ def _float_root(system, k_init):
                 return k2
             k0, h0, k1 = k1, h1, k2
             h1 = h(k1)
+            best = min(best, (abs(h1), k1))
+        h_best, k_best = best
+        slope = _float_slope(system, k_best)
+        if h_best <= _FLOAT_ACCEPT * k_best * abs(slope):
+            return k_best
     except np.linalg.LinAlgError:
         return None
     return None
@@ -362,27 +428,38 @@ def optimize_k(system, k_init=2.0, k_tol=1e-12, max_outer_iters=60):
     """Drive k to the self-consistent exponent and return the ground state.
 
     A secant iteration on h(k) = g(k) - k, g(k) = -P_q/(2 K_q), finds the
-    root in a handful of eigensolves; the result satisfies
-    |g(k_opt) - k_opt| <= k_tol.  The mp secant starts at the float64 root
-    k_f and k_f + 1e-8, or at k_init and k_init + 0.005 when the float64
-    search fails.  The defaults are the only values the pipeline uses;
-    other values serve the tests (a tighter k_tol as a reference, a k_init
-    far from the root to force the fallback).
+    root; the result satisfies |g(k_opt) - k_opt| <= k_tol.  The mp secant
+    starts at the float64 root k_f and the Newton point
+    k_f - h(k_f)/h'(k_f), h(k_f) from the mp solve and h' from
+    _float_slope; its first step then meets k_tol, for three solves in all.
+    The second point is k_f + 1e-8 instead when h' is not finite or zero,
+    when h(k_f) = 0 exactly, or when the Newton step exceeds 1e-6 k_f.  When
+    the float64 search fails, the secant starts at k_init and k_init + 0.005.
+    The defaults are the only values the pipeline uses; other values serve
+    the tests (a tighter k_tol as a reference, a k_init far from the root to
+    force the fallback).  The float seed and each solve's (k, E) are logged
+    to the "hyhe" logger at DEBUG.
     """
     tol = mp.mpf(k_tol)
     trace = []
 
     def g(k):
-        E, x, K_q, P_q, residual = solve_fixed_k(system, k)
-        trace.append((k, E))
+        E, x, K_q, P_q, residual = _traced_solve(system, k, trace)
         return -P_q / (2 * K_q)
 
     k_f = _float_root(system, float(k_init))
     if k_f is None:
         k0, step = mp.mpf(k_init), mp.mpf("0.005")
     else:
+        dh = _float_slope(system, k_f)
+        _debug("k-search %s: float seed k_f=%r h'=%r",
+               system.label, float(k_f), dh)
         k0, step = mp.mpf(k_f), mp.mpf(_FLOAT_SEED_STEP)
     h0 = g(k0) - k0
+    if k_f is not None and math.isfinite(dh) and dh != 0:
+        newton = -h0 / dh
+        if newton != 0 and abs(newton) <= _NEWTON_MAX_STEP * k_f:
+            step = newton
     k1 = k0 + step
     g1 = g(k1)
     h1 = g1 - k1
@@ -405,10 +482,17 @@ def optimize_k(system, k_init=2.0, k_tol=1e-12, max_outer_iters=60):
         f"{max_outer_iters} iterations", trace=trace)
 
 
+def _traced_solve(system, k, trace):
+    """solve_fixed_k at k, with (k, E) appended to trace and logged."""
+    E, x, K_q, P_q, residual = solve_fixed_k(system, k)
+    trace.append((k, E))
+    _debug("k-search %s: solve k=%s E=%s", system.label, k, E)
+    return E, x, K_q, P_q, residual
+
+
 def _finish(system, k_opt, iterations, trace, slope):
     """The state at k_opt, with the a-posteriori error |h(k_opt) / slope|."""
-    E, x, K_q, P_q, residual = solve_fixed_k(system, k_opt)
-    trace.append((k_opt, E))
+    E, x, K_q, P_q, residual = _traced_solve(system, k_opt, trace)
     h = -P_q / (2 * K_q) - k_opt
     return VariationalResult(
         energy=E, k_opt=k_opt, coeffs=system.coefficients(x),

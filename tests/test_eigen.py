@@ -263,8 +263,9 @@ def test_fixed_mpf_keeps_sign(q, F):
     (20, 50, ("inf", "0")), (40, 50, ("inf", "0")), (40, 100, ("inf",))])
 def test_k_err_bounds_the_k_search(n, dps, labels):
     # k_err = |h(k_opt) / s| is the secant's own estimate of the distance to
-    # the root; its relative error is O(|k1 - k0| h''/h'), about 5e-8 here,
-    # so it bounds the distance to a 1e-40 search within a factor 2
+    # the root; its relative error is O(|k1 - k0| h''/h'), with k1 - k0 the
+    # Newton step of ~1e-11, so it bounds the distance to a 1e-40 search
+    # within a factor 2
     with mp.workdps(dps):
         _, systems = systems_n(n)
         for label in labels:
@@ -273,7 +274,8 @@ def test_k_err_bounds_the_k_search(n, dps, labels):
             dist = abs(res.k_opt - ref.k_opt)
             assert res.k_err < mp.mpf("1e-20")
             assert res.k_err / 2 <= dist <= 2 * res.k_err, (label, dist)
-            assert len(res.trace) <= 5, label   # the float64 seed held
+            # the float64 seed and its Newton point held: k_f, k_1, k_opt
+            assert len(res.trace) == 3, label
 
 
 def test_float_seed_fallback_keeps_k_opt(monkeypatch):
@@ -311,6 +313,66 @@ def test_float_seed_step_cap(monkeypatch):
         res = optimize_k(systems["inf"])
         assert abs(res.k_opt - mp.mpf("1.817945063988518952281646")) < \
             mp.mpf("1e-20")
+
+
+def test_fixed_k_energy_is_k_theta():
+    # E = k theta_B and P_q = theta_B - k K_q on the ints, so the energy
+    # read back from the two forms agrees to a few ulps
+    with mp.workdps(50):
+        _, systems = systems_n(13)
+        k = mp.mpf("2.0451487")
+        for label in ("inf", "0"):
+            E, x, K_q, P_q, _ = solve_fixed_k(systems[label], k)
+            ulps = mp.mpf(2) ** -(mp.prec - 8)
+            assert abs(E - (k * k * K_q + k * P_q)) <= ulps, label
+
+
+def h_mp(system, k):
+    E, x, K_q, P_q, _ = solve_fixed_k(system, k)
+    return -P_q / (2 * K_q) - k
+
+
+@pytest.mark.parametrize("n", [20, 40])
+def test_float_slope_matches_mp_difference(n):
+    # h' (5e-4 at N = 20, 5e-5 at N = 40) is g' - 1 with g' near 1, so
+    # float64 keeps it to about 1e-10 relative
+    with mp.workdps(50):
+        _, systems = systems_n(n)
+        for label in ("inf", "0"):
+            system = systems[label]
+            k_f = eigen._float_root(system, 2.0)
+            slope = eigen._float_slope(system, k_f)
+            k, dk = mp.mpf(k_f), mp.mpf("1e-8")
+            ref = (h_mp(system, k + dk) - h_mp(system, k - dk)) / (2 * dk)
+            assert abs(slope - ref) <= mp.mpf("1e-8") * abs(ref), (label, ref)
+
+
+@pytest.mark.parametrize("bad_slope", [float("nan"), 0.0])
+def test_unusable_slope_takes_the_fixed_step(monkeypatch, bad_slope):
+    with mp.workdps(50):
+        _, systems = systems_n(20)
+        seeded = optimize_k(systems["0"])
+        monkeypatch.setattr(eigen, "_float_slope", lambda system, k: bad_slope)
+        fallback = optimize_k(systems["0"])
+        (k0, _), (k1, _) = fallback.trace[:2]
+        assert k1 == k0 + mp.mpf("1e-8")
+        assert len(fallback.trace) == 4
+        assert mp.nstr(fallback.k_opt, 20) == mp.nstr(seeded.k_opt, 20)
+
+
+def test_float_seed_past_n70(monkeypatch):
+    # at N = 80 the nuclear-motion float64 secant stalls in float noise
+    # without meeting _FLOAT_K_TOL; its best iterate still seeds the search
+    with mp.workdps(50):
+        mats = build_operator_matrices(enumerate_basis(80))
+        system = build_systems(mats, mass_ratio=M_HELIUM, include=("0",))["0"]
+        seeded = optimize_k(system)
+        assert len(seeded.trace) == 3
+        monkeypatch.setattr(eigen, "_float_root", lambda system, k: None)
+        unseeded = optimize_k(system)
+        assert len(unseeded.trace) > 3
+        assert mp.nstr(seeded.k_opt, 20) == mp.nstr(unseeded.k_opt, 20) \
+            == "2.3427513163141567228"
 
 
 def test_leading_block_is_the_prefix_reduction():

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -295,6 +296,23 @@ def test_cli_verbs_read_no_environment(args, env):
     # must come from the command line
     result = runner.invoke(main, args, env=env)
     assert result.exit_code == 2, result.output
+
+
+def test_cli_verbose_logs_the_k_search_to_stderr():
+    # csv carries no wall times, so equal output is byte for byte
+    args = ["--format", "csv", "sweep", "--n-list", "7"]
+    plain = runner.invoke(main, args)
+    verbose = runner.invoke(main, ["--verbose"] + args)
+    assert plain.exit_code == verbose.exit_code == 0, verbose.output
+    assert verbose.stdout == plain.stdout
+    assert plain.stderr == ""
+    lines = verbose.stderr.splitlines()
+    for label in ("inf", "0"):
+        head = f"hyhe: k-search {label}: "
+        assert sum(line.startswith(head + "solve k=") for line in lines) == 3
+        assert sum(line.startswith(head + "float seed k_f=")
+                   for line in lines) == 1
+    assert not logging.getLogger("hyhe").handlers   # removed on close
 
 
 def test_cli_failure_row_exit_code(monkeypatch):
