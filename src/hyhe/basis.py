@@ -96,6 +96,20 @@ def pmul(p, q):
     return out
 
 
+def psquare(p):
+    """pmul(p, p), with each cross term formed once as 2 v_i v_j."""
+    items = list(p.items())
+    out = {}
+    for i, ((a1, b1, c1), v1) in enumerate(items):
+        key = (2 * a1, 2 * b1, 2 * c1)
+        out[key] = out.get(key, 0) + v1 * v1
+        w = 2 * v1
+        for (a2, b2, c2), v2 in items[i + 1:]:
+            key = (a1 + a2, b1 + b2, c1 + c2)
+            out[key] = out.get(key, 0) + w * v2
+    return {key: v for key, v in out.items() if v}
+
+
 def pdiff(p, axis):
     """Partial derivative of the bare polynomial along s/t/u (axis 0/1/2)."""
     out = {}

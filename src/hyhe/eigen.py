@@ -6,16 +6,24 @@ generalized eigenproblem; W is positive definite, so a Cholesky reduction
 W = L L' turns it into an ordinary one for x = L'c.
 
 The linear algebra runs on Python ints in fixed point: a real v is held as
-round(v * 2**F) with F = mp.prec + guard bits, and the guard grows with the
-conditioning of W, measured by its smallest Cholesky pivot.  The matrices are
-built straight from their exact Fractions.  At each k the solve runs on
-B(k) = k K + P rather than A(k) = k^2 K + k P: B has A's eigenvectors and
-theta_A = k theta_B, and it costs one product per entry instead of two.
-float64 eigh of B gives a seed vector and an approximate eigenbasis; each
-step then takes the residual of x exactly on the ints and removes it in that
-eigenbasis, with the lowest mode projected out, until the correction falls
-below the working precision.  Results leave the kernel as mpf at the working
-precision.
+round(v * 2**F), built straight from the exact Fractions.  The width rule is
+F >= mp.prec + 32 + cond_bits, cond_bits = floor(log2(max W_jj / min pivot))
+measured on the int Cholesky factor itself.  A float64 Cholesky of the
+diagonally scaled W estimates cond_bits + 1 beforehand, so W is factored once,
+at that width, and refactored only if the factor's own pivot asks for more.
+The factor is inverted by forward substitution, and each symmetric form A
+(P, K, K_0) is reduced through that one L^{-1} as L^{-1} A L^{-T}, lower half
+only, in n^3/2 products: with both Hamiltonians the stage costs about
+1.83 n^3 products (factor n^3/6, inverse n^3/6, three forms 3 n^3/2), the
+textbook symmetric-definite reduction (LAPACK xSYGST).
+
+At each k the solve runs on B(k) = k K + P rather than A(k) = k^2 K + k P:
+B has A's eigenvectors and theta_A = k theta_B, and it costs one product per
+entry instead of two.  float64 eigh of B gives a seed vector and an
+approximate eigenbasis; each step then takes the residual of x exactly on
+the ints and removes it in that eigenbasis, with the lowest mode projected
+out, until the correction falls below the working precision.  Results leave
+the kernel as mpf at the working precision.
 
 Minimizing over k at the solved state gives the fixed-point map
 k <- -P_q / (2 K_q).  The map is a contraction with rate 1 - O(1e-5), so
@@ -32,10 +40,11 @@ Past N ~ 70 the float64 secant stalls in float noise short of its
 tolerance; its best iterate still serves as k_f when the Newton step from
 it is within 1e-8 k.
 
-The bases are nested prefixes and the Cholesky reduction only ever reads
-leading entries, so the leading n x n blocks of a reduction are, bit for
-bit, the reduction of the n-term prefix at the same fraction bits: one
-reduction at the largest size serves every smaller one (ReducedSystem.leading).
+The bases are nested prefixes and the factor, its inverse and the reduction
+only ever read leading entries, so the leading n x n blocks of a reduction
+are, bit for bit, the reduction of the n-term prefix at the same fraction
+bits: one reduction at the largest size serves every smaller one
+(ReducedSystem.leading).
 """
 
 import math
@@ -48,7 +57,7 @@ import numpy as np
 from mpmath import mp
 
 # Guard bits above mp.prec before the conditioning term: they absorb the
-# O(n^2) ulps of rounding that the triangular solves accumulate.
+# O(n^2) ulps of rounding that the inverse and the reduction accumulate.
 _GUARD_BITS = 32
 # The float64 eigenbasis must resolve the lowest gap by this many bits,
 # which is the least each residual correction then gains.
@@ -144,38 +153,46 @@ def _cholesky(Wq, F):
     return L, min_pivot
 
 
-def _solve_lower(L, b, F):
-    """y = L^{-1} b by forward substitution."""
-    y = []
-    for i, Li in enumerate(L):
-        y.append(((b[i] << F) - sum(map(mul, Li, y))) // Li[i])
-    return y
+def _inverse_lower(L, F):
+    """Fixed-point L^{-1} of a lower-triangular factor, as ragged rows.
 
-
-def _solve_upper_t(L, x, F):
-    """c = L'^{-1} x by back substitution against the transpose."""
-    n = len(x)
-    c = [0] * n
-    for i in range(n - 1, -1, -1):
-        acc = x[i] << F
-        for k in range(i + 1, n):
-            acc -= L[k][i] * c[k]
-        c[i] = acc // L[i][i]
-    return c
-
-
-def _reduce_sym(L, A, F):
-    """L^{-1} A L^{-T} for symmetric A (rows of A serve as its columns).
-
-    The second pass solves row i only up to the diagonal and mirrors it, so
-    the result is exactly symmetric.
+    Row i holds X_ij for j <= i, from sum_{j<=k<=i} L_ik X_kj = delta_ij by
+    forward substitution; it reads only rows <= i of L.  cols[j] collects
+    column j of X, from its diagonal down, as the rows arrive.
     """
-    Y = [_solve_lower(L, col, F) for col in A]      # Y[j] = column j of L^-1 A
-    R = [_solve_lower(L[:i + 1], [col[i] for col in Y[:i + 1]], F)
-         for i in range(len(A))]
+    one = 1 << (2 * F)
+    X, cols = [], []
+    for i, Li in enumerate(L):
+        lii = Li[i]
+        row = [-sum(map(mul, Li[j:i], cols[j])) // lii for j in range(i)]
+        row.append(one // lii)
+        for col, v in zip(cols, row):
+            col.append(v)
+        cols.append([row[i]])
+        X.append(row)
+    return X
+
+
+def _reduce_sym(L_inv, A, F):
+    """L^{-1} A L^{-T} for symmetric A, from the ragged rows of L^{-1}.
+
+    Row i takes Y_ib = sum_{a<=i} L^{-1}_ia A_ab for b <= i, then
+    R_ij = sum_{b<=j} Y_ib L^{-1}_jb for j <= i, and mirrors it, so the
+    result is exactly symmetric: n^3/2 products, and row i reads only
+    leading entries.
+    """
+    R = []
+    for i, Xi in enumerate(L_inv):
+        Y = [sum(map(mul, Xi, A[b])) >> F for b in range(i + 1)]
+        R.append([sum(map(mul, Y, Xj)) >> F for Xj in L_inv[:i + 1]])
     for i, row in enumerate(R):
         row.extend(R[j][i] for j in range(i + 1, len(R)))
     return R
+
+
+def _float_copy(R, F):
+    scale = 1 << F
+    return np.array([[v / scale for v in row] for row in R])
 
 
 def _matvec(A, x, F):
@@ -189,44 +206,104 @@ def _dot(x, y, F):
 class ReducedSystem:
     """One Hamiltonian after the Cholesky congruence.
 
-    L, K_red and P_red are fixed-point int matrices at scale 2**frac_bits:
-    the Cholesky factor for back-transforming coefficients and the reduced
-    kinetic-like and potential forms.  K_float/P_float are float64 copies;
-    their eigenbasis seeds the eigensolve and carries its residual
-    corrections.
+    L_inv, K_red and P_red are fixed-point int matrices at scale
+    2**frac_bits: the inverse Cholesky factor (ragged rows, j <= i) for
+    back-transforming coefficients and the reduced kinetic-like and potential
+    forms.  K_float/P_float are float64 copies; their eigenbasis seeds the
+    eigensolve and carries its residual corrections.  cond_bits is
+    floor(log2(max W_jj / min pivot)) of the stage's factor, which sized
+    frac_bits.
     """
 
-    def __init__(self, L, K_red, P_red, frac_bits, label=""):
-        self.L = L
-        self.n = len(L)
+    def __init__(self, L_inv, K_red, P_red, frac_bits, label="",
+                 cond_bits=0, K_float=None, P_float=None):
+        self.L_inv = L_inv
+        self.n = len(L_inv)
         self.K_red = K_red
         self.P_red = P_red
         self.frac_bits = frac_bits
         self.label = label
-        scale = 1 << frac_bits
-        self.K_float = np.array([[v / scale for v in row] for row in K_red])
-        self.P_float = np.array([[v / scale for v in row] for row in P_red])
+        self.cond_bits = cond_bits
+        self.K_float = (_float_copy(K_red, frac_bits) if K_float is None
+                        else K_float)
+        self.P_float = (_float_copy(P_red, frac_bits) if P_float is None
+                        else P_float)
 
     def leading(self, n):
         """The system of the first n basis terms, at the same frac_bits.
 
-        _cholesky and _reduce_sym read only leading entries, so these blocks
-        equal a reduction of the n-term prefix at this F, int for int.
+        _cholesky, _inverse_lower and _reduce_sym read only leading entries,
+        so these blocks equal a reduction of the n-term prefix at this F,
+        int for int.
         """
         if n == self.n:
             return self
-        return ReducedSystem([row[:n] for row in self.L[:n]],
+        return ReducedSystem(self.L_inv[:n],
                              [row[:n] for row in self.K_red[:n]],
                              [row[:n] for row in self.P_red[:n]],
-                             self.frac_bits, label=self.label)
+                             self.frac_bits, label=self.label,
+                             cond_bits=self.cond_bits,
+                             K_float=self.K_float[:n, :n],
+                             P_float=self.P_float[:n, :n])
 
     def coefficients(self, x):
-        """Back-transform a reduced eigenvector; c'Wc = |x|^2 by construction."""
-        F = self.frac_bits
-        c = _solve_upper_t(self.L, x, F)
+        """Back-transform a reduced eigenvector, c = L^{-T} x; c'Wc = |x|^2
+        by construction."""
+        F, L_inv = self.frac_bits, self.L_inv
+        c = [sum(row[j] * v for row, v in zip(L_inv[j:], x[j:])) >> F
+             for j in range(self.n)]
         if c[0] < 0:
             c = [-v for v in c]
         return [_to_mpf(v, F) for v in c]
+
+
+def _cond_estimate(W):
+    """floor(log2(max W_jj / min pivot)) + 1 for W = L L', from float64.
+
+    numpy factors the diagonally scaled W_ij / sqrt(W_ii W_jj) = Lf Lf';
+    the pivot L_jj^2 of W is Lf_jj^2 W_jj.  Raises LinAlgError where float64
+    cannot factor W.
+    """
+    Wf = np.array([[float(v) for v in row] for row in W])
+    d = Wf.diagonal()
+    if not (d > 0).all():
+        raise np.linalg.LinAlgError("overlap diagonal is not positive")
+    s = 1 / np.sqrt(d)
+    Lf = np.linalg.cholesky(Wf * np.outer(s, s))
+    return math.floor(math.log2(d.max() / (Lf.diagonal() ** 2 * d).min())) + 1
+
+
+def _factor(W):
+    """The fixed-point Cholesky factor of W at the width its conditioning
+    needs: (L, F, cond_bits).
+
+    cond_bits = floor(log2(max W_jj / min pivot)) is the growth the
+    reduction suffers from the conditioning of W, and F must cover
+    mp.prec + _GUARD_BITS + cond_bits.  The float64 estimate sizes the first
+    factor; it is one bit above cond_bits wherever it has been measured
+    (ten sizes from N = 1 to 95, at 50 and 100 digits), so one factor
+    suffices.  Where float64 cannot factor W the estimate is 0.  A factor
+    whose own smallest pivot needs more bits than its width is redone at
+    that width.
+    """
+    guard = mp.prec + _GUARD_BITS
+    try:
+        estimate = _cond_estimate(W)
+    except np.linalg.LinAlgError:
+        estimate = 0
+    F, factors = guard + estimate, 0
+    while True:
+        Wq = _fixed_matrix(W, F)
+        L, min_pivot = _cholesky(Wq, F)
+        factors += 1
+        max_diag = max(row[j] for j, row in enumerate(Wq))
+        cond_bits = ((max_diag << F) // min_pivot).bit_length() - 1
+        if cond_bits <= F - guard:
+            break
+        F = guard + cond_bits
+    _debug("stage: n=%d F=%d cond_bits=%d estimate=%d factors=%d",
+           len(W), F, cond_bits, estimate, factors)
+    return L, F, cond_bits
 
 
 def build_systems(matrices, mass_ratio=None, include=("inf", "0")):
@@ -236,36 +313,35 @@ def build_systems(matrices, mass_ratio=None, include=("inf", "0")):
     nuclear motion in: K_0 = (1 + 1/M) K + (1/M) M_pol, which inherits the
     k^2 scaling tag, so the same Rayleigh-quotient machinery applies.
 
-    The fraction bits are mp.prec + _GUARD_BITS plus the bits of
-    max W_jj / min pivot, the growth the reduction suffers from the
-    conditioning of W, measured on a first factor at _GUARD_BITS alone.
+    W is factored once, at F >= mp.prec + _GUARD_BITS + cond_bits fraction
+    bits (_factor), and inverted by forward substitution; P, K and K_0 are
+    each reduced through that one L^{-1} in n^3/2 products (_reduce_sym).
+    With both Hamiltonians that is about 1.83 n^3 products in all: n^3/6
+    for the factor, n^3/6 for the inverse and n^3/2 for each of the three
+    forms.  The systems share L^{-1}, P_red and its float64 copy.
     """
     if "0" in include and mass_ratio is None:
         raise ValueError("nuclear-motion Hamiltonian needs a mass ratio")
-    F = mp.prec + _GUARD_BITS
-    Wq = _fixed_matrix(matrices.W, F)
-    _, min_pivot = _cholesky(Wq, F)
-    max_diag = max(row[j] for j, row in enumerate(Wq))
-    cond_bits = ((max_diag << F) // min_pivot).bit_length() - 1
-    return _reduce_at(matrices, F + cond_bits, mass_ratio, include)
+    L, F, cond_bits = _factor(matrices.W)
+    L_inv = _inverse_lower(L, F)
+    P_red = _reduce_sym(L_inv, _fixed_matrix(matrices.P, F), F)
+    P_float = _float_copy(P_red, F)
 
+    def system(K, label):
+        return ReducedSystem(L_inv, _reduce_sym(L_inv, K, F), P_red, F,
+                             label=label, cond_bits=cond_bits,
+                             P_float=P_float)
 
-def _reduce_at(matrices, F, mass_ratio, include):
-    """build_systems at fixed fraction bits F."""
-    L, _ = _cholesky(_fixed_matrix(matrices.W, F), F)
     K = _fixed_matrix(matrices.K, F)
-    P_red = _reduce_sym(L, _fixed_matrix(matrices.P, F), F)
     systems = {}
     if "inf" in include:
-        systems["inf"] = ReducedSystem(L, _reduce_sym(L, K, F), P_red, F,
-                                       label="inf")
+        systems["inf"] = system(K, "inf")
     if "0" in include:
         minv = _fixed_mpf(1 / mp.mpf(mass_ratio), F)
         M_pol = _fixed_matrix(matrices.M_pol, F)
         K0 = [[a + ((minv * (a + b)) >> F) for a, b in zip(rk, rm)]
               for rk, rm in zip(K, M_pol)]
-        systems["0"] = ReducedSystem(L, _reduce_sym(L, K0, F), P_red, F,
-                                     label="0")
+        systems["0"] = system(K0, "0")
     return systems
 
 

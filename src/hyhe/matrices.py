@@ -48,7 +48,7 @@ from fractions import Fraction
 
 from mpmath import mp
 
-from .basis import padd, pdiff, pmul, pscale, pshift
+from .basis import padd, pdiff, pmul, pscale, pshift, psquare
 from .eigen import _fixed, _fixed_mpf, _to_mpf
 from .integrals import raw_moment
 
@@ -370,7 +370,7 @@ def p4_expectation(basis, coeffs, k, wq):
     """
     F = mp.prec + _SUM_GUARD_BITS
     T = reduced_laplacian(_fixed_state_poly(basis, coeffs, F))
-    poly = pmul(pmul(T, T), {(1, 0, 0): 1, (0, 1, 0): 1})
+    poly = pmul(psquare(T), {(1, 0, 0): 1, (0, 1, 0): 1})
     harm, sq, alt, alt_sq = _prefix_sums(max(b + c for _, b, c in poly), F)
     with mp.workprec(F):
         zeta2, ln2 = _fixed_mpf(mp.zeta(2), F), _fixed_mpf(mp.ln(2), F)

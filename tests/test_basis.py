@@ -1,10 +1,11 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hyhe.basis import BasisError, BasisTerm, enumerate_basis, terms_of_grade
+from hyhe.basis import (BasisError, BasisTerm, enumerate_basis, pmul, psquare,
+                        terms_of_grade)
 from support.basis import SteuExpression, basis_expression, grade_counts
 
 
@@ -102,6 +103,18 @@ def test_product_rule(p, q):
     lhs = (a * b).diff("u")
     rhs = a.diff("u") * b + a * b.diff("u")
     assert lhs == rhs
+
+
+# small exponent and coefficient ranges make colliding, cancelling products
+int_polys = st.dictionaries(st.tuples(*[st.integers(-2, 2)] * 3),
+                            st.integers(-3, 3), max_size=8)
+
+
+@given(int_polys)
+@example({(1, 0, 0): 1, (-1, 0, 0): 1, (0, 1, 0): 1, (0, -1, 0): -1})
+def test_square_matches_product(p):
+    # in the example the cross terms at s^0 t^0 u^0 cancel: 2 - 2 = 0
+    assert psquare(p) == pmul(p, p)
 
 
 @settings(max_examples=25)

@@ -1,6 +1,7 @@
 from fractions import Fraction
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from mpmath import mp
 
@@ -187,15 +188,65 @@ def test_nonpositive_overlap_rejected():
 def test_reduction_matches_mp_oracle():
     with mp.workdps(50):
         tol = mp.mpf(10) ** (-mp.dps + 10)
-        mats, systems = systems_n(13)
-        for label, mass_ratio in (("inf", None), ("0", M_HELIUM)):
-            system = systems[label]
-            _, K_ref, P_ref = mp_reduce_pencil(mats, mass_ratio)
-            scale = mp.mpf(2) ** system.frac_bits
-            for got, ref in ((system.K_red, K_ref), (system.P_red, P_ref)):
-                worst = max(abs(got[i][j] / scale - ref[i, j])
-                            for i in range(13) for j in range(13))
-                assert worst < tol, (label, worst)
+        for n in (13, 30):
+            mats, systems = systems_n(n)
+            for label, mass_ratio in (("inf", None), ("0", M_HELIUM)):
+                system = systems[label]
+                _, K_ref, P_ref = mp_reduce_pencil(mats, mass_ratio)
+                scale = mp.mpf(2) ** system.frac_bits
+                for got, ref in ((system.K_red, K_ref), (system.P_red, P_ref)):
+                    worst = max(abs(got[i][j] / scale - ref[i, j])
+                                for i in range(n) for j in range(n))
+                    assert worst < tol, (n, label, worst)
+
+
+def count_factors(monkeypatch):
+    calls = []
+    cholesky = eigen._cholesky
+
+    def counted(Wq, F):
+        calls.append(F)
+        return cholesky(Wq, F)
+
+    monkeypatch.setattr(eigen, "_cholesky", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", [1, 7, 13, 50])
+def test_width_covers_the_measured_conditioning(monkeypatch, n):
+    # the float64 estimate sizes the one factor: F - mp.prec - 32 is at
+    # least the cond_bits measured on that factor
+    mats = build_operator_matrices(enumerate_basis(n))
+    calls = count_factors(monkeypatch)
+    with mp.workdps(50):
+        systems = build_systems(mats, mass_ratio=M_HELIUM)
+        guard = mp.prec + eigen._GUARD_BITS
+    assert calls == [systems["inf"].frac_bits]
+    for system in systems.values():
+        assert system.frac_bits - guard >= system.cond_bits >= 0
+
+
+def _no_factor(W):
+    raise np.linalg.LinAlgError("float64 cannot factor W")
+
+
+@pytest.mark.parametrize("estimate", [lambda W: 0, _no_factor])
+def test_low_estimate_refactors_once(monkeypatch, estimate):
+    # an estimate below the measured cond_bits (0, or float64 failing)
+    # costs one more factor at the measured width, and the solve agrees
+    mats = build_operator_matrices(enumerate_basis(13))
+    k = mp.mpf("2.0451487")
+    with mp.workdps(50):
+        reference = build_systems(mats, mass_ratio=M_HELIUM)["0"]
+        E_ref, *_ = solve_fixed_k(reference, k)
+        calls = count_factors(monkeypatch)
+        monkeypatch.setattr(eigen, "_cond_estimate", estimate)
+        system = build_systems(mats, mass_ratio=M_HELIUM)["0"]
+        guard = mp.prec + eigen._GUARD_BITS
+        assert len(calls) == 2 and calls[0] == guard
+        assert calls[1] == system.frac_bits == guard + system.cond_bits
+        E, *_ = solve_fixed_k(system, k)
+        assert abs(E - E_ref) <= mp.mpf(2) ** -(mp.prec - 8)
 
 
 def test_reduced_forms_are_exactly_symmetric():
@@ -299,7 +350,7 @@ def test_float_seed_failures():
         # the mp secant then starts at k_init and still lands on the root
         fallback = optimize_k(system, k_init=0.5)
         assert abs(fallback.k_opt - optimize_k(system).k_opt) < mp.mpf("1e-20")
-        bad = ReducedSystem(system.L, system.K_red, system.P_red,
+        bad = ReducedSystem(system.L_inv, system.K_red, system.P_red,
                             system.frac_bits)
         bad.K_float[0, 0] = float("nan")
         assert eigen._float_root(bad, 2.0) is None
@@ -375,18 +426,22 @@ def test_float_seed_past_n70(monkeypatch):
             == "2.3427513163141567228"
 
 
-def test_leading_block_is_the_prefix_reduction():
+def test_leading_block_is_the_prefix_reduction(monkeypatch):
     with mp.workdps(50):
         _, big = systems_n(13)
         mats7 = build_operator_matrices(enumerate_basis(7))
+        F = big["inf"].frac_bits
+        # size the 7-term stage at the 13-term stage's width
+        monkeypatch.setattr(eigen, "_cond_estimate",
+                            lambda W: F - mp.prec - eigen._GUARD_BITS)
         for label in ("inf", "0"):
-            F = big[label].frac_bits
             lead = big[label].leading(7)
-            alone = eigen._reduce_at(mats7, F, M_HELIUM, (label,))[label]
+            alone = build_systems(mats7, M_HELIUM, (label,))[label]
             assert lead.n == 7 and lead.label == label
-            assert lead.frac_bits == F
-            assert lead.L == alone.L
+            assert lead.frac_bits == alone.frac_bits == F
+            assert lead.L_inv == alone.L_inv
             assert lead.K_red == alone.K_red
             assert lead.P_red == alone.P_red
             assert (lead.K_float == alone.K_float).all()
+            assert (lead.P_float == alone.P_float).all()
             assert big[label].leading(13) is big[label]

@@ -299,7 +299,8 @@ def test_cli_verbs_read_no_environment(args, env):
 
 
 def test_cli_verbose_logs_the_k_search_to_stderr():
-    # csv carries no wall times, so equal output is byte for byte
+    # csv carries no wall times, so equal output is byte for byte; the stage
+    # line and the k-search trace go to stderr only
     args = ["--format", "csv", "sweep", "--n-list", "7"]
     plain = runner.invoke(main, args)
     verbose = runner.invoke(main, ["--verbose"] + args)
@@ -307,6 +308,10 @@ def test_cli_verbose_logs_the_k_search_to_stderr():
     assert verbose.stdout == plain.stdout
     assert plain.stderr == ""
     lines = verbose.stderr.splitlines()
+    # one shared stage at N = 7, factored once
+    stage = [line for line in lines if line.startswith("hyhe: stage: ")]
+    assert len(stage) == 1 and stage[0].startswith("hyhe: stage: n=7 F=")
+    assert stage[0].endswith(" factors=1")
     for label in ("inf", "0"):
         head = f"hyhe: k-search {label}: "
         assert sum(line.startswith(head + "solve k=") for line in lines) == 3
