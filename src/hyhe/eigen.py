@@ -6,24 +6,36 @@ generalized eigenproblem; W is positive definite, so a Cholesky reduction
 W = L L' turns it into an ordinary one for x = L'c.
 
 The linear algebra runs on Python ints in fixed point: a real v is held as
-round(v * 2**F), built straight from the exact Fractions.  The width rule is
-F >= mp.prec + 32 + cond_bits, cond_bits = floor(log2(max W_jj / min pivot))
-measured on the int Cholesky factor itself.  A float64 Cholesky of the
-diagonally scaled W estimates cond_bits + 1 beforehand, so W is factored once,
-at that width, and refactored only if the factor's own pivot asks for more.
-The factor is inverted by forward substitution, and each symmetric form A
-(P, K, K_0) is reduced through that one L^{-1} as L^{-1} A L^{-T}, lower half
-only, in n^3/2 products: with both Hamiltonians the stage costs about
-1.83 n^3 products (factor n^3/6, inverse n^3/6, three forms 3 n^3/2), the
-textbook symmetric-definite reduction (LAPACK xSYGST).
+round(v * 2**F).  The width rule is F >= mp.prec + 32 + cond_bits,
+cond_bits = floor(log2(max W_jj / min pivot)) measured on the int Cholesky
+factor itself.  A float64 Cholesky of the diagonally scaled W estimates
+cond_bits + 1 beforehand, so W is factored once, at that width, and
+refactored only if the factor's own pivot asks for more.  The factor is
+inverted by forward substitution, and each symmetric form A (P, K, K_0) is
+reduced through that one L^{-1} as L^{-1} A L^{-T}, lower half only, in
+n^3/2 products: with both Hamiltonians the stage costs about 1.83 n^3
+products (factor n^3/6, inverse n^3/6, three forms 3 n^3/2), the textbook
+symmetric-definite reduction (LAPACK xSYGST).
 
-At each k the solve runs on B(k) = k K + P rather than A(k) = k^2 K + k P:
-B has A's eigenvectors and theta_A = k theta_B, and it costs one product per
-entry instead of two.  float64 eigh of B gives a seed vector and an
-approximate eigenbasis; each step then takes the residual of x exactly on
-the ints and removes it in that eigenbasis, with the lowest mode projected
-out, until the correction falls below the working precision.  Results leave
-the kernel as mpf at the working precision.
+Every hot product keeps one factor narrow, the mixed-precision idea of
+iterative refinement (N. J. Higham, Accuracy and Stability of Numerical
+Algorithms, SIAM 2002, ch. 12): only the residual needs full width.  Each
+form is read as exact ints over one denominator (integer_matrix; every
+matrix the program builds has a power-of-two denominator of at most 256
+and numerators of at most 37 bits at N = 50), and K_0 = ((M + 1) K +
+M_pol) / M is formed exactly from M's exact value.  So L^{-1} A, two
+thirds of a form's products, multiplies F-bit ints by those numerators.
+
+At each k the solve works with B(k) = k K + P rather than A(k) = k^2 K +
+k P: B has A's eigenvectors and theta_A = k theta_B.  float64 eigh of B's
+float copy gives a seed vector and an approximate eigenbasis; each step
+then takes the residual of x exactly on the ints and removes it in that
+eigenbasis, with the lowest mode projected out, until the correction falls
+below the working precision.  x is built from float64-sized chunks of at
+most 54 bits, and K x and P x are kept as exact integer accumulators that
+each chunk updates, so every matvec multiplies an F-bit form by a narrow
+vector and B is never built.  Results leave the kernel as mpf at the
+working precision.
 
 Minimizing over k at the solved state gives the fixed-point map
 k <- -P_q / (2 K_q).  The map is a contraction with rate 1 - O(1e-5), so
@@ -100,9 +112,20 @@ class VariationalResult:
     coeffs: list              # mpf list, normalized c'Wc = 1
     n_basis: int
     iterations: int           # outer (k) iterations
-    residual: object          # ||A x - E x|| / ||A||, reduced coordinates
+    residual: object          # ||B x - theta x|| / (||x|| ||B||), B = kK + P
     trace: list = field(default_factory=list)   # [(k, E)] per mp solve
     k_err: object = None      # |h(k_opt) / s|, s the last secant slope (mpf)
+
+
+def _exact(v):
+    """v as an exact Fraction: an mpf by its mantissa and exponent, anything
+    else (str, int, float, Fraction) as Fraction reads it."""
+    if not isinstance(v, mp.mpf):
+        return Fraction(v)
+    man, exp = v.man_exp            # man is the magnitude
+    if v < 0:
+        man = -man
+    return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
 
 
 def _fixed(q, F):
@@ -113,44 +136,41 @@ def _fixed(q, F):
 
 def _fixed_mpf(v, F):
     """round(v * 2**F) for a real v that mp.mpf accepts; keeps the sign."""
-    v = mp.mpf(v)
-    man, exp = v.man_exp            # man is the magnitude
-    if v < 0:
-        man = -man
-    return _fixed(Fraction(man << exp) if exp >= 0
-                  else Fraction(man, 1 << -exp), F)
+    return _fixed(_exact(mp.mpf(v)), F)
 
 
 def _to_mpf(v, F):
     return mp.ldexp(mp.mpf(v), -F)
 
 
-def _fixed_matrix(frac_matrix, F):
-    """_fixed of every entry of a matrix of Fractions (or ints), read in place."""
-    return [[((v.numerator << (F + 1)) // v.denominator + 1) >> 1
-             for v in row] for row in frac_matrix]
+def integer_matrix(matrix):
+    """(ints, D) with matrix = ints / D exactly, for a matrix of Fractions
+    (or ints): D is the lcm of the entries' denominators."""
+    D = math.lcm(*(v.denominator for row in matrix for v in row))
+    return [[v.numerator * (D // v.denominator) for v in row]
+            for row in matrix], D
 
 
 def _cholesky(Wq, F):
-    """Fixed-point L with Wq = L L', and the smallest pivot L_jj^2 (scale 4**F).
+    """Fixed-point L with Wq = L L', and its pivots L_jj^2 (scale 4**F).
 
     Raises ValueError, as mp.cholesky does, when W is not positive definite.
     """
     n = len(Wq)
     L = [[0] * n for _ in range(n)]
-    min_pivot = None
+    pivots = []
     for j in range(n):
         Lj = L[j]
         d = (Wq[j][j] << F) - sum(v * v for v in Lj[:j])
         if d <= 0:
             raise ValueError(
                 f"overlap matrix is not positive definite (pivot {j})")
-        min_pivot = d if min_pivot is None else min(min_pivot, d)
+        pivots.append(d)
         Lj[j] = ljj = math.isqrt(d)
         for i in range(j + 1, n):
             Li = L[i]
             Li[j] = ((Wq[i][j] << F) - sum(map(mul, Li[:j], Lj))) // ljj
-    return L, min_pivot
+    return L, pivots
 
 
 def _inverse_lower(L, F):
@@ -173,17 +193,21 @@ def _inverse_lower(L, F):
     return X
 
 
-def _reduce_sym(L_inv, A, F):
-    """L^{-1} A L^{-T} for symmetric A, from the ragged rows of L^{-1}.
+def _reduce_sym(L_inv, A, D, F):
+    """L^{-1} A L^{-T} at scale 2**F for symmetric A = ints / D, exact.
 
-    Row i takes Y_ib = sum_{a<=i} L^{-1}_ia A_ab for b <= i, then
-    R_ij = sum_{b<=j} Y_ib L^{-1}_jb for j <= i, and mirrors it, so the
-    result is exactly symmetric: n^3/2 products, and row i reads only
-    leading entries.
+    Row i takes Y_ib = floor(sum_{a<=i} L^{-1}_ia A_ab) for b <= i straight
+    from the exact ints, so each of those products is F bits by the width
+    of A's numerators (37 bits at N = 50); then R_ij = sum_{b<=j} Y_ib
+    L^{-1}_jb for j <= i, and mirrors it, so the result is exactly
+    symmetric: n^3/2 products, two thirds of them narrow, and row i reads
+    only leading entries.  Y does not depend on how A is written over D,
+    and where 2**F A is integral it equals the reduction of that F-bit copy
+    int for int.
     """
     R = []
     for i, Xi in enumerate(L_inv):
-        Y = [sum(map(mul, Xi, A[b])) >> F for b in range(i + 1)]
+        Y = [sum(map(mul, Xi, A[b])) // D for b in range(i + 1)]
         R.append([sum(map(mul, Y, Xj)) >> F for Xj in L_inv[:i + 1]])
     for i, row in enumerate(R):
         row.extend(R[j][i] for j in range(i + 1, len(R)))
@@ -195,12 +219,16 @@ def _float_copy(R, F):
     return np.array([[v / scale for v in row] for row in R])
 
 
-def _matvec(A, x, F):
-    return [sum(map(mul, row, x)) >> F for row in A]
+def _matvec(A, v):
+    """A v exactly on the ints; the solve keeps every v at most 54 bits wide."""
+    return [sum(map(mul, row, v)) for row in A]
 
 
-def _dot(x, y, F):
-    return sum(map(mul, x, y)) >> F
+def _cond_bits(pivots):
+    """floor(log2(max W_jj / min pivot_j)) over (W_jj, pivot_j) pairs at one
+    scale."""
+    return (max(w for w, _ in pivots)
+            // min(d for _, d in pivots)).bit_length() - 1
 
 
 class ReducedSystem:
@@ -210,20 +238,22 @@ class ReducedSystem:
     2**frac_bits: the inverse Cholesky factor (ragged rows, j <= i) for
     back-transforming coefficients and the reduced kinetic-like and potential
     forms.  K_float/P_float are float64 copies; their eigenbasis seeds the
-    eigensolve and carries its residual corrections.  cond_bits is
-    floor(log2(max W_jj / min pivot)) of the stage's factor, which sized
+    eigensolve and carries its residual corrections.  pivots holds the
+    factor's (W_jj, L_jj^2) pairs, both at scale 4**frac_bits, and cond_bits
+    = floor(log2(max W_jj / min pivot)) over them; the stage's value sized
     frac_bits.
     """
 
     def __init__(self, L_inv, K_red, P_red, frac_bits, label="",
-                 cond_bits=0, K_float=None, P_float=None):
+                 pivots=(), K_float=None, P_float=None):
         self.L_inv = L_inv
         self.n = len(L_inv)
         self.K_red = K_red
         self.P_red = P_red
         self.frac_bits = frac_bits
         self.label = label
-        self.cond_bits = cond_bits
+        self.pivots = pivots
+        self.cond_bits = _cond_bits(pivots) if pivots else 0
         self.K_float = (_float_copy(K_red, frac_bits) if K_float is None
                         else K_float)
         self.P_float = (_float_copy(P_red, frac_bits) if P_float is None
@@ -234,7 +264,7 @@ class ReducedSystem:
 
         _cholesky, _inverse_lower and _reduce_sym read only leading entries,
         so these blocks equal a reduction of the n-term prefix at this F,
-        int for int.
+        int for int, and the leading pivots give the prefix's cond_bits.
         """
         if n == self.n:
             return self
@@ -242,7 +272,7 @@ class ReducedSystem:
                              [row[:n] for row in self.K_red[:n]],
                              [row[:n] for row in self.P_red[:n]],
                              self.frac_bits, label=self.label,
-                             cond_bits=self.cond_bits,
+                             pivots=self.pivots[:n],
                              K_float=self.K_float[:n, :n],
                              P_float=self.P_float[:n, :n])
 
@@ -257,14 +287,13 @@ class ReducedSystem:
         return [_to_mpf(v, F) for v in c]
 
 
-def _cond_estimate(W):
-    """floor(log2(max W_jj / min pivot)) + 1 for W = L L', from float64.
+def _cond_estimate(Wf):
+    """floor(log2(max W_jj / min pivot)) + 1 for W = L L', from float64 Wf.
 
     numpy factors the diagonally scaled W_ij / sqrt(W_ii W_jj) = Lf Lf';
     the pivot L_jj^2 of W is Lf_jj^2 W_jj.  Raises LinAlgError where float64
     cannot factor W.
     """
-    Wf = np.array([[float(v) for v in row] for row in W])
     d = Wf.diagonal()
     if not (d > 0).all():
         raise np.linalg.LinAlgError("overlap diagonal is not positive")
@@ -273,9 +302,9 @@ def _cond_estimate(W):
     return math.floor(math.log2(d.max() / (Lf.diagonal() ** 2 * d).min())) + 1
 
 
-def _factor(W):
-    """The fixed-point Cholesky factor of W at the width its conditioning
-    needs: (L, F, cond_bits).
+def _factor(W, D):
+    """The fixed-point Cholesky factor of W = ints / D at the width its
+    conditioning needs: (L, F, pivots), pivots as ReducedSystem keeps them.
 
     cond_bits = floor(log2(max W_jj / min pivot)) is the growth the
     reduction suffers from the conditioning of W, and F must cover
@@ -288,22 +317,35 @@ def _factor(W):
     """
     guard = mp.prec + _GUARD_BITS
     try:
-        estimate = _cond_estimate(W)
+        estimate = _cond_estimate(np.array(W, dtype=float) / D)
     except np.linalg.LinAlgError:
         estimate = 0
     F, factors = guard + estimate, 0
     while True:
-        Wq = _fixed_matrix(W, F)
-        L, min_pivot = _cholesky(Wq, F)
+        Wq = [[((v << (F + 1)) // D + 1) >> 1 for v in row] for row in W]
+        L, pivots = _cholesky(Wq, F)
         factors += 1
-        max_diag = max(row[j] for j, row in enumerate(Wq))
-        cond_bits = ((max_diag << F) // min_pivot).bit_length() - 1
+        pivots = [(row[j] << F, d)
+                  for j, (row, d) in enumerate(zip(Wq, pivots))]
+        cond_bits = _cond_bits(pivots)
         if cond_bits <= F - guard:
             break
         F = guard + cond_bits
     _debug("stage: n=%d F=%d cond_bits=%d estimate=%d factors=%d",
            len(W), F, cond_bits, estimate, factors)
-    return L, F, cond_bits
+    return L, F, pivots
+
+
+def _moving_nucleus_form(K, M_pol, mass_ratio):
+    """K_0 = ((M + 1) K + M_pol) / M as (ints, D), from K and M_pol as
+    integer_matrix gives them and M read exactly (str, int or mpf)."""
+    (K, DK), (M_pol, DM) = K, M_pol
+    M = _exact(mass_ratio)
+    D = math.lcm(DK, DM)
+    a = (M.numerator + M.denominator) * (D // DK)
+    b = M.denominator * (D // DM)
+    return ([[a * x + b * y for x, y in zip(rk, rm)]
+             for rk, rm in zip(K, M_pol)], M.numerator * D)
 
 
 def build_systems(matrices, mass_ratio=None, include=("inf", "0")):
@@ -313,35 +355,33 @@ def build_systems(matrices, mass_ratio=None, include=("inf", "0")):
     nuclear motion in: K_0 = (1 + 1/M) K + (1/M) M_pol, which inherits the
     k^2 scaling tag, so the same Rayleigh-quotient machinery applies.
 
-    W is factored once, at F >= mp.prec + _GUARD_BITS + cond_bits fraction
-    bits (_factor), and inverted by forward substitution; P, K and K_0 are
-    each reduced through that one L^{-1} in n^3/2 products (_reduce_sym).
-    With both Hamiltonians that is about 1.83 n^3 products in all: n^3/6
-    for the factor, n^3/6 for the inverse and n^3/2 for each of the three
-    forms.  The systems share L^{-1}, P_red and its float64 copy.
+    Every form is read once as exact ints over one denominator
+    (integer_matrix); K_0 is formed exactly from K, M_pol and M.  W is
+    factored once, at F >= mp.prec + _GUARD_BITS + cond_bits fraction bits
+    (_factor), and inverted by forward substitution; P, K and K_0 are each
+    reduced from their exact ints through that one L^{-1} in n^3/2 products
+    (_reduce_sym), two thirds of them F bits by the narrow numerators.  The
+    systems share L^{-1}, P_red and its float64 copy.
     """
     if "0" in include and mass_ratio is None:
         raise ValueError("nuclear-motion Hamiltonian needs a mass ratio")
-    L, F, cond_bits = _factor(matrices.W)
+    L, F, pivots = _factor(*integer_matrix(matrices.W))
     L_inv = _inverse_lower(L, F)
-    P_red = _reduce_sym(L_inv, _fixed_matrix(matrices.P, F), F)
+    P_red = _reduce_sym(L_inv, *integer_matrix(matrices.P), F)
     P_float = _float_copy(P_red, F)
 
-    def system(K, label):
-        return ReducedSystem(L_inv, _reduce_sym(L_inv, K, F), P_red, F,
-                             label=label, cond_bits=cond_bits,
-                             P_float=P_float)
+    def system(form, label):
+        return ReducedSystem(L_inv, _reduce_sym(L_inv, *form, F), P_red, F,
+                             label=label, pivots=pivots, P_float=P_float)
 
-    K = _fixed_matrix(matrices.K, F)
+    K = integer_matrix(matrices.K)
     systems = {}
     if "inf" in include:
         systems["inf"] = system(K, "inf")
     if "0" in include:
-        minv = _fixed_mpf(1 / mp.mpf(mass_ratio), F)
-        M_pol = _fixed_matrix(matrices.M_pol, F)
-        K0 = [[a + ((minv * (a + b)) >> F) for a, b in zip(rk, rm)]
-              for rk, rm in zip(K, M_pol)]
-        systems["0"] = system(K0, "0")
+        form = _moving_nucleus_form(K, integer_matrix(matrices.M_pol),
+                                    mass_ratio)
+        systems["0"] = system(form, "0")
     return systems
 
 
@@ -362,31 +402,46 @@ def _normalized(y, F):
     return [(v << F) // norm for v in y]
 
 
+def _chunk(d, scale):
+    """(ints, shift), shift >= 0, with ints * 2**shift the float64 vector
+    d * 2**scale on the integer grid.
+
+    The ints keep the 53 bits of the largest entry's float64 mantissa (one
+    more if rounding carries); where the shift would go negative they are d
+    rounded to the grid instead, and narrower still.
+    """
+    e = max(math.frexp(float(np.abs(d).max()))[1] - 53, -scale)
+    return [int(v) for v in np.rint(np.ldexp(d, -e))], scale + e
+
+
 def _lowest_pair(system, k):
-    """Smallest eigenpair (theta_B, x) of B(k) = k K_red + P_red, as ints.
+    """Smallest eigenpair of B(k) = k K_red + P_red: (theta_B, x, K_q,
+    residual), theta_B and K_q = x'K_red x at scale 2**F and x the unit
+    eigenvector, as ints.
 
     B has the eigenvectors of A(k) = k^2 K_red + k P_red, the pencil the
-    energy is read from, and theta_A = k theta_B; B costs one product per
-    entry, and only its lower half is computed (the upper half refers to
-    the same ints).  float64 eigh gives the seed x and an approximate
-    eigenbasis (mu_i, v_i).  Each step takes theta = x'Bx and
-    r = Bx - theta x exactly on the ints and removes r in that basis with
-    the lowest mode projected out:
-    x <- x - sum_{i>=1} v_i (v_i'r) / (mu_i - theta).  A step gains about
+    energy is read from, and theta_A = k theta_B.  B itself is never built:
+    x is a sum of float64-sized chunks (_chunk), and Kx = K_red x and
+    Px = P_red x are kept as exact integer accumulators, each updated by
+    the products of the F-bit forms with one chunk of at most 54 bits.
+    float64 eigh of the float copy of B gives the first chunk and an
+    approximate eigenbasis (mu_i, v_i).  Each step takes Bx = k Kx + Px,
+    theta = x'Bx / x'x and r = Bx - theta x exactly on the ints and removes
+    r in that basis with the lowest mode projected out: the next chunk is
+    -sum_{i>=1} v_i (v_i'r) / (mu_i - theta).  A step gains about
     log2(gap / (n eps |B|)) bits, so a gap the float64 eigenbasis cannot
-    resolve by _SEED_BITS bits raises, as does a run out of steps.  The
-    residual ||r|| / ||B|| does not depend on the scale of the matrix, so
-    it is also A's.
+    resolve by _SEED_BITS bits raises, as does a run out of steps.  x is
+    normalized once, at exit.  The residual ||r|| / (||x|| ||B||), with
+    ||B|| the row-sum norm of the float64 copy, does not depend on the
+    scale of the matrix, so it is also A's.
     """
     n, F = system.n, system.frac_bits
+    K, P = system.K_red, system.P_red
     k = mp.mpf(k)
     kq = _fixed_mpf(k, F)
-    B = [[((kq * a) >> F) + b for a, b in zip(rk[:i + 1], rp)]
-         for i, (rk, rp) in enumerate(zip(system.K_red, system.P_red))]
-    for i, row in enumerate(B):
-        row.extend(B[j][i] for j in range(i + 1, n))
     kf = float(k)
-    evals, evecs = np.linalg.eigh(kf * system.K_float + system.P_float)
+    B_float = kf * system.K_float + system.P_float
+    evals, evecs = np.linalg.eigh(B_float)
     if n > 1:
         gap = evals[1] - evals[0]
         resolved = (2 ** _SEED_BITS * n * np.finfo(float).eps
@@ -398,26 +453,35 @@ def _lowest_pair(system, k):
                 "eigenbasis resolves")
     V, lam = evecs[:, 1:], evals[1:]
     tol = 1 << max(0, F - mp.prec)
-    x = _normalized([_fixed(v, F) for v in evecs[:, 0]], F)
+    # x at scale 2**F; Kx, Px and r at scale 4**F
+    dx, shift = _chunk(evecs[:, 0], F)
+    x = [v << shift for v in dx]
+    Kx = [v << shift for v in _matvec(K, dx)]
+    Px = [v << shift for v in _matvec(P, dx)]
     for _ in range(_MAX_STEPS):
-        Bx = _matvec(B, x, F)
-        theta = _dot(x, Bx, F)
-        r = [a - ((theta * b) >> F) for a, b in zip(Bx, x)]
+        xx = sum(v * v for v in x)
+        Bx = [((kq * a) >> F) + b for a, b in zip(Kx, Px)]
+        theta = sum(map(mul, x, Bx)) // xx
+        r = [a - theta * b for a, b in zip(Bx, x)]
         # r at ~60 significant bits keeps float() finite for any F
         s = max(0, max(map(abs, r)).bit_length() - 60)
         r_f = np.array([float(v >> s) for v in r])
         d = V @ ((V.T @ r_f) / (lam - theta / (1 << F)))
-        dx = [round(v) << s for v in d.tolist()]
-        if max(map(abs, dx)) <= tol:
+        dx, shift = _chunk(d, s - F)
+        if max(map(abs, dx)) << shift <= tol:
             break
-        x = _normalized([a - b for a, b in zip(x, dx)], F)
+        x = [a - (b << shift) for a, b in zip(x, dx)]
+        Kx = [a - (b << shift) for a, b in zip(Kx, _matvec(K, dx))]
+        Px = [a - (b << shift) for a, b in zip(Px, _matvec(P, dx))]
     else:
         raise ConvergenceError(
             f"eigenpair correction at k={mp.nstr(k, 17)} did not converge: "
             f"step cap {_MAX_STEPS} reached")
-    b_norm = max(sum(map(abs, row)) for row in B)
-    residual = mp.mpf(math.isqrt(sum(v * v for v in r))) / max(b_norm, 1 << F)
-    return theta, x, residual
+    K_q = sum(map(mul, x, Kx)) // xx
+    b_norm = max(float(np.abs(B_float).sum(axis=1).max()), 1.0)
+    residual = (mp.mpf(math.isqrt(sum(v * v for v in r)))
+                / (mp.ldexp(math.isqrt(xx), F) * b_norm))
+    return theta, _normalized(x, F), K_q, residual
 
 
 def solve_fixed_k(system, k):
@@ -427,14 +491,13 @@ def solve_fixed_k(system, k):
     2**system.frac_bits; the rest are mpf.  E = k theta_B, K_q = x'K_red x
     and P_q = theta_B - k K_q, all on the ints.
     """
-    theta, x, residual = _lowest_pair(system, k)
+    theta, x, K_q, residual = _lowest_pair(system, k)
     F = system.frac_bits
-    kq = _fixed_mpf(k, F)
-    K_q = _dot(x, _matvec(system.K_red, x, F), F)
     if K_q <= 0:
         raise AssemblyError(
             f"kinetic quadratic form is not positive (K_q = "
             f"{mp.nstr(_to_mpf(K_q, F), 8)}); operator assembly is broken")
+    kq = _fixed_mpf(k, F)
     P_q = theta - ((kq * K_q) >> F)
     return (_to_mpf((kq * theta) >> F, F), x, _to_mpf(K_q, F),
             _to_mpf(P_q, F), residual)

@@ -45,11 +45,12 @@ throughout.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from mpmath import mp
 
 from .basis import padd, pdiff, pmul, pscale, pshift, psquare
-from .eigen import _fixed, _fixed_mpf, _to_mpf
+from .eigen import _fixed, _fixed_mpf, _to_mpf, integer_matrix
 from .integrals import raw_moment
 
 # geometric weight polynomials (coordinates s, t, u; keys are exponents)
@@ -251,15 +252,13 @@ def check_normalized(W, coeffs):
     """Return the overlap quadratic form; raise unless it is 1 within _NORM_TOL.
 
     c'Wc is summed exactly on ints: c at scale 2**F (F = mp.prec +
-    _SUM_GUARD_BITS) and W over D, the lcm of its denominators.  The sum
-    is cut to scale 2**F and made one mpf at the working precision.
+    _SUM_GUARD_BITS) and W as integer_matrix reads it, ints over one D.
+    The sum is cut to scale 2**F and made one mpf at the working precision.
     """
     F = mp.prec + _SUM_GUARD_BITS
     c = [_fixed_mpf(v, F) for v in coeffs]
-    D = math.lcm(*(w.denominator for row in W for w in row))
-    total = sum(ci * sum(cj * w.numerator * (D // w.denominator)
-                         for cj, w in zip(c, row))
-                for ci, row in zip(c, W))
+    W, D = integer_matrix(W)
+    total = sum(ci * sum(map(mul, c, row)) for ci, row in zip(c, W))
     wq = _to_mpf(total // (D << F), F)
     if abs(wq - 1) > _NORM_TOL:
         raise NormalizationError(

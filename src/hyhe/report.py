@@ -197,7 +197,7 @@ def compute_row(n, config, constants, stage=None):
     stage is a build_stage result at any size >= n at this precision; each
     row solves its leading n x n block.  Without one the row builds its own.
     """
-    t0 = time.time()
+    t0 = time.perf_counter()
     with mp.workdps(config.precision_digits):
         basis, mats, systems = stage or build_stage(n, constants)
         res_inf, res_0 = ground_state_pair(
@@ -217,7 +217,7 @@ def compute_row(n, config, constants, stage=None):
             residual=mp.nstr(res_0.residual, 3),
             k_err=mp.nstr(res_0.k_err, 3),
             solves=len(res_inf.trace) + len(res_0.trace),
-            wall_time=f"{time.time() - t0:.2f}",
+            wall_time=f"{time.perf_counter() - t0:.2f}",
         )
     return row, (res_inf, res_0, exps, breakdown)
 

@@ -11,7 +11,8 @@ from hyhe.eigen import (AssemblyError, ConvergenceError, ReducedSystem,
                         build_systems, ground_state_pair, optimize_k,
                         solve_fixed_k)
 from hyhe.matrices import build_operator_matrices, check_normalized
-from support.oracles import mp_reduce_pencil, mp_solve_fixed_k, plain_optimize_k
+from support.oracles import (fixed_copy_reduction, mp_reduce_pencil,
+                             mp_solve_fixed_k, plain_optimize_k)
 
 M_HELIUM = "7294.299508"
 
@@ -198,6 +199,81 @@ def test_reduction_matches_mp_oracle():
                     worst = max(abs(got[i][j] / scale - ref[i, j])
                                 for i in range(n) for j in range(n))
                     assert worst < tol, (n, label, worst)
+
+
+@pytest.mark.parametrize("n, dps", [(13, 50), (50, 50), (40, 100)])
+def test_exact_reduction_is_the_fixed_copy_route(n, dps):
+    # every form the program builds has a power-of-two denominator of at
+    # most 256, so 2**F A is integral and reducing the exact ints gives the
+    # ints of the F-bit copies; K_0 moves by the copy route's rounding of
+    # 1/M to mp.prec bits, measured at 2**-(prec + 13.4) of its largest
+    # entry at all three sizes
+    with mp.workdps(dps):
+        mats, systems = systems_n(n)
+        K_ref, P_ref = fixed_copy_reduction(mats, systems["inf"])
+        assert systems["inf"].K_red == K_ref
+        assert systems["inf"].P_red == systems["0"].P_red == P_ref
+        K0_ref, _ = fixed_copy_reduction(mats, systems["0"], M_HELIUM)
+        K0 = systems["0"].K_red
+        bound = max(abs(v) for row in K0 for v in row) >> (mp.prec + 8)
+        assert max(abs(a - b) for got, ref in zip(K0, K0_ref)
+                   for a, b in zip(got, ref)) <= bound
+
+
+def odd_pencil():
+    """A 3-term pencil whose entries have denominators 3, 5 and 7."""
+    f = Fraction
+    W = [[f(1), f(1, 3), f(1, 5)], [f(1, 3), f(2), f(1, 7)],
+         [f(1, 5), f(1, 7), f(3)]]
+    K = [[f(2, 3), f(1, 5), f(0)], [f(1, 5), f(5, 7), f(1, 3)],
+         [f(0), f(1, 3), f(9, 5)]]
+    P = [[f(-7, 3), f(2, 5), f(1, 7)], [f(2, 5), f(-11, 5), f(-1, 3)],
+         [f(1, 7), f(-1, 3), f(-17, 7)]]
+    M_pol = [[f(1, 7), f(-1, 3), f(0)], [f(-1, 3), f(2, 5), f(1, 5)],
+             [f(0), f(1, 5), f(-3, 7)]]
+    return SimpleNamespace(n_basis=3, W=W, K=K, P=P, M_pol=M_pol)
+
+
+@pytest.mark.parametrize("mass_ratio", [M_HELIUM, mp.mpf(M_HELIUM)],
+                         ids=["str", "mpf"])
+def test_reduction_over_odd_denominators(mass_ratio):
+    # the floor division by D = 105 (and by num(M) D for K_0) keeps the
+    # reduction within the mp oracle's tolerance, and M is read exactly
+    mats = odd_pencil()
+    with mp.workdps(50):
+        tol = mp.mpf(10) ** (-mp.dps + 10)
+        systems = build_systems(mats, mass_ratio=mass_ratio)
+        k = mp.mpf("1.5")
+        for label, M in (("inf", None), ("0", mass_ratio)):
+            system = systems[label]
+            L, K_ref, P_ref = mp_reduce_pencil(mats, M)
+            scale = mp.mpf(2) ** system.frac_bits
+            for got, ref in ((system.K_red, K_ref), (system.P_red, P_ref)):
+                assert max(abs(got[i][j] / scale - ref[i, j])
+                           for i in range(3) for j in range(3)) < tol, label
+            E, *_ = solve_fixed_k(system, k)
+            E_ref, *_ = mp_solve_fixed_k(L, K_ref, P_ref, k)
+            assert abs(E - E_ref) < tol, label
+
+
+def test_matvecs_take_narrow_vectors(monkeypatch):
+    # the solve multiplies the F-bit forms only by float64-sized chunks:
+    # no vector entry of a matvec is wider than 64 bits, at F = 215 and
+    # F = 1112
+    widths = []
+    matvec = eigen._matvec
+
+    def counted(A, v):
+        widths.append(max(abs(a).bit_length() for a in v))
+        return matvec(A, v)
+
+    monkeypatch.setattr(eigen, "_matvec", counted)
+    for dps in (50, 320):
+        with mp.workdps(dps):
+            _, systems = systems_n(13)
+            res = optimize_k(systems["0"])
+        assert len(widths) >= 4 * len(res.trace), dps
+    assert max(widths) <= 64
 
 
 def count_factors(monkeypatch):
@@ -439,6 +515,7 @@ def test_leading_block_is_the_prefix_reduction(monkeypatch):
             alone = build_systems(mats7, M_HELIUM, (label,))[label]
             assert lead.n == 7 and lead.label == label
             assert lead.frac_bits == alone.frac_bits == F
+            assert lead.cond_bits == alone.cond_bits
             assert lead.L_inv == alone.L_inv
             assert lead.K_red == alone.K_red
             assert lead.P_red == alone.P_red
