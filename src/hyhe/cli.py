@@ -6,8 +6,9 @@ and output format; each can also come from one environment variable
 (HYHE_CONFIG_PATH, HYHE_PRECISION_DIGITS, HYHE_ALPHA, HYHE_OUTPUT).  An
 option beats its variable, which beats the config file.  The verbs read
 their options from the command line only.  The global `--verbose` flag
-sends the "hyhe" logger's DEBUG records (one line per reduction stage with
-its width and conditioning, and the k-search trace) to stderr;
+sends the "hyhe" logger's DEBUG records (one line per stage with its width
+and float64 conditioning estimate, and the k-search trace with each solve's
+step count) to stderr;
 stdout is the same with or without it.
 
 Exit codes: 0 all rows ok, 1 at least one row failed, 2 usage error.
@@ -45,7 +46,7 @@ class _App:
               default=None, envvar="HYHE_OUTPUT",
               help="output format (default from config)")
 @click.option("--verbose", is_flag=True, default=False,
-              help="log the reduction stage and the k-search trace to stderr")
+              help="log the stage and the k-search trace to stderr")
 @click.pass_context
 def main(ctx, config_path, precision_digits, alpha, output, verbose):
     """Helium ground-state energies with relativistic and QED corrections."""

@@ -1,50 +1,58 @@
 """Generalized eigensolve and exponent optimization at arbitrary precision.
 
 The variational problem is min over (c, k) of the Rayleigh quotient
-E(k, c) = (k^2 c'Kc + k c'Pc) / c'Wc.  For fixed k this is a symmetric
-generalized eigenproblem; W is positive definite, so a Cholesky reduction
-W = L L' turns it into an ordinary one for x = L'c.
+E(k, c) = (k^2 c'Kc + k c'Pc) / c'Wc.  For fixed k this is the symmetric
+generalized eigenproblem of the pencil (A(k), W), A(k) = k^2 K + k P.  Each
+solve works with B(k) = k K + P instead: (B, W) has A's eigenvectors and
+theta_A = k theta_B.
 
-The linear algebra runs on Python ints in fixed point: a real v is held as
-round(v * 2**F).  The width rule is F >= mp.prec + 32 + cond_bits,
-cond_bits = floor(log2(max W_jj / min pivot)) measured on the int Cholesky
-factor itself.  A float64 Cholesky of the diagonally scaled W estimates
-cond_bits + 1 beforehand, so W is factored once, at that width, and
-refactored only if the factor's own pivot asks for more.  The factor is
-inverted by forward substitution, and each symmetric form A (P, K, K_0) is
-reduced through that one L^{-1} as L^{-1} A L^{-T}, lower half only, in
-n^3/2 products: with both Hamiltonians the stage costs about 1.83 n^3
-products (factor n^3/6, inverse n^3/6, three forms 3 n^3/2), the textbook
-symmetric-definite reduction (LAPACK xSYGST).
+The pencil is solved as it stands, with no reduction.  Each form is read
+once as exact ints over its own denominator (integer_matrix; every matrix
+the program builds has a power-of-two denominator of at most 256 and
+numerators of at most 37 bits at N = 50), and K_0 = ((M + 1) K + M_pol) / M
+is formed exactly from M's exact value.  One Hamiltonian's W, P and K (or
+K_0) are packed into one int per entry, Z_ij = W_ij + P_ij 2**a +
+K_ij 2**(2a) (_pack), where a leaves room for any sum of n products of a W
+or P numerator with a vector entry of at most 54 bits.  So one matvec of Z
+with such a vector, and a signed unpack, gives Wv, Pv and Kv exactly
+(_packed_matvec).
 
-Every hot product keeps one factor narrow, the mixed-precision idea of
-iterative refinement (N. J. Higham, Accuracy and Stability of Numerical
-Algorithms, SIAM 2002, ch. 12): only the residual needs full width.  Each
-form is read as exact ints over one denominator (integer_matrix; every
-matrix the program builds has a power-of-two denominator of at most 256
-and numerators of at most 37 bits at N = 50), and K_0 = ((M + 1) K +
-M_pol) / M is formed exactly from M's exact value.  So L^{-1} A, two
-thirds of a form's products, multiplies F-bit ints by those numerators.
+float64 carries the rest.  numpy's Cholesky of the diagonally scaled W,
+W_ij / sqrt(W_ii W_jj) = Lf Lf', inverted by forward substitution, gives
+T = Lf^{-1} S, S = diag(W_jj^{-1/2}), with T W T' = I to float64 accuracy,
+and the float forms K_float = T K T' and P_float = T P T'.  At each k,
+float64 eigh of k K_float + P_float gives (mu_i, v_i), and the columns u_i
+of T'V approximate the pencil's eigenvectors.  The solve is iterative
+refinement (N. J. Higham, Accuracy and Stability of Numerical Algorithms,
+SIAM 2002, ch. 12), which needs only an exact residual and an approximate
+inverse: it seeds c = u_0, keeps Wc, Pc and Kc as exact integer
+accumulators, and each step takes theta = c'Bc / c'Wc and
+r = Bc - theta Wc exactly on the ints and adds the correction
+-sum_{i>=1} u_i (u_i'r) / (mu_i - theta), the lowest mode projected out.
+c is a sum of float64-sized chunks of at most 54 bits at scale 2**F,
+F = mp.prec + 32, so the n^2 products of a step are each the packed form
+times a narrow chunk.  Results leave the kernel as mpf at the working
+precision.
 
-At each k the solve works with B(k) = k K + P rather than A(k) = k^2 K +
-k P: B has A's eigenvectors and theta_A = k theta_B.  float64 eigh of B's
-float copy gives a seed vector and an approximate eigenbasis; each step
-then takes the residual of x exactly on the ints and removes it in that
-eigenbasis, with the lowest mode projected out, until the correction falls
-below the working precision.  x is built from float64-sized chunks of at
-most 54 bits, and K x and P x are kept as exact integer accumulators that
-each chunk updates, so every matvec multiplies an F-bit form by a narrow
-vector and B is never built.  Results leave the kernel as mpf at the
-working precision.
+A step gains about log2(gap / (n eps |B| cond(W))) bits, so the
+conditioning of W, not the precision, sets how much each step gains.  With
+cond_bits = floor(log2(max W_jj / min pivot)) read off the float64
+factor, a solve takes at 50 / 100 digits 4 / 9 steps at N = 20
+(cond_bits 17), 5 / 11 at N = 40 (28), 6 / 12 at N = 50 (30), 10 / 21 at
+N = 95 (43) and 16 / 33 at N = 125 (50).  A step that fails to shrink the
+correction _MIN_SHRINK-fold raises ConvergenceError naming cond_bits: past
+cond_bits ~ 50 (N ~ 125 on the graded basis) float64 no longer resolves W,
+and there is no other solver to fall back on.
 
 Minimizing over k at the solved state gives the fixed-point map
 k <- -P_q / (2 K_q).  The map is a contraction with rate 1 - O(1e-5), so
 the plain iteration would need ~1e5 steps for 1e-12; a secant iteration on
 h(k) = g(k) - k instead lands in a handful of solves and satisfies the same
-fixed-point condition at exit.  The secant first runs on the float64 copies
-of the reduced forms, which costs no mp solve and puts k within float noise
-(~1e-11) of the root k_f.  The mp search solves at k_f, then at the Newton
-point k_f - h(k_f)/h'(k_f), with h' from first-order perturbation theory in
+fixed-point condition at exit.  The secant first runs on the float forms,
+which costs no mp solve and puts its root k_f within about 1e-10 k of the
+true one at N <= 50 (the float forms carry the float64 factor's error,
+6e-8 k at N = 95).  The mp search solves at k_f, then at the Newton point
+k_f - h(k_f)/h'(k_f), with h' from first-order perturbation theory in
 float64 (good to ~1e-9 relative); the secant through those two points meets
 its tolerance on its first step, so a search takes three mp solves.  When
 the float64 slope is unusable it falls back to a second point at k_f + 1e-8.
@@ -52,11 +60,10 @@ Past N ~ 70 the float64 secant stalls in float noise short of its
 tolerance; its best iterate still serves as k_f when the Newton step from
 it is within 1e-8 k.
 
-The bases are nested prefixes and the factor, its inverse and the reduction
-only ever read leading entries, so the leading n x n blocks of a reduction
-are, bit for bit, the reduction of the n-term prefix at the same fraction
-bits: one reduction at the largest size serves every smaller one
-(ReducedSystem.leading).
+The bases are nested prefixes, the packed forms are read entry by entry and
+T is lower triangular, so the leading n x n blocks of Z, T and the float
+forms serve the n-term prefix: one stage at the largest size serves every
+smaller one (PencilSystem.leading).
 """
 
 import math
@@ -68,15 +75,15 @@ from operator import mul
 import numpy as np
 from mpmath import mp
 
-# Guard bits above mp.prec before the conditioning term: they absorb the
-# O(n^2) ulps of rounding that the inverse and the reduction accumulate.
+# Guard bits above mp.prec in the fixed-point scale of the coefficients.
 _GUARD_BITS = 32
-# The float64 eigenbasis must resolve the lowest gap by this many bits,
-# which is the least each residual correction then gains.
+# The float64 eigenbasis must resolve the lowest gap by this many bits.
 _SEED_BITS = 20
-# Residual corrections per k; at >= _SEED_BITS bits a step this covers
-# F <= 1280 bits (about 380 digits).
-_MAX_STEPS = 64
+# Each correction after the first must be this many times smaller than the
+# one before; a solve thus takes at most about F / 4 steps.
+_MIN_SHRINK = 16
+# The widest vector entry _chunk makes, in bits.
+_CHUNK_BITS = 54
 # The float64 secant on h(k) stops once a step is this small (relative to
 # k).  Float64 rounding leaves the root ~1e-11 uncertain at N = 30..50
 # (|h'| ~ 1e-5 turns 1e-16 in h into that much in k), so a tighter exit
@@ -112,7 +119,9 @@ class VariationalResult:
     coeffs: list              # mpf list, normalized c'Wc = 1
     n_basis: int
     iterations: int           # outer (k) iterations
-    residual: object          # ||B x - theta x|| / (||x|| ||B||), B = kK + P
+    # ||Bc - theta Wc||_{W^-1} / (||c||_W ||B||), B = kK + P and ||B|| the
+    # row-sum norm of T B T'
+    residual: object
     trace: list = field(default_factory=list)   # [(k, E)] per mp solve
     k_err: object = None      # |h(k_opt) / s|, s the last secant slope (mpf)
 
@@ -128,18 +137,19 @@ def _exact(v):
     return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
 
 
-def _fixed(q, F):
+def fixed(q, F):
     """round(q * 2**F) for an exact rational q (Fraction, int or float)."""
     q = Fraction(q)
     return ((q.numerator << (F + 1)) // q.denominator + 1) >> 1
 
 
-def _fixed_mpf(v, F):
+def fixed_mpf(v, F):
     """round(v * 2**F) for a real v that mp.mpf accepts; keeps the sign."""
-    return _fixed(_exact(mp.mpf(v)), F)
+    return fixed(_exact(mp.mpf(v)), F)
 
 
-def _to_mpf(v, F):
+def to_mpf(v, F):
+    """The mpf v * 2**-F of a fixed-point int v."""
     return mp.ldexp(mp.mpf(v), -F)
 
 
@@ -151,72 +161,25 @@ def integer_matrix(matrix):
             for row in matrix], D
 
 
-def _cholesky(Wq, F):
-    """Fixed-point L with Wq = L L', and its pivots L_jj^2 (scale 4**F).
+def _pack(W, P, K, a):
+    """Z_ij = W_ij + P_ij 2**a + K_ij 2**(2a) for int matrices W, P, K."""
+    return [[w + (p << a) + (k << 2 * a) for w, p, k in zip(*rows)]
+            for rows in zip(W, P, K)]
 
-    Raises ValueError, as mp.cholesky does, when W is not positive definite.
+
+def _unpack(ts, a):
+    """The lists (w, p, k) with t = w + p 2**a + k 2**(2a) for each t in ts,
+    where |w|, |p| < 2**(a - 1).
+
+    Adding half = 2**(a - 1) to both low fields makes them nonnegative and
+    below 2**a, so plain masks and shifts read them.
     """
-    n = len(Wq)
-    L = [[0] * n for _ in range(n)]
-    pivots = []
-    for j in range(n):
-        Lj = L[j]
-        d = (Wq[j][j] << F) - sum(v * v for v in Lj[:j])
-        if d <= 0:
-            raise ValueError(
-                f"overlap matrix is not positive definite (pivot {j})")
-        pivots.append(d)
-        Lj[j] = ljj = math.isqrt(d)
-        for i in range(j + 1, n):
-            Li = L[i]
-            Li[j] = ((Wq[i][j] << F) - sum(map(mul, Li[:j], Lj))) // ljj
-    return L, pivots
-
-
-def _inverse_lower(L, F):
-    """Fixed-point L^{-1} of a lower-triangular factor, as ragged rows.
-
-    Row i holds X_ij for j <= i, from sum_{j<=k<=i} L_ik X_kj = delta_ij by
-    forward substitution; it reads only rows <= i of L.  cols[j] collects
-    column j of X, from its diagonal down, as the rows arrive.
-    """
-    one = 1 << (2 * F)
-    X, cols = [], []
-    for i, Li in enumerate(L):
-        lii = Li[i]
-        row = [-sum(map(mul, Li[j:i], cols[j])) // lii for j in range(i)]
-        row.append(one // lii)
-        for col, v in zip(cols, row):
-            col.append(v)
-        cols.append([row[i]])
-        X.append(row)
-    return X
-
-
-def _reduce_sym(L_inv, A, D, F):
-    """L^{-1} A L^{-T} at scale 2**F for symmetric A = ints / D, exact.
-
-    Row i takes Y_ib = floor(sum_{a<=i} L^{-1}_ia A_ab) for b <= i straight
-    from the exact ints, so each of those products is F bits by the width
-    of A's numerators (37 bits at N = 50); then R_ij = sum_{b<=j} Y_ib
-    L^{-1}_jb for j <= i, and mirrors it, so the result is exactly
-    symmetric: n^3/2 products, two thirds of them narrow, and row i reads
-    only leading entries.  Y does not depend on how A is written over D,
-    and where 2**F A is integral it equals the reduction of that F-bit copy
-    int for int.
-    """
-    R = []
-    for i, Xi in enumerate(L_inv):
-        Y = [sum(map(mul, Xi, A[b])) // D for b in range(i + 1)]
-        R.append([sum(map(mul, Y, Xj)) >> F for Xj in L_inv[:i + 1]])
-    for i, row in enumerate(R):
-        row.extend(R[j][i] for j in range(i + 1, len(R)))
-    return R
-
-
-def _float_copy(R, F):
-    scale = 1 << F
-    return np.array([[v / scale for v in row] for row in R])
+    half, mask = 1 << (a - 1), (1 << a) - 1
+    bias = (half << a) + half
+    u = [t + bias for t in ts]
+    return ([(t & mask) - half for t in u],
+            [((t >> a) & mask) - half for t in u],
+            [t >> 2 * a for t in u])
 
 
 def _matvec(A, v):
@@ -224,116 +187,87 @@ def _matvec(A, v):
     return [sum(map(mul, row, v)) for row in A]
 
 
-def _cond_bits(pivots):
-    """floor(log2(max W_jj / min pivot_j)) over (W_jj, pivot_j) pairs at one
-    scale."""
-    return (max(w for w, _ in pivots)
-            // min(d for _, d in pivots)).bit_length() - 1
+def _packed_matvec(Z, a, v):
+    """(Wv, Pv, Kv) exactly, from one matvec of the packed Z = _pack(W, P,
+    K, a), for a v whose sums W v and P v stay within 2**(a - 1)."""
+    return _unpack(_matvec(Z, v), a)
 
 
-class ReducedSystem:
-    """One Hamiltonian after the Cholesky congruence.
+def _inverse_factor(Wf):
+    """T = Lf^{-1} S for float64 W, with Lf Lf' = S W S, S = diag(W_jj^-1/2).
 
-    L_inv, K_red and P_red are fixed-point int matrices at scale
-    2**frac_bits: the inverse Cholesky factor (ragged rows, j <= i) for
-    back-transforming coefficients and the reduced kinetic-like and potential
-    forms.  K_float/P_float are float64 copies; their eigenbasis seeds the
-    eigensolve and carries its residual corrections.  pivots holds the
-    factor's (W_jj, L_jj^2) pairs, both at scale 4**frac_bits, and cond_bits
-    = floor(log2(max W_jj / min pivot)) over them; the stage's value sized
-    frac_bits.
-    """
-
-    def __init__(self, L_inv, K_red, P_red, frac_bits, label="",
-                 pivots=(), K_float=None, P_float=None):
-        self.L_inv = L_inv
-        self.n = len(L_inv)
-        self.K_red = K_red
-        self.P_red = P_red
-        self.frac_bits = frac_bits
-        self.label = label
-        self.pivots = pivots
-        self.cond_bits = _cond_bits(pivots) if pivots else 0
-        self.K_float = (_float_copy(K_red, frac_bits) if K_float is None
-                        else K_float)
-        self.P_float = (_float_copy(P_red, frac_bits) if P_float is None
-                        else P_float)
-
-    def leading(self, n):
-        """The system of the first n basis terms, at the same frac_bits.
-
-        _cholesky, _inverse_lower and _reduce_sym read only leading entries,
-        so these blocks equal a reduction of the n-term prefix at this F,
-        int for int, and the leading pivots give the prefix's cond_bits.
-        """
-        if n == self.n:
-            return self
-        return ReducedSystem(self.L_inv[:n],
-                             [row[:n] for row in self.K_red[:n]],
-                             [row[:n] for row in self.P_red[:n]],
-                             self.frac_bits, label=self.label,
-                             pivots=self.pivots[:n],
-                             K_float=self.K_float[:n, :n],
-                             P_float=self.P_float[:n, :n])
-
-    def coefficients(self, x):
-        """Back-transform a reduced eigenvector, c = L^{-T} x; c'Wc = |x|^2
-        by construction."""
-        F, L_inv = self.frac_bits, self.L_inv
-        c = [sum(row[j] * v for row, v in zip(L_inv[j:], x[j:])) >> F
-             for j in range(self.n)]
-        if c[0] < 0:
-            c = [-v for v in c]
-        return [_to_mpf(v, F) for v in c]
-
-
-def _cond_estimate(Wf):
-    """floor(log2(max W_jj / min pivot)) + 1 for W = L L', from float64 Wf.
-
-    numpy factors the diagonally scaled W_ij / sqrt(W_ii W_jj) = Lf Lf';
-    the pivot L_jj^2 of W is Lf_jj^2 W_jj.  Raises LinAlgError where float64
+    numpy factors the diagonally scaled W and Lf is inverted by forward
+    substitution, row i from rows < i, so T is lower triangular and its
+    leading blocks are the prefixes' own.  Raises ValueError where float64
     cannot factor W.
     """
     d = Wf.diagonal()
     if not (d > 0).all():
-        raise np.linalg.LinAlgError("overlap diagonal is not positive")
+        raise ValueError("overlap matrix is not positive definite "
+                         "(diagonal)")
     s = 1 / np.sqrt(d)
-    Lf = np.linalg.cholesky(Wf * np.outer(s, s))
-    return math.floor(math.log2(d.max() / (Lf.diagonal() ** 2 * d).min())) + 1
-
-
-def _factor(W, D):
-    """The fixed-point Cholesky factor of W = ints / D at the width its
-    conditioning needs: (L, F, pivots), pivots as ReducedSystem keeps them.
-
-    cond_bits = floor(log2(max W_jj / min pivot)) is the growth the
-    reduction suffers from the conditioning of W, and F must cover
-    mp.prec + _GUARD_BITS + cond_bits.  The float64 estimate sizes the first
-    factor; it is one bit above cond_bits wherever it has been measured
-    (ten sizes from N = 1 to 95, at 50 and 100 digits), so one factor
-    suffices.  Where float64 cannot factor W the estimate is 0.  A factor
-    whose own smallest pivot needs more bits than its width is redone at
-    that width.
-    """
-    guard = mp.prec + _GUARD_BITS
     try:
-        estimate = _cond_estimate(np.array(W, dtype=float) / D)
+        Lf = np.linalg.cholesky(Wf * np.outer(s, s))
     except np.linalg.LinAlgError:
-        estimate = 0
-    F, factors = guard + estimate, 0
-    while True:
-        Wq = [[((v << (F + 1)) // D + 1) >> 1 for v in row] for row in W]
-        L, pivots = _cholesky(Wq, F)
-        factors += 1
-        pivots = [(row[j] << F, d)
-                  for j, (row, d) in enumerate(zip(Wq, pivots))]
-        cond_bits = _cond_bits(pivots)
-        if cond_bits <= F - guard:
-            break
-        F = guard + cond_bits
-    _debug("stage: n=%d F=%d cond_bits=%d estimate=%d factors=%d",
-           len(W), F, cond_bits, estimate, factors)
-    return L, F, pivots
+        raise ValueError("overlap matrix is not positive definite in "
+                         "float64") from None
+    X = np.zeros_like(Lf)
+    for i, row in enumerate(Lf):
+        X[i, :i] = -(row[:i] @ X[:i, :i]) / row[i]
+        X[i, i] = 1 / row[i]
+    return X * s
+
+
+class PencilSystem:
+    """One Hamiltonian's pencil (K, P, W), exact and in float64.
+
+    Z packs the exact numerators of W, P and K (K_0 for "0") at field width
+    `width` (_pack), over their own `denominators` (D_W, D_P, D_K).  T is
+    the float64 inverse factor of W (_inverse_factor); K_float = T K T' and
+    P_float = T P T' are the float forms whose eigenbasis seeds each solve
+    and carries its corrections.  cond_bits = floor(log2(max W_jj / min
+    pivot)), pivot_j = 1 / T_jj^2, is the float64 estimate of W's
+    conditioning.  frac_bits = mp.prec + _GUARD_BITS is the fixed-point
+    scale of the solve's coefficients at the current precision.
+    """
+
+    def __init__(self, Z, width, denominators, T, K_float, P_float,
+                 label=""):
+        self.Z = Z
+        self.n = len(Z)
+        self.width = width
+        self.denominators = denominators
+        self.T = T
+        self.K_float = K_float
+        self.P_float = P_float
+        self.label = label
+        w_max = max(_unpack([row[j] for j, row in enumerate(Z)], width)[0])
+        self.cond_bits = math.floor(math.log2(
+            w_max / denominators[0] * (T.diagonal() ** 2).max()))
+
+    @property
+    def frac_bits(self):
+        return mp.prec + _GUARD_BITS
+
+    def leading(self, n):
+        """The system of the first n basis terms.
+
+        Z's fields are the prefix's exact forms (over the stage's
+        denominators, at the stage's width, which holds for fewer terms),
+        and T's leading block is the prefix's inverse factor.
+        """
+        if n == self.n:
+            return self
+        return PencilSystem([row[:n] for row in self.Z[:n]], self.width,
+                            self.denominators, self.T[:n, :n],
+                            self.K_float[:n, :n], self.P_float[:n, :n],
+                            label=self.label)
+
+    def coefficients(self, c):
+        """The solve's fixed-point c as mpf, signed so that c[0] >= 0."""
+        if c[0] < 0:
+            c = [-v for v in c]
+        return [to_mpf(v, self.frac_bits) for v in c]
 
 
 def _moving_nucleus_form(K, M_pol, mass_ratio):
@@ -348,31 +282,46 @@ def _moving_nucleus_form(K, M_pol, mass_ratio):
              for rk, rm in zip(K, M_pol)], M.numerator * D)
 
 
+def _float_form(A, D):
+    """The float64 matrix A / D of ints over D, each entry rounded once
+    (int / int stays in range where D and A are beyond float64, as K_0's
+    are for an mpf mass ratio at high precision)."""
+    return np.array([[v / D for v in row] for row in A])
+
+
 def build_systems(matrices, mass_ratio=None, include=("inf", "0")):
-    """Cholesky-reduce the operator pencil once, for one or both Hamiltonians.
+    """Pack the operator pencil and factor W in float64, for one or both
+    Hamiltonians.
 
     "inf" is the clamped-nucleus problem (kinetic matrix alone); "0" folds
     nuclear motion in: K_0 = (1 + 1/M) K + (1/M) M_pol, which inherits the
     k^2 scaling tag, so the same Rayleigh-quotient machinery applies.
 
-    Every form is read once as exact ints over one denominator
-    (integer_matrix); K_0 is formed exactly from K, M_pol and M.  W is
-    factored once, at F >= mp.prec + _GUARD_BITS + cond_bits fraction bits
-    (_factor), and inverted by forward substitution; P, K and K_0 are each
-    reduced from their exact ints through that one L^{-1} in n^3/2 products
-    (_reduce_sym), two thirds of them F bits by the narrow numerators.  The
-    systems share L^{-1}, P_red and its float64 copy.
+    Every form is read once as exact ints over its own denominator
+    (integer_matrix); K_0 is formed exactly from K, M_pol and M.  Each
+    system packs W, P and its K into one Z at width a = (widest W or P
+    numerator) + 54 + n.bit_length() + 2 bits; the K field is on top, so
+    its width is not bounded.  The systems share T and P_float.
     """
     if "0" in include and mass_ratio is None:
         raise ValueError("nuclear-motion Hamiltonian needs a mass ratio")
-    L, F, pivots = _factor(*integer_matrix(matrices.W))
-    L_inv = _inverse_lower(L, F)
-    P_red = _reduce_sym(L_inv, *integer_matrix(matrices.P), F)
-    P_float = _float_copy(P_red, F)
+    W, DW = integer_matrix(matrices.W)
+    P, DP = integer_matrix(matrices.P)
+    n = len(W)
+    a = (max(abs(v).bit_length() for A in (W, P) for row in A for v in row)
+         + _CHUNK_BITS + n.bit_length() + 2)
+    T = _inverse_factor(_float_form(W, DW))
+
+    def congruence(A, D):
+        A = _float_form(A, D)
+        return np.array([T @ (A @ t) for t in T])
+
+    P_float = congruence(P, DP)
 
     def system(form, label):
-        return ReducedSystem(L_inv, _reduce_sym(L_inv, *form, F), P_red, F,
-                             label=label, pivots=pivots, P_float=P_float)
+        K, DK = form
+        return PencilSystem(_pack(W, P, K, a), a, (DW, DP, DK), T,
+                            congruence(K, DK), P_float, label=label)
 
     K = integer_matrix(matrices.K)
     systems = {}
@@ -382,6 +331,8 @@ def build_systems(matrices, mass_ratio=None, include=("inf", "0")):
         form = _moving_nucleus_form(K, integer_matrix(matrices.M_pol),
                                     mass_ratio)
         systems["0"] = system(form, "0")
+    _debug("stage: n=%d F=%d cond_bits=%d", n, mp.prec + _GUARD_BITS,
+           next(iter(systems.values())).cond_bits)
     return systems
 
 
@@ -397,11 +348,6 @@ def _debug(msg, *args):
         logging.getLogger("hyhe").debug(msg, *args)
 
 
-def _normalized(y, F):
-    norm = math.isqrt(sum(v * v for v in y))
-    return [(v << F) // norm for v in y]
-
-
 def _chunk(d, scale):
     """(ints, shift), shift >= 0, with ints * 2**shift the float64 vector
     d * 2**scale on the integer grid.
@@ -414,31 +360,31 @@ def _chunk(d, scale):
     return [int(v) for v in np.rint(np.ldexp(d, -e))], scale + e
 
 
-def _lowest_pair(system, k):
-    """Smallest eigenpair of B(k) = k K_red + P_red: (theta_B, x, K_q,
-    residual), theta_B and K_q = x'K_red x at scale 2**F and x the unit
-    eigenvector, as ints.
+def _dot(u, v):
+    return sum(map(mul, u, v))
 
-    B has the eigenvectors of A(k) = k^2 K_red + k P_red, the pencil the
-    energy is read from, and theta_A = k theta_B.  B itself is never built:
-    x is a sum of float64-sized chunks (_chunk), and Kx = K_red x and
-    Px = P_red x are kept as exact integer accumulators, each updated by
-    the products of the F-bit forms with one chunk of at most 54 bits.
-    float64 eigh of the float copy of B gives the first chunk and an
-    approximate eigenbasis (mu_i, v_i).  Each step takes Bx = k Kx + Px,
-    theta = x'Bx / x'x and r = Bx - theta x exactly on the ints and removes
-    r in that basis with the lowest mode projected out: the next chunk is
-    -sum_{i>=1} v_i (v_i'r) / (mu_i - theta).  A step gains about
-    log2(gap / (n eps |B|)) bits, so a gap the float64 eigenbasis cannot
-    resolve by _SEED_BITS bits raises, as does a run out of steps.  x is
-    normalized once, at exit.  The residual ||r|| / (||x|| ||B||), with
-    ||B|| the row-sum norm of the float64 copy, does not depend on the
-    scale of the matrix, so it is also A's.
+
+def _lowest_pair(system, k):
+    """Lowest eigenpair of the pencil (B, W), B = k K + P: (theta, c, K_q,
+    residual, steps), theta and K_q = c'Kc / c'Wc at scale 2**F and c with
+    c'Wc = 1 at scale 2**F, as ints, F = system.frac_bits.
+
+    B is never built.  c is a sum of float64-sized chunks (_chunk), and
+    Wc, Pc and Kc are exact integer accumulators over their denominators,
+    each chunk updating all three by one _packed_matvec.  float64 eigh of
+    k K_float + P_float gives (mu_i, v_i), and u_i = T'v_i carries them
+    back to the pencil.  Each step takes theta = c'Bc / c'Wc and
+    r = Bc - theta Wc exactly on the ints and adds the chunk
+    -sum_{i>=1} u_i (u_i'r) / (mu_i - theta); it stops once a chunk is at most max|c| 2**-prec.  A
+    gap the float64 eigenbasis cannot resolve by _SEED_BITS bits raises, as
+    does a correction that fails to shrink _MIN_SHRINK-fold from the one
+    before (W too ill-conditioned for float64).  c is normalized once, at
+    exit.
     """
-    n, F = system.n, system.frac_bits
-    K, P = system.K_red, system.P_red
+    n, F, a, Z = system.n, system.frac_bits, system.width, system.Z
+    DW, DP, DK = system.denominators
     k = mp.mpf(k)
-    kq = _fixed_mpf(k, F)
+    kq = fixed_mpf(k, F)
     kf = float(k)
     B_float = kf * system.K_float + system.P_float
     evals, evecs = np.linalg.eigh(B_float)
@@ -451,56 +397,76 @@ def _lowest_pair(system, k):
                 f"(near-)degenerate lowest eigenvalue at k={kf}: gap "
                 f"{gap:.2g} is within {resolved:.2g}, what the float64 "
                 "eigenbasis resolves")
-    V, lam = evecs[:, 1:], evals[1:]
-    tol = 1 << max(0, F - mp.prec)
-    # x at scale 2**F; Kx, Px and r at scale 4**F
-    dx, shift = _chunk(evecs[:, 0], F)
-    x = [v << shift for v in dx]
-    Kx = [v << shift for v in _matvec(K, dx)]
-    Px = [v << shift for v in _matvec(P, dx)]
-    for _ in range(_MAX_STEPS):
-        xx = sum(v * v for v in x)
-        Bx = [((kq * a) >> F) + b for a, b in zip(Kx, Px)]
-        theta = sum(map(mul, x, Bx)) // xx
-        r = [a - theta * b for a, b in zip(Bx, x)]
+    T, V1, lam = system.T, evecs[:, 1:], evals[1:]
+    # c, Wc, Pc and Kc at scale 2**F; r at scale 4**F D, D = DW DP DK;
+    # u_i'r = v_i'(T r) and sum_i u_i y_i = (V y)'T, all matrix-vector
+    dc, shift = _chunk(evecs[:, 0] @ T, F)
+    c = [v << shift for v in dc]
+    Wc, Pc, Kc = ([v << shift for v in part]
+                  for part in _packed_matvec(Z, a, dc))
+    D = DW * DP * DK
+    e = max(0, D.bit_length() - 64)
+    D_f = D / (1 << e)              # D = D_f 2**e with D_f in float range
+    kK, pP = kq * DW * DP, DW * DK
+    tol = max(map(abs, c)) >> mp.prec
+    last, steps = None, 0
+    while True:
+        cW, cK = _dot(c, Wc), _dot(c, Kc)
+        theta = (((kq * cK * DP + (_dot(c, Pc) * DK << F)) * DW)
+                 // (cW * DK * DP))
+        tW = theta * DK * DP
+        r = [kK * x + (pP * y << F) - tW * z
+             for x, y, z in zip(Kc, Pc, Wc)]
         # r at ~60 significant bits keeps float() finite for any F
         s = max(0, max(map(abs, r)).bit_length() - 60)
         r_f = np.array([float(v >> s) for v in r])
-        d = V @ ((V.T @ r_f) / (lam - theta / (1 << F)))
-        dx, shift = _chunk(d, s - F)
-        if max(map(abs, dx)) << shift <= tol:
+        Tr = T @ r_f
+        d = (V1 @ ((Tr @ V1) / (lam - theta / (1 << F)))) @ T
+        dc, shift = _chunk(d / D_f, s - F - e)
+        size = max(map(abs, dc)) << shift
+        if size <= tol:
             break
-        x = [a - (b << shift) for a, b in zip(x, dx)]
-        Kx = [a - (b << shift) for a, b in zip(Kx, _matvec(K, dx))]
-        Px = [a - (b << shift) for a, b in zip(Px, _matvec(P, dx))]
-    else:
-        raise ConvergenceError(
-            f"eigenpair correction at k={mp.nstr(k, 17)} did not converge: "
-            f"step cap {_MAX_STEPS} reached")
-    K_q = sum(map(mul, x, Kx)) // xx
+        if last is not None and size * _MIN_SHRINK > last:
+            raise ConvergenceError(
+                f"eigenpair correction at k={mp.nstr(k, 17)} did not "
+                f"converge: step {steps + 1} shrank it less than "
+                f"{_MIN_SHRINK}-fold, with cond_bits={system.cond_bits} "
+                "(float64 resolves W only to about 50)")
+        last, steps = size, steps + 1
+        c = [x - (y << shift) for x, y in zip(c, dc)]
+        Wv, Pv, Kv = _packed_matvec(Z, a, dc)
+        Wc = [x - (y << shift) for x, y in zip(Wc, Wv)]
+        Pc = [x - (y << shift) for x, y in zip(Pc, Pv)]
+        Kc = [x - (y << shift) for x, y in zip(Kc, Kv)]
+    K_q = (cK * DW << F) // (cW * DK)
+    # norm = ||c||_W at scale 4**F; Tr at scale 2**(2F - s) D
+    norm = math.isqrt((cW << 2 * F) // DW)
     b_norm = max(float(np.abs(B_float).sum(axis=1).max()), 1.0)
-    residual = (mp.mpf(math.isqrt(sum(v * v for v in r)))
-                / (mp.ldexp(math.isqrt(xx), F) * b_norm))
-    return theta, _normalized(x, F), K_q, residual
+    residual = mp.ldexp(mp.mpf(float(np.linalg.norm(Tr)) / (D_f * b_norm)),
+                        s - e) / norm
+    return theta, [(v << 2 * F) // norm for v in c], K_q, residual, steps
 
 
 def solve_fixed_k(system, k):
-    """Ground state at fixed exponent: (E, x, K_q, P_q, residual).
+    """Ground state at fixed exponent: (E, c, K_q, P_q, residual).
 
-    x is the unit reduced eigenvector as fixed-point ints at scale
-    2**system.frac_bits; the rest are mpf.  E = k theta_B, K_q = x'K_red x
-    and P_q = theta_B - k K_q, all on the ints.
+    c holds the coefficients, c'Wc = 1, as fixed-point ints at scale
+    2**system.frac_bits; the rest are mpf.  E = k theta_B, K_q = c'Kc / c'Wc
+    and P_q = theta_B - k K_q, all on the ints.  Each solve is logged with
+    its step count to the "hyhe" logger at DEBUG.
     """
-    theta, x, K_q, residual = _lowest_pair(system, k)
+    theta, c, K_q, residual, steps = _lowest_pair(system, k)
     F = system.frac_bits
     if K_q <= 0:
         raise AssemblyError(
             f"kinetic quadratic form is not positive (K_q = "
-            f"{mp.nstr(_to_mpf(K_q, F), 8)}); operator assembly is broken")
-    kq = _fixed_mpf(k, F)
+            f"{mp.nstr(to_mpf(K_q, F), 8)}); operator assembly is broken")
+    kq = fixed_mpf(k, F)
     P_q = theta - ((kq * K_q) >> F)
-    return (_to_mpf((kq * theta) >> F, F), x, _to_mpf(K_q, F),
-            _to_mpf(P_q, F), residual)
+    E = to_mpf((kq * theta) >> F, F)
+    _debug("k-search %s: solve k=%s E=%s steps=%d", system.label, k, E,
+           steps)
+    return E, c, to_mpf(K_q, F), to_mpf(P_q, F), residual
 
 
 def _float_slope(system, k):
@@ -583,7 +549,7 @@ def optimize_k(system, k_init=2.0, k_tol=1e-12, max_outer_iters=60):
     trace = []
 
     def g(k):
-        E, x, K_q, P_q, residual = _traced_solve(system, k, trace)
+        E, c, K_q, P_q, residual = _traced_solve(system, k, trace)
         return -P_q / (2 * K_q)
 
     k_f = _float_root(system, float(k_init))
@@ -622,19 +588,18 @@ def optimize_k(system, k_init=2.0, k_tol=1e-12, max_outer_iters=60):
 
 
 def _traced_solve(system, k, trace):
-    """solve_fixed_k at k, with (k, E) appended to trace and logged."""
-    E, x, K_q, P_q, residual = solve_fixed_k(system, k)
+    """solve_fixed_k at k, with (k, E) appended to trace."""
+    E, c, K_q, P_q, residual = solve_fixed_k(system, k)
     trace.append((k, E))
-    _debug("k-search %s: solve k=%s E=%s", system.label, k, E)
-    return E, x, K_q, P_q, residual
+    return E, c, K_q, P_q, residual
 
 
 def _finish(system, k_opt, iterations, trace, slope):
     """The state at k_opt, with the a-posteriori error |h(k_opt) / slope|."""
-    E, x, K_q, P_q, residual = _traced_solve(system, k_opt, trace)
+    E, c, K_q, P_q, residual = _traced_solve(system, k_opt, trace)
     h = -P_q / (2 * K_q) - k_opt
     return VariationalResult(
-        energy=E, k_opt=k_opt, coeffs=system.coefficients(x),
+        energy=E, k_opt=k_opt, coeffs=system.coefficients(c),
         n_basis=system.n, iterations=iterations, residual=residual,
         trace=trace, k_err=abs(h / slope))
 

@@ -50,7 +50,7 @@ from operator import mul
 from mpmath import mp
 
 from .basis import padd, pdiff, pmul, pscale, pshift, psquare
-from .eigen import _fixed, _fixed_mpf, _to_mpf, integer_matrix
+from .eigen import fixed, fixed_mpf, integer_matrix, to_mpf
 from .integrals import raw_moment
 
 # geometric weight polynomials (coordinates s, t, u; keys are exponents)
@@ -245,7 +245,7 @@ def _state_poly(basis, values):
 
 def _fixed_state_poly(basis, coeffs, F):
     """The state polynomial with int coefficients round(c * 2**F)."""
-    return _state_poly(basis, [_fixed_mpf(c, F) for c in coeffs])
+    return _state_poly(basis, [fixed_mpf(c, F) for c in coeffs])
 
 
 def check_normalized(W, coeffs):
@@ -256,10 +256,10 @@ def check_normalized(W, coeffs):
     The sum is cut to scale 2**F and made one mpf at the working precision.
     """
     F = mp.prec + _SUM_GUARD_BITS
-    c = [_fixed_mpf(v, F) for v in coeffs]
+    c = [fixed_mpf(v, F) for v in coeffs]
     W, D = integer_matrix(W)
     total = sum(ci * sum(map(mul, c, row)) for ci, row in zip(c, W))
-    wq = _to_mpf(total // (D << F), F)
+    wq = to_mpf(total // (D << F), F)
     if abs(wq - 1) > _NORM_TOL:
         raise NormalizationError(
             f"state is not normalized: <U|U> = {mp.nstr(wq, 12)}")
@@ -310,7 +310,7 @@ def _prefix_sums(n, F):
     """
     harm, sq, alt, alt_sq = [0], [0], [0], [0]
     for j in range(1, n + 1):
-        h, z = _fixed(Fraction(1, j), F), _fixed(Fraction(1, j * j), F)
+        h, z = fixed(Fraction(1, j), F), fixed(Fraction(1, j * j), F)
         sign = 1 if j % 2 else -1
         harm.append(harm[-1] + h)
         sq.append(sq[-1] + z)
@@ -372,7 +372,7 @@ def p4_expectation(basis, coeffs, k, wq):
     poly = pmul(psquare(T), {(1, 0, 0): 1, (0, 1, 0): 1})
     harm, sq, alt, alt_sq = _prefix_sums(max(b + c for _, b, c in poly), F)
     with mp.workprec(F):
-        zeta2, ln2 = _fixed_mpf(mp.zeta(2), F), _fixed_mpf(mp.ln(2), F)
+        zeta2, ln2 = fixed_mpf(mp.zeta(2), F), fixed_mpf(mp.ln(2), F)
 
     def a_n(n):
         v = alt[n - 1] - ln2
@@ -431,7 +431,7 @@ def log_momentum_expectation(basis, coeffs, k, wq, gamma=None):
     harm = _prefix_sums(max(sum(key) for key in num), F)[0]
     km = mp.mpf(k)
     with mp.workprec(F):
-        shift = _fixed_mpf(gamma - mp.euler - mp.ln(2 * km), F)
+        shift = fixed_mpf(gamma - mp.euler - mp.ln(2 * km), F)
     total = 0
     for (a, b, c), v in num.items():
         M, d = a + b + c, b + c

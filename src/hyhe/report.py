@@ -2,9 +2,9 @@
 
 A report row is one basis size N pushed through the whole chain:
 matrices -> both ground states -> expectation values on the nuclear-motion
-state -> correction breakdown.  A sweep assembles and reduces once, at its
-largest N; the bases are nested prefixes, so every row solves the leading
-block of that one stage.  Numeric cells are stored as strings (20
+state -> correction breakdown.  A sweep assembles and packs the pencil
+once, at its largest N; the bases are nested prefixes, so every row solves
+the leading block of that one stage.  Numeric cells are stored as strings (20
 significant digits) so that emit -> parse -> emit is byte-stable; the
 delta columns (dE_inf, dE0, dE_total: change against the previous row) are
 derived data and are recomputed from the energy columns whenever a document
@@ -48,7 +48,7 @@ class Row:
     """One basis size.  k_opt, k_err and residual belong to the
     nuclear-motion Hamiltonian, whose state also feeds the corrections;
     solves counts the mp eigensolves of both k-searches.  In a sweep,
-    wall_time leaves out the shared assembly and reduction."""
+    wall_time leaves out the shared assembly and stage."""
 
     N: int
     ok: bool = True
@@ -176,7 +176,7 @@ def recompute_deltas(rows):
 
 
 class Stage(NamedTuple):
-    """Basis, exact matrices and both reduced systems at one basis size."""
+    """Basis, exact matrices and both pencil systems at one basis size."""
 
     basis: list
     matrices: object
@@ -184,7 +184,8 @@ class Stage(NamedTuple):
 
 
 def build_stage(n, constants):
-    """Assemble and Cholesky-reduce the n-term basis (inside mp.workdps)."""
+    """Assemble the n-term basis and build both pencil systems (inside
+    mp.workdps)."""
     basis = enumerate_basis(n)
     mats = build_operator_matrices(basis, Z=constants.Z)
     return Stage(basis, mats, build_systems(mats,

@@ -10,10 +10,8 @@ float64 tensor quadrature built on numpy's Gauss rules (`support.integrals`
 uses scipy's -- independent node/weight computations); a working-precision
 Gauss rule with the 1/(s - t) corner split off by a Duffy transform, which
 integrates the <p^4> channel integrands pointwise; the mpmath-matrix
-Cholesky reduction and Rayleigh-quotient eigensolve that the fixed-point
-integer kernel in `hyhe.eigen` is checked against; the reduction of
-F-bit fixed-point copies of the forms, which the exact-int reduction
-reproduces bit for bit; and the plain
+Cholesky reduction and Rayleigh-quotient eigensolve that the exact-pencil
+integer kernel in `hyhe.eigen` is checked against; and the plain
 fixed-point k map, the reference for its secant search.
 
 The Fraction-valued operator assembly is the reference for the integer
@@ -29,14 +27,12 @@ are the references for the fixed-point-int sums in `hyhe.matrices`.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 
 import numpy as np
 from mpmath import mp
 
 from hyhe.basis import padd, pdiff, pmul, pscale
-from hyhe.eigen import (ConvergenceError, _finish, _fixed, _fixed_mpf,
-                        solve_fixed_k)
+from hyhe.eigen import ConvergenceError, _finish, solve_fixed_k
 from hyhe.integrals import raw_moment
 from hyhe.matrices import (OperatorMatrices, _logmom_numerator, _state_poly,
                            reduced_laplacian)
@@ -335,37 +331,6 @@ def mp_solve_fixed_k(L, K_red, P_red, k):
     if c[0] < 0:
         c = -c
     return sigma, K_q, P_q, [c[i] for i in range(n)]
-
-
-def fixed_copy_reduction(matrices, system, mass_ratio=None):
-    """(K_red, P_red) of a stage by the F-bit-copy route, at its L^{-1} and F.
-
-    Each form is first rounded to the fixed-point copy round(A * 2**F) and
-    K_0 = K + (1/M)(K + M_pol) is formed on those copies, with 1/M rounded
-    at mp.prec; then L^{-1} A L^{-T} takes both factors of every product at
-    F bits.  `hyhe.eigen` reduces the exact ints instead, which matches
-    this route int for int wherever 2**F A is integral.
-    """
-    F, L_inv = system.frac_bits, system.L_inv
-
-    def fixed(A):
-        return [[_fixed(v, F) for v in row] for row in A]
-
-    def reduce(A):
-        R = []
-        for i, Xi in enumerate(L_inv):
-            Y = [sum(map(mul, Xi, A[b])) >> F for b in range(i + 1)]
-            R.append([sum(map(mul, Y, Xj)) >> F for Xj in L_inv[:i + 1]])
-        for i, row in enumerate(R):
-            row.extend(R[j][i] for j in range(i + 1, len(R)))
-        return R
-
-    K = fixed(matrices.K)
-    if mass_ratio is not None:
-        minv = _fixed_mpf(1 / mp.mpf(mass_ratio), F)
-        K = [[a + ((minv * (a + b)) >> F) for a, b in zip(rk, rm)]
-             for rk, rm in zip(K, fixed(matrices.M_pol))]
-    return reduce(K), reduce(fixed(matrices.P))
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,19 @@
 from fractions import Fraction
 from types import SimpleNamespace
 
-import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 from hyhe import eigen
 from hyhe.basis import enumerate_basis
-from hyhe.eigen import (AssemblyError, ConvergenceError, ReducedSystem,
+from hyhe.eigen import (AssemblyError, ConvergenceError, PencilSystem,
                         build_systems, ground_state_pair, optimize_k,
                         solve_fixed_k)
 from hyhe.matrices import build_operator_matrices, check_normalized
-from support.oracles import (fixed_copy_reduction, mp_reduce_pencil,
-                             mp_solve_fixed_k, plain_optimize_k)
+from support.oracles import (mp_reduce_pencil, mp_solve_fixed_k,
+                             plain_optimize_k)
 
 M_HELIUM = "7294.299508"
 
@@ -22,15 +23,16 @@ def systems_n(n, mass_ratio=M_HELIUM):
     return mats, build_systems(mats, mass_ratio=mass_ratio)
 
 
-def fixed_system(K_red, P_red, frac_bits=200):
-    """A ReducedSystem with L = I from small exact matrices."""
-    n = len(K_red)
+def fixed_system(K, P):
+    """The clamped system of a W = I pencil from small exact matrices."""
+    n = len(K)
 
-    def fixed(rows):
-        return [[int(Fraction(v) * 2 ** frac_bits) for v in row] for row in rows]
+    def exact(rows):
+        return [[Fraction(v) for v in row] for row in rows]
 
-    eye = [[int(i == j) for j in range(n)] for i in range(n)]
-    return ReducedSystem(fixed(eye), fixed(K_red), fixed(P_red), frac_bits)
+    eye = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    mats = SimpleNamespace(n_basis=n, W=eye, K=exact(K), P=exact(P))
+    return build_systems(mats, include=("inf",))["inf"]
 
 
 def test_seed_energies_exact():
@@ -57,14 +59,14 @@ def test_seed_optimum_and_virial():
 
 
 def test_one_term_lands_on_27_16():
-    # at N = 1, g(k) = 27/16 for every k: the float64 secant lands there
-    # exactly and the mp secant confirms it in the usual four solves
+    # at N = 1, g(k) = 27/16 for every k: the float64 secant lands within an
+    # ulp of it, and the mp secant lands there exactly in three solves
     with mp.workdps(40):
         _, systems = systems_n(1)
-        assert eigen._float_root(systems["inf"], 2.0) == 1.6875
+        assert eigen._float_root(systems["inf"], 2.0) == 1.6874999999999998
         res = optimize_k(systems["inf"])
         assert res.k_opt == mp.mpf(27) / 16
-        assert len(res.trace) == 4 and res.k_err == 0
+        assert len(res.trace) == 3 and res.k_err == 0
 
 
 def test_seed_nuclear_motion_shift():
@@ -167,13 +169,21 @@ def test_near_degenerate_gap_guard():
         assert "gap 1e-13" in str(err.value)
 
 
-def test_inverse_iteration_step_cap(monkeypatch):
-    monkeypatch.setattr(eigen, "_MAX_STEPS", 1)
+def test_inverse_iteration_step_cap():
+    # a correction that does not shrink the one before it 16-fold stops the
+    # solve at once, naming the conditioning; here the float eigenbasis is
+    # spoiled, so each step gains only a few bits
     with mp.workdps(40):
         _, systems = systems_n(6)
+        system = systems["inf"]
+        assert solve_fixed_k(system, 2)[0] < 0
+        noisy = PencilSystem(system.Z, system.width, system.denominators,
+                             system.T, system.K_float * 1.05,
+                             system.P_float, label="inf")
         with pytest.raises(ConvergenceError,
-                           match=r"k=2\.0 did not converge: step cap 1"):
-            solve_fixed_k(systems["inf"], 2)
+                           match=r"k=2\.0 did not converge: step 2 shrank "
+                                 r"it less than 16-fold, with cond_bits=\d+"):
+            solve_fixed_k(noisy, 2)
 
 
 def test_nonpositive_overlap_rejected():
@@ -186,74 +196,66 @@ def test_nonpositive_overlap_rejected():
             build_systems(mats, include=("inf",))
 
 
+def assert_matches_oracle(system, oracle, k, tol):
+    """E, K_q, P_q and the coefficients of a solve at k within tol of the
+    mp oracle's, oracle = mp_reduce_pencil(...)."""
+    E, c, K_q, P_q, _ = solve_fixed_k(system, k)
+    E_ref, K_ref, P_ref, c_ref = mp_solve_fixed_k(*oracle, k)
+    for got, ref in ((E, E_ref), (K_q, K_ref), (P_q, P_ref)):
+        assert abs(got - ref) < tol, (system.label, got - ref)
+    coeffs = system.coefficients(c)
+    assert max(abs(a - b) for a, b in zip(coeffs, c_ref)) < tol, system.label
+
+
 def test_reduction_matches_mp_oracle():
+    # both Hamiltonians solve on the exact pencil to the mp route's
+    # Cholesky reduction and Rayleigh-quotient iteration
     with mp.workdps(50):
         tol = mp.mpf(10) ** (-mp.dps + 10)
+        k = mp.mpf("2.0451487")
         for n in (13, 30):
             mats, systems = systems_n(n)
             for label, mass_ratio in (("inf", None), ("0", M_HELIUM)):
-                system = systems[label]
-                _, K_ref, P_ref = mp_reduce_pencil(mats, mass_ratio)
-                scale = mp.mpf(2) ** system.frac_bits
-                for got, ref in ((system.K_red, K_ref), (system.P_red, P_ref)):
-                    worst = max(abs(got[i][j] / scale - ref[i, j])
-                                for i in range(n) for j in range(n))
-                    assert worst < tol, (n, label, worst)
-
-
-@pytest.mark.parametrize("n, dps", [(13, 50), (50, 50), (40, 100)])
-def test_exact_reduction_is_the_fixed_copy_route(n, dps):
-    # every form the program builds has a power-of-two denominator of at
-    # most 256, so 2**F A is integral and reducing the exact ints gives the
-    # ints of the F-bit copies; K_0 moves by the copy route's rounding of
-    # 1/M to mp.prec bits, measured at 2**-(prec + 13.4) of its largest
-    # entry at all three sizes
-    with mp.workdps(dps):
-        mats, systems = systems_n(n)
-        K_ref, P_ref = fixed_copy_reduction(mats, systems["inf"])
-        assert systems["inf"].K_red == K_ref
-        assert systems["inf"].P_red == systems["0"].P_red == P_ref
-        K0_ref, _ = fixed_copy_reduction(mats, systems["0"], M_HELIUM)
-        K0 = systems["0"].K_red
-        bound = max(abs(v) for row in K0 for v in row) >> (mp.prec + 8)
-        assert max(abs(a - b) for got, ref in zip(K0, K0_ref)
-                   for a, b in zip(got, ref)) <= bound
+                assert_matches_oracle(systems[label],
+                                      mp_reduce_pencil(mats, mass_ratio),
+                                      k, tol)
 
 
 def odd_pencil():
-    """A 3-term pencil whose entries have denominators 3, 5 and 7."""
+    """A 3-term pencil whose entries have denominators 3, 5, 7 and 11: W
+    and K over 105, P over 165."""
     f = Fraction
     W = [[f(1), f(1, 3), f(1, 5)], [f(1, 3), f(2), f(1, 7)],
          [f(1, 5), f(1, 7), f(3)]]
     K = [[f(2, 3), f(1, 5), f(0)], [f(1, 5), f(5, 7), f(1, 3)],
          [f(0), f(1, 3), f(9, 5)]]
-    P = [[f(-7, 3), f(2, 5), f(1, 7)], [f(2, 5), f(-11, 5), f(-1, 3)],
-         [f(1, 7), f(-1, 3), f(-17, 7)]]
+    P = [[f(-7, 3), f(2, 5), f(1, 11)], [f(2, 5), f(-11, 5), f(-1, 3)],
+         [f(1, 11), f(-1, 3), f(-17, 11)]]
     M_pol = [[f(1, 7), f(-1, 3), f(0)], [f(-1, 3), f(2, 5), f(1, 5)],
              [f(0), f(1, 5), f(-3, 7)]]
     return SimpleNamespace(n_basis=3, W=W, K=K, P=P, M_pol=M_pol)
 
 
-@pytest.mark.parametrize("mass_ratio", [M_HELIUM, mp.mpf(M_HELIUM)],
-                         ids=["str", "mpf"])
-def test_reduction_over_odd_denominators(mass_ratio):
-    # the floor division by D = 105 (and by num(M) D for K_0) keeps the
-    # reduction within the mp oracle's tolerance, and M is read exactly
+with mp.workdps(320):
+    # 7294.299508 in 1066 bits: num(M), and so K_0's denominator and
+    # numerators, are far beyond float64 range
+    M_HELIUM_320 = mp.mpf(M_HELIUM)
+
+
+@pytest.mark.parametrize("mass_ratio, dps", [
+    (M_HELIUM, 50), (mp.mpf(M_HELIUM), 50), (M_HELIUM_320, 320)],
+    ids=["str", "mpf", "mpf-320"])
+def test_reduction_over_odd_denominators(mass_ratio, dps):
+    # each form keeps its own denominator (105 for W and K, 165 for P and
+    # num(M) 105 for K_0) through the floor divisions of the solve, which
+    # stays within the mp oracle's tolerance, and M is read exactly
     mats = odd_pencil()
-    with mp.workdps(50):
+    with mp.workdps(dps):
         tol = mp.mpf(10) ** (-mp.dps + 10)
         systems = build_systems(mats, mass_ratio=mass_ratio)
-        k = mp.mpf("1.5")
         for label, M in (("inf", None), ("0", mass_ratio)):
-            system = systems[label]
-            L, K_ref, P_ref = mp_reduce_pencil(mats, M)
-            scale = mp.mpf(2) ** system.frac_bits
-            for got, ref in ((system.K_red, K_ref), (system.P_red, P_ref)):
-                assert max(abs(got[i][j] / scale - ref[i, j])
-                           for i in range(3) for j in range(3)) < tol, label
-            E, *_ = solve_fixed_k(system, k)
-            E_ref, *_ = mp_solve_fixed_k(L, K_ref, P_ref, k)
-            assert abs(E - E_ref) < tol, label
+            assert_matches_oracle(systems[label], mp_reduce_pencil(mats, M),
+                                  mp.mpf("1.5"), tol)
 
 
 def test_matvecs_take_narrow_vectors(monkeypatch):
@@ -274,64 +276,6 @@ def test_matvecs_take_narrow_vectors(monkeypatch):
             res = optimize_k(systems["0"])
         assert len(widths) >= 4 * len(res.trace), dps
     assert max(widths) <= 64
-
-
-def count_factors(monkeypatch):
-    calls = []
-    cholesky = eigen._cholesky
-
-    def counted(Wq, F):
-        calls.append(F)
-        return cholesky(Wq, F)
-
-    monkeypatch.setattr(eigen, "_cholesky", counted)
-    return calls
-
-
-@pytest.mark.parametrize("n", [1, 7, 13, 50])
-def test_width_covers_the_measured_conditioning(monkeypatch, n):
-    # the float64 estimate sizes the one factor: F - mp.prec - 32 is at
-    # least the cond_bits measured on that factor
-    mats = build_operator_matrices(enumerate_basis(n))
-    calls = count_factors(monkeypatch)
-    with mp.workdps(50):
-        systems = build_systems(mats, mass_ratio=M_HELIUM)
-        guard = mp.prec + eigen._GUARD_BITS
-    assert calls == [systems["inf"].frac_bits]
-    for system in systems.values():
-        assert system.frac_bits - guard >= system.cond_bits >= 0
-
-
-def _no_factor(W):
-    raise np.linalg.LinAlgError("float64 cannot factor W")
-
-
-@pytest.mark.parametrize("estimate", [lambda W: 0, _no_factor])
-def test_low_estimate_refactors_once(monkeypatch, estimate):
-    # an estimate below the measured cond_bits (0, or float64 failing)
-    # costs one more factor at the measured width, and the solve agrees
-    mats = build_operator_matrices(enumerate_basis(13))
-    k = mp.mpf("2.0451487")
-    with mp.workdps(50):
-        reference = build_systems(mats, mass_ratio=M_HELIUM)["0"]
-        E_ref, *_ = solve_fixed_k(reference, k)
-        calls = count_factors(monkeypatch)
-        monkeypatch.setattr(eigen, "_cond_estimate", estimate)
-        system = build_systems(mats, mass_ratio=M_HELIUM)["0"]
-        guard = mp.prec + eigen._GUARD_BITS
-        assert len(calls) == 2 and calls[0] == guard
-        assert calls[1] == system.frac_bits == guard + system.cond_bits
-        E, *_ = solve_fixed_k(system, k)
-        assert abs(E - E_ref) <= mp.mpf(2) ** -(mp.prec - 8)
-
-
-def test_reduced_forms_are_exactly_symmetric():
-    with mp.workdps(50):
-        _, systems = systems_n(13)
-        for label in ("inf", "0"):
-            for R in (systems[label].K_red, systems[label].P_red):
-                assert all(R[i][j] == R[j][i]
-                           for i in range(13) for j in range(i)), label
 
 
 @pytest.mark.parametrize("n, dps", [(22, 100), (50, 50), (13, 50), (13, 320)])
@@ -383,7 +327,7 @@ def test_fixed_mpf_keeps_sign(q, F):
     # the mpf mantissa is unsigned; the converter must match the Fraction one
     with mp.workdps(30):
         v = mp.mpf(q.numerator) / q.denominator
-        assert eigen._fixed_mpf(v, F) == eigen._fixed(q, F)
+        assert eigen.fixed_mpf(v, F) == eigen.fixed(q, F)
 
 
 @pytest.mark.parametrize("n, dps, labels", [
@@ -426,8 +370,8 @@ def test_float_seed_failures():
         # the mp secant then starts at k_init and still lands on the root
         fallback = optimize_k(system, k_init=0.5)
         assert abs(fallback.k_opt - optimize_k(system).k_opt) < mp.mpf("1e-20")
-        bad = ReducedSystem(system.L_inv, system.K_red, system.P_red,
-                            system.frac_bits)
+        bad = PencilSystem(system.Z, system.width, system.denominators,
+                           system.T, system.K_float.copy(), system.P_float)
         bad.K_float[0, 0] = float("nan")
         assert eigen._float_root(bad, 2.0) is None
 
@@ -502,23 +446,66 @@ def test_float_seed_past_n70(monkeypatch):
             == "2.3427513163141567228"
 
 
-def test_leading_block_is_the_prefix_reduction(monkeypatch):
+def fields(system):
+    """The exact W, P and K of a system's packed Z, as Fractions."""
+    rows = [eigen._unpack(row, system.width) for row in system.Z]
+    return [[[Fraction(v, D) for v in row[f]] for row in rows]
+            for f, D in enumerate(system.denominators)]
+
+
+def test_leading_block_is_the_prefix_reduction():
+    # the leading 7 x 7 block of the 13-term stage packs the 7-term stage's
+    # exact forms, and its float factor solves to the same E
     with mp.workdps(50):
         _, big = systems_n(13)
         mats7 = build_operator_matrices(enumerate_basis(7))
-        F = big["inf"].frac_bits
-        # size the 7-term stage at the 13-term stage's width
-        monkeypatch.setattr(eigen, "_cond_estimate",
-                            lambda W: F - mp.prec - eigen._GUARD_BITS)
+        k = mp.mpf("2.0451487")
         for label in ("inf", "0"):
             lead = big[label].leading(7)
             alone = build_systems(mats7, M_HELIUM, (label,))[label]
             assert lead.n == 7 and lead.label == label
-            assert lead.frac_bits == alone.frac_bits == F
+            assert lead.frac_bits == alone.frac_bits
             assert lead.cond_bits == alone.cond_bits
-            assert lead.L_inv == alone.L_inv
-            assert lead.K_red == alone.K_red
-            assert lead.P_red == alone.P_red
-            assert (lead.K_float == alone.K_float).all()
-            assert (lead.P_float == alone.P_float).all()
+            assert fields(lead) == fields(alone)
+            E, *_ = solve_fixed_k(lead, k)
+            E_alone, *_ = solve_fixed_k(alone, k)
+            assert abs(E - E_alone) <= mp.mpf(2) ** -(mp.prec - 8), label
             assert big[label].leading(13) is big[label]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(1, 9), b=st.integers(1, 80))
+def test_packed_matvec_is_three_matvecs(data, n, b):
+    # W and P entries at the full width b of their field, chunks of 54
+    # bits and a K field wider than a: one packed matvec unpacks to the
+    # three exact products
+    a = b + eigen._CHUNK_BITS + n.bit_length() + 2
+
+    def ints(bits):
+        lim = (1 << bits) - 1
+        return st.lists(st.integers(-lim, lim), min_size=n, max_size=n)
+
+    def check(W, P, K, v):
+        assert eigen._packed_matvec(eigen._pack(W, P, K, a), a, v) == \
+            tuple(eigen._matvec(A, v) for A in (W, P, K))
+
+    W, P, K = ([data.draw(ints(bits)) for _ in range(n)]
+               for bits in (b, b, a + 40))
+    check(W, P, K, data.draw(ints(eigen._CHUNK_BITS)))
+    # the extreme sums, n (2**b - 1)(2**54 - 1) of either sign
+    top, lim = (1 << b) - 1, (1 << eigen._CHUNK_BITS) - 1
+    for sw, sp in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+        check([[sw * top] * n] * n, [[sp * top] * n] * n, K, [lim] * n)
+
+
+def test_precision_holds_at_n95():
+    # at N = 95 (cond_bits 43) the 100-digit solve confirms the 50-digit one
+    mats = build_operator_matrices(enumerate_basis(95))
+    k = mp.mpf("2.45")
+    energies = []
+    for dps in (50, 100):
+        with mp.workdps(dps):
+            system = build_systems(mats, include=("inf",))["inf"]
+            energies.append(solve_fixed_k(system, k)[0])
+    with mp.workdps(100):
+        assert abs(energies[0] - energies[1]) < mp.mpf("1e-45")

@@ -3,6 +3,7 @@ import io
 import json
 import logging
 import os
+import re
 import subprocess
 import sys
 
@@ -308,13 +309,15 @@ def test_cli_verbose_logs_the_k_search_to_stderr():
     assert verbose.stdout == plain.stdout
     assert plain.stderr == ""
     lines = verbose.stderr.splitlines()
-    # one shared stage at N = 7, factored once
+    # one shared stage at N = 7, with its float64 conditioning estimate
     stage = [line for line in lines if line.startswith("hyhe: stage: ")]
-    assert len(stage) == 1 and stage[0].startswith("hyhe: stage: n=7 F=")
-    assert stage[0].endswith(" factors=1")
+    assert len(stage) == 1
+    assert re.fullmatch(r"hyhe: stage: n=7 F=\d+ cond_bits=\d+", stage[0])
     for label in ("inf", "0"):
         head = f"hyhe: k-search {label}: "
-        assert sum(line.startswith(head + "solve k=") for line in lines) == 3
+        solves = [line for line in lines if line.startswith(head + "solve k=")]
+        assert len(solves) == 3
+        assert all(re.search(r" E=\S+ steps=\d+$", line) for line in solves)
         assert sum(line.startswith(head + "float seed k_f=")
                    for line in lines) == 1
     assert not logging.getLogger("hyhe").handlers   # removed on close
