@@ -7,8 +7,8 @@ and output format; each can also come from one environment variable
 option beats its variable, which beats the config file.  The verbs read
 their options from the command line only.  The global `--verbose` flag
 sends the "hyhe" logger's DEBUG records (one line per stage with its width
-and float64 conditioning estimate, and the k-search trace with each solve's
-step count) to stderr;
+and float64 conditioning estimate, the k-search trace with each solve's
+step count, and each row's normalization error |c'Wc - 1|) to stderr;
 stdout is the same with or without it.
 
 Exit codes: 0 all rows ok, 1 at least one row failed, 2 usage error.

@@ -67,9 +67,6 @@ class PhysicalConstants:
     def alpha_mp(self):
         return mp.mpf(self.alpha)
 
-    def mass_ratio_mp(self):
-        return mp.mpf(self.mass_ratio_M)
-
     def gamma_mp(self):
         if self.euler_gamma == GAMMA_AUTO:
             return +mp.euler

@@ -31,8 +31,10 @@ r = Bc - theta Wc exactly on the ints and adds the correction
 -sum_{i>=1} u_i (u_i'r) / (mu_i - theta), the lowest mode projected out.
 c is a sum of float64-sized chunks of at most 54 bits at scale 2**F,
 F = mp.prec + 32, so the n^2 products of a step are each the packed form
-times a narrow chunk.  Results leave the kernel as mpf at the working
-precision.
+times a narrow chunk.  The state leaves the kernel as those ints, with F
+beside them (VariationalResult.frac_bits), and the expectation routes in
+matrices read it as it is; energies and exponents leave as mpf at the
+working precision.
 
 A step gains about log2(gap / (n eps |B| cond(W))) bits, so the
 conditioning of W, not the precision, sets how much each step gains.  With
@@ -75,7 +77,10 @@ from operator import mul
 import numpy as np
 from mpmath import mp
 
-# Guard bits above mp.prec in the fixed-point scale of the coefficients.
+# Guard bits above mp.prec in the fixed-point scale of the coefficients,
+# which the expectation sums in matrices keep.  A prefix sum to n carries at
+# most n/2 ulps (n <= 17 at N = 50), and the <p^4> channel sum cancels by a
+# factor of ~70 at N = 50; 32 bits cover both.
 _GUARD_BITS = 32
 # The float64 eigenbasis must resolve the lowest gap by this many bits.
 _SEED_BITS = 20
@@ -116,7 +121,8 @@ class ConvergenceError(RuntimeError):
 class VariationalResult:
     energy: object            # mpf
     k_opt: object             # mpf
-    coeffs: list              # mpf list, normalized c'Wc = 1
+    coeffs: list              # ints at 2**frac_bits, c'Wc = 1, c[0] >= 0
+    frac_bits: int            # F of the fixed-point coeffs
     n_basis: int
     iterations: int           # outer (k) iterations
     # ||Bc - theta Wc||_{W^-1} / (||c||_W ||B||), B = kK + P and ||B|| the
@@ -262,12 +268,6 @@ class PencilSystem:
                             self.denominators, self.T[:n, :n],
                             self.K_float[:n, :n], self.P_float[:n, :n],
                             label=self.label)
-
-    def coefficients(self, c):
-        """The solve's fixed-point c as mpf, signed so that c[0] >= 0."""
-        if c[0] < 0:
-            c = [-v for v in c]
-        return [to_mpf(v, self.frac_bits) for v in c]
 
 
 def _moving_nucleus_form(K, M_pol, mass_ratio):
@@ -595,11 +595,14 @@ def _traced_solve(system, k, trace):
 
 
 def _finish(system, k_opt, iterations, trace, slope):
-    """The state at k_opt, with the a-posteriori error |h(k_opt) / slope|."""
+    """The state at k_opt, signed so that c[0] >= 0, with the a-posteriori
+    error |h(k_opt) / slope|."""
     E, c, K_q, P_q, residual = _traced_solve(system, k_opt, trace)
     h = -P_q / (2 * K_q) - k_opt
+    if c[0] < 0:
+        c = [-v for v in c]
     return VariationalResult(
-        energy=E, k_opt=k_opt, coeffs=system.coefficients(c),
+        energy=E, k_opt=k_opt, coeffs=c, frac_bits=system.frac_bits,
         n_basis=system.n, iterations=iterations, residual=residual,
         trace=trace, k_err=abs(h / slope))
 

@@ -50,7 +50,7 @@ from operator import mul
 from mpmath import mp
 
 from .basis import padd, pdiff, pmul, pscale, pshift, psquare
-from .eigen import fixed, fixed_mpf, integer_matrix, to_mpf
+from .eigen import _debug, fixed, fixed_mpf, integer_matrix, to_mpf
 from .integrals import raw_moment
 
 # geometric weight polynomials (coordinates s, t, u; keys are exponents)
@@ -58,10 +58,6 @@ VOLUME = {(2, 0, 1): 1, (0, 2, 1): -1}                        # u(s^2 - t^2)
 COS_VOLUME = {(2, 0, 1): 1, (0, 2, 1): 1, (0, 0, 3): -2}      # u(s^2+t^2-2u^2)
 S_ANGLE = {(1, 0, 2): 1, (1, 2, 0): -1}                       # s(u^2 - t^2)
 T_ANGLE = {(2, 1, 0): 1, (0, 1, 2): -1}                       # t(s^2 - u^2)
-ANGLE_AC = pmul({(0, 0, 2): 1, (1, 1, 0): -1},
-                {(1, 0, 0): 1, (0, 1, 0): 1})                 # (s+t)(u^2 - st)
-ANGLE_BC = pmul({(0, 0, 2): 1, (1, 1, 0): 1},
-                {(1, 0, 0): 1, (0, 1, 0): -1})                # (s-t)(st + u^2)
 ATTRACTION_VOLUME = {(1, 0, 1): -4}        # -(1/r1 + 1/r2) * vol = -4su
 REPULSION_VOLUME = {(2, 0, 0): 1, (0, 2, 0): -1}              # (1/u) * vol
 
@@ -99,19 +95,6 @@ def _pair_coefficients(ti, tj):
     e = (li + lj, qi + qj, ni + nj)
     return e, (1, -e[0], li * lj, qi * qj, ni * nj, li * nj + lj * ni,
                -e[2], qi * nj + qj * ni)
-
-
-def _derivative_polys(p):
-    """(a, b, c) of the module docstring for a polynomial p (e^{-s} folded out)."""
-    p_s, p_t, p_u = pdiff(p, 0), pdiff(p, 1), pdiff(p, 2)
-    a = padd(padd(p_s, p, -1), p_t, -1)
-    b = padd(padd(p_s, p, -1), p_t)
-    return a, b, p_u
-
-
-def project_even_t(poly):
-    """Drop odd powers of t (electron-exchange projection for S singlets)."""
-    return {k: v for k, v in poly.items() if k[1] % 2 == 0}
 
 
 class NormalizationError(ValueError):
@@ -225,17 +208,12 @@ class ExpectationSet:
     log_momentum: object
 
 
-# Guard bits above mp.prec for the fixed-point expectation sums and the
-# normalization check.  A prefix sum to n carries at most n/2 ulps (n <= 17
-# at N = 50), and the <p^4> channel sum cancels by a factor of ~70 at
-# N = 50; 32 bits cover both.
-_SUM_GUARD_BITS = 32
 # check_normalized accepts |c'Wc - 1| up to this.
 _NORM_TOL = 1e-10
 
 
 def _state_poly(basis, values):
-    """One polynomial dict from per-term values (mpf or fixed-point ints)."""
+    """One polynomial dict from per-term values (ints, mpf or floats)."""
     poly = {}
     for term, v in zip(basis, values):
         key = (term.l, 2 * term.m, term.n)
@@ -243,23 +221,20 @@ def _state_poly(basis, values):
     return poly
 
 
-def _fixed_state_poly(basis, coeffs, F):
-    """The state polynomial with int coefficients round(c * 2**F)."""
-    return _state_poly(basis, [fixed_mpf(c, F) for c in coeffs])
-
-
-def check_normalized(W, coeffs):
+def check_normalized(W, coeffs, F):
     """Return the overlap quadratic form; raise unless it is 1 within _NORM_TOL.
 
-    c'Wc is summed exactly on ints: c at scale 2**F (F = mp.prec +
-    _SUM_GUARD_BITS) and W as integer_matrix reads it, ints over one D.
-    The sum is cut to scale 2**F and made one mpf at the working precision.
+    The state is the ints coeffs at scale 2**F, as a solve leaves it
+    (VariationalResult.frac_bits), and c'Wc is summed exactly on them with
+    W as integer_matrix reads it, ints over one D.  The sum is cut to scale
+    2**F and made one mpf, exact below 2, so |c'Wc - 1| keeps the bits
+    below the working precision.  A state read at the wrong scale fails
+    here, so the check also guards F.
     """
-    F = mp.prec + _SUM_GUARD_BITS
-    c = [fixed_mpf(v, F) for v in coeffs]
     W, D = integer_matrix(W)
-    total = sum(ci * sum(map(mul, c, row)) for ci, row in zip(c, W))
-    wq = to_mpf(total // (D << F), F)
+    total = sum(ci * sum(map(mul, coeffs, row)) for ci, row in zip(coeffs, W))
+    with mp.workprec(F + 1):
+        wq = to_mpf(total // (D << F), F)
     if abs(wq - 1) > _NORM_TOL:
         raise NormalizationError(
             f"state is not normalized: <U|U> = {mp.nstr(wq, 12)}")
@@ -268,7 +243,7 @@ def check_normalized(W, coeffs):
 
 # --- coalescence densities -------------------------------------------------
 
-def delta_expectations(basis, coeffs, k, wq):
+def delta_expectations(basis, coeffs, F, k, wq):
     """(<delta^3(r_1)>, <delta^3(r_12)>) on a state of norm wq = c'Wc.
 
     Electron-nucleus coalescence pins s = t = u = r2 and leaves a radial
@@ -278,26 +253,30 @@ def delta_expectations(basis, coeffs, k, wq):
     terms with an extra 2^{l_i + l_j} from s = 2r.  Both weights depend on
     a pair only through g = g_i + g_j, so the double sums run over grade
     pairs of S_g, the sum of the coefficients of grade g.
+
+    The S_g are ints at scale 2**F, the state's.  With top = 2 g_max + 3
+    each weight (g+2)!/2^{g+3} is the int (g+2)! 2^{top-g-3} at scale
+    2**top, so each double sum is one exact int at scale 2**(2F + top) and
+    becomes one mpf.
     """
-    km = mp.mpf(k)
     grade_sums, pure_sums = {}, {}
     for term, c in zip(basis, coeffs):
         g = term.grade
         grade_sums[g] = grade_sums.get(g, 0) + c
         if term.m == 0 and term.n == 0:
             pure_sums[g] = pure_sums.get(g, 0) + c
-    weight = [mp.factorial(g + 2) / mp.mpf(2) ** (g + 3)
-              for g in range(2 * max(grade_sums) + 1)]
+    top = 2 * max(grade_sums) + 3
+    weight = [math.factorial(g + 2) << (top - g - 3) for g in range(top - 2)]
 
     def pair_sum(sums):
-        return mp.fsum(si * sj * weight[gi + gj]
-                       for gi, si in sums.items() for gj, sj in sums.items())
+        total = sum(si * sj * weight[gi + gj]
+                    for gi, si in sums.items() for gj, sj in sums.items())
+        return mp.ldexp(total, -2 * F - top)
 
     # t-power enters as (-r)^{2m}: even, so r1 and r2 agree exactly
-    d1 = km ** 3 * (2 / mp.pi) * pair_sum(grade_sums) / wq
+    scale = mp.mpf(k) ** 3 * (2 / mp.pi) / wq
     # 2^g (g+2)!/4^{g+3} = weight[g] / 8
-    dee = km ** 3 * (2 / mp.pi) * pair_sum(pure_sums) / (8 * wq)
-    return d1, dee
+    return scale * pair_sum(grade_sums), scale * pair_sum(pure_sums) / 8
 
 
 # --- fixed-point series weights ----------------------------------------------
@@ -347,7 +326,7 @@ def reduced_laplacian(poly):
     return padd(out, pmul(T3, {(1, 0, 0): 1, (0, 1, 0): -1}))
 
 
-def p4_expectation(basis, coeffs, k, wq):
+def p4_expectation(basis, coeffs, F, k, wq):
     """<p_1^4 + p_2^4> = int (Lap_1 U)^2 + (Lap_2 U)^2 over the half domain.
 
     (Lap_1 U)^2 vol = T^2 e^{-2s} (s+t)/((s-t)u).  For a monomial
@@ -363,12 +342,11 @@ def p4_expectation(basis, coeffs, k, wq):
     is the t-reflection of the electron-1 one, so it reads the 1/((s+t)u)
     moment off the same monomial with sign (-1)^B.
 
-    Everything runs on Python ints: the state at scale 2**F (F = mp.prec +
-    _SUM_GUARD_BITS), T^2 (s+t) exactly at scale 2**(2F), and the channel
-    moments from fixed-point prefix sums; one mpf is made at the end.
+    Everything runs on Python ints: the state's coefficients at scale 2**F,
+    T^2 (s+t) exactly at scale 2**(2F), and the channel moments from
+    fixed-point prefix sums; one mpf is made at the end.
     """
-    F = mp.prec + _SUM_GUARD_BITS
-    T = reduced_laplacian(_fixed_state_poly(basis, coeffs, F))
+    T = reduced_laplacian(_state_poly(basis, coeffs))
     poly = pmul(psquare(T), {(1, 0, 0): 1, (0, 1, 0): 1})
     harm, sq, alt, alt_sq = _prefix_sums(max(b + c for _, b, c in poly), F)
     with mp.workprec(F):
@@ -394,22 +372,25 @@ def p4_expectation(basis, coeffs, k, wq):
 # --- the logarithmic momentum matrix element --------------------------------
 
 def _logmom_numerator(poly):
-    """2N for U = poly e^{-s}, where U (n.grad_12 U) vol = N e^{-2s} / u^2.
+    """N for U = poly e^{-s}, where U (n.grad_12 U) vol = N e^{-2s} / u^2.
 
     n = r_12 / r_12; grad_12 acts as (grad_1 - grad_2)/2, and the direction
     cosines r1.n = (u^2 - st)/((s-t)u), r2.n = -(u^2 + st)/((s+t)u) fold the
     angular factors into polynomials after clearing u^2:
       N = poly (p_u vol + a (s+t)(u^2 - st)/2 + b (s-t)(st + u^2)/2).
-    Doubling keeps the halves integral on int coefficients.
+    With a = X - Y and b = X + Y the two angular weights combine as in the
+    kinetic closed form of the module docstring:
+      N = poly (p_u vol + (p_s - p) s(u^2 - t^2) + p_t t(s^2 - u^2)).
+    Every piece is even in t, and every coefficient is an int on an int
+    state.
     """
-    a, b, p_u = _derivative_polys(poly)
-    factor = padd(padd(pmul(pscale(VOLUME, 2), p_u), pmul(ANGLE_AC, a)),
-                  pmul(ANGLE_BC, b))
-    # exchange-odd parts cancel against the mirrored half domain
-    return project_even_t(pmul(poly, factor))
+    p_s, p_t, p_u = pdiff(poly, 0), pdiff(poly, 1), pdiff(poly, 2)
+    factor = padd(padd(pmul(VOLUME, p_u), pmul(S_ANGLE, padd(p_s, poly, -1))),
+                  pmul(T_ANGLE, p_t))
+    return pmul(poly, factor)
 
 
-def log_momentum_expectation(basis, coeffs, k, wq, gamma=None):
+def log_momentum_expectation(basis, coeffs, F, k, wq, gamma=None):
     """Q = <(gamma - ln k) + ln u'> n.grad_12 matrix element (mpf).
 
     u' = k u is the scaled coordinate, so the weight is ln r12 + gamma, the
@@ -421,13 +402,13 @@ def log_momentum_expectation(basis, coeffs, k, wq, gamma=None):
       plain = m / ((B+1)(B+C)),
       log   = plain (psi(M+1) - ln 2 - 1/(B+C)),   psi(M+1) = H_M - gamma_E,
     so it carries plain (H_M - 1/(B+C) + gamma - gamma_E - ln 2k).  As in
-    p4_expectation the sum runs on ints at scale 2**F, with H_M from the
-    fixed-point prefix sums, and one mpf is made at the end.
+    p4_expectation the sum runs on ints, N at scale 2**(2F) and the weights
+    at 2**F with H_M from the fixed-point prefix sums, and one mpf is made
+    at the end.
     """
     if gamma is None:
         gamma = mp.euler
-    F = mp.prec + _SUM_GUARD_BITS
-    num = _logmom_numerator(_fixed_state_poly(basis, coeffs, F))
+    num = _logmom_numerator(_state_poly(basis, coeffs))
     harm = _prefix_sums(max(sum(key) for key in num), F)[0]
     km = mp.mpf(k)
     with mp.workprec(F):
@@ -438,15 +419,17 @@ def log_momentum_expectation(basis, coeffs, k, wq, gamma=None):
         # harm[d] - harm[d - 1] is the fixed-point 1/d
         w = harm[M] - harm[d] + harm[d - 1] + shift
         total += (v * math.factorial(M) * w // ((b + 1) * d)) >> (M + 1)
-    # 2F from N's coefficients, F from the weights, 1 from the doubling
-    return km ** 3 * mp.ldexp(total, -3 * F - 1) / wq
+    return km ** 3 * mp.ldexp(total, -3 * F) / wq
 
 
-def expectation_set(basis, coeffs, k, W, gamma=None):
-    """All correction-layer expectation values on a normalized state."""
-    wq = check_normalized(W, coeffs)
-    d1, dee = delta_expectations(basis, coeffs, k, wq)
-    p4_pair = p4_expectation(basis, coeffs, k, wq)
-    q = log_momentum_expectation(basis, coeffs, k, wq, gamma=gamma)
+def expectation_set(basis, coeffs, F, k, W, gamma=None):
+    """All correction-layer expectation values on a normalized state, the
+    ints coeffs at scale 2**F; |c'Wc - 1| is logged to the "hyhe" logger at
+    DEBUG."""
+    wq = check_normalized(W, coeffs, F)
+    _debug("expectations: norm_err=%s", mp.nstr(abs(wq - 1), 3))
+    d1, dee = delta_expectations(basis, coeffs, F, k, wq)
+    p4_pair = p4_expectation(basis, coeffs, F, k, wq)
+    q = log_momentum_expectation(basis, coeffs, F, k, wq, gamma=gamma)
     return ExpectationSet(k=mp.mpf(k), delta_r1=d1, delta_r12=dee,
                           p4=p4_pair / 2, log_momentum=q)

@@ -203,8 +203,8 @@ def compute_row(n, config, constants, stage=None):
         basis, mats, systems = stage or build_stage(n, constants)
         res_inf, res_0 = ground_state_pair(
             {label: system.leading(n) for label, system in systems.items()})
-        exps = expectation_set(basis[:n], res_0.coeffs, res_0.k_opt,
-                               [row[:n] for row in mats.W[:n]],
+        exps = expectation_set(basis[:n], res_0.coeffs, res_0.frac_bits,
+                               res_0.k_opt, [row[:n] for row in mats.W[:n]],
                                gamma=constants.gamma_mp())
         breakdown = total_energy(res_0.energy, exps, constants)
         row = Row(

@@ -2,7 +2,9 @@
 
 The pipeline integrates every expectation value in closed form; these
 functions evaluate the same integrands at points, in float64 or mpf, so that
-quadrature can referee the closed forms.
+quadrature can referee the closed forms.  The log-momentum numerator is
+built here by the a/b/c angle route (ANGLE_AC, ANGLE_BC), independent of
+the S_ANGLE/T_ANGLE closed form the pipeline uses.
 """
 
 from fractions import Fraction
@@ -10,8 +12,41 @@ from fractions import Fraction
 import numpy as np
 from mpmath import mp
 
-from hyhe.matrices import (_derivative_polys, _logmom_numerator, _state_poly,
-                           reduced_laplacian)
+from hyhe.basis import padd, pdiff, pmul, pscale
+from hyhe.matrices import VOLUME, _state_poly, reduced_laplacian
+
+# The angular weights of the a/b/c form of the kinetic energy
+# (`hyhe.matrices` module docstring), which the assembly folds into
+# S_ANGLE and T_ANGLE.
+ANGLE_AC = pmul({(0, 0, 2): 1, (1, 1, 0): -1},
+                {(1, 0, 0): 1, (0, 1, 0): 1})                 # (s+t)(u^2 - st)
+ANGLE_BC = pmul({(0, 0, 2): 1, (1, 1, 0): 1},
+                {(1, 0, 0): 1, (0, 1, 0): -1})                # (s-t)(st + u^2)
+
+
+def derivative_polys(p):
+    """(a, b, c) of the `hyhe.matrices` module docstring for a polynomial p
+    (e^{-s} folded out)."""
+    p_s, p_t, p_u = pdiff(p, 0), pdiff(p, 1), pdiff(p, 2)
+    a = padd(padd(p_s, p, -1), p_t, -1)
+    b = padd(padd(p_s, p, -1), p_t)
+    return a, b, p_u
+
+
+def project_even_t(poly):
+    """Drop odd powers of t (electron-exchange projection for S singlets)."""
+    return {k: v for k, v in poly.items() if k[1] % 2 == 0}
+
+
+def angle_logmom_numerator(poly):
+    """2N of `hyhe.matrices._logmom_numerator` by the angle route:
+    poly (2 vol p_u + a (s+t)(u^2 - st) + b (s-t)(st + u^2)), projected on
+    even t.  Doubling keeps the halves integral on int coefficients."""
+    a, b, p_u = derivative_polys(poly)
+    factor = padd(padd(pmul(pscale(VOLUME, 2), p_u), pmul(ANGLE_AC, a)),
+                  pmul(ANGLE_BC, b))
+    # exchange-odd parts cancel against the mirrored half domain
+    return project_even_t(pmul(poly, factor))
 
 
 def derivative_symbols(term):
@@ -22,7 +57,7 @@ def derivative_symbols(term):
     for the pointwise checks.
     """
     p = {(term.l, 2 * term.m, term.n): 1}
-    return (p, *_derivative_polys(p))
+    return (p, *derivative_polys(p))
 
 
 def evaluate_poly(poly, s, t, u):
@@ -88,7 +123,7 @@ def p4_expectation_quad(basis, coeffs, k, wq, quad, target=1e-3):
 
 def log_momentum_integrands(basis, coeffs):
     """(plain, log) integrand functions for the quadrature cross-check."""
-    num = _logmom_numerator(_state_poly(basis, coeffs))
+    num = angle_logmom_numerator(_state_poly(basis, coeffs))
     numf = {key: float(v) / 2 for key, v in num.items()}
 
     def plain(s, t, u):

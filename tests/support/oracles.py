@@ -34,11 +34,10 @@ from mpmath import mp
 from hyhe.basis import padd, pdiff, pmul, pscale
 from hyhe.eigen import ConvergenceError, _finish, solve_fixed_k
 from hyhe.integrals import raw_moment
-from hyhe.matrices import (OperatorMatrices, _logmom_numerator, _state_poly,
-                           reduced_laplacian)
+from hyhe.matrices import OperatorMatrices, _state_poly, reduced_laplacian
 
 from .integrals import _mp_laguerre_rule, _mp_legendre_rule, log_raw_moment
-from .matrices import poly_function_mp
+from .matrices import angle_logmom_numerator, poly_function_mp
 
 
 @dataclass(frozen=True)
@@ -478,6 +477,29 @@ def _channel_sum(poly, minus):
     return tot
 
 
+def mp_delta_expectations(basis, coeffs, k, wq):
+    """(<delta^3(r_1)>, <delta^3(r_12)>) of `hyhe.matrices.delta_expectations`
+    in mpf, each grade-pair weight (g+2)!/2^{g+3} an mpf and each double
+    sum an mp.fsum."""
+    km = mp.mpf(k)
+    grade_sums, pure_sums = {}, {}
+    for term, c in zip(basis, coeffs):
+        g = term.grade
+        grade_sums[g] = grade_sums.get(g, 0) + c
+        if term.m == 0 and term.n == 0:
+            pure_sums[g] = pure_sums.get(g, 0) + c
+    weight = [mp.factorial(g + 2) / mp.mpf(2) ** (g + 3)
+              for g in range(2 * max(grade_sums) + 1)]
+
+    def pair_sum(sums):
+        return mp.fsum(si * sj * weight[gi + gj]
+                       for gi, si in sums.items() for gj, sj in sums.items())
+
+    d1 = km ** 3 * (2 / mp.pi) * pair_sum(grade_sums) / wq
+    dee = km ** 3 * (2 / mp.pi) * pair_sum(pure_sums) / (8 * wq)
+    return d1, dee
+
+
 def mp_p4_expectation(basis, coeffs, k, wq):
     """<p_1^4 + p_2^4> by the channel series with every step in mpf.
 
@@ -497,13 +519,15 @@ def mp_p4_expectation(basis, coeffs, k, wq):
 def mp_log_momentum_expectation(basis, coeffs, k, wq, gamma=None):
     """Q of `hyhe.matrices.log_momentum_expectation` in mpf.
 
-    Each monomial s^A t^B u^C of the numerator N/2 is integrated against
-    u^{-2} by the closed forms raw_moment(A, B, C - 2) and
+    Each monomial s^A t^B u^C of the numerator N, built by the angle route
+    (support.matrices.angle_logmom_numerator gives 2N), is integrated
+    against u^{-2} by the closed forms raw_moment(A, B, C - 2) and
     log_raw_moment(A, B, C - 2), the latter with mp.digamma.
     """
     if gamma is None:
         gamma = mp.euler
-    num = _logmom_numerator(_state_poly(basis, [mp.mpf(c) for c in coeffs]))
+    num = angle_logmom_numerator(
+        _state_poly(basis, [mp.mpf(c) for c in coeffs]))
     i_plain, i_log = mp.mpf(0), mp.mpf(0)
     for (A, B, C), v in num.items():
         v = v / 2

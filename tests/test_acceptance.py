@@ -24,7 +24,7 @@ from hyhe.basis import enumerate_basis
 from hyhe.config import RunConfig
 from hyhe.constants import PhysicalConstants, default_constants
 from hyhe.corrections import total_energy
-from hyhe.eigen import build_systems, optimize_k, solve_fixed_k
+from hyhe.eigen import build_systems, optimize_k, solve_fixed_k, to_mpf
 from hyhe.matrices import (build_operator_matrices, check_normalized,
                            expectation_set, reduced_laplacian)
 from hyhe.report import compute_row, solve_single
@@ -101,8 +101,10 @@ def test_radiative_shift_reference(sweep):
     basis = enumerate_basis(50)
     with mp.workdps(30):
         wq = check_normalized(
-            build_operator_matrices(basis, Z=constants.Z).W, res_0.coeffs)
-        plain, logu = log_momentum_integrands(basis, res_0.coeffs)
+            build_operator_matrices(basis, Z=constants.Z).W, res_0.coeffs,
+            res_0.frac_bits)
+        plain, logu = log_momentum_integrands(
+            basis, [to_mpf(c, res_0.frac_bits) for c in res_0.coeffs])
         i_plain = quad_integral(plain, target=1e-10)
         i_log = gauss_tensor_value(logu, n=96)
         k = res_0.k_opt
@@ -159,7 +161,7 @@ def test_hydrogenic_closed_forms():
         k = res.k_opt
         basis = enumerate_basis(1)
         mats = build_operator_matrices(basis, Z=2)
-        exps = expectation_set(basis, res.coeffs, k, mats.W)
+        exps = expectation_set(basis, res.coeffs, res.frac_bits, k, mats.W)
         checks = (
             (res.energy, mp.mpf("-2.84765625")),   # -(Z - 5/16)^2
             (k, mp.mpf("1.6875")),                 # Z - 5/16

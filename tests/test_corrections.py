@@ -87,10 +87,10 @@ def test_seed_state_anchor_values():
         c = default_constants()
         basis = enumerate_basis(1)
         mats = build_operator_matrices(basis)
-        systems = build_systems(mats, mass_ratio=c.mass_ratio_mp())
+        systems = build_systems(mats, mass_ratio=c.mass_ratio_M)
         res = optimize_k(systems["0"])
-        exps = expectation_set(basis, res.coeffs, res.k_opt, mats.W,
-                               gamma=c.gamma_mp())
+        exps = expectation_set(basis, res.coeffs, res.frac_bits, res.k_opt,
+                               mats.W, gamma=c.gamma_mp())
         b = total_energy(res.energy, exps, c)
 
         anchors = {

@@ -196,6 +196,13 @@ def test_nonpositive_overlap_rejected():
             build_systems(mats, include=("inf",))
 
 
+def signed_mpf(c, F):
+    """A solve's fixed-point c at scale 2**F as mpf, signed so that
+    c[0] >= 0 as the mp oracle signs its coefficients."""
+    sign = -1 if c[0] < 0 else 1
+    return [eigen.to_mpf(sign * v, F) for v in c]
+
+
 def assert_matches_oracle(system, oracle, k, tol):
     """E, K_q, P_q and the coefficients of a solve at k within tol of the
     mp oracle's, oracle = mp_reduce_pencil(...)."""
@@ -203,7 +210,7 @@ def assert_matches_oracle(system, oracle, k, tol):
     E_ref, K_ref, P_ref, c_ref = mp_solve_fixed_k(*oracle, k)
     for got, ref in ((E, E_ref), (K_q, K_ref), (P_q, P_ref)):
         assert abs(got - ref) < tol, (system.label, got - ref)
-    coeffs = system.coefficients(c)
+    coeffs = signed_mpf(c, system.frac_bits)
     assert max(abs(a - b) for a, b in zip(coeffs, c_ref)) < tol, system.label
 
 
@@ -292,7 +299,7 @@ def test_fixed_k_solve_matches_mp_oracle(n, dps):
         assert abs(E - E_ref) < tol
         assert abs(K_q - K_ref) < tol
         assert abs(P_q - P_ref) < tol
-        coeffs = system.coefficients(x)
+        coeffs = signed_mpf(x, system.frac_bits)
         assert max(abs(a - b) for a, b in zip(coeffs, c_ref)) < tol
 
 
@@ -312,7 +319,7 @@ def test_ground_state_pair_contract():
         for res in (res_inf, res_0):
             assert res.n_basis == 6
             assert res.coeffs[0] > 0
-            check_normalized(mats.W, res.coeffs)
+            check_normalized(mats.W, res.coeffs, res.frac_bits)
             assert res.residual < mp.mpf("1e-25")
 
 

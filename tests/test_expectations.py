@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 
@@ -8,17 +9,20 @@ from mpmath import mp
 import hyhe
 from hyhe.basis import enumerate_basis
 from hyhe.constants import default_constants
-from hyhe.eigen import build_systems, optimize_k
-from hyhe.matrices import (NormalizationError, build_operator_matrices,
+from hyhe.eigen import build_systems, optimize_k, to_mpf
+from hyhe.matrices import (NormalizationError, _logmom_numerator,
+                           _state_poly, build_operator_matrices,
                            check_normalized, delta_expectations,
                            expectation_set, log_momentum_expectation,
                            p4_expectation)
+from support import fixed_state
 from support.integrals import quad_integral
-from support.matrices import (log_momentum_integrands, p4_expectation_quad,
+from support.matrices import (angle_logmom_numerator,
+                              log_momentum_integrands, p4_expectation_quad,
                               p4_integrand)
 from support.oracles import (duffy_p4_channels, gauss_tensor_value,
-                             hydrogenic_reference, mp_log_momentum_expectation,
-                             mp_p4_expectation)
+                             hydrogenic_reference, mp_delta_expectations,
+                             mp_log_momentum_expectation, mp_p4_expectation)
 
 
 @pytest.fixture(scope="module")
@@ -29,7 +33,8 @@ def seed_state():
 
 
 def normalized_state(n, alternating=False):
-    """A fixed, unoptimized (but exactly normalized) n-term state."""
+    """A fixed, unoptimized (but exactly normalized) n-term state: (basis,
+    mats, mpf coefficients, the same state as fixed_state's (ints, F))."""
     basis = enumerate_basis(n)
     mats = build_operator_matrices(basis)
     sign = -1 if alternating else 1
@@ -40,7 +45,7 @@ def normalized_state(n, alternating=False):
             wij = mats.W[i][j]
             wq += raw[i] * raw[j] * mp.mpf(wij.numerator) / wij.denominator
     coeffs = [c / mp.sqrt(wq) for c in raw]
-    return basis, mats, coeffs
+    return basis, mats, coeffs, fixed_state(coeffs)
 
 
 @pytest.mark.parametrize("k", ["2.0", "1.6875"])
@@ -48,7 +53,7 @@ def test_hydrogenic_closed_forms(seed_state, k):
     basis, mats = seed_state
     with mp.workdps(40):
         km = mp.mpf(k)
-        exps = expectation_set(basis, [mp.sqrt(2)], km, mats.W)
+        exps = expectation_set(basis, *fixed_state([mp.sqrt(2)]), km, mats.W)
         ref = hydrogenic_reference(km)
         tol = mp.mpf("1e-30")
         assert abs(exps.delta_r1 - km ** 3 / mp.pi) < tol
@@ -72,22 +77,24 @@ def test_electron_density_symmetry():
 
 def test_delta_needs_a_normalization_route(seed_state):
     basis, mats = seed_state
-    wq = check_normalized(mats.W, [mp.sqrt(2)])
-    d1, dee = delta_expectations(basis, [mp.sqrt(2)], 2, wq)
+    state = fixed_state([mp.sqrt(2)])
+    wq = check_normalized(mats.W, *state)
+    d1, dee = delta_expectations(basis, *state, 2, wq)
     assert d1 > dee > 0
 
 
 def test_expectation_set_rejects_unnormalized(seed_state):
     basis, mats = seed_state
     with pytest.raises(NormalizationError):
-        expectation_set(basis, [mp.mpf(1)], 2, mats.W)
+        expectation_set(basis, *fixed_state([mp.mpf(1)]), 2, mats.W)
 
 
 def test_p4_series_vs_quadrature_seed(seed_state):
     basis, mats = seed_state
     with mp.workdps(30):
-        wq = check_normalized(mats.W, [mp.sqrt(2)])
-        series = p4_expectation(basis, [mp.sqrt(2)], 1, wq)
+        state = fixed_state([mp.sqrt(2)])
+        wq = check_normalized(mats.W, *state)
+        series = p4_expectation(basis, *state, 1, wq)
         assert abs(series - 10) < mp.mpf("1e-25")  # pair value: 2 * 5k^4
         quad = p4_expectation_quad(basis, [mp.sqrt(2)], 1, wq, quad_integral)
         assert abs(quad - series) < mp.mpf("1e-3") * series
@@ -97,10 +104,10 @@ def test_p4_series_vs_quadrature_correlated():
     # correlated terms put log-type corners at u -> 0, so a fixed 96-node
     # rule only certifies ~1%; the tight Duffy-split checks live below
     with mp.workdps(30):
-        basis, mats, coeffs = normalized_state(5)
-        wq = check_normalized(mats.W, coeffs)
+        basis, mats, coeffs, state = normalized_state(5)
+        wq = check_normalized(mats.W, *state)
         k = mp.mpf("1.8")
-        series = p4_expectation(basis, coeffs, k, wq)
+        series = p4_expectation(basis, *state, k, wq)
         f1 = p4_integrand(basis, coeffs)
         quad = k ** 4 * (gauss_tensor_value(f1, n=96)
                          + gauss_tensor_value(lambda s, t, u: f1(s, -t, u),
@@ -130,22 +137,23 @@ def test_p4_correlated_vs_duffy_gauss(n, alternating):
     # one-term checks above cannot see them; 14 nodes resolve these states
     # to ~1e-18 relative
     with mp.workdps(30):
-        basis, mats, coeffs = normalized_state(n, alternating=alternating)
-        wq = check_normalized(mats.W, coeffs)
+        basis, mats, coeffs, state = normalized_state(n,
+                                                      alternating=alternating)
+        wq = check_normalized(mats.W, *state)
         k = mp.mpf("1.8")
         i_minus, i_plus = duffy_p4_channels(basis, coeffs, nodes=14)
         quad = k ** 4 * (i_minus + i_plus) / wq
-        series = p4_expectation(basis, coeffs, k, wq)
+        series = p4_expectation(basis, *state, k, wq)
         assert abs(series - quad) < mp.mpf("1e-15") * quad, (
             mp.nstr(series, 20), mp.nstr(quad, 20))
 
 
 def test_log_momentum_series_vs_quadrature():
     with mp.workdps(30):
-        basis, mats, coeffs = normalized_state(4)
-        wq = check_normalized(mats.W, coeffs)
+        basis, mats, coeffs, state = normalized_state(4)
+        wq = check_normalized(mats.W, *state)
         k = mp.mpf("1.7")
-        closed = log_momentum_expectation(basis, coeffs, k, wq)
+        closed = log_momentum_expectation(basis, *state, k, wq)
         plain, logu = log_momentum_integrands(basis, coeffs)
         # the plain moment converges to machine precision, the ln(u) corner
         # limits the log moment to ~5 digits on a fixed 96-node rule
@@ -160,10 +168,11 @@ def test_log_momentum_gamma_hook(seed_state):
     # gamma + 1 must shift Q by exactly k^3 I_plain / wq
     basis, mats = seed_state
     with mp.workdps(30):
-        wq = check_normalized(mats.W, [mp.sqrt(2)])
+        state = fixed_state([mp.sqrt(2)])
+        wq = check_normalized(mats.W, *state)
         k = mp.mpf(2)
-        q0 = log_momentum_expectation(basis, [mp.sqrt(2)], k, wq)
-        q1 = log_momentum_expectation(basis, [mp.sqrt(2)], k, wq,
+        q0 = log_momentum_expectation(basis, *state, k, wq)
+        q1 = log_momentum_expectation(basis, *state, k, wq,
                                       gamma=mp.euler + 1)
         plain, _ = log_momentum_integrands(basis, [mp.sqrt(2)])
         i_plain = quad_integral(plain, target=1e-12)
@@ -173,20 +182,49 @@ def test_log_momentum_gamma_hook(seed_state):
 def test_p4_scaling_in_k():
     # the series carries k^4 explicitly; doubling k multiplies by 16
     with mp.workdps(30):
-        basis, mats, coeffs = normalized_state(3)
-        wq = check_normalized(mats.W, coeffs)
-        assert abs(p4_expectation(basis, coeffs, 2, wq)
-                   - 16 * p4_expectation(basis, coeffs, 1, wq)) < mp.mpf("1e-20")
+        basis, mats, _, state = normalized_state(3)
+        wq = check_normalized(mats.W, *state)
+        assert abs(p4_expectation(basis, *state, 2, wq)
+                   - 16 * p4_expectation(basis, *state, 1, wq)) < mp.mpf("1e-20")
 
 
 def optimized_state(n):
-    """The nuclear-motion ground state at its optimal k, at the working dps."""
+    """The nuclear-motion ground state at its optimal k, at the working dps:
+    (basis, mats, mpf coefficients, the solve's (ints, F), k_opt)."""
     basis = enumerate_basis(n)
     mats = build_operator_matrices(basis)
     system = build_systems(mats, mass_ratio=default_constants().mass_ratio_M,
                            include=("0",))["0"]
     res = optimize_k(system)
-    return basis, mats, res.coeffs, res.k_opt
+    coeffs = [to_mpf(c, res.frac_bits) for c in res.coeffs]
+    return basis, mats, coeffs, (res.coeffs, res.frac_bits), res.k_opt
+
+
+def test_expectation_set_guards_the_state_scale():
+    # the solve's ints read one bit off their scale F make c'Wc 4 or 1/4,
+    # so the normalization check refuses them
+    with mp.workdps(50):
+        basis, mats, _, (c, F), k = optimized_state(22)
+        expectation_set(basis, c, F, k, mats.W)
+        for wrong in (F - 1, F + 1):
+            with pytest.raises(NormalizationError):
+                expectation_set(basis, c, wrong, k, mats.W)
+
+
+@pytest.mark.parametrize("n", [7, 40, 70])
+def test_logmom_closed_numerator_is_half_the_angle_route(n):
+    # N = poly (p_u vol + (p_s - p) S_ANGLE + p_t T_ANGLE) against the
+    # doubled, t-projected a/b/c route, key for key on random int states;
+    # the closed form has no odd-t key to project away
+    basis = enumerate_basis(n)
+    rng = random.Random(n)
+    for _ in range(5):
+        poly = _state_poly(basis, [rng.randint(-2 ** 200, 2 ** 200)
+                                   for _ in basis])
+        closed = _logmom_numerator(poly)
+        assert all(key[1] % 2 == 0 for key in closed)
+        assert {key: 2 * v for key, v in closed.items()} \
+            == angle_logmom_numerator(poly)
 
 
 @pytest.mark.parametrize("state", ["optimized", "alternating"])
@@ -196,19 +234,22 @@ def test_fixed_point_routes_match_mp_oracles(n, dps, state):
     # the int sums against the mpf channel series and the digamma closed form
     with mp.workdps(dps):
         if state == "optimized":
-            basis, mats, coeffs, k = optimized_state(n)
+            basis, mats, coeffs, ints, k = optimized_state(n)
         else:
-            basis, mats, coeffs = normalized_state(n, alternating=True)
+            basis, mats, coeffs, ints = normalized_state(n, alternating=True)
             k = mp.mpf("1.85")
-        wq = check_normalized(mats.W, coeffs)
+        wq = check_normalized(mats.W, *ints)
         tol = mp.mpf(10) ** (5 - dps)
-        for route, oracle in ((p4_expectation, mp_p4_expectation),
+        for route, oracle in ((delta_expectations, mp_delta_expectations),
+                              (p4_expectation, mp_p4_expectation),
                               (log_momentum_expectation,
                                mp_log_momentum_expectation)):
-            mine = route(basis, coeffs, k, wq)
+            mine = route(basis, *ints, k, wq)
             ref = oracle(basis, coeffs, k, wq)
-            assert abs(mine - ref) <= tol * abs(ref), (
-                route.__name__, mp.nstr(mine, dps), mp.nstr(ref, dps))
+            pairs = zip(mine, ref) if isinstance(mine, tuple) else [(mine, ref)]
+            for a, b in pairs:
+                assert abs(a - b) <= tol * abs(b), (
+                    route.__name__, mp.nstr(a, dps), mp.nstr(b, dps))
 
 
 _P4_AT_PRECISIONS = """
@@ -228,8 +269,9 @@ for dps in map(int, sys.argv[1:]):
             mats, mass_ratio=default_constants().mass_ratio_M,
             include=("0",))["0"]
         res = optimize_k(system)
-        wq = check_normalized(mats.W, res.coeffs)
-        print(mp.nstr(p4_expectation(basis, res.coeffs, res.k_opt, wq), dps))
+        wq = check_normalized(mats.W, res.coeffs, res.frac_bits)
+        print(mp.nstr(p4_expectation(basis, res.coeffs, res.frac_bits,
+                                     res.k_opt, wq), dps))
 """
 
 

@@ -5,15 +5,15 @@ import pytest
 from mpmath import mp
 
 from hyhe.basis import enumerate_basis
-from hyhe.matrices import (ANGLE_AC, ANGLE_BC, ATTRACTION_VOLUME, COS_VOLUME,
-                           REPULSION_VOLUME, VOLUME, NormalizationError,
-                           build_operator_matrices, check_normalized,
-                           project_even_t, reduced_laplacian)
+from hyhe.matrices import (ATTRACTION_VOLUME, COS_VOLUME, REPULSION_VOLUME,
+                           VOLUME, NormalizationError, build_operator_matrices,
+                           check_normalized, reduced_laplacian)
+from support import fixed_state
 from support.basis import basis_expression
 from support.integrals import (_mp_laguerre_rule, _mp_legendre_rule,
                                quad_integral)
-from support.matrices import (derivative_symbols, evaluate_poly,
-                              poly_function_mp)
+from support.matrices import (ANGLE_AC, ANGLE_BC, derivative_symbols,
+                              evaluate_poly, poly_function_mp, project_even_t)
 from support.oracles import fraction_operator_matrices
 
 
@@ -288,7 +288,7 @@ def test_exponent_scaling_tags():
 def test_check_normalized():
     mats = build_operator_matrices(enumerate_basis(1))
     with mp.workdps(40):
-        wq = check_normalized(mats.W, [mp.sqrt(2)])
+        wq = check_normalized(mats.W, *fixed_state([mp.sqrt(2)]))
         assert abs(wq - 1) < mp.mpf("1e-35")
     with pytest.raises(NormalizationError):
-        check_normalized(mats.W, [mp.mpf(1)])
+        check_normalized(mats.W, *fixed_state([mp.mpf(1)]))

@@ -320,6 +320,10 @@ def test_cli_verbose_logs_the_k_search_to_stderr():
         assert all(re.search(r" E=\S+ steps=\d+$", line) for line in solves)
         assert sum(line.startswith(head + "float seed k_f=")
                    for line in lines) == 1
+    # one normalization error |c'Wc - 1| per row
+    norm = [line for line in lines if line.startswith("hyhe: expectations: ")]
+    assert len(norm) == 1
+    assert re.fullmatch(r"hyhe: expectations: norm_err=\S+", norm[0])
     assert not logging.getLogger("hyhe").handlers   # removed on close
 
 
