@@ -7,9 +7,10 @@ and output format; each can also come from one environment variable
 option beats its variable, which beats the config file.  The verbs read
 their options from the command line only.  The global `--verbose` flag
 sends the "hyhe" logger's DEBUG records (one line per stage with its width
-and float64 conditioning estimate, the k-search trace with each solve's
-step count, and each row's normalization error |c'Wc - 1|) to stderr;
-stdout is the same with or without it.
+and float64 conditioning estimate, the float seed of each k-search and one
+line per correction step with its k, E and size, and each row's
+normalization error |c'Wc - 1|) to stderr; stdout is the same with or
+without it.
 
 Exit codes: 0 all rows ok, 1 at least one row failed, 2 usage error.
 """
@@ -135,7 +136,7 @@ def solve(app, n, no_nuclear_motion):
                            "nuclear-motion",
             "energy": mp.nstr(result.energy, 20),
             "k_opt": mp.nstr(result.k_opt, 20),
-            "iterations": result.iterations,
+            "steps": result.iterations,
             "residual": mp.nstr(result.residual, 3),
         }
     _print_fields(app, fields)

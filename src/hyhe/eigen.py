@@ -46,21 +46,18 @@ correction _MIN_SHRINK-fold raises ConvergenceError naming cond_bits: past
 cond_bits ~ 50 (N ~ 125 on the graded basis) float64 no longer resolves W,
 and there is no other solver to fall back on.
 
-Minimizing over k at the solved state gives the fixed-point map
-k <- -P_q / (2 K_q).  The map is a contraction with rate 1 - O(1e-5), so
-the plain iteration would need ~1e5 steps for 1e-12; a secant iteration on
-h(k) = g(k) - k instead lands in a handful of solves and satisfies the same
-fixed-point condition at exit.  The secant first runs on the float forms,
-which costs no mp solve and puts its root k_f within about 1e-10 k of the
-true one at N <= 50 (the float forms carry the float64 factor's error,
-6e-8 k at N = 95).  The mp search solves at k_f, then at the Newton point
-k_f - h(k_f)/h'(k_f), with h' from first-order perturbation theory in
-float64 (good to ~1e-9 relative); the secant through those two points meets
-its tolerance on its first step, so a search takes three mp solves.  When
-the float64 slope is unusable it falls back to a second point at k_f + 1e-8.
-Past N ~ 70 the float64 secant stalls in float noise short of its
-tolerance; its best iterate still serves as k_f when the Newton step from
-it is within 1e-8 k.
+The exponent is the root of h = g - k, g = -c'Pc / (2 c'Kc) at the ground
+state c of k, where E is stationary in k (the virial condition).  Wc, Pc
+and Kc do not depend on k, so the search runs in the same correction loop
+(_refine): each step is Newton's on the pair (c, k), with the derivative
+dc/dk = -R (K - K_q W) c and h' from the same float64 eigenbasis, and k
+moves between two steps at no matvec.  The loop starts at the root k_f of
+a float64 secant on the float forms, within about 1e-10 k of the true one
+at N <= 50 (6e-8 k at N = 95, where the float forms carry the float64
+factor's error), and a k step longer than 1e-8 k takes a new eigenbasis.
+So a search costs about the steps of one fixed-k solve (6 at N = 40 and
+50 digits, 13 at 100 digits) and ends with k converged to the working
+precision, |h / h'| at most about 2**-prec k.
 
 The bases are nested prefixes, the packed forms are read entry by entry and
 T is lower triangular, so the leading n x n blocks of Z, T and the float
@@ -92,18 +89,14 @@ _CHUNK_BITS = 54
 # The float64 secant on h(k) stops once a step is this small (relative to
 # k).  Float64 rounding leaves the root ~1e-11 uncertain at N = 30..50
 # (|h'| ~ 1e-5 turns 1e-16 in h into that much in k), so a tighter exit
-# would only chase noise; the mp secant removes the rest.
+# would only chase noise; the correction loop removes the rest.
 _FLOAT_K_TOL = 1e-10
 # Secant steps the float64 search may take before it counts as failed.
 _FLOAT_MAX_STEPS = 16
-# The mp secant's second point lies this far above the float64 root when
-# the Newton step from it is unusable.
-_FLOAT_SEED_STEP = "1e-8"
-# A float64 Newton step longer than this (relative to k) is not trusted.
-_NEWTON_MAX_STEP = 1e-6
+# A float64 eigenbasis serves the correction loop within this distance
+# (relative to k) of the k it was taken at; a longer k step takes a new one.
 # A float64 search that runs out of steps still returns its best iterate
-# when the Newton step from it is at most this long (relative to k): the
-# mp search only needs a start that close.
+# when the Newton step from it is within this distance.
 _FLOAT_ACCEPT = 1e-8
 
 
@@ -120,16 +113,16 @@ class ConvergenceError(RuntimeError):
 @dataclass
 class VariationalResult:
     energy: object            # mpf
-    k_opt: object             # mpf
+    k_opt: object             # mpf, the loop's k at 2**-frac_bits exactly
     coeffs: list              # ints at 2**frac_bits, c'Wc = 1, c[0] >= 0
     frac_bits: int            # F of the fixed-point coeffs
     n_basis: int
-    iterations: int           # outer (k) iterations
+    iterations: int           # correction steps of the search
     # ||Bc - theta Wc||_{W^-1} / (||c||_W ||B||), B = kK + P and ||B|| the
     # row-sum norm of T B T'
     residual: object
-    trace: list = field(default_factory=list)   # [(k, E)] per mp solve
-    k_err: object = None      # |h(k_opt) / s|, s the last secant slope (mpf)
+    trace: list = field(default_factory=list)   # [(k, E)] after each step
+    k_err: object = None      # |h / h'| of the final state (mpf)
 
 
 def _exact(v):
@@ -364,87 +357,144 @@ def _dot(u, v):
     return sum(map(mul, u, v))
 
 
-def _lowest_pair(system, k):
-    """Lowest eigenpair of the pencil (B, W), B = k K + P: (theta, c, K_q,
-    residual, steps), theta and K_q = c'Kc / c'Wc at scale 2**F and c with
-    c'Wc = 1 at scale 2**F, as ints, F = system.frac_bits.
+def _float_vector(v):
+    """(x, s) with the float64 array x 2**s the ints v to ~60 significant
+    bits, so float() stays finite at any F."""
+    s = max(0, max(map(abs, v)).bit_length() - 60)
+    return np.array([float(u >> s) for u in v]), s
 
-    B is never built.  c is a sum of float64-sized chunks (_chunk), and
-    Wc, Pc and Kc are exact integer accumulators over their denominators,
-    each chunk updating all three by one _packed_matvec.  float64 eigh of
-    k K_float + P_float gives (mu_i, v_i), and u_i = T'v_i carries them
-    back to the pencil.  Each step takes theta = c'Bc / c'Wc and
-    r = Bc - theta Wc exactly on the ints and adds the chunk
-    -sum_{i>=1} u_i (u_i'r) / (mu_i - theta); it stops once a chunk is at most max|c| 2**-prec.  A
-    gap the float64 eigenbasis cannot resolve by _SEED_BITS bits raises, as
-    does a correction that fails to shrink _MIN_SHRINK-fold from the one
-    before (W too ill-conditioned for float64).  c is normalized once, at
-    exit.
+
+def _refine(system, k, trace=None):
+    """The correction loop on the pencil (B, W), B = k K + P: (kq, theta, c,
+    K_q, residual, steps, k_err), kq, theta = c'Bc / c'Wc and
+    K_q = c'Kc / c'Wc at scale 2**F and c with c'Wc = 1 at scale 2**F, as
+    ints, F = system.frac_bits.
+
+    B is never built; each chunk of c updates the exact accumulators Wc, Pc
+    and Kc by one _packed_matvec.  R = sum_{i>=1} u_i u_i' / (mu_i - theta)
+    is the approximate inverse from float64 eigh of k K_float + P_float,
+    and each step corrects c by dc_r = -R r, r = Bc - theta Wc on the ints.
+    With a trace, k is free: once per eigenbasis the loop takes
+    dc_K = -R (Kc - K_q Wc), grad g from float copies of Pc and Kc and
+    h' = grad g . dc_K - 1; each step takes h = g - k on the ints,
+    dk = -(h + grad g . dc_r) / h' and the chunk dc_r + dk dc_K, and
+    appends and logs (k, E).  A k step over _FLOAT_ACCEPT k takes a new
+    eigenbasis; k_err = |h / h'| of the final state (None at fixed k).
+
+    It stops once a chunk is at most max|c| 2**-prec and |dk| at most
+    k 2**-prec.  A gap the float64 eigenbasis cannot resolve by _SEED_BITS
+    bits raises, as does a correction that fails to shrink _MIN_SHRINK-fold
+    from the one before in one eigenbasis (W too ill-conditioned for
+    float64).  c is normalized once, at exit.
     """
     n, F, a, Z = system.n, system.frac_bits, system.width, system.Z
     DW, DP, DK = system.denominators
-    k = mp.mpf(k)
+    T, prec = system.T, mp.prec
     kq = fixed_mpf(k, F)
-    kf = float(k)
-    B_float = kf * system.K_float + system.P_float
-    evals, evecs = np.linalg.eigh(B_float)
-    if n > 1:
-        gap = evals[1] - evals[0]
-        resolved = (2 ** _SEED_BITS * n * np.finfo(float).eps
-                    * max(abs(evals[0]), abs(evals[-1])))
-        if gap <= resolved:
-            raise ConvergenceError(
-                f"(near-)degenerate lowest eigenvalue at k={kf}: gap "
-                f"{gap:.2g} is within {resolved:.2g}, what the float64 "
-                "eigenbasis resolves")
-    T, V1, lam = system.T, evecs[:, 1:], evals[1:]
-    # c, Wc, Pc and Kc at scale 2**F; r at scale 4**F D, D = DW DP DK;
-    # u_i'r = v_i'(T r) and sum_i u_i y_i = (V y)'T, all matrix-vector
-    dc, shift = _chunk(evecs[:, 0] @ T, F)
-    c = [v << shift for v in dc]
-    Wc, Pc, Kc = ([v << shift for v in part]
-                  for part in _packed_matvec(Z, a, dc))
+    # c, Wc, Pc and Kc at scale 2**F; r and r_K at scale 4**F D,
+    # D = DW DP DK; u_i'r = v_i'(T r) and sum_i u_i y_i = (V y)'T
     D = DW * DP * DK
     e = max(0, D.bit_length() - 64)
     D_f = D / (1 << e)              # D = D_f 2**e with D_f in float range
-    kK, pP = kq * DW * DP, DW * DK
-    tol = max(map(abs, c)) >> mp.prec
-    last, steps = None, 0
+
+    def eigenbasis():
+        kf = kq / (1 << F)
+        B_float = kf * system.K_float + system.P_float
+        evals, evecs = np.linalg.eigh(B_float)
+        if n > 1:
+            gap = evals[1] - evals[0]
+            resolved = (2 ** _SEED_BITS * n * np.finfo(float).eps
+                        * max(abs(evals[0]), abs(evals[-1])))
+            if gap <= resolved:
+                raise ConvergenceError(
+                    f"(near-)degenerate lowest eigenvalue at k={kf}: gap "
+                    f"{gap:.2g} is within {resolved:.2g}, what the float64 "
+                    "eigenbasis resolves", trace=trace)
+        return B_float, evecs[:, 0], evecs[:, 1:], evals[1:]
+
+    def project(v):
+        """(x, t, Tv) with R v / (D 2**F) = x 2**t, for v at scale 4**F D:
+        the correction in units of c's ints."""
+        v_f, s = _float_vector(v)
+        Tv = T @ v_f
+        x = (V1 @ ((Tv @ V1) / (lam - theta / (1 << F)))) @ T
+        return x / D_f, s - F - e, Tv
+
+    B_float, v0, V1, lam = eigenbasis()
+    dc, shift = _chunk(v0 @ T, F)
+    c = [v << shift for v in dc]
+    Wc, Pc, Kc = ([v << shift for v in part]
+                  for part in _packed_matvec(Z, a, dc))
+    tol = max(map(abs, c)) >> prec
+    slope = None                    # (grad g, x_K, t_K, h') of the eigenbasis
+    last, steps, k_err = None, 0, None
     while True:
-        cW, cK = _dot(c, Wc), _dot(c, Kc)
-        theta = (((kq * cK * DP + (_dot(c, Pc) * DK << F)) * DW)
+        cW, cK, cP = _dot(c, Wc), _dot(c, Kc), _dot(c, Pc)
+        if cK <= 0:
+            K_q = mp.nstr(mp.mpf(cK * DW) / (cW * DK), 8)
+            raise AssemblyError(f"kinetic quadratic form is not positive "
+                                f"(K_q = {K_q}); operator assembly is broken")
+        theta = (((kq * cK * DP + (cP * DK << F)) * DW)
                  // (cW * DK * DP))
+        if steps and trace is not None:
+            trace.append((to_mpf(kq, F), to_mpf((kq * theta) >> F, F)))
+            _debug("k-search %s: step k=%s E=%s dc=2^%d", system.label,
+                   *trace[-1], size.bit_length() - tol.bit_length() - prec)
         tW = theta * DK * DP
-        r = [kK * x + (pP * y << F) - tW * z
+        r = [kq * DW * DP * x + (DW * DK * y << F) - tW * z
              for x, y, z in zip(Kc, Pc, Wc)]
-        # r at ~60 significant bits keeps float() finite for any F
-        s = max(0, max(map(abs, r)).bit_length() - 60)
-        r_f = np.array([float(v >> s) for v in r])
-        Tr = T @ r_f
-        d = (V1 @ ((Tr @ V1) / (lam - theta / (1 << F)))) @ T
-        dc, shift = _chunk(d / D_f, s - F - e)
+        x_r, t_r, Tr = project(r)
+        d, t, dk = x_r, t_r, 0
+        if trace is not None:
+            if slope is None:
+                K_q = (cK * DW << F) // (cW * DK)
+                x_K, t_K, _ = project([(DW * DP * y << F) - K_q * DK * DP * z
+                                       for y, z in zip(Kc, Wc)])
+                # grad g = 2 g (Pc / c'Pc - Kc / c'Kc), per unit of c
+                xP, sP = _float_vector(Pc)
+                xK, sK = _float_vector(Kc)
+                g = (-cP * DK) / (2 * cK * DP)
+                grad = 2 * g * (xP / (cP / (1 << (sP + F)))
+                                - xK / (cK / (1 << (sK + F))))
+                dh = -math.ldexp(float(grad @ x_K), t_K - F) - 1
+                if not trace:
+                    _debug("k-search %s: float seed k_f=%r h'=%r",
+                           system.label, kq / (1 << F), dh)
+                slope = grad, x_K, t_K, dh
+            grad, x_K, t_K, dh = slope
+            h = ((-cP * DK << F) // (2 * cK * DP)) - kq
+            k_err = abs(to_mpf(h, F) / dh)
+            dk = (mp.ldexp(float(grad @ x_r), t_r - F) - to_mpf(h, F)) / dh
+            m, ex = mp.frexp(dk)
+            t = max(t_r, t_K + ex)
+            d = np.ldexp(x_r, t_r - t) + np.ldexp(float(m) * x_K, t_K + ex - t)
+        dc, shift = _chunk(d, t)
         size = max(map(abs, dc)) << shift
-        if size <= tol:
+        dkq = fixed_mpf(dk, F)
+        if size <= tol and abs(dkq) <= kq >> prec:
             break
         if last is not None and size * _MIN_SHRINK > last:
             raise ConvergenceError(
-                f"eigenpair correction at k={mp.nstr(k, 17)} did not "
-                f"converge: step {steps + 1} shrank it less than "
+                f"eigenpair correction at k={mp.nstr(to_mpf(kq, F), 17)} "
+                f"did not converge: step {steps + 1} shrank it less than "
                 f"{_MIN_SHRINK}-fold, with cond_bits={system.cond_bits} "
-                "(float64 resolves W only to about 50)")
+                "(float64 resolves W only to about 50)", trace=trace)
         last, steps = size, steps + 1
-        c = [x - (y << shift) for x, y in zip(c, dc)]
-        Wv, Pv, Kv = _packed_matvec(Z, a, dc)
-        Wc = [x - (y << shift) for x, y in zip(Wc, Wv)]
-        Pc = [x - (y << shift) for x, y in zip(Pc, Pv)]
-        Kc = [x - (y << shift) for x, y in zip(Kc, Kv)]
+        c, Wc, Pc, Kc = ([x - (y << shift) for x, y in zip(acc, part)]
+                         for acc, part in zip((c, Wc, Pc, Kc),
+                                              (dc, *_packed_matvec(Z, a, dc))))
+        kq += dkq
+        if abs(dk) > _FLOAT_ACCEPT * (kq / (1 << F)):
+            B_float, _, V1, lam = eigenbasis()
+            slope, last = None, None
     K_q = (cK * DW << F) // (cW * DK)
     # norm = ||c||_W at scale 4**F; Tr at scale 2**(2F - s) D
     norm = math.isqrt((cW << 2 * F) // DW)
     b_norm = max(float(np.abs(B_float).sum(axis=1).max()), 1.0)
     residual = mp.ldexp(mp.mpf(float(np.linalg.norm(Tr)) / (D_f * b_norm)),
-                        s - e) / norm
-    return theta, [(v << 2 * F) // norm for v in c], K_q, residual, steps
+                        t_r + F) / norm
+    c = [(v << 2 * F) // norm for v in c]
+    return kq, theta, c, K_q, residual, steps, k_err
 
 
 def solve_fixed_k(system, k):
@@ -452,20 +502,13 @@ def solve_fixed_k(system, k):
 
     c holds the coefficients, c'Wc = 1, as fixed-point ints at scale
     2**system.frac_bits; the rest are mpf.  E = k theta_B, K_q = c'Kc / c'Wc
-    and P_q = theta_B - k K_q, all on the ints.  Each solve is logged with
-    its step count to the "hyhe" logger at DEBUG.
+    and P_q = theta_B - k K_q, all on the ints.  It runs optimize_k's
+    correction loop with k held fixed.
     """
-    theta, c, K_q, residual, steps = _lowest_pair(system, k)
+    kq, theta, c, K_q, residual, _, _ = _refine(system, k)
     F = system.frac_bits
-    if K_q <= 0:
-        raise AssemblyError(
-            f"kinetic quadratic form is not positive (K_q = "
-            f"{mp.nstr(to_mpf(K_q, F), 8)}); operator assembly is broken")
-    kq = fixed_mpf(k, F)
     P_q = theta - ((kq * K_q) >> F)
     E = to_mpf((kq * theta) >> F, F)
-    _debug("k-search %s: solve k=%s E=%s steps=%d", system.label, k, E,
-           steps)
     return E, c, to_mpf(K_q, F), to_mpf(P_q, F), residual
 
 
@@ -491,11 +534,11 @@ def _float_slope(system, k):
 def _float_root(system, k_init):
     """Root of h(k) = g(k) - k on the float64 forms, or None on failure.
 
-    The same secant as optimize_k's, on K_float/P_float.  It fails on a
-    non-finite h and on an iterate outside [k_init/3, 3 k_init].  When no
-    step falls within _FLOAT_K_TOL in _FLOAT_MAX_STEPS (past N ~ 70 the
-    steps stall in float noise), it returns the iterate of least |h| if the
-    Newton step from it is within _FLOAT_ACCEPT, and fails otherwise.
+    A secant on K_float/P_float.  It fails on a non-finite h and on an
+    iterate outside [k_init/3, 3 k_init].  When no step falls within
+    _FLOAT_K_TOL in _FLOAT_MAX_STEPS (past N ~ 70 the steps stall in float
+    noise), it returns the iterate of least |h| if the Newton step from it
+    is within _FLOAT_ACCEPT, and fails otherwise.
     """
     K, P = system.K_float, system.P_float
 
@@ -529,82 +572,32 @@ def _float_root(system, k_init):
     return None
 
 
-def optimize_k(system, k_init=2.0, k_tol=1e-12, max_outer_iters=60):
+def optimize_k(system, k_init=2.0):
     """Drive k to the self-consistent exponent and return the ground state.
 
-    A secant iteration on h(k) = g(k) - k, g(k) = -P_q/(2 K_q), finds the
-    root; the result satisfies |g(k_opt) - k_opt| <= k_tol.  The mp secant
-    starts at the float64 root k_f and the Newton point
-    k_f - h(k_f)/h'(k_f), h(k_f) from the mp solve and h' from
-    _float_slope; its first step then meets k_tol, for three solves in all.
-    The second point is k_f + 1e-8 instead when h' is not finite or zero,
-    when h(k_f) = 0 exactly, or when the Newton step exceeds 1e-6 k_f.  When
-    the float64 search fails, the secant starts at k_init and k_init + 0.005.
-    The defaults are the only values the pipeline uses; other values serve
-    the tests (a tighter k_tol as a reference, a k_init far from the root to
-    force the fallback).  The float seed and each solve's (k, E) are logged
-    to the "hyhe" logger at DEBUG.
+    The correction loop (_refine) runs with k free from the float64 root
+    k_f (_float_root), or from k_init when that fails, and converges k with
+    c to the working precision.  c is signed so that c[0] >= 0; iterations
+    counts the correction steps, trace holds (k, E) after each, and
+    k_err = |h / h'| of the final state.  The float seed and each step are
+    logged to the "hyhe" logger at DEBUG.
     """
-    tol = mp.mpf(k_tol)
-    trace = []
-
-    def g(k):
-        E, c, K_q, P_q, residual = _traced_solve(system, k, trace)
-        return -P_q / (2 * K_q)
-
     k_f = _float_root(system, float(k_init))
     if k_f is None:
-        k0, step = mp.mpf(k_init), mp.mpf("0.005")
-    else:
-        dh = _float_slope(system, k_f)
-        _debug("k-search %s: float seed k_f=%r h'=%r",
-               system.label, float(k_f), dh)
-        k0, step = mp.mpf(k_f), mp.mpf(_FLOAT_SEED_STEP)
-    h0 = g(k0) - k0
-    if k_f is not None and math.isfinite(dh) and dh != 0:
-        newton = -h0 / dh
-        if newton != 0 and abs(newton) <= _NEWTON_MAX_STEP * k_f:
-            step = newton
-    k1 = k0 + step
-    g1 = g(k1)
-    h1 = g1 - k1
-    for it in range(max_outer_iters):
-        if h1 == h0:
-            k2 = g1  # flat secant: fall back to the plain map (slope -1)
-        else:
-            k2 = k1 - h1 * (k1 - k0) / (h1 - h0)
-        # keep steps inside a sane bracket around the current iterate
-        k2 = max(k1 / 3, min(3 * k1, k2))
-        if abs(k2 - k1) <= tol:
-            slope = (h1 - h0) / (k1 - k0) if h1 != h0 else -1
-            return _finish(system, k2, it + 3, trace, slope)
-        k0, h0 = k1, h1
-        k1 = k2
-        g1 = g(k1)
-        h1 = g1 - k1
-    raise ConvergenceError(
-        f"secant exponent search did not reach {k_tol:g} in "
-        f"{max_outer_iters} iterations", trace=trace)
-
-
-def _traced_solve(system, k, trace):
-    """solve_fixed_k at k, with (k, E) appended to trace."""
-    E, c, K_q, P_q, residual = solve_fixed_k(system, k)
-    trace.append((k, E))
-    return E, c, K_q, P_q, residual
-
-
-def _finish(system, k_opt, iterations, trace, slope):
-    """The state at k_opt, signed so that c[0] >= 0, with the a-posteriori
-    error |h(k_opt) / slope|."""
-    E, c, K_q, P_q, residual = _traced_solve(system, k_opt, trace)
-    h = -P_q / (2 * K_q) - k_opt
+        _debug("k-search %s: float root failed; starting at k_init=%r",
+               system.label, float(k_init))
+    trace = []
+    kq, theta, c, K_q, residual, steps, k_err = _refine(
+        system, k_init if k_f is None else k_f, trace)
+    F = system.frac_bits
     if c[0] < 0:
         c = [-v for v in c]
+    with mp.workprec(kq.bit_length()):
+        k_opt = to_mpf(kq, F)       # kq exactly, which k_err bounds
     return VariationalResult(
-        energy=E, k_opt=k_opt, coeffs=c, frac_bits=system.frac_bits,
-        n_basis=system.n, iterations=iterations, residual=residual,
-        trace=trace, k_err=abs(h / slope))
+        energy=to_mpf((kq * theta) >> F, F), k_opt=k_opt, coeffs=c,
+        frac_bits=F, n_basis=system.n, iterations=steps, residual=residual,
+        trace=trace, k_err=k_err)
 
 
 def ground_state_pair(systems):

@@ -28,7 +28,7 @@ from .corrections import total_energy
 from .eigen import build_systems, ground_state_pair, optimize_k
 from .matrices import build_operator_matrices, expectation_set
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 CSV_COLUMNS = ("N", "E_inf", "dE_inf", "E0", "dE0", "deltaE2", "deltaE3",
                "E_total", "dE_total", "k_opt")
@@ -47,7 +47,7 @@ def _fmt(x):
 class Row:
     """One basis size.  k_opt, k_err and residual belong to the
     nuclear-motion Hamiltonian, whose state also feeds the corrections;
-    solves counts the mp eigensolves of both k-searches.  In a sweep,
+    steps counts the correction steps of both k-searches.  In a sweep,
     wall_time leaves out the shared assembly and stage."""
 
     N: int
@@ -64,7 +64,7 @@ class Row:
     k_opt: str = ""
     residual: str = ""
     k_err: str = ""
-    solves: int = 0
+    steps: int = 0
     wall_time: str = ""
 
 
@@ -92,13 +92,16 @@ class ReportDocument:
 
     @classmethod
     def from_json(cls, text):
+        """Read a document of any schema: a schema-3 row's mp solve count
+        `solves` is dropped, since it counts no correction steps."""
         payload = json.loads(text)
         doc = cls(
             schema_version=payload["schema_version"],
             engine_version=payload["engine_version"],
             config=payload["config"],
             constants=payload["constants"],
-            rows=[Row(**row) for row in payload["rows"]],
+            rows=[Row(**{k: v for k, v in row.items() if k != "solves"})
+                  for row in payload["rows"]],
         )
         recompute_deltas(doc.rows)
         return doc
@@ -217,7 +220,7 @@ def compute_row(n, config, constants, stage=None):
             k_opt=_fmt(res_0.k_opt),
             residual=mp.nstr(res_0.residual, 3),
             k_err=mp.nstr(res_0.k_err, 3),
-            solves=len(res_inf.trace) + len(res_0.trace),
+            steps=res_inf.iterations + res_0.iterations,
             wall_time=f"{time.perf_counter() - t0:.2f}",
         )
     return row, (res_inf, res_0, exps, breakdown)

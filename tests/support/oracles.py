@@ -32,7 +32,7 @@ import numpy as np
 from mpmath import mp
 
 from hyhe.basis import padd, pdiff, pmul, pscale
-from hyhe.eigen import ConvergenceError, _finish, solve_fixed_k
+from hyhe.eigen import ConvergenceError, VariationalResult, solve_fixed_k
 from hyhe.integrals import raw_moment
 from hyhe.matrices import OperatorMatrices, _state_poly, reduced_laplacian
 
@@ -333,7 +333,7 @@ def mp_solve_fixed_k(L, K_red, P_red, k):
 
 
 # ---------------------------------------------------------------------------
-# plain fixed-point k map (production runs a secant search on g(k) - k)
+# plain fixed-point k map (production runs Newton on the pair (c, k))
 # ---------------------------------------------------------------------------
 
 def plain_optimize_k(system, k_init=2.0, k_tol=1e-12, max_outer_iters=60,
@@ -353,8 +353,15 @@ def plain_optimize_k(system, k_init=2.0, k_tol=1e-12, max_outer_iters=60,
         trace.append((km, E))
         k_next = d * km + (1 - d) * (-P_q / (2 * K_q))
         if abs(k_next - km) <= tol:
+            E, c, K_q, P_q, residual = solve_fixed_k(system, k_next)
+            trace.append((k_next, E))
+            if c[0] < 0:
+                c = [-v for v in c]
             # slope -1 is what the undamped map assumes of h(k) = g(k) - k
-            return _finish(system, k_next, it + 1, trace, -1)
+            return VariationalResult(
+                energy=E, k_opt=k_next, coeffs=c, frac_bits=system.frac_bits,
+                n_basis=system.n, iterations=it + 1, residual=residual,
+                trace=trace, k_err=abs(-P_q / (2 * K_q) - k_next))
         km = k_next
     raise ConvergenceError(
         f"exponent map did not reach {k_tol:g} in {max_outer_iters} "

@@ -74,8 +74,8 @@ def test_load_config_rejects_unknown_keys():
                                  "k_tol", "max_outer_iters"])
 def test_load_config_rejects_removed_keys(key):
     # the basis size comes from the verb, nothing reads a quadrature target,
-    # and the k-search settings are optimize_k's defaults, so a document
-    # that still sets any of them is refused by name
+    # and the k-search has no settings, so a document that still sets any
+    # of them is refused by name
     with pytest.raises(ConfigError, match=f"unknown config key.*{key}"):
         load_config({key: "20"})
     with pytest.raises(ConfigError, match=f"unknown config key.*{key}"):

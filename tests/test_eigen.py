@@ -1,3 +1,4 @@
+import functools
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -60,13 +61,14 @@ def test_seed_optimum_and_virial():
 
 def test_one_term_lands_on_27_16():
     # at N = 1, g(k) = 27/16 for every k: the float64 secant lands within an
-    # ulp of it, and the mp secant lands there exactly in three solves
+    # ulp of it, and with no other mode (h' = -1) the first k step lands
+    # there exactly
     with mp.workdps(40):
         _, systems = systems_n(1)
         assert eigen._float_root(systems["inf"], 2.0) == 1.6874999999999998
         res = optimize_k(systems["inf"])
         assert res.k_opt == mp.mpf(27) / 16
-        assert len(res.trace) == 3 and res.k_err == 0
+        assert res.iterations == len(res.trace) == 1 and res.k_err == 0
 
 
 def test_seed_nuclear_motion_shift():
@@ -80,7 +82,7 @@ def test_seed_nuclear_motion_shift():
 def test_fixed_point_consistency():
     with mp.workdps(40):
         _, systems = systems_n(6)
-        res = optimize_k(systems["inf"], k_tol=1e-13)
+        res = optimize_k(systems["inf"])
         E, x, K_q, P_q, _ = solve_fixed_k(systems["inf"], res.k_opt)
         assert abs(-P_q / (2 * K_q) - res.k_opt) < mp.mpf("1e-12")
 
@@ -116,13 +118,13 @@ def test_optimum_independent_of_seed():
 
 def test_plain_map_on_constant_target():
     # at one term g(k) = 27/16 independent of k: the literal map lands in one
-    # step, damped in a few more; the secant search lands on the same k
+    # step, damped in a few more; optimize_k lands on the same k
     with mp.workdps(40):
         _, systems = systems_n(1)
         res = plain_optimize_k(systems["inf"])
         assert abs(res.k_opt - mp.mpf(27) / 16) < mp.mpf("1e-12")
-        secant = optimize_k(systems["inf"])
-        assert abs(secant.k_opt - res.k_opt) < mp.mpf("1e-12")
+        search = optimize_k(systems["inf"])
+        assert abs(search.k_opt - res.k_opt) < mp.mpf("1e-12")
         damped = plain_optimize_k(systems["inf"], damping=0.5,
                                   max_outer_iters=80)
         assert abs(damped.k_opt - mp.mpf(27) / 16) < mp.mpf("1e-11")
@@ -139,10 +141,12 @@ def test_plain_map_starves_and_reports():
 
 
 def test_secant_converges_where_plain_map_crawls():
+    # Newton on (c, k) needs a few correction steps where the plain map
+    # starves after five solves; the trace ends on the result
     with mp.workdps(40):
         _, systems = systems_n(6)
-        res = optimize_k(systems["inf"], k_tol=1e-13)
-        assert res.iterations <= 15
+        res = optimize_k(systems["inf"])
+        assert res.iterations == len(res.trace) <= 15
         assert res.trace[-1][1] == res.energy
 
 
@@ -266,9 +270,9 @@ def test_reduction_over_odd_denominators(mass_ratio, dps):
 
 
 def test_matvecs_take_narrow_vectors(monkeypatch):
-    # the solve multiplies the F-bit forms only by float64-sized chunks:
+    # the search multiplies the F-bit forms only by float64-sized chunks:
     # no vector entry of a matvec is wider than 64 bits, at F = 215 and
-    # F = 1112
+    # F = 1112; it takes one matvec for the seed and one per step
     widths = []
     matvec = eigen._matvec
 
@@ -280,8 +284,9 @@ def test_matvecs_take_narrow_vectors(monkeypatch):
     for dps in (50, 320):
         with mp.workdps(dps):
             _, systems = systems_n(13)
+            start = len(widths)
             res = optimize_k(systems["0"])
-        assert len(widths) >= 4 * len(res.trace), dps
+        assert len(widths) - start == res.iterations + 1, dps
     assert max(widths) <= 64
 
 
@@ -337,23 +342,56 @@ def test_fixed_mpf_keeps_sign(q, F):
         assert eigen.fixed_mpf(v, F) == eigen.fixed(q, F)
 
 
+@functools.lru_cache(maxsize=None)
+def search_and_reference(n, dps, label):
+    """optimize_k on the n-term system at dps digits, and again at dps + 20
+    as the reference (shared by the tests that read both)."""
+    mats = build_operator_matrices(enumerate_basis(n))
+    results = []
+    for digits in (dps + 20, dps):
+        with mp.workdps(digits):
+            system = build_systems(mats, M_HELIUM, (label,))[label]
+            results.append(optimize_k(system))
+    ref, res = results
+    return system, res, ref
+
+
 @pytest.mark.parametrize("n, dps, labels", [
     (20, 50, ("inf", "0")), (40, 50, ("inf", "0")), (40, 100, ("inf",))])
 def test_k_err_bounds_the_k_search(n, dps, labels):
-    # k_err = |h(k_opt) / s| is the secant's own estimate of the distance to
-    # the root; its relative error is O(|k1 - k0| h''/h'), with k1 - k0 the
-    # Newton step of ~1e-11, so it bounds the distance to a 1e-40 search
-    # within a factor 2
-    with mp.workdps(dps):
-        _, systems = systems_n(n)
-        for label in labels:
-            res = optimize_k(systems[label])
-            ref = optimize_k(systems[label], k_tol=1e-40)
+    # k_err = |h / h'| of the final state bounds the distance of k_opt (the
+    # loop's k, exactly) to a search at dps + 20, and is itself at the
+    # working precision
+    for label in labels:
+        _, res, ref = search_and_reference(n, dps, label)
+        with mp.workdps(dps + 20):
             dist = abs(res.k_opt - ref.k_opt)
-            assert res.k_err < mp.mpf("1e-20")
-            assert res.k_err / 2 <= dist <= 2 * res.k_err, (label, dist)
-            # the float64 seed and its Newton point held: k_f, k_1, k_opt
-            assert len(res.trace) == 3, label
+        with mp.workdps(dps):
+            assert dist <= res.k_err, (label, dist, res.k_err)
+            assert res.k_err <= res.k_opt * mp.mpf(2) ** -(mp.prec - 12)
+
+
+@pytest.mark.parametrize("n, dps, label", [
+    (20, 50, "inf"), (20, 50, "0"), (40, 50, "inf"), (40, 50, "0"),
+    (40, 100, "inf"), (95, 50, "inf")])
+def test_k_converges_to_working_precision(n, dps, label):
+    # k moves with c in every correction step, so k_opt and E both reach
+    # the working precision against a search at dps + 20, also at N = 95
+    # (cond_bits 43), where a k tolerance of 1e-12 shows in k_opt's 20th
+    # digit; and the search costs at most 3 steps more than one fixed-k
+    # solve at k_opt
+    system, res, ref = search_and_reference(n, dps, label)
+    with mp.workdps(dps + 20):
+        dist, dE = abs(res.k_opt - ref.k_opt), abs(res.energy - ref.energy)
+    with mp.workdps(dps):
+        prec = mp.prec
+        assert dist <= res.k_opt * mp.mpf(2) ** -(prec - 12), dist
+        assert dE <= mp.mpf(2) ** -(prec - 8), dE
+        assert dist <= res.k_err
+        assert mp.nstr(res.k_opt, 20) == mp.nstr(ref.k_opt, 20)
+        if n <= 40:
+            steps = eigen._refine(system, res.k_opt)[5]
+            assert res.iterations <= steps + 3, (res.iterations, steps)
 
 
 def test_float_seed_fallback_keeps_k_opt(monkeypatch):
@@ -374,7 +412,7 @@ def test_float_seed_failures():
         assert abs(eigen._float_root(system, 2.0) - 1.8179450639885) < 1e-9
         # the root 1.818 lies outside [k/3, 3k] for k = 0.5
         assert eigen._float_root(system, 0.5) is None
-        # the mp secant then starts at k_init and still lands on the root
+        # the search then starts at k_init and still lands on the root
         fallback = optimize_k(system, k_init=0.5)
         assert abs(fallback.k_opt - optimize_k(system).k_opt) < mp.mpf("1e-20")
         bad = PencilSystem(system.Z, system.width, system.denominators,
@@ -425,19 +463,6 @@ def test_float_slope_matches_mp_difference(n):
             assert abs(slope - ref) <= mp.mpf("1e-8") * abs(ref), (label, ref)
 
 
-@pytest.mark.parametrize("bad_slope", [float("nan"), 0.0])
-def test_unusable_slope_takes_the_fixed_step(monkeypatch, bad_slope):
-    with mp.workdps(50):
-        _, systems = systems_n(20)
-        seeded = optimize_k(systems["0"])
-        monkeypatch.setattr(eigen, "_float_slope", lambda system, k: bad_slope)
-        fallback = optimize_k(systems["0"])
-        (k0, _), (k1, _) = fallback.trace[:2]
-        assert k1 == k0 + mp.mpf("1e-8")
-        assert len(fallback.trace) == 4
-        assert mp.nstr(fallback.k_opt, 20) == mp.nstr(seeded.k_opt, 20)
-
-
 def test_float_seed_past_n70(monkeypatch):
     # at N = 80 the nuclear-motion float64 secant stalls in float noise
     # without meeting _FLOAT_K_TOL; its best iterate still seeds the search
@@ -445,10 +470,9 @@ def test_float_seed_past_n70(monkeypatch):
         mats = build_operator_matrices(enumerate_basis(80))
         system = build_systems(mats, mass_ratio=M_HELIUM, include=("0",))["0"]
         seeded = optimize_k(system)
-        assert len(seeded.trace) == 3
         monkeypatch.setattr(eigen, "_float_root", lambda system, k: None)
         unseeded = optimize_k(system)
-        assert len(unseeded.trace) > 3
+        assert seeded.iterations < unseeded.iterations
         assert mp.nstr(seeded.k_opt, 20) == mp.nstr(unseeded.k_opt, 20) \
             == "2.3427513163141567228"
 

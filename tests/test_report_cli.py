@@ -62,7 +62,7 @@ def test_json_round_trip_is_stable(two_row_doc):
 
 def test_json_schema_v2_reads_v1(two_row_doc):
     payload = json.loads(two_row_doc.to_json())
-    assert payload["schema_version"] == 3 and "cache" not in payload
+    assert payload["schema_version"] == 4 and "cache" not in payload
     # a version-1 document carried the removed integral-cache statistics
     old = dict(payload, schema_version=1,
                cache={"entries": 6, "hits": 4, "misses": 6})
@@ -75,15 +75,30 @@ def test_json_schema_v2_reads_v1(two_row_doc):
 def test_json_schema_v3_reads_v2(two_row_doc):
     payload = json.loads(two_row_doc.to_json())
     for row in payload["rows"]:
-        assert row["solves"] > 0 and mp.mpf(row["k_err"]) < mp.mpf("1e-20")
-    # a version-2 row had no solve count and no k error
+        assert row["steps"] > 0 and mp.mpf(row["k_err"]) < mp.mpf("1e-20")
+    # a version-2 row had no step count and no k error
     old = dict(payload, schema_version=2,
                rows=[{k: v for k, v in row.items()
-                      if k not in ("solves", "k_err")}
+                      if k not in ("steps", "k_err")}
                      for row in payload["rows"]])
     clone = ReportDocument.from_json(json.dumps(old))
     assert clone.schema_version == 2
-    assert [(row.solves, row.k_err) for row in clone.rows] == [(0, "")] * 2
+    assert [(row.steps, row.k_err) for row in clone.rows] == [(0, "")] * 2
+    assert clone.to_csv() == two_row_doc.to_csv()
+
+
+def test_json_schema_v4_reads_v3(two_row_doc):
+    # a version-3 row counted the mp solves of the secant search as
+    # `solves`, which is no step count: it is dropped on reading
+    payload = json.loads(two_row_doc.to_json())
+    old = dict(payload, schema_version=3,
+               rows=[{**{k: v for k, v in row.items() if k != "steps"},
+                      "solves": 6} for row in payload["rows"]])
+    clone = ReportDocument.from_json(json.dumps(old))
+    assert clone.schema_version == 3
+    assert [row.steps for row in clone.rows] == [0, 0]
+    assert [row.k_err for row in clone.rows] == \
+        [row.k_err for row in two_row_doc.rows]
     assert clone.to_csv() == two_row_doc.to_csv()
 
 
@@ -221,6 +236,7 @@ def test_cli_solve_both_hamiltonians():
     assert result.exit_code == 0
     assert "nuclear-motion" in result.output
     assert "1.687268686" in result.output
+    assert re.search(r"^steps +1$", result.output, re.M)
 
     result = runner.invoke(main, ["solve", "--n", "1",
                                   "--no-nuclear-motion"])
@@ -313,13 +329,18 @@ def test_cli_verbose_logs_the_k_search_to_stderr():
     stage = [line for line in lines if line.startswith("hyhe: stage: ")]
     assert len(stage) == 1
     assert re.fullmatch(r"hyhe: stage: n=7 F=\d+ cond_bits=\d+", stage[0])
+    # one line per correction step of both searches, with k, E and the
+    # step's size in bits, against the row's step count
+    row = run_tables(n_list=[7]).rows[0]
+    steps = 0
     for label in ("inf", "0"):
         head = f"hyhe: k-search {label}: "
-        solves = [line for line in lines if line.startswith(head + "solve k=")]
-        assert len(solves) == 3
-        assert all(re.search(r" E=\S+ steps=\d+$", line) for line in solves)
+        step = [line for line in lines if line.startswith(head + "step k=")]
+        assert all(re.search(r" E=\S+ dc=2\^-\d+$", line) for line in step)
+        steps += len(step)
         assert sum(line.startswith(head + "float seed k_f=")
                    for line in lines) == 1
+    assert steps == row.steps > 0
     # one normalization error |c'Wc - 1| per row
     norm = [line for line in lines if line.startswith("hyhe: expectations: ")]
     assert len(norm) == 1
