@@ -122,7 +122,7 @@ def sweep(app, n_list):
               help="clamp the nucleus (infinite-mass Hamiltonian)")
 @click.pass_obj
 def solve(app, n, no_nuclear_motion):
-    """Converge one ground state and print (E, k, residual)."""
+    """Converge one ground state; print E, k_opt, steps, residual, k_err."""
     if n < 1:
         raise click.UsageError("--n must be >= 1")
     if app.config.output == "csv":
@@ -138,6 +138,7 @@ def solve(app, n, no_nuclear_motion):
             "k_opt": mp.nstr(result.k_opt, 20),
             "steps": result.iterations,
             "residual": mp.nstr(result.residual, 3),
+            "k_err": mp.nstr(result.k_err, 3),
         }
     _print_fields(app, fields)
 

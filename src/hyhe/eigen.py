@@ -6,9 +6,9 @@ generalized eigenproblem of the pencil (A(k), W), A(k) = k^2 K + k P.  Each
 solve works with B(k) = k K + P instead: (B, W) has A's eigenvectors and
 theta_A = k theta_B.
 
-The pencil is solved as it stands, with no reduction.  Each form is read
-once as exact ints over its own denominator (integer_matrix; every matrix
-the program builds has a power-of-two denominator of at most 256 and
+The pencil is solved as it stands, with no reduction.  Each form arrives
+from the assembly as exact ints over its own minimal denominator (every
+matrix the program builds has a power-of-two denominator of at most 256 and
 numerators of at most 37 bits at N = 50), and K_0 = ((M + 1) K + M_pol) / M
 is formed exactly from M's exact value.  One Hamiltonian's W, P and K (or
 K_0) are packed into one int per entry, Z_ij = W_ij + P_ij 2**a +
@@ -152,14 +152,6 @@ def to_mpf(v, F):
     return mp.ldexp(mp.mpf(v), -F)
 
 
-def integer_matrix(matrix):
-    """(ints, D) with matrix = ints / D exactly, for a matrix of Fractions
-    (or ints): D is the lcm of the entries' denominators."""
-    D = math.lcm(*(v.denominator for row in matrix for v in row))
-    return [[v.numerator * (D // v.denominator) for v in row]
-            for row in matrix], D
-
-
 def _pack(W, P, K, a):
     """Z_ij = W_ij + P_ij 2**a + K_ij 2**(2a) for int matrices W, P, K."""
     return [[w + (p << a) + (k << 2 * a) for w, p, k in zip(*rows)]
@@ -264,8 +256,8 @@ class PencilSystem:
 
 
 def _moving_nucleus_form(K, M_pol, mass_ratio):
-    """K_0 = ((M + 1) K + M_pol) / M as (ints, D), from K and M_pol as
-    integer_matrix gives them and M read exactly (str, int or mpf)."""
+    """K_0 = ((M + 1) K + M_pol) / M as (ints, D), from the (ints, D) forms
+    K and M_pol and M read exactly (str, int or mpf)."""
     (K, DK), (M_pol, DM) = K, M_pol
     M = _exact(mass_ratio)
     D = math.lcm(DK, DM)
@@ -290,16 +282,18 @@ def build_systems(matrices, mass_ratio=None, include=("inf", "0")):
     nuclear motion in: K_0 = (1 + 1/M) K + (1/M) M_pol, which inherits the
     k^2 scaling tag, so the same Rayleigh-quotient machinery applies.
 
-    Every form is read once as exact ints over its own denominator
-    (integer_matrix); K_0 is formed exactly from K, M_pol and M.  Each
-    system packs W, P and its K into one Z at width a = (widest W or P
-    numerator) + 54 + n.bit_length() + 2 bits; the K field is on top, so
-    its width is not bounded.  The systems share T and P_float.
+    Every form is read as the assembly gives it, exact ints over its own
+    denominator; K_0 is formed exactly from K, M_pol and M, so "0" needs
+    matrices assembled with mass polarization.  Each system packs W, P and
+    its K into one Z at width a = (widest W or P numerator) + 54 +
+    n.bit_length() + 2 bits; the K field is on top, so its width is not
+    bounded.  The systems share T and P_float.
     """
-    if "0" in include and mass_ratio is None:
-        raise ValueError("nuclear-motion Hamiltonian needs a mass ratio")
-    W, DW = integer_matrix(matrices.W)
-    P, DP = integer_matrix(matrices.P)
+    if "0" in include and (mass_ratio is None or matrices.M_pol is None):
+        raise ValueError("nuclear-motion Hamiltonian needs " + (
+            "a mass ratio" if mass_ratio is None else
+            "M_pol: assemble with mass_polarization=True"))
+    (W, DW), (P, DP) = matrices.W, matrices.P
     n = len(W)
     a = (max(abs(v).bit_length() for A in (W, P) for row in A for v in row)
          + _CHUNK_BITS + n.bit_length() + 2)
@@ -316,13 +310,11 @@ def build_systems(matrices, mass_ratio=None, include=("inf", "0")):
         return PencilSystem(_pack(W, P, K, a), a, (DW, DP, DK), T,
                             congruence(K, DK), P_float, label=label)
 
-    K = integer_matrix(matrices.K)
     systems = {}
     if "inf" in include:
-        systems["inf"] = system(K, "inf")
+        systems["inf"] = system(matrices.K, "inf")
     if "0" in include:
-        form = _moving_nucleus_form(K, integer_matrix(matrices.M_pol),
-                                    mass_ratio)
+        form = _moving_nucleus_form(matrices.K, matrices.M_pol, mass_ratio)
         systems["0"] = system(form, "0")
     _debug("stage: n=%d F=%d cond_bits=%d", n, mp.prec + _GUARD_BITS,
            next(iter(systems.values())).cond_bits)

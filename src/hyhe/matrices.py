@@ -2,8 +2,9 @@
 
 Every trial function is phi_i = s^l t^{2m} u^n e^{-s} (k = 1 scale; the
 exponent enters only through the k-scaling tags).  Matrix elements are exact
-rationals in "volume units": the physical element is 2 pi^2 times the stored
-Fraction, and the constant cancels in every Rayleigh quotient.
+rationals in "volume units", stored as ints over one denominator per form:
+the physical element is 2 pi^2 times the stored ratio, and the constant
+cancels in every Rayleigh quotient.
 
 Derivative bookkeeping (all polynomials fold out e^{-s}), for p = s^l t^q u^n
 with q = 2m:
@@ -50,7 +51,7 @@ from operator import mul
 from mpmath import mp
 
 from .basis import padd, pdiff, pmul, pscale, pshift, psquare
-from .eigen import _debug, fixed, fixed_mpf, integer_matrix, to_mpf
+from .eigen import _debug, fixed, fixed_mpf, to_mpf
 from .integrals import raw_moment
 
 # geometric weight polynomials (coordinates s, t, u; keys are exponents)
@@ -103,24 +104,25 @@ class NormalizationError(ValueError):
 
 @dataclass(frozen=True)
 class OperatorMatrices:
-    """Exact operator matrices (nested lists of Fraction, volume units).
+    """Exact operator matrices in volume units, each an (ints, D) pair: the
+    form is the nested list of ints over its minimal denominator D.
 
     P is Z times the nuclear attraction plus the electron repulsion.  When
     the trial exponent k is restored the Rayleigh quotient is
     E(k) = (k^2 Kq + k Pq) / Wq, and the mass-polarization form rides with
-    the kinetic one.
+    the kinetic one; M_pol is None when it was not assembled.
     """
 
     n_basis: int
     Z: int
-    W: list
-    K: list
-    P: list
-    M_pol: list
+    W: tuple
+    K: tuple
+    P: tuple
+    M_pol: tuple
 
 
-def build_operator_matrices(basis, Z=2):
-    """Assemble overlap, kinetic, potential and mass-polarization matrices.
+def build_operator_matrices(basis, Z=2, mass_polarization=True):
+    """Assemble the overlap, kinetic, potential and mass-polarization forms.
 
     K and M_pol are the closed forms of the module docstring: for a pair
     with exponent sum e = (L, Q, N) each element is
@@ -134,22 +136,24 @@ def build_operator_matrices(basis, Z=2):
     Every sum runs on ints over one common denominator D, the lcm of the
     denominators of the raw moments the call reads: each moment is looked
     up once and held as numerator * (D // denominator).  A piece is summed
-    once per (e, piece) and W and P once per e; each element is then one
-    Fraction(numerator, D).
+    once per (e, piece) and W and P once per e; each form is then divided
+    by g = gcd(D, its numerators) to its minimal denominator D / g.  Only
+    the nuclear-motion Hamiltonian reads M_pol: without mass_polarization
+    its pieces are not integrated and M_pol is None.
     """
     n = len(basis)
     exps = [(term.l, 2 * term.m, term.n) for term in basis]
-    pairs, pieces = [], set()
-    for i, ti in enumerate(exps):
-        for j in range(i + 1):
-            e, coeffs = _pair_coefficients(ti, exps[j])
-            pairs.append((i, j, e, coeffs))
-            pieces.update((e, k) for k, v in enumerate(coeffs) if v)
+    # (e, coefficients) of each pair j <= i, row by row
+    pairs = [_pair_coefficients(ti, exps[j])
+             for i, ti in enumerate(exps) for j in range(i + 1)]
+    pieces = {(e, k) for e, coeffs in pairs
+              for k, v in enumerate(coeffs) if v}
 
+    forms = (0, 1) if mass_polarization else (0,)   # K, then M_pol
     potential = padd(REPULSION_VOLUME, ATTRACTION_VOLUME, Z)
-    sums = {e for _, _, e, _ in pairs}
+    sums = {e for e, _ in pairs}
     needed = [(e, poly) for e in sums for poly in (VOLUME, potential)]
-    needed += [(e, poly) for e, k in pieces for poly in _PIECES[k]]
+    needed += [(e, _PIECES[k][f]) for e, k in pieces for f in forms]
     keys = {(L + a, Q + b, N + c)
             for (L, Q, N), poly in needed for a, b, c in poly}
     moments = {key: raw_moment(*key) for key in keys}
@@ -162,28 +166,30 @@ def build_operator_matrices(basis, Z=2):
         return sum(v * scaled[L + a, Q + b, N + c]
                    for (a, b, c), v in poly.items())
 
-    by_sum = {e: (Fraction(integral(VOLUME, e), D),
-                  Fraction(integral(potential, e), D)) for e in sums}
-    piece_sums = {(e, k): [integral(poly, e) for poly in _PIECES[k]]
-                  for e, k in pieces}
+    def form(values):
+        """The symmetric matrix of one value per pair, divided to its
+        minimal denominator."""
+        g = math.gcd(D, *values)
+        values = [v // g for v in values]
+        lower = [values[i * (i + 1) // 2:(i + 1) * (i + 2) // 2]
+                 for i in range(n)]
+        return [row + [lower[j][i] for j in range(i + 1, n)]
+                for i, row in enumerate(lower)], D // g
 
-    W = [[None] * n for _ in range(n)]
-    K = [[None] * n for _ in range(n)]
-    P = [[None] * n for _ in range(n)]
-    M = [[None] * n for _ in range(n)]
-    for i, j, e, coeffs in pairs:
-        W[i][j], P[i][j] = by_sum[e]
-        W[j][i], P[j][i] = by_sum[e]
-        k_num = m_num = 0
-        for k, v in enumerate(coeffs):
-            if v:
-                k_sum, m_sum = piece_sums[e, k]
-                k_num += v * k_sum
-                m_num += v * m_sum
-        K[i][j] = K[j][i] = Fraction(k_num, D)
-        M[i][j] = M[j][i] = Fraction(m_num, D)
+    def pair_form(f):
+        """K (f = 0) or M_pol (f = 1): each pair's coefficients dotted with
+        form f of the pieces at its exponent sum (0 where none is needed)."""
+        rows = {e: [integral(poly[f], e) if (e, k) in pieces else 0
+                    for k, poly in enumerate(_PIECES)] for e in sums}
+        return form([sum(map(mul, coeffs, rows[e])) for e, coeffs in pairs])
 
-    return OperatorMatrices(n_basis=n, Z=Z, W=W, K=K, P=P, M_pol=M)
+    def sum_form(poly):
+        by_sum = {e: integral(poly, e) for e in sums}
+        return form([by_sum[e] for e, _ in pairs])
+
+    return OperatorMatrices(n_basis=n, Z=Z, W=sum_form(VOLUME),
+                            K=pair_form(0), P=sum_form(potential),
+                            M_pol=pair_form(1) if mass_polarization else None)
 
 
 # ---------------------------------------------------------------------------
@@ -226,12 +232,13 @@ def check_normalized(W, coeffs, F):
 
     The state is the ints coeffs at scale 2**F, as a solve leaves it
     (VariationalResult.frac_bits), and c'Wc is summed exactly on them with
-    W as integer_matrix reads it, ints over one D.  The sum is cut to scale
+    W the (ints, D) form of OperatorMatrices; the sum reads W's leading
+    len(coeffs) block, so W may be a larger stage's.  The sum is cut to scale
     2**F and made one mpf, exact below 2, so |c'Wc - 1| keeps the bits
     below the working precision.  A state read at the wrong scale fails
     here, so the check also guards F.
     """
-    W, D = integer_matrix(W)
+    W, D = W
     total = sum(ci * sum(map(mul, coeffs, row)) for ci, row in zip(coeffs, W))
     with mp.workprec(F + 1):
         wq = to_mpf(total // (D << F), F)

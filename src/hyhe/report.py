@@ -207,8 +207,7 @@ def compute_row(n, config, constants, stage=None):
         res_inf, res_0 = ground_state_pair(
             {label: system.leading(n) for label, system in systems.items()})
         exps = expectation_set(basis[:n], res_0.coeffs, res_0.frac_bits,
-                               res_0.k_opt, [row[:n] for row in mats.W[:n]],
-                               gamma=constants.gamma_mp())
+                               res_0.k_opt, mats.W, gamma=constants.gamma_mp())
         breakdown = total_energy(res_0.energy, exps, constants)
         row = Row(
             N=n,
@@ -271,7 +270,8 @@ def solve_single(n, config=None, constants=None, nuclear_motion=True):
     constants = constants or default_constants()
     with mp.workdps(config.precision_digits):
         basis = enumerate_basis(n)
-        mats = build_operator_matrices(basis, Z=constants.Z)
+        mats = build_operator_matrices(basis, Z=constants.Z,
+                                       mass_polarization=nuclear_motion)
         systems = build_systems(
             mats, mass_ratio=constants.mass_ratio_M if nuclear_motion else None,
             include=("0",) if nuclear_motion else ("inf",))

@@ -36,6 +36,7 @@ from hyhe.eigen import ConvergenceError, VariationalResult, solve_fixed_k
 from hyhe.integrals import raw_moment
 from hyhe.matrices import OperatorMatrices, _state_poly, reduced_laplacian
 
+from . import fraction_matrix, integer_matrix
 from .integrals import _mp_laguerre_rule, _mp_legendre_rule, log_raw_moment
 from .matrices import angle_logmom_numerator, poly_function_mp
 
@@ -248,7 +249,9 @@ def duffy_p4_channels(basis, coeffs, nodes=12):
 # mpmath reference eigensolve (the production kernel runs on fixed-point ints)
 # ---------------------------------------------------------------------------
 
-def to_mp(frac_matrix, n):
+def to_mp(form, n):
+    """The leading n x n block of an (ints, D) form as an mp.matrix."""
+    frac_matrix = fraction_matrix(form)
     out = mp.matrix(n)
     for i in range(n):
         for j in range(n):
@@ -378,7 +381,8 @@ def fraction_operator_matrices(basis, Z=2):
     Each element builds its own integrand polynomials with Fraction
     coefficients and integrates them monomial by monomial, exactly as the
     assembly did before it moved to integer coefficients.  Returns an
-    `OperatorMatrices`.
+    `OperatorMatrices` whose forms are the Fraction matrices reduced by
+    `integer_matrix`, ints over the lcm of their denominators.
     """
     F0, F1 = Fraction(0), Fraction(1)
     volume = {(2, 0, 1): F1, (0, 2, 1): -F1}
@@ -435,7 +439,9 @@ def fraction_operator_matrices(basis, Z=2):
             M[i][j] = M[j][i] = Fraction(1, 2) * acc
 
     P = [[Z * Va[i][j] + Vr[i][j] for j in range(n)] for i in range(n)]
-    return OperatorMatrices(n_basis=n, Z=Z, W=W, K=K, P=P, M_pol=M)
+    return OperatorMatrices(n_basis=n, Z=Z, W=integer_matrix(W),
+                            K=integer_matrix(K), P=integer_matrix(P),
+                            M_pol=integer_matrix(M))
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from hyhe.eigen import build_systems, optimize_k, solve_fixed_k, to_mpf
 from hyhe.matrices import (build_operator_matrices, check_normalized,
                            expectation_set, reduced_laplacian)
 from hyhe.report import compute_row, solve_single
+from support import fraction_forms
 from support.integrals import base_integral, k_scaling_exponent, quad_integral
 from support.matrices import (derivative_symbols, evaluate_poly,
                               log_momentum_integrands)
@@ -194,7 +195,7 @@ def test_correction_sign_structure(sweep):
 
 
 def test_matrix_structure():
-    mats = build_operator_matrices(enumerate_basis(12), Z=2)
+    mats = fraction_forms(build_operator_matrices(enumerate_basis(12), Z=2))
     for name in ("W", "K", "P", "M_pol"):
         m = getattr(mats, name)
         assert all(m[i][j] == m[j][i] for i in range(12) for j in range(i))

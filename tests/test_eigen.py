@@ -13,6 +13,7 @@ from hyhe.eigen import (AssemblyError, ConvergenceError, PencilSystem,
                         build_systems, ground_state_pair, optimize_k,
                         solve_fixed_k)
 from hyhe.matrices import build_operator_matrices, check_normalized
+from support import integer_matrix
 from support.oracles import (mp_reduce_pencil, mp_solve_fixed_k,
                              plain_optimize_k)
 
@@ -29,9 +30,9 @@ def fixed_system(K, P):
     n = len(K)
 
     def exact(rows):
-        return [[Fraction(v) for v in row] for row in rows]
+        return integer_matrix([[Fraction(v) for v in row] for row in rows])
 
-    eye = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    eye = exact([[int(i == j) for j in range(n)] for i in range(n)])
     mats = SimpleNamespace(n_basis=n, W=eye, K=exact(K), P=exact(P))
     return build_systems(mats, include=("inf",))["inf"]
 
@@ -191,10 +192,9 @@ def test_inverse_iteration_step_cap():
 
 
 def test_nonpositive_overlap_rejected():
-    one = Fraction(1)
-    mats = SimpleNamespace(n_basis=2, W=[[one, 2 * one], [2 * one, one]],
-                           K=[[one, 0 * one], [0 * one, one]],
-                           P=[[0 * one] * 2] * 2, M_pol=[[0 * one] * 2] * 2)
+    mats = SimpleNamespace(n_basis=2, W=([[1, 2], [2, 1]], 1),
+                           K=([[1, 0], [0, 1]], 1), P=([[0] * 2] * 2, 1),
+                           M_pol=([[0] * 2] * 2, 1))
     with mp.workdps(30):
         with pytest.raises(ValueError, match="not positive definite"):
             build_systems(mats, include=("inf",))
@@ -244,7 +244,9 @@ def odd_pencil():
          [f(1, 11), f(-1, 3), f(-17, 11)]]
     M_pol = [[f(1, 7), f(-1, 3), f(0)], [f(-1, 3), f(2, 5), f(1, 5)],
              [f(0), f(1, 5), f(-3, 7)]]
-    return SimpleNamespace(n_basis=3, W=W, K=K, P=P, M_pol=M_pol)
+    return SimpleNamespace(n_basis=3, W=integer_matrix(W),
+                           K=integer_matrix(K), P=integer_matrix(P),
+                           M_pol=integer_matrix(M_pol))
 
 
 with mp.workdps(320):

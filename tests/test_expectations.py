@@ -15,7 +15,7 @@ from hyhe.matrices import (NormalizationError, _logmom_numerator,
                            check_normalized, delta_expectations,
                            expectation_set, log_momentum_expectation,
                            p4_expectation)
-from support import fixed_state
+from support import fixed_state, fraction_matrix
 from support.integrals import quad_integral
 from support.matrices import (angle_logmom_numerator,
                               log_momentum_integrands, p4_expectation_quad,
@@ -37,12 +37,13 @@ def normalized_state(n, alternating=False):
     mats, mpf coefficients, the same state as fixed_state's (ints, F))."""
     basis = enumerate_basis(n)
     mats = build_operator_matrices(basis)
+    W = fraction_matrix(mats.W)
     sign = -1 if alternating else 1
     raw = [mp.mpf(sign) ** i / (i + 2) for i in range(n)]
     wq = mp.mpf(0)
     for i in range(n):
         for j in range(n):
-            wij = mats.W[i][j]
+            wij = W[i][j]
             wq += raw[i] * raw[j] * mp.mpf(wij.numerator) / wij.denominator
     coeffs = [c / mp.sqrt(wq) for c in raw]
     return basis, mats, coeffs, fixed_state(coeffs)

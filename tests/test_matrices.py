@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -5,10 +6,12 @@ import pytest
 from mpmath import mp
 
 from hyhe.basis import enumerate_basis
+from hyhe.eigen import build_systems, optimize_k
 from hyhe.matrices import (ATTRACTION_VOLUME, COS_VOLUME, REPULSION_VOLUME,
                            VOLUME, NormalizationError, build_operator_matrices,
                            check_normalized, reduced_laplacian)
-from support import fixed_state
+from hyhe.report import solve_single
+from support import fixed_state, fraction_forms
 from support.basis import basis_expression
 from support.integrals import (_mp_laguerre_rule, _mp_legendre_rule,
                                quad_integral)
@@ -19,12 +22,12 @@ from support.oracles import fraction_operator_matrices
 
 @pytest.fixture(scope="module")
 def m1():
-    return build_operator_matrices(enumerate_basis(1))
+    return fraction_forms(build_operator_matrices(enumerate_basis(1)))
 
 
 @pytest.fixture(scope="module")
 def m6():
-    return build_operator_matrices(enumerate_basis(6))
+    return fraction_forms(build_operator_matrices(enumerate_basis(6)))
 
 
 def test_overlap_seed_entry(m1):
@@ -36,7 +39,7 @@ def test_screening_ratios(m1):
     # the classic 1s^2 numbers: <V>/<1> = -27/8 (Z=2), kinetic/overlap = 1
     assert m1.P[0][0] / m1.W[0][0] == Fraction(-27, 8)
     assert m1.K[0][0] == m1.W[0][0]
-    h1 = build_operator_matrices(enumerate_basis(1), Z=1)
+    h1 = fraction_forms(build_operator_matrices(enumerate_basis(1), Z=1))
     assert h1.P[0][0] / h1.W[0][0] == Fraction(-11, 8)
     # P = Z attraction + repulsion: attraction -2, repulsion 5/8 per overlap
     assert (m1.P[0][0] - h1.P[0][0]) / m1.W[0][0] == Fraction(-2)
@@ -57,7 +60,7 @@ def test_mass_polarization_vanishes_on_product_state(m1):
 
 
 def test_nested_bases_share_blocks(m6):
-    big = build_operator_matrices(enumerate_basis(20))
+    big = fraction_forms(build_operator_matrices(enumerate_basis(20)))
     for name in ("W", "K", "P", "M_pol"):
         small = getattr(m6, name)
         block = getattr(big, name)
@@ -74,7 +77,7 @@ def test_symmetry_is_exact(m6):
 
 
 def test_overlap_positive_definite():
-    mats = build_operator_matrices(enumerate_basis(20))
+    mats = fraction_forms(build_operator_matrices(enumerate_basis(20)))
     W = np.array([[float(v) for v in row] for row in mats.W])
     np.linalg.cholesky(W)  # raises LinAlgError if not PD
     assert np.linalg.eigvalsh(W).min() > 0
@@ -88,6 +91,40 @@ def test_integer_assembly_matches_fraction_oracle(n, Z):
     ref = fraction_operator_matrices(basis, Z=Z)
     for name in ("W", "K", "P", "M_pol"):
         assert getattr(fast, name) == getattr(ref, name), name
+
+
+@pytest.mark.parametrize("n", [1, 7, 22, 50])
+def test_forms_carry_minimal_power_of_two_denominators(n):
+    # each (ints, D) form is reduced: D is the lcm of its entries' reduced
+    # denominators, a power of two of at most 256
+    mats = build_operator_matrices(enumerate_basis(n))
+    for name in ("W", "K", "P", "M_pol"):
+        ints, D = getattr(mats, name)
+        assert math.gcd(D, *(v for row in ints for v in row)) == 1, name
+        assert D & (D - 1) == 0 and D <= 256, (name, D)
+
+
+def test_clamped_assembly_skips_mass_polarization():
+    basis = enumerate_basis(22)
+    full = build_operator_matrices(basis)
+    clamped = build_operator_matrices(basis, mass_polarization=False)
+    assert clamped.M_pol is None
+    for name in ("W", "K", "P"):
+        assert getattr(clamped, name) == getattr(full, name), name
+    with pytest.raises(ValueError, match="needs M_pol"):
+        build_systems(clamped, mass_ratio="7294.299508", include=("0",))
+    assert set(build_systems(clamped, include=("inf",))) == {"inf"}
+
+
+def test_clamped_solve_matches_full_assembly():
+    # solve_single assembles no M_pol for the clamped nucleus; E and k_opt
+    # agree at 20 digits with a solve on the full assembly
+    with mp.workdps(50):
+        res = solve_single(40, nuclear_motion=False)
+        mats = build_operator_matrices(enumerate_basis(40))
+        ref = optimize_k(build_systems(mats, include=("inf",))["inf"])
+        for got, want in ((res.energy, ref.energy), (res.k_opt, ref.k_opt)):
+            assert mp.nstr(got, 20) == mp.nstr(want, 20)
 
 
 # --- independent quadrature route for every operator ------------------------
@@ -228,7 +265,7 @@ def test_exponent_scaling_tags():
     # entry(k) = k^(tag - 6) entry(1) for every operator block, verified by
     # high-precision quadrature of the k-dressed integrands at k = 2
     basis = enumerate_basis(4)
-    mats = build_operator_matrices(basis)
+    mats = fraction_forms(build_operator_matrices(basis))
     k = mp.mpf(2)
     weights = {name: {key: _mpf(v) for key, v in poly.items()}
                for name, poly in (("vol", VOLUME), ("ac", ANGLE_AC),
@@ -292,3 +329,14 @@ def test_check_normalized():
         assert abs(wq - 1) < mp.mpf("1e-35")
     with pytest.raises(NormalizationError):
         check_normalized(mats.W, *fixed_state([mp.mpf(1)]))
+
+
+def test_check_normalized_reads_the_leading_block():
+    # a row of a sweep checks its state against the stage's larger W
+    with mp.workdps(40):
+        state = fixed_state([mp.sqrt(2)])
+        alone = check_normalized(build_operator_matrices(enumerate_basis(1)).W,
+                                 *state)
+        stage = check_normalized(build_operator_matrices(enumerate_basis(6)).W,
+                                 *state)
+        assert alone == stage

@@ -243,6 +243,14 @@ def test_cli_solve_both_hamiltonians():
     assert result.exit_code == 0
     assert "clamped-nucleus" in result.output
     assert "-2.84765625" in result.output
+    # one term: the first k step lands on 27/16 exactly
+    assert re.search(r"^k_err +0\.0$", result.output, re.M)
+
+    # k_err = |h / h'| of the final state bounds k_opt's error
+    result = runner.invoke(main, ["--format", "json", "solve", "--n", "7"])
+    assert result.exit_code == 0, result.output
+    fields = json.loads(result.output)
+    assert 0 <= mp.mpf(fields["k_err"]) <= mp.mpf(fields["k_opt"]) * 2 ** -150
 
 
 def test_cli_solve_rejects_csv():
