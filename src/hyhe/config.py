@@ -30,9 +30,6 @@ class RunConfig:
                 f"output must be one of {OUTPUT_FORMATS}, got {self.output!r}")
         return self
 
-    def echo(self):
-        return {f.name: getattr(self, f.name) for f in fields(RunConfig)}
-
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
@@ -64,16 +61,23 @@ def parse_config_text(text):
 def load_config(source=None):
     """Build a RunConfig from a mapping, config-file text, or path.
 
-    Unknown keys are rejected by name.  Layering environment variables and
-    options over the document is the CLI's job.
+    An os.PathLike is always a path, and a file that cannot be read raises
+    ConfigError naming it; a str is a path if such a file exists and
+    config text otherwise.  Unknown keys are rejected by name.  Layering
+    environment variables and options over the document is the CLI's job.
     """
     if source is None:
         doc = {}
     elif isinstance(source, dict):
         doc = dict(source)
-    elif isinstance(source, (str, os.PathLike)) and os.path.exists(str(source)):
-        with open(source) as fh:
-            doc = parse_config_text(fh.read())
+    elif isinstance(source, os.PathLike) or (
+            isinstance(source, str) and os.path.exists(source)):
+        try:
+            with open(source) as fh:
+                doc = parse_config_text(fh.read())
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file {os.fspath(source)}: "
+                              f"{exc.strerror or exc}") from exc
     elif isinstance(source, str):
         doc = parse_config_text(source)
     else:

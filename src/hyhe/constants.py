@@ -78,17 +78,6 @@ class PhysicalConstants:
     def e_exp_mp(self):
         return mp.mpf(self.E_exp)
 
-    def echo(self):
-        """Plain-dict snapshot for report headers (auditable alpha etc.)."""
-        return {
-            "Z": self.Z,
-            "alpha": self.alpha,
-            "mass_ratio_M": self.mass_ratio_M,
-            "euler_gamma": self.euler_gamma,
-            "bethe_beta": self.bethe_beta,
-            "E_exp": self.E_exp,
-        }
-
 
 def default_constants():
     """The default constant set (helium, CODATA alpha)."""

@@ -52,8 +52,10 @@ and Kc do not depend on k, so the search runs in the same correction loop
 (_refine): each step is Newton's on the pair (c, k), with the derivative
 dc/dk = -R (K - K_q W) c and h' from the same float64 eigenbasis, and k
 moves between two steps at no matvec.  The loop starts at the root k_f of
-a float64 secant on the float forms, within about 1e-10 k of the true one
-at N <= 50 (6e-8 k at N = 95, where the float forms carry the float64
+a float64 Newton iteration on the float forms, h and h' from one eigh per
+step (_float_step), which stops once a step is within 1e-8 k: 4 to 6 eighs
+at N = 20 to 80.  k_f lies within about 1e-10 k of the true root at
+N <= 50 (6e-8 k at N = 95, where the float forms carry the float64
 factor's error), and a k step longer than 1e-8 k takes a new eigenbasis.
 So a search costs about the steps of one fixed-k solve (6 at N = 40 and
 50 digits, 13 at 100 digits) and ends with k converged to the working
@@ -86,17 +88,10 @@ _SEED_BITS = 20
 _MIN_SHRINK = 16
 # The widest vector entry _chunk makes, in bits.
 _CHUNK_BITS = 54
-# The float64 secant on h(k) stops once a step is this small (relative to
-# k).  Float64 rounding leaves the root ~1e-11 uncertain at N = 30..50
-# (|h'| ~ 1e-5 turns 1e-16 in h into that much in k), so a tighter exit
-# would only chase noise; the correction loop removes the rest.
-_FLOAT_K_TOL = 1e-10
-# Secant steps the float64 search may take before it counts as failed.
+# Newton steps the float64 search may take before it counts as failed.
 _FLOAT_MAX_STEPS = 16
 # A float64 eigenbasis serves the correction loop within this distance
 # (relative to k) of the k it was taken at; a longer k step takes a new one.
-# A float64 search that runs out of steps still returns its best iterate
-# when the Newton step from it is within this distance.
 _FLOAT_ACCEPT = 1e-8
 
 
@@ -449,9 +444,6 @@ def _refine(system, k, trace=None):
                 grad = 2 * g * (xP / (cP / (1 << (sP + F)))
                                 - xK / (cK / (1 << (sK + F))))
                 dh = -math.ldexp(float(grad @ x_K), t_K - F) - 1
-                if not trace:
-                    _debug("k-search %s: float seed k_f=%r h'=%r",
-                           system.label, kq / (1 << F), dh)
                 slope = grad, x_K, t_K, dh
             grad, x_K, t_K, dh = slope
             h = ((-cP * DK << F) // (2 * cK * DP)) - kq
@@ -504,11 +496,12 @@ def solve_fixed_k(system, k):
     return E, c, to_mpf(K_q, F), to_mpf(P_q, F), residual
 
 
-def _float_slope(system, k):
-    """h'(k) on the float64 forms, by first-order perturbation theory.
+def _float_step(system, k):
+    """(h, h') at k on the float64 forms, from one eigh of k K + P.
 
-    In the eigenbasis (mu_i, v_i) of B(k) = k K + P the ground vector moves
-    as x' = -sum_{i>=1} v_i v_i'K x / (mu_i - mu_0), which is
+    h = g - k with g = -x'Px / (2 x'Kx) at the ground vector x.  In the
+    eigenbasis (mu_i, v_i) of B(k) = k K + P the ground vector moves as
+    x' = -sum_{i>=1} v_i v_i'K x / (mu_i - mu_0), which is
     -sum_{i>=1} v_i v_i'(2kK + P) x / (lambda_i - lambda_0) in the terms of
     A(k) = k^2 K + k P.  Then K_q' = 2 x'Kx, P_q' = 2 x'Px and
     h' = g' - 1 = -(P_q' K_q - P_q K_q') / (2 K_q^2) - 1.
@@ -520,46 +513,32 @@ def _float_slope(system, k):
     dx = -V @ ((V.T @ Kx) / (mu[1:] - mu[0]))
     K_q, P_q = x @ Kx, x @ Px
     dK_q, dP_q = 2 * (dx @ Kx), 2 * (dx @ Px)
-    return float(-(dP_q * K_q - P_q * dK_q) / (2 * K_q * K_q) - 1)
+    return (float(-P_q / (2 * K_q) - k),
+            float(-(dP_q * K_q - P_q * dK_q) / (2 * K_q * K_q) - 1))
 
 
 def _float_root(system, k_init):
     """Root of h(k) = g(k) - k on the float64 forms, or None on failure.
 
-    A secant on K_float/P_float.  It fails on a non-finite h and on an
-    iterate outside [k_init/3, 3 k_init].  When no step falls within
-    _FLOAT_K_TOL in _FLOAT_MAX_STEPS (past N ~ 70 the steps stall in float
-    noise), it returns the iterate of least |h| if the Newton step from it
-    is within _FLOAT_ACCEPT, and fails otherwise.
+    Newton's method from k_init with h and h' from _float_step, one eigh
+    per step; it returns k + dk once |dk| is within _FLOAT_ACCEPT of k,
+    where the correction loop takes over.  It fails on an iterate outside
+    [k_init/3, 3 k_init], which a non-finite step also fails, on a
+    LinAlgError or a zero h', and after _FLOAT_MAX_STEPS steps.
     """
-    K, P = system.K_float, system.P_float
-
-    def h(k):
-        x = np.linalg.eigh(k * k * K + k * P)[1][:, 0]
-        return -(x @ P @ x) / (2 * (x @ K @ x)) - k
-
+    k = k_init
     try:
-        k0, k1 = k_init, k_init + 0.005
-        h0, h1 = h(k0), h(k1)
-        best = min((abs(h0), k0), (abs(h1), k1))
-        for _ in range(_FLOAT_MAX_STEPS):
-            if not (math.isfinite(h0) and math.isfinite(h1)):
+        for steps in range(1, _FLOAT_MAX_STEPS + 1):
+            h, dh = _float_step(system, k)
+            dk = -h / dh
+            k += dk
+            if not k_init / 3 <= k <= 3 * k_init:
                 return None
-            if h1 == h0:
-                return k1   # flat secant: h is down to float noise
-            k2 = k1 - h1 * (k1 - k0) / (h1 - h0)
-            if not k_init / 3 <= k2 <= 3 * k_init:
-                return None
-            if abs(k2 - k1) <= _FLOAT_K_TOL * k2:
-                return k2
-            k0, h0, k1 = k1, h1, k2
-            h1 = h(k1)
-            best = min(best, (abs(h1), k1))
-        h_best, k_best = best
-        slope = _float_slope(system, k_best)
-        if h_best <= _FLOAT_ACCEPT * k_best * abs(slope):
-            return k_best
-    except np.linalg.LinAlgError:
+            if abs(dk) <= _FLOAT_ACCEPT * k:
+                _debug("k-search %s: float seed k_f=%r steps=%d",
+                       system.label, k, steps)
+                return k
+    except (np.linalg.LinAlgError, ZeroDivisionError):
         return None
     return None
 

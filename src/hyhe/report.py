@@ -81,14 +81,7 @@ class ReportDocument:
         return all(row.ok for row in self.rows)
 
     def to_json(self):
-        payload = {
-            "schema_version": self.schema_version,
-            "engine_version": self.engine_version,
-            "config": self.config,
-            "constants": self.constants,
-            "rows": [asdict(row) for row in self.rows],
-        }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
 
     @classmethod
     def from_json(cls, text):
@@ -258,8 +251,8 @@ def run_tables(config=None, constants=None, n_list=None):
     return ReportDocument(
         schema_version=SCHEMA_VERSION,
         engine_version=ENGINE_VERSION,
-        config=config.echo(),
-        constants=constants.echo(),
+        config=asdict(config),
+        constants=asdict(constants),
         rows=rows,
     )
 

@@ -12,7 +12,7 @@ Gauss rule with the 1/(s - t) corner split off by a Duffy transform, which
 integrates the <p^4> channel integrands pointwise; the mpmath-matrix
 Cholesky reduction and Rayleigh-quotient eigensolve that the exact-pencil
 integer kernel in `hyhe.eigen` is checked against; and the plain
-fixed-point k map, the reference for its secant search.
+fixed-point k map, the reference for its k-search.
 
 The Fraction-valued operator assembly is the reference for the integer
 assembly in `hyhe.matrices`.  It keeps its own copy of the weight

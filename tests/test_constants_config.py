@@ -1,9 +1,17 @@
+from dataclasses import fields
+
 import pytest
 from mpmath import mp
 
 from hyhe.config import (ConfigError, RunConfig, load_config, parse_config_text,
                          with_overrides, DEFAULT_SWEEP)
 from hyhe.constants import ConstantsError, PhysicalConstants, default_constants
+from hyhe.report import run_tables
+
+
+@pytest.fixture(scope="module")
+def one_term_report():
+    return run_tables(n_list=[1])
 
 
 def test_default_constants_validate():
@@ -13,12 +21,13 @@ def test_default_constants_validate():
     assert float(c.mass_ratio_M) == pytest.approx(7294.299508)
 
 
-def test_constants_echo_is_plain_dict():
-    echo = default_constants().echo()
+def test_report_header_echoes_every_constant(one_term_report):
+    # the header is the dataclass itself, so a new constant cannot drop out
+    echo = one_term_report.constants
     assert echo["Z"] == 2
     assert echo["alpha"] == "7.2973525693e-3"
-    assert set(echo) == {"Z", "alpha", "mass_ratio_M", "euler_gamma",
-                         "bethe_beta", "E_exp"}
+    assert echo == {f.name: getattr(default_constants(), f.name)
+                    for f in fields(PhysicalConstants)}
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -55,9 +64,12 @@ def test_explicit_gamma_string():
     assert c.gamma_mp() == mp.mpf("0.5772")
 
 
-def test_runconfig_defaults():
+def test_runconfig_defaults(one_term_report):
     cfg = RunConfig().validate()
-    assert cfg.echo() == {"precision_digits": 50, "output": "human"}
+    assert one_term_report.config == {"precision_digits": 50,
+                                      "output": "human"}
+    assert one_term_report.config == {f.name: getattr(cfg, f.name)
+                                      for f in fields(RunConfig)}
     assert DEFAULT_SWEEP == (20, 30, 40, 50)
 
 
@@ -103,6 +115,20 @@ def test_load_config_from_text_and_path(tmp_path):
     p = tmp_path / "run.cfg"
     p.write_text("precision_digits = 42\n")
     assert load_config(p).precision_digits == 42
+    assert load_config(str(p)).precision_digits == 42
+
+
+def test_load_config_missing_file(tmp_path):
+    # a path that cannot be read is named; a str is config text unless a
+    # file of that name exists, so a missing one reads as a malformed line
+    missing = tmp_path / "missing.conf"
+    with pytest.raises(ConfigError, match=r"cannot read config file "
+                                          r".*missing\.conf: No such file"):
+        load_config(missing)
+    with pytest.raises(ConfigError, match="cannot read config file"):
+        load_config(tmp_path)
+    with pytest.raises(ConfigError, match="config line 1: expected"):
+        load_config(str(missing))
 
 
 def test_with_overrides_ignores_none():

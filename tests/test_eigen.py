@@ -2,6 +2,7 @@ import functools
 from fractions import Fraction
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -61,9 +62,9 @@ def test_seed_optimum_and_virial():
 
 
 def test_one_term_lands_on_27_16():
-    # at N = 1, g(k) = 27/16 for every k: the float64 secant lands within an
-    # ulp of it, and with no other mode (h' = -1) the first k step lands
-    # there exactly
+    # at N = 1, g(k) = 27/16 for every k and, with no other mode, h' = -1:
+    # the first float64 Newton step lands within an ulp of it, and the
+    # first k step of the correction loop lands there exactly
     with mp.workdps(40):
         _, systems = systems_n(1)
         assert eigen._float_root(systems["inf"], 2.0) == 1.6874999999999998
@@ -141,7 +142,7 @@ def test_plain_map_starves_and_reports():
         assert ks == sorted(set(ks), key=ks.index)  # no cycling
 
 
-def test_secant_converges_where_plain_map_crawls():
+def test_newton_converges_where_plain_map_crawls():
     # Newton on (c, k) needs a few correction steps where the plain map
     # starves after five solves; the trace ends on the result
     with mp.workdps(40):
@@ -453,21 +454,40 @@ def h_mp(system, k):
 @pytest.mark.parametrize("n", [20, 40])
 def test_float_slope_matches_mp_difference(n):
     # h' (5e-4 at N = 20, 5e-5 at N = 40) is g' - 1 with g' near 1, so
-    # float64 keeps it to about 1e-10 relative
+    # float64 keeps it to about 1e-10 relative; h carries the float forms'
+    # error (1e-14 at N = 40), which moves the root about 1e-10 k, well
+    # within the _FLOAT_ACCEPT distance the seed needs
     with mp.workdps(50):
         _, systems = systems_n(n)
         for label in ("inf", "0"):
             system = systems[label]
             k_f = eigen._float_root(system, 2.0)
-            slope = eigen._float_slope(system, k_f)
+            h, slope = eigen._float_step(system, k_f)
             k, dk = mp.mpf(k_f), mp.mpf("1e-8")
             ref = (h_mp(system, k + dk) - h_mp(system, k - dk)) / (2 * dk)
             assert abs(slope - ref) <= mp.mpf("1e-8") * abs(ref), (label, ref)
+            err = abs(h - h_mp(system, k))
+            assert err <= eigen._FLOAT_ACCEPT * k * abs(ref), (label, err)
+
+
+def test_k_search_takes_one_eigh_per_newton_step(monkeypatch):
+    # the float64 seed takes h and h' from one eigh per step (6 from k = 2
+    # at N = 40), and the correction loop one more for its eigenbasis at k_f
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda A: calls.append(A) or eigh(A))
+    with mp.workdps(50):
+        _, systems = systems_n(40)
+        for label in ("inf", "0"):
+            calls.clear()
+            res = optimize_k(systems[label])
+            assert len(calls) <= 7 and res.iterations == 6, (label, len(calls))
 
 
 def test_float_seed_past_n70(monkeypatch):
-    # at N = 80 the nuclear-motion float64 secant stalls in float noise
-    # without meeting _FLOAT_K_TOL; its best iterate still seeds the search
+    # at N = 80 float noise leaves the float64 root about 6e-9 k from the
+    # true one; the Newton seed still saves the search steps
     with mp.workdps(50):
         mats = build_operator_matrices(enumerate_basis(80))
         system = build_systems(mats, mass_ratio=M_HELIUM, include=("0",))["0"]

@@ -346,8 +346,10 @@ def test_cli_verbose_logs_the_k_search_to_stderr():
         step = [line for line in lines if line.startswith(head + "step k=")]
         assert all(re.search(r" E=\S+ dc=2\^-\d+$", line) for line in step)
         steps += len(step)
-        assert sum(line.startswith(head + "float seed k_f=")
-                   for line in lines) == 1
+        seed = [line for line in lines
+                if line.startswith(head + "float seed k_f=")]
+        assert len(seed) == 1
+        assert re.fullmatch(head + r"float seed k_f=\S+ steps=\d+", seed[0])
     assert steps == row.steps > 0
     # one normalization error |c'Wc - 1| per row
     norm = [line for line in lines if line.startswith("hyhe: expectations: ")]
