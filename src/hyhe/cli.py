@@ -117,14 +117,13 @@ def sweep(app, n_list):
 
 
 @main.command()
-@click.option("--n", "n", type=int, required=True, help="basis size")
+@click.option("--n", "n", type=click.IntRange(min=1), required=True,
+              help="basis size")
 @click.option("--no-nuclear-motion", is_flag=True, default=False,
               help="clamp the nucleus (infinite-mass Hamiltonian)")
 @click.pass_obj
 def solve(app, n, no_nuclear_motion):
     """Converge one ground state; print E, k_opt, steps, residual, k_err."""
-    if n < 1:
-        raise click.UsageError("--n must be >= 1")
     if app.config.output == "csv":
         raise click.UsageError("solve supports human or json output")
     result = solve_single(n, app.config, app.constants,
@@ -144,12 +143,11 @@ def solve(app, n, no_nuclear_motion):
 
 
 @main.command()
-@click.option("--n", "n", type=int, required=True, help="basis size")
+@click.option("--n", "n", type=click.IntRange(min=1), required=True,
+              help="basis size")
 @click.pass_obj
 def corrections(app, n):
     """Print the full correction breakdown at one basis size."""
-    if n < 1:
-        raise click.UsageError("--n must be >= 1")
     if app.config.output == "csv":
         raise click.UsageError("corrections supports human or json output")
     row, res_0, exps, br = corrections_single(n, app.config, app.constants)

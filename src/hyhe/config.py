@@ -1,8 +1,9 @@
 """Run configuration: defaults, file loading, validation.
 
-Config files are flat ``key = value`` lines with ``#`` comments.  Nothing
-here reads the environment: the CLI does, and layers its HYHE_ variables
-and options over the file (see hyhe.cli).
+A run's settings come from the defaults or from one config file of flat
+``key = value`` lines with ``#`` comments.  Nothing here reads the
+environment: the CLI does, and layers its HYHE_ variables and options over
+the file (see hyhe.cli).
 """
 
 import os
@@ -58,30 +59,22 @@ def parse_config_text(text):
     return out
 
 
-def load_config(source=None):
-    """Build a RunConfig from a mapping, config-file text, or path.
+def load_config(path=None):
+    """Build a RunConfig from the config file at path (a str or
+    os.PathLike), or the defaults for None.
 
-    An os.PathLike is always a path, and a file that cannot be read raises
-    ConfigError naming it; a str is a path if such a file exists and
-    config text otherwise.  Unknown keys are rejected by name.  Layering
-    environment variables and options over the document is the CLI's job.
+    A file that cannot be read raises ConfigError naming it.  Unknown keys
+    are rejected by name.  Layering environment variables and options over
+    the file is the CLI's job.
     """
-    if source is None:
-        doc = {}
-    elif isinstance(source, dict):
-        doc = dict(source)
-    elif isinstance(source, os.PathLike) or (
-            isinstance(source, str) and os.path.exists(source)):
+    doc = {}
+    if path is not None:
         try:
-            with open(source) as fh:
+            with open(path) as fh:
                 doc = parse_config_text(fh.read())
         except OSError as exc:
-            raise ConfigError(f"cannot read config file {os.fspath(source)}: "
+            raise ConfigError(f"cannot read config file {os.fspath(path)}: "
                               f"{exc.strerror or exc}") from exc
-    elif isinstance(source, str):
-        doc = parse_config_text(source)
-    else:
-        raise ConfigError(f"unsupported config source: {type(source).__name__}")
 
     unknown = set(doc) - set(_FIELD_TYPES)
     if unknown:

@@ -45,7 +45,7 @@ class CorrectionBreakdown:
 
 def breit_correction(expectations, constants):
     """(E1, E2, E3, E4, E5, deltaE2) on the given state."""
-    alpha = constants.alpha_mp()
+    alpha = mp.mpf(constants.alpha)
     p4_pair = 2 * expectations.p4
     E1 = -(alpha ** 2) / 8 * p4_pair
     E2 = mp.mpf(0)
@@ -58,11 +58,11 @@ def breit_correction(expectations, constants):
 
 def radiative_correction(expectations, constants):
     """(r3_nuclear, r3_contact, r3_logmom, deltaE3) on the given state."""
-    alpha = constants.alpha_mp()
+    alpha = mp.mpf(constants.alpha)
     if alpha == 0:
         zero = mp.mpf(0)
         return zero, zero, zero, zero
-    beta = constants.beta_mp()
+    beta = mp.mpf(constants.bethe_beta)
     ln_alpha = mp.ln(alpha)
     r3n = (alpha ** 3 * (4 * constants.Z / mp.mpf(3))
            * (-2 * ln_alpha - beta + mp.mpf(19) / 30)
@@ -82,4 +82,4 @@ def total_energy(E0, expectations, constants):
         E0=mp.mpf(E0), E1=E1, E2=E2, E3=E3, E4=E4, E5=E5, deltaE2=dE2,
         r3_nuclear=r3n, r3_contact=r3c, r3_logmom=r3l, deltaE3=dE3,
         E_total=E_total, uncertainty=abs(dE3) / 2,
-        delta_vs_experiment=E_total - constants.e_exp_mp())
+        delta_vs_experiment=E_total - mp.mpf(constants.E_exp))

@@ -93,6 +93,9 @@ _FLOAT_MAX_STEPS = 16
 # A float64 eigenbasis serves the correction loop within this distance
 # (relative to k) of the k it was taken at; a longer k step takes a new one.
 _FLOAT_ACCEPT = 1e-8
+# The k-search's start, and the centre of the float seed's bracket
+# [_K_INIT / 3, 3 _K_INIT].
+_K_INIT = 2.0
 
 
 class AssemblyError(ValueError):
@@ -111,7 +114,6 @@ class VariationalResult:
     k_opt: object             # mpf, the loop's k at 2**-frac_bits exactly
     coeffs: list              # ints at 2**frac_bits, c'Wc = 1, c[0] >= 0
     frac_bits: int            # F of the fixed-point coeffs
-    n_basis: int
     iterations: int           # correction steps of the search
     # ||Bc - theta Wc||_{W^-1} / (||c||_W ||B||), B = kK + P and ||B|| the
     # row-sum norm of T B T'
@@ -407,6 +409,10 @@ def _refine(system, k, trace=None):
         x = (V1 @ ((Tv @ V1) / (lam - theta / (1 << F)))) @ T
         return x / D_f, s - F - e, Tv
 
+    # A fresh eigh at k, although _float_root has just taken one within
+    # _FLOAT_ACCEPT k of it: started from the seed's last eigenbasis, the
+    # loop took more steps (6 / 6 -> 9 / 9 per search at N = 40 and 50
+    # digits), which cost more than the eigh saves.
     B_float, v0, V1, lam = eigenbasis()
     dc, shift = _chunk(v0 @ T, F)
     c = [v << shift for v in dc]
@@ -543,23 +549,24 @@ def _float_root(system, k_init):
     return None
 
 
-def optimize_k(system, k_init=2.0):
+def optimize_k(system):
     """Drive k to the self-consistent exponent and return the ground state.
 
-    The correction loop (_refine) runs with k free from the float64 root
-    k_f (_float_root), or from k_init when that fails, and converges k with
-    c to the working precision.  c is signed so that c[0] >= 0; iterations
-    counts the correction steps, trace holds (k, E) after each, and
-    k_err = |h / h'| of the final state.  The float seed and each step are
+    The search starts at _K_INIT.  The correction loop (_refine) runs with
+    k free from the float64 root k_f that Newton's method finds from there
+    (_float_root), or from _K_INIT itself when that fails, and converges k
+    with c to the working precision.  c is signed so that c[0] >= 0;
+    iterations counts the correction steps, trace holds (k, E) after each,
+    and k_err = |h / h'| of the final state.  The float seed and each step are
     logged to the "hyhe" logger at DEBUG.
     """
-    k_f = _float_root(system, float(k_init))
+    k_f = _float_root(system, _K_INIT)
     if k_f is None:
-        _debug("k-search %s: float root failed; starting at k_init=%r",
-               system.label, float(k_init))
+        _debug("k-search %s: float root failed; starting at k=%r",
+               system.label, _K_INIT)
     trace = []
     kq, theta, c, K_q, residual, steps, k_err = _refine(
-        system, k_init if k_f is None else k_f, trace)
+        system, _K_INIT if k_f is None else k_f, trace)
     F = system.frac_bits
     if c[0] < 0:
         c = [-v for v in c]
@@ -567,8 +574,8 @@ def optimize_k(system, k_init=2.0):
         k_opt = to_mpf(kq, F)       # kq exactly, which k_err bounds
     return VariationalResult(
         energy=to_mpf((kq * theta) >> F, F), k_opt=k_opt, coeffs=c,
-        frac_bits=F, n_basis=system.n, iterations=steps, residual=residual,
-        trace=trace, k_err=k_err)
+        frac_bits=F, iterations=steps, residual=residual, trace=trace,
+        k_err=k_err)
 
 
 def ground_state_pair(systems):

@@ -198,7 +198,7 @@ def build_operator_matrices(basis, Z=2, mass_polarization=True):
 
 @dataclass(frozen=True)
 class ExpectationSet:
-    """Expectation values on the normalized ground state at exponent k.
+    """Expectation values on the normalized ground state.
 
     delta_r1      <delta^3(r_1)>  (= <delta^3(r_2)> by exchange symmetry)
     delta_r12     <delta^3(r_12)>
@@ -207,7 +207,6 @@ class ExpectationSet:
                   alpha^3 term; carries its Euler-gamma and ln k pieces
     """
 
-    k: object
     delta_r1: object
     delta_r12: object
     p4: object
@@ -397,8 +396,9 @@ def _logmom_numerator(poly):
     return pmul(poly, factor)
 
 
-def log_momentum_expectation(basis, coeffs, F, k, wq, gamma=None):
-    """Q = <(gamma - ln k) + ln u'> n.grad_12 matrix element (mpf).
+def log_momentum_expectation(basis, coeffs, F, k, wq):
+    """Q = <(gamma - ln k) + ln u'> n.grad_12 matrix element (mpf), gamma
+    Euler's constant.
 
     u' = k u is the scaled coordinate, so the weight is ln r12 + gamma, the
     (ln r12 + gamma)/r12^2 term of the alpha^3 shift.  Scale restoration
@@ -407,19 +407,17 @@ def log_momentum_expectation(basis, coeffs, F, k, wq, gamma=None):
     moment families; I_log integrates +ln u'.  A monomial s^A t^B u^C of the
     numerator N, with M = A + B + C and m = M!/2^{M+1}, contributes
       plain = m / ((B+1)(B+C)),
-      log   = plain (psi(M+1) - ln 2 - 1/(B+C)),   psi(M+1) = H_M - gamma_E,
-    so it carries plain (H_M - 1/(B+C) + gamma - gamma_E - ln 2k).  As in
-    p4_expectation the sum runs on ints, N at scale 2**(2F) and the weights
-    at 2**F with H_M from the fixed-point prefix sums, and one mpf is made
-    at the end.
+      log   = plain (psi(M+1) - ln 2 - 1/(B+C)),   psi(M+1) = H_M - gamma,
+    so the gammas cancel and it carries plain (H_M - 1/(B+C) - ln 2k).  As
+    in p4_expectation the sum runs on ints, N at scale 2**(2F) and the
+    weights at 2**F with H_M from the fixed-point prefix sums, and one mpf
+    is made at the end.
     """
-    if gamma is None:
-        gamma = mp.euler
     num = _logmom_numerator(_state_poly(basis, coeffs))
     harm = _prefix_sums(max(sum(key) for key in num), F)[0]
     km = mp.mpf(k)
     with mp.workprec(F):
-        shift = fixed_mpf(gamma - mp.euler - mp.ln(2 * km), F)
+        shift = fixed_mpf(-mp.ln(2 * km), F)
     total = 0
     for (a, b, c), v in num.items():
         M, d = a + b + c, b + c
@@ -429,7 +427,7 @@ def log_momentum_expectation(basis, coeffs, F, k, wq, gamma=None):
     return km ** 3 * mp.ldexp(total, -3 * F) / wq
 
 
-def expectation_set(basis, coeffs, F, k, W, gamma=None):
+def expectation_set(basis, coeffs, F, k, W):
     """All correction-layer expectation values on a normalized state, the
     ints coeffs at scale 2**F; |c'Wc - 1| is logged to the "hyhe" logger at
     DEBUG."""
@@ -437,6 +435,6 @@ def expectation_set(basis, coeffs, F, k, W, gamma=None):
     _debug("expectations: norm_err=%s", mp.nstr(abs(wq - 1), 3))
     d1, dee = delta_expectations(basis, coeffs, F, k, wq)
     p4_pair = p4_expectation(basis, coeffs, F, k, wq)
-    q = log_momentum_expectation(basis, coeffs, F, k, wq, gamma=gamma)
-    return ExpectationSet(k=mp.mpf(k), delta_r1=d1, delta_r12=dee,
+    q = log_momentum_expectation(basis, coeffs, F, k, wq)
+    return ExpectationSet(delta_r1=d1, delta_r12=dee,
                           p4=p4_pair / 2, log_momentum=q)

@@ -200,7 +200,7 @@ def compute_row(n, config, constants, stage=None):
         res_inf, res_0 = ground_state_pair(
             {label: system.leading(n) for label, system in systems.items()})
         exps = expectation_set(basis[:n], res_0.coeffs, res_0.frac_bits,
-                               res_0.k_opt, mats.W, gamma=constants.gamma_mp())
+                               res_0.k_opt, mats.W)
         breakdown = total_energy(res_0.energy, exps, constants)
         row = Row(
             N=n,

@@ -363,8 +363,8 @@ def plain_optimize_k(system, k_init=2.0, k_tol=1e-12, max_outer_iters=60,
             # slope -1 is what the undamped map assumes of h(k) = g(k) - k
             return VariationalResult(
                 energy=E, k_opt=k_next, coeffs=c, frac_bits=system.frac_bits,
-                n_basis=system.n, iterations=it + 1, residual=residual,
-                trace=trace, k_err=abs(-P_q / (2 * K_q) - k_next))
+                iterations=it + 1, residual=residual, trace=trace,
+                k_err=abs(-P_q / (2 * K_q) - k_next))
         km = k_next
     raise ConvergenceError(
         f"exponent map did not reach {k_tol:g} in {max_outer_iters} "
@@ -529,7 +529,7 @@ def mp_p4_expectation(basis, coeffs, k, wq):
     return mp.mpf(k) ** 4 * (I1 + I2) / wq
 
 
-def mp_log_momentum_expectation(basis, coeffs, k, wq, gamma=None):
+def mp_log_momentum_expectation(basis, coeffs, k, wq):
     """Q of `hyhe.matrices.log_momentum_expectation` in mpf.
 
     Each monomial s^A t^B u^C of the numerator N, built by the angle route
@@ -537,8 +537,6 @@ def mp_log_momentum_expectation(basis, coeffs, k, wq, gamma=None):
     against u^{-2} by the closed forms raw_moment(A, B, C - 2) and
     log_raw_moment(A, B, C - 2), the latter with mp.digamma.
     """
-    if gamma is None:
-        gamma = mp.euler
     num = angle_logmom_numerator(
         _state_poly(basis, [mp.mpf(c) for c in coeffs]))
     i_plain, i_log = mp.mpf(0), mp.mpf(0)
@@ -548,4 +546,4 @@ def mp_log_momentum_expectation(basis, coeffs, k, wq, gamma=None):
         i_plain += v * mp.mpf(plain.numerator) / plain.denominator
         i_log += v * log_raw_moment(A, B, C - 2)
     km = mp.mpf(k)
-    return km ** 3 * (i_log + (gamma - mp.ln(km)) * i_plain) / wq
+    return km ** 3 * (i_log + (mp.euler - mp.ln(km)) * i_plain) / wq

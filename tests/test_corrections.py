@@ -7,10 +7,9 @@ from hyhe.corrections import (breit_correction, radiative_correction,
 from hyhe.matrices import ExpectationSet
 
 
-def fake_expectations(k="2.0", d1="1.5", dee="0.19", p4="40.0", q="-0.14"):
-    return ExpectationSet(k=mp.mpf(k), delta_r1=mp.mpf(d1),
-                          delta_r12=mp.mpf(dee), p4=mp.mpf(p4),
-                          log_momentum=mp.mpf(q))
+def fake_expectations(d1="1.5", dee="0.19", p4="40.0", q="-0.14"):
+    return ExpectationSet(delta_r1=mp.mpf(d1), delta_r12=mp.mpf(dee),
+                          p4=mp.mpf(p4), log_momentum=mp.mpf(q))
 
 
 def test_breit_terms_and_sum():
@@ -18,7 +17,7 @@ def test_breit_terms_and_sum():
         exps = fake_expectations()
         c = default_constants()
         E1, E2, E3, E4, E5, dE2 = breit_correction(exps, c)
-        alpha = c.alpha_mp()
+        alpha = mp.mpf(c.alpha)
         assert E1 == -(alpha ** 2) / 8 * (2 * exps.p4)
         assert E2 == 0 and E3 == 0
         assert E4 == mp.pi * alpha ** 2 * (2 * exps.delta_r1 - exps.delta_r12)
@@ -73,7 +72,7 @@ def test_breakdown_identities():
         assert b.deltaE3 == b.r3_nuclear + b.r3_contact + b.r3_logmom
         assert b.E_total == b.E0 + b.deltaE2 + b.deltaE3
         assert b.uncertainty == abs(b.deltaE3) / 2
-        assert b.delta_vs_experiment == b.E_total - c.e_exp_mp()
+        assert b.delta_vs_experiment == b.E_total - mp.mpf(c.E_exp)
 
 
 def test_seed_state_anchor_values():
@@ -90,7 +89,7 @@ def test_seed_state_anchor_values():
         systems = build_systems(mats, mass_ratio=c.mass_ratio_M)
         res = optimize_k(systems["0"])
         exps = expectation_set(basis, res.coeffs, res.frac_bits, res.k_opt,
-                               mats.W, gamma=c.gamma_mp())
+                               mats.W)
         b = total_energy(res.energy, exps, c)
 
         anchors = {
@@ -120,7 +119,7 @@ def test_alpha_sensitivity_is_tiny():
     with mp.workdps(40):
         exps = fake_expectations()
         base = default_constants()
-        alpha = base.alpha_mp()
+        alpha = mp.mpf(base.alpha)
         bumped = PhysicalConstants(alpha=mp.nstr(alpha * (1 + mp.mpf("1e-9")), 25))
         bumped.validate()
         b0 = total_energy(mp.mpf("-2.90330"), exps, base)

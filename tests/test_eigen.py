@@ -109,11 +109,13 @@ def test_energy_monotone_in_basis_size():
         assert energies[-1] < energies[0] - mp.mpf("0.02")
 
 
-def test_optimum_independent_of_seed():
+def test_optimum_independent_of_seed(monkeypatch):
     with mp.workdps(40):
         _, systems = systems_n(6)
-        a = optimize_k(systems["inf"], k_init=1.5)
-        b = optimize_k(systems["inf"], k_init=2.5)
+        monkeypatch.setattr(eigen, "_K_INIT", 1.5)
+        a = optimize_k(systems["inf"])
+        monkeypatch.setattr(eigen, "_K_INIT", 2.5)
+        b = optimize_k(systems["inf"])
         assert abs(a.k_opt - b.k_opt) < mp.mpf("1e-10")
         assert abs(a.energy - b.energy) < mp.mpf("1e-20")
 
@@ -325,7 +327,7 @@ def test_ground_state_pair_contract():
         assert mp.mpf("2e-4") < shift < mp.mpf("8e-4")
         assert res_0.k_opt < res_inf.k_opt  # lighter reduced mass, softer pull
         for res in (res_inf, res_0):
-            assert res.n_basis == 6
+            assert len(res.coeffs) == 6
             assert res.coeffs[0] > 0
             check_normalized(mats.W, res.coeffs, res.frac_bits)
             assert res.residual < mp.mpf("1e-25")
@@ -408,16 +410,18 @@ def test_float_seed_fallback_keeps_k_opt(monkeypatch):
         assert abs(unseeded.energy - seeded.energy) < mp.mpf("1e-40")
 
 
-def test_float_seed_failures():
+def test_float_seed_failures(monkeypatch):
     with mp.workdps(40):
         _, systems = systems_n(6)
         system = systems["inf"]
         assert abs(eigen._float_root(system, 2.0) - 1.8179450639885) < 1e-9
         # the root 1.818 lies outside [k/3, 3k] for k = 0.5
         assert eigen._float_root(system, 0.5) is None
-        # the search then starts at k_init and still lands on the root
-        fallback = optimize_k(system, k_init=0.5)
-        assert abs(fallback.k_opt - optimize_k(system).k_opt) < mp.mpf("1e-20")
+        # the search then starts at _K_INIT and still lands on the root
+        seeded = optimize_k(system)
+        monkeypatch.setattr(eigen, "_K_INIT", 0.5)
+        fallback = optimize_k(system)
+        assert abs(fallback.k_opt - seeded.k_opt) < mp.mpf("1e-20")
         bad = PencilSystem(system.Z, system.width, system.denominators,
                            system.T, system.K_float.copy(), system.P_float)
         bad.K_float[0, 0] = float("nan")

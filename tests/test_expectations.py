@@ -165,19 +165,18 @@ def test_log_momentum_series_vs_quadrature():
 
 
 def test_log_momentum_gamma_hook(seed_state):
-    # the Euler-gamma piece rides on the plain moment: swapping gamma for
-    # gamma + 1 must shift Q by exactly k^3 I_plain / wq
+    # the (gamma - ln k) piece rides on the plain moment:
+    # Q = k^3 (I_log + (gamma - ln k) I_plain) / wq, so on one state
+    # Q(2)/8 - Q(1) = -ln 2 I_plain / wq exactly
     basis, mats = seed_state
     with mp.workdps(30):
         state = fixed_state([mp.sqrt(2)])
         wq = check_normalized(mats.W, *state)
-        k = mp.mpf(2)
-        q0 = log_momentum_expectation(basis, *state, k, wq)
-        q1 = log_momentum_expectation(basis, *state, k, wq,
-                                      gamma=mp.euler + 1)
+        q1 = log_momentum_expectation(basis, *state, 1, wq)
+        q2 = log_momentum_expectation(basis, *state, 2, wq)
         plain, _ = log_momentum_integrands(basis, [mp.sqrt(2)])
         i_plain = quad_integral(plain, target=1e-12)
-        assert abs((q1 - q0) - k ** 3 * i_plain / wq) < mp.mpf("1e-10")
+        assert abs((q2 / 8 - q1) + mp.ln(2) * i_plain / wq) < mp.mpf("1e-10")
 
 
 def test_p4_scaling_in_k():

@@ -89,13 +89,17 @@ def test_json_schema_v3_reads_v2(two_row_doc):
 
 def test_json_schema_v4_reads_v3(two_row_doc):
     # a version-3 row counted the mp solves of the secant search as
-    # `solves`, which is no step count: it is dropped on reading
+    # `solves`, which is no step count: it is dropped on reading; the
+    # constants header still carried euler_gamma, which loads as written
     payload = json.loads(two_row_doc.to_json())
+    assert "euler_gamma" not in payload["constants"]
     old = dict(payload, schema_version=3,
+               constants={**payload["constants"], "euler_gamma": "auto"},
                rows=[{**{k: v for k, v in row.items() if k != "steps"},
                       "solves": 6} for row in payload["rows"]])
     clone = ReportDocument.from_json(json.dumps(old))
     assert clone.schema_version == 3
+    assert clone.constants["euler_gamma"] == "auto"
     assert [row.steps for row in clone.rows] == [0, 0]
     assert [row.k_err for row in clone.rows] == \
         [row.k_err for row in two_row_doc.rows]
@@ -274,6 +278,7 @@ def test_cli_usage_errors():
     assert runner.invoke(main, ["sweep", "--n-list", "x"]).exit_code == 2
     assert runner.invoke(main, ["sweep", "--n-list", ""]).exit_code == 2
     assert runner.invoke(main, ["solve", "--n", "0"]).exit_code == 2
+    assert runner.invoke(main, ["corrections", "--n", "0"]).exit_code == 2
     assert runner.invoke(main, ["--alpha", "0",
                                 "sweep", "--n-list", "1"]).exit_code == 2
     assert runner.invoke(main, ["--alpha", "abc",
