@@ -63,18 +63,19 @@ def load_config(path=None):
     """Build a RunConfig from the config file at path (a str or
     os.PathLike), or the defaults for None.
 
-    A file that cannot be read raises ConfigError naming it.  Unknown keys
-    are rejected by name.  Layering environment variables and options over
-    the file is the CLI's job.
+    A file that cannot be read, or is not UTF-8 text, raises ConfigError
+    naming it.  Unknown keys are rejected by name.  Layering environment
+    variables and options over the file is the CLI's job.
     """
     doc = {}
     if path is not None:
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 doc = parse_config_text(fh.read())
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {os.fspath(path)}: "
-                              f"{exc.strerror or exc}") from exc
+                              f"{getattr(exc, 'strerror', None) or exc}"
+                              ) from exc
 
     unknown = set(doc) - set(_FIELD_TYPES)
     if unknown:

@@ -242,8 +242,12 @@ class PencilSystem:
 
         Z's fields are the prefix's exact forms (over the stage's
         denominators, at the stage's width, which holds for fewer terms),
-        and T's leading block is the prefix's inverse factor.
+        and T's leading block is the prefix's inverse factor.  n must lie
+        in 1 ... self.n: a stage serves no larger basis than its own.
         """
+        if not 1 <= n <= self.n:
+            raise ValueError(f"leading({n}) of a {self.n}-term system: "
+                             f"need 1 <= n <= {self.n}")
         if n == self.n:
             return self
         return PencilSystem([row[:n] for row in self.Z[:n]], self.width,
@@ -271,25 +275,24 @@ def _float_form(A, D):
     return np.array([[v / D for v in row] for row in A])
 
 
-def build_systems(matrices, mass_ratio=None, include=("inf", "0")):
-    """Pack the operator pencil and factor W in float64, for one or both
-    Hamiltonians.
+def build_systems(matrices, mass_ratio=None):
+    """Pack the operator pencil and factor W in float64: the "inf" system
+    always, and the "0" system too when given a mass ratio.
 
     "inf" is the clamped-nucleus problem (kinetic matrix alone); "0" folds
     nuclear motion in: K_0 = (1 + 1/M) K + (1/M) M_pol, which inherits the
     k^2 scaling tag, so the same Rayleigh-quotient machinery applies.
 
     Every form is read as the assembly gives it, exact ints over its own
-    denominator; K_0 is formed exactly from K, M_pol and M, so "0" needs
-    matrices assembled with mass polarization.  Each system packs W, P and
-    its K into one Z at width a = (widest W or P numerator) + 54 +
-    n.bit_length() + 2 bits; the K field is on top, so its width is not
-    bounded.  The systems share T and P_float.
+    denominator; K_0 is formed exactly from K, M_pol and M = mass_ratio, so
+    a mass ratio needs matrices assembled with mass polarization.  Each
+    system packs W, P and its K into one Z at width a = (widest W or P
+    numerator) + 54 + n.bit_length() + 2 bits; the K field is on top, so
+    its width is not bounded.  The systems share T and P_float.
     """
-    if "0" in include and (mass_ratio is None or matrices.M_pol is None):
-        raise ValueError("nuclear-motion Hamiltonian needs " + (
-            "a mass ratio" if mass_ratio is None else
-            "M_pol: assemble with mass_polarization=True"))
+    if mass_ratio is not None and matrices.M_pol is None:
+        raise ValueError("nuclear-motion Hamiltonian needs M_pol: assemble "
+                         "with mass_polarization=True")
     (W, DW), (P, DP) = matrices.W, matrices.P
     n = len(W)
     a = (max(abs(v).bit_length() for A in (W, P) for row in A for v in row)
@@ -307,14 +310,12 @@ def build_systems(matrices, mass_ratio=None, include=("inf", "0")):
         return PencilSystem(_pack(W, P, K, a), a, (DW, DP, DK), T,
                             congruence(K, DK), P_float, label=label)
 
-    systems = {}
-    if "inf" in include:
-        systems["inf"] = system(matrices.K, "inf")
-    if "0" in include:
+    systems = {"inf": system(matrices.K, "inf")}
+    if mass_ratio is not None:
         form = _moving_nucleus_form(matrices.K, matrices.M_pol, mass_ratio)
         systems["0"] = system(form, "0")
     _debug("stage: n=%d F=%d cond_bits=%d", n, mp.prec + _GUARD_BITS,
-           next(iter(systems.values())).cond_bits)
+           systems["inf"].cond_bits)
     return systems
 
 

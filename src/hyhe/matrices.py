@@ -113,8 +113,6 @@ class OperatorMatrices:
     the kinetic one; M_pol is None when it was not assembled.
     """
 
-    n_basis: int
-    Z: int
     W: tuple
     K: tuple
     P: tuple
@@ -187,8 +185,8 @@ def build_operator_matrices(basis, Z=2, mass_polarization=True):
         by_sum = {e: integral(poly, e) for e in sums}
         return form([by_sum[e] for e, _ in pairs])
 
-    return OperatorMatrices(n_basis=n, Z=Z, W=sum_form(VOLUME),
-                            K=pair_form(0), P=sum_form(potential),
+    return OperatorMatrices(W=sum_form(VOLUME), K=pair_form(0),
+                            P=sum_form(potential),
                             M_pol=pair_form(1) if mass_polarization else None)
 
 

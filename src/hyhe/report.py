@@ -2,9 +2,11 @@
 
 A report row is one basis size N pushed through the whole chain:
 matrices -> both ground states -> expectation values on the nuclear-motion
-state -> correction breakdown.  A sweep assembles and packs the pencil
-once, at its largest N; the bases are nested prefixes, so every row solves
-the leading block of that one stage.  Numeric cells are stored as strings (20
+state -> correction breakdown.  Every verb gets its basis, matrices and
+pencil systems from build_stage, the one place where the choice of
+Hamiltonian decides what is assembled.  A sweep builds its stage once, at
+its largest N; the bases are nested prefixes, so every row solves the
+leading block of that one stage.  Numeric cells are stored as strings (20
 significant digits) so that emit -> parse -> emit is byte-stable; the
 delta columns (dE_inf, dE0, dE_total: change against the previous row) are
 derived data and are recomputed from the energy columns whenever a document
@@ -16,7 +18,6 @@ import io
 import json
 import time
 from dataclasses import dataclass, field, asdict
-from typing import NamedTuple
 
 from mpmath import mp
 
@@ -171,28 +172,26 @@ def recompute_deltas(rows):
     return rows
 
 
-class Stage(NamedTuple):
-    """Basis, exact matrices and both pencil systems at one basis size."""
+def build_stage(n, constants, nuclear_motion=True):
+    """(basis, matrices, systems) at basis size n (inside mp.workdps).
 
-    basis: list
-    matrices: object
-    systems: dict
-
-
-def build_stage(n, constants):
-    """Assemble the n-term basis and build both pencil systems (inside
-    mp.workdps)."""
+    Here a verb's choice of Hamiltonian becomes the stage: the "inf"
+    system always, and with nuclear_motion the mass polarization and the
+    "0" system too (build_systems).
+    """
     basis = enumerate_basis(n)
-    mats = build_operator_matrices(basis, Z=constants.Z)
-    return Stage(basis, mats, build_systems(mats,
-                                            mass_ratio=constants.mass_ratio_M))
+    mats = build_operator_matrices(basis, Z=constants.Z,
+                                   mass_polarization=nuclear_motion)
+    return basis, mats, build_systems(
+        mats, mass_ratio=constants.mass_ratio_M if nuclear_motion else None)
 
 
 def compute_row(n, config, constants, stage=None):
     """Run the full pipeline for one basis size; returns (Row, results).
 
-    stage is a build_stage result at any size >= n at this precision; each
-    row solves its leading n x n block.  Without one the row builds its own.
+    stage is a nuclear-motion build_stage result at any size >= n at this
+    precision; each row solves its leading n x n block of both systems.
+    Without one the row builds its own at size n.
     """
     t0 = time.perf_counter()
     with mp.workdps(config.precision_digits):
@@ -258,19 +257,14 @@ def run_tables(config=None, constants=None, n_list=None):
 
 
 def solve_single(n, config=None, constants=None, nuclear_motion=True):
-    """One Hamiltonian at one basis size (the `solve` CLI verb)."""
+    """One Hamiltonian at one basis size (the `solve` CLI verb): the
+    k-search on build_stage's "0" system, or on its "inf" system for the
+    clamped nucleus, whose stage assembles no mass polarization."""
     config = config or RunConfig()
     constants = constants or default_constants()
     with mp.workdps(config.precision_digits):
-        basis = enumerate_basis(n)
-        mats = build_operator_matrices(basis, Z=constants.Z,
-                                       mass_polarization=nuclear_motion)
-        systems = build_systems(
-            mats, mass_ratio=constants.mass_ratio_M if nuclear_motion else None,
-            include=("0",) if nuclear_motion else ("inf",))
-        system = systems["0" if nuclear_motion else "inf"]
-        result = optimize_k(system)
-    return result
+        _, _, systems = build_stage(n, constants, nuclear_motion)
+        return optimize_k(systems["0" if nuclear_motion else "inf"])
 
 
 def corrections_single(n, config=None, constants=None):

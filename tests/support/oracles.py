@@ -292,7 +292,7 @@ def upper_t_solve(L, x):
 
 def mp_reduce_pencil(matrices, mass_ratio=None):
     """(L, K_red, P_red) by mp.cholesky; K_0 = (1+1/M) K + M_pol/M if M given."""
-    n = matrices.n_basis
+    n = len(matrices.W[0])
     L = mp.cholesky(to_mp(matrices.W, n))
     K = to_mp(matrices.K, n)
     if mass_ratio is not None:
@@ -439,9 +439,8 @@ def fraction_operator_matrices(basis, Z=2):
             M[i][j] = M[j][i] = Fraction(1, 2) * acc
 
     P = [[Z * Va[i][j] + Vr[i][j] for j in range(n)] for i in range(n)]
-    return OperatorMatrices(n_basis=n, Z=Z, W=integer_matrix(W),
-                            K=integer_matrix(K), P=integer_matrix(P),
-                            M_pol=integer_matrix(M))
+    return OperatorMatrices(W=integer_matrix(W), K=integer_matrix(K),
+                            P=integer_matrix(P), M_pol=integer_matrix(M))
 
 
 # ---------------------------------------------------------------------------

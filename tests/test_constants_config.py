@@ -121,6 +121,16 @@ def test_load_config_missing_file(tmp_path):
         load_config(tmp_path)
 
 
+def test_load_config_rejects_non_utf8_file(tmp_path):
+    # a file that is not UTF-8 text is a config error naming the file,
+    # not a UnicodeDecodeError
+    path = tmp_path / "utf16.cfg"
+    path.write_bytes(b"\xff\xfeo\x00u\x00t\x00")
+    with pytest.raises(ConfigError, match=r"cannot read config file "
+                                          r".*utf16\.cfg: 'utf-8' codec"):
+        load_config(path)
+
+
 def test_with_overrides_ignores_none():
     cfg = RunConfig()
     assert with_overrides(cfg, precision_digits=None) is cfg

@@ -34,8 +34,8 @@ def fixed_system(K, P):
         return integer_matrix([[Fraction(v) for v in row] for row in rows])
 
     eye = exact([[int(i == j) for j in range(n)] for i in range(n)])
-    mats = SimpleNamespace(n_basis=n, W=eye, K=exact(K), P=exact(P))
-    return build_systems(mats, include=("inf",))["inf"]
+    mats = SimpleNamespace(W=eye, K=exact(K), P=exact(P))
+    return build_systems(mats)["inf"]
 
 
 def test_seed_energies_exact():
@@ -195,12 +195,12 @@ def test_inverse_iteration_step_cap():
 
 
 def test_nonpositive_overlap_rejected():
-    mats = SimpleNamespace(n_basis=2, W=([[1, 2], [2, 1]], 1),
+    mats = SimpleNamespace(W=([[1, 2], [2, 1]], 1),
                            K=([[1, 0], [0, 1]], 1), P=([[0] * 2] * 2, 1),
                            M_pol=([[0] * 2] * 2, 1))
     with mp.workdps(30):
         with pytest.raises(ValueError, match="not positive definite"):
-            build_systems(mats, include=("inf",))
+            build_systems(mats)
 
 
 def signed_mpf(c, F):
@@ -247,7 +247,7 @@ def odd_pencil():
          [f(1, 11), f(-1, 3), f(-17, 11)]]
     M_pol = [[f(1, 7), f(-1, 3), f(0)], [f(-1, 3), f(2, 5), f(1, 5)],
              [f(0), f(1, 5), f(-3, 7)]]
-    return SimpleNamespace(n_basis=3, W=integer_matrix(W),
+    return SimpleNamespace(W=integer_matrix(W),
                            K=integer_matrix(K), P=integer_matrix(P),
                            M_pol=integer_matrix(M_pol))
 
@@ -303,7 +303,7 @@ def test_fixed_k_solve_matches_mp_oracle(n, dps):
         tol = mp.mpf(10) ** (-dps + 10)
         k = mp.mpf("2.0451487")
         mats = build_operator_matrices(enumerate_basis(n))
-        system = build_systems(mats, include=("inf",))["inf"]
+        system = build_systems(mats)["inf"]
         E, x, K_q, P_q, _ = solve_fixed_k(system, k)
         E_ref, K_ref, P_ref, c_ref = mp_solve_fixed_k(*mp_reduce_pencil(mats), k)
         assert abs(E - E_ref) < tol
@@ -313,10 +313,12 @@ def test_fixed_k_solve_matches_mp_oracle(n, dps):
         assert max(abs(a - b) for a, b in zip(coeffs, c_ref)) < tol
 
 
-def test_nuclear_motion_needs_mass_ratio():
-    mats = build_operator_matrices(enumerate_basis(1))
-    with pytest.raises(ValueError):
-        build_systems(mats, include=("0",))
+def test_no_mass_ratio_no_nuclear_motion_system():
+    # without a mass ratio the stage holds the clamped system alone
+    with mp.workdps(30):
+        mats = build_operator_matrices(enumerate_basis(1))
+        assert set(build_systems(mats)) == {"inf"}
+        assert set(build_systems(mats, mass_ratio=M_HELIUM)) == {"inf", "0"}
 
 
 def test_ground_state_pair_contract():
@@ -355,7 +357,7 @@ def search_and_reference(n, dps, label):
     results = []
     for digits in (dps + 20, dps):
         with mp.workdps(digits):
-            system = build_systems(mats, M_HELIUM, (label,))[label]
+            system = build_systems(mats, mass_ratio=M_HELIUM)[label]
             results.append(optimize_k(system))
     ref, res = results
     return system, res, ref
@@ -494,7 +496,7 @@ def test_float_seed_past_n70(monkeypatch):
     # true one; the Newton seed still saves the search steps
     with mp.workdps(50):
         mats = build_operator_matrices(enumerate_basis(80))
-        system = build_systems(mats, mass_ratio=M_HELIUM, include=("0",))["0"]
+        system = build_systems(mats, mass_ratio=M_HELIUM)["0"]
         seeded = optimize_k(system)
         monkeypatch.setattr(eigen, "_float_root", lambda system, k: None)
         unseeded = optimize_k(system)
@@ -519,7 +521,7 @@ def test_leading_block_is_the_prefix_reduction():
         k = mp.mpf("2.0451487")
         for label in ("inf", "0"):
             lead = big[label].leading(7)
-            alone = build_systems(mats7, M_HELIUM, (label,))[label]
+            alone = build_systems(mats7, mass_ratio=M_HELIUM)[label]
             assert lead.n == 7 and lead.label == label
             assert lead.frac_bits == alone.frac_bits
             assert lead.cond_bits == alone.cond_bits
@@ -528,6 +530,9 @@ def test_leading_block_is_the_prefix_reduction():
             E_alone, *_ = solve_fixed_k(alone, k)
             assert abs(E - E_alone) <= mp.mpf(2) ** -(mp.prec - 8), label
             assert big[label].leading(13) is big[label]
+            for n in (0, 14):
+                with pytest.raises(ValueError, match="need 1 <= n <= 13"):
+                    big[label].leading(n)
 
 
 @settings(max_examples=60, deadline=None)
@@ -562,7 +567,7 @@ def test_precision_holds_at_n95():
     energies = []
     for dps in (50, 100):
         with mp.workdps(dps):
-            system = build_systems(mats, include=("inf",))["inf"]
+            system = build_systems(mats)["inf"]
             energies.append(solve_fixed_k(system, k)[0])
     with mp.workdps(100):
         assert abs(energies[0] - energies[1]) < mp.mpf("1e-45")

@@ -193,8 +193,8 @@ def optimized_state(n):
     (basis, mats, mpf coefficients, the solve's (ints, F), k_opt)."""
     basis = enumerate_basis(n)
     mats = build_operator_matrices(basis)
-    system = build_systems(mats, mass_ratio=default_constants().mass_ratio_M,
-                           include=("0",))["0"]
+    system = build_systems(mats,
+                           mass_ratio=default_constants().mass_ratio_M)["0"]
     res = optimize_k(system)
     coeffs = [to_mpf(c, res.frac_bits) for c in res.coeffs]
     return basis, mats, coeffs, (res.coeffs, res.frac_bits), res.k_opt
@@ -266,8 +266,7 @@ mats = build_operator_matrices(basis)
 for dps in map(int, sys.argv[1:]):
     with mp.workdps(dps):
         system = build_systems(
-            mats, mass_ratio=default_constants().mass_ratio_M,
-            include=("0",))["0"]
+            mats, mass_ratio=default_constants().mass_ratio_M)["0"]
         res = optimize_k(system)
         wq = check_normalized(mats.W, res.coeffs, res.frac_bits)
         print(mp.nstr(p4_expectation(basis, res.coeffs, res.frac_bits,

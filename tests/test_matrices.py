@@ -112,8 +112,8 @@ def test_clamped_assembly_skips_mass_polarization():
     for name in ("W", "K", "P"):
         assert getattr(clamped, name) == getattr(full, name), name
     with pytest.raises(ValueError, match="needs M_pol"):
-        build_systems(clamped, mass_ratio="7294.299508", include=("0",))
-    assert set(build_systems(clamped, include=("inf",))) == {"inf"}
+        build_systems(clamped, mass_ratio="7294.299508")
+    assert set(build_systems(clamped)) == {"inf"}
 
 
 def test_clamped_solve_matches_full_assembly():
@@ -122,7 +122,7 @@ def test_clamped_solve_matches_full_assembly():
     with mp.workdps(50):
         res = solve_single(40, nuclear_motion=False)
         mats = build_operator_matrices(enumerate_basis(40))
-        ref = optimize_k(build_systems(mats, include=("inf",))["inf"])
+        ref = optimize_k(build_systems(mats)["inf"])
         for got, want in ((res.energy, ref.energy), (res.k_opt, ref.k_opt)):
             assert mp.nstr(got, 20) == mp.nstr(want, 20)
 
@@ -171,7 +171,7 @@ def test_entries_match_quadrature(m6):
             _close(quad_integral(lambda s, t, u: pij(s, t, u) * vol(s, t, u)),
                    m6.W[i][j])
             _close(quad_integral(lambda s, t, u: pij(s, t, u)
-                                 * (m6.Z * (-4 * s * u) + s * s - t * t)),
+                                 * (2 * (-4 * s * u) + s * s - t * t)),
                    m6.P[i][j])
 
             pairs = {(x, y): _poly_fn(syms[i][x] * syms[j][y])
@@ -284,7 +284,7 @@ def test_exponent_scaling_tags():
             dressed = {
                 "W": (_dict_mul(pij, weights["vol"]), 0),
                 "P": (_dict_add(
-                    _dict_mul(pij, {key: mats.Z * v
+                    _dict_mul(pij, {key: 2 * v
                                     for key, v in weights["att"].items()}),
                     _dict_mul(pij, weights["rep"])), 1),
                 "K": (None, 2),

@@ -162,7 +162,7 @@ def test_sweep_rows_match_rows_alone(n_list, rows_alone, monkeypatch):
     reduced = []
 
     def counting(mats, **kwargs):
-        reduced.append(mats.n_basis)
+        reduced.append(len(mats.W[0]))
         return real(mats, **kwargs)
 
     monkeypatch.setattr(report, "build_systems", counting)
@@ -173,14 +173,34 @@ def test_sweep_rows_match_rows_alone(n_list, rows_alone, monkeypatch):
         assert result_cells(row) == result_cells(rows_alone[row.N])
 
 
+def test_stage_serves_no_larger_size():
+    # a 7-term stage cannot stand in for a 13-term row
+    constants = default_constants()
+    with mp.workdps(RunConfig().precision_digits):
+        stage = report.build_stage(7, constants)
+    with pytest.raises(ValueError, match=r"leading\(13\) of a 7-term"):
+        report.compute_row(13, RunConfig(), constants, stage)
+
+
+@pytest.mark.parametrize("n", [7, 20])
+def test_solve_single_matches_the_row(n):
+    # the nuclear-motion solve runs the row's "0" search: same E0 and
+    # k_opt at 20 digits
+    res = report.solve_single(n)
+    row, _ = report.compute_row(n, RunConfig(), default_constants())
+    with mp.workdps(RunConfig().precision_digits):
+        assert (report._fmt(res.energy), report._fmt(res.k_opt)) == (
+            row.E0, row.k_opt)
+
+
 def test_shared_stage_failure_falls_back_to_rows_alone(monkeypatch,
                                                         rows_alone):
     real = report.build_systems
     calls = []
 
     def fails_at_13(mats, **kwargs):
-        calls.append(mats.n_basis)
-        if mats.n_basis == 13:
+        calls.append(len(mats.W[0]))
+        if len(mats.W[0]) == 13:
             raise ValueError("overlap matrix is not positive definite")
         return real(mats, **kwargs)
 
@@ -294,6 +314,17 @@ def test_cli_env_overrides_flow_into_config():
                            env={"HYHE_OUTPUT": "csv"})
     assert result.exit_code == 0
     assert result.output.splitlines()[0] == ",".join(CSV_COLUMNS)
+
+
+def test_cli_rejects_non_utf8_config_file(tmp_path):
+    # exit 2 with a usage error naming the file, and no traceback
+    cfg = tmp_path / "utf16.cfg"
+    cfg.write_bytes(b"\xff\xfeo\x00u\x00t\x00")
+    result = runner.invoke(main, ["--config", str(cfg),
+                                  "sweep", "--n-list", "1"])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "utf16.cfg: 'utf-8' codec can't decode" in result.output
 
 
 def test_cli_option_beats_env_beats_config_file(tmp_path):
