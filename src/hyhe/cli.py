@@ -8,9 +8,10 @@ option beats its variable, which beats the config file.  The verbs read
 their options from the command line only.  The global `--verbose` flag
 sends the "hyhe" logger's DEBUG records (one line per stage with its width
 and float64 conditioning estimate, the float seed of each k-search and one
-line per correction step with its k, E and size, and each row's
-normalization error |c'Wc - 1|) to stderr; stdout is the same with or
-without it.
+line per correction step with its k, E and size, each row's
+normalization error |c'Wc - 1|, and each row's working precision and
+certified digits of E0, with any rerun at twice the digits and the cell
+that was not settled) to stderr; stdout is the same with or without it.
 
 Exit codes: 0 all rows ok, 1 at least one row failed, 2 usage error.
 """
@@ -22,8 +23,8 @@ from mpmath import mp
 
 from .config import OUTPUT_FORMATS, load_config, with_overrides, ConfigError
 from .constants import PhysicalConstants, ConstantsError
-from .report import (ReportDocument, UsageError, run_tables, solve_single,
-                     corrections_single)
+from .report import (ReportDocument, UsageError, certified_digits,
+                     run_tables, solve_single, corrections_single)
 
 CONTEXT_SETTINGS = {"help_option_names": ["-h", "--help"]}
 
@@ -40,7 +41,9 @@ class _App:
               help="key = value config file")
 @click.option("--precision", "precision_digits", type=int, default=None,
               envvar="HYHE_PRECISION_DIGITS",
-              help="working precision in decimal digits")
+              help="working precision in decimal digits (default 30, at "
+              "least 30); a floor, doubled for a row whose printed cells it "
+              "does not settle")
 @click.option("--alpha", type=str, default=None, envvar="HYHE_ALPHA",
               help="override the fine-structure constant")
 @click.option("--format", "output", type=click.Choice(OUTPUT_FORMATS),
@@ -123,7 +126,8 @@ def sweep(app, n_list):
               help="clamp the nucleus (infinite-mass Hamiltonian)")
 @click.pass_obj
 def solve(app, n, no_nuclear_motion):
-    """Converge one ground state; print E, k_opt, steps, residual, k_err."""
+    """Converge one ground state; print E, k_opt, steps, residual, k_err
+    and E_digits."""
     if app.config.output == "csv":
         raise click.UsageError("solve supports human or json output")
     result = solve_single(n, app.config, app.constants,
@@ -138,6 +142,7 @@ def solve(app, n, no_nuclear_motion):
             "steps": result.iterations,
             "residual": mp.nstr(result.residual, 3),
             "k_err": mp.nstr(result.k_err, 3),
+            "E_digits": certified_digits(result.energy, result.energy_err),
         }
     _print_fields(app, fields)
 

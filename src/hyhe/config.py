@@ -19,7 +19,7 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    precision_digits: int = 50
+    precision_digits: int = 30
     output: str = "human"
 
     def validate(self):

@@ -16,6 +16,12 @@ explicit zeros rather than silently dropped.
 
 The quoted uncertainty follows the rule of thumb that the truncated series
 is good to about half its last retained order.
+
+deltaE2, deltaE3 and E_total each carry a bound on their numerical error
+(the *_err fields): the sum of the absolute values of the parts each sums,
+times the expectation values' relative error (ExpectationSet.rel_err) plus
+the rounding of the formulas at the working precision, and for E_total
+E0's own bound.
 """
 
 from dataclasses import dataclass
@@ -41,6 +47,9 @@ class CorrectionBreakdown:
     E_total: object
     uncertainty: object
     delta_vs_experiment: object
+    deltaE2_err: object
+    deltaE3_err: object
+    E_total_err: object
 
 
 def breit_correction(expectations, constants):
@@ -73,13 +82,26 @@ def radiative_correction(expectations, constants):
     return r3n, r3c, r3l, r3n + r3c + r3l
 
 
-def total_energy(E0, expectations, constants):
-    """Assemble the full breakdown around a variational energy E0."""
+def total_energy(E0, expectations, constants, E0_err=0):
+    """Assemble the full breakdown around a variational energy E0, which
+    lies within E0_err of the exact one."""
+    E0 = mp.mpf(E0)
     E1, E2, E3, E4, E5, dE2 = breit_correction(expectations, constants)
     r3n, r3c, r3l, dE3 = radiative_correction(expectations, constants)
-    E_total = mp.mpf(E0) + dE2 + dE3
+    E_total = E0 + dE2 + dE3
+    # |E4| + |E5| at most, by part: pi alpha^2 (Z delta_r1 - delta_r12)
+    # and 2 pi alpha^2 delta_r12
+    contact = mp.pi * mp.mpf(constants.alpha) ** 2 * (
+        constants.Z * abs(expectations.delta_r1)
+        + 3 * abs(expectations.delta_r12))
+    rel = expectations.rel_err + 4 * mp.eps
+    dE2_err = (abs(E1) + contact) * rel
+    dE3_err = (abs(r3n) + abs(r3c) + abs(r3l)) * rel
     return CorrectionBreakdown(
-        E0=mp.mpf(E0), E1=E1, E2=E2, E3=E3, E4=E4, E5=E5, deltaE2=dE2,
+        E0=E0, E1=E1, E2=E2, E3=E3, E4=E4, E5=E5, deltaE2=dE2,
         r3_nuclear=r3n, r3_contact=r3c, r3_logmom=r3l, deltaE3=dE3,
         E_total=E_total, uncertainty=abs(dE3) / 2,
-        delta_vs_experiment=E_total - mp.mpf(constants.E_exp))
+        delta_vs_experiment=E_total - mp.mpf(constants.E_exp),
+        deltaE2_err=dE2_err, deltaE3_err=dE3_err,
+        E_total_err=(E0_err + dE2_err + dE3_err
+                     + (abs(E0) + abs(dE2) + abs(dE3)) * mp.eps))

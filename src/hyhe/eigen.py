@@ -120,6 +120,7 @@ class VariationalResult:
     residual: object
     trace: list = field(default_factory=list)   # [(k, E)] after each step
     k_err: object = None      # |h / h'| of the final state (mpf)
+    energy_err: object = None   # bound on |energy - the pencil's E| (mpf)
 
 
 def _exact(v):
@@ -356,7 +357,7 @@ def _float_vector(v):
 
 def _refine(system, k, trace=None):
     """The correction loop on the pencil (B, W), B = k K + P: (kq, theta, c,
-    K_q, residual, steps, k_err), kq, theta = c'Bc / c'Wc and
+    K_q, residual, steps, k_err, energy_err), kq, theta = c'Bc / c'Wc and
     K_q = c'Kc / c'Wc at scale 2**F and c with c'Wc = 1 at scale 2**F, as
     ints, F = system.frac_bits.
 
@@ -370,6 +371,10 @@ def _refine(system, k, trace=None):
     dk = -(h + grad g . dc_r) / h' and the chunk dc_r + dk dc_K, and
     appends and logs (k, E).  A k step over _FLOAT_ACCEPT k takes a new
     eigenbasis; k_err = |h / h'| of the final state (None at fixed k).
+    energy_err bounds how far E = k theta lies from the pencil's lowest
+    eigenvalue at k (from its minimum over k, with k free): Kato-Temple's
+    ||r||_{W^-1}^2 / gap, from the last residual T r and the float64 gap
+    at hand, so it costs no matvec, eigh or solve.
 
     It stops once a chunk is at most max|c| 2**-prec and |dk| at most
     k 2**-prec.  A gap the float64 eigenbasis cannot resolve by _SEED_BITS
@@ -479,13 +484,24 @@ def _refine(system, k, trace=None):
             B_float, _, V1, lam = eigenbasis()
             slope, last = None, None
     K_q = (cK * DW << F) // (cW * DK)
-    # norm = ||c||_W at scale 4**F; Tr at scale 2**(2F - s) D
+    # norm = ||c||_W at scale 4**F; Tr at scale 2**(2F - s) D, and
+    # W^-1 ~ T'T, so r_W = ||r||_{W^-1} / ||c||_W
     norm = math.isqrt((cW << 2 * F) // DW)
+    r_W = mp.ldexp(mp.mpf(float(np.linalg.norm(Tr)) / D_f), t_r + F) / norm
     b_norm = max(float(np.abs(B_float).sum(axis=1).max()), 1.0)
-    residual = mp.ldexp(mp.mpf(float(np.linalg.norm(Tr)) / (D_f * b_norm)),
-                        t_r + F) / norm
+    # Kato-Temple: theta lies within r_W**2 / gap of the pencil's lowest
+    # eigenvalue, gap = mu_1 - theta off the float eigenbasis, taken at half
+    # to cover its float64 error and the k steps since the eigh.  E = k theta
+    # adds its rounding and, off the root, E'' k_err**2 / 2, E'' = -2 K_q h'.
+    E = to_mpf((kq * theta) >> F, F)
+    energy_err = abs(E) * mp.eps
+    if n > 1:
+        gap = float(lam[0]) - theta / (1 << F)
+        energy_err += 2 * (kq / (1 << F)) * r_W ** 2 / gap
+    if trace is not None:
+        energy_err += to_mpf(K_q, F) * abs(slope[3]) * k_err ** 2
     c = [(v << 2 * F) // norm for v in c]
-    return kq, theta, c, K_q, residual, steps, k_err
+    return kq, theta, c, K_q, r_W / b_norm, steps, k_err, energy_err
 
 
 def solve_fixed_k(system, k):
@@ -496,7 +512,7 @@ def solve_fixed_k(system, k):
     and P_q = theta_B - k K_q, all on the ints.  It runs optimize_k's
     correction loop with k held fixed.
     """
-    kq, theta, c, K_q, residual, _, _ = _refine(system, k)
+    kq, theta, c, K_q, residual, *_ = _refine(system, k)
     F = system.frac_bits
     P_q = theta - ((kq * K_q) >> F)
     E = to_mpf((kq * theta) >> F, F)
@@ -558,15 +574,16 @@ def optimize_k(system):
     (_float_root), or from _K_INIT itself when that fails, and converges k
     with c to the working precision.  c is signed so that c[0] >= 0;
     iterations counts the correction steps, trace holds (k, E) after each,
-    and k_err = |h / h'| of the final state.  The float seed and each step are
-    logged to the "hyhe" logger at DEBUG.
+    k_err = |h / h'| of the final state bounds k_opt's error and energy_err
+    the energy's.  The float seed and each step are logged to the "hyhe"
+    logger at DEBUG.
     """
     k_f = _float_root(system, _K_INIT)
     if k_f is None:
         _debug("k-search %s: float root failed; starting at k=%r",
                system.label, _K_INIT)
     trace = []
-    kq, theta, c, K_q, residual, steps, k_err = _refine(
+    kq, theta, c, K_q, residual, steps, k_err, energy_err = _refine(
         system, _K_INIT if k_f is None else k_f, trace)
     F = system.frac_bits
     if c[0] < 0:
@@ -576,7 +593,7 @@ def optimize_k(system):
     return VariationalResult(
         energy=to_mpf((kq * theta) >> F, F), k_opt=k_opt, coeffs=c,
         frac_bits=F, iterations=steps, residual=residual, trace=trace,
-        k_err=k_err)
+        k_err=k_err, energy_err=energy_err)
 
 
 def ground_state_pair(systems):

@@ -203,12 +203,14 @@ class ExpectationSet:
     p4            <p_1^4> for a single electron (half the two-electron sum)
     log_momentum  Q = <ln(kappa) n.grad_12> -type matrix element entering the
                   alpha^3 term; carries its Euler-gamma and ln k pieces
+    rel_err       a bound on the relative error of each (expectation_set)
     """
 
     delta_r1: object
     delta_r12: object
     p4: object
     log_momentum: object
+    rel_err: object = 0
 
 
 # check_normalized accepts |c'Wc - 1| up to this.
@@ -302,6 +304,12 @@ def _prefix_sums(n, F):
     return harm, sq, alt, alt_sq
 
 
+def _lost_bits(total, size):
+    """The bits an int sum lost to cancellation: an integer above
+    log2(sum |term| / |total|), given size = sum |term|."""
+    return size.bit_length() - max(abs(total).bit_length(), 1) + 1
+
+
 # --- <p^4> via the reduced-Laplacian series ---------------------------------
 
 def reduced_laplacian(poly):
@@ -348,7 +356,8 @@ def p4_expectation(basis, coeffs, F, k, wq):
 
     Everything runs on Python ints: the state's coefficients at scale 2**F,
     T^2 (s+t) exactly at scale 2**(2F), and the channel moments from
-    fixed-point prefix sums; one mpf is made at the end.
+    fixed-point prefix sums; one mpf is made at the end.  Returns it with
+    the bits the sum lost to cancellation (_lost_bits).
     """
     T = reduced_laplacian(_state_poly(basis, coeffs))
     poly = pmul(psquare(T), {(1, 0, 0): 1, (0, 1, 0): 1})
@@ -360,7 +369,7 @@ def p4_expectation(basis, coeffs, F, k, wq):
         v = alt[n - 1] - ln2
         return -v if n % 2 else v
 
-    total = 0
+    total = size = 0
     for (a, b, c), v in poly.items():
         if c:
             minus = harm[b + c] - harm[b]
@@ -369,8 +378,11 @@ def p4_expectation(basis, coeffs, F, k, wq):
             minus, plus = zeta2 - sq[b], (zeta2 >> 1) - alt_sq[b]
         w = minus - plus if b % 2 else minus + plus
         n = a + b + c
-        total += (v * math.factorial(n) * w // (c or 1)) >> (n + 1)
-    return mp.mpf(k) ** 4 * mp.ldexp(total, -3 * F) / wq
+        term = (v * math.factorial(n) * w // (c or 1)) >> (n + 1)
+        total += term
+        size += abs(term)
+    return (mp.mpf(k) ** 4 * mp.ldexp(total, -3 * F) / wq,
+            _lost_bits(total, size))
 
 
 # --- the logarithmic momentum matrix element --------------------------------
@@ -409,30 +421,43 @@ def log_momentum_expectation(basis, coeffs, F, k, wq):
     so the gammas cancel and it carries plain (H_M - 1/(B+C) - ln 2k).  As
     in p4_expectation the sum runs on ints, N at scale 2**(2F) and the
     weights at 2**F with H_M from the fixed-point prefix sums, and one mpf
-    is made at the end.
+    is made at the end.  Returns it with the bits the sum lost to
+    cancellation (_lost_bits).
     """
     num = _logmom_numerator(_state_poly(basis, coeffs))
     harm = _prefix_sums(max(sum(key) for key in num), F)[0]
     km = mp.mpf(k)
     with mp.workprec(F):
         shift = fixed_mpf(-mp.ln(2 * km), F)
-    total = 0
+    total = size = 0
     for (a, b, c), v in num.items():
         M, d = a + b + c, b + c
         # harm[d] - harm[d - 1] is the fixed-point 1/d
         w = harm[M] - harm[d] + harm[d - 1] + shift
-        total += (v * math.factorial(M) * w // ((b + 1) * d)) >> (M + 1)
-    return km ** 3 * mp.ldexp(total, -3 * F) / wq
+        term = (v * math.factorial(M) * w // ((b + 1) * d)) >> (M + 1)
+        total += term
+        size += abs(term)
+    return km ** 3 * mp.ldexp(total, -3 * F) / wq, _lost_bits(total, size)
 
 
-def expectation_set(basis, coeffs, F, k, W):
+def expectation_set(basis, coeffs, F, k, W, k_err=0):
     """All correction-layer expectation values on a normalized state, the
-    ints coeffs at scale 2**F; |c'Wc - 1| is logged to the "hyhe" logger at
-    DEBUG."""
+    ints coeffs at scale 2**F of a solve at the working precision, with k
+    within k_err of its root; |c'Wc - 1| is logged to the "hyhe" logger at
+    DEBUG.
+
+    rel_err bounds the relative error of every value.  The solve leaves c
+    within 2**-prec of max|c| and k within k_err; a quadratic form doubles
+    that, and a sum that cancels by 2**b amplifies it 2**b-fold, b the most
+    bits the <p^4> or log-momentum sum lost.  The mpf operations that end
+    each route add their rounding.
+    """
     wq = check_normalized(W, coeffs, F)
     _debug("expectations: norm_err=%s", mp.nstr(abs(wq - 1), 3))
     d1, dee = delta_expectations(basis, coeffs, F, k, wq)
-    p4_pair = p4_expectation(basis, coeffs, F, k, wq)
-    q = log_momentum_expectation(basis, coeffs, F, k, wq)
-    return ExpectationSet(delta_r1=d1, delta_r12=dee,
-                          p4=p4_pair / 2, log_momentum=q)
+    p4_pair, p4_lost = p4_expectation(basis, coeffs, F, k, wq)
+    q, q_lost = log_momentum_expectation(basis, coeffs, F, k, wq)
+    state_err = mp.eps / 2 + k_err / mp.mpf(k)
+    return ExpectationSet(
+        delta_r1=d1, delta_r12=dee, p4=p4_pair / 2, log_momentum=q,
+        rel_err=2 ** (max(p4_lost, q_lost) + 1) * state_err + 2 * mp.eps)

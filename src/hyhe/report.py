@@ -7,7 +7,11 @@ pencil systems from build_stage, the one place where the choice of
 Hamiltonian decides what is assembled.  A sweep builds its stage once, at
 its largest N; the bases are nested prefixes, so every row solves the
 leading block of that one stage.  Numeric cells are stored as strings (20
-significant digits) so that emit -> parse -> emit is byte-stable; the
+significant digits) so that emit -> parse -> emit is byte-stable.  Every
+printed cell is certified: its error bound must leave it on one side of
+each 20-digit rounding boundary (settled), or its row is solved again at
+twice the digits (compute_row, and solve_single for its E and k); so a
+run's precision, default or explicit, is a floor.  The
 delta columns (dE_inf, dE0, dE_total: change against the previous row) are
 derived data and are recomputed from the energy columns whenever a document
 is loaded.
@@ -16,6 +20,7 @@ is loaded.
 import csv
 import io
 import json
+import math
 import time
 from dataclasses import dataclass, field, asdict
 
@@ -26,10 +31,10 @@ from .basis import enumerate_basis
 from .config import DEFAULT_SWEEP, RunConfig
 from .constants import default_constants
 from .corrections import total_energy
-from .eigen import build_systems, ground_state_pair, optimize_k
+from .eigen import _debug, build_systems, ground_state_pair, optimize_k
 from .matrices import build_operator_matrices, expectation_set
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 CSV_COLUMNS = ("N", "E_inf", "dE_inf", "E0", "dE0", "deltaE2", "deltaE3",
                "E_total", "dE_total", "k_opt")
@@ -44,12 +49,39 @@ def _fmt(x):
     return mp.nstr(mp.mpf(x), 20)
 
 
+def _unsettled(cells):
+    """The first name of cells, {name: (value, error bound)}, whose value
+    and bound straddle a 20-digit rounding boundary; None if every cell is
+    settled.
+
+    Each bound is widened by eps |value|: the rounding at the working
+    precision, and for k_opt the correction loop's stop, a last k step of
+    at most 2**-prec k, which k_err = |h / h'| leaves out.
+    """
+    for name, (v, err) in cells.items():
+        err += abs(v) * mp.eps
+        if _fmt(v - err) != _fmt(v + err):
+            return name
+    return None
+
+
+def certified_digits(value, err):
+    """The significant digits of value that an error bound err certifies,
+    floor(-log10(err / |value|)), from the binary exponent of the ratio (an
+    mpf log10 would compute ln 10 at the working precision)."""
+    m, e = mp.frexp(err / abs(value))
+    return math.floor(-math.log10(m) - e * math.log10(2))
+
+
 @dataclass
 class Row:
     """One basis size.  k_opt, k_err and residual belong to the
     nuclear-motion Hamiltonian, whose state also feeds the corrections;
-    steps counts the correction steps of both k-searches.  In a sweep,
-    wall_time leaves out the shared assembly and stage."""
+    steps counts the correction steps of both k-searches.  precision_digits
+    is the precision the row ran at, twice the run's where a cell was not
+    settled at it, and E_digits the significant digits of E0 that its error
+    bound certifies.  In a sweep, wall_time leaves out the shared assembly
+    and stage."""
 
     N: int
     ok: bool = True
@@ -66,6 +98,8 @@ class Row:
     residual: str = ""
     k_err: str = ""
     steps: int = 0
+    precision_digits: int = 0
+    E_digits: int = 0
     wall_time: str = ""
 
 
@@ -87,7 +121,8 @@ class ReportDocument:
     @classmethod
     def from_json(cls, text):
         """Read a document of any schema: a schema-3 row's mp solve count
-        `solves` is dropped, since it counts no correction steps."""
+        `solves` is dropped, since it counts no correction steps, and a row
+        before schema 5 reads precision_digits and E_digits as 0."""
         payload = json.loads(text)
         doc = cls(
             schema_version=payload["schema_version"],
@@ -141,6 +176,8 @@ class ReportDocument:
         for row in self.rows:
             if row.ok:
                 lines.append(f"  N={row.N}: residual {row.residual}, "
+                             f"E_digits {row.E_digits} at "
+                             f"{row.precision_digits} digits, "
                              f"wall {row.wall_time}s")
         return "\n".join(lines) + "\n"
 
@@ -189,32 +226,59 @@ def build_stage(n, constants, nuclear_motion=True):
 def compute_row(n, config, constants, stage=None):
     """Run the full pipeline for one basis size; returns (Row, results).
 
-    stage is a nuclear-motion build_stage result at any size >= n at this
-    precision; each row solves its leading n x n block of both systems.
-    Without one the row builds its own at size n.
+    stage is a nuclear-motion build_stage result at any size >= n; each row
+    solves its leading n x n block of both systems.  Without one the row
+    builds its own at size n.  The row runs at config.precision_digits, and
+    once more at twice that if a cell is not settled there; the stage is
+    exact, so the rerun reuses it.
     """
     t0 = time.perf_counter()
-    with mp.workdps(config.precision_digits):
-        basis, mats, systems = stage or build_stage(n, constants)
+    digits = config.precision_digits
+    if stage is None:
+        with mp.workdps(digits):
+            stage = build_stage(n, constants)
+    row, results, unsettled = _solve_row(n, digits, constants, stage)
+    if unsettled:
+        _debug("row N=%d: %s unsettled at %d digits; rerun at %d", n,
+               unsettled, digits, 2 * digits)
+        row, results, _ = _solve_row(n, 2 * digits, constants, stage)
+    row.wall_time = f"{time.perf_counter() - t0:.2f}"
+    return row, results
+
+
+def _solve_row(n, digits, constants, stage):
+    """compute_row at the given digits: (Row, results, the first cell
+    that is not settled or None).
+
+    The bounds are the energies' energy_err, k_opt's k_err and the
+    correction breakdown's *_err.
+    """
+    with mp.workdps(digits):
+        basis, mats, systems = stage
         res_inf, res_0 = ground_state_pair(
             {label: system.leading(n) for label, system in systems.items()})
         exps = expectation_set(basis[:n], res_0.coeffs, res_0.frac_bits,
-                               res_0.k_opt, mats.W)
-        breakdown = total_energy(res_0.energy, exps, constants)
+                               res_0.k_opt, mats.W, res_0.k_err)
+        br = total_energy(res_0.energy, exps, constants, res_0.energy_err)
+        cells = {
+            "E_inf": (res_inf.energy, res_inf.energy_err),
+            "E0": (res_0.energy, res_0.energy_err),
+            "deltaE2": (br.deltaE2, br.deltaE2_err),
+            "deltaE3": (br.deltaE3, br.deltaE3_err),
+            "E_total": (br.E_total, br.E_total_err),
+            "k_opt": (res_0.k_opt, res_0.k_err),
+        }
         row = Row(
-            N=n,
-            E_inf=_fmt(res_inf.energy),
-            E0=_fmt(res_0.energy),
-            deltaE2=_fmt(breakdown.deltaE2),
-            deltaE3=_fmt(breakdown.deltaE3),
-            E_total=_fmt(breakdown.E_total),
-            k_opt=_fmt(res_0.k_opt),
+            N=n, **{name: _fmt(v) for name, (v, _) in cells.items()},
             residual=mp.nstr(res_0.residual, 3),
             k_err=mp.nstr(res_0.k_err, 3),
             steps=res_inf.iterations + res_0.iterations,
-            wall_time=f"{time.perf_counter() - t0:.2f}",
+            precision_digits=digits,
+            E_digits=certified_digits(*cells["E0"]),
         )
-    return row, (res_inf, res_0, exps, breakdown)
+        unsettled = _unsettled(cells)
+    _debug("row N=%d: %d digits, E_digits=%d", n, digits, row.E_digits)
+    return row, (res_inf, res_0, exps, br), unsettled
 
 
 def run_tables(config=None, constants=None, n_list=None):
@@ -259,12 +323,24 @@ def run_tables(config=None, constants=None, n_list=None):
 def solve_single(n, config=None, constants=None, nuclear_motion=True):
     """One Hamiltonian at one basis size (the `solve` CLI verb): the
     k-search on build_stage's "0" system, or on its "inf" system for the
-    clamped nucleus, whose stage assembles no mass polarization."""
+    clamped nucleus, whose stage assembles no mass polarization.  As in
+    compute_row, it runs again at twice the digits if its energy or k_opt
+    is not settled."""
     config = config or RunConfig()
     constants = constants or default_constants()
-    with mp.workdps(config.precision_digits):
+    digits = config.precision_digits
+    with mp.workdps(digits):
         _, _, systems = build_stage(n, constants, nuclear_motion)
-        return optimize_k(systems["0" if nuclear_motion else "inf"])
+        system = systems["0" if nuclear_motion else "inf"]
+        res = optimize_k(system)
+        unsettled = _unsettled({"energy": (res.energy, res.energy_err),
+                                "k_opt": (res.k_opt, res.k_err)})
+    if unsettled:
+        _debug("solve N=%d: %s unsettled at %d digits; rerun at %d", n,
+               unsettled, digits, 2 * digits)
+        with mp.workdps(2 * digits):
+            res = optimize_k(system)
+    return res
 
 
 def corrections_single(n, config=None, constants=None):

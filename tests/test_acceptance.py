@@ -1,8 +1,8 @@
 """End-to-end acceptance battery against the published reference values.
 
 The session fixture runs the full pipeline once for N = 20, 30, 40, 50 at
-the default 50-digit precision (a couple of minutes); the table tests read
-from that single sweep.
+the default 30-digit precision, a floor that a row with an unsettled cell
+doubles; the table tests read from that single sweep.
 
 Two reference comparisons fail, on unchanged values and bands: the k fixed
 point (test_scale_parameter_fixed_point) and delta E^(2)

@@ -50,7 +50,7 @@ def test_constants_reject_unparsed_or_nonfinite(name, raw):
 
 def test_runconfig_defaults(one_term_report):
     cfg = RunConfig().validate()
-    assert one_term_report.config == {"precision_digits": 50,
+    assert one_term_report.config == {"precision_digits": 30,
                                       "output": "human"}
     assert one_term_report.config == {f.name: getattr(cfg, f.name)
                                       for f in fields(RunConfig)}

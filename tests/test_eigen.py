@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 from fractions import Fraction
 from types import SimpleNamespace
@@ -79,6 +80,22 @@ def test_seed_nuclear_motion_shift():
         res = optimize_k(systems["0"])
         assert abs(res.k_opt - mp.mpf("1.6872686866730900502")) < mp.mpf("1e-15")
         assert abs(res.energy - mp.mpf("-2.8472659087608394597")) < mp.mpf("1e-18")
+
+
+@pytest.mark.parametrize("n", [20, 50])
+def test_nuclear_motion_without_mass_polarization_scales_the_clamped(n):
+    # with M_pol zeroed, K_0 = (1 + 1/M) K = K / mu, mu = M / (M + 1), and
+    # k = mu k' turns E_0(k) into mu E_inf(k'): the "0" optimum is mu E_inf
+    # at k = mu k_inf, which pins K_0's (M + 1) / M and the "0" search
+    with mp.workdps(50):
+        mats = build_operator_matrices(enumerate_basis(n))
+        zeros = [[0] * n for _ in range(n)]
+        systems = build_systems(dataclasses.replace(mats, M_pol=(zeros, 1)),
+                                mass_ratio=M_HELIUM)
+        res_inf, res_0 = ground_state_pair(systems)
+        mu = mp.mpf(M_HELIUM) / (mp.mpf(M_HELIUM) + 1)
+        assert abs(res_0.energy - mu * res_inf.energy) <= mp.mpf("1e-45")
+        assert abs(res_0.k_opt - mu * res_inf.k_opt) <= mp.mpf("1e-45")
 
 
 def test_fixed_point_consistency():

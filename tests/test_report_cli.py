@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import logging
@@ -13,6 +14,7 @@ from mpmath import mp
 
 import hyhe
 import hyhe.report as report
+from hyhe import eigen
 from hyhe.cli import main
 from hyhe.config import RunConfig
 from hyhe.constants import default_constants
@@ -62,7 +64,7 @@ def test_json_round_trip_is_stable(two_row_doc):
 
 def test_json_schema_v2_reads_v1(two_row_doc):
     payload = json.loads(two_row_doc.to_json())
-    assert payload["schema_version"] == 4 and "cache" not in payload
+    assert payload["schema_version"] == 5 and "cache" not in payload
     # a version-1 document carried the removed integral-cache statistics
     old = dict(payload, schema_version=1,
                cache={"entries": 6, "hits": 4, "misses": 6})
@@ -103,6 +105,21 @@ def test_json_schema_v4_reads_v3(two_row_doc):
     assert [row.steps for row in clone.rows] == [0, 0]
     assert [row.k_err for row in clone.rows] == \
         [row.k_err for row in two_row_doc.rows]
+    assert clone.to_csv() == two_row_doc.to_csv()
+
+
+def test_json_schema_v5_reads_v4(two_row_doc):
+    # a version-4 row had no precision_digits and no E_digits: both read 0
+    payload = json.loads(two_row_doc.to_json())
+    for row in payload["rows"]:
+        assert (row["precision_digits"], row["E_digits"]) == (30, 30)
+    old = dict(payload, schema_version=4,
+               rows=[{k: v for k, v in row.items()
+                      if k not in ("precision_digits", "E_digits")}
+                     for row in payload["rows"]])
+    clone = ReportDocument.from_json(json.dumps(old))
+    assert [(row.precision_digits, row.E_digits) for row in clone.rows] == \
+        [(0, 0)] * 2
     assert clone.to_csv() == two_row_doc.to_csv()
 
 
@@ -230,6 +247,92 @@ def test_recompute_deltas_blank_without_predecessor():
     assert rows[1].dE_inf == ""
 
 
+def test_cell_bounds_contain_a_rerun_at_20_more_digits():
+    # every row N = 1 ... 50 at the default precision settles at it, each
+    # printed cell's bound (widened by eps |value|, as the check widens it)
+    # holds the value of a rerun at 20 more digits, and E_digits claims no
+    # digit of E0 that the rerun does not confirm
+    constants = default_constants()
+    digits = RunConfig().precision_digits
+
+    def rows(d):
+        with mp.workdps(d):
+            stage = report.build_stage(50, constants)
+        return [report.compute_row(n, RunConfig(precision_digits=d),
+                                   constants, stage) for n in range(1, 51)]
+
+    def cells(results):
+        res_inf, res_0, _, br = results
+        return {"E_inf": (res_inf.energy, res_inf.energy_err),
+                "E0": (res_0.energy, res_0.energy_err),
+                "deltaE2": (br.deltaE2, br.deltaE2_err),
+                "deltaE3": (br.deltaE3, br.deltaE3_err),
+                "E_total": (br.E_total, br.E_total_err),
+                "k_opt": (res_0.k_opt, res_0.k_err)}
+
+    with mp.workdps(digits):
+        eps = +mp.eps
+    for (row, results), (_, ref) in zip(rows(digits), rows(digits + 20)):
+        assert row.precision_digits == digits, row.N
+        ref = cells(ref)
+        with mp.workdps(digits + 40):
+            for name, (v, err) in cells(results).items():
+                assert abs(v - ref[name][0]) <= err + abs(v) * eps, (
+                    row.N, name, mp.nstr(v - ref[name][0], 3),
+                    mp.nstr(err, 3))
+            E, E_ref = results[1].energy, ref["E0"][0]
+            if E != E_ref:
+                agree = -mp.log10(abs(E - E_ref) / abs(E_ref))
+                assert row.E_digits <= agree, (row.N, row.E_digits, agree)
+
+
+def test_an_unsettled_cell_reruns_its_row_alone(monkeypatch):
+    # a bound made wide for N = 7 below 60 digits leaves deltaE2 unsettled
+    # there: that row alone runs again at twice the default 30 digits, says
+    # so, and names the cell under --verbose
+    real = report.expectation_set
+
+    def lossy(basis, *args):
+        exps = real(basis, *args)
+        if len(basis) == 7 and mp.dps < 60:
+            exps = dataclasses.replace(exps, rel_err=mp.mpf(1))
+        return exps
+
+    monkeypatch.setattr(report, "expectation_set", lossy)
+    args = ["--format", "json", "sweep", "--n-list", "3,7,13"]
+    result = runner.invoke(main, ["--verbose"] + args)
+    assert result.exit_code == 0, result.output
+    rows = json.loads(result.stdout)["rows"]
+    assert [row["precision_digits"] for row in rows] == [30, 60, 30]
+    reruns = [line for line in result.stderr.splitlines()
+              if "unsettled" in line]
+    assert reruns == ["hyhe: row N=7: deltaE2 unsettled at 30 digits; "
+                      "rerun at 60"]
+    assert re.search(r"^hyhe: row N=7: 60 digits, E_digits=\d+$",
+                     result.stderr, re.M)
+    monkeypatch.undo()
+    plain = json.loads(runner.invoke(main, args).stdout)["rows"]
+    assert [result_cells(Row(**row)) for row in rows] == \
+        [result_cells(Row(**row)) for row in plain]
+
+
+def test_an_unsettled_solve_reruns_at_twice_the_digits(monkeypatch):
+    # solve_single checks its energy and k_opt as compute_row checks a row
+    real = report.optimize_k
+
+    def loose(system):
+        res = real(system)
+        if mp.dps < 60:
+            res.energy_err = mp.mpf(1)
+        return res
+
+    monkeypatch.setattr(report, "optimize_k", loose)
+    res = report.solve_single(3)
+    with mp.workdps(60):
+        assert res.frac_bits == mp.prec + eigen._GUARD_BITS
+        assert res.energy_err < mp.mpf(10) ** -50
+
+
 # --- CLI ---------------------------------------------------------------------
 
 runner = CliRunner()
@@ -252,7 +355,7 @@ def test_cli_sweep_csv_and_json():
     assert result.exit_code == 0
     payload = json.loads(result.output)
     assert payload["rows"][0]["N"] == 1
-    assert payload["config"]["precision_digits"] == 50
+    assert payload["config"]["precision_digits"] == 30
 
 
 def test_cli_solve_both_hamiltonians():
@@ -267,14 +370,18 @@ def test_cli_solve_both_hamiltonians():
     assert result.exit_code == 0
     assert "clamped-nucleus" in result.output
     assert "-2.84765625" in result.output
+    assert re.search(r"^E_digits +30$", result.output, re.M)
     # one term: the first k step lands on 27/16 exactly
     assert re.search(r"^k_err +0\.0$", result.output, re.M)
 
-    # k_err = |h / h'| of the final state bounds k_opt's error
+    # k_err = |h / h'| of the final state bounds k_opt's error, to the
+    # working precision
     result = runner.invoke(main, ["--format", "json", "solve", "--n", "7"])
     assert result.exit_code == 0, result.output
     fields = json.loads(result.output)
-    assert 0 <= mp.mpf(fields["k_err"]) <= mp.mpf(fields["k_opt"]) * 2 ** -150
+    with mp.workdps(RunConfig().precision_digits):
+        bound = mp.mpf(fields["k_opt"]) * mp.mpf(2) ** -(mp.prec - 12)
+    assert 0 <= mp.mpf(fields["k_err"]) <= bound
 
 
 def test_cli_solve_rejects_csv():
