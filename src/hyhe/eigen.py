@@ -11,11 +11,12 @@ from the assembly as exact ints over its own minimal denominator (every
 matrix the program builds has a power-of-two denominator of at most 256 and
 numerators of at most 37 bits at N = 50), and K_0 = ((M + 1) K + M_pol) / M
 is formed exactly from M's exact value.  One Hamiltonian's W, P and K (or
-K_0) are packed into one int per entry, Z_ij = W_ij + P_ij 2**a +
-K_ij 2**(2a) (_pack), where a leaves room for any sum of n products of a W
-or P numerator with a vector entry of at most 54 bits.  So one matvec of Z
-with such a vector, and a signed unpack, gives Wv, Pv and Kv exactly
-(_packed_matvec).
+K_0) are split into int64 limbs of b = 63 - bitlen(n 2**18) bits (_limbs;
+39 at N = 50, one limb for W, P or K and two for K_0), and a vector entry
+of at most 54 bits into three of 18, so a sum of n limb products stays
+below n 2**(b + 18) < 2**63: one int64 matmul of the two, joined on
+Python ints, gives Wv, Pv and Kv exactly (_matvecs; the operand splitting
+of K. Ozaki et al., Numer. Algorithms 59, 95 (2012)).
 
 float64 carries the rest.  numpy's Cholesky of the diagonally scaled W,
 W_ij / sqrt(W_ii W_jj) = Lf Lf', inverted by forward substitution, gives
@@ -30,11 +31,10 @@ accumulators, and each step takes theta = c'Bc / c'Wc and
 r = Bc - theta Wc exactly on the ints and adds the correction
 -sum_{i>=1} u_i (u_i'r) / (mu_i - theta), the lowest mode projected out.
 c is a sum of float64-sized chunks of at most 54 bits at scale 2**F,
-F = mp.prec + 32, so the n^2 products of a step are each the packed form
-times a narrow chunk.  The state leaves the kernel as those ints, with F
-beside them (VariationalResult.frac_bits), and the expectation routes in
-matrices read it as it is; energies and exponents leave as mpf at the
-working precision.
+F = mp.prec + 32, so the n^2 products of a step run in int64.  The state
+leaves the kernel as those ints, with F beside them
+(VariationalResult.frac_bits), and the expectation routes in matrices read
+it as it is; energies and exponents leave as mpf at the working precision.
 
 A step gains about log2(gap / (n eps |B| cond(W))) bits, so the
 conditioning of W, not the precision, sets how much each step gains.  With
@@ -59,10 +59,10 @@ N <= 50 (6e-8 k at N = 95, where the float forms carry the float64
 factor's error), and a k step longer than 1e-8 k takes a new eigenbasis.
 So a search costs about the steps of one fixed-k solve (6 at N = 40 and
 50 digits, 13 at 100 digits) and ends with k converged to the working
-precision, |h / h'| at most about 2**-prec k.
+precision, k_err at most about 2**-prec k.
 
-The bases are nested prefixes, the packed forms are read entry by entry and
-T is lower triangular, so the leading n x n blocks of Z, T and the float
+The bases are nested prefixes, the limbs are read entry by entry and T is
+lower triangular, so the leading n x n blocks of the limbs, T and the float
 forms serve the n-term prefix: one stage at the largest size serves every
 smaller one (PencilSystem.leading).
 """
@@ -86,8 +86,12 @@ _SEED_BITS = 20
 # Each correction after the first must be this many times smaller than the
 # one before; a solve thus takes at most about F / 4 steps.
 _MIN_SHRINK = 16
-# The widest vector entry _chunk makes, in bits.
+# The widest vector entry _chunk makes, in bits, and its three limbs in
+# _matvecs (v[:, None] >> shifts & masks, the top one signed).
 _CHUNK_BITS = 54
+_CHUNK_LIMB = _CHUNK_BITS // 3
+_CHUNK_SHIFTS = np.arange(0, _CHUNK_BITS, _CHUNK_LIMB)
+_CHUNK_MASKS = np.array([(1 << _CHUNK_LIMB) - 1] * 2 + [-1])
 # Newton steps the float64 search may take before it counts as failed.
 _FLOAT_MAX_STEPS = 16
 # A float64 eigenbasis serves the correction loop within this distance
@@ -119,7 +123,7 @@ class VariationalResult:
     # row-sum norm of T B T'
     residual: object
     trace: list = field(default_factory=list)   # [(k, E)] after each step
-    k_err: object = None      # |h / h'| of the final state (mpf)
+    k_err: object = None      # bound on |k_opt - the root| (mpf)
     energy_err: object = None   # bound on |energy - the pencil's E| (mpf)
 
 
@@ -150,36 +154,43 @@ def to_mpf(v, F):
     return mp.ldexp(mp.mpf(v), -F)
 
 
-def _pack(W, P, K, a):
-    """Z_ij = W_ij + P_ij 2**a + K_ij 2**(2a) for int matrices W, P, K."""
-    return [[w + (p << a) + (k << 2 * a) for w, p, k in zip(*rows)]
-            for rows in zip(W, P, K)]
+def _limbs(values, bound):
+    """(L, bits): int64 limbs L, shape (m, len(values)), with values[i] =
+    sum_j L[j, i] 2**(bits j), each |L| < 2**bits, the top one signed.
+    bits = 63 - bound.bit_length(), so a sum of products of limbs with ints
+    whose magnitudes add to at most bound stays below 2**63 in int64."""
+    bits = 63 - bound.bit_length()
+    mask, L = (1 << bits) - 1, []
+    while max(map(abs, values)) >> bits:
+        L.append([v & mask for v in values])
+        values = [v >> bits for v in values]
+    return np.array(L + [values], np.int64), bits
 
 
-def _unpack(ts, a):
-    """The lists (w, p, k) with t = w + p 2**a + k 2**(2a) for each t in ts,
-    where |w|, |p| < 2**(a - 1).
-
-    Adding half = 2**(a - 1) to both low fields makes them nonnegative and
-    below 2**a, so plain masks and shifts read them.
-    """
-    half, mask = 1 << (a - 1), (1 << a) - 1
-    bias = (half << a) + half
-    u = [t + bias for t in ts]
-    return ([(t & mask) - half for t in u],
-            [((t >> a) & mask) - half for t in u],
-            [t >> 2 * a for t in u])
+def _join(L, bits):
+    """The ints sum_j L[j] 2**(bits j) of limbs L (_limbs), as an object
+    array of the shape of L[0]."""
+    acc = L[-1].astype(object)
+    for limb in L[-2::-1]:
+        acc = (acc << bits) + limb
+    return acc
 
 
-def _matvec(A, v):
-    """A v exactly on the ints; the solve keeps every v at most 54 bits wide."""
-    return [sum(map(mul, row, v)) for row in A]
-
-
-def _packed_matvec(Z, a, v):
-    """(Wv, Pv, Kv) exactly, from one matvec of the packed Z = _pack(W, P,
-    K, a), for a v whose sums W v and P v stay within 2**(a - 1)."""
-    return _unpack(_matvec(Z, v), a)
+def _matvecs(system, v, shift=0):
+    """The lists (Wv, Pv, Kv) 2**shift of exact ints, for an int64 vector v
+    with |v| < 2**_CHUNK_BITS (a _chunk): one int64 matmul of the system's
+    limb stack with v's three limbs, each at most 2**_CHUNK_LIMB in
+    magnitude, as the stack's limb width allows (bound n 2**_CHUNK_LIMB)."""
+    X = (system.stack @ (v[:, None] >> _CHUNK_SHIFTS & _CHUNK_MASKS)).tolist()
+    s1, s2, bits, out = _CHUNK_LIMB, 2 * _CHUNK_LIMB, system.bits, []
+    for m in system.limbs:
+        acc = [0] * system.n
+        for rows in reversed(X[:m]):
+            acc = [(a << bits) + x + (y << s1) + (z << s2)
+                   for a, (x, y, z) in zip(acc, rows)]
+        out.append([a << shift for a in acc])
+        X = X[m:]
+    return out
 
 
 def _inverse_factor(Wf):
@@ -210,9 +221,10 @@ def _inverse_factor(Wf):
 class PencilSystem:
     """One Hamiltonian's pencil (K, P, W), exact and in float64.
 
-    Z packs the exact numerators of W, P and K (K_0 for "0") at field width
-    `width` (_pack), over their own `denominators` (D_W, D_P, D_K).  T is
-    the float64 inverse factor of W (_inverse_factor); K_float = T K T' and
+    stack holds the exact numerators of W, P and K (K_0 for "0"), in that
+    order, as limbs = (m_W, m_P, m_K) int64 limb matrices of width `bits`
+    (_limbs), over their own `denominators` (D_W, D_P, D_K).  T is the
+    float64 inverse factor of W (_inverse_factor); K_float = T K T' and
     P_float = T P T' are the float forms whose eigenbasis seeds each solve
     and carries its corrections.  cond_bits = floor(log2(max W_jj / min
     pivot)), pivot_j = 1 / T_jj^2, is the float64 estimate of W's
@@ -220,17 +232,18 @@ class PencilSystem:
     scale of the solve's coefficients at the current precision.
     """
 
-    def __init__(self, Z, width, denominators, T, K_float, P_float,
-                 label=""):
-        self.Z = Z
-        self.n = len(Z)
-        self.width = width
+    def __init__(self, stack, bits, limbs, denominators, T, K_float,
+                 P_float, label=""):
+        self.stack = stack
+        self.n = stack.shape[1]
+        self.bits = bits
+        self.limbs = limbs
         self.denominators = denominators
         self.T = T
         self.K_float = K_float
         self.P_float = P_float
         self.label = label
-        w_max = max(_unpack([row[j] for j, row in enumerate(Z)], width)[0])
+        w_max = max(_join(np.diagonal(stack[:limbs[0]], 0, 1, 2), bits))
         self.cond_bits = math.floor(math.log2(
             w_max / denominators[0] * (T.diagonal() ** 2).max()))
 
@@ -241,8 +254,8 @@ class PencilSystem:
     def leading(self, n):
         """The system of the first n basis terms.
 
-        Z's fields are the prefix's exact forms (over the stage's
-        denominators, at the stage's width, which holds for fewer terms),
+        The stack's leading blocks are the prefix's exact forms (over the
+        stage's denominators and limb width, which holds for fewer terms),
         and T's leading block is the prefix's inverse factor.  n must lie
         in 1 ... self.n: a stage serves no larger basis than its own.
         """
@@ -251,10 +264,10 @@ class PencilSystem:
                              f"need 1 <= n <= {self.n}")
         if n == self.n:
             return self
-        return PencilSystem([row[:n] for row in self.Z[:n]], self.width,
-                            self.denominators, self.T[:n, :n],
-                            self.K_float[:n, :n], self.P_float[:n, :n],
-                            label=self.label)
+        return PencilSystem(np.ascontiguousarray(self.stack[:, :n, :n]),
+                            self.bits, self.limbs, self.denominators,
+                            self.T[:n, :n], self.K_float[:n, :n],
+                            self.P_float[:n, :n], label=self.label)
 
 
 def _moving_nucleus_form(K, M_pol, mass_ratio):
@@ -277,8 +290,8 @@ def _float_form(A, D):
 
 
 def build_systems(matrices, mass_ratio=None):
-    """Pack the operator pencil and factor W in float64: the "inf" system
-    always, and the "0" system too when given a mass ratio.
+    """Split the operator pencil into int64 limbs and factor W in float64:
+    the "inf" system always, and the "0" system too when given a mass ratio.
 
     "inf" is the clamped-nucleus problem (kinetic matrix alone); "0" folds
     nuclear motion in: K_0 = (1 + 1/M) K + (1/M) M_pol, which inherits the
@@ -287,28 +300,33 @@ def build_systems(matrices, mass_ratio=None):
     Every form is read as the assembly gives it, exact ints over its own
     denominator; K_0 is formed exactly from K, M_pol and M = mass_ratio, so
     a mass ratio needs matrices assembled with mass polarization.  Each
-    system packs W, P and its K into one Z at width a = (widest W or P
-    numerator) + 54 + n.bit_length() + 2 bits; the K field is on top, so
-    its width is not bounded.  The systems share T and P_float.
+    system stacks the int64 limbs (_limbs) of W, P and its K, all at the
+    one width that holds n products with a _CHUNK_LIMB-bit chunk limb.  The
+    systems share T and P_float.
     """
     if mass_ratio is not None and matrices.M_pol is None:
         raise ValueError("nuclear-motion Hamiltonian needs M_pol: assemble "
                          "with mass_polarization=True")
     (W, DW), (P, DP) = matrices.W, matrices.P
     n = len(W)
-    a = (max(abs(v).bit_length() for A in (W, P) for row in A for v in row)
-         + _CHUNK_BITS + n.bit_length() + 2)
     T = _inverse_factor(_float_form(W, DW))
+
+    def limbs(A):
+        L, bits = _limbs([v for row in A for v in row], n << _CHUNK_LIMB)
+        return L.reshape(-1, n, n), bits
 
     def congruence(A, D):
         A = _float_form(A, D)
         return np.array([T @ (A @ t) for t in T])
 
     P_float = congruence(P, DP)
+    (LW, _), (LP, _) = limbs(W), limbs(P)
 
     def system(form, label):
         K, DK = form
-        return PencilSystem(_pack(W, P, K, a), a, (DW, DP, DK), T,
+        LK, bits = limbs(K)
+        return PencilSystem(np.concatenate((LW, LP, LK)), bits,
+                            (len(LW), len(LP), len(LK)), (DW, DP, DK), T,
                             congruence(K, DK), P_float, label=label)
 
     systems = {"inf": system(matrices.K, "inf")}
@@ -333,15 +351,15 @@ def _debug(msg, *args):
 
 
 def _chunk(d, scale):
-    """(ints, shift), shift >= 0, with ints * 2**shift the float64 vector
-    d * 2**scale on the integer grid.
+    """(ints, shift), shift >= 0, with the int64 array ints * 2**shift the
+    float64 vector d * 2**scale on the integer grid.
 
     The ints keep the 53 bits of the largest entry's float64 mantissa (one
     more if rounding carries); where the shift would go negative they are d
     rounded to the grid instead, and narrower still.
     """
     e = max(math.frexp(float(np.abs(d).max()))[1] - 53, -scale)
-    return [int(v) for v in np.rint(np.ldexp(d, -e))], scale + e
+    return np.rint(np.ldexp(d, -e)).astype(np.int64), scale + e
 
 
 def _dot(u, v):
@@ -362,7 +380,7 @@ def _refine(system, k, trace=None):
     ints, F = system.frac_bits.
 
     B is never built; each chunk of c updates the exact accumulators Wc, Pc
-    and Kc by one _packed_matvec.  R = sum_{i>=1} u_i u_i' / (mu_i - theta)
+    and Kc by one _matvecs.  R = sum_{i>=1} u_i u_i' / (mu_i - theta)
     is the approximate inverse from float64 eigh of k K_float + P_float,
     and each step corrects c by dc_r = -R r, r = Bc - theta Wc on the ints.
     With a trace, k is free: once per eigenbasis the loop takes
@@ -370,7 +388,9 @@ def _refine(system, k, trace=None):
     h' = grad g . dc_K - 1; each step takes h = g - k on the ints,
     dk = -(h + grad g . dc_r) / h' and the chunk dc_r + dk dc_K, and
     appends and logs (k, E).  A k step over _FLOAT_ACCEPT k takes a new
-    eigenbasis; k_err = |h / h'| of the final state (None at fixed k).
+    eigenbasis; k_err = |h / h'| + |dk| + 2**-F k of the final state, dk
+    the Newton step left unapplied, bounds k's distance to the root (None
+    at fixed k).
     energy_err bounds how far E = k theta lies from the pencil's lowest
     eigenvalue at k (from its minimum over k, with k free): Kato-Temple's
     ||r||_{W^-1}^2 / gap, from the last residual T r and the float64 gap
@@ -382,7 +402,7 @@ def _refine(system, k, trace=None):
     from the one before in one eigenbasis (W too ill-conditioned for
     float64).  c is normalized once, at exit.
     """
-    n, F, a, Z = system.n, system.frac_bits, system.width, system.Z
+    n, F = system.n, system.frac_bits
     DW, DP, DK = system.denominators
     T, prec = system.T, mp.prec
     kq = fixed_mpf(k, F)
@@ -421,9 +441,8 @@ def _refine(system, k, trace=None):
     # digits), which cost more than the eigh saves.
     B_float, v0, V1, lam = eigenbasis()
     dc, shift = _chunk(v0 @ T, F)
-    c = [v << shift for v in dc]
-    Wc, Pc, Kc = ([v << shift for v in part]
-                  for part in _packed_matvec(Z, a, dc))
+    c = [v << shift for v in dc.tolist()]
+    Wc, Pc, Kc = _matvecs(system, dc, shift)
     tol = max(map(abs, c)) >> prec
     slope = None                    # (grad g, x_K, t_K, h') of the eigenbasis
     last, steps, k_err = None, 0, None
@@ -459,13 +478,12 @@ def _refine(system, k, trace=None):
                 slope = grad, x_K, t_K, dh
             grad, x_K, t_K, dh = slope
             h = ((-cP * DK << F) // (2 * cK * DP)) - kq
-            k_err = abs(to_mpf(h, F) / dh)
             dk = (mp.ldexp(float(grad @ x_r), t_r - F) - to_mpf(h, F)) / dh
             m, ex = mp.frexp(dk)
             t = max(t_r, t_K + ex)
             d = np.ldexp(x_r, t_r - t) + np.ldexp(float(m) * x_K, t_K + ex - t)
         dc, shift = _chunk(d, t)
-        size = max(map(abs, dc)) << shift
+        size = int(np.abs(dc).max()) << shift
         dkq = fixed_mpf(dk, F)
         if size <= tol and abs(dkq) <= kq >> prec:
             break
@@ -476,15 +494,17 @@ def _refine(system, k, trace=None):
                 f"{_MIN_SHRINK}-fold, with cond_bits={system.cond_bits} "
                 "(float64 resolves W only to about 50)", trace=trace)
         last, steps = size, steps + 1
-        c, Wc, Pc, Kc = ([x - (y << shift) for x, y in zip(acc, part)]
-                         for acc, part in zip((c, Wc, Pc, Kc),
-                                              (dc, *_packed_matvec(Z, a, dc))))
+        c = [x - (y << shift) for x, y in zip(c, dc.tolist())]
+        Wc, Pc, Kc = ([x - y for x, y in zip(acc, part)] for acc, part
+                      in zip((Wc, Pc, Kc), _matvecs(system, dc, shift)))
         kq += dkq
         if abs(dk) > _FLOAT_ACCEPT * (kq / (1 << F)):
             B_float, _, V1, lam = eigenbasis()
             slope, last = None, None
     K_q = (cK * DW << F) // (cW * DK)
     # norm = ||c||_W at scale 4**F; Tr at scale 2**(2F - s) D, and
+    if trace is not None:   # dk: the last Newton step's c term, unapplied
+        k_err = abs(to_mpf(h, F) / dh) + abs(dk) + mp.ldexp(kq, -2 * F)
     # W^-1 ~ T'T, so r_W = ||r||_{W^-1} / ||c||_W
     norm = math.isqrt((cW << 2 * F) // DW)
     r_W = mp.ldexp(mp.mpf(float(np.linalg.norm(Tr)) / D_f), t_r + F) / norm
@@ -574,7 +594,7 @@ def optimize_k(system):
     (_float_root), or from _K_INIT itself when that fails, and converges k
     with c to the working precision.  c is signed so that c[0] >= 0;
     iterations counts the correction steps, trace holds (k, E) after each,
-    k_err = |h / h'| of the final state bounds k_opt's error and energy_err
+    k_err (_refine) bounds k_opt's error and energy_err
     the energy's.  The float seed and each step are logged to the "hyhe"
     logger at DEBUG.
     """

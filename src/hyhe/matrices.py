@@ -48,11 +48,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
+import numpy as np
 from mpmath import mp
 
 from .basis import padd, pdiff, pmul, pscale, pshift, psquare
-from .eigen import _debug, fixed, fixed_mpf, to_mpf
-from .integrals import raw_moment
+from .eigen import _debug, _join, _limbs, fixed, fixed_mpf, to_mpf
+from .integrals import moment_ratio
 
 # geometric weight polynomials (coordinates s, t, u; keys are exponents)
 VOLUME = {(2, 0, 1): 1, (0, 2, 1): -1}                        # u(s^2 - t^2)
@@ -71,7 +72,7 @@ def _opposite(poly, da=0, db=0, dc=0):
 
 # The closed forms of the module docstring, one piece per pair coefficient:
 # (K weight, M_pol weight) against s^L t^Q u^N, (L, Q, N) the exponent sum.
-# _pair_coefficients lists the coefficients (right) in the same order.
+# build_operator_matrices lists the coefficients (right) in the same order.
 _PIECES = (
     (VOLUME, COS_VOLUME),                                   # 1
     (pshift(VOLUME, -1), pshift(COS_VOLUME, -1)),           # -L
@@ -83,19 +84,6 @@ _PIECES = (
     _opposite(S_ANGLE, 0, 0, -1),                           # -N
     _opposite(T_ANGLE, 0, -1, -1),                          # q_i n_j + q_j n_i
 )
-
-
-def _pair_coefficients(ti, tj):
-    """Exponent sum (L, Q, N) of a pair and its integer _PIECES coefficients.
-
-    X_i X_j = (l_i l_j / s^2 - L / s + 1) p_i p_j, Y_i Y_j = q_i q_j / t^2,
-    c_i c_j = n_i n_j / u^2, X_i c_j + X_j c_i = ((l_i n_j + l_j n_i) / s - N)
-    / u and Y_i c_j + Y_j c_i = (q_i n_j + q_j n_i) / (t u), each times p_i p_j.
-    """
-    (li, qi, ni), (lj, qj, nj) = ti, tj
-    e = (li + lj, qi + qj, ni + nj)
-    return e, (1, -e[0], li * lj, qi * qj, ni * nj, li * nj + lj * ni,
-               -e[2], qi * nj + qj * ni)
 
 
 class NormalizationError(ValueError):
@@ -127,67 +115,71 @@ def build_operator_matrices(basis, Z=2, mass_polarization=True):
 
       sum_k coefficient_k(i, j) * int weight_k s^L t^Q u^N e^{-2s}
 
-    over the eight _PIECES, and only the pieces with a nonzero coefficient
-    are integrated.  W integrates vol and P the one polynomial
-    Z attraction + repulsion; both depend only on e.
+    over the eight _PIECES; W integrates vol and P the one polynomial
+    Z attraction + repulsion.  Each weight sums over a fixed set of offsets
+    o, so every integral is an integer combination of the moments at e + o.
 
-    Every sum runs on ints over one common denominator D, the lcm of the
-    denominators of the raw moments the call reads: each moment is looked
-    up once and held as numerator * (D // denominator).  A piece is summed
-    once per (e, piece) and W and P once per e; each form is then divided
-    by g = gcd(D, its numerators) to its minimal denominator D / g.  Only
-    the nuclear-motion Hamiltonian reads M_pol: without mass_polarization
-    its pieces are not integrated and M_pol is None.
+    Each moment is read once (integrals.moment_ratio) as an int over D, the
+    lcm of the denominators, and split into int64 limbs (eigen._limbs)
+    narrow enough for every sum below.  Limb by limb, one int64 matmul of
+    the moments at e + o with the weights gives each weight's integral at
+    each distinct e, and a pair's K and M_pol values are its int64
+    coefficients dotted with those.  Each form's joined values are divided
+    by g = gcd(D, its numerators), to its minimal denominator D / g.  A
+    moment with a negative t power (Q = 0 under the q_i q_j piece, whose
+    coefficient is then 0) is read as 0.  Without mass_polarization the
+    M_pol pieces are not integrated and M_pol is None.
     """
     n = len(basis)
-    exps = [(term.l, 2 * term.m, term.n) for term in basis]
-    # (e, coefficients) of each pair j <= i, row by row
-    pairs = [_pair_coefficients(ti, exps[j])
-             for i, ti in enumerate(exps) for j in range(i + 1)]
-    pieces = {(e, k) for e, coeffs in pairs
-              for k, v in enumerate(coeffs) if v}
+    exps = np.array([(term.l, 2 * term.m, term.n) for term in basis], np.int64)
+    i, j = np.tril_indices(n)
+    # the pairs' exponent sums and _PIECES coefficients: X_i X_j = (l_i l_j
+    # / s^2 - L / s + 1) p_i p_j, Y_i Y_j = q_i q_j / t^2, c_i c_j = n_i n_j
+    # / u^2, X_i c_j + X_j c_i = ((l_i n_j + l_j n_i) / s - N) / u and
+    # Y_i c_j + Y_j c_i = (q_i n_j + q_j n_i) / (t u), each times p_i p_j
+    (li, qi, ni), (lj, qj, nj) = exps[i].T, exps[j].T
+    sums, L, N = exps[i] + exps[j], li + lj, ni + nj
+    coeffs = np.stack((np.ones_like(L), -L, li * lj, qi * qj, ni * nj,
+                       li * nj + lj * ni, -N, qi * nj + qj * ni), axis=1)
 
     forms = (0, 1) if mass_polarization else (0,)   # K, then M_pol
-    potential = padd(REPULSION_VOLUME, ATTRACTION_VOLUME, Z)
-    sums = {e for e, _ in pairs}
-    needed = [(e, poly) for e in sums for poly in (VOLUME, potential)]
-    needed += [(e, _PIECES[k][f]) for e, k in pieces for f in forms]
-    keys = {(L + a, Q + b, N + c)
-            for (L, Q, N), poly in needed for a, b, c in poly}
-    moments = {key: raw_moment(*key) for key in keys}
-    D = math.lcm(*(m.denominator for m in moments.values()))
-    scaled = {key: m.numerator * (D // m.denominator)
-              for key, m in moments.items()}
+    columns = [VOLUME, padd(REPULSION_VOLUME, ATTRACTION_VOLUME, Z)]
+    columns += [piece[f] for f in forms for piece in _PIECES]
+    offsets = sorted({o for poly in columns for o in poly})
+    weights = np.array([[poly.get(o, 0) for poly in columns]
+                        for o in offsets], np.int64)
+    # (a, b, c) as one int; each of a, b, c of an e + o lies in [-2, r - 3]
+    r = 2 * int(exps.max()) + 6
+    radix = np.array([r * r, r, 1])
+    sums, where = np.unique(sums @ radix, return_inverse=True)
+    keys, at = np.unique(sums[:, None] + np.array(offsets) @ radix,
+                         return_inverse=True)
+    keys = (keys[:, None] + 2 * radix.sum()) // radix % r - 2
+    ratios = [moment_ratio(*key) if key[1] >= 0 else (0, 1)
+              for key in keys.tolist()]
+    D = math.lcm(*(q for _, q in ratios))
+    bound = (int(np.abs(coeffs).sum(axis=1).max())
+             * int(np.abs(weights).sum(axis=0).max()))
+    limbs, bits = _limbs([p * (D // q) for p, q in ratios], bound)
 
-    def integral(poly, e):
-        L, Q, N = e
-        return sum(v * scaled[L + a, Q + b, N + c]
-                   for (a, b, c), v in poly.items())
+    parts = []      # per limb: W, P, K and M_pol at each pair
+    for moments in limbs:
+        integrals = (moments[at.reshape(len(sums), -1)] @ weights)[where]
+        parts.append([integrals[:, 0], integrals[:, 1]] + [
+            (coeffs * integrals[:, 2 + 8 * f:10 + 8 * f]).sum(axis=1)
+            for f in forms])
 
-    def form(values):
-        """The symmetric matrix of one value per pair, divided to its
-        minimal denominator."""
-        g = math.gcd(D, *values)
-        values = [v // g for v in values]
-        lower = [values[i * (i + 1) // 2:(i + 1) * (i + 2) // 2]
-                 for i in range(n)]
-        return [row + [lower[j][i] for j in range(i + 1, n)]
-                for i, row in enumerate(lower)], D // g
+    def form(part):
+        """(symmetric ints, minimal denominator) of joined pair values."""
+        values = _join(np.array(part), bits)
+        g = math.gcd(D, *values.tolist())
+        full = np.empty((n, n), object)
+        full[i, j] = full[j, i] = values // g
+        return full.tolist(), D // g
 
-    def pair_form(f):
-        """K (f = 0) or M_pol (f = 1): each pair's coefficients dotted with
-        form f of the pieces at its exponent sum (0 where none is needed)."""
-        rows = {e: [integral(poly[f], e) if (e, k) in pieces else 0
-                    for k, poly in enumerate(_PIECES)] for e in sums}
-        return form([sum(map(mul, coeffs, rows[e])) for e, coeffs in pairs])
-
-    def sum_form(poly):
-        by_sum = {e: integral(poly, e) for e in sums}
-        return form([by_sum[e] for e, _ in pairs])
-
-    return OperatorMatrices(W=sum_form(VOLUME), K=pair_form(0),
-                            P=sum_form(potential),
-                            M_pol=pair_form(1) if mass_polarization else None)
+    W, P, K, *M_pol = map(form, zip(*parts))
+    return OperatorMatrices(W=W, K=K, P=P,
+                            M_pol=M_pol[0] if mass_polarization else None)
 
 
 # ---------------------------------------------------------------------------

@@ -54,9 +54,8 @@ def _unsettled(cells):
     and bound straddle a 20-digit rounding boundary; None if every cell is
     settled.
 
-    Each bound is widened by eps |value|: the rounding at the working
-    precision, and for k_opt the correction loop's stop, a last k step of
-    at most 2**-prec k, which k_err = |h / h'| leaves out.
+    Each bound is widened by eps |value|, the rounding at the working
+    precision.
     """
     for name, (v, err) in cells.items():
         err += abs(v) * mp.eps

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 from fractions import Fraction
+from operator import mul
 from types import SimpleNamespace
 
 import numpy as np
@@ -65,13 +66,15 @@ def test_seed_optimum_and_virial():
 def test_one_term_lands_on_27_16():
     # at N = 1, g(k) = 27/16 for every k and, with no other mode, h' = -1:
     # the first float64 Newton step lands within an ulp of it, and the
-    # first k step of the correction loop lands there exactly
+    # first k step of the correction loop lands there exactly, so h and the
+    # last Newton step are 0 and k_err is the grid's 2**-F k alone
     with mp.workdps(40):
         _, systems = systems_n(1)
         assert eigen._float_root(systems["inf"], 2.0) == 1.6874999999999998
         res = optimize_k(systems["inf"])
         assert res.k_opt == mp.mpf(27) / 16
-        assert res.iterations == len(res.trace) == 1 and res.k_err == 0
+        assert res.iterations == len(res.trace) == 1
+        assert res.k_err == mp.ldexp(res.k_opt, -res.frac_bits)
 
 
 def test_seed_nuclear_motion_shift():
@@ -202,9 +205,10 @@ def test_inverse_iteration_step_cap():
         _, systems = systems_n(6)
         system = systems["inf"]
         assert solve_fixed_k(system, 2)[0] < 0
-        noisy = PencilSystem(system.Z, system.width, system.denominators,
-                             system.T, system.K_float * 1.05,
-                             system.P_float, label="inf")
+        noisy = PencilSystem(system.stack, system.bits, system.limbs,
+                             system.denominators, system.T,
+                             system.K_float * 1.05, system.P_float,
+                             label="inf")
         with pytest.raises(ConvergenceError,
                            match=r"k=2\.0 did not converge: step 2 shrank "
                                  r"it less than 16-fold, with cond_bits=\d+"):
@@ -292,24 +296,25 @@ def test_reduction_over_odd_denominators(mass_ratio, dps):
 
 
 def test_matvecs_take_narrow_vectors(monkeypatch):
-    # the search multiplies the F-bit forms only by float64-sized chunks:
-    # no vector entry of a matvec is wider than 64 bits, at F = 215 and
-    # F = 1112; it takes one matvec for the seed and one per step
+    # the search multiplies the exact forms only by float64-sized chunks:
+    # no vector entry of a matvec is wider than the 54 bits the limb
+    # stack's int64 sums allow, at F = 215 and F = 1112; it takes one
+    # matvec for the seed and one per step
     widths = []
-    matvec = eigen._matvec
+    matvecs = eigen._matvecs
 
-    def counted(A, v):
-        widths.append(max(abs(a).bit_length() for a in v))
-        return matvec(A, v)
+    def counted(system, v, shift=0):
+        widths.append(int(np.abs(v).max()).bit_length())
+        return matvecs(system, v, shift)
 
-    monkeypatch.setattr(eigen, "_matvec", counted)
+    monkeypatch.setattr(eigen, "_matvecs", counted)
     for dps in (50, 320):
         with mp.workdps(dps):
             _, systems = systems_n(13)
             start = len(widths)
             res = optimize_k(systems["0"])
         assert len(widths) - start == res.iterations + 1, dps
-    assert max(widths) <= 64
+    assert max(widths) <= eigen._CHUNK_BITS
 
 
 @pytest.mark.parametrize("n, dps", [(22, 100), (50, 50), (13, 50), (13, 320)])
@@ -381,11 +386,13 @@ def search_and_reference(n, dps, label):
 
 
 @pytest.mark.parametrize("n, dps, labels", [
-    (20, 50, ("inf", "0")), (40, 50, ("inf", "0")), (40, 100, ("inf",))])
+    (20, 50, ("inf", "0")), (40, 50, ("inf", "0")), (40, 100, ("inf",)),
+    *((n, 30, ("inf", "0")) for n in [*range(1, 15), 20, 22, 30, 34, 40, 50])])
 def test_k_err_bounds_the_k_search(n, dps, labels):
-    # k_err = |h / h'| of the final state bounds the distance of k_opt (the
-    # loop's k, exactly) to a search at dps + 20, and is itself at the
-    # working precision
+    # k_err = |h / h'| + |dk| + 2**-F k of the final state bounds the
+    # distance of k_opt (the loop's k, exactly) to a search at dps + 20, and
+    # is itself at the working precision.  |h / h'| alone is 0 at N = 1 and
+    # 2 and falls short at 30 digits and N = 3, 4, 6 and 9
     for label in labels:
         _, res, ref = search_and_reference(n, dps, label)
         with mp.workdps(dps + 20):
@@ -441,8 +448,9 @@ def test_float_seed_failures(monkeypatch):
         monkeypatch.setattr(eigen, "_K_INIT", 0.5)
         fallback = optimize_k(system)
         assert abs(fallback.k_opt - seeded.k_opt) < mp.mpf("1e-20")
-        bad = PencilSystem(system.Z, system.width, system.denominators,
-                           system.T, system.K_float.copy(), system.P_float)
+        bad = PencilSystem(system.stack, system.bits, system.limbs,
+                           system.denominators, system.T,
+                           system.K_float.copy(), system.P_float)
         bad.K_float[0, 0] = float("nan")
         assert eigen._float_root(bad, 2.0) is None
 
@@ -522,16 +530,25 @@ def test_float_seed_past_n70(monkeypatch):
             == "2.3427513163141567228"
 
 
+def exact_forms(system):
+    """The exact numerators of W, P and K in a system's limb stack."""
+    forms, start = [], 0
+    for m in system.limbs:
+        forms.append(eigen._join(system.stack[start:start + m],
+                                 system.bits).tolist())
+        start += m
+    return forms
+
+
 def fields(system):
-    """The exact W, P and K of a system's packed Z, as Fractions."""
-    rows = [eigen._unpack(row, system.width) for row in system.Z]
-    return [[[Fraction(v, D) for v in row[f]] for row in rows]
-            for f, D in enumerate(system.denominators)]
+    """The exact W, P and K of a system's limb stack, as Fractions."""
+    return [[[Fraction(v, D) for v in row] for row in A]
+            for A, D in zip(exact_forms(system), system.denominators)]
 
 
 def test_leading_block_is_the_prefix_reduction():
-    # the leading 7 x 7 block of the 13-term stage packs the 7-term stage's
-    # exact forms, and its float factor solves to the same E
+    # the leading 7 x 7 blocks of the 13-term stage's limbs hold the 7-term
+    # stage's exact forms, and its float factor solves to the same E
     with mp.workdps(50):
         _, big = systems_n(13)
         mats7 = build_operator_matrices(enumerate_basis(7))
@@ -552,29 +569,71 @@ def test_leading_block_is_the_prefix_reduction():
                     big[label].leading(n)
 
 
-@settings(max_examples=60, deadline=None)
-@given(data=st.data(), n=st.integers(1, 9), b=st.integers(1, 80))
-def test_packed_matvec_is_three_matvecs(data, n, b):
-    # W and P entries at the full width b of their field, chunks of 54
-    # bits and a K field wider than a: one packed matvec unpacks to the
-    # three exact products
-    a = b + eigen._CHUNK_BITS + n.bit_length() + 2
+def plain_matvecs(system, v, shift=0):
+    """_matvecs' reference: three exact matvecs on Python ints."""
+    v = v.tolist()
+    return [[sum(map(mul, row, v)) << shift for row in A]
+            for A in exact_forms(system)]
 
-    def ints(bits):
-        lim = (1 << bits) - 1
-        return st.lists(st.integers(-lim, lim), min_size=n, max_size=n)
 
-    def check(W, P, K, v):
-        assert eigen._packed_matvec(eigen._pack(W, P, K, a), a, v) == \
-            tuple(eigen._matvec(A, v) for A in (W, P, K))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), n=st.integers(1, 64))
+def test_limb_matvecs_are_three_exact_matvecs(data, n):
+    # W and P one or two limbs wide and a K field as wide as K_0 at a
+    # 320-digit mpf mass ratio (1110 bits), with entries at the full width
+    # of their limbs, times 54-bit chunks of either sign: every int64 sum
+    # of the limb matmul stays exact, up to N = 64
+    rng = data.draw(st.randoms(use_true_random=False))
+    bound = n << eigen._CHUNK_LIMB
+    bits = 63 - bound.bit_length()
+    widths = (data.draw(st.sampled_from((bits, 2 * bits))),
+              data.draw(st.sampled_from((bits, 2 * bits))),
+              data.draw(st.integers(1, 1110)))
+    chunk = (1 << eigen._CHUNK_BITS) - 1
 
-    W, P, K = ([data.draw(ints(bits)) for _ in range(n)]
-               for bits in (b, b, a + 40))
-    check(W, P, K, data.draw(ints(eigen._CHUNK_BITS)))
-    # the extreme sums, n (2**b - 1)(2**54 - 1) of either sign
-    top, lim = (1 << b) - 1, (1 << eigen._CHUNK_BITS) - 1
-    for sw, sp in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-        check([[sw * top] * n] * n, [[sp * top] * n] * n, K, [lim] * n)
+    def check(forms, v):
+        stack = [eigen._limbs([x for row in A for x in row], bound)
+                 for A in forms]
+        assert {b for _, b in stack} == {bits}
+        system = SimpleNamespace(
+            stack=np.concatenate([L.reshape(-1, n, n) for L, _ in stack]),
+            bits=bits, limbs=tuple(len(L) for L, _ in stack), n=n)
+        v = np.array(v, np.int64)
+        shift = rng.randrange(100)
+        assert eigen._matvecs(system, v, shift) == \
+            plain_matvecs(system, v, shift) == \
+            [[sum(map(mul, row, v.tolist())) << shift for row in A]
+             for A in forms]
+
+    def entry(width):
+        top = (1 << width) - 1
+        return rng.choice((top, -top, rng.randint(-top, top)))
+
+    check([[[entry(w) for _ in range(n)] for _ in range(n)] for w in widths],
+          [rng.choice((chunk, -chunk, rng.randint(-chunk, chunk)))
+           for _ in range(n)])
+    # the extreme sums: every entry, limb and chunk at full width, one sign
+    for sign in (1, -1):
+        for sv in (1, -1):
+            check([[[sign * ((1 << w) - 1)] * n] * n for w in widths],
+                  [sv * chunk] * n)
+
+
+@pytest.mark.parametrize("n, dps", [(13, 320), (50, 30)])
+def test_limb_kernel_matches_plain_matvecs(monkeypatch, n, dps):
+    # the k-search on the limb kernel and on plain exact matvecs agree in
+    # every field, bit for bit
+    with mp.workdps(dps):
+        _, systems = systems_n(n)
+        for label in ("inf", "0"):
+            limb = optimize_k(systems[label])
+            with monkeypatch.context() as patch:
+                patch.setattr(eigen, "_matvecs", plain_matvecs)
+                plain = optimize_k(systems[label])
+            for name in ("coeffs", "k_opt", "energy", "iterations",
+                         "residual", "k_err", "energy_err"):
+                assert getattr(limb, name) == getattr(plain, name), \
+                    (label, name)
 
 
 def test_precision_holds_at_n95():

@@ -371,11 +371,14 @@ def test_cli_solve_both_hamiltonians():
     assert "clamped-nucleus" in result.output
     assert "-2.84765625" in result.output
     assert re.search(r"^E_digits +30$", result.output, re.M)
-    # one term: the first k step lands on 27/16 exactly
-    assert re.search(r"^k_err +0\.0$", result.output, re.M)
+    # one term: the first k step lands on 27/16 exactly, and k_err is the
+    # 2**-F k of the loop's grid
+    k_err = re.search(r"^k_err +(\S+)$", result.output, re.M).group(1)
+    with mp.workdps(RunConfig().precision_digits):
+        F = mp.prec + eigen._GUARD_BITS
+    assert float(k_err) == pytest.approx(1.6875 * 2.0 ** -F, rel=1e-2)
 
-    # k_err = |h / h'| of the final state bounds k_opt's error, to the
-    # working precision
+    # k_err bounds k_opt's error, to the working precision
     result = runner.invoke(main, ["--format", "json", "solve", "--n", "7"])
     assert result.exit_code == 0, result.output
     fields = json.loads(result.output)
