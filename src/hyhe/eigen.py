@@ -86,8 +86,7 @@ _SEED_BITS = 20
 # Each correction after the first must be this many times smaller than the
 # one before; a solve thus takes at most about F / 4 steps.
 _MIN_SHRINK = 16
-# The widest vector entry _chunk makes, in bits, and its three limbs in
-# _matvecs (v[:, None] >> shifts & masks, the top one signed).
+# The widest entry _chunk makes, in bits, and its three limbs (the top signed)
 _CHUNK_BITS = 54
 _CHUNK_LIMB = _CHUNK_BITS // 3
 _CHUNK_SHIFTS = np.arange(0, _CHUNK_BITS, _CHUNK_LIMB)
@@ -155,10 +154,9 @@ def to_mpf(v, F):
 
 
 def _limbs(values, bound):
-    """(L, bits): int64 limbs L, shape (m, len(values)), with values[i] =
-    sum_j L[j, i] 2**(bits j), each |L| < 2**bits, the top one signed.
-    bits = 63 - bound.bit_length(), so a sum of products of limbs with ints
-    whose magnitudes add to at most bound stays below 2**63 in int64."""
+    """(L, bits): int64 limbs L, shape (m, len(values)), values[i] = sum_j
+    L[j, i] 2**(bits j), |L| < 2**bits, with bits = 63 - bound.bit_length():
+    a sum of limbs times ints of magnitudes adding to bound fits int64."""
     bits = 63 - bound.bit_length()
     mask, L = (1 << bits) - 1, []
     while max(map(abs, values)) >> bits:
@@ -168,11 +166,10 @@ def _limbs(values, bound):
 
 
 def _join(L, bits):
-    """The ints sum_j L[j] 2**(bits j) of limbs L (_limbs), as an object
-    array of the shape of L[0]."""
-    acc = L[-1].astype(object)
-    for limb in L[-2::-1]:
-        acc = (acc << bits) + limb
+    """The list of ints sum_j L[j] 2**(bits j) of limbs L (_limbs)."""
+    acc = [0] * len(L[0])
+    for limb in L[::-1].tolist():
+        acc = [(a << bits) + x for a, x in zip(acc, limb)]
     return acc
 
 
@@ -388,9 +385,8 @@ def _refine(system, k, trace=None):
     h' = grad g . dc_K - 1; each step takes h = g - k on the ints,
     dk = -(h + grad g . dc_r) / h' and the chunk dc_r + dk dc_K, and
     appends and logs (k, E).  A k step over _FLOAT_ACCEPT k takes a new
-    eigenbasis; k_err = |h / h'| + |dk| + 2**-F k of the final state, dk
-    the Newton step left unapplied, bounds k's distance to the root (None
-    at fixed k).
+    eigenbasis; k_err = |h / h'| + |dk| + 2**-F k, dk the unapplied last
+    step, bounds k's distance to the root (None at fixed k).
     energy_err bounds how far E = k theta lies from the pencil's lowest
     eigenvalue at k (from its minimum over k, with k free): Kato-Temple's
     ||r||_{W^-1}^2 / gap, from the last residual T r and the float64 gap

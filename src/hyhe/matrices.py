@@ -107,6 +107,13 @@ class OperatorMatrices:
     M_pol: tuple
 
 
+def _distinct(codes):
+    """(distinct codes, each code's index among them), by first appearance."""
+    index = {}
+    inverse = [index.setdefault(c, len(index)) for c in codes.tolist()]
+    return np.array(list(index)), np.array(inverse)
+
+
 def build_operator_matrices(basis, Z=2, mass_polarization=True):
     """Assemble the overlap, kinetic, potential and mass-polarization forms.
 
@@ -116,31 +123,31 @@ def build_operator_matrices(basis, Z=2, mass_polarization=True):
       sum_k coefficient_k(i, j) * int weight_k s^L t^Q u^N e^{-2s}
 
     over the eight _PIECES; W integrates vol and P the one polynomial
-    Z attraction + repulsion.  Each weight sums over a fixed set of offsets
-    o, so every integral is an integer combination of the moments at e + o.
+    Z attraction + repulsion.  Every weight is a sum over fixed offsets o,
+    so each integral combines the moments at e + o with small ints.
 
-    Each moment is read once (integrals.moment_ratio) as an int over D, the
-    lcm of the denominators, and split into int64 limbs (eigen._limbs)
-    narrow enough for every sum below.  Limb by limb, one int64 matmul of
-    the moments at e + o with the weights gives each weight's integral at
-    each distinct e, and a pair's K and M_pol values are its int64
-    coefficients dotted with those.  Each form's joined values are divided
-    by g = gcd(D, its numerators), to its minimal denominator D / g.  A
+    Each moment is read once (integrals.moment_ratio), as an int over D, the
+    lcm of their denominators, and split into int64 limbs (eigen._limbs)
+    narrow enough for every sum below.  Limb by limb, one int64 matmul with
+    the weights gives every integral at each distinct e, and a pair's K and
+    M_pol values are its coefficients dotted with those.  Each form's joined
+    values are divided to its minimal denominator D / gcd(D, values).  A
     moment with a negative t power (Q = 0 under the q_i q_j piece, whose
     coefficient is then 0) is read as 0.  Without mass_polarization the
     M_pol pieces are not integrated and M_pol is None.
     """
     n = len(basis)
     exps = np.array([(term.l, 2 * term.m, term.n) for term in basis], np.int64)
-    i, j = np.tril_indices(n)
-    # the pairs' exponent sums and _PIECES coefficients: X_i X_j = (l_i l_j
-    # / s^2 - L / s + 1) p_i p_j, Y_i Y_j = q_i q_j / t^2, c_i c_j = n_i n_j
-    # / u^2, X_i c_j + X_j c_i = ((l_i n_j + l_j n_i) / s - N) / u and
-    # Y_i c_j + Y_j c_i = (q_i n_j + q_j n_i) / (t u), each times p_i p_j
+    pairs = [(a, b) for a in range(n) for b in range(a + 1)]
+    i, j = np.array(pairs).T
+    # exponent sums and _PIECES coefficients of the pairs j <= i: X_i X_j =
+    # (l_i l_j / s^2 - L / s + 1) p_i p_j, Y_i Y_j = q_i q_j / t^2, c_i c_j =
+    # n_i n_j / u^2, X_i c_j + X_j c_i = ((l_i n_j + l_j n_i) / s - N) / u
+    # and Y_i c_j + Y_j c_i = (q_i n_j + q_j n_i) / (t u), times p_i p_j
     (li, qi, ni), (lj, qj, nj) = exps[i].T, exps[j].T
     sums, L, N = exps[i] + exps[j], li + lj, ni + nj
-    coeffs = np.stack((np.ones_like(L), -L, li * lj, qi * qj, ni * nj,
-                       li * nj + lj * ni, -N, qi * nj + qj * ni), axis=1)
+    coeffs = np.array((np.ones_like(L), -L, li * lj, qi * qj, ni * nj,
+                       li * nj + lj * ni, -N, qi * nj + qj * ni)).T
 
     forms = (0, 1) if mass_polarization else (0,)   # K, then M_pol
     columns = [VOLUME, padd(REPULSION_VOLUME, ATTRACTION_VOLUME, Z)]
@@ -151,15 +158,12 @@ def build_operator_matrices(basis, Z=2, mass_polarization=True):
     # (a, b, c) as one int; each of a, b, c of an e + o lies in [-2, r - 3]
     r = 2 * int(exps.max()) + 6
     radix = np.array([r * r, r, 1])
-    sums, where = np.unique(sums @ radix, return_inverse=True)
-    keys, at = np.unique(sums[:, None] + np.array(offsets) @ radix,
-                         return_inverse=True)
+    sums, where = _distinct(sums @ radix)
+    keys, at = _distinct((sums[:, None] + np.array(offsets) @ radix).ravel())
     keys = (keys[:, None] + 2 * radix.sum()) // radix % r - 2
-    ratios = [moment_ratio(*key) if key[1] >= 0 else (0, 1)
-              for key in keys.tolist()]
+    ratios = [moment_ratio(*k) if k[1] >= 0 else (0, 1) for k in keys.tolist()]
     D = math.lcm(*(q for _, q in ratios))
-    bound = (int(np.abs(coeffs).sum(axis=1).max())
-             * int(np.abs(weights).sum(axis=0).max()))
+    bound = int(abs(coeffs).sum(1).max()) * int(abs(weights).sum(0).max())
     limbs, bits = _limbs([p * (D // q) for p, q in ratios], bound)
 
     parts = []      # per limb: W, P, K and M_pol at each pair
@@ -172,10 +176,10 @@ def build_operator_matrices(basis, Z=2, mass_polarization=True):
     def form(part):
         """(symmetric ints, minimal denominator) of joined pair values."""
         values = _join(np.array(part), bits)
-        g = math.gcd(D, *values.tolist())
-        full = np.empty((n, n), object)
-        full[i, j] = full[j, i] = values // g
-        return full.tolist(), D // g
+        g, full = math.gcd(D, *values), [[0] * n for _ in range(n)]
+        for (a, b), v in zip(pairs, values):
+            full[a][b] = full[b][a] = v // g
+        return full, D // g
 
     W, P, K, *M_pol = map(form, zip(*parts))
     return OperatorMatrices(W=W, K=K, P=P,

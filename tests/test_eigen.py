@@ -532,10 +532,11 @@ def test_float_seed_past_n70(monkeypatch):
 
 def exact_forms(system):
     """The exact numerators of W, P and K in a system's limb stack."""
-    forms, start = [], 0
+    forms, start, n = [], 0, system.n
     for m in system.limbs:
-        forms.append(eigen._join(system.stack[start:start + m],
-                                 system.bits).tolist())
+        flat = eigen._join(system.stack[start:start + m].reshape(m, -1),
+                           system.bits)
+        forms.append([flat[i * n:(i + 1) * n] for i in range(n)])
         start += m
     return forms
 
