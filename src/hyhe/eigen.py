@@ -156,7 +156,7 @@ def to_mpf(v, F):
 def _limbs(values, bound):
     """(L, bits): int64 limbs L, shape (m, len(values)), values[i] = sum_j
     L[j, i] 2**(bits j), |L| < 2**bits, with bits = 63 - bound.bit_length():
-    a sum of limbs times ints of magnitudes adding to bound fits int64."""
+    limbs times ints whose magnitudes add to at most bound sum in int64."""
     bits = 63 - bound.bit_length()
     mask, L = (1 << bits) - 1, []
     while max(map(abs, values)) >> bits:
