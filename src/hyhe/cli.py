@@ -6,9 +6,9 @@ and output format; each can also come from one environment variable
 (HYHE_CONFIG_PATH, HYHE_PRECISION_DIGITS, HYHE_ALPHA, HYHE_OUTPUT).  An
 option beats its variable, which beats the config file.  The verbs read
 their options from the command line only.  The global `--verbose` flag
-sends the "hyhe" logger's DEBUG records (one line per stage with its width
-and float64 conditioning estimate, the float seed of each k-search and one
-line per correction step with its k, E and size, each row's
+sends the "hyhe" logger's DEBUG records (one line per stage with its
+float64 conditioning estimate, the float seed of each k-search with its
+width F, one line per correction step with its k, E and size, each row's
 normalization error |c'Wc - 1|, and each row's working precision and
 certified digits of E0, with any rerun at twice the digits and the cell
 that was not settled) to stderr; stdout is the same with or without it.
@@ -23,8 +23,8 @@ from mpmath import mp
 
 from .config import OUTPUT_FORMATS, load_config, with_overrides, ConfigError
 from .constants import PhysicalConstants, ConstantsError
-from .report import (ReportDocument, UsageError, certified_digits,
-                     run_tables, solve_single, corrections_single)
+from .report import (UsageError, certified_digits, compute_row, run_tables,
+                     solve_single)
 
 CONTEXT_SETTINGS = {"help_option_names": ["-h", "--help"]}
 
@@ -155,7 +155,7 @@ def corrections(app, n):
     """Print the full correction breakdown at one basis size."""
     if app.config.output == "csv":
         raise click.UsageError("corrections supports human or json output")
-    row, res_0, exps, br = corrections_single(n, app.config, app.constants)
+    _, (_, res_0, exps, br) = compute_row(n, app.config, app.constants)
     with mp.workdps(app.config.precision_digits):
         fields = {
             "N": n,

@@ -330,8 +330,7 @@ def build_systems(matrices, mass_ratio=None):
     if mass_ratio is not None:
         form = _moving_nucleus_form(matrices.K, matrices.M_pol, mass_ratio)
         systems["0"] = system(form, "0")
-    _debug("stage: n=%d F=%d cond_bits=%d", n, mp.prec + _GUARD_BITS,
-           systems["inf"].cond_bits)
+    _debug("stage: n=%d cond_bits=%d", n, systems["inf"].cond_bits)
     return systems
 
 
@@ -574,8 +573,8 @@ def _float_root(system, k_init):
             if not k_init / 3 <= k <= 3 * k_init:
                 return None
             if abs(dk) <= _FLOAT_ACCEPT * k:
-                _debug("k-search %s: float seed k_f=%r steps=%d",
-                       system.label, k, steps)
+                _debug("k-search %s: float seed k_f=%r F=%d steps=%d",
+                       system.label, k, system.frac_bits, steps)
                 return k
     except (np.linalg.LinAlgError, ZeroDivisionError):
         return None

@@ -4,17 +4,16 @@ A report row is one basis size N pushed through the whole chain:
 matrices -> both ground states -> expectation values on the nuclear-motion
 state -> correction breakdown.  Every verb gets its basis, matrices and
 pencil systems from build_stage, the one place where the choice of
-Hamiltonian decides what is assembled.  A sweep builds its stage once, at
-its largest N; the bases are nested prefixes, so every row solves the
-leading block of that one stage.  Numeric cells are stored as strings (20
-significant digits) so that emit -> parse -> emit is byte-stable.  Every
-printed cell is certified: its error bound must leave it on one side of
-each 20-digit rounding boundary (settled), or its row is solved again at
-twice the digits (compute_row, and solve_single for its E and k); so a
-run's precision, default or explicit, is a floor.  The
-delta columns (dE_inf, dE0, dE_total: change against the previous row) are
-derived data and are recomputed from the energy columns whenever a document
-is loaded.
+Hamiltonian decides what is assembled.  The stage is exact, so it is built
+with no precision context and serves every precision.  A sweep builds its
+stage once, at its largest N; the bases are nested prefixes, so every row
+solves the leading block of that one stage.  Numeric cells are stored as
+strings of 20 significant digits.  Every printed cell is certified: its
+error bound must leave it on one side of each 20-digit rounding boundary
+(settled), or its solve runs again at twice the digits; _certified holds
+that rule for compute_row and solve_single alike, so a run's precision,
+default or explicit, is a floor.  The delta columns (dE_inf, dE0, dE_total:
+change against the previous row) are derived from the energy columns.
 """
 
 import csv
@@ -117,31 +116,12 @@ class ReportDocument:
     def to_json(self):
         return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
 
-    @classmethod
-    def from_json(cls, text):
-        """Read a document of any schema: a schema-3 row's mp solve count
-        `solves` is dropped, since it counts no correction steps, and a row
-        before schema 5 reads precision_digits and E_digits as 0."""
-        payload = json.loads(text)
-        doc = cls(
-            schema_version=payload["schema_version"],
-            engine_version=payload["engine_version"],
-            config=payload["config"],
-            constants=payload["constants"],
-            rows=[Row(**{k: v for k, v in row.items() if k != "solves"})
-                  for row in payload["rows"]],
-        )
-        recompute_deltas(doc.rows)
-        return doc
-
     def to_csv(self):
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
         for row in self.rows:
-            writer.writerow([row.N, row.E_inf, row.dE_inf, row.E0, row.dE0,
-                             row.deltaE2, row.deltaE3, row.E_total,
-                             row.dE_total, row.k_opt])
+            writer.writerow([getattr(row, col) for col in CSV_COLUMNS])
         return buf.getvalue()
 
     def to_human(self):
@@ -209,7 +189,8 @@ def recompute_deltas(rows):
 
 
 def build_stage(n, constants, nuclear_motion=True):
-    """(basis, matrices, systems) at basis size n (inside mp.workdps).
+    """(basis, matrices, systems) at basis size n, exact and so the same at
+    any precision (build it outside one).
 
     Here a verb's choice of Hamiltonian becomes the stage: the "inf"
     system always, and with nuclear_motion the mass polarization and the
@@ -222,62 +203,69 @@ def build_stage(n, constants, nuclear_motion=True):
         mats, mass_ratio=constants.mass_ratio_M if nuclear_motion else None)
 
 
+def _certified(digits, solve, what):
+    """The result of solve() -> (result, cells) at digits, or at twice the
+    digits if a cell is not settled there (_unsettled); what names the run
+    in the rerun's log line."""
+    with mp.workdps(digits):
+        result, cells = solve()
+        unsettled = _unsettled(cells)
+    if unsettled:
+        _debug("%s: %s unsettled at %d digits; rerun at %d", what,
+               unsettled, digits, 2 * digits)
+        with mp.workdps(2 * digits):
+            result, _ = solve()
+    return result
+
+
 def compute_row(n, config, constants, stage=None):
     """Run the full pipeline for one basis size; returns (Row, results).
 
     stage is a nuclear-motion build_stage result at any size >= n; each row
     solves its leading n x n block of both systems.  Without one the row
-    builds its own at size n.  The row runs at config.precision_digits, and
-    once more at twice that if a cell is not settled there; the stage is
-    exact, so the rerun reuses it.
+    builds its own at size n.  The row is certified at
+    config.precision_digits (_certified); a rerun reuses the exact stage.
     """
     t0 = time.perf_counter()
-    digits = config.precision_digits
     if stage is None:
-        with mp.workdps(digits):
-            stage = build_stage(n, constants)
-    row, results, unsettled = _solve_row(n, digits, constants, stage)
-    if unsettled:
-        _debug("row N=%d: %s unsettled at %d digits; rerun at %d", n,
-               unsettled, digits, 2 * digits)
-        row, results, _ = _solve_row(n, 2 * digits, constants, stage)
+        stage = build_stage(n, constants)
+    row, results = _certified(config.precision_digits,
+                              lambda: _solve_row(n, constants, stage),
+                              f"row N={n}")
     row.wall_time = f"{time.perf_counter() - t0:.2f}"
     return row, results
 
 
-def _solve_row(n, digits, constants, stage):
-    """compute_row at the given digits: (Row, results, the first cell
-    that is not settled or None).
+def _solve_row(n, constants, stage):
+    """compute_row at the working precision: ((Row, results), cells).
 
-    The bounds are the energies' energy_err, k_opt's k_err and the
+    The cells' bounds are the energies' energy_err, k_opt's k_err and the
     correction breakdown's *_err.
     """
-    with mp.workdps(digits):
-        basis, mats, systems = stage
-        res_inf, res_0 = ground_state_pair(
-            {label: system.leading(n) for label, system in systems.items()})
-        exps = expectation_set(basis[:n], res_0.coeffs, res_0.frac_bits,
-                               res_0.k_opt, mats.W, res_0.k_err)
-        br = total_energy(res_0.energy, exps, constants, res_0.energy_err)
-        cells = {
-            "E_inf": (res_inf.energy, res_inf.energy_err),
-            "E0": (res_0.energy, res_0.energy_err),
-            "deltaE2": (br.deltaE2, br.deltaE2_err),
-            "deltaE3": (br.deltaE3, br.deltaE3_err),
-            "E_total": (br.E_total, br.E_total_err),
-            "k_opt": (res_0.k_opt, res_0.k_err),
-        }
-        row = Row(
-            N=n, **{name: _fmt(v) for name, (v, _) in cells.items()},
-            residual=mp.nstr(res_0.residual, 3),
-            k_err=mp.nstr(res_0.k_err, 3),
-            steps=res_inf.iterations + res_0.iterations,
-            precision_digits=digits,
-            E_digits=certified_digits(*cells["E0"]),
-        )
-        unsettled = _unsettled(cells)
-    _debug("row N=%d: %d digits, E_digits=%d", n, digits, row.E_digits)
-    return row, (res_inf, res_0, exps, br), unsettled
+    basis, mats, systems = stage
+    res_inf, res_0 = ground_state_pair(
+        {label: system.leading(n) for label, system in systems.items()})
+    exps = expectation_set(basis[:n], res_0.coeffs, res_0.frac_bits,
+                           res_0.k_opt, mats.W, res_0.k_err)
+    br = total_energy(res_0.energy, exps, constants, res_0.energy_err)
+    cells = {
+        "E_inf": (res_inf.energy, res_inf.energy_err),
+        "E0": (res_0.energy, res_0.energy_err),
+        "deltaE2": (br.deltaE2, br.deltaE2_err),
+        "deltaE3": (br.deltaE3, br.deltaE3_err),
+        "E_total": (br.E_total, br.E_total_err),
+        "k_opt": (res_0.k_opt, res_0.k_err),
+    }
+    row = Row(
+        N=n, **{name: _fmt(v) for name, (v, _) in cells.items()},
+        residual=mp.nstr(res_0.residual, 3),
+        k_err=mp.nstr(res_0.k_err, 3),
+        steps=res_inf.iterations + res_0.iterations,
+        precision_digits=mp.dps,
+        E_digits=certified_digits(*cells["E0"]),
+    )
+    _debug("row N=%d: %d digits, E_digits=%d", n, mp.dps, row.E_digits)
+    return (row, (res_inf, res_0, exps, br)), cells
 
 
 def run_tables(config=None, constants=None, n_list=None):
@@ -298,8 +286,7 @@ def run_tables(config=None, constants=None, n_list=None):
     if any(n < 1 for n in n_list):
         raise UsageError(f"basis sizes must be >= 1, got {n_list}")
     try:
-        with mp.workdps(config.precision_digits):
-            stage = build_stage(max(n_list), constants)
+        stage = build_stage(max(n_list), constants)
     except Exception:  # noqa: BLE001 - the rows retry alone and report
         stage = None
     rows = []
@@ -324,27 +311,15 @@ def solve_single(n, config=None, constants=None, nuclear_motion=True):
     k-search on build_stage's "0" system, or on its "inf" system for the
     clamped nucleus, whose stage assembles no mass polarization.  As in
     compute_row, it runs again at twice the digits if its energy or k_opt
-    is not settled."""
+    is not settled (_certified)."""
     config = config or RunConfig()
     constants = constants or default_constants()
-    digits = config.precision_digits
-    with mp.workdps(digits):
-        _, _, systems = build_stage(n, constants, nuclear_motion)
-        system = systems["0" if nuclear_motion else "inf"]
+    _, _, systems = build_stage(n, constants, nuclear_motion)
+    system = systems["0" if nuclear_motion else "inf"]
+
+    def solve():
         res = optimize_k(system)
-        unsettled = _unsettled({"energy": (res.energy, res.energy_err),
-                                "k_opt": (res.k_opt, res.k_err)})
-    if unsettled:
-        _debug("solve N=%d: %s unsettled at %d digits; rerun at %d", n,
-               unsettled, digits, 2 * digits)
-        with mp.workdps(2 * digits):
-            res = optimize_k(system)
-    return res
+        return res, {"energy": (res.energy, res.energy_err),
+                     "k_opt": (res.k_opt, res.k_err)}
 
-
-def corrections_single(n, config=None, constants=None):
-    """Full correction breakdown at one basis size (the `corrections` verb)."""
-    config = config or RunConfig()
-    constants = constants or default_constants()
-    row, (res_inf, res_0, exps, breakdown) = compute_row(n, config, constants)
-    return row, res_0, exps, breakdown
+    return _certified(config.precision_digits, solve, f"solve N={n}")

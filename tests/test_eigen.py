@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import random
 from fractions import Fraction
 from operator import mul
 from types import SimpleNamespace
@@ -583,8 +584,9 @@ def test_limb_matvecs_are_three_exact_matvecs(data, n):
     # W and P one or two limbs wide and a K field as wide as K_0 at a
     # 320-digit mpf mass ratio (1110 bits), with entries at the full width
     # of their limbs, times 54-bit chunks of either sign: every int64 sum
-    # of the limb matmul stays exact, up to N = 64
-    rng = data.draw(st.randoms(use_true_random=False))
+    # of the limb matmul stays exact, up to N = 64; the entries come from
+    # one drawn seed, since 3 n^2 drawn entries overrun hypothesis' buffer
+    rng = random.Random(data.draw(st.integers(0, 2 ** 64 - 1)))
     bound = n << eigen._CHUNK_LIMB
     bits = 63 - bound.bit_length()
     widths = (data.draw(st.sampled_from((bits, 2 * bits))),

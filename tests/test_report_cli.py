@@ -18,8 +18,8 @@ from hyhe import eigen
 from hyhe.cli import main
 from hyhe.config import RunConfig
 from hyhe.constants import default_constants
-from hyhe.report import (CSV_COLUMNS, ReportDocument, Row, UsageError,
-                         recompute_deltas, run_tables)
+from hyhe.report import (CSV_COLUMNS, Row, UsageError, recompute_deltas,
+                         run_tables)
 
 
 @pytest.fixture(scope="module")
@@ -55,74 +55,6 @@ def test_empty_or_bad_sweep_rejected():
         run_tables(n_list=[0, 5])
 
 
-def test_json_round_trip_is_stable(two_row_doc):
-    text = two_row_doc.to_json()
-    clone = ReportDocument.from_json(text)
-    assert clone.to_json() == text
-    assert clone.rows[0].E_inf == two_row_doc.rows[0].E_inf
-
-
-def test_json_schema_v2_reads_v1(two_row_doc):
-    payload = json.loads(two_row_doc.to_json())
-    assert payload["schema_version"] == 5 and "cache" not in payload
-    # a version-1 document carried the removed integral-cache statistics
-    old = dict(payload, schema_version=1,
-               cache={"entries": 6, "hits": 4, "misses": 6})
-    clone = ReportDocument.from_json(json.dumps(old))
-    assert clone.schema_version == 1
-    assert [row.E_total for row in clone.rows] == \
-        [row.E_total for row in two_row_doc.rows]
-
-
-def test_json_schema_v3_reads_v2(two_row_doc):
-    payload = json.loads(two_row_doc.to_json())
-    for row in payload["rows"]:
-        assert row["steps"] > 0 and mp.mpf(row["k_err"]) < mp.mpf("1e-20")
-    # a version-2 row had no step count and no k error
-    old = dict(payload, schema_version=2,
-               rows=[{k: v for k, v in row.items()
-                      if k not in ("steps", "k_err")}
-                     for row in payload["rows"]])
-    clone = ReportDocument.from_json(json.dumps(old))
-    assert clone.schema_version == 2
-    assert [(row.steps, row.k_err) for row in clone.rows] == [(0, "")] * 2
-    assert clone.to_csv() == two_row_doc.to_csv()
-
-
-def test_json_schema_v4_reads_v3(two_row_doc):
-    # a version-3 row counted the mp solves of the secant search as
-    # `solves`, which is no step count: it is dropped on reading; the
-    # constants header still carried euler_gamma, which loads as written
-    payload = json.loads(two_row_doc.to_json())
-    assert "euler_gamma" not in payload["constants"]
-    old = dict(payload, schema_version=3,
-               constants={**payload["constants"], "euler_gamma": "auto"},
-               rows=[{**{k: v for k, v in row.items() if k != "steps"},
-                      "solves": 6} for row in payload["rows"]])
-    clone = ReportDocument.from_json(json.dumps(old))
-    assert clone.schema_version == 3
-    assert clone.constants["euler_gamma"] == "auto"
-    assert [row.steps for row in clone.rows] == [0, 0]
-    assert [row.k_err for row in clone.rows] == \
-        [row.k_err for row in two_row_doc.rows]
-    assert clone.to_csv() == two_row_doc.to_csv()
-
-
-def test_json_schema_v5_reads_v4(two_row_doc):
-    # a version-4 row had no precision_digits and no E_digits: both read 0
-    payload = json.loads(two_row_doc.to_json())
-    for row in payload["rows"]:
-        assert (row["precision_digits"], row["E_digits"]) == (30, 30)
-    old = dict(payload, schema_version=4,
-               rows=[{k: v for k, v in row.items()
-                      if k not in ("precision_digits", "E_digits")}
-                     for row in payload["rows"]])
-    clone = ReportDocument.from_json(json.dumps(old))
-    assert [(row.precision_digits, row.E_digits) for row in clone.rows] == \
-        [(0, 0)] * 2
-    assert clone.to_csv() == two_row_doc.to_csv()
-
-
 def test_csv_shape(two_row_doc):
     parsed = list(csv.reader(io.StringIO(two_row_doc.to_csv())))
     assert parsed[0] == list(CSV_COLUMNS)
@@ -156,8 +88,8 @@ def test_failure_rows_keep_the_sweep_alive(monkeypatch):
         expected = mp.mpf(doc.rows[2].E_inf) - mp.mpf(doc.rows[0].E_inf)
         assert abs(d - expected) < mp.mpf("1e-18")
     assert "FAILED: RuntimeError: boom" in doc.to_human()
-    clone = ReportDocument.from_json(doc.to_json())
-    assert not clone.all_ok
+    assert [row["ok"] for row in json.loads(doc.to_json())["rows"]] == \
+        [True, False, True]
 
 
 def result_cells(row):
@@ -193,8 +125,7 @@ def test_sweep_rows_match_rows_alone(n_list, rows_alone, monkeypatch):
 def test_stage_serves_no_larger_size():
     # a 7-term stage cannot stand in for a 13-term row
     constants = default_constants()
-    with mp.workdps(RunConfig().precision_digits):
-        stage = report.build_stage(7, constants)
+    stage = report.build_stage(7, constants)
     with pytest.raises(ValueError, match=r"leading\(13\) of a 7-term"):
         report.compute_row(13, RunConfig(), constants, stage)
 
@@ -251,13 +182,13 @@ def test_cell_bounds_contain_a_rerun_at_20_more_digits():
     # every row N = 1 ... 50 at the default precision settles at it, each
     # printed cell's bound (widened by eps |value|, as the check widens it)
     # holds the value of a rerun at 20 more digits, and E_digits claims no
-    # digit of E0 that the rerun does not confirm
+    # digit of E0 that the rerun does not confirm; one stage, built with no
+    # precision context, serves both precisions
     constants = default_constants()
     digits = RunConfig().precision_digits
+    stage = report.build_stage(50, constants)
 
     def rows(d):
-        with mp.workdps(d):
-            stage = report.build_stage(50, constants)
         return [report.compute_row(n, RunConfig(precision_digits=d),
                                    constants, stage) for n in range(1, 51)]
 
@@ -356,6 +287,16 @@ def test_cli_sweep_csv_and_json():
     payload = json.loads(result.output)
     assert payload["rows"][0]["N"] == 1
     assert payload["config"]["precision_digits"] == 30
+    # schema 5: no integral-cache statistics, no euler_gamma in the
+    # constants header, and each row's health fields filled in
+    assert set(payload) == {"schema_version", "engine_version", "config",
+                            "constants", "rows"}
+    assert payload["schema_version"] == 5
+    assert set(payload["constants"]) == {"Z", "alpha", "mass_ratio_M",
+                                         "bethe_beta", "E_exp"}
+    row = payload["rows"][0]
+    assert row["steps"] > 0 and mp.mpf(row["k_err"]) < mp.mpf("1e-20")
+    assert (row["precision_digits"], row["E_digits"]) == (30, 30)
 
 
 def test_cli_solve_both_hamiltonians():
@@ -482,10 +423,13 @@ def test_cli_verbose_logs_the_k_search_to_stderr():
     # one shared stage at N = 7, with its float64 conditioning estimate
     stage = [line for line in lines if line.startswith("hyhe: stage: ")]
     assert len(stage) == 1
-    assert re.fullmatch(r"hyhe: stage: n=7 F=\d+ cond_bits=\d+", stage[0])
+    assert re.fullmatch(r"hyhe: stage: n=7 cond_bits=\d+", stage[0])
     # one line per correction step of both searches, with k, E and the
-    # step's size in bits, against the row's step count
+    # step's size in bits, against the row's step count; each float seed
+    # names the solve's fixed-point width F
     row = run_tables(n_list=[7]).rows[0]
+    with mp.workdps(row.precision_digits):
+        F = mp.prec + eigen._GUARD_BITS
     steps = 0
     for label in ("inf", "0"):
         head = f"hyhe: k-search {label}: "
@@ -495,7 +439,8 @@ def test_cli_verbose_logs_the_k_search_to_stderr():
         seed = [line for line in lines
                 if line.startswith(head + "float seed k_f=")]
         assert len(seed) == 1
-        assert re.fullmatch(head + r"float seed k_f=\S+ steps=\d+", seed[0])
+        assert re.fullmatch(head + rf"float seed k_f=\S+ F={F} steps=\d+",
+                            seed[0])
     assert steps == row.steps > 0
     # one normalization error |c'Wc - 1| per row
     norm = [line for line in lines if line.startswith("hyhe: expectations: ")]
