@@ -1,4 +1,5 @@
-"""Hylleraas basis enumeration and exact polynomial algebra in (s, t, u).
+"""Hylleraas basis enumeration and the polynomial dicts of the assembly's
+weights in (s, t, u).
 
 The trial function is U = e^{-ks} sum C_lmn (ks)^l (kt)^{2m} (ku)^n with
 s = r1 + r2, t = r2 - r1, u = r12.  All symbolic work happens at k = 1; the
@@ -8,6 +9,8 @@ A polynomial is a sparse dict {(a, b, c): coefficient} over s^a t^b u^c;
 the coefficients may be ints, Fractions or mpf, and callers fold the
 exponential out.  Negative b or c exponents are permitted (they appear
 after division by u or t factors); basis terms themselves never carry them.
+Products and derivatives of dicts serve only the referees, in
+tests/support.
 """
 
 from typing import NamedTuple
@@ -81,45 +84,6 @@ def pscale(p, factor):
     if not factor:
         return {}
     return {key: factor * val for key, val in p.items()}
-
-
-def pmul(p, q):
-    out = {}
-    for (a1, b1, c1), v1 in p.items():
-        for (a2, b2, c2), v2 in q.items():
-            key = (a1 + a2, b1 + b2, c1 + c2)
-            new = out.get(key, 0) + v1 * v2
-            if new:
-                out[key] = new
-            else:
-                out.pop(key, None)
-    return out
-
-
-def psquare(p):
-    """pmul(p, p), with each cross term formed once as 2 v_i v_j."""
-    items = list(p.items())
-    out = {}
-    for i, ((a1, b1, c1), v1) in enumerate(items):
-        key = (2 * a1, 2 * b1, 2 * c1)
-        out[key] = out.get(key, 0) + v1 * v1
-        w = 2 * v1
-        for (a2, b2, c2), v2 in items[i + 1:]:
-            key = (a1 + a2, b1 + b2, c1 + c2)
-            out[key] = out.get(key, 0) + w * v2
-    return {key: v for key, v in out.items() if v}
-
-
-def pdiff(p, axis):
-    """Partial derivative of the bare polynomial along s/t/u (axis 0/1/2)."""
-    out = {}
-    for key, val in p.items():
-        e = key[axis]
-        if e:
-            new = list(key)
-            new[axis] = e - 1
-            out[tuple(new)] = val * e
-    return out
 
 
 def pshift(p, da=0, db=0, dc=0):

@@ -41,18 +41,24 @@ The integrands are integrated over the half domain 0 <= t <= u <= s with
 even powers of t only; physical integrands are even under t -> -t (electron
 exchange), so this equals half the full-t integral in the same units
 throughout.
+
+The expectation values read a solved state as the solve leaves it, ints
+at scale 2**F.  The norm c'Wc, <p^4> and the log-momentum element are
+exact quadratic forms in those ints (_quadratic), W from the assembly and
+the other two from forms.build_expectation_forms, which a stage builds
+once for every row; the delta densities need only the sums of the
+coefficients of each grade.  Each value becomes one mpf at the end.
 """
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import mul
 
 import numpy as np
 from mpmath import mp
 
-from .basis import padd, pdiff, pmul, pscale, pshift, psquare
-from .eigen import _debug, _join, _limbs, fixed, fixed_mpf, to_mpf
+from .basis import padd, pscale, pshift
+from .eigen import _debug, _join, _limbs, fixed_mpf, to_mpf
 from .integrals import moment_ratio
 
 # geometric weight polynomials (coordinates s, t, u; keys are exponents)
@@ -213,30 +219,57 @@ class ExpectationSet:
 _NORM_TOL = 1e-10
 
 
-def _state_poly(basis, values):
-    """One polynomial dict from per-term values (ints, mpf or floats)."""
-    poly = {}
-    for term, v in zip(basis, values):
-        key = (term.l, 2 * term.m, term.n)
-        poly[key] = poly.get(key, 0) + v
-    return poly
+def _matvec(A, c):
+    """The list of ints A c, exactly, for the ints c and the leading
+    len(c) x len(c) block of a form's ints A: a nested list of ints, or an
+    int64 array, which multiplies the int64 limbs of c (eigen._limbs) in
+    one int64 matmul."""
+    n = len(c)
+    if isinstance(A, np.ndarray):
+        A = A[:n, :n]
+        limbs, bits = _limbs(c, max(int(abs(A).sum(1).max()), 1))
+        return _join(limbs @ A.T, bits)
+    return [sum(map(mul, c, row)) for row in A[:n]]
+
+
+def _quadratic(coeffs, *terms):
+    """(c'Mc, max|c| ||Mc||_1), each rounded down to an int, for the ints
+    coeffs c and M = sum_f w_f A_f over terms, the pairs (w_f, A_f) of an
+    int weight and an (ints, D_f) form, A_f standing for ints / D_f.
+
+    Mc is summed exactly over D = lcm(D_f), and each form's leading
+    len(coeffs) block is read (_matvec), so a form may be a larger stage's.
+    A change dc of c moves c'Mc by 2 dc'Mc + dc'M dc, and |dc'Mc| is at
+    most max|dc| ||Mc||_1: the second value bounds it for max|dc| = max|c|.
+    """
+    D = math.lcm(*(form[1] for _, form in terms))
+    Mc = [0] * len(coeffs)
+    for w, (A, DA) in terms:
+        w *= D // DA
+        Mc = [x + w * y for x, y in zip(Mc, _matvec(A, coeffs))]
+    return (sum(map(mul, coeffs, Mc)) // D,
+            max(map(abs, coeffs)) * sum(map(abs, Mc)) // D)
+
+
+def _lost_bits(total, size):
+    """The bits a sum lost to cancellation: an integer above
+    log2(size / |total|), for size >= |total|."""
+    return size.bit_length() - max(abs(total).bit_length(), 1) + 1
 
 
 def check_normalized(W, coeffs, F):
     """Return the overlap quadratic form; raise unless it is 1 within _NORM_TOL.
 
     The state is the ints coeffs at scale 2**F, as a solve leaves it
-    (VariationalResult.frac_bits), and c'Wc is summed exactly on them with
-    W the (ints, D) form of OperatorMatrices; the sum reads W's leading
-    len(coeffs) block, so W may be a larger stage's.  The sum is cut to scale
-    2**F and made one mpf, exact below 2, so |c'Wc - 1| keeps the bits
-    below the working precision.  A state read at the wrong scale fails
-    here, so the check also guards F.
+    (VariationalResult.frac_bits), and c'Wc is summed exactly on them
+    (_quadratic) with W the (ints, D) form of OperatorMatrices, so W may be
+    a larger stage's.  The sum is cut to scale 2**F and made one mpf, exact
+    below 2, so |c'Wc - 1| keeps the bits below the working precision.  A
+    state read at the wrong scale fails here, so the check also guards F.
     """
-    W, D = W
-    total = sum(ci * sum(map(mul, coeffs, row)) for ci, row in zip(coeffs, W))
+    total, _ = _quadratic(coeffs, (1, W))
     with mp.workprec(F + 1):
-        wq = to_mpf(total // (D << F), F)
+        wq = to_mpf(total >> F, F)
     if abs(wq - 1) > _NORM_TOL:
         raise NormalizationError(
             f"state is not normalized: <U|U> = {mp.nstr(wq, 12)}")
@@ -281,65 +314,16 @@ def delta_expectations(basis, coeffs, F, k, wq):
     return scale * pair_sum(grade_sums), scale * pair_sum(pure_sums) / 8
 
 
-# --- fixed-point series weights ----------------------------------------------
+# --- <p^4> and the logarithmic momentum matrix element -----------------------
 
-def _prefix_sums(n, F):
-    """Fixed-point prefix sums over j = 1..i, for i = 0..n, at scale 2**F.
+def p4_expectation(forms, coeffs, F, k, wq):
+    """<p_1^4 + p_2^4> = int (Lap_1 U)^2 + (Lap_2 U)^2 over the half domain,
+    on the ints coeffs at scale 2**F and their norm wq = c'Wc.
 
-    Returns the lists of sum 1/j (harmonic numbers H_i), sum 1/j^2,
-    sum (-1)^{j+1}/j and sum (-1)^{j+1}/j^2, each starting at i = 0.
-    """
-    harm, sq, alt, alt_sq = [0], [0], [0], [0]
-    for j in range(1, n + 1):
-        h, z = fixed(Fraction(1, j), F), fixed(Fraction(1, j * j), F)
-        sign = 1 if j % 2 else -1
-        harm.append(harm[-1] + h)
-        sq.append(sq[-1] + z)
-        alt.append(alt[-1] + sign * h)
-        alt_sq.append(alt_sq[-1] + sign * z)
-    return harm, sq, alt, alt_sq
-
-
-def _lost_bits(total, size):
-    """The bits an int sum lost to cancellation: an integer above
-    log2(sum |term| / |total|), given size = sum |term|."""
-    return size.bit_length() - max(abs(total).bit_length(), 1) + 1
-
-
-# --- <p^4> via the reduced-Laplacian series ---------------------------------
-
-def reduced_laplacian(poly):
-    """Polynomial T such that Lap_1 (P e^{-s}) = T e^{-s} / ((s-t) u).
-
-    Built from the S-state Laplacian in (s, t, u):
-      Lap_1 = dss + dtt + duu - 2 dst
-              + 2 (dsu - dtu)(u^2 - st)/((s-t)u)
-              + (4/(s-t))(ds - dt) + (2/u) du
-    after folding e^{-s} (every ds picks up -1) and clearing the common
-    denominator (s-t)u:
-      T = T0 (s-t)u + T1 (u^2 - st) + T2 u + T3 (s-t)
-    with T0 = p_ss - 2 p_s + p + p_tt + p_uu - 2(p_st - p_t),
-         T1 = 2 (p_su - p_u - p_tu), T2 = 4 (p_s - p - p_t), T3 = 2 p_u.
-    """
-    p_s, p_t, p_u = pdiff(poly, 0), pdiff(poly, 1), pdiff(poly, 2)
-    T0 = padd(padd(padd(pdiff(p_s, 0), p_s, -2), poly),
-              padd(pdiff(p_t, 1), pdiff(p_u, 2)))
-    T0 = padd(T0, padd(pdiff(p_s, 1), p_t, -1), -2)
-    T1 = pscale(padd(padd(pdiff(p_s, 2), p_u, -1), pdiff(p_t, 2), -1), 2)
-    T2 = pscale(padd(padd(p_s, poly, -1), p_t, -1), 4)
-    T3 = pscale(p_u, 2)
-    out = pmul(T0, {(1, 0, 1): 1, (0, 1, 1): -1})
-    out = padd(out, pmul(T1, {(0, 0, 2): 1, (1, 1, 0): -1}))
-    out = padd(out, pshift(T2, dc=1))
-    return padd(out, pmul(T3, {(1, 0, 0): 1, (0, 1, 0): -1}))
-
-
-def p4_expectation(basis, coeffs, F, k, wq):
-    """<p_1^4 + p_2^4> = int (Lap_1 U)^2 + (Lap_2 U)^2 over the half domain.
-
-    (Lap_1 U)^2 vol = T^2 e^{-2s} (s+t)/((s-t)u).  For a monomial
-    s^A t^B u^C of T^2 (s+t) the s integral is (A+B+C)!/2^{A+B+C+1} and the
-    t and u integrals are exact channel moments,
+    (Lap_1 U)^2 vol = T^2 e^{-2s} (s+t)/((s-t)u), T the reduced Laplacian of
+    the state polynomial.  For a monomial s^A t^B u^C of T^2 (s+t) the s
+    integral is (A+B+C)!/2^{A+B+C+1} and the t and u integrals are exact
+    channel moments,
 
       1/((s-t)u): (H_{B+C} - H_B)/C,
                   C = 0: zeta(2) - sum_{j<=B} 1/j^2
@@ -348,111 +332,76 @@ def p4_expectation(basis, coeffs, F, k, wq):
 
     with a_n = (-1)^n (sum_{j<n} (-1)^{j+1}/j - ln 2).  The electron-2 piece
     is the t-reflection of the electron-1 one, so it reads the 1/((s+t)u)
-    moment off the same monomial with sign (-1)^B.
+    moment off the same monomial with sign (-1)^B.  (The C = 0 moment
+    misses its own (-1)^B: ROADMAP item 2.)
 
-    Everything runs on Python ints: the state's coefficients at scale 2**F,
-    T^2 (s+t) exactly at scale 2**(2F), and the channel moments from
-    fixed-point prefix sums; one mpf is made at the end.  Returns it with
-    the bits the sum lost to cancellation (_lost_bits).
+    The sum is the quadratic form c'(A + zeta(2) B + ln 2 C)c of the stage's
+    ExpectationForms `forms` (forms.build_expectation_forms) on their
+    leading len(coeffs) blocks (_quadratic): exact on ints, with zeta(2) and
+    ln 2 at scale 2**F, so at scale 2**(3F), and one mpf at the end.
+    Returns it with the bits the sum lost to cancellation (_lost_bits of
+    the sum and the bound _quadratic gives).
     """
-    T = reduced_laplacian(_state_poly(basis, coeffs))
-    poly = pmul(psquare(T), {(1, 0, 0): 1, (0, 1, 0): 1})
-    harm, sq, alt, alt_sq = _prefix_sums(max(b + c for _, b, c in poly), F)
+    A, B, C = forms.p4
     with mp.workprec(F):
         zeta2, ln2 = fixed_mpf(mp.zeta(2), F), fixed_mpf(mp.ln(2), F)
-
-    def a_n(n):
-        v = alt[n - 1] - ln2
-        return -v if n % 2 else v
-
-    total = size = 0
-    for (a, b, c), v in poly.items():
-        if c:
-            minus = harm[b + c] - harm[b]
-            plus = a_n(b + 1) - a_n(b + c + 1)
-        else:
-            minus, plus = zeta2 - sq[b], (zeta2 >> 1) - alt_sq[b]
-        w = minus - plus if b % 2 else minus + plus
-        n = a + b + c
-        term = (v * math.factorial(n) * w // (c or 1)) >> (n + 1)
-        total += term
-        size += abs(term)
+    total, size = _quadratic(coeffs, (1 << F, A), (zeta2, B), (ln2, C))
     return (mp.mpf(k) ** 4 * mp.ldexp(total, -3 * F) / wq,
             _lost_bits(total, size))
 
 
-# --- the logarithmic momentum matrix element --------------------------------
-
-def _logmom_numerator(poly):
-    """N for U = poly e^{-s}, where U (n.grad_12 U) vol = N e^{-2s} / u^2.
-
-    n = r_12 / r_12; grad_12 acts as (grad_1 - grad_2)/2, and the direction
-    cosines r1.n = (u^2 - st)/((s-t)u), r2.n = -(u^2 + st)/((s+t)u) fold the
-    angular factors into polynomials after clearing u^2:
-      N = poly (p_u vol + a (s+t)(u^2 - st)/2 + b (s-t)(st + u^2)/2).
-    With a = X - Y and b = X + Y the two angular weights combine as in the
-    kinetic closed form of the module docstring:
-      N = poly (p_u vol + (p_s - p) s(u^2 - t^2) + p_t t(s^2 - u^2)).
-    Every piece is even in t, and every coefficient is an int on an int
-    state.
-    """
-    p_s, p_t, p_u = pdiff(poly, 0), pdiff(poly, 1), pdiff(poly, 2)
-    factor = padd(padd(pmul(VOLUME, p_u), pmul(S_ANGLE, padd(p_s, poly, -1))),
-                  pmul(T_ANGLE, p_t))
-    return pmul(poly, factor)
-
-
-def log_momentum_expectation(basis, coeffs, F, k, wq):
+def log_momentum_expectation(forms, coeffs, F, k, wq):
     """Q = <(gamma - ln k) + ln u'> n.grad_12 matrix element (mpf), gamma
-    Euler's constant.
+    Euler's constant, on the ints coeffs at scale 2**F and their norm wq.
 
     u' = k u is the scaled coordinate, so the weight is ln r12 + gamma, the
     (ln r12 + gamma)/r12^2 term of the alpha^3 shift.  Scale restoration
     sends ln u -> ln u - ln k, so the closed form is
     k^3 (I_log + (gamma - ln k) I_plain) / Wq with the two u^{-2}-weighted
-    moment families; I_log integrates +ln u'.  A monomial s^A t^B u^C of the
-    numerator N, with M = A + B + C and m = M!/2^{M+1}, contributes
+    moment families; I_log integrates +ln u'.  The numerator N, with
+    U (n.grad_12 U) vol = N e^{-2s} / u^2 for U = P e^{-s}, is
+    P (P_u vol + (P_s - P) s(u^2 - t^2) + P_t t(s^2 - u^2)): n = r_12 / r_12,
+    grad_12 acts as (grad_1 - grad_2)/2, and the direction cosines fold into
+    the kinetic closed form's angular weights (module docstring).  A
+    monomial s^A t^B u^C of N, with M = A + B + C and m = M!/2^{M+1},
+    contributes
       plain = m / ((B+1)(B+C)),
       log   = plain (psi(M+1) - ln 2 - 1/(B+C)),   psi(M+1) = H_M - gamma,
-    so the gammas cancel and it carries plain (H_M - 1/(B+C) - ln 2k).  As
-    in p4_expectation the sum runs on ints, N at scale 2**(2F) and the
-    weights at 2**F with H_M from the fixed-point prefix sums, and one mpf
-    is made at the end.  Returns it with the bits the sum lost to
-    cancellation (_lost_bits).
+    so the gammas cancel and it carries plain (H_M - 1/(B+C) - ln 2k).
+
+    The sum is the quadratic form c'(L - ln(2k) L')c of `forms`, as in
+    p4_expectation: exact on ints with ln 2k at scale 2**F, and one mpf at
+    the end.  Returns it with the bits the sum lost to cancellation.
     """
-    num = _logmom_numerator(_state_poly(basis, coeffs))
-    harm = _prefix_sums(max(sum(key) for key in num), F)[0]
+    L, L1 = forms.log_momentum
     km = mp.mpf(k)
     with mp.workprec(F):
         shift = fixed_mpf(-mp.ln(2 * km), F)
-    total = size = 0
-    for (a, b, c), v in num.items():
-        M, d = a + b + c, b + c
-        # harm[d] - harm[d - 1] is the fixed-point 1/d
-        w = harm[M] - harm[d] + harm[d - 1] + shift
-        term = (v * math.factorial(M) * w // ((b + 1) * d)) >> (M + 1)
-        total += term
-        size += abs(term)
+    total, size = _quadratic(coeffs, (1 << F, L), (shift, L1))
     return km ** 3 * mp.ldexp(total, -3 * F) / wq, _lost_bits(total, size)
 
 
-def expectation_set(basis, coeffs, F, k, W, k_err=0):
+def expectation_set(basis, coeffs, F, k, W, forms, k_err=0):
     """All correction-layer expectation values on a normalized state, the
     ints coeffs at scale 2**F of a solve at the working precision, with k
-    within k_err of its root; |c'Wc - 1| is logged to the "hyhe" logger at
-    DEBUG.
+    within k_err of its root; W is the overlap form and forms the
+    ExpectationForms, both possibly a larger stage's.  |c'Wc - 1| is logged
+    to the "hyhe" logger at DEBUG.
 
-    rel_err bounds the relative error of every value.  The solve leaves c
-    within 2**-prec of max|c| and k within k_err; a quadratic form doubles
-    that, and a sum that cancels by 2**b amplifies it 2**b-fold, b the most
-    bits the <p^4> or log-momentum sum lost.  The mpf operations that end
-    each route add their rounding.
+    rel_err bounds the relative error of every value.  The solve stops once
+    its correction is at most 2**-prec max|c|, so it leaves each c_j within
+    that of the true state, and k within k_err.  A quadratic form c'Mc then
+    moves by at most 2 2**-prec max|c| ||Mc||_1 (_quadratic), plus a
+    second-order term 2**-prec times smaller: 2**(1-prec) |c'Mc| times
+    2**b, b the bits between max|c| ||Mc||_1 and |c'Mc| that _lost_bits
+    counts, the most of the <p^4> and log-momentum sums.  The mpf
+    operations that end each route add their rounding.
     """
     wq = check_normalized(W, coeffs, F)
     _debug("expectations: norm_err=%s", mp.nstr(abs(wq - 1), 3))
     d1, dee = delta_expectations(basis, coeffs, F, k, wq)
-    p4_pair, p4_lost = p4_expectation(basis, coeffs, F, k, wq)
-    q, q_lost = log_momentum_expectation(basis, coeffs, F, k, wq)
+    p4_pair, p4_lost = p4_expectation(forms, coeffs, F, k, wq)
+    q, q_lost = log_momentum_expectation(forms, coeffs, F, k, wq)
     state_err = mp.eps / 2 + k_err / mp.mpf(k)
     return ExpectationSet(
         delta_r1=d1, delta_r12=dee, p4=p4_pair / 2, log_momentum=q,

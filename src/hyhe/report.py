@@ -4,10 +4,12 @@ A report row is one basis size N pushed through the whole chain:
 matrices -> both ground states -> expectation values on the nuclear-motion
 state -> correction breakdown.  Every verb gets its basis, matrices and
 pencil systems from build_stage, the one place where the choice of
-Hamiltonian decides what is assembled.  The stage is exact, so it is built
-with no precision context and serves every precision.  A sweep builds its
-stage once, at its largest N; the bases are nested prefixes, so every row
-solves the leading block of that one stage.  Numeric cells are stored as
+Hamiltonian decides what is assembled; a row's stage (build_row_stage) adds
+the exact forms of <p^4> and the log-momentum element, which no solve
+needs.  The stage is exact, so it is built with no precision context and
+serves every precision.  A sweep builds its stage once, at its largest N;
+the bases are nested prefixes, so every row solves and evaluates the
+leading blocks of that one stage.  Numeric cells are stored as
 strings of 20 significant digits.  Every printed cell is certified: its
 error bound must leave it on one side of each 20-digit rounding boundary
 (settled), or its solve runs again at twice the digits; _certified holds
@@ -16,7 +18,6 @@ default or explicit, is a floor.  The delta columns (dE_inf, dE0, dE_total:
 change against the previous row) are derived from the energy columns.
 """
 
-import csv
 import io
 import json
 import math
@@ -31,6 +32,7 @@ from .config import DEFAULT_SWEEP, RunConfig
 from .constants import default_constants
 from .corrections import total_energy
 from .eigen import _debug, build_systems, ground_state_pair, optimize_k
+from .forms import build_expectation_forms
 from .matrices import build_operator_matrices, expectation_set
 
 SCHEMA_VERSION = 5
@@ -117,6 +119,7 @@ class ReportDocument:
         return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
 
     def to_csv(self):
+        import csv      # only this format needs it
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
@@ -203,6 +206,16 @@ def build_stage(n, constants, nuclear_motion=True):
         mats, mass_ratio=constants.mass_ratio_M if nuclear_motion else None)
 
 
+def build_row_stage(n, constants):
+    """(basis, W, systems, forms): build_stage's nuclear-motion stage at
+    basis size n, of whose matrices a row reads only the overlap form W, and
+    the ExpectationForms of its basis (build_expectation_forms); exact, as
+    the stage is."""
+    basis, mats, systems = build_stage(n, constants)
+    W, mats = mats.W, None      # free K, P and M_pol before the forms
+    return basis, W, systems, build_expectation_forms(basis)
+
+
 def _certified(digits, solve, what):
     """The result of solve() -> (result, cells) at digits, or at twice the
     digits if a cell is not settled there (_unsettled); what names the run
@@ -221,14 +234,15 @@ def _certified(digits, solve, what):
 def compute_row(n, config, constants, stage=None):
     """Run the full pipeline for one basis size; returns (Row, results).
 
-    stage is a nuclear-motion build_stage result at any size >= n; each row
-    solves its leading n x n block of both systems.  Without one the row
-    builds its own at size n.  The row is certified at
-    config.precision_digits (_certified); a rerun reuses the exact stage.
+    stage is a build_row_stage result at any size >= n; each row solves its
+    leading n x n block of both systems and evaluates the same block of the
+    forms.  Without one the row builds its own at size n.  The row is
+    certified at config.precision_digits (_certified); a rerun reuses the
+    exact stage.
     """
     t0 = time.perf_counter()
     if stage is None:
-        stage = build_stage(n, constants)
+        stage = build_row_stage(n, constants)
     row, results = _certified(config.precision_digits,
                               lambda: _solve_row(n, constants, stage),
                               f"row N={n}")
@@ -242,11 +256,11 @@ def _solve_row(n, constants, stage):
     The cells' bounds are the energies' energy_err, k_opt's k_err and the
     correction breakdown's *_err.
     """
-    basis, mats, systems = stage
+    basis, W, systems, forms = stage
     res_inf, res_0 = ground_state_pair(
         {label: system.leading(n) for label, system in systems.items()})
     exps = expectation_set(basis[:n], res_0.coeffs, res_0.frac_bits,
-                           res_0.k_opt, mats.W, res_0.k_err)
+                           res_0.k_opt, W, forms, res_0.k_err)
     br = total_energy(res_0.energy, exps, constants, res_0.energy_err)
     cells = {
         "E_inf": (res_inf.energy, res_inf.energy_err),
@@ -286,7 +300,7 @@ def run_tables(config=None, constants=None, n_list=None):
     if any(n < 1 for n in n_list):
         raise UsageError(f"basis sizes must be >= 1, got {n_list}")
     try:
-        stage = build_stage(max(n_list), constants)
+        stage = build_row_stage(max(n_list), constants)
     except Exception:  # noqa: BLE001 - the rows retry alone and report
         stage = None
     rows = []
@@ -309,9 +323,9 @@ def run_tables(config=None, constants=None, n_list=None):
 def solve_single(n, config=None, constants=None, nuclear_motion=True):
     """One Hamiltonian at one basis size (the `solve` CLI verb): the
     k-search on build_stage's "0" system, or on its "inf" system for the
-    clamped nucleus, whose stage assembles no mass polarization.  As in
-    compute_row, it runs again at twice the digits if its energy or k_opt
-    is not settled (_certified)."""
+    clamped nucleus, whose stage assembles no mass polarization; no stage of
+    a solve builds expectation forms.  As in compute_row, it runs again at
+    twice the digits if its energy or k_opt is not settled (_certified)."""
     config = config or RunConfig()
     constants = constants or default_constants()
     _, _, systems = build_stage(n, constants, nuclear_motion)

@@ -1,8 +1,10 @@
 """Referees for the hyhe pipeline, used only by the tests.
 
 Independent routes to what `hyhe` computes: the ln u integral family and
-quadrature engines (`integrals`), the exponential-polynomial differentiation
-route (`basis`), pointwise integrands and the angle route to the
+quadrature engines (`integrals`), the polynomial-dict algebra and the
+exponential-polynomial differentiation route (`basis`), the polynomial
+routes to <p^4> and the log-momentum element that referee the exact
+expectation forms, pointwise integrands and the angle route to the
 log-momentum numerator (`matrices`), and the Cartesian probes, product-state closed forms, mpmath
 eigensolve, Fraction assembly, mpf series and Duffy-split Gauss rule
 (`oracles`).  `fixed_state` turns an mpf state into the fixed-point ints

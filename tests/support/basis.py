@@ -1,15 +1,61 @@
-"""Exponential-polynomial expressions: the independent differentiation route.
+"""Polynomial-dict products and derivatives, and exponential-polynomial
+expressions: the independent differentiation route.
 
-The assembly in `hyhe.matrices` differentiates bare polynomial dicts and
-folds e^{-s} out by hand.  `SteuExpression` carries the exponential along
-as e^{-d*s}, d tracked as ``exp_degree``, so that d/ds hits it explicitly;
-the quadrature tests rebuild every matrix element through it.
+`pmul`, `psquare` and `pdiff` act on bare polynomial dicts, with e^{-s}
+folded out by hand, for the referees in `support.matrices` and
+`support.oracles`.  `SteuExpression` carries the exponential along as
+e^{-d*s}, d tracked as ``exp_degree``, so that d/ds hits it explicitly; the
+quadrature tests rebuild every matrix element through it.
 """
 
 import math
 from fractions import Fraction
 
-from hyhe.basis import BasisError, padd, pdiff, pmul, pscale, terms_of_grade
+from hyhe.basis import BasisError, padd, pscale, terms_of_grade
+
+
+# ---------------------------------------------------------------------------
+# polynomial-dict products and derivatives (hyhe.basis keeps padd, pscale
+# and pshift, which the assembly's weights use)
+# ---------------------------------------------------------------------------
+
+def pmul(p, q):
+    out = {}
+    for (a1, b1, c1), v1 in p.items():
+        for (a2, b2, c2), v2 in q.items():
+            key = (a1 + a2, b1 + b2, c1 + c2)
+            new = out.get(key, 0) + v1 * v2
+            if new:
+                out[key] = new
+            else:
+                out.pop(key, None)
+    return out
+
+
+def psquare(p):
+    """pmul(p, p), with each cross term formed once as 2 v_i v_j."""
+    items = list(p.items())
+    out = {}
+    for i, ((a1, b1, c1), v1) in enumerate(items):
+        key = (2 * a1, 2 * b1, 2 * c1)
+        out[key] = out.get(key, 0) + v1 * v1
+        w = 2 * v1
+        for (a2, b2, c2), v2 in items[i + 1:]:
+            key = (a1 + a2, b1 + b2, c1 + c2)
+            out[key] = out.get(key, 0) + w * v2
+    return {key: v for key, v in out.items() if v}
+
+
+def pdiff(p, axis):
+    """Partial derivative of the bare polynomial along s/t/u (axis 0/1/2)."""
+    out = {}
+    for key, val in p.items():
+        e = key[axis]
+        if e:
+            new = list(key)
+            new[axis] = e - 1
+            out[tuple(new)] = val * e
+    return out
 
 
 def _exp(x):

@@ -31,14 +31,16 @@ from fractions import Fraction
 import numpy as np
 from mpmath import mp
 
-from hyhe.basis import padd, pdiff, pmul, pscale
+from hyhe.basis import padd, pscale
 from hyhe.eigen import ConvergenceError, VariationalResult, solve_fixed_k
 from hyhe.integrals import raw_moment
-from hyhe.matrices import OperatorMatrices, _state_poly, reduced_laplacian
+from hyhe.matrices import OperatorMatrices
 
 from . import fraction_matrix, integer_matrix
+from .basis import pdiff, pmul
 from .integrals import _mp_laguerre_rule, _mp_legendre_rule, log_raw_moment
-from .matrices import angle_logmom_numerator, poly_function_mp
+from .matrices import (angle_logmom_numerator, poly_function_mp,
+                       reduced_laplacian, state_poly)
 
 
 @dataclass(frozen=True)
@@ -235,7 +237,7 @@ def duffy_p4_channels(basis, coeffs, nodes=12):
     the state; both go through duffy_quad_mp.  <p_1^4 + p_2^4> at exponent
     k is k^4 (I_minus + I_plus) / Wq.
     """
-    T = poly_function_mp(reduced_laplacian(_state_poly(basis, coeffs)))
+    T = poly_function_mp(reduced_laplacian(state_poly(basis, coeffs)))
 
     def electron_1(s, t, u):
         v = T(s, t, u)
@@ -519,7 +521,7 @@ def mp_p4_expectation(basis, coeffs, k, wq):
     second on the t-reflected T^2, and each weight is rebuilt from its
     harmonic-type sums; `matrices.p4_expectation` is checked against this.
     """
-    T = reduced_laplacian(_state_poly(basis, [mp.mpf(c) for c in coeffs]))
+    T = reduced_laplacian(state_poly(basis, [mp.mpf(c) for c in coeffs]))
     T2 = pmul(T, T)
     flipped = {key: (v if key[1] % 2 == 0 else -v) for key, v in T2.items()}
     I1 = _channel_sum(pmul(T2, {(1, 0, 0): 1, (0, 1, 0): 1}), minus=True)
@@ -537,7 +539,7 @@ def mp_log_momentum_expectation(basis, coeffs, k, wq):
     log_raw_moment(A, B, C - 2), the latter with mp.digamma.
     """
     num = angle_logmom_numerator(
-        _state_poly(basis, [mp.mpf(c) for c in coeffs]))
+        state_poly(basis, [mp.mpf(c) for c in coeffs]))
     i_plain, i_log = mp.mpf(0), mp.mpf(0)
     for (A, B, C), v in num.items():
         v = v / 2

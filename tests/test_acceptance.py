@@ -25,13 +25,14 @@ from hyhe.config import RunConfig
 from hyhe.constants import PhysicalConstants, default_constants
 from hyhe.corrections import total_energy
 from hyhe.eigen import build_systems, optimize_k, solve_fixed_k, to_mpf
+from hyhe.forms import build_expectation_forms
 from hyhe.matrices import (build_operator_matrices, check_normalized,
-                           expectation_set, reduced_laplacian)
+                           expectation_set)
 from hyhe.report import compute_row, solve_single
 from support import fraction_forms
 from support.integrals import base_integral, k_scaling_exponent, quad_integral
 from support.matrices import (derivative_symbols, evaluate_poly,
-                              log_momentum_integrands)
+                              log_momentum_integrands, reduced_laplacian)
 from support.oracles import (CartesianProbe, direction_cosines,
                              gauss_tensor_value, random_configurations, stu_of)
 
@@ -162,7 +163,8 @@ def test_hydrogenic_closed_forms():
         k = res.k_opt
         basis = enumerate_basis(1)
         mats = build_operator_matrices(basis, Z=2)
-        exps = expectation_set(basis, res.coeffs, res.frac_bits, k, mats.W)
+        exps = expectation_set(basis, res.coeffs, res.frac_bits, k, mats.W,
+                               build_expectation_forms(basis))
         checks = (
             (res.energy, mp.mpf("-2.84765625")),   # -(Z - 5/16)^2
             (k, mp.mpf("1.6875")),                 # Z - 5/16

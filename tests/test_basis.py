@@ -4,9 +4,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hyhe.basis import (BasisError, BasisTerm, enumerate_basis, pmul, psquare,
-                        terms_of_grade)
-from support.basis import SteuExpression, basis_expression, grade_counts
+from hyhe.basis import BasisError, BasisTerm, enumerate_basis, terms_of_grade
+from support.basis import (SteuExpression, basis_expression, grade_counts,
+                           pmul, psquare)
 
 
 def test_first_terms():

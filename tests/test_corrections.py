@@ -80,6 +80,7 @@ def test_seed_state_anchor_values():
     # downstream of the solver pinned at once
     from hyhe.basis import enumerate_basis
     from hyhe.eigen import build_systems, optimize_k
+    from hyhe.forms import build_expectation_forms
     from hyhe.matrices import build_operator_matrices, expectation_set
 
     with mp.workdps(50):
@@ -89,7 +90,7 @@ def test_seed_state_anchor_values():
         systems = build_systems(mats, mass_ratio=c.mass_ratio_M)
         res = optimize_k(systems["0"])
         exps = expectation_set(basis, res.coeffs, res.frac_bits, res.k_opt,
-                               mats.W)
+                               mats.W, build_expectation_forms(basis))
         b = total_energy(res.energy, exps, c)
 
         anchors = {

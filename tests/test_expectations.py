@@ -10,16 +10,19 @@ import hyhe
 from hyhe.basis import enumerate_basis
 from hyhe.constants import default_constants
 from hyhe.eigen import build_systems, optimize_k, to_mpf
-from hyhe.matrices import (NormalizationError, _logmom_numerator,
-                           _state_poly, build_operator_matrices,
+from hyhe.forms import build_expectation_forms
+from hyhe.matrices import (NormalizationError, build_operator_matrices,
                            check_normalized, delta_expectations,
                            expectation_set, log_momentum_expectation,
                            p4_expectation)
+from hyhe.report import build_row_stage
 from support import fixed_state, fraction_matrix
 from support.integrals import quad_integral
 from support.matrices import (angle_logmom_numerator,
-                              log_momentum_integrands, p4_expectation_quad,
-                              p4_integrand)
+                              log_momentum_integrands, logmom_numerator,
+                              p4_expectation_quad, p4_integrand,
+                              polynomial_log_momentum_expectation,
+                              polynomial_p4_expectation, state_poly)
 from support.oracles import (duffy_p4_channels, gauss_tensor_value,
                              hydrogenic_reference, mp_delta_expectations,
                              mp_log_momentum_expectation, mp_p4_expectation)
@@ -28,8 +31,7 @@ from support.oracles import (duffy_p4_channels, gauss_tensor_value,
 @pytest.fixture(scope="module")
 def seed_state():
     basis = enumerate_basis(1)
-    mats = build_operator_matrices(basis)
-    return basis, mats
+    return basis, build_operator_matrices(basis), build_expectation_forms(basis)
 
 
 def normalized_state(n, alternating=False):
@@ -51,10 +53,11 @@ def normalized_state(n, alternating=False):
 
 @pytest.mark.parametrize("k", ["2.0", "1.6875"])
 def test_hydrogenic_closed_forms(seed_state, k):
-    basis, mats = seed_state
+    basis, mats, forms = seed_state
     with mp.workdps(40):
         km = mp.mpf(k)
-        exps = expectation_set(basis, *fixed_state([mp.sqrt(2)]), km, mats.W)
+        exps = expectation_set(basis, *fixed_state([mp.sqrt(2)]), km, mats.W,
+                               forms)
         ref = hydrogenic_reference(km)
         tol = mp.mpf("1e-30")
         assert abs(exps.delta_r1 - km ** 3 / mp.pi) < tol
@@ -77,7 +80,7 @@ def test_electron_density_symmetry():
 
 
 def test_delta_needs_a_normalization_route(seed_state):
-    basis, mats = seed_state
+    basis, mats, _ = seed_state
     state = fixed_state([mp.sqrt(2)])
     wq = check_normalized(mats.W, *state)
     d1, dee = delta_expectations(basis, *state, 2, wq)
@@ -85,17 +88,17 @@ def test_delta_needs_a_normalization_route(seed_state):
 
 
 def test_expectation_set_rejects_unnormalized(seed_state):
-    basis, mats = seed_state
+    basis, mats, forms = seed_state
     with pytest.raises(NormalizationError):
-        expectation_set(basis, *fixed_state([mp.mpf(1)]), 2, mats.W)
+        expectation_set(basis, *fixed_state([mp.mpf(1)]), 2, mats.W, forms)
 
 
 def test_p4_series_vs_quadrature_seed(seed_state):
-    basis, mats = seed_state
+    basis, mats, forms = seed_state
     with mp.workdps(30):
         state = fixed_state([mp.sqrt(2)])
         wq = check_normalized(mats.W, *state)
-        series, _ = p4_expectation(basis, *state, 1, wq)
+        series, _ = p4_expectation(forms, *state, 1, wq)
         assert abs(series - 10) < mp.mpf("1e-25")  # pair value: 2 * 5k^4
         quad = p4_expectation_quad(basis, [mp.sqrt(2)], 1, wq, quad_integral)
         assert abs(quad - series) < mp.mpf("1e-3") * series
@@ -108,7 +111,8 @@ def test_p4_series_vs_quadrature_correlated():
         basis, mats, coeffs, state = normalized_state(5)
         wq = check_normalized(mats.W, *state)
         k = mp.mpf("1.8")
-        series, _ = p4_expectation(basis, *state, k, wq)
+        series, _ = p4_expectation(build_expectation_forms(basis), *state, k,
+                                   wq)
         f1 = p4_integrand(basis, coeffs)
         quad = k ** 4 * (gauss_tensor_value(f1, n=96)
                          + gauss_tensor_value(lambda s, t, u: f1(s, -t, u),
@@ -144,7 +148,8 @@ def test_p4_correlated_vs_duffy_gauss(n, alternating):
         k = mp.mpf("1.8")
         i_minus, i_plus = duffy_p4_channels(basis, coeffs, nodes=14)
         quad = k ** 4 * (i_minus + i_plus) / wq
-        series, _ = p4_expectation(basis, *state, k, wq)
+        series, _ = p4_expectation(build_expectation_forms(basis), *state, k,
+                                   wq)
         assert abs(series - quad) < mp.mpf("1e-15") * quad, (
             mp.nstr(series, 20), mp.nstr(quad, 20))
 
@@ -154,7 +159,8 @@ def test_log_momentum_series_vs_quadrature():
         basis, mats, coeffs, state = normalized_state(4)
         wq = check_normalized(mats.W, *state)
         k = mp.mpf("1.7")
-        closed, _ = log_momentum_expectation(basis, *state, k, wq)
+        closed, _ = log_momentum_expectation(build_expectation_forms(basis),
+                                             *state, k, wq)
         plain, logu = log_momentum_integrands(basis, coeffs)
         # the plain moment converges to machine precision, the ln(u) corner
         # limits the log moment to ~5 digits on a fixed 96-node rule
@@ -168,12 +174,12 @@ def test_log_momentum_gamma_hook(seed_state):
     # the (gamma - ln k) piece rides on the plain moment:
     # Q = k^3 (I_log + (gamma - ln k) I_plain) / wq, so on one state
     # Q(2)/8 - Q(1) = -ln 2 I_plain / wq exactly
-    basis, mats = seed_state
+    basis, mats, forms = seed_state
     with mp.workdps(30):
         state = fixed_state([mp.sqrt(2)])
         wq = check_normalized(mats.W, *state)
-        q1, _ = log_momentum_expectation(basis, *state, 1, wq)
-        q2, _ = log_momentum_expectation(basis, *state, 2, wq)
+        q1, _ = log_momentum_expectation(forms, *state, 1, wq)
+        q2, _ = log_momentum_expectation(forms, *state, 2, wq)
         plain, _ = log_momentum_integrands(basis, [mp.sqrt(2)])
         i_plain = quad_integral(plain, target=1e-12)
         assert abs((q2 / 8 - q1) + mp.ln(2) * i_plain / wq) < mp.mpf("1e-10")
@@ -183,9 +189,10 @@ def test_p4_scaling_in_k():
     # the series carries k^4 explicitly; doubling k multiplies by 16
     with mp.workdps(30):
         basis, mats, _, state = normalized_state(3)
+        forms = build_expectation_forms(basis)
         wq = check_normalized(mats.W, *state)
-        p4_at_2, _ = p4_expectation(basis, *state, 2, wq)
-        p4_at_1, _ = p4_expectation(basis, *state, 1, wq)
+        p4_at_2, _ = p4_expectation(forms, *state, 2, wq)
+        p4_at_1, _ = p4_expectation(forms, *state, 1, wq)
         assert abs(p4_at_2 - 16 * p4_at_1) < mp.mpf("1e-20")
 
 
@@ -206,10 +213,11 @@ def test_expectation_set_guards_the_state_scale():
     # so the normalization check refuses them
     with mp.workdps(50):
         basis, mats, _, (c, F), k = optimized_state(22)
-        expectation_set(basis, c, F, k, mats.W)
+        forms = build_expectation_forms(basis)
+        expectation_set(basis, c, F, k, mats.W, forms)
         for wrong in (F - 1, F + 1):
             with pytest.raises(NormalizationError):
-                expectation_set(basis, c, wrong, k, mats.W)
+                expectation_set(basis, c, wrong, k, mats.W, forms)
 
 
 @pytest.mark.parametrize("n", [7, 40, 70])
@@ -220,9 +228,9 @@ def test_logmom_closed_numerator_is_half_the_angle_route(n):
     basis = enumerate_basis(n)
     rng = random.Random(n)
     for _ in range(5):
-        poly = _state_poly(basis, [rng.randint(-2 ** 200, 2 ** 200)
-                                   for _ in basis])
-        closed = _logmom_numerator(poly)
+        poly = state_poly(basis, [rng.randint(-2 ** 200, 2 ** 200)
+                                  for _ in basis])
+        closed = logmom_numerator(poly)
         assert all(key[1] % 2 == 0 for key in closed)
         assert {key: 2 * v for key, v in closed.items()} \
             == angle_logmom_numerator(poly)
@@ -240,12 +248,14 @@ def test_fixed_point_routes_match_mp_oracles(n, dps, state):
             basis, mats, coeffs, ints = normalized_state(n, alternating=True)
             k = mp.mpf("1.85")
         wq = check_normalized(mats.W, *ints)
+        forms = build_expectation_forms(basis)
         tol = mp.mpf(10) ** (5 - dps)
-        for route, oracle in ((delta_expectations, mp_delta_expectations),
-                              (p4_expectation, mp_p4_expectation),
-                              (log_momentum_expectation,
-                               mp_log_momentum_expectation)):
-            mine = route(basis, *ints, k, wq)
+        for route, first, oracle in (
+                (delta_expectations, basis, mp_delta_expectations),
+                (p4_expectation, forms, mp_p4_expectation),
+                (log_momentum_expectation, forms,
+                 mp_log_momentum_expectation)):
+            mine = route(first, *ints, k, wq)
             ref = oracle(basis, coeffs, k, wq)
             # delta gives two values; p4 and log-momentum (value, lost bits)
             pairs = (zip(mine, ref) if isinstance(ref, tuple)
@@ -261,18 +271,20 @@ from mpmath import mp
 from hyhe.basis import enumerate_basis
 from hyhe.constants import default_constants
 from hyhe.eigen import build_systems, optimize_k
+from hyhe.forms import build_expectation_forms
 from hyhe.matrices import (build_operator_matrices, check_normalized,
                            p4_expectation)
 
 basis = enumerate_basis(20)
 mats = build_operator_matrices(basis)
+forms = build_expectation_forms(basis)
 for dps in map(int, sys.argv[1:]):
     with mp.workdps(dps):
         system = build_systems(
             mats, mass_ratio=default_constants().mass_ratio_M)["0"]
         res = optimize_k(system)
         wq = check_normalized(mats.W, res.coeffs, res.frac_bits)
-        print(mp.nstr(p4_expectation(basis, res.coeffs, res.frac_bits,
+        print(mp.nstr(p4_expectation(forms, res.coeffs, res.frac_bits,
                                      res.k_opt, wq)[0], dps))
 """
 
@@ -295,3 +307,34 @@ def test_p4_precision_does_not_leak_between_calls():
     after_15, at_50 = run(15, 50)
     (fresh_50,) = run(50)
     assert at_50 == fresh_50
+
+
+def test_forms_match_the_polynomial_routes():
+    # the exact forms of one 50-term row stage against the polynomial routes
+    # they replaced (support.matrices), equal at the working precision: on
+    # random integer states, read at norm 1, and on the solved
+    # nuclear-motion states of N = 1 ... 50, each its stage's leading block;
+    # and on one random 95-term state, whose forms are partly nested lists
+    # of ints (past int64)
+    basis, W, systems, forms = build_row_stage(50, default_constants())
+    rng = random.Random(50)
+    with mp.workdps(30):
+        F = mp.prec + 32
+        states = [(forms, n, [rng.randint(-2 ** F, 2 ** F) for _ in range(n)],
+                   F, mp.mpf("1.85"), mp.mpf(1)) for n in (1, 2, 7, 22, 50)]
+        for n in range(1, 51):
+            res = optimize_k(systems["0"].leading(n))
+            wq = check_normalized(W, res.coeffs, res.frac_bits)
+            states.append((forms, n, res.coeffs, res.frac_bits, res.k_opt,
+                           wq))
+        states.append((build_expectation_forms(enumerate_basis(95)), 95,
+                       [rng.randint(-2 ** F, 2 ** F) for _ in range(95)], F,
+                       mp.mpf("2.4"), mp.mpf(1)))
+        for forms, n, c, F, k, wq in states:
+            for route, referee in (
+                    (p4_expectation, polynomial_p4_expectation),
+                    (log_momentum_expectation,
+                     polynomial_log_momentum_expectation)):
+                mine, ref = route(forms, c, F, k, wq)[0], \
+                    referee(enumerate_basis(n), c, F, k, wq)[0]
+                assert mine == ref, (route.__name__, n, mp.nstr(mine - ref, 3))

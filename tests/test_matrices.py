@@ -9,14 +9,15 @@ from hyhe.basis import enumerate_basis
 from hyhe.eigen import build_systems, optimize_k
 from hyhe.matrices import (ATTRACTION_VOLUME, COS_VOLUME, REPULSION_VOLUME,
                            VOLUME, NormalizationError, build_operator_matrices,
-                           check_normalized, reduced_laplacian)
+                           check_normalized)
 from hyhe.report import solve_single
 from support import fixed_state, fraction_forms
 from support.basis import basis_expression
 from support.integrals import (_mp_laguerre_rule, _mp_legendre_rule,
                                quad_integral)
 from support.matrices import (ANGLE_AC, ANGLE_BC, derivative_symbols,
-                              evaluate_poly, poly_function_mp, project_even_t)
+                              evaluate_poly, poly_function_mp, project_even_t,
+                              reduced_laplacian)
 from support.oracles import fraction_operator_matrices
 
 

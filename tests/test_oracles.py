@@ -5,9 +5,9 @@ import pytest
 from mpmath import mp
 
 from hyhe.basis import enumerate_basis
-from hyhe.matrices import reduced_laplacian
 from support.basis import basis_expression
-from support.matrices import derivative_symbols, evaluate_poly
+from support.matrices import (derivative_symbols, evaluate_poly,
+                              reduced_laplacian)
 from support.oracles import (CartesianProbe, attraction_identity_residual,
                              direction_cosines, duffy_quad_mp,
                              gauss_tensor_value, hydrogenic_reference,

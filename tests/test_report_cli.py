@@ -125,7 +125,7 @@ def test_sweep_rows_match_rows_alone(n_list, rows_alone, monkeypatch):
 def test_stage_serves_no_larger_size():
     # a 7-term stage cannot stand in for a 13-term row
     constants = default_constants()
-    stage = report.build_stage(7, constants)
+    stage = report.build_row_stage(7, constants)
     with pytest.raises(ValueError, match=r"leading\(13\) of a 7-term"):
         report.compute_row(13, RunConfig(), constants, stage)
 
@@ -139,6 +139,24 @@ def test_solve_single_matches_the_row(n):
     with mp.workdps(RunConfig().precision_digits):
         assert (report._fmt(res.energy), report._fmt(res.k_opt)) == (
             row.E0, row.k_opt)
+
+
+@pytest.mark.parametrize("nuclear_motion", [True, False])
+def test_a_solve_builds_no_expectation_forms(monkeypatch, nuclear_motion):
+    # only a row evaluates <p^4> and Q, so only a row's stage builds their
+    # forms; a solve of either Hamiltonian never calls the builder
+    real = report.build_expectation_forms
+    built = []
+
+    def counting(basis):
+        built.append(len(basis))
+        return real(basis)
+
+    monkeypatch.setattr(report, "build_expectation_forms", counting)
+    report.solve_single(7, nuclear_motion=nuclear_motion)
+    assert built == []
+    report.compute_row(7, RunConfig(), default_constants())
+    assert built == [7]
 
 
 def test_shared_stage_failure_falls_back_to_rows_alone(monkeypatch,
@@ -186,7 +204,7 @@ def test_cell_bounds_contain_a_rerun_at_20_more_digits():
     # precision context, serves both precisions
     constants = default_constants()
     digits = RunConfig().precision_digits
-    stage = report.build_stage(50, constants)
+    stage = report.build_row_stage(50, constants)
 
     def rows(d):
         return [report.compute_row(n, RunConfig(precision_digits=d),
