@@ -154,14 +154,14 @@ def _bilinear_parts(X, Y, moments, r):
     X and Y are (at, coefficients, keys), each row a term's polynomial:
     X[i, at[i, k]] = coefficients[i, k], the monomials keys as codes of
     radix r.  Each part's numerators are reduced by their gcd with D and
-    split into limbs (eigen._limbs) that keep every sum of X G Y' in int64;
-    Z holds each limb's product, to join (_joined).  The monomial sums are
-    formed one column of X's terms at a time, which keeps the temporaries
-    at n x len(keys').
+    split into limbs (eigen._limbs) that keep every sum of X G Y' in int64,
+    and the sum of Z and its transpose too; Z holds each limb's product, to
+    join (_joined).  The monomial sums are formed one column of X's terms at
+    a time, which keeps the temporaries at n x len(keys').
     """
     (xi, xc, kx), (yi, yc, ky) = X, Y
     keys, index = _index((kx[i][:, None] + ky for i in xi.T), r ** 3)
-    bound = int(abs(xc).sum(1).max()) * int(abs(yc).sum(1).max())
+    bound = 2 * int(abs(xc).sum(1).max()) * int(abs(yc).sum(1).max())
     for values, D in moments(keys // (r * r), keys // r % r, keys % r):
         g = math.gcd(D, *values)
         limbs, bits = _limbs([v // g for v in values], bound)
