@@ -10,8 +10,8 @@ matrices.p4_expectation and matrices.log_momentum_expectation give the
 integrals they stand for.  Each form is an (ints, D) pair, ints over its
 minimal denominator D as in matrices.OperatorMatrices, but held as an
 int64 array, which costs a row neither a Python int per entry nor an
-n^2 product of them (matrices._matvec); past N = 70, where the numerators
-outgrow int64, it is a nested list of ints.  The forms depend on the
+n^2 product of them (matrices._matvec); past N = 50, where the numerators
+grow too wide for that, it is a nested list of ints.  The forms depend on the
 basis alone, not on the state, k or the precision; the bases are nested
 prefixes, so a stage's forms serve every smaller basis by their leading
 blocks, and a rerun at more digits reads the same forms.
@@ -177,8 +177,11 @@ def _bilinear_parts(X, Y, moments, r):
 
 def _joined(Z, bits, D):
     """The (ints, D) form of the limb products Z over D (_bilinear_parts),
-    divided to its minimal denominator: ints is an int64 array where the
-    values fit, as they do up to N = 70, else a nested list of ints."""
+    divided to its minimal denominator: ints is an int64 array where each
+    row's magnitudes sum below 2**53, which leaves the limbs of a state at
+    least 10 bits in matrices._matvec, as up to N = 50; else a nested list
+    of ints."""
+    n = Z.shape[1]
     top = max(int(abs(z).max()).bit_length() + bits * j
               for j, z in enumerate(Z)) + len(Z)
     if top < 63:
@@ -187,8 +190,9 @@ def _joined(Z, bits, D):
             values += Z[j] << (bits * j)
         g = math.gcd(D, *values.ravel().tolist())
         values //= g
-        return values, D // g
-    n = Z.shape[1]
+        if int(abs(values).max()).bit_length() + n.bit_length() <= 53:
+            return values, D // g
+        return values.tolist(), D // g
     values = _join(Z.reshape(len(Z), -1), bits)
     g = math.gcd(D, *values)
     return [[v // g for v in values[i:i + n]]
