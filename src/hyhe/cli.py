@@ -7,8 +7,8 @@ and output format; each can also come from one environment variable
 option beats its variable, which beats the config file.  The verbs read
 their options from the command line only.  The global `--verbose` flag
 sends the "hyhe" logger's DEBUG records (one line per stage with its
-float64 conditioning estimate, the float seed of each k-search with its
-width F, one line per correction step with its k, E and size, each row's
+float64 conditioning estimate, the start of each k-search, k = 2 or
+mu k_inf, and its float seed with its width F, one line per correction step with its k, E and size, each row's
 normalization error |c'Wc - 1|, and each row's working precision and
 certified digits of E0, with any rerun at twice the digits and the cell
 that was not settled) to stderr; stdout is the same with or without it.

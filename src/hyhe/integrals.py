@@ -13,7 +13,6 @@ Against e^{-2ks} every value picks up k^{-(a+b+c+3)}.
 """
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 
@@ -46,5 +45,7 @@ def moment_ratio(a, b, c):
 @lru_cache(maxsize=None)
 def raw_moment(a, b, c):
     """moment_ratio(a, b, c) as a Fraction; memoized, so hits are
-    bit-identical."""
+    bit-identical.  fractions is imported here: no production path reads
+    this, and the module (with decimal) would cost every run its import."""
+    from fractions import Fraction
     return Fraction(*moment_ratio(a, b, c))

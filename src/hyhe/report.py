@@ -77,7 +77,8 @@ def certified_digits(value, err):
 class Row:
     """One basis size.  k_opt, k_err and residual belong to the
     nuclear-motion Hamiltonian, whose state also feeds the corrections;
-    steps counts the correction steps of both k-searches.  precision_digits
+    steps counts the correction steps of both k-searches and eighs their
+    float64 eigensolves.  precision_digits
     is the precision the row ran at, twice the run's where a cell was not
     settled at it, and E_digits the significant digits of E0 that its error
     bound certifies.  In a sweep, wall_time leaves out the shared assembly
@@ -98,6 +99,7 @@ class Row:
     residual: str = ""
     k_err: str = ""
     steps: int = 0
+    eighs: int = 0
     precision_digits: int = 0
     E_digits: int = 0
     wall_time: str = ""
@@ -275,6 +277,7 @@ def _solve_row(n, constants, stage):
         residual=mp.nstr(res_0.residual, 3),
         k_err=mp.nstr(res_0.k_err, 3),
         steps=res_inf.iterations + res_0.iterations,
+        eighs=res_inf.eighs + res_0.eighs,
         precision_digits=mp.dps,
         E_digits=certified_digits(*cells["E0"]),
     )

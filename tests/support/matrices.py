@@ -164,7 +164,7 @@ def prefix_sums(n, F):
     """
     harm, sq, alt, alt_sq = [0], [0], [0], [0]
     for j in range(1, n + 1):
-        h, z = fixed(Fraction(1, j), F), fixed(Fraction(1, j * j), F)
+        h, z = fixed((1, j), F), fixed((1, j * j), F)
         sign = 1 if j % 2 else -1
         harm.append(harm[-1] + h)
         sq.append(sq[-1] + z)

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import math
 import random
 from fractions import Fraction
 from operator import mul
@@ -71,7 +72,8 @@ def test_one_term_lands_on_27_16():
     # last Newton step are 0 and k_err is the grid's 2**-F k alone
     with mp.workdps(40):
         _, systems = systems_n(1)
-        assert eigen._float_root(systems["inf"], 2.0) == 1.6874999999999998
+        assert eigen._float_root(systems["inf"], 2.0)[0] == \
+            1.6874999999999998
         res = optimize_k(systems["inf"])
         assert res.k_opt == mp.mpf(27) / 16
         assert res.iterations == len(res.trace) == 1
@@ -100,6 +102,51 @@ def test_nuclear_motion_without_mass_polarization_scales_the_clamped(n):
         mu = mp.mpf(M_HELIUM) / (mp.mpf(M_HELIUM) + 1)
         assert abs(res_0.energy - mu * res_inf.energy) <= mp.mpf("1e-45")
         assert abs(res_0.k_opt - mu * res_inf.k_opt) <= mp.mpf("1e-45")
+        # so the seed mu k_inf of the "0" search is already its float64
+        # root, to the float forms' 1e-10 k: one Newton step lands, and the
+        # search takes one eigh more, for the loop's one eigenbasis
+        system = systems["0"]
+        k_f, steps = eigen._float_root(system, system.mu * float(res_inf.k_opt))
+        assert steps == 1 and abs(k_f - float(res_0.k_opt)) < 1e-10 * k_f
+        assert res_0.eighs == 2
+
+
+@pytest.mark.parametrize("n", [20, 40])
+@pytest.mark.parametrize("dps", [30, 50])
+def test_seeded_moving_nucleus_search_matches_the_start_at_k2(n, dps):
+    # ground_state_pair starts the "0" search at mu k_opt(inf), within
+    # 4e-5 k of its root, and takes 2 float64 eighs there instead of 4 to 6
+    # from k = 2; both land on the same 20 digits of E0 and k_opt
+    _, systems = systems_n(n)
+    with mp.workdps(dps):
+        res_inf, seeded = ground_state_pair(systems)
+        plain = optimize_k(systems["0"])
+        for v in ("energy", "k_opt"):
+            assert mp.nstr(getattr(seeded, v), 20) == \
+                mp.nstr(getattr(plain, v), 20), v
+        assert abs(seeded.k_opt - plain.k_opt) <= seeded.k_err
+        system = systems["0"]
+        seed = system.mu * float(res_inf.k_opt)
+        assert abs(seed - float(seeded.k_opt)) < 4e-5 * seed
+        assert eigen._float_root(system, seed)[1] == 2
+        assert seeded.eighs < plain.eighs
+
+
+def test_failed_seeded_root_starts_the_loop_at_the_seed(monkeypatch):
+    with mp.workdps(50):
+        _, systems = systems_n(20)
+        res_inf, seeded = ground_state_pair(systems)
+        starts, refine = [], eigen._refine
+        monkeypatch.setattr(eigen, "_float_root", lambda system, k: (None, 0))
+        monkeypatch.setattr(
+            eigen, "_refine", lambda system, k, trace=None:
+            starts.append((system.label, k)) or refine(system, k, trace))
+        _, fallback = ground_state_pair(systems)
+        mu = systems["0"].mu
+        assert starts == [("inf", eigen._K_INIT),
+                          ("0", mu * float(res_inf.k_opt))]
+        assert mp.nstr(fallback.k_opt, 20) == mp.nstr(seeded.k_opt, 20)
+        assert abs(fallback.energy - seeded.energy) < mp.mpf("1e-40")
 
 
 def test_fixed_point_consistency():
@@ -369,7 +416,55 @@ def test_fixed_mpf_keeps_sign(q, F):
     # the mpf mantissa is unsigned; the converter must match the Fraction one
     with mp.workdps(30):
         v = mp.mpf(q.numerator) / q.denominator
-        assert eigen.fixed_mpf(v, F) == eigen.fixed(q, F)
+        assert eigen.fixed_mpf(v, F) == eigen.fixed(
+            (q.numerator, q.denominator), F)
+
+
+# decimal literals as constants carry them, with an optional exponent
+DECIMAL = r"[+-]?(\d{1,12}\.?\d{0,9}|\.\d{1,9})([eE][+-]?\d{1,2})?"
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(st.one_of(st.integers(), st.fractions(), finite,
+                 st.from_regex(DECIMAL, fullmatch=True),
+                 st.sampled_from(["7294.299508", "-7.294299508E3", "1e3",
+                                  " 2.5 ", "-.5", "5."])))
+def test_exact_pairs_read_what_fraction_reads(v):
+    p, q = eigen._exact(v)
+    assert q > 0 and math.gcd(p, q) == 1
+    assert Fraction(p, q) == Fraction(v)
+
+
+@given(st.integers(-2 ** 60, 2 ** 60), st.integers(-400, 400))
+def test_exact_pairs_of_mpf(m, e):
+    with mp.workprec(64):
+        v = mp.ldexp(mp.mpf(m), e)
+    p, q = eigen._exact(v)
+    assert q > 0 and math.gcd(p, q) == 1
+    assert Fraction(p, q) == m * Fraction(2) ** e
+
+
+@pytest.mark.parametrize("v", ["", "e5", "1.2.3", "abc", "inf", "nan",
+                               "0x10", "1e5e5"])
+def test_exact_rejects_what_is_no_decimal(v):
+    with pytest.raises(ValueError):
+        Fraction(v)
+    with pytest.raises(ValueError):
+        eigen._exact(v)
+
+
+@given(st.integers(), st.integers(1, 2 ** 80), st.integers(0, 300))
+def test_fixed_rounds_as_the_fraction_formula(p, q, F):
+    ref = math.floor(Fraction(p, q) * 2 ** F + Fraction(1, 2))
+    assert eigen.fixed((p, q), F) == ref
+
+
+@given(finite, st.integers(-1200, 400), st.integers(-2 ** 400, 2 ** 400),
+       finite.filter(bool))
+def test_fixed_quotient_is_within_half_a_unit(a, t, h, b):
+    # the loop's k step at scale 2**F, (a 2**t - h) / b, rounded on ints
+    exact = (Fraction(a) * Fraction(2) ** t - h) / Fraction(b)
+    assert abs(eigen._fixed_quotient(a, t, h, b) - exact) <= Fraction(1, 2)
 
 
 @functools.lru_cache(maxsize=None)
@@ -430,7 +525,7 @@ def test_float_seed_fallback_keeps_k_opt(monkeypatch):
     with mp.workdps(50):
         _, systems = systems_n(20)
         seeded = optimize_k(systems["0"])
-        monkeypatch.setattr(eigen, "_float_root", lambda system, k: None)
+        monkeypatch.setattr(eigen, "_float_root", lambda system, k: (None, 0))
         unseeded = optimize_k(systems["0"])
         assert len(unseeded.trace) > len(seeded.trace)
         assert mp.nstr(unseeded.k_opt, 20) == mp.nstr(seeded.k_opt, 20)
@@ -441,9 +536,10 @@ def test_float_seed_failures(monkeypatch):
     with mp.workdps(40):
         _, systems = systems_n(6)
         system = systems["inf"]
-        assert abs(eigen._float_root(system, 2.0) - 1.8179450639885) < 1e-9
+        assert abs(eigen._float_root(system, 2.0)[0] - 1.8179450639885) \
+            < 1e-9
         # the root 1.818 lies outside [k/3, 3k] for k = 0.5
-        assert eigen._float_root(system, 0.5) is None
+        assert eigen._float_root(system, 0.5)[0] is None
         # the search then starts at _K_INIT and still lands on the root
         seeded = optimize_k(system)
         monkeypatch.setattr(eigen, "_K_INIT", 0.5)
@@ -453,14 +549,14 @@ def test_float_seed_failures(monkeypatch):
                            system.denominators, system.T,
                            system.K_float.copy(), system.P_float)
         bad.K_float[0, 0] = float("nan")
-        assert eigen._float_root(bad, 2.0) is None
+        assert eigen._float_root(bad, 2.0)[0] is None
 
 
 def test_float_seed_step_cap(monkeypatch):
     monkeypatch.setattr(eigen, "_FLOAT_MAX_STEPS", 1)
     with mp.workdps(40):
         _, systems = systems_n(6)
-        assert eigen._float_root(systems["inf"], 2.0) is None
+        assert eigen._float_root(systems["inf"], 2.0) == (None, 1)
         res = optimize_k(systems["inf"])
         assert abs(res.k_opt - mp.mpf("1.817945063988518952281646")) < \
             mp.mpf("1e-20")
@@ -493,7 +589,7 @@ def test_float_slope_matches_mp_difference(n):
         _, systems = systems_n(n)
         for label in ("inf", "0"):
             system = systems[label]
-            k_f = eigen._float_root(system, 2.0)
+            k_f, _ = eigen._float_root(system, 2.0)
             h, slope = eigen._float_step(system, k_f)
             k, dk = mp.mpf(k_f), mp.mpf("1e-8")
             ref = (h_mp(system, k + dk) - h_mp(system, k - dk)) / (2 * dk)
@@ -515,6 +611,7 @@ def test_k_search_takes_one_eigh_per_newton_step(monkeypatch):
             calls.clear()
             res = optimize_k(systems[label])
             assert len(calls) <= 7 and res.iterations == 6, (label, len(calls))
+            assert res.eighs == len(calls)
 
 
 def test_float_seed_past_n70(monkeypatch):
@@ -524,7 +621,7 @@ def test_float_seed_past_n70(monkeypatch):
         mats = build_operator_matrices(enumerate_basis(80))
         system = build_systems(mats, mass_ratio=M_HELIUM)["0"]
         seeded = optimize_k(system)
-        monkeypatch.setattr(eigen, "_float_root", lambda system, k: None)
+        monkeypatch.setattr(eigen, "_float_root", lambda system, k: (None, 0))
         unseeded = optimize_k(system)
         assert seeded.iterations < unseeded.iterations
         assert mp.nstr(seeded.k_opt, 20) == mp.nstr(unseeded.k_opt, 20) \

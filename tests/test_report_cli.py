@@ -314,6 +314,7 @@ def test_cli_sweep_csv_and_json():
                                          "bethe_beta", "E_exp"}
     row = payload["rows"][0]
     assert row["steps"] > 0 and mp.mpf(row["k_err"]) < mp.mpf("1e-20")
+    assert row["eighs"] > 0
     assert (row["precision_digits"], row["E_digits"]) == (30, 30)
 
 
@@ -459,6 +460,10 @@ def test_cli_verbose_logs_the_k_search_to_stderr():
         assert len(seed) == 1
         assert re.fullmatch(head + rf"float seed k_f=\S+ F={F} steps=\d+",
                             seed[0])
+        # each search names its start: k = 2, or mu k_inf for the "0" one
+        start = [line for line in lines if line.startswith(head + "start ")]
+        assert start == [head + "start k=2.0"] if label == "inf" else \
+            re.fullmatch(head + r"start mu\*k_inf=\S+", *start), start
     assert steps == row.steps > 0
     # one normalization error |c'Wc - 1| per row
     norm = [line for line in lines if line.startswith("hyhe: expectations: ")]
@@ -475,6 +480,39 @@ def test_cli_failure_row_exit_code(monkeypatch):
     result = runner.invoke(main, ["sweep", "--n-list", "1"])
     assert result.exit_code == 1
     assert "FAILED" in result.output
+
+
+def test_sweep_imports_neither_fractions_nor_decimal():
+    # the exact helpers work on (numerator, denominator) int pairs, so a
+    # sweep loads neither module (with decimal, about 0.4 MB resident)
+    code = (
+        "import sys\n"
+        "from hyhe.cli import main\n"
+        "try:\n"
+        "    main(['sweep', '--n-list', '1,3'])\n"
+        "except SystemExit as exit:\n"
+        "    assert exit.code == 0, exit.code\n"
+        "print(sorted({'fractions', 'decimal'} & set(sys.modules)))\n"
+    )
+    src = os.path.dirname(os.path.dirname(hyhe.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=300,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]", proc.stdout
+
+
+def test_rows_count_their_eighs():
+    # the clamped search starts at k = 2, the moving-nucleus one at
+    # mu k_opt(inf), whose float64 root takes 2 eighs instead of 4 to 6; so
+    # at 30 digits the rows take these eighs and correction steps
+    rows = run_tables(n_list=[20, 30, 40]).rows
+    assert [(row.eighs, row.steps) for row in rows] == [(8, 5), (10, 6),
+                                                        (10, 6)]
+    rows = run_tables(n_list=[1, 3, 7, 13, 22, 34]).rows
+    assert [row.eighs for row in rows] == [5, 10, 9, 9, 9, 10]
+    assert [row.steps for row in rows] == [2, 4, 4, 4, 6, 6]
 
 
 def test_cli_import_path_leaves_out_scipy():
