@@ -531,7 +531,7 @@ def _refine(system, k, trace=None):
         Wc, Pc, Kc = ([x - y for x, y in zip(acc, part)] for acc, part
                       in zip((Wc, Pc, Kc), _matvecs(system, dc, shift)))
         kq += dkq
-        if abs(dkq) / kq > _FLOAT_ACCEPT:
+        if dkq and abs(dkq) / kq > _FLOAT_ACCEPT:
             B_float, _, V1, lam = eigenbasis()
             slope, last, eighs = None, None, eighs + 1
     K_q = (cK * DW << F) // (cW * DK)
@@ -608,8 +608,7 @@ def _float_root(system, k_init):
     """
     k, steps = k_init, 0
     try:
-        while steps < _FLOAT_MAX_STEPS:
-            steps += 1
+        for steps in range(1, _FLOAT_MAX_STEPS + 1):
             h, dh = _float_step(system, k)
             dk = -h / dh
             k += dk

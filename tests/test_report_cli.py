@@ -462,8 +462,9 @@ def test_cli_verbose_logs_the_k_search_to_stderr():
                             seed[0])
         # each search names its start: k = 2, or mu k_inf for the "0" one
         start = [line for line in lines if line.startswith(head + "start ")]
-        assert start == [head + "start k=2.0"] if label == "inf" else \
-            re.fullmatch(head + r"start mu\*k_inf=\S+", *start), start
+        want = r"k=2\.0" if label == "inf" else r"mu\*k_inf=\S+"
+        assert len(start) == 1, start
+        assert re.fullmatch(head + "start " + want, start[0]), start
     assert steps == row.steps > 0
     # one normalization error |c'Wc - 1| per row
     norm = [line for line in lines if line.startswith("hyhe: expectations: ")]
