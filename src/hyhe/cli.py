@@ -8,10 +8,11 @@ option beats its variable, which beats the config file.  The verbs read
 their options from the command line only.  The global `--verbose` flag
 sends the "hyhe" logger's DEBUG records (one line per stage with its
 float64 conditioning estimate, the start of each k-search, k = 2 or
-mu k_inf, and its float seed with its width F, one line per correction step with its k, E and size, each row's
-normalization error |c'Wc - 1|, and each row's working precision and
-certified digits of E0, with any rerun at twice the digits and the cell
-that was not settled) to stderr; stdout is the same with or without it.
+mu k_inf, and its float seed with its width F, one line per correction
+step with its k, E and size, each row's normalization error |c'Wc - 1|,
+and each row's working precision and certified digits of E0, with any
+rerun at twice the digits and the cell that was not settled) to stderr;
+stdout is the same with or without it.
 
 Exit codes: 0 all rows ok, 1 at least one row failed, 2 usage error.
 """

@@ -128,7 +128,7 @@ class VariationalResult:
     trace: list = field(default_factory=list)   # [(k, E)] after each step
     k_err: object = None      # bound on |k_opt - the root| (mpf)
     energy_err: object = None   # bound on |energy - the pencil's E| (mpf)
-    eighs: int = 0            # float64 eighs: the seed's steps, the loop's bases
+    eighs: int = 0            # float64 eighs: seed steps plus loop bases
 
 
 def _exact(v):

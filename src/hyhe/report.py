@@ -78,11 +78,10 @@ class Row:
     """One basis size.  k_opt, k_err and residual belong to the
     nuclear-motion Hamiltonian, whose state also feeds the corrections;
     steps counts the correction steps of both k-searches and eighs their
-    float64 eigensolves.  precision_digits
-    is the precision the row ran at, twice the run's where a cell was not
-    settled at it, and E_digits the significant digits of E0 that its error
-    bound certifies.  In a sweep, wall_time leaves out the shared assembly
-    and stage."""
+    float64 eigensolves.  precision_digits is the precision the row ran at,
+    twice the run's where a cell was not settled at it, and E_digits the
+    significant digits of E0 that its error bound certifies.  In a sweep,
+    wall_time leaves out the shared assembly and stage."""
 
     N: int
     ok: bool = True

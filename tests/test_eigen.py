@@ -106,7 +106,8 @@ def test_nuclear_motion_without_mass_polarization_scales_the_clamped(n):
         # root, to the float forms' 1e-10 k: one Newton step lands, and the
         # search takes one eigh more, for the loop's one eigenbasis
         system = systems["0"]
-        k_f, steps = eigen._float_root(system, system.mu * float(res_inf.k_opt))
+        k_f, steps = eigen._float_root(system,
+                                       system.mu * float(res_inf.k_opt))
         assert steps == 1 and abs(k_f - float(res_0.k_opt)) < 1e-10 * k_f
         assert res_0.eighs == 2
 
