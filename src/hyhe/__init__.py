@@ -8,6 +8,17 @@ perturbative corrections evaluated on the solved state.
 
 __version__ = "hyhe 0.1.0"
 
+import sys
+
+
+def debug(msg, *args):
+    """Log msg % args at DEBUG on the "hyhe" logger, if logging is loaded:
+    without it no logger has a handler, so hyhe never imports logging."""
+    logging = sys.modules.get("logging")
+    if logging is not None:
+        logging.getLogger("hyhe").debug(msg, *args)
+
+
 from .basis import BasisTerm, enumerate_basis
 from .config import RunConfig, load_config, DEFAULT_SWEEP
 from .constants import PhysicalConstants, default_constants

@@ -6,17 +6,12 @@ generalized eigenproblem of the pencil (A(k), W), A(k) = k^2 K + k P.  Each
 solve works with B(k) = k K + P instead: (B, W) has A's eigenvectors and
 theta_A = k theta_B.
 
-The pencil is solved as it stands, with no reduction.  Each form arrives
-from the assembly as exact ints over its own minimal denominator (every
-matrix the program builds has a power-of-two denominator of at most 256 and
-numerators of at most 37 bits at N = 50), and K_0 = ((M + 1) K + M_pol) / M
-is formed exactly from M's exact value.  One Hamiltonian's W, P and K (or
-K_0) are split into int64 limbs of b = 63 - bitlen(n 2**18) bits (_limbs;
-39 at N = 50, one limb for W, P or K and two for K_0), and a vector entry
-of at most 54 bits into three of 18, so a sum of n limb products stays
-below n 2**(b + 18) < 2**63: one int64 matmul of the two, joined on
-Python ints, gives Wv, Pv and Kv exactly (_matvecs; the operand splitting
-of K. Ozaki et al., Numer. Algorithms 59, 95 (2012)).
+The pencil is solved as it stands, with no reduction.  Its forms arrive
+from the assembly as exact Forms (hyhe.exact), in int64 limbs that leave
+room for a chunk's 18-bit limbs, and K_0 = ((M + 1) K + M_pol) / M is
+formed exactly from M's exact value.  One Hamiltonian's W, P and K (or K_0)
+stand in one limb stack, so one int64 matmul with a chunk's limbs gives Wv,
+Pv and Kv exactly (_matvecs, exact.matvecs).
 
 float64 carries the rest.  numpy's Cholesky of the diagonally scaled W,
 W_ij / sqrt(W_ii W_jj) = Lf Lf', inverted by forward substitution, gives
@@ -25,76 +20,58 @@ and the float forms K_float = T K T' and P_float = T P T'.  At each k,
 float64 eigh of k K_float + P_float gives (mu_i, v_i), and the columns u_i
 of T'V approximate the pencil's eigenvectors.  The solve is iterative
 refinement (N. J. Higham, Accuracy and Stability of Numerical Algorithms,
-SIAM 2002, ch. 12), which needs only an exact residual and an approximate
-inverse: it seeds c = u_0, keeps Wc, Pc and Kc as exact integer
-accumulators, and each step takes theta = c'Bc / c'Wc and
+SIAM 2002, ch. 12): it seeds c = u_0, keeps Wc, Pc and Kc as exact
+integer accumulators, and each step takes theta = c'Bc / c'Wc and
 r = Bc - theta Wc exactly on the ints and adds the correction
 -sum_{i>=1} u_i (u_i'r) / (mu_i - theta), the lowest mode projected out.
-c is a sum of float64-sized chunks of at most 54 bits at scale 2**F,
-F = mp.prec + 32, so the n^2 products of a step run in int64.  The state
-leaves the kernel as those ints, with F beside them
-(VariationalResult.frac_bits), and the expectation routes in matrices read
-it as it is; energies and exponents leave as mpf at the working precision.
+c is a sum of float64-sized chunks at scale 2**F, F = mp.prec + 32, and
+leaves the kernel as those ints with F (VariationalResult.frac_bits);
+energies and exponents leave as mpf at the working precision.
 
 A step gains about log2(gap / (n eps |B| cond(W))) bits, so the
-conditioning of W, not the precision, sets how much each step gains.  With
-cond_bits = floor(log2(max W_jj / min pivot)) read off the float64
-factor, a solve takes at 50 / 100 digits 4 / 9 steps at N = 20
-(cond_bits 17), 5 / 11 at N = 40 (28), 6 / 12 at N = 50 (30), 10 / 21 at
-N = 95 (43) and 16 / 33 at N = 125 (50).  A step that fails to shrink the
-correction _MIN_SHRINK-fold raises ConvergenceError naming cond_bits: past
-cond_bits ~ 50 (N ~ 125 on the graded basis) float64 no longer resolves W,
-and there is no other solver to fall back on.
+conditioning of W, not the precision, sets the step count.  With
+cond_bits = floor(log2(max W_jj / min pivot)) of the float64 factor, a
+solve takes at 50 / 100 digits 4 / 9 steps at N = 20 (cond_bits 17),
+5 / 11 at N = 40 (28), 6 / 12 at N = 50 (30), 10 / 21 at N = 95 (43) and
+16 / 33 at N = 125 (50).  A step that fails to shrink the correction
+_MIN_SHRINK-fold raises ConvergenceError naming cond_bits: past
+cond_bits ~ 50 (N ~ 125) float64 no longer resolves W, and there is no
+other solver to fall back on.
 
 The exponent is the root of h = g - k, g = -c'Pc / (2 c'Kc) at the ground
 state c of k, where E is stationary in k (the virial condition).  Wc, Pc
 and Kc do not depend on k, so the search runs in the same correction loop
-(_refine): each step is Newton's on the pair (c, k), with the derivative
-dc/dk = -R (K - K_q W) c and h' from the same float64 eigenbasis, and k
-moves between two steps at no matvec; k stays on the grid 2**-F, and
-each step's k step is an exact quotient on ints (_fixed_quotient).  The
+(_refine): each step is Newton's on the pair (c, k), with dc/dk =
+-R (K - K_q W) c and h' from the same float64 eigenbasis, and k moves
+between two steps at no matvec, on the grid 2**-F (fixed_quotient).  The
 loop starts at the root k_f of a float64 Newton iteration on the float
-forms, h and h' from one eigh per step (_float_step), which stops once a
-step is within 1e-8 k: 4 to 6 eighs from k = 2 at N = 20 to 80.  The
-moving-nucleus search starts at mu k_opt(inf) instead, mu = M / (M + 1),
-which is its root with mass polarization zeroed and within 4e-5 k of it
-with it, so its float root takes 2 eighs (ground_state_pair).  k_f lies
-within about 1e-10 k of the true root at N <= 50 (6e-8 k at N = 95, where
-the float forms carry the float64 factor's error), and a k step longer
-than 1e-8 k takes a new eigenbasis.  So a search costs about the steps of
-one fixed-k solve (6 at N = 40 and 50 digits, 13 at 100 digits) and ends
-with k converged to the working precision, k_err at most about
-2**-prec k.
+forms (_float_root), within about 1e-10 k of the true root at N <= 50
+(6e-8 k at N = 95, where the float forms carry the float64 factor's
+error), and a k step longer than 1e-8 k takes a new eigenbasis.  So a
+search costs about the steps of one fixed-k solve (6 at N = 40 and 50
+digits, 13 at 100 digits) and ends with k converged to the working
+precision, k_err at most about 2**-prec k.
 
-The bases are nested prefixes, the limbs are read entry by entry and T is
-lower triangular, so the leading n x n blocks of the limbs, T and the float
-forms serve the n-term prefix: one stage at the largest size serves every
-smaller one (PencilSystem.leading).
+The bases are nested prefixes and T is lower triangular, so the leading
+blocks of a stage's limbs, T and float forms serve every smaller basis
+(PencilSystem.leading).
 """
 
 import math
-import sys
 from dataclasses import dataclass, field
-from operator import mul
 
 import numpy as np
 from mpmath import mp
 
-# Guard bits above mp.prec in the fixed-point scale of the coefficients,
-# which the expectation sums in matrices keep.  A prefix sum to n carries at
-# most n/2 ulps (n <= 17 at N = 50), and the <p^4> channel sum cancels by a
-# factor of ~70 at N = 50; 32 bits cover both.
-_GUARD_BITS = 32
+from . import debug
+from .exact import (CHUNK_LIMB, GUARD_BITS, Form, chunk, dot, fixed_mpf,
+                    fixed_quotient, form, join, matvecs, rational, to_mpf)
+
 # The float64 eigenbasis must resolve the lowest gap by this many bits.
 _SEED_BITS = 20
 # Each correction after the first must be this many times smaller than the
 # one before; a solve thus takes at most about F / 4 steps.
 _MIN_SHRINK = 16
-# The widest entry _chunk makes, in bits, and its three limbs (the top signed)
-_CHUNK_BITS = 54
-_CHUNK_LIMB = _CHUNK_BITS // 3
-_CHUNK_SHIFTS = np.arange(0, _CHUNK_BITS, _CHUNK_LIMB)
-_CHUNK_MASKS = np.array([(1 << _CHUNK_LIMB) - 1] * 2 + [-1])
 # Newton steps the float64 search may take before it counts as failed.
 _FLOAT_MAX_STEPS = 16
 # A float64 eigenbasis serves the correction loop within this distance
@@ -131,93 +108,11 @@ class VariationalResult:
     eighs: int = 0            # float64 eighs: seed steps plus loop bases
 
 
-def _exact(v):
-    """v as an exact (numerator, denominator) int pair in lowest terms, the
-    denominator positive: an mpf by its mantissa and exponent, a float by
-    its integer ratio, a str as a decimal literal ("7294.299508",
-    "-7.294299508E3", "1e3"), and an int or Fraction by its numerator and
-    denominator.  A str that is no decimal literal raises ValueError."""
-    if isinstance(v, mp.mpf):
-        man, exp = v.man_exp        # man is the magnitude, and odd
-        if v < 0:
-            man = -man
-        return (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
-    if isinstance(v, float):
-        return v.as_integer_ratio()
-    if isinstance(v, str):
-        mant, _, exp = v.strip().lower().partition("e")
-        whole, _, frac = mant.partition(".")
-        p, e = int(whole + frac), int(exp or 0) - len(frac)
-        if e >= 0:
-            return p * 10 ** e, 1
-        g = math.gcd(p, 10 ** -e)
-        return p // g, 10 ** -e // g
-    return v.numerator, v.denominator
-
-
-def fixed(q, F):
-    """round(q * 2**F), a tie rounded up, for an exact rational q as a
-    (numerator, denominator) int pair with a positive denominator."""
-    p, d = q
-    return ((p << (F + 1)) // d + 1) >> 1
-
-
-def fixed_mpf(v, F):
-    """round(v * 2**F) for a real v that mp.mpf accepts; keeps the sign."""
-    return fixed(_exact(mp.mpf(v)), F)
-
-
-def _fixed_quotient(a, t, h, b):
-    """round((a 2**t - h) / b) for floats a and b, b != 0, and ints t and h,
-    exactly on ints: the correction loop's k step at scale 2**F."""
-    (an, ad), (bn, bd) = a.as_integer_ratio(), b.as_integer_ratio()
-    s = t - ad.bit_length() + 1     # a 2**t = an 2**s: ad is a power of two
-    num, den = ((an << s) - h, 1) if s >= 0 else (an - (h << -s), 1 << -s)
-    if bn < 0:
-        num, bn = -num, -bn
-    return fixed((num * bd, den * bn), 0)
-
-
-def to_mpf(v, F):
-    """The mpf v * 2**-F of a fixed-point int v."""
-    return mp.ldexp(mp.mpf(v), -F)
-
-
-def _limbs(values, bound):
-    """(L, bits): int64 limbs L, shape (m, len(values)), values[i] = sum_j
-    L[j, i] 2**(bits j), |L| < 2**bits, with bits = 63 - bound.bit_length():
-    limbs times ints whose magnitudes add to at most bound sum in int64."""
-    bits = 63 - bound.bit_length()
-    mask, L = (1 << bits) - 1, []
-    while max(map(abs, values)) >> bits:
-        L.append([v & mask for v in values])
-        values = [v >> bits for v in values]
-    return np.array(L + [values], np.int64), bits
-
-
-def _join(L, bits):
-    """The list of ints sum_j L[j] 2**(bits j) of limbs L (_limbs)."""
-    acc = [0] * len(L[0])
-    for limb in L[::-1].tolist():
-        acc = [(a << bits) + x for a, x in zip(acc, limb)]
-    return acc
-
-
 def _matvecs(system, v, shift=0):
-    """The lists (Wv, Pv, Kv) 2**shift of exact ints, for an int64 vector v
-    with |v| < 2**_CHUNK_BITS (a _chunk): one int64 matmul of the system's
-    limb stack with v's three limbs, each at most 2**_CHUNK_LIMB in
-    magnitude, as the stack's limb width allows (bound n 2**_CHUNK_LIMB)."""
-    X = (system.stack @ (v[:, None] >> _CHUNK_SHIFTS & _CHUNK_MASKS)).tolist()
-    s1, s2, bits, out = _CHUNK_LIMB, 2 * _CHUNK_LIMB, system.bits, []
-    for m in system.limbs:
-        acc = [0] * system.n
-        for rows in reversed(X[:m]):
-            acc = [(a << bits) + x + (y << s1) + (z << s2)
-                   for a, (x, y, z) in zip(acc, rows)]
-        out.append([a << shift for a in acc])
-        X = X[m:]
-    return out
+    """The lists (Wv, Pv, Kv) 2**shift of exact ints, for a chunk v: one
+    matvecs of the system's limb stack with v's CHUNK_LIMB-bit limbs."""
+    return [[a << shift for a in Av] for Av in matvecs(
+        system.stack, system.bits, system.limbs, v, system.n << system.bits)]
 
 
 def _inverse_factor(Wf):
@@ -248,46 +143,41 @@ def _inverse_factor(Wf):
 class PencilSystem:
     """One Hamiltonian's pencil (K, P, W), exact and in float64.
 
-    stack holds the exact numerators of W, P and K (K_0 for "0"), in that
-    order, as limbs = (m_W, m_P, m_K) int64 limb matrices of width `bits`
-    (_limbs), over their own `denominators` (D_W, D_P, D_K).  T is the
-    float64 inverse factor of W (_inverse_factor); K_float = T K T' and
-    P_float = T P T' are the float forms whose eigenbasis seeds each solve
-    and carries its corrections.  cond_bits = floor(log2(max W_jj / min
-    pivot)), pivot_j = 1 / T_jj^2, is the float64 estimate of W's
-    conditioning.  frac_bits = mp.prec + _GUARD_BITS is the fixed-point
-    scale of the solve's coefficients at the current precision.  mu is the
-    reduced mass M / (M + 1) in float64 on the "0" system, None on "inf".
+    stack holds the limbs of the Forms W, P and K (K_0 for "0"), in turn
+    limbs = (m_W, m_P, m_K) of width `bits`, over their own `denominators`
+    (D_W, D_P, D_K).  T is the float64 inverse factor of W
+    (_inverse_factor); K_float = T K T' and P_float = T P T' are the float
+    forms whose eigenbasis seeds each solve and carries its corrections.
+    cond_bits = floor(log2(max W_jj / min pivot)), pivot_j = 1 / T_jj^2,
+    is the float64 estimate of W's conditioning.  frac_bits = mp.prec +
+    GUARD_BITS is the fixed-point scale of the solve's coefficients.  mu is
+    the reduced mass M / (M + 1) in float64 on "0", None on "inf".
     """
 
     def __init__(self, stack, bits, limbs, denominators, T, K_float,
                  P_float, label="", mu=None):
-        self.stack = stack
-        self.n = stack.shape[1]
-        self.bits = bits
-        self.limbs = limbs
-        self.denominators = denominators
-        self.T = T
-        self.K_float = K_float
-        self.P_float = P_float
-        self.label = label
-        self.mu = mu
-        w_max = max(_join(np.diagonal(stack[:limbs[0]], 0, 1, 2), bits))
+        self.stack, self.n, self.bits = stack, stack.shape[1], bits
+        self.limbs, self.denominators = limbs, denominators
+        self.T, self.K_float, self.P_float = T, K_float, P_float
+        self.label, self.mu = label, mu
+        w_max = max(join(np.diagonal(self.W.limbs, 0, 1, 2).tolist(), bits))
         self.cond_bits = math.floor(math.log2(
             w_max / denominators[0] * (T.diagonal() ** 2).max()))
 
     @property
     def frac_bits(self):
-        return mp.prec + _GUARD_BITS
+        return mp.prec + GUARD_BITS
+
+    @property
+    def W(self):
+        """The overlap Form, a view of the stack's leading limbs."""
+        return Form(self.stack[:self.limbs[0]], self.bits,
+                    self.denominators[0])
 
     def leading(self, n):
-        """The system of the first n basis terms.
-
-        The stack's leading blocks are the prefix's exact forms (over the
-        stage's denominators and limb width, which holds for fewer terms),
-        and T's leading block is the prefix's inverse factor.  n must lie
-        in 1 ... self.n: a stage serves no larger basis than its own.
-        """
+        """The system of the first n basis terms, 1 <= n <= self.n: the
+        stack's leading blocks are the prefix's exact forms (at the stage's
+        denominators and limb width), T's the prefix's inverse factor."""
         if not 1 <= n <= self.n:
             raise ValueError(f"leading({n}) of a {self.n}-term system: "
                              f"need 1 <= n <= {self.n}")
@@ -301,99 +191,60 @@ class PencilSystem:
 
 
 def _moving_nucleus_form(K, M_pol, M):
-    """K_0 = ((M + 1) K + M_pol) / M as (ints, D), from the (ints, D) forms
+    """K_0 = ((M + 1) K + M_pol) / M, the Form at K's width, from the Forms
     K and M_pol and M as an exact (numerator, denominator) pair."""
-    (K, DK), (M_pol, DM), (p, q) = K, M_pol, M
-    D = math.lcm(DK, DM)
-    a, b = (p + q) * (D // DK), q * (D // DM)
-    return ([[a * x + b * y for x, y in zip(rk, rm)]
-             for rk, rm in zip(K, M_pol)], p * D)
+    (p, q), D = M, math.lcm(K.D, M_pol.D)
+    a, b = (p + q) * (D // K.D), q * (D // M_pol.D)
+    return form([a * x + b * y for x, y in zip(K.ints(), M_pol.ints())],
+                K.n, p * D, CHUNK_LIMB)
 
 
-def _float_form(A, D):
-    """The float64 matrix A / D of ints over D, each entry rounded once
-    (int / int stays in range where D and A are beyond float64, as K_0's
-    are for an mpf mass ratio at high precision)."""
-    return np.array([[v / D for v in row] for row in A])
+def _float_form(A):
+    """The float64 matrix of the Form A, each entry its int over A.D rounded
+    once (int / int stays in range where D and the ints are beyond
+    float64, as K_0's are for an mpf mass ratio at high precision)."""
+    D = A.D
+    return np.array([v / D for v in A.ints()]).reshape(A.n, A.n)
 
 
 def build_systems(matrices, mass_ratio=None):
-    """Split the operator pencil into int64 limbs and factor W in float64:
-    the "inf" system always, and the "0" system too when given a mass ratio.
+    """Stack the operator pencil's limbs and factor W in float64: the "inf"
+    system always, and the "0" system too when given a mass ratio.
 
     "inf" is the clamped-nucleus problem (kinetic matrix alone); "0" folds
     nuclear motion in: K_0 = (1 + 1/M) K + (1/M) M_pol, which inherits the
-    k^2 scaling tag, so the same Rayleigh-quotient machinery applies.
-
-    Every form is read as the assembly gives it, exact ints over its own
-    denominator; K_0 is formed exactly from K, M_pol and M = mass_ratio
-    (str, int or mpf, read by _exact), so a mass ratio needs matrices
-    assembled with mass polarization.  The "0" system carries the reduced
-    mass mu = M / (M + 1), which seeds its k-search (ground_state_pair).  Each
-    system stacks the int64 limbs (_limbs) of W, P and its K, all at the
-    one width that holds n products with a _CHUNK_LIMB-bit chunk limb.  The
-    systems share T and P_float.
+    k^2 scaling tag.  The Forms are stacked as the assembly gives them;
+    K_0 is formed exactly from K, M_pol and M = mass_ratio (str, int or
+    mpf, read by rational), so a mass ratio needs M_pol.  The "0" system
+    carries the reduced mass mu = M / (M + 1), which seeds its k-search
+    (ground_state_pair).  The systems share T and P_float.
     """
     if mass_ratio is not None and matrices.M_pol is None:
         raise ValueError("nuclear-motion Hamiltonian needs M_pol: assemble "
                          "with mass_polarization=True")
-    (W, DW), (P, DP) = matrices.W, matrices.P
-    n = len(W)
-    T = _inverse_factor(_float_form(W, DW))
+    W, P = matrices.W, matrices.P
+    T = _inverse_factor(_float_form(W))
 
-    def limbs(A):
-        L, bits = _limbs([v for row in A for v in row], n << _CHUNK_LIMB)
-        return L.reshape(-1, n, n), bits
-
-    def congruence(A, D):
-        A = _float_form(A, D)
+    def congruence(A):
+        A = _float_form(A)
         return np.array([T @ (A @ t) for t in T])
 
-    P_float = congruence(P, DP)
-    (LW, _), (LP, _) = limbs(W), limbs(P)
+    P_float = congruence(P)
 
-    def system(form, label, mu=None):
-        K, DK = form
-        LK, bits = limbs(K)
-        return PencilSystem(np.concatenate((LW, LP, LK)), bits,
-                            (len(LW), len(LP), len(LK)), (DW, DP, DK), T,
-                            congruence(K, DK), P_float, label=label, mu=mu)
+    def system(K, label, mu=None):
+        forms = (W, P, K)
+        return PencilSystem(np.concatenate([A.limbs for A in forms]), K.bits,
+                            tuple(len(A.limbs) for A in forms),
+                            tuple(A.D for A in forms), T, congruence(K),
+                            P_float, label=label, mu=mu)
 
     systems = {"inf": system(matrices.K, "inf")}
     if mass_ratio is not None:
-        p, q = M = _exact(mass_ratio)
-        form = _moving_nucleus_form(matrices.K, matrices.M_pol, M)
-        systems["0"] = system(form, "0", p / (p + q))
-    _debug("stage: n=%d cond_bits=%d", n, systems["inf"].cond_bits)
+        p, q = M = rational(mass_ratio)
+        K_0 = _moving_nucleus_form(matrices.K, matrices.M_pol, M)
+        systems["0"] = system(K_0, "0", p / (p + q))
+    debug("stage: n=%d cond_bits=%d", W.n, systems["inf"].cond_bits)
     return systems
-
-
-def _debug(msg, *args):
-    """Log msg % args at DEBUG on the "hyhe" logger, if logging is loaded.
-
-    Only code that has imported logging can have given a logger a handler,
-    and without one a DEBUG record goes nowhere; so hyhe never imports
-    logging itself, and its import path stays as lean as without the trace.
-    """
-    logging = sys.modules.get("logging")
-    if logging is not None:
-        logging.getLogger("hyhe").debug(msg, *args)
-
-
-def _chunk(d, scale):
-    """(ints, shift), shift >= 0, with the int64 array ints * 2**shift the
-    float64 vector d * 2**scale on the integer grid.
-
-    The ints keep the 53 bits of the largest entry's float64 mantissa (one
-    more if rounding carries); where the shift would go negative they are d
-    rounded to the grid instead, and narrower still.
-    """
-    e = max(math.frexp(float(np.abs(d).max()))[1] - 53, -scale)
-    return np.rint(np.ldexp(d, -e)).astype(np.int64), scale + e
-
-
-def _dot(u, v):
-    return sum(map(mul, u, v))
 
 
 def _float_vector(v):
@@ -416,15 +267,14 @@ def _refine(system, k, trace=None):
     With a trace, k is free: once per eigenbasis the loop takes
     dc_K = -R (Kc - K_q Wc), grad g from float copies of Pc and Kc and
     h' = grad g . dc_K - 1; each step takes h = g - k on the ints,
-    dk = -(h + grad g . dc_r) / h' rounded to the grid 2**-F exactly on
-    ints (_fixed_quotient) and the chunk dc_r + dk dc_K, and appends and
-    logs (k, E), the only mpf a step makes.  A k step over _FLOAT_ACCEPT k
-    takes a new eigenbasis; k_err = |h / h'| + |dk| + 2**-F k, dk the
-    unapplied last step, bounds k's distance to the root (None at fixed k).
-    energy_err bounds how far E = k theta lies from the pencil's lowest
-    eigenvalue at k (from its minimum over k, with k free): Kato-Temple's
-    ||r||_{W^-1}^2 / gap, from the last residual T r and the float64 gap
-    at hand, so it costs no matvec, eigh or solve.
+    dk = -(h + grad g . dc_r) / h' on the grid 2**-F (fixed_quotient) and
+    the chunk dc_r + dk dc_K, and appends and logs (k, E).  A k step over
+    _FLOAT_ACCEPT k takes a new eigenbasis; k_err = |h / h'| + |dk| +
+    2**-F k, dk the unapplied last step, bounds k's distance to the root
+    (None at fixed k).  energy_err bounds how far E = k theta lies from the
+    pencil's lowest eigenvalue at k (from its minimum over k, with k free):
+    Kato-Temple's ||r||_{W^-1}^2 / gap, from the last residual T r and the
+    float64 gap at hand.
 
     It stops once a chunk is at most max|c| 2**-prec and |dk| at most
     k 2**-prec.  A gap the float64 eigenbasis cannot resolve by _SEED_BITS
@@ -471,14 +321,14 @@ def _refine(system, k, trace=None):
     # digits), which cost more than the eigh saves.
     B_float, v0, V1, lam = eigenbasis()
     eighs = 1
-    dc, shift = _chunk(v0 @ T, F)
+    dc, shift = chunk(v0 @ T, F)
     c = [v << shift for v in dc.tolist()]
     Wc, Pc, Kc = _matvecs(system, dc, shift)
     tol = max(map(abs, c)) >> prec
     slope = None                    # (grad g, x_K, t_K, h') of the eigenbasis
     last, steps, k_err = None, 0, None
     while True:
-        cW, cK, cP = _dot(c, Wc), _dot(c, Kc), _dot(c, Pc)
+        cW, cK, cP = dot(c, Wc), dot(c, Kc), dot(c, Pc)
         if cK <= 0:
             K_q = mp.nstr(mp.mpf(cK * DW) / (cW * DK), 8)
             raise AssemblyError(f"kinetic quadratic form is not positive "
@@ -487,8 +337,8 @@ def _refine(system, k, trace=None):
                  // (cW * DK * DP))
         if steps and trace is not None:
             trace.append((to_mpf(kq, F), to_mpf((kq * theta) >> F, F)))
-            _debug("k-search %s: step k=%s E=%s dc=2^%d", system.label,
-                   *trace[-1], size.bit_length() - tol.bit_length() - prec)
+            debug("k-search %s: step k=%s E=%s dc=2^%d", system.label,
+                  *trace[-1], size.bit_length() - tol.bit_length() - prec)
         tW = theta * DK * DP
         r = [kq * DW * DP * x + (DW * DK * y << F) - tW * z
              for x, y, z in zip(Kc, Pc, Wc)]
@@ -509,14 +359,14 @@ def _refine(system, k, trace=None):
                 slope = grad, x_K, t_K, dh
             grad, x_K, t_K, dh = slope
             h = ((-cP * DK << F) // (2 * cK * DP)) - kq
-            dkq = _fixed_quotient(float(grad @ x_r), t_r, h, dh)
+            dkq = fixed_quotient(float(grad @ x_r), t_r, h, dh)
             # dk = m 2**ex, m from dkq's leading 60 bits
             s = max(0, dkq.bit_length() - 60)
             m, ex = math.frexp(float(dkq >> s))
             ex += s - F
             t = max(t_r, t_K + ex)
             d = np.ldexp(x_r, t_r - t) + np.ldexp(m * x_K, t_K + ex - t)
-        dc, shift = _chunk(d, t)
+        dc, shift = chunk(d, t)
         size = int(np.abs(dc).max()) << shift
         if size <= tol and abs(dkq) <= kq >> prec:
             break
@@ -598,13 +448,12 @@ def _float_root(system, k_init):
     """(k_f, steps): the root k_f of h(k) = g(k) - k on the float64 forms,
     None on failure, and the eighs the search took.
 
-    Newton's method from k_init with h and h' from _float_step, one eigh
-    per step; it returns k + dk once |dk| is within _FLOAT_ACCEPT of k,
-    where the correction loop takes over: 4 to 6 steps from k = 2 at
-    N = 20 to 80, 2 from the moving nucleus's seed mu k_inf
-    (ground_state_pair).  It fails on an iterate outside
-    [k_init/3, 3 k_init], which a non-finite step also fails, on a
-    LinAlgError or a zero h', and after _FLOAT_MAX_STEPS steps.
+    Newton's method from k_init, one eigh per step (_float_step); it
+    returns k + dk once |dk| is within _FLOAT_ACCEPT of k: 4 to 6 steps
+    from k = 2 at N = 20 to 80, 2 from the moving nucleus's seed mu k_inf
+    (ground_state_pair).  It fails on an iterate outside [k_init/3,
+    3 k_init] (a non-finite step too), on a LinAlgError or a zero h', and
+    after _FLOAT_MAX_STEPS steps.
     """
     k, steps = k_init, 0
     try:
@@ -615,8 +464,8 @@ def _float_root(system, k_init):
             if not k_init / 3 <= k <= 3 * k_init:
                 break
             if abs(dk) <= _FLOAT_ACCEPT * k:
-                _debug("k-search %s: float seed k_f=%r F=%d steps=%d",
-                       system.label, k, system.frac_bits, steps)
+                debug("k-search %s: float seed k_f=%r F=%d steps=%d",
+                      system.label, k, system.frac_bits, steps)
                 return k, steps
     except (np.linalg.LinAlgError, ZeroDivisionError):
         pass
@@ -626,27 +475,23 @@ def _float_root(system, k_init):
 def optimize_k(system, k_inf=None):
     """Drive k to the self-consistent exponent and return the ground state.
 
-    The search starts at mu k_inf on a system with a reduced mass mu (the
-    "0" system) when given k_inf, the clamped nucleus's k_opt
-    (ground_state_pair), and at _K_INIT otherwise.  The correction loop
-    (_refine) runs with k free from the float64 root k_f that Newton's
-    method finds from the start (_float_root), or from the start itself
-    when that fails, and converges k with c to the working precision.  c is
-    signed so that c[0] >= 0; iterations counts the correction steps, eighs
-    the float64 eighs of the seed and the loop, trace holds (k, E) after
-    each step, k_err (_refine) bounds k_opt's error and energy_err the
-    energy's.  The start, the float seed and each step are logged to the
-    "hyhe" logger at DEBUG.
+    The search starts at mu k_inf on the "0" system, with its reduced mass
+    mu, when given k_inf, the clamped nucleus's k_opt, and at _K_INIT
+    otherwise.  The correction loop (_refine) runs with k free from the
+    float64 root k_f found from the start (_float_root), or from the start
+    itself when that fails.  c is signed so that c[0] >= 0; eighs counts
+    the float64 eighs of the seed and the loop.  The start, the float seed
+    and each step are logged to the "hyhe" logger at DEBUG.
     """
     if k_inf is None or system.mu is None:
         k_init, start = _K_INIT, "k"
     else:
         k_init, start = system.mu * float(k_inf), "mu*k_inf"
-    _debug("k-search %s: start %s=%r", system.label, start, k_init)
+    debug("k-search %s: start %s=%r", system.label, start, k_init)
     k_f, seed_eighs = _float_root(system, k_init)
     if k_f is None:
-        _debug("k-search %s: float root failed; starting at k=%r",
-               system.label, k_init)
+        debug("k-search %s: float root failed; starting at k=%r",
+              system.label, k_init)
     trace = []
     kq, theta, c, K_q, residual, steps, k_err, energy_err, eighs = _refine(
         system, k_init if k_f is None else k_f, trace)
@@ -665,14 +510,12 @@ def ground_state_pair(systems):
     """Clamped-nucleus and moving-nucleus ground states of build_systems'
     "inf" and "0" systems.
 
-    Each Hamiltonian gets its own converged exponent; sharing k would spoil
-    neither below the parabola's curvature but the independent optimum is
-    the cleaner definition.  The clamped search starts at _K_INIT, the
-    moving-nucleus one at mu k_opt(inf), mu = M / (M + 1): with M_pol = 0,
-    K_0 = K / mu and k_0 = mu k_inf exactly (H. A. Bethe and E. E.
-    Salpeter, Quantum Mechanics of One- and Two-Electron Atoms, 1957), and
-    mass polarization moves the root by 4e-6 to 4e-5 k at N = 3 to 50, so
-    its float64 root takes 2 eighs instead of 4 to 6.
+    Each Hamiltonian gets its own converged exponent.  The clamped search
+    starts at _K_INIT, the moving-nucleus one at mu k_opt(inf),
+    mu = M / (M + 1): with M_pol = 0, K_0 = K / mu and k_0 = mu k_inf
+    exactly (H. A. Bethe and E. E. Salpeter, Quantum Mechanics of One- and
+    Two-Electron Atoms, 1957), and mass polarization moves the root by 4e-6
+    to 4e-5 k at N = 3 to 50, so its float64 root takes 2 eighs, not 4-6.
     """
     res_inf = optimize_k(systems["inf"])
     return res_inf, optimize_k(systems["0"], res_inf.k_opt)

@@ -7,12 +7,10 @@ each is c'Ac for exact rational matrices A:
   Q               = k^3 c'(L - ln(2k) L')c / c'Wc
 
 matrices.p4_expectation and matrices.log_momentum_expectation give the
-integrals they stand for.  Each form is an (ints, D) pair, ints over its
-minimal denominator D as in matrices.OperatorMatrices, but held as an
-int64 array, which costs a row neither a Python int per entry nor an
-n^2 product of them (matrices._matvec); past N = 50, where the numerators
-grow too wide for that, it is a nested list of ints.  The forms depend on the
-basis alone, not on the state, k or the precision; the bases are nested
+integrals they stand for.  Each is an exact Form (hyhe.exact) over its
+minimal denominator, which costs a row neither a Python int per entry nor
+an n^2 product of them (exact.quadratic).  The forms depend on the basis
+alone, not on the state, k or the precision; the bases are nested
 prefixes, so a stage's forms serve every smaller basis by their leading
 blocks, and a rerun at more digits reads the same forms.
 """
@@ -22,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigen import _join, _limbs
+from .exact import STATE_LIMB, form, join, split
 
 # T = reduced Laplacian of phi = s^l t^q u^n (matrices.p4_expectation), as
 # the coefficients of its 12 monomials phi s^da t^db u^dc at these offsets.
@@ -154,9 +152,9 @@ def _bilinear_parts(X, Y, moments, r):
     X and Y are (at, coefficients, keys), each row a term's polynomial:
     X[i, at[i, k]] = coefficients[i, k], the monomials keys as codes of
     radix r.  Each part's numerators are reduced by their gcd with D and
-    split into limbs (eigen._limbs) that keep every sum of X G Y' in int64,
+    split into limbs (exact.split) that keep every sum of X G Y' in int64,
     and the sum of Z and its transpose too; Z holds each limb's product, to
-    join (_joined).  The monomial sums are formed one column of X's terms at
+    join (_form).  The monomial sums are formed one column of X's terms at
     a time, which keeps the temporaries at n x len(keys').
     """
     (xi, xc, kx), (yi, yc, ky) = X, Y
@@ -164,7 +162,7 @@ def _bilinear_parts(X, Y, moments, r):
     bound = 2 * int(abs(xc).sum(1).max()) * int(abs(yc).sum(1).max())
     for values, D in moments(keys // (r * r), keys // r % r, keys % r):
         g = math.gcd(D, *values)
-        limbs, bits = _limbs([v // g for v in values], bound)
+        limbs, bits = split([v // g for v in values], bound)
         del values
         Z = np.empty((len(limbs), len(xi), len(yi)), np.int64)
         for limb, z in zip(limbs, Z):
@@ -175,35 +173,23 @@ def _bilinear_parts(X, Y, moments, r):
         yield Z, bits, D // g
 
 
-def _joined(Z, bits, D):
-    """The (ints, D) form of the limb products Z over D (_bilinear_parts),
-    divided to its minimal denominator: ints is an int64 array where each
-    row's magnitudes sum below 2**53, which leaves the limbs of a state at
-    least 10 bits in matrices._matvec, as up to N = 50; else a nested list
-    of ints."""
-    n = Z.shape[1]
-    top = max(int(abs(z).max()).bit_length() + bits * j
+def _form(Z, bits, D):
+    """The Form of the limb products Z over D (_bilinear_parts) at its
+    minimal denominator, leaving a state's ints STATE_LIMB bits; Z is
+    joined in int64 where the values fit, else on Python ints."""
+    n, Z = Z.shape[1], Z.reshape(len(Z), -1)
+    top = max(int(np.abs(z).max()).bit_length() + bits * j
               for j, z in enumerate(Z)) + len(Z)
-    if top < 63:
-        values = Z[0]
-        for j in range(1, len(Z)):
-            values += Z[j] << (bits * j)
-        g = math.gcd(D, *values.ravel().tolist())
-        values //= g
-        if int(abs(values).max()).bit_length() + n.bit_length() <= 53:
-            return values, D // g
-        return values.tolist(), D // g
-    values = _join(Z.reshape(len(Z), -1), bits)
-    g = math.gcd(D, *values)
-    return [[v // g for v in values[i:i + n]]
-            for i in range(0, n * n, n)], D // g
+    values = sum(z.astype(np.int64 if top < 63 else object) << (bits * j)
+                 for j, z in enumerate(Z))
+    g = math.gcd(D, *values.tolist())
+    return form(values // g, n, D // g, STATE_LIMB)
 
 
 @dataclass(frozen=True)
 class ExpectationForms:
     """The exact quadratic forms of <p^4> and the log-momentum element on a
-    basis (module docstring), each an (ints, D) pair; on a state c of
-    norm c'Wc,
+    basis (module docstring), each a Form; on a state c of norm c'Wc,
 
       p4            (A, B, C): <p_1^4 + p_2^4>
                     = k^4 c'(A + zeta(2) B + ln 2 C)c / c'Wc
@@ -250,12 +236,12 @@ def build_expectation_forms(basis):
         return at, coefficients, keys
 
     T = polys(_LAPLACIAN_OFFSETS, _laplacian_coefficients(*exps.T))
-    p4 = tuple(_joined(*part)
+    p4 = tuple(_form(*part)
                for part in _bilinear_parts(T, T, _p4_moments, r))
     phi = (np.arange(len(exps))[:, None], np.ones((len(exps), 1), np.int64),
            codes)
     angular = polys(_LOGMOM_OFFSETS, _logmom_coefficients(*exps.T))
     log_momentum = tuple(
-        _joined(Z + Z.transpose(0, 2, 1), bits, 2 * D)
+        _form(Z + Z.transpose(0, 2, 1), bits, 2 * D)
         for Z, bits, D in _bilinear_parts(phi, angular, _logmom_moments, r))
     return ExpectationForms(p4=p4, log_momentum=log_momentum)

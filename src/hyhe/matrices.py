@@ -43,22 +43,22 @@ exchange), so this equals half the full-t integral in the same units
 throughout.
 
 The expectation values read a solved state as the solve leaves it, ints
-at scale 2**F.  The norm c'Wc, <p^4> and the log-momentum element are
-exact quadratic forms in those ints (_quadratic), W from the assembly and
-the other two from forms.build_expectation_forms, which a stage builds
-once for every row; the delta densities need only the sums of the
-coefficients of each grade.  Each value becomes one mpf at the end.
+at scale 2**F: the norm c'Wc, <p^4> and the log-momentum element as exact
+quadratic forms (exact.quadratic) of W and of the stage's
+forms.build_expectation_forms, the delta densities from the sums of each
+grade's coefficients.  Each value becomes one mpf at the end.
 """
 
 import math
 from dataclasses import dataclass
-from operator import mul
 
 import numpy as np
 from mpmath import mp
 
+from . import debug
 from .basis import padd, pscale, pshift
-from .eigen import _debug, _join, _limbs, fixed_mpf, to_mpf
+from .exact import (CHUNK_LIMB, Form, fixed_mpf, form, join, lost_bits,
+                    quadratic, split, to_mpf)
 from .integrals import moment_ratio
 
 # geometric weight polynomials (coordinates s, t, u; keys are exponents)
@@ -98,8 +98,8 @@ class NormalizationError(ValueError):
 
 @dataclass(frozen=True)
 class OperatorMatrices:
-    """Exact operator matrices in volume units, each an (ints, D) pair: the
-    form is the nested list of ints over its minimal denominator D.
+    """Exact operator matrices in volume units, each a Form (hyhe.exact)
+    over its minimal denominator, at the width of the pencil's limbs.
 
     P is Z times the nuclear attraction plus the electron repulsion.  When
     the trial exponent k is restored the Rayleigh quotient is
@@ -107,10 +107,10 @@ class OperatorMatrices:
     the kinetic one; M_pol is None when it was not assembled.
     """
 
-    W: tuple
-    K: tuple
-    P: tuple
-    M_pol: tuple
+    W: Form
+    K: Form
+    P: Form
+    M_pol: Form
 
 
 def _distinct(codes):
@@ -133,13 +133,14 @@ def build_operator_matrices(basis, Z=2, mass_polarization=True):
     so each integral combines the moments at e + o with small ints.
 
     Each moment is read once (integrals.moment_ratio), as an int over D, the
-    lcm of their denominators, and split into int64 limbs (eigen._limbs)
+    lcm of their denominators, and split into int64 limbs (exact.split)
     narrow enough for every sum below.  Limb by limb, one int64 matmul with
     the weights gives every integral at each distinct e, and a pair's K and
     M_pol values are its coefficients dotted with those.  Each form's joined
-    values are divided to its minimal denominator D / gcd(D, values).  A
-    moment with a negative t power (Q = 0 under the q_i q_j piece, whose
-    coefficient is then 0) is read as 0.  Without mass_polarization the
+    values are divided to its minimal denominator D / gcd(D, values), a
+    Form at the pencil's width (exact.form).  A moment with a negative t
+    power (Q = 0 under the q_i q_j piece, whose coefficient is then 0) is
+    read as 0.  Without mass_polarization the
     M_pol pieces are not integrated and M_pol is None.
     """
     n = len(basis)
@@ -170,7 +171,7 @@ def build_operator_matrices(basis, Z=2, mass_polarization=True):
     ratios = [moment_ratio(*k) if k[1] >= 0 else (0, 1) for k in keys.tolist()]
     D = math.lcm(*(q for _, q in ratios))
     bound = int(abs(coeffs).sum(1).max()) * int(abs(weights).sum(0).max())
-    limbs, bits = _limbs([p * (D // q) for p, q in ratios], bound)
+    limbs, bits = split([p * (D // q) for p, q in ratios], bound)
 
     parts = []      # per limb: W, P, K and M_pol at each pair
     for moments in limbs:
@@ -179,15 +180,15 @@ def build_operator_matrices(basis, Z=2, mass_polarization=True):
             (coeffs * integrals[:, 2 + 8 * f:10 + 8 * f]).sum(axis=1)
             for f in forms])
 
-    def form(part):
-        """(symmetric ints, minimal denominator) of joined pair values."""
-        values = _join(np.array(part), bits)
-        g, full = math.gcd(D, *values), [[0] * n for _ in range(n)]
+    def assembled(part):
+        """The symmetric Form of the joined pair values, reduced."""
+        values = join([p.tolist() for p in part], bits)
+        g, full = math.gcd(D, *values), [0] * (n * n)
         for (a, b), v in zip(pairs, values):
-            full[a][b] = full[b][a] = v // g
-        return full, D // g
+            full[a * n + b] = full[b * n + a] = v // g
+        return form(full, n, D // g, CHUNK_LIMB)
 
-    W, P, K, *M_pol = map(form, zip(*parts))
+    W, P, K, *M_pol = map(assembled, zip(*parts))
     return OperatorMatrices(W=W, K=K, P=P,
                             M_pol=M_pol[0] if mass_polarization else None)
 
@@ -219,55 +220,17 @@ class ExpectationSet:
 _NORM_TOL = 1e-10
 
 
-def _matvec(A, c):
-    """The list of ints A c, exactly, for the ints c and the leading
-    len(c) x len(c) block of a form's ints A: a nested list of ints, or an
-    int64 array, which multiplies the int64 limbs of c (eigen._limbs) in
-    one int64 matmul."""
-    n = len(c)
-    if isinstance(A, np.ndarray):
-        A = A[:n, :n]
-        limbs, bits = _limbs(c, max(int(abs(A).sum(1).max()), 1))
-        return _join(limbs @ A.T, bits)
-    return [sum(map(mul, c, row)) for row in A[:n]]
-
-
-def _quadratic(coeffs, *terms):
-    """(c'Mc, max|c| ||Mc||_1), each rounded down to an int, for the ints
-    coeffs c and M = sum_f w_f A_f over terms, the pairs (w_f, A_f) of an
-    int weight and an (ints, D_f) form, A_f standing for ints / D_f.
-
-    Mc is summed exactly over D = lcm(D_f), and each form's leading
-    len(coeffs) block is read (_matvec), so a form may be a larger stage's.
-    A change dc of c moves c'Mc by 2 dc'Mc + dc'M dc, and |dc'Mc| is at
-    most max|dc| ||Mc||_1: the second value bounds it for max|dc| = max|c|.
-    """
-    D = math.lcm(*(form[1] for _, form in terms))
-    Mc = [0] * len(coeffs)
-    for w, (A, DA) in terms:
-        w *= D // DA
-        Mc = [x + w * y for x, y in zip(Mc, _matvec(A, coeffs))]
-    return (sum(map(mul, coeffs, Mc)) // D,
-            max(map(abs, coeffs)) * sum(map(abs, Mc)) // D)
-
-
-def _lost_bits(total, size):
-    """The bits a sum lost to cancellation: an integer above
-    log2(size / |total|), for size >= |total|."""
-    return size.bit_length() - max(abs(total).bit_length(), 1) + 1
-
-
 def check_normalized(W, coeffs, F):
     """Return the overlap quadratic form; raise unless it is 1 within _NORM_TOL.
 
     The state is the ints coeffs at scale 2**F, as a solve leaves it
     (VariationalResult.frac_bits), and c'Wc is summed exactly on them
-    (_quadratic) with W the (ints, D) form of OperatorMatrices, so W may be
-    a larger stage's.  The sum is cut to scale 2**F and made one mpf, exact
-    below 2, so |c'Wc - 1| keeps the bits below the working precision.  A
-    state read at the wrong scale fails here, so the check also guards F.
+    (exact.quadratic) with W the overlap Form, so W may be a larger
+    stage's.  The sum is cut to scale 2**F and made one mpf, exact below 2,
+    so |c'Wc - 1| keeps the bits below the working precision.  A state
+    read at the wrong scale fails here, so the check also guards F.
     """
-    total, _ = _quadratic(coeffs, (1, W))
+    total, _ = quadratic(coeffs, (1, W))
     with mp.workprec(F + 1):
         wq = to_mpf(total >> F, F)
     if abs(wq - 1) > _NORM_TOL:
@@ -335,19 +298,17 @@ def p4_expectation(forms, coeffs, F, k, wq):
     moment off the same monomial with sign (-1)^B.  (The C = 0 moment
     misses its own (-1)^B: ROADMAP item 2.)
 
-    The sum is the quadratic form c'(A + zeta(2) B + ln 2 C)c of the stage's
-    ExpectationForms `forms` (forms.build_expectation_forms) on their
-    leading len(coeffs) blocks (_quadratic): exact on ints, with zeta(2) and
-    ln 2 at scale 2**F, so at scale 2**(3F), and one mpf at the end.
-    Returns it with the bits the sum lost to cancellation (_lost_bits of
-    the sum and the bound _quadratic gives).
+    The sum is the quadratic form c'(A + zeta(2) B + ln 2 C)c of the
+    stage's ExpectationForms `forms` on their leading len(coeffs) blocks
+    (exact.quadratic), exact on ints with zeta(2) and ln 2 at scale 2**F,
+    and one mpf at the end; returned with the bits it lost to cancellation.
     """
     A, B, C = forms.p4
     with mp.workprec(F):
         zeta2, ln2 = fixed_mpf(mp.zeta(2), F), fixed_mpf(mp.ln(2), F)
-    total, size = _quadratic(coeffs, (1 << F, A), (zeta2, B), (ln2, C))
+    total, size = quadratic(coeffs, (1 << F, A), (zeta2, B), (ln2, C))
     return (mp.mpf(k) ** 4 * mp.ldexp(total, -3 * F) / wq,
-            _lost_bits(total, size))
+            lost_bits(total, size))
 
 
 def log_momentum_expectation(forms, coeffs, F, k, wq):
@@ -370,35 +331,34 @@ def log_momentum_expectation(forms, coeffs, F, k, wq):
     so the gammas cancel and it carries plain (H_M - 1/(B+C) - ln 2k).
 
     The sum is the quadratic form c'(L - ln(2k) L')c of `forms`, as in
-    p4_expectation: exact on ints with ln 2k at scale 2**F, and one mpf at
-    the end.  Returns it with the bits the sum lost to cancellation.
+    p4_expectation, with ln 2k at scale 2**F.
     """
     L, L1 = forms.log_momentum
     km = mp.mpf(k)
     with mp.workprec(F):
         shift = fixed_mpf(-mp.ln(2 * km), F)
-    total, size = _quadratic(coeffs, (1 << F, L), (shift, L1))
-    return km ** 3 * mp.ldexp(total, -3 * F) / wq, _lost_bits(total, size)
+    total, size = quadratic(coeffs, (1 << F, L), (shift, L1))
+    return km ** 3 * mp.ldexp(total, -3 * F) / wq, lost_bits(total, size)
 
 
 def expectation_set(basis, coeffs, F, k, W, forms, k_err=0):
     """All correction-layer expectation values on a normalized state, the
     ints coeffs at scale 2**F of a solve at the working precision, with k
-    within k_err of its root; W is the overlap form and forms the
+    within k_err of its root; W is the overlap Form and forms the
     ExpectationForms, both possibly a larger stage's.  |c'Wc - 1| is logged
     to the "hyhe" logger at DEBUG.
 
     rel_err bounds the relative error of every value.  The solve stops once
     its correction is at most 2**-prec max|c|, so it leaves each c_j within
     that of the true state, and k within k_err.  A quadratic form c'Mc then
-    moves by at most 2 2**-prec max|c| ||Mc||_1 (_quadratic), plus a
+    moves by at most 2 2**-prec max|c| ||Mc||_1 (exact.quadratic), plus a
     second-order term 2**-prec times smaller: 2**(1-prec) |c'Mc| times
-    2**b, b the bits between max|c| ||Mc||_1 and |c'Mc| that _lost_bits
+    2**b, b the bits between max|c| ||Mc||_1 and |c'Mc| that lost_bits
     counts, the most of the <p^4> and log-momentum sums.  The mpf
     operations that end each route add their rounding.
     """
     wq = check_normalized(W, coeffs, F)
-    _debug("expectations: norm_err=%s", mp.nstr(abs(wq - 1), 3))
+    debug("expectations: norm_err=%s", mp.nstr(abs(wq - 1), 3))
     d1, dee = delta_expectations(basis, coeffs, F, k, wq)
     p4_pair, p4_lost = p4_expectation(forms, coeffs, F, k, wq)
     q, q_lost = log_momentum_expectation(forms, coeffs, F, k, wq)

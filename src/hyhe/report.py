@@ -5,17 +5,15 @@ matrices -> both ground states -> expectation values on the nuclear-motion
 state -> correction breakdown.  Every verb gets its basis, matrices and
 pencil systems from build_stage, the one place where the choice of
 Hamiltonian decides what is assembled; a row's stage (build_row_stage) adds
-the exact forms of <p^4> and the log-momentum element, which no solve
-needs.  The stage is exact, so it is built with no precision context and
-serves every precision.  A sweep builds its stage once, at its largest N;
-the bases are nested prefixes, so every row solves and evaluates the
-leading blocks of that one stage.  Numeric cells are stored as
-strings of 20 significant digits.  Every printed cell is certified: its
+the exact forms of <p^4> and the log-momentum element.  The stage is exact,
+so it is built with no precision context and serves every precision, and a
+sweep builds one, at its largest N, whose leading blocks serve every row.
+Numeric cells are strings of 20 significant digits, each certified: its
 error bound must leave it on one side of each 20-digit rounding boundary
-(settled), or its solve runs again at twice the digits; _certified holds
-that rule for compute_row and solve_single alike, so a run's precision,
-default or explicit, is a floor.  The delta columns (dE_inf, dE0, dE_total:
-change against the previous row) are derived from the energy columns.
+(settled), or its solve runs again at twice the digits (_certified, for
+compute_row and solve_single alike), so a run's precision is a floor.  The
+delta columns (dE_inf, dE0, dE_total: change against the previous row) are
+derived from the energy columns.
 """
 
 import io
@@ -26,12 +24,12 @@ from dataclasses import dataclass, field, asdict
 
 from mpmath import mp
 
-from . import __version__ as ENGINE_VERSION
+from . import __version__ as ENGINE_VERSION, debug
 from .basis import enumerate_basis
 from .config import DEFAULT_SWEEP, RunConfig
 from .constants import default_constants
 from .corrections import total_energy
-from .eigen import _debug, build_systems, ground_state_pair, optimize_k
+from .eigen import build_systems, ground_state_pair, optimize_k
 from .forms import build_expectation_forms
 from .matrices import build_operator_matrices, expectation_set
 
@@ -194,12 +192,9 @@ def recompute_deltas(rows):
 
 def build_stage(n, constants, nuclear_motion=True):
     """(basis, matrices, systems) at basis size n, exact and so the same at
-    any precision (build it outside one).
-
-    Here a verb's choice of Hamiltonian becomes the stage: the "inf"
-    system always, and with nuclear_motion the mass polarization and the
-    "0" system too (build_systems).
-    """
+    any precision (build it outside one): a verb's choice of Hamiltonian,
+    the "inf" system always, and with nuclear_motion the mass polarization
+    and the "0" system too (build_systems)."""
     basis = enumerate_basis(n)
     mats = build_operator_matrices(basis, Z=constants.Z,
                                    mass_polarization=nuclear_motion)
@@ -208,13 +203,12 @@ def build_stage(n, constants, nuclear_motion=True):
 
 
 def build_row_stage(n, constants):
-    """(basis, W, systems, forms): build_stage's nuclear-motion stage at
-    basis size n, of whose matrices a row reads only the overlap form W, and
-    the ExpectationForms of its basis (build_expectation_forms); exact, as
-    the stage is."""
+    """(basis, systems, forms): build_stage's nuclear-motion stage at basis
+    size n, whose systems hold the overlap form, and the ExpectationForms of
+    its basis (build_expectation_forms); exact, as the stage is."""
     basis, mats, systems = build_stage(n, constants)
-    W, mats = mats.W, None      # free K, P and M_pol before the forms
-    return basis, W, systems, build_expectation_forms(basis)
+    del mats            # free the assembly's forms before the new ones
+    return basis, systems, build_expectation_forms(basis)
 
 
 def _certified(digits, solve, what):
@@ -225,8 +219,8 @@ def _certified(digits, solve, what):
         result, cells = solve()
         unsettled = _unsettled(cells)
     if unsettled:
-        _debug("%s: %s unsettled at %d digits; rerun at %d", what,
-               unsettled, digits, 2 * digits)
+        debug("%s: %s unsettled at %d digits; rerun at %d", what,
+              unsettled, digits, 2 * digits)
         with mp.workdps(2 * digits):
             result, _ = solve()
     return result
@@ -257,11 +251,11 @@ def _solve_row(n, constants, stage):
     The cells' bounds are the energies' energy_err, k_opt's k_err and the
     correction breakdown's *_err.
     """
-    basis, W, systems, forms = stage
-    res_inf, res_0 = ground_state_pair(
-        {label: system.leading(n) for label, system in systems.items()})
+    basis, systems, forms = stage
+    systems = {label: system.leading(n) for label, system in systems.items()}
+    res_inf, res_0 = ground_state_pair(systems)
     exps = expectation_set(basis[:n], res_0.coeffs, res_0.frac_bits,
-                           res_0.k_opt, W, forms, res_0.k_err)
+                           res_0.k_opt, systems["0"].W, forms, res_0.k_err)
     br = total_energy(res_0.energy, exps, constants, res_0.energy_err)
     cells = {
         "E_inf": (res_inf.energy, res_inf.energy_err),
@@ -280,7 +274,7 @@ def _solve_row(n, constants, stage):
         precision_digits=mp.dps,
         E_digits=certified_digits(*cells["E0"]),
     )
-    _debug("row N=%d: %d digits, E_digits=%d", n, mp.dps, row.E_digits)
+    debug("row N=%d: %d digits, E_digits=%d", n, mp.dps, row.E_digits)
     return (row, (res_inf, res_0, exps, br)), cells
 
 

@@ -9,9 +9,9 @@ log-momentum numerator (`matrices`), and the Cartesian probes, product-state clo
 eigensolve, Fraction assembly, mpf series and Duffy-split Gauss rule
 (`oracles`).  `fixed_state` turns an mpf state into the fixed-point ints
 that the expectation routes read.  The assembly gives each form as exact
-ints over one denominator; `integer_matrix`, `fraction_matrix` and
-`fraction_forms` convert between that and matrices of Fractions, for the
-tests that read or build forms entry by entry.
+ints over one denominator, an exact `hyhe.exact.Form`; `integer_matrix`,
+`fraction_matrix` and `fraction_forms` convert between that and matrices
+of Fractions, for the tests that read or build forms entry by entry.
 """
 
 import dataclasses
@@ -20,33 +20,35 @@ from fractions import Fraction
 
 from mpmath import mp
 
-from hyhe.eigen import _GUARD_BITS, fixed_mpf
+from hyhe.exact import CHUNK_LIMB, GUARD_BITS, fixed_mpf, form
 
 
 def fixed_state(coeffs):
     """(ints, F): the state coeffs as round(c 2**F), at the scale F a solve
     uses at the current precision (VariationalResult.frac_bits)."""
-    F = mp.prec + _GUARD_BITS
+    F = mp.prec + GUARD_BITS
     return [fixed_mpf(c, F) for c in coeffs], F
 
 
 def integer_matrix(matrix):
-    """(ints, D) with matrix = ints / D exactly, for a matrix of Fractions
-    (or ints): D is the lcm of the entries' denominators, the minimal one."""
+    """The Form ints / D of a square matrix of Fractions (or ints), at the
+    pencil's limb width as the assembly gives it: D is the lcm of the
+    entries' denominators, the minimal one."""
     D = math.lcm(*(v.denominator for row in matrix for v in row))
-    return [[v.numerator * (D // v.denominator) for v in row]
-            for row in matrix], D
+    return form([v.numerator * (D // v.denominator) for row in matrix
+                 for v in row], len(matrix), D, CHUNK_LIMB)
 
 
-def fraction_matrix(form):
-    """The matrix of Fractions ints / D of an (ints, D) form."""
-    ints, D = form
-    return [[Fraction(v, D) for v in row] for row in ints]
+def fraction_matrix(A):
+    """The matrix of Fractions ints / D of a Form A."""
+    ints, n = A.ints(), A.n
+    return [[Fraction(v, A.D) for v in ints[i:i + n]]
+            for i in range(0, n * n, n)]
 
 
 def fraction_forms(mats):
-    """OperatorMatrices mats with each (ints, D) form as a matrix of
-    Fractions (an M_pol of None stays None)."""
+    """OperatorMatrices mats with each Form as a matrix of Fractions (an
+    M_pol of None stays None)."""
     return dataclasses.replace(mats, **{
         name: fraction_matrix(getattr(mats, name))
         for name in ("W", "K", "P", "M_pol")

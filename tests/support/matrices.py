@@ -2,7 +2,7 @@
 pointwise integrands for the quadrature cross-checks of `hyhe.matrices`.
 
 The pipeline evaluates both expectation values as exact quadratic forms
-(`hyhe.matrices.build_expectation_forms`).  The routes here build the state
+(`hyhe.forms.build_expectation_forms`).  The routes here build the state
 polynomial instead, and from it T = reduced_laplacian(state) and T^2 (s+t),
 or the log-momentum numerator, summing each monomial against its channel
 moment on fixed-point ints; they are the referees of the forms.  The other
@@ -19,8 +19,8 @@ import numpy as np
 from mpmath import mp
 
 from hyhe.basis import padd, pscale, pshift
-from hyhe.eigen import fixed, fixed_mpf
-from hyhe.matrices import S_ANGLE, T_ANGLE, VOLUME, _lost_bits
+from hyhe.exact import fixed, fixed_mpf, lost_bits
+from hyhe.matrices import S_ANGLE, T_ANGLE, VOLUME
 
 from .basis import pdiff, pmul, psquare
 
@@ -252,7 +252,7 @@ def polynomial_p4_expectation(basis, coeffs, F, k, wq):
         total += term
         size += abs(term)
     return (mp.mpf(k) ** 4 * mp.ldexp(total, -3 * F) / wq,
-            _lost_bits(total, size))
+            lost_bits(total, size))
 
 
 def polynomial_log_momentum_expectation(basis, coeffs, F, k, wq):
@@ -278,4 +278,4 @@ def polynomial_log_momentum_expectation(basis, coeffs, F, k, wq):
         term = (v * math.factorial(M) * w // ((b + 1) * d)) >> (M + 1)
         total += term
         size += abs(term)
-    return km ** 3 * mp.ldexp(total, -3 * F) / wq, _lost_bits(total, size)
+    return km ** 3 * mp.ldexp(total, -3 * F) / wq, lost_bits(total, size)

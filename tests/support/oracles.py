@@ -252,7 +252,7 @@ def duffy_p4_channels(basis, coeffs, nodes=12):
 # ---------------------------------------------------------------------------
 
 def to_mp(form, n):
-    """The leading n x n block of an (ints, D) form as an mp.matrix."""
+    """The leading n x n block of a Form as an mp.matrix."""
     frac_matrix = fraction_matrix(form)
     out = mp.matrix(n)
     for i in range(n):
@@ -294,7 +294,7 @@ def upper_t_solve(L, x):
 
 def mp_reduce_pencil(matrices, mass_ratio=None):
     """(L, K_red, P_red) by mp.cholesky; K_0 = (1+1/M) K + M_pol/M if M given."""
-    n = len(matrices.W[0])
+    n = matrices.W.n
     L = mp.cholesky(to_mp(matrices.W, n))
     K = to_mp(matrices.K, n)
     if mass_ratio is not None:

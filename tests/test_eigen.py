@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from hyhe import eigen
+from hyhe import eigen, exact
 from hyhe.basis import enumerate_basis
 from hyhe.eigen import (AssemblyError, ConvergenceError, PencilSystem,
                         build_systems, ground_state_pair, optimize_k,
@@ -95,8 +95,8 @@ def test_nuclear_motion_without_mass_polarization_scales_the_clamped(n):
     # at k = mu k_inf, which pins K_0's (M + 1) / M and the "0" search
     with mp.workdps(50):
         mats = build_operator_matrices(enumerate_basis(n))
-        zeros = [[0] * n for _ in range(n)]
-        systems = build_systems(dataclasses.replace(mats, M_pol=(zeros, 1)),
+        zeros = integer_matrix([[0] * n for _ in range(n)])
+        systems = build_systems(dataclasses.replace(mats, M_pol=zeros),
                                 mass_ratio=M_HELIUM)
         res_inf, res_0 = ground_state_pair(systems)
         mu = mp.mpf(M_HELIUM) / (mp.mpf(M_HELIUM) + 1)
@@ -265,9 +265,10 @@ def test_inverse_iteration_step_cap():
 
 
 def test_nonpositive_overlap_rejected():
-    mats = SimpleNamespace(W=([[1, 2], [2, 1]], 1),
-                           K=([[1, 0], [0, 1]], 1), P=([[0] * 2] * 2, 1),
-                           M_pol=([[0] * 2] * 2, 1))
+    mats = SimpleNamespace(W=integer_matrix([[1, 2], [2, 1]]),
+                           K=integer_matrix([[1, 0], [0, 1]]),
+                           P=integer_matrix([[0] * 2] * 2),
+                           M_pol=integer_matrix([[0] * 2] * 2))
     with mp.workdps(30):
         with pytest.raises(ValueError, match="not positive definite"):
             build_systems(mats)
@@ -277,7 +278,7 @@ def signed_mpf(c, F):
     """A solve's fixed-point c at scale 2**F as mpf, signed so that
     c[0] >= 0 as the mp oracle signs its coefficients."""
     sign = -1 if c[0] < 0 else 1
-    return [eigen.to_mpf(sign * v, F) for v in c]
+    return [exact.to_mpf(sign * v, F) for v in c]
 
 
 def assert_matches_oracle(system, oracle, k, tol):
@@ -363,7 +364,7 @@ def test_matvecs_take_narrow_vectors(monkeypatch):
             start = len(widths)
             res = optimize_k(systems["0"])
         assert len(widths) - start == res.iterations + 1, dps
-    assert max(widths) <= eigen._CHUNK_BITS
+    assert max(widths) <= exact.CHUNK_BITS
 
 
 @pytest.mark.parametrize("n, dps", [(22, 100), (50, 50), (13, 50), (13, 320)])
@@ -417,7 +418,7 @@ def test_fixed_mpf_keeps_sign(q, F):
     # the mpf mantissa is unsigned; the converter must match the Fraction one
     with mp.workdps(30):
         v = mp.mpf(q.numerator) / q.denominator
-        assert eigen.fixed_mpf(v, F) == eigen.fixed(
+        assert exact.fixed_mpf(v, F) == exact.fixed(
             (q.numerator, q.denominator), F)
 
 
@@ -431,7 +432,7 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
                  st.sampled_from(["7294.299508", "-7.294299508E3", "1e3",
                                   " 2.5 ", "-.5", "5."])))
 def test_exact_pairs_read_what_fraction_reads(v):
-    p, q = eigen._exact(v)
+    p, q = exact.rational(v)
     assert q > 0 and math.gcd(p, q) == 1
     assert Fraction(p, q) == Fraction(v)
 
@@ -440,32 +441,32 @@ def test_exact_pairs_read_what_fraction_reads(v):
 def test_exact_pairs_of_mpf(m, e):
     with mp.workprec(64):
         v = mp.ldexp(mp.mpf(m), e)
-    p, q = eigen._exact(v)
+    p, q = exact.rational(v)
     assert q > 0 and math.gcd(p, q) == 1
     assert Fraction(p, q) == m * Fraction(2) ** e
 
 
 @pytest.mark.parametrize("v", ["", "e5", "1.2.3", "abc", "inf", "nan",
-                               "0x10", "1e5e5"])
+                               "0x10", "1e5e5", "1.5 e3", "1.5\te3", "1.5e"])
 def test_exact_rejects_what_is_no_decimal(v):
     with pytest.raises(ValueError):
         Fraction(v)
     with pytest.raises(ValueError):
-        eigen._exact(v)
+        exact.rational(v)
 
 
 @given(st.integers(), st.integers(1, 2 ** 80), st.integers(0, 300))
 def test_fixed_rounds_as_the_fraction_formula(p, q, F):
     ref = math.floor(Fraction(p, q) * 2 ** F + Fraction(1, 2))
-    assert eigen.fixed((p, q), F) == ref
+    assert exact.fixed((p, q), F) == ref
 
 
 @given(finite, st.integers(-1200, 400), st.integers(-2 ** 400, 2 ** 400),
        finite.filter(bool))
 def test_fixed_quotient_is_within_half_a_unit(a, t, h, b):
     # the loop's k step at scale 2**F, (a 2**t - h) / b, rounded on ints
-    exact = (Fraction(a) * Fraction(2) ** t - h) / Fraction(b)
-    assert abs(eigen._fixed_quotient(a, t, h, b) - exact) <= Fraction(1, 2)
+    ref = (Fraction(a) * Fraction(2) ** t - h) / Fraction(b)
+    assert abs(exact.fixed_quotient(a, t, h, b) - ref) <= Fraction(1, 2)
 
 
 @functools.lru_cache(maxsize=None)
@@ -633,8 +634,8 @@ def exact_forms(system):
     """The exact numerators of W, P and K in a system's limb stack."""
     forms, start, n = [], 0, system.n
     for m in system.limbs:
-        flat = eigen._join(system.stack[start:start + m].reshape(m, -1),
-                           system.bits)
+        flat = exact.join(
+            system.stack[start:start + m].reshape(m, -1).tolist(), system.bits)
         forms.append([flat[i * n:(i + 1) * n] for i in range(n)])
         start += m
     return forms
@@ -682,29 +683,40 @@ def test_limb_matvecs_are_three_exact_matvecs(data, n):
     # W and P one or two limbs wide and a K field as wide as K_0 at a
     # 320-digit mpf mass ratio (1110 bits), with entries at the full width
     # of their limbs, times 54-bit chunks of either sign: every int64 sum
-    # of the limb matmul stays exact, up to N = 64; the entries come from
-    # one drawn seed, since 3 n^2 drawn entries overrun hypothesis' buffer
+    # of the limb matmul stays exact, up to N = 64.  The same kernel serves
+    # the expectation forms: a form as wide as its entries need, up to past
+    # 2**53 per row, times a state of 135 to 400 bits of either sign, on
+    # the form, a leading block and two forms stacked.  The entries come
+    # from one drawn seed, since 3 n^2 drawn entries overrun hypothesis'
+    # buffer
     rng = random.Random(data.draw(st.integers(0, 2 ** 64 - 1)))
-    bound = n << eigen._CHUNK_LIMB
-    bits = 63 - bound.bit_length()
+    bits = 63 - (n << exact.CHUNK_LIMB).bit_length()
     widths = (data.draw(st.sampled_from((bits, 2 * bits))),
               data.draw(st.sampled_from((bits, 2 * bits))),
               data.draw(st.integers(1, 1110)))
-    chunk = (1 << eigen._CHUNK_BITS) - 1
+    chunk = (1 << exact.CHUNK_BITS) - 1
+
+    def plain(A, v):
+        return [sum(map(mul, row, v)) for row in A]
+
+    def product(A, c):
+        """A c by the kernel, on the Form A's leading len(c) block, as
+        exact.quadratic reads a form."""
+        L = A.limbs[:, :len(c), :len(c)]
+        return exact.matvecs(L, A.bits, (len(L),), c,
+                             max(int(np.abs(L).sum(2).max()), 1))[0]
 
     def check(forms, v):
-        stack = [eigen._limbs([x for row in A for x in row], bound)
-                 for A in forms]
-        assert {b for _, b in stack} == {bits}
+        limbed = [exact.form([x for row in A for x in row], n, 1,
+                             exact.CHUNK_LIMB) for A in forms]
+        assert {A.bits for A in limbed} == {bits}
         system = SimpleNamespace(
-            stack=np.concatenate([L.reshape(-1, n, n) for L, _ in stack]),
-            bits=bits, limbs=tuple(len(L) for L, _ in stack), n=n)
-        v = np.array(v, np.int64)
+            stack=np.concatenate([A.limbs for A in limbed]), bits=bits,
+            limbs=tuple(len(A.limbs) for A in limbed), n=n)
         shift = rng.randrange(100)
-        assert eigen._matvecs(system, v, shift) == \
-            plain_matvecs(system, v, shift) == \
-            [[sum(map(mul, row, v.tolist())) << shift for row in A]
-             for A in forms]
+        assert eigen._matvecs(system, np.array(v, np.int64), shift) == \
+            plain_matvecs(system, np.array(v, np.int64), shift) == \
+            [[x << shift for x in plain(A, v)] for A in forms]
 
     def entry(width):
         top = (1 << width) - 1
@@ -718,6 +730,25 @@ def test_limb_matvecs_are_three_exact_matvecs(data, n):
         for sv in (1, -1):
             check([[[sign * ((1 << w) - 1)] * n] * n for w in widths],
                   [sv * chunk] * n)
+
+    # expectation forms, their row sums past 2**53 from width 54 - bitlen(n),
+    # alone, on a leading block, and stacked as exact.quadratic stacks them
+    width = data.draw(st.integers(1, 80))
+    A, B = ([[entry(w) for _ in range(n)] for _ in range(n)]
+            for w in (width, data.draw(st.integers(1, 80))))
+    form, form_B = (exact.form([x for row in M for x in row], n, 1,
+                               exact.STATE_LIMB) for M in (A, B))
+    c = [entry(data.draw(st.integers(135, 400))) for _ in range(n)]
+    m = rng.randint(1, n)
+    assert product(form, c) == plain(A, c)
+    assert product(form, c[:m]) == plain([row[:m] for row in A[:m]], c[:m])
+    assert exact.quadratic(c, (1, form), (3, form_B))[0] == sum(
+        map(mul, c, plain(A, c))) + 3 * sum(map(mul, c, plain(B, c)))
+    for sign in (1, -1):
+        top = (1 << width) - 1
+        full = exact.form([sign * top] * (n * n), n, 1, exact.STATE_LIMB)
+        c = [sign * ((1 << 400) - 1)] * n
+        assert product(full, c) == [n * top * ((1 << 400) - 1)] * n
 
 
 @pytest.mark.parametrize("n, dps", [(13, 320), (50, 30)])

@@ -314,9 +314,9 @@ def test_forms_match_the_polynomial_routes():
     # they replaced (support.matrices), equal at the working precision: on
     # random integer states, read at norm 1, and on the solved
     # nuclear-motion states of N = 1 ... 50, each its stage's leading block;
-    # and on one random 95-term state, whose forms are partly nested lists
-    # of ints (past int64)
-    basis, W, systems, forms = build_row_stage(50, default_constants())
+    # and on one random 95-term state, whose forms are partly two limbs wide
+    # (past N = 50)
+    basis, systems, forms = build_row_stage(50, default_constants())
     rng = random.Random(50)
     with mp.workdps(30):
         F = mp.prec + 32
@@ -324,7 +324,7 @@ def test_forms_match_the_polynomial_routes():
                    F, mp.mpf("1.85"), mp.mpf(1)) for n in (1, 2, 7, 22, 50)]
         for n in range(1, 51):
             res = optimize_k(systems["0"].leading(n))
-            wq = check_normalized(W, res.coeffs, res.frac_bits)
+            wq = check_normalized(systems["0"].W, res.coeffs, res.frac_bits)
             states.append((forms, n, res.coeffs, res.frac_bits, res.k_opt,
                            wq))
         states.append((build_expectation_forms(enumerate_basis(95)), 95,

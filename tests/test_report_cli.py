@@ -1,3 +1,4 @@
+import ast
 import csv
 import dataclasses
 import io
@@ -14,7 +15,7 @@ from mpmath import mp
 
 import hyhe
 import hyhe.report as report
-from hyhe import eigen
+from hyhe import exact
 from hyhe.cli import main
 from hyhe.config import RunConfig
 from hyhe.constants import default_constants
@@ -111,7 +112,7 @@ def test_sweep_rows_match_rows_alone(n_list, rows_alone, monkeypatch):
     reduced = []
 
     def counting(mats, **kwargs):
-        reduced.append(len(mats.W[0]))
+        reduced.append(mats.W.n)
         return real(mats, **kwargs)
 
     monkeypatch.setattr(report, "build_systems", counting)
@@ -165,8 +166,8 @@ def test_shared_stage_failure_falls_back_to_rows_alone(monkeypatch,
     calls = []
 
     def fails_at_13(mats, **kwargs):
-        calls.append(len(mats.W[0]))
-        if len(mats.W[0]) == 13:
+        calls.append(mats.W.n)
+        if mats.W.n == 13:
             raise ValueError("overlap matrix is not positive definite")
         return real(mats, **kwargs)
 
@@ -278,7 +279,7 @@ def test_an_unsettled_solve_reruns_at_twice_the_digits(monkeypatch):
     monkeypatch.setattr(report, "optimize_k", loose)
     res = report.solve_single(3)
     with mp.workdps(60):
-        assert res.frac_bits == mp.prec + eigen._GUARD_BITS
+        assert res.frac_bits == mp.prec + exact.GUARD_BITS
         assert res.energy_err < mp.mpf(10) ** -50
 
 
@@ -335,7 +336,7 @@ def test_cli_solve_both_hamiltonians():
     # 2**-F k of the loop's grid
     k_err = re.search(r"^k_err +(\S+)$", result.output, re.M).group(1)
     with mp.workdps(RunConfig().precision_digits):
-        F = mp.prec + eigen._GUARD_BITS
+        F = mp.prec + exact.GUARD_BITS
     assert float(k_err) == pytest.approx(1.6875 * 2.0 ** -F, rel=1e-2)
 
     # k_err bounds k_opt's error, to the working precision
@@ -448,7 +449,7 @@ def test_cli_verbose_logs_the_k_search_to_stderr():
     # names the solve's fixed-point width F
     row = run_tables(n_list=[7]).rows[0]
     with mp.workdps(row.precision_digits):
-        F = mp.prec + eigen._GUARD_BITS
+        F = mp.prec + exact.GUARD_BITS
     steps = 0
     for label in ("inf", "0"):
         head = f"hyhe: k-search {label}: "
@@ -514,6 +515,25 @@ def test_rows_count_their_eighs():
     rows = run_tables(n_list=[1, 3, 7, 13, 22, 34]).rows
     assert [row.eighs for row in rows] == [5, 10, 9, 9, 9, 10]
     assert [row.steps for row in rows] == [2, 4, 4, 4, 6, 6]
+
+
+def test_no_module_imports_another_modules_private_names():
+    # a name with a leading underscore belongs to its module: no hyhe module
+    # imports one (dunders aside) from another
+    src = os.path.dirname(hyhe.__file__)
+    private = []
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(src, name), encoding="utf-8") as f:
+            tree = ast.parse(f.read(), name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").split(".")[0] == "hyhe"):
+                private += [(name, alias.name) for alias in node.names
+                            if alias.name.startswith("_")
+                            and not alias.name.endswith("__")]
+    assert private == []
 
 
 def test_cli_import_path_leaves_out_scipy():
