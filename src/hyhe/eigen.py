@@ -233,7 +233,8 @@ def build_systems(matrices, mass_ratio=None):
 
     def system(K, label, mu=None):
         forms = (W, P, K)
-        return PencilSystem(np.concatenate([A.limbs for A in forms]), K.bits,
+        (bits,) = {A.bits for A in forms}       # one width for one matmul
+        return PencilSystem(np.concatenate([A.limbs for A in forms]), bits,
                             tuple(len(A.limbs) for A in forms),
                             tuple(A.D for A in forms), T, congruence(K),
                             P_float, label=label, mu=mu)
