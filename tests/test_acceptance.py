@@ -24,7 +24,8 @@ from hyhe.basis import enumerate_basis
 from hyhe.config import RunConfig
 from hyhe.constants import PhysicalConstants, default_constants
 from hyhe.corrections import total_energy
-from hyhe.eigen import build_systems, optimize_k, solve_fixed_k, to_mpf
+from hyhe.eigen import build_systems, optimize_k, solve_fixed_k
+from hyhe.exact import to_mpf
 from hyhe.forms import build_expectation_forms
 from hyhe.matrices import (build_operator_matrices, check_normalized,
                            expectation_set)

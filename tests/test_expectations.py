@@ -9,7 +9,8 @@ from mpmath import mp
 import hyhe
 from hyhe.basis import enumerate_basis
 from hyhe.constants import default_constants
-from hyhe.eigen import build_systems, optimize_k, to_mpf
+from hyhe.eigen import build_systems, optimize_k
+from hyhe.exact import to_mpf
 from hyhe.forms import build_expectation_forms
 from hyhe.matrices import (NormalizationError, build_operator_matrices,
                            check_normalized, delta_expectations,
