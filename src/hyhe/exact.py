@@ -21,7 +21,7 @@ from mpmath import mp
 
 # Guard bits above mp.prec in the fixed-point scale of the coefficients: a
 # prefix sum to n carries at most n/2 ulps (n <= 17 at N = 50), and the
-# <p^4> channel sum cancels by a factor of ~70 at N = 50.
+# <p^4> channel sum cancels by a factor of ~70 at N = 50; 32 bits cover both.
 GUARD_BITS = 32
 # The widest entry chunk makes and its limbs, the room the pencil's forms
 # leave (39-bit limbs at N = 50: one for W, P or K, two for K_0); and the
