@@ -127,8 +127,8 @@ def sweep(app, n_list):
               help="clamp the nucleus (infinite-mass Hamiltonian)")
 @click.pass_obj
 def solve(app, n, no_nuclear_motion):
-    """Converge one ground state; print E, k_opt, steps, residual, k_err
-    and E_digits."""
+    """Converge one ground state; print E, k_opt, steps, eighs, residual,
+    k_err and E_digits."""
     if app.config.output == "csv":
         raise click.UsageError("solve supports human or json output")
     result = solve_single(n, app.config, app.constants,
@@ -141,6 +141,7 @@ def solve(app, n, no_nuclear_motion):
             "energy": mp.nstr(result.energy, 20),
             "k_opt": mp.nstr(result.k_opt, 20),
             "steps": result.iterations,
+            "eighs": result.eighs,
             "residual": mp.nstr(result.residual, 3),
             "k_err": mp.nstr(result.k_err, 3),
             "E_digits": certified_digits(result.energy, result.energy_err),

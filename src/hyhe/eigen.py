@@ -201,9 +201,15 @@ def _moving_nucleus_form(K, M_pol, M):
 
 def _float_form(A):
     """The float64 matrix of the Form A, each entry its int over A.D rounded
-    once (int / int stays in range where D and the ints are beyond
-    float64, as K_0's are for an mpf mass ratio at high precision)."""
+    once.  A one-limb form over D = 2**e (W, P and K through N = 50) is its
+    limb's floats, exact below 2**53, scaled by 2**-e; any other is divided
+    entry by entry (int / int stays in range where D and the ints are
+    beyond float64, as K_0's are for an mpf mass ratio at high
+    precision)."""
     D = A.D
+    if len(A.limbs) == 1 and D & (D - 1) == 0:
+        scale = 2.0 ** (1 - D.bit_length())
+        return np.array(A.limbs[0].tolist(), float) * scale
     return np.array([v / D for v in A.ints()]).reshape(A.n, A.n)
 
 

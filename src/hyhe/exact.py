@@ -4,7 +4,9 @@ A rational is an exact (numerator, denominator) int pair (rational), a
 real at scale 2**F the int round(v 2**F) (fixed, fixed_mpf, to_mpf), as the
 solver leaves its state at F = mp.prec + GUARD_BITS.  Every exact matrix
 is a Form, ints over its own denominator in int64 limbs (split, join): the
-assembly's W, P, K and M_pol, K_0 and the expectation forms.  One kernel
+assembly's W, P, K and M_pol, K_0 and the expectation forms.  Both builds
+number their monomials in one dense table (code_table) and join their
+limbs at the minimal denominator in one joiner (reduced).  One kernel
 multiplies them (matvecs): a stack of limb matrices times a vector's limbs,
 as wide as the rows' magnitude sums allow, in one int64 matmul joined on
 Python ints (the operand splitting of K. Ozaki et al., Numer. Algorithms
@@ -129,6 +131,36 @@ def join(L, bits):
     for limb in L[-2::-1]:
         acc = [(a << bits) + x for a, x in zip(acc, limb)]
     return acc
+
+
+def reduced(L, bits, D):
+    """(values // g, D // g), g = gcd(D, values), for the ints values =
+    sum_j L[j] 2**(bits j) of the int64 limb arrays L: joined in int64
+    where every partial sum fits, else as Python ints in an object array."""
+    top = max(int(np.abs(x).max()).bit_length() + bits * j
+              for j, x in enumerate(L)) + len(L)
+    values = sum((x if top < 63 else x.astype(object)) << (bits * j)
+                 for j, x in enumerate(L))
+    g = math.gcd(D, *values.tolist())
+    return values // g, D // g
+
+
+def code_table(code_arrays, size):
+    """(keys, index): the distinct codes, ascending, of int arrays of codes
+    in [0, size), and the table over [0, size) of each key's position.
+
+    Here and where the tables are read, arrays are indexed with intp arrays
+    and written with put: a boolean mask, an assignment through an index
+    array or an index array of another int type costs numpy a buffer on
+    first use, which shows in a run's peak memory.
+    """
+    present = np.zeros(size, bool)
+    for codes in code_arrays:
+        present.put(codes, True)
+    keys = np.flatnonzero(present)
+    index = np.empty(size, np.intp)
+    index.put(keys, np.arange(len(keys)))
+    return keys, index
 
 
 @dataclass(frozen=True, eq=False)

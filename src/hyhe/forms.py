@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import STATE_LIMB, form, join, split
+from .exact import STATE_LIMB, code_table, form, reduced, split
 
 # T = reduced Laplacian of phi = s^l t^q u^n (matrices.p4_expectation), as
 # the coefficients of its 12 monomials phi s^da t^db u^dc at these offsets.
@@ -55,24 +55,6 @@ _LOGMOM_OFFSETS = np.array(((2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 0, 2),
 def _logmom_coefficients(l, q, n):
     one = np.ones_like(l)
     return np.array((n + q, -n - l, l - q, -one, one)).T
-
-
-def _index(code_arrays, size):
-    """(keys, index): the distinct codes, ascending, of int arrays of codes
-    in [0, size), and the table over [0, size) of each key's position.
-
-    Here and below the arrays are indexed with intp arrays and written with
-    put: a boolean mask, an assignment through an index array or an index
-    array of another int type costs numpy a buffer on first use, which
-    shows in a run's peak memory.
-    """
-    present = np.zeros(size, bool)
-    for codes in code_arrays:
-        present.put(codes, True)
-    keys = np.flatnonzero(present)
-    index = np.empty(size, np.intp)
-    index.put(keys, np.arange(len(keys)))
-    return keys, index
 
 
 def _p4_moments(a, b, c):
@@ -158,7 +140,7 @@ def _bilinear_parts(X, Y, moments, r):
     a time, which keeps the temporaries at n x len(keys').
     """
     (xi, xc, kx), (yi, yc, ky) = X, Y
-    keys, index = _index((kx[i][:, None] + ky for i in xi.T), r ** 3)
+    keys, index = code_table((kx[i][:, None] + ky for i in xi.T), r ** 3)
     bound = 2 * int(abs(xc).sum(1).max()) * int(abs(yc).sum(1).max())
     for values, D in moments(keys // (r * r), keys // r % r, keys % r):
         g = math.gcd(D, *values)
@@ -175,15 +157,10 @@ def _bilinear_parts(X, Y, moments, r):
 
 def _form(Z, bits, D):
     """The Form of the limb products Z over D (_bilinear_parts) at its
-    minimal denominator, leaving a state's ints STATE_LIMB bits; Z is
-    joined in int64 where the values fit, else on Python ints."""
-    n, Z = Z.shape[1], Z.reshape(len(Z), -1)
-    top = max(int(np.abs(z).max()).bit_length() + bits * j
-              for j, z in enumerate(Z)) + len(Z)
-    values = sum(z.astype(np.int64 if top < 63 else object) << (bits * j)
-                 for j, z in enumerate(Z))
-    g = math.gcd(D, *values.tolist())
-    return form(values // g, n, D // g, STATE_LIMB)
+    minimal denominator (exact.reduced), leaving a state's ints STATE_LIMB
+    bits."""
+    values, D = reduced(Z.reshape(len(Z), -1), bits, D)
+    return form(values, Z.shape[1], D, STATE_LIMB)
 
 
 @dataclass(frozen=True)
@@ -230,7 +207,7 @@ def build_expectation_forms(basis):
         at[i, k] of the codes keys."""
         nonzero = np.flatnonzero(coefficients)
         monomials = (codes[:, None] + offsets @ radix).ravel()[nonzero]
-        keys, index = _index([monomials], r ** 3)
+        keys, index = code_table([monomials], r ** 3)
         at = np.zeros(coefficients.shape, np.intp)
         at.put(nonzero, index[monomials])
         return at, coefficients, keys

@@ -57,8 +57,8 @@ from mpmath import mp
 
 from . import debug
 from .basis import padd, pscale, pshift
-from .exact import (CHUNK_LIMB, Form, fixed_mpf, form, join, lost_bits,
-                    quadratic, split, to_mpf)
+from .exact import (CHUNK_LIMB, Form, code_table, fixed_mpf, form,
+                    lost_bits, quadratic, reduced, split, to_mpf)
 from .integrals import moment_ratio
 
 # geometric weight polynomials (coordinates s, t, u; keys are exponents)
@@ -113,13 +113,6 @@ class OperatorMatrices:
     M_pol: Form
 
 
-def _distinct(codes):
-    """(distinct codes, each code's index among them), by first appearance."""
-    index = {}
-    inverse = [index.setdefault(c, len(index)) for c in codes.tolist()]
-    return np.array(list(index)), np.array(inverse)
-
-
 def build_operator_matrices(basis, Z=2, mass_polarization=True):
     """Assemble the overlap, kinetic, potential and mass-polarization forms.
 
@@ -132,22 +125,27 @@ def build_operator_matrices(basis, Z=2, mass_polarization=True):
     Z attraction + repulsion.  Every weight is a sum over fixed offsets o,
     so each integral combines the moments at e + o with small ints.
 
-    Each moment is read once (integrals.moment_ratio), as an int over D, the
-    lcm of their denominators, and split into int64 limbs (exact.split)
-    narrow enough for every sum below.  Limb by limb, one int64 matmul with
-    the weights gives every integral at each distinct e, and a pair's K and
-    M_pol values are its coefficients dotted with those.  Each form's joined
-    values are divided to its minimal denominator D / gcd(D, values), a
-    Form at the pencil's width (exact.form).  A moment with a negative t
-    power (Q = 0 under the q_i q_j piece, whose coefficient is then 0) is
-    read as 0.  Without mass_polarization the
+    The pairs j <= i are whole index arrays, and the distinct e and e + o
+    come from one code table each (exact.code_table).  Each moment is read
+    once (integrals.moment_ratio), as an int over D, the lcm of their
+    denominators, and split into int64 limbs (exact.split) narrow enough
+    for every sum below.  One int64 matmul of every limb with the weights
+    gives every integral at each distinct e, and a pair's K and M_pol
+    values are its coefficients dotted with those.  Each form's limbs are
+    joined and divided to its minimal denominator D / gcd(D, values)
+    (exact.reduced), and its n x n entries gathered from the pairs through
+    one symmetric pair index, a Form at the pencil's width (exact.form).
+    A moment with a negative t power (Q = 0 under the q_i q_j piece, whose
+    coefficient is then 0) is read as 0.  Without mass_polarization the
     M_pol pieces are not integrated and M_pol is None.
     """
     n = len(basis)
     exps = np.array([(term.l, 2 * term.m, term.n) for term in basis], np.int64)
-    pairs = [(a, b) for a in range(n) for b in range(a + 1)]
-    i, j = np.array(pairs).T
-    # exponent sums and _PIECES coefficients of the pairs j <= i: X_i X_j =
+    # the pairs j <= i in turn
+    ar = np.arange(n)
+    i = np.repeat(ar, ar + 1)
+    j = np.arange(len(i)) - i * (i + 1) // 2
+    # exponent sums and _PIECES coefficients of the pairs: X_i X_j =
     # (l_i l_j / s^2 - L / s + 1) p_i p_j, Y_i Y_j = q_i q_j / t^2, c_i c_j =
     # n_i n_j / u^2, X_i c_j + X_j c_i = ((l_i n_j + l_j n_i) / s - N) / u
     # and Y_i c_j + Y_j c_i = (q_i n_j + q_j n_i) / (t u), times p_i p_j
@@ -162,33 +160,39 @@ def build_operator_matrices(basis, Z=2, mass_polarization=True):
     offsets = sorted({o for poly in columns for o in poly})
     weights = np.array([[poly.get(o, 0) for poly in columns]
                         for o in offsets], np.int64)
-    # (a, b, c) as one int; each of a, b, c of an e + o lies in [-2, r - 3]
+    # (a, b, c) + 2 as one code: each of a, b, c of an e + o lies in
+    # [-2, r - 3]
     r = 2 * int(exps.max()) + 6
     radix = np.array([r * r, r, 1])
-    sums, where = _distinct(sums @ radix)
-    keys, at = _distinct((sums[:, None] + np.array(offsets) @ radix).ravel())
-    keys = (keys[:, None] + 2 * radix.sum()) // radix % r - 2
+    codes = (sums + 2) @ radix
+    sums, index = code_table([codes], r ** 3)
+    where = index[codes]
+    codes = sums[:, None] + np.array(offsets) @ radix
+    keys, index = code_table([codes], r ** 3)
+    at = index[codes]
+    del index       # r**3 ints: more than every pair array, at the peak
+    keys = keys[:, None] // radix % r - 2
     ratios = [moment_ratio(*k) if k[1] >= 0 else (0, 1) for k in keys.tolist()]
     D = math.lcm(*(q for _, q in ratios))
     bound = int(abs(coeffs).sum(1).max()) * int(abs(weights).sum(0).max())
     limbs, bits = split([p * (D // q) for p, q in ratios], bound)
 
-    parts = []      # per limb: W, P, K and M_pol at each pair
-    for moments in limbs:
-        integrals = (moments[at.reshape(len(sums), -1)] @ weights)[where]
-        parts.append([integrals[:, 0], integrals[:, 1]] + [
-            (coeffs * integrals[:, 2 + 8 * f:10 + 8 * f]).sum(axis=1)
-            for f in forms])
+    # every weight's integral at each pair, limb by limb
+    integrals = (limbs[:, at] @ weights)[:, where]
+    parts = [integrals[..., 0], integrals[..., 1]] + [
+        (coeffs * integrals[..., 2 + 8 * f:10 + 8 * f]).sum(axis=2)
+        for f in forms]
+
+    # the pair of each entry, row by row
+    hi = np.maximum.outer(ar, ar)
+    sym = (hi * (hi + 1) // 2 + np.minimum.outer(ar, ar)).ravel()
 
     def assembled(part):
-        """The symmetric Form of the joined pair values, reduced."""
-        values = join([p.tolist() for p in part], bits)
-        g, full = math.gcd(D, *values), [0] * (n * n)
-        for (a, b), v in zip(pairs, values):
-            full[a * n + b] = full[b * n + a] = v // g
-        return form(full, n, D // g, CHUNK_LIMB)
+        """The symmetric Form of the pair values' limbs part, reduced."""
+        values, D_A = reduced(part, bits, D)
+        return form(values[sym], n, D_A, CHUNK_LIMB)
 
-    W, P, K, *M_pol = map(assembled, zip(*parts))
+    W, P, K, *M_pol = map(assembled, parts)
     return OperatorMatrices(W=W, K=K, P=P,
                             M_pol=M_pol[0] if mass_polarization else None)
 

@@ -345,6 +345,28 @@ def test_reduction_over_odd_denominators(mass_ratio, dps):
                                   mp.mpf("1.5"), tol)
 
 
+def assert_float_forms_divide_entrywise(mats, mass_ratio):
+    # every float form is bit for bit each int divided by D, whether it is
+    # read off its one limb (W, P and K over 256 through N = 50) or divided
+    K_0 = eigen._moving_nucleus_form(mats.K, mats.M_pol,
+                                     exact.rational(mass_ratio))
+    for A in (mats.W, mats.P, mats.K, mats.M_pol, K_0):
+        plain = np.array([v / A.D for v in A.ints()]).reshape(A.n, A.n)
+        assert eigen._float_form(A).tobytes() == plain.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 7, 40, 50, 70])
+def test_float_forms_of_the_stage(n):
+    assert_float_forms_divide_entrywise(
+        build_operator_matrices(enumerate_basis(n)), M_HELIUM)
+
+
+@pytest.mark.parametrize("mass_ratio", [
+    M_HELIUM, mp.mpf(M_HELIUM), M_HELIUM_320], ids=["str", "mpf", "mpf-320"])
+def test_float_forms_over_odd_denominators(mass_ratio):
+    assert_float_forms_divide_entrywise(odd_pencil(), mass_ratio)
+
+
 def test_matvecs_take_narrow_vectors(monkeypatch):
     # the search multiplies the exact forms only by float64-sized chunks:
     # no vector entry of a matvec is wider than the 54 bits the limb

@@ -346,6 +346,15 @@ def test_cli_solve_both_hamiltonians():
     with mp.workdps(RunConfig().precision_digits):
         bound = mp.mpf(fields["k_opt"]) * mp.mpf(2) ** -(mp.prec - 12)
     assert 0 <= mp.mpf(fields["k_err"]) <= bound
+    # the float64 eighs: the seed's Newton steps from k = 2, then one
+    # eigenbasis of the correction loop
+    assert (fields["steps"], fields["eighs"]) == (2, 6)
+    result = runner.invoke(main, ["--precision", "100", "--format", "json",
+                                  "solve", "--n", "40",
+                                  "--no-nuclear-motion"])
+    assert result.exit_code == 0, result.output
+    fields = json.loads(result.output)
+    assert (fields["steps"], fields["eighs"]) == (12, 7)
 
 
 def test_cli_solve_rejects_csv():
