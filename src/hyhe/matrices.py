@@ -160,8 +160,7 @@ def build_operator_matrices(basis, Z=2, mass_polarization=True):
     offsets = sorted({o for poly in columns for o in poly})
     weights = np.array([[poly.get(o, 0) for poly in columns]
                         for o in offsets], np.int64)
-    # (a, b, c) + 2 as one code: each of a, b, c of an e + o lies in
-    # [-2, r - 3]
+    # (a, b, c) + 2 as one code: a, b and c of an e + o lie in [-2, r - 3]
     r = 2 * int(exps.max()) + 6
     radix = np.array([r * r, r, 1])
     codes = (sums + 2) @ radix
