@@ -13,10 +13,15 @@ import sys
 
 def debug(msg, *args):
     """Log msg % args at DEBUG on the "hyhe" logger, if logging is loaded:
-    without it no logger has a handler, so hyhe never imports logging."""
+    without it no logger has a handler, so hyhe never imports logging.  An
+    argument that is callable stands for its value, computed only when the
+    line is logged."""
     logging = sys.modules.get("logging")
-    if logging is not None:
-        logging.getLogger("hyhe").debug(msg, *args)
+    if logging is None:
+        return
+    log = logging.getLogger("hyhe")
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug(msg, *(a() if callable(a) else a for a in args))
 
 
 from .basis import BasisTerm, enumerate_basis

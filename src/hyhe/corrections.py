@@ -2,9 +2,9 @@
 
 All pieces are first-order perturbations evaluated on the solved
 (nuclear-motion) ground state; the inputs are the four expectation values
-and the physical constants.  For a singlet S ground state the orbit-orbit
-and spin-spin Breit terms vanish identically, so they are carried as
-explicit zeros rather than silently dropped.
+and the physical constants.  The spin-spin Breit term E3 vanishes for a
+singlet S state.  The orbit-orbit term E2 does not, but it is left out:
+both are carried as explicit zeros rather than silently dropped.
 
   E1 = -(alpha^2/8) <p1^4 + p2^4>                    (momentum quartic)
   E4 = pi alpha^2 (Z <delta(r1)> - <delta(r12)>)     (Darwin contact)
@@ -22,9 +22,16 @@ deltaE2, deltaE3 and E_total each carry a bound on their numerical error
 times the expectation values' relative error (ExpectationSet.rel_err) plus
 the rounding of the formulas at the working precision, and for E_total
 E0's own bound.
+
+Every factor that depends only on the constants and the working precision
+(alpha^2 / 8, pi alpha^2, the alpha^3 coefficients, E_exp) is computed
+once per constant set and precision (_factors), in the order the formulas
+above multiply them.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
+from types import SimpleNamespace
 
 from mpmath import mp
 
@@ -35,7 +42,7 @@ class CorrectionBreakdown:
 
     E0: object
     E1: object
-    E2: object                 # orbit-orbit: zero for singlet S
+    E2: object                 # orbit-orbit: left out, carried as 0
     E3: object                 # spin-spin: zero for singlet S
     E4: object
     E5: object
@@ -52,33 +59,50 @@ class CorrectionBreakdown:
     E_total_err: object
 
 
+@lru_cache(maxsize=64)
+def _factors(constants, prec):
+    """The mpf factors of the corrections at one constant set and
+    precision prec, each multiplied in the order of the module docstring's
+    formulas: E1 = e1 <p1^4 + p2^4>, E4 = pi_a2 (Z <delta(r1)> -
+    <delta(r12)>), E5 = two_pi_a2 <delta(r12)>, r3_nuclear = r3n
+    2<delta(r1)>, r3_contact = r3c <delta(r12)> and r3_logmom = r3l Q;
+    with alpha and E_exp."""
+    with mp.workprec(prec):
+        alpha = mp.mpf(constants.alpha)
+        a2, a3 = alpha ** 2, alpha ** 3
+        beta = mp.mpf(constants.bethe_beta)
+        ln_alpha = mp.ln(alpha)     # -inf at alpha = 0, whose r3 is 0
+        return SimpleNamespace(
+            alpha=alpha, e1=-a2 / 8, pi_a2=mp.pi * a2,
+            two_pi_a2=2 * mp.pi * a2,
+            r3n=(a3 * (4 * constants.Z / mp.mpf(3))
+                 * (-2 * ln_alpha - beta + mp.mpf(19) / 30)),
+            r3c=a3 * (mp.mpf(14) / 3 * ln_alpha + mp.mpf(164) / 15),
+            r3l=a3 * mp.mpf(7) / (3 * mp.pi),
+            E_exp=mp.mpf(constants.E_exp))
+
+
 def breit_correction(expectations, constants):
     """(E1, E2, E3, E4, E5, deltaE2) on the given state."""
-    alpha = mp.mpf(constants.alpha)
-    p4_pair = 2 * expectations.p4
-    E1 = -(alpha ** 2) / 8 * p4_pair
+    f = _factors(constants, mp.prec)
+    E1 = f.e1 * (2 * expectations.p4)
     E2 = mp.mpf(0)
     E3 = mp.mpf(0)
-    E4 = mp.pi * alpha ** 2 * (constants.Z * expectations.delta_r1
-                               - expectations.delta_r12)
-    E5 = 2 * mp.pi * alpha ** 2 * expectations.delta_r12
+    E4 = f.pi_a2 * (constants.Z * expectations.delta_r1
+                    - expectations.delta_r12)
+    E5 = f.two_pi_a2 * expectations.delta_r12
     return E1, E2, E3, E4, E5, E1 + E2 + E3 + E4 + E5
 
 
 def radiative_correction(expectations, constants):
     """(r3_nuclear, r3_contact, r3_logmom, deltaE3) on the given state."""
-    alpha = mp.mpf(constants.alpha)
-    if alpha == 0:
+    f = _factors(constants, mp.prec)
+    if f.alpha == 0:
         zero = mp.mpf(0)
         return zero, zero, zero, zero
-    beta = mp.mpf(constants.bethe_beta)
-    ln_alpha = mp.ln(alpha)
-    r3n = (alpha ** 3 * (4 * constants.Z / mp.mpf(3))
-           * (-2 * ln_alpha - beta + mp.mpf(19) / 30)
-           * (2 * expectations.delta_r1))
-    r3c = (alpha ** 3 * (mp.mpf(14) / 3 * ln_alpha + mp.mpf(164) / 15)
-           * expectations.delta_r12)
-    r3l = alpha ** 3 * mp.mpf(7) / (3 * mp.pi) * expectations.log_momentum
+    r3n = f.r3n * (2 * expectations.delta_r1)
+    r3c = f.r3c * expectations.delta_r12
+    r3l = f.r3l * expectations.log_momentum
     return r3n, r3c, r3l, r3n + r3c + r3l
 
 
@@ -91,7 +115,7 @@ def total_energy(E0, expectations, constants, E0_err=0):
     E_total = E0 + dE2 + dE3
     # |E4| + |E5| at most, by part: pi alpha^2 (Z delta_r1 - delta_r12)
     # and 2 pi alpha^2 delta_r12
-    contact = mp.pi * mp.mpf(constants.alpha) ** 2 * (
+    contact = _factors(constants, mp.prec).pi_a2 * (
         constants.Z * abs(expectations.delta_r1)
         + 3 * abs(expectations.delta_r12))
     rel = expectations.rel_err + 4 * mp.eps
@@ -101,7 +125,7 @@ def total_energy(E0, expectations, constants, E0_err=0):
         E0=E0, E1=E1, E2=E2, E3=E3, E4=E4, E5=E5, deltaE2=dE2,
         r3_nuclear=r3n, r3_contact=r3c, r3_logmom=r3l, deltaE3=dE3,
         E_total=E_total, uncertainty=abs(dE3) / 2,
-        delta_vs_experiment=E_total - mp.mpf(constants.E_exp),
+        delta_vs_experiment=E_total - _factors(constants, mp.prec).E_exp,
         deltaE2_err=dE2_err, deltaE3_err=dE3_err,
         E_total_err=(E0_err + dE2_err + dE3_err
                      + (abs(E0) + abs(dE2) + abs(dE3)) * mp.eps))

@@ -203,27 +203,37 @@ def matvecs(stack, bits, counts, x, bound):
     return [join([next(rows) for _ in range(m)], bits) for m in counts]
 
 
-def quadratic(coeffs, *terms):
-    """(c'Mc, max|c| ||Mc||_1), each rounded down to an int, for the ints
-    coeffs c and M = sum_f w_f A_f over terms, the pairs (w_f, A_f) of an
-    int weight and a Form, all of one limb width.
+def quadratics(coeffs, groups):
+    """[(c'Mc, max|c| ||Mc||_1) for each group], each rounded down to an
+    int, for the ints coeffs c and each group's M = sum_f w_f A_f over its
+    terms, the pairs (w_f, A_f) of an int weight and a Form, all of one
+    limb width.
 
-    One matvecs takes every A_f c on the forms' leading len(coeffs) blocks,
-    so a form may be a larger stage's, and Mc is summed exactly over
-    D = lcm(D_f).  A change dc of c moves c'Mc by 2 dc'Mc + dc'M dc, and
-    |dc'Mc| is at most max|dc| ||Mc||_1: the second value bounds it for
-    max|dc| = max|c|.
+    One matvecs takes every A_f c of every group on the forms' leading
+    len(coeffs) blocks, so a form may be a larger stage's, and each Mc is
+    summed exactly over its group's D = lcm(D_f).  A change dc of c moves
+    c'Mc by 2 dc'Mc + dc'M dc, and |dc'Mc| is at most max|dc| ||Mc||_1:
+    the second value bounds it for max|dc| = max|c|.
     """
-    (bits,), n = {A.bits for _, A in terms}, len(coeffs)
-    stack = np.concatenate([A.limbs[:, :n, :n] for _, A in terms])
+    forms, n = [A for terms in groups for _, A in terms], len(coeffs)
+    (bits,) = {A.bits for A in forms}
+    stack = np.concatenate([A.limbs[:, :n, :n] for A in forms])
     bound = max(int(np.abs(stack).sum(2).max()), 1)
-    D, Mc = math.lcm(*(A.D for _, A in terms)), [0] * n
-    for (w, A), Ac in zip(terms, matvecs(
-            stack, bits, [len(A.limbs) for _, A in terms], coeffs, bound)):
-        w *= D // A.D
-        Mc = [x + w * y for x, y in zip(Mc, Ac)]
-    return (dot(coeffs, Mc) // D,
-            max(map(abs, coeffs)) * sum(map(abs, Mc)) // D)
+    products = iter(matvecs(stack, bits, [len(A.limbs) for A in forms],
+                            coeffs, bound))
+    top, sums = max(map(abs, coeffs)), []
+    for terms in groups:
+        D, Mc = math.lcm(*(A.D for _, A in terms)), [0] * n
+        for (w, A), Ac in zip(terms, products):
+            w *= D // A.D
+            Mc = [x + w * y for x, y in zip(Mc, Ac)]
+        sums.append((dot(coeffs, Mc) // D, top * sum(map(abs, Mc)) // D))
+    return sums
+
+
+def quadratic(coeffs, *terms):
+    """The (c'Mc, max|c| ||Mc||_1) of quadratics for the one group terms."""
+    return quadratics(coeffs, [terms])[0]
 
 
 def lost_bits(total, size):

@@ -9,10 +9,12 @@ each is c'Ac for exact rational matrices A:
 matrices.p4_expectation and matrices.log_momentum_expectation give the
 integrals they stand for.  Each is an exact Form (hyhe.exact) over its
 minimal denominator, which costs a row neither a Python int per entry nor
-an n^2 product of them (exact.quadratic).  The forms depend on the basis
-alone, not on the state, k or the precision; the bases are nested
-prefixes, so a stage's forms serve every smaller basis by their leading
-blocks, and a rerun at more digits reads the same forms.
+an n^2 product of them: with the overlap W at their limb width, a row
+takes all of its quadratic forms in one exact product (exact.quadratics).
+The forms depend on the basis alone, not on the state, k or the
+precision; the bases are nested prefixes, so a stage's forms serve every
+smaller basis by their leading blocks, and a rerun at more digits reads
+the same forms.
 """
 
 import math
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import STATE_LIMB, code_table, form, reduced, split
+from .exact import STATE_LIMB, Form, code_table, form, reduced, split
 
 # T = reduced Laplacian of phi = s^l t^q u^n (matrices.p4_expectation), as
 # the coefficients of its 12 monomials phi s^da t^db u^dc at these offsets.
@@ -171,17 +173,22 @@ class ExpectationForms:
       p4            (A, B, C): <p_1^4 + p_2^4>
                     = k^4 c'(A + zeta(2) B + ln 2 C)c / c'Wc
       log_momentum  (L, L'):   Q = k^3 c'(L - ln(2k) L')c / c'Wc
+      W             the overlap, at the same limb width, so one product
+                    takes a state's norm with the rest
+                    (matrices.expectation_set); None if not given
 
     Their leading n x n blocks are the forms of the first n basis terms.
     """
 
     p4: tuple
     log_momentum: tuple
+    W: Form = None
 
 
-def build_expectation_forms(basis):
+def build_expectation_forms(basis, W=None):
     """The ExpectationForms of basis, exact, and so the same at any
-    precision.
+    precision; with W, the overlap Form of basis at any limb width (the
+    assembly's), carried at theirs.
 
     The state polynomial is sum c_i phi_i, so T = sum c_i T_i with T_i the
     reduced Laplacian of phi_i, whose 12 monomials sit at fixed offsets from
@@ -221,4 +228,6 @@ def build_expectation_forms(basis):
     log_momentum = tuple(
         _form(Z + Z.transpose(0, 2, 1), bits, 2 * D)
         for Z, bits, D in _bilinear_parts(phi, angular, _logmom_moments, r))
-    return ExpectationForms(p4=p4, log_momentum=log_momentum)
+    if W is not None:
+        W = form(W.ints(), W.n, W.D, STATE_LIMB)
+    return ExpectationForms(p4=p4, log_momentum=log_momentum, W=W)

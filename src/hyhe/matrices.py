@@ -44,13 +44,16 @@ throughout.
 
 The expectation values read a solved state as the solve leaves it, ints
 at scale 2**F: the norm c'Wc, <p^4> and the log-momentum element as exact
-quadratic forms (exact.quadratic) of W and of the stage's
-forms.build_expectation_forms, the delta densities from the sums of each
-grade's coefficients.  Each value becomes one mpf at the end.
+quadratic forms of the stage's forms.build_expectation_forms, W among
+them, in one exact product per row (exact.quadratics), the delta
+densities from the sums of each grade's coefficients.  Each value becomes
+one mpf at the end; the constants they read (2/pi, zeta(2) and ln 2) are
+computed once per precision (_factors).
 """
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from mpmath import mp
@@ -58,7 +61,7 @@ from mpmath import mp
 from . import debug
 from .basis import padd, pscale, pshift
 from .exact import (CHUNK_LIMB, Form, code_table, fixed_mpf, form,
-                    lost_bits, quadratic, reduced, split, to_mpf)
+                    lost_bits, quadratic, quadratics, reduced, split, to_mpf)
 from .integrals import moment_ratio
 
 # geometric weight polynomials (coordinates s, t, u; keys are exponents)
@@ -223,6 +226,16 @@ class ExpectationSet:
 _NORM_TOL = 1e-10
 
 
+@lru_cache(maxsize=64)
+def _factors(prec, F):
+    """(2/pi at precision prec, round(zeta(2) 2**F), round(ln 2 2**F)): the
+    constants of the expectation routes, computed once per precision."""
+    with mp.workprec(prec):
+        two_over_pi = 2 / mp.pi
+    with mp.workprec(F):
+        return two_over_pi, fixed_mpf(mp.zeta(2), F), fixed_mpf(mp.ln(2), F)
+
+
 def check_normalized(W, coeffs, F):
     """Return the overlap quadratic form; raise unless it is 1 within _NORM_TOL.
 
@@ -233,7 +246,11 @@ def check_normalized(W, coeffs, F):
     so |c'Wc - 1| keeps the bits below the working precision.  A state
     read at the wrong scale fails here, so the check also guards F.
     """
-    total, _ = quadratic(coeffs, (1, W))
+    return _normalized(quadratic(coeffs, (1, W))[0], F)
+
+
+def _normalized(total, F):
+    """check_normalized's mpf c'Wc and check, from its exact sum total."""
     with mp.workprec(F + 1):
         wq = to_mpf(total >> F, F)
     if abs(wq - 1) > _NORM_TOL:
@@ -260,6 +277,12 @@ def delta_expectations(basis, coeffs, F, k, wq):
     2**top, so each double sum is one exact int at scale 2**(2F + top) and
     becomes one mpf.
     """
+    return _coalescence(basis, coeffs, F,
+                        mp.mpf(k) ** 3 * _factors(mp.prec, F)[0] / wq)
+
+
+def _coalescence(basis, coeffs, F, scale):
+    """delta_expectations with its factor scale = 2 k^3 / (pi wq)."""
     grade_sums, pure_sums = {}, {}
     for term, c in zip(basis, coeffs):
         g = term.grade
@@ -274,8 +297,7 @@ def delta_expectations(basis, coeffs, F, k, wq):
                     for gi, si in sums.items() for gj, sj in sums.items())
         return mp.ldexp(total, -2 * F - top)
 
-    # t-power enters as (-r)^{2m}: even, so r1 and r2 agree exactly
-    scale = mp.mpf(k) ** 3 * (2 / mp.pi) / wq
+    # t enters as (-r)^{2m}, even, so r1 and r2 agree exactly; and
     # 2^g (g+2)!/4^{g+3} = weight[g] / 8
     return scale * pair_sum(grade_sums), scale * pair_sum(pure_sums) / 8
 
@@ -306,12 +328,16 @@ def p4_expectation(forms, coeffs, F, k, wq):
     (exact.quadratic), exact on ints with zeta(2) and ln 2 at scale 2**F,
     and one mpf at the end; returned with the bits it lost to cancellation.
     """
-    A, B, C = forms.p4
-    with mp.workprec(F):
-        zeta2, ln2 = fixed_mpf(mp.zeta(2), F), fixed_mpf(mp.ln(2), F)
-    total, size = quadratic(coeffs, (1 << F, A), (zeta2, B), (ln2, C))
+    total, size = quadratic(coeffs, *_p4_terms(forms, F))
     return (mp.mpf(k) ** 4 * mp.ldexp(total, -3 * F) / wq,
             lost_bits(total, size))
+
+
+def _p4_terms(forms, F):
+    """The terms of c'(A + zeta(2) B + ln 2 C)c 2**F, for exact.quadratic."""
+    A, B, C = forms.p4
+    _, zeta2, ln2 = _factors(mp.prec, F)
+    return (1 << F, A), (zeta2, B), (ln2, C)
 
 
 def log_momentum_expectation(forms, coeffs, F, k, wq):
@@ -336,36 +362,54 @@ def log_momentum_expectation(forms, coeffs, F, k, wq):
     The sum is the quadratic form c'(L - ln(2k) L')c of `forms`, as in
     p4_expectation, with ln 2k at scale 2**F.
     """
-    L, L1 = forms.log_momentum
     km = mp.mpf(k)
-    with mp.workprec(F):
-        shift = fixed_mpf(-mp.ln(2 * km), F)
-    total, size = quadratic(coeffs, (1 << F, L), (shift, L1))
+    total, size = quadratic(coeffs, *_log_momentum_terms(forms, F, km))
     return km ** 3 * mp.ldexp(total, -3 * F) / wq, lost_bits(total, size)
 
 
-def expectation_set(basis, coeffs, F, k, W, forms, k_err=0):
+def _log_momentum_terms(forms, F, km):
+    """The terms of c'(L - ln(2 km) L')c 2**F, for exact.quadratic."""
+    L, L1 = forms.log_momentum
+    with mp.workprec(F):
+        shift = fixed_mpf(-mp.ln(2 * km), F)
+    return (1 << F, L), (shift, L1)
+
+
+def expectation_set(basis, coeffs, F, k, forms, k_err=0):
     """All correction-layer expectation values on a normalized state, the
     ints coeffs at scale 2**F of a solve at the working precision, with k
-    within k_err of its root; W is the overlap Form and forms the
-    ExpectationForms, both possibly a larger stage's.  |c'Wc - 1| is logged
-    to the "hyhe" logger at DEBUG.
+    within k_err of its root; forms are the ExpectationForms with their
+    overlap W, possibly a larger stage's.  |c'Wc - 1| is logged to the
+    "hyhe" logger at DEBUG.
+
+    One exact product takes the six forms' quadratic sums on the state
+    (exact.quadratics): the norm, checked as check_normalized checks it,
+    and the sums of p4_expectation and log_momentum_expectation, which end
+    as those do; the delta densities end as delta_expectations does, with
+    the same k^3 as the log-momentum element.
 
     rel_err bounds the relative error of every value.  The solve stops once
     its correction is at most 2**-prec max|c|, so it leaves each c_j within
     that of the true state, and k within k_err.  A quadratic form c'Mc then
-    moves by at most 2 2**-prec max|c| ||Mc||_1 (exact.quadratic), plus a
+    moves by at most 2 2**-prec max|c| ||Mc||_1 (exact.quadratics), plus a
     second-order term 2**-prec times smaller: 2**(1-prec) |c'Mc| times
     2**b, b the bits between max|c| ||Mc||_1 and |c'Mc| that lost_bits
     counts, the most of the <p^4> and log-momentum sums.  The mpf
     operations that end each route add their rounding.
     """
-    wq = check_normalized(W, coeffs, F)
-    debug("expectations: norm_err=%s", mp.nstr(abs(wq - 1), 3))
-    d1, dee = delta_expectations(basis, coeffs, F, k, wq)
-    p4_pair, p4_lost = p4_expectation(forms, coeffs, F, k, wq)
-    q, q_lost = log_momentum_expectation(forms, coeffs, F, k, wq)
-    state_err = mp.eps / 2 + k_err / mp.mpf(k)
+    km = mp.mpf(k)
+    (norm, _), (p4_total, p4_size), (q_total, q_size) = quadratics(
+        coeffs, [((1, forms.W),), _p4_terms(forms, F),
+                 _log_momentum_terms(forms, F, km)])
+    wq = _normalized(norm, F)
+    debug("expectations: norm_err=%s", lambda: mp.nstr(abs(wq - 1), 3))
+    k3 = km ** 3
+    d1, dee = _coalescence(basis, coeffs, F,
+                           k3 * _factors(mp.prec, F)[0] / wq)
+    p4_pair = km ** 4 * mp.ldexp(p4_total, -3 * F) / wq
+    q = k3 * mp.ldexp(q_total, -3 * F) / wq
+    lost = max(lost_bits(p4_total, p4_size), lost_bits(q_total, q_size))
+    state_err = mp.eps / 2 + k_err / km
     return ExpectationSet(
         delta_r1=d1, delta_r12=dee, p4=p4_pair / 2, log_momentum=q,
-        rel_err=2 ** (max(p4_lost, q_lost) + 1) * state_err + 2 * mp.eps)
+        rel_err=2 ** (lost + 1) * state_err + 2 * mp.eps)

@@ -5,22 +5,24 @@ matrices -> both ground states -> expectation values on the nuclear-motion
 state -> correction breakdown.  Every verb gets its basis, matrices and
 pencil systems from build_stage, the one place where the choice of
 Hamiltonian decides what is assembled; a row's stage (build_row_stage) adds
-the exact forms of <p^4> and the log-momentum element.  The stage is exact,
-so it is built with no precision context and serves every precision, and a
-sweep builds one, at its largest N, whose leading blocks serve every row.
+the exact forms of <p^4> and the log-momentum element, with the overlap at
+their width, for one exact product per row.  The stage is exact, so it is
+built with no precision context and serves every precision, and a sweep
+builds one, at its largest N, whose leading blocks serve every row.
 Numeric cells are strings of 20 significant digits, each certified: its
 error bound must leave it on one side of each 20-digit rounding boundary
 (settled), or its solve runs again at twice the digits (_certified, for
-compute_row and solve_single alike), so a run's precision is a floor.  The
-delta columns (dE_inf, dE0, dE_total: change against the previous row) are
-derived from the energy columns.
+compute_row and solve_single alike), so a run's precision is a floor; a
+settled cell prints the string its check formatted.  The delta columns
+(dE_inf, dE0, dE_total: change against the previous row) are derived from
+the energy columns.
 """
 
 import io
 import json
 import math
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 
 from mpmath import mp
 
@@ -48,19 +50,24 @@ def _fmt(x):
     return mp.nstr(mp.mpf(x), 20)
 
 
-def _unsettled(cells):
-    """The first name of cells, {name: (value, error bound)}, whose value
-    and bound straddle a 20-digit rounding boundary; None if every cell is
-    settled.
+def _settled(cells):
+    """(strings, None): each cell's printed string, {name: _fmt(value)},
+    for cells {name: (value, error bound)} whose every value and bound lie
+    on one side of each 20-digit rounding boundary; else (None, name) for
+    the first cell that straddles one.
 
     Each bound is widened by eps |value|, the rounding at the working
-    precision.
+    precision, so value rounded to it lies between its two endpoints, and
+    a settled cell's endpoints format as its value does.
     """
+    strings = {}
     for name, (v, err) in cells.items():
         err += abs(v) * mp.eps
-        if _fmt(v - err) != _fmt(v + err):
-            return name
-    return None
+        low = _fmt(v - err)
+        if low != _fmt(v + err):
+            return None, name
+        strings[name] = low
+    return strings, None
 
 
 def certified_digits(value, err):
@@ -172,21 +179,25 @@ class ReportDocument:
         raise UsageError(f"unknown output format {fmt!r}")
 
 
+_DELTA_COLUMNS = (("dE_inf", "E_inf"), ("dE0", "E0"), ("dE_total", "E_total"))
+
+
 def recompute_deltas(rows):
-    """Fill dE_* cells as differences against the previous successful row."""
+    """Fill dE_* cells as differences against the previous successful row;
+    each cell is parsed once."""
     with mp.workdps(30):
         prev = None
         for row in rows:
             if not row.ok:
                 continue
-            for dcol, col in (("dE_inf", "E_inf"), ("dE0", "E0"),
-                              ("dE_total", "E_total")):
-                if prev is None or getattr(prev, col) == "":
+            values = {col: mp.mpf(getattr(row, col))
+                      for _, col in _DELTA_COLUMNS if getattr(row, col)}
+            for dcol, col in _DELTA_COLUMNS:
+                if prev is None or col not in prev:
                     setattr(row, dcol, "")
                 else:
-                    diff = mp.mpf(getattr(row, col)) - mp.mpf(getattr(prev, col))
-                    setattr(row, dcol, _fmt(diff))
-            prev = row
+                    setattr(row, dcol, _fmt(values[col] - prev[col]))
+            prev = values
     return rows
 
 
@@ -205,25 +216,28 @@ def build_stage(n, constants, nuclear_motion=True):
 def build_row_stage(n, constants):
     """(basis, systems, forms): build_stage's nuclear-motion stage at basis
     size n, whose systems hold the overlap form, and the ExpectationForms of
-    its basis (build_expectation_forms); exact, as the stage is."""
+    its basis with that overlap (build_expectation_forms); exact, as the
+    stage is."""
     basis, mats, systems = build_stage(n, constants)
     del mats            # free the assembly's forms before the new ones
-    return basis, systems, build_expectation_forms(basis)
+    return basis, systems, build_expectation_forms(basis, systems["0"].W)
 
 
 def _certified(digits, solve, what):
-    """The result of solve() -> (result, cells) at digits, or at twice the
-    digits if a cell is not settled there (_unsettled); what names the run
-    in the rerun's log line."""
+    """(result, strings): the result of solve() -> (result, cells) at
+    digits, or at twice the digits if a cell is not settled there
+    (_settled), and the cells' printed strings; what names the run in the
+    rerun's log line."""
     with mp.workdps(digits):
         result, cells = solve()
-        unsettled = _unsettled(cells)
+        strings, unsettled = _settled(cells)
     if unsettled:
         debug("%s: %s unsettled at %d digits; rerun at %d", what,
               unsettled, digits, 2 * digits)
         with mp.workdps(2 * digits):
-            result, _ = solve()
-    return result
+            result, cells = solve()
+            strings = {name: _fmt(v) for name, (v, _) in cells.items()}
+    return result, strings
 
 
 def compute_row(n, config, constants, stage=None):
@@ -238,15 +252,16 @@ def compute_row(n, config, constants, stage=None):
     t0 = time.perf_counter()
     if stage is None:
         stage = build_row_stage(n, constants)
-    row, results = _certified(config.precision_digits,
-                              lambda: _solve_row(n, constants, stage),
-                              f"row N={n}")
-    row.wall_time = f"{time.perf_counter() - t0:.2f}"
-    return row, results
+    (row, results), strings = _certified(
+        config.precision_digits, lambda: _solve_row(n, constants, stage),
+        f"row N={n}")
+    return replace(row, **strings,
+                   wall_time=f"{time.perf_counter() - t0:.2f}"), results
 
 
 def _solve_row(n, constants, stage):
-    """compute_row at the working precision: ((Row, results), cells).
+    """compute_row at the working precision: ((Row, results), cells), the
+    Row without its cells' strings, which _certified gives.
 
     The cells' bounds are the energies' energy_err, k_opt's k_err and the
     correction breakdown's *_err.
@@ -255,7 +270,7 @@ def _solve_row(n, constants, stage):
     systems = {label: system.leading(n) for label, system in systems.items()}
     res_inf, res_0 = ground_state_pair(systems)
     exps = expectation_set(basis[:n], res_0.coeffs, res_0.frac_bits,
-                           res_0.k_opt, systems["0"].W, forms, res_0.k_err)
+                           res_0.k_opt, forms, res_0.k_err)
     br = total_energy(res_0.energy, exps, constants, res_0.energy_err)
     cells = {
         "E_inf": (res_inf.energy, res_inf.energy_err),
@@ -266,8 +281,7 @@ def _solve_row(n, constants, stage):
         "k_opt": (res_0.k_opt, res_0.k_err),
     }
     row = Row(
-        N=n, **{name: _fmt(v) for name, (v, _) in cells.items()},
-        residual=mp.nstr(res_0.residual, 3),
+        N=n, residual=mp.nstr(res_0.residual, 3),
         k_err=mp.nstr(res_0.k_err, 3),
         steps=res_inf.iterations + res_0.iterations,
         eighs=res_inf.eighs + res_0.eighs,
@@ -332,4 +346,4 @@ def solve_single(n, config=None, constants=None, nuclear_motion=True):
         return res, {"energy": (res.energy, res.energy_err),
                      "k_opt": (res.k_opt, res.k_err)}
 
-    return _certified(config.precision_digits, solve, f"solve N={n}")
+    return _certified(config.precision_digits, solve, f"solve N={n}")[0]

@@ -12,6 +12,8 @@ that the expectation routes read.  The assembly gives each form as exact
 ints over one denominator, an exact `hyhe.exact.Form`; `integer_matrix`,
 `fraction_matrix` and `fraction_forms` convert between that and matrices
 of Fractions, for the tests that read or build forms entry by entry.
+`straddles` is the rule that decides whether a report cell is settled,
+and `compare_trees` compares two source trees value by value.
 """
 
 import dataclasses
@@ -53,3 +55,12 @@ def fraction_forms(mats):
         name: fraction_matrix(getattr(mats, name))
         for name in ("W", "K", "P", "M_pol")
         if getattr(mats, name) is not None})
+
+
+def straddles(value, err):
+    """Whether a report cell, value within err, straddles a 20-digit
+    rounding boundary at the working precision: its bound, widened by
+    eps |value|, has endpoints whose 20-digit strings differ."""
+    err += abs(value) * mp.eps
+    low, high = mp.mpf(value - err), mp.mpf(value + err)
+    return mp.nstr(low, 20) != mp.nstr(high, 20)

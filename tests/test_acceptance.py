@@ -164,8 +164,8 @@ def test_hydrogenic_closed_forms():
         k = res.k_opt
         basis = enumerate_basis(1)
         mats = build_operator_matrices(basis, Z=2)
-        exps = expectation_set(basis, res.coeffs, res.frac_bits, k, mats.W,
-                               build_expectation_forms(basis))
+        exps = expectation_set(basis, res.coeffs, res.frac_bits, k,
+                               build_expectation_forms(basis, mats.W))
         checks = (
             (res.energy, mp.mpf("-2.84765625")),   # -(Z - 5/16)^2
             (k, mp.mpf("1.6875")),                 # Z - 5/16

@@ -90,7 +90,7 @@ def test_seed_state_anchor_values():
         systems = build_systems(mats, mass_ratio=c.mass_ratio_M)
         res = optimize_k(systems["0"])
         exps = expectation_set(basis, res.coeffs, res.frac_bits, res.k_opt,
-                               mats.W, build_expectation_forms(basis))
+                               build_expectation_forms(basis, mats.W))
         b = total_energy(res.energy, exps, c)
 
         anchors = {
@@ -127,3 +127,29 @@ def test_alpha_sensitivity_is_tiny():
         b1 = total_energy(mp.mpf("-2.90330"), exps, bumped)
         assert abs(b1.deltaE2 - b0.deltaE2) < mp.mpf("1e-12")
         assert abs(b1.deltaE3 - b0.deltaE3) < mp.mpf("1e-12")
+
+
+def test_cached_factors_never_go_stale():
+    # breakdowns at 30, then 60, then 30 digits, and with alpha overridden,
+    # equal breakdowns computed with the factor cache emptied, bit for bit
+    from hyhe import corrections
+    bumped = PhysicalConstants(alpha="7.2973525e-3").validate()
+    runs = [(30, default_constants()), (60, default_constants()),
+            (30, default_constants()), (30, bumped), (60, bumped),
+            (30, default_constants())]
+
+    def breakdown(digits, constants):
+        with mp.workdps(digits):
+            third = mp.mpf(1) / 3
+            exps = ExpectationSet(delta_r1=1 + third, delta_r12=third / 7,
+                                  p4=40 + third, log_momentum=-third / 2,
+                                  rel_err=mp.eps)
+            return total_energy(-3 + third / 10, exps, constants, mp.eps)
+
+    corrections._factors.cache_clear()
+    warm = [breakdown(*run) for run in runs]
+    fresh = []
+    for run in runs:
+        corrections._factors.cache_clear()
+        fresh.append(breakdown(*run))
+    assert warm == fresh

@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import subprocess
@@ -7,6 +8,7 @@ import pytest
 from mpmath import mp
 
 import hyhe
+from hyhe import exact, matrices
 from hyhe.basis import enumerate_basis
 from hyhe.constants import default_constants
 from hyhe.eigen import build_systems, optimize_k
@@ -32,7 +34,8 @@ from support.oracles import (duffy_p4_channels, gauss_tensor_value,
 @pytest.fixture(scope="module")
 def seed_state():
     basis = enumerate_basis(1)
-    return basis, build_operator_matrices(basis), build_expectation_forms(basis)
+    mats = build_operator_matrices(basis)
+    return basis, mats, build_expectation_forms(basis, mats.W)
 
 
 def normalized_state(n, alternating=False):
@@ -57,8 +60,7 @@ def test_hydrogenic_closed_forms(seed_state, k):
     basis, mats, forms = seed_state
     with mp.workdps(40):
         km = mp.mpf(k)
-        exps = expectation_set(basis, *fixed_state([mp.sqrt(2)]), km, mats.W,
-                               forms)
+        exps = expectation_set(basis, *fixed_state([mp.sqrt(2)]), km, forms)
         ref = hydrogenic_reference(km)
         tol = mp.mpf("1e-30")
         assert abs(exps.delta_r1 - km ** 3 / mp.pi) < tol
@@ -91,7 +93,7 @@ def test_delta_needs_a_normalization_route(seed_state):
 def test_expectation_set_rejects_unnormalized(seed_state):
     basis, mats, forms = seed_state
     with pytest.raises(NormalizationError):
-        expectation_set(basis, *fixed_state([mp.mpf(1)]), 2, mats.W, forms)
+        expectation_set(basis, *fixed_state([mp.mpf(1)]), 2, forms)
 
 
 def test_p4_series_vs_quadrature_seed(seed_state):
@@ -209,16 +211,93 @@ def optimized_state(n):
     return basis, mats, coeffs, (res.coeffs, res.frac_bits), res.k_opt
 
 
+def plain_quadratic(c, terms):
+    """exact.quadratic's (c'Mc, max|c| ||Mc||_1) on plain Python ints: each
+    Form's leading block from its ints, over the lcm of the denominators."""
+    n, D = len(c), math.lcm(*(A.D for _, A in terms))
+    Mc = [0] * n
+    for w, A in terms:
+        ints, w = A.ints(), w * (D // A.D)
+        for i in range(n):
+            Mc[i] += w * sum(ints[i * A.n + j] * c[j] for j in range(n))
+    return (sum(x * y for x, y in zip(c, Mc)) // D,
+            max(map(abs, c)) * sum(map(abs, Mc)) // D)
+
+
+@pytest.fixture(scope="module")
+def stage_50():
+    return build_row_stage(50, default_constants())
+
+
+def test_one_product_per_row_is_the_separate_forms(stage_50):
+    # on the forms of a 50-term row stage, the row's one product of the six
+    # forms gives exactly the (total, size) ints of the norm, <p^4> and
+    # log-momentum forms taken alone, and of the same sums on plain ints;
+    # expectation_set equals the separate routes bit for bit, with the norm
+    # read off the pencil's own W
+    basis, systems, forms = stage_50
+    with mp.workdps(30):
+        for n in (1, 7, 22, 40, 50):
+            res = optimize_k(systems["0"].leading(n))
+            c, F, k = res.coeffs, res.frac_bits, res.k_opt
+            groups = [((1, forms.W),), matrices._p4_terms(forms, F),
+                      matrices._log_momentum_terms(forms, F, mp.mpf(k))]
+            fused = exact.quadratics(c, groups)
+            assert fused == [exact.quadratic(c, *terms) for terms in groups]
+            assert fused == [plain_quadratic(c, terms) for terms in groups]
+            wq = check_normalized(systems["0"].W, c, F)
+            d1, dee = delta_expectations(basis[:n], c, F, k, wq)
+            p4, p4_lost = p4_expectation(forms, c, F, k, wq)
+            q, q_lost = log_momentum_expectation(forms, c, F, k, wq)
+            exps = expectation_set(basis[:n], c, F, k, forms, res.k_err)
+            assert (exps.delta_r1, exps.delta_r12, exps.p4,
+                    exps.log_momentum) == (d1, dee, p4 / 2, q), n
+            assert exps.rel_err == 2 ** (max(p4_lost, q_lost) + 1) * (
+                mp.eps / 2 + res.k_err / mp.mpf(k)) + 2 * mp.eps
+            # a state off its norm by ~2e-9 is refused, as check_normalized
+            # refuses it
+            off = [x + x // 10 ** 9 for x in c]
+            for check in (lambda: expectation_set(basis[:n], off, F, k, forms),
+                          lambda: check_normalized(systems["0"].W, off, F)):
+                with pytest.raises(NormalizationError,
+                                   match="state is not normalized"):
+                    check()
+
+
+def test_expectation_constants_never_go_stale(stage_50):
+    # one solved state, its ints at one scale F, read at 30, then 60, then
+    # 30 digits: every expectation value equals its value computed with the
+    # constants' cache emptied first, bit for bit
+    basis, systems, forms = stage_50
+    with mp.workdps(30):
+        res = optimize_k(systems["0"].leading(22))
+
+    def values(digits):
+        with mp.workdps(digits):
+            return expectation_set(basis[:22], res.coeffs, res.frac_bits,
+                                   res.k_opt, forms, res.k_err)
+
+    runs = (30, 60, 30)
+    matrices._factors.cache_clear()
+    warm = [values(digits) for digits in runs]
+    fresh = []
+    for digits in runs:
+        matrices._factors.cache_clear()
+        fresh.append(values(digits))
+    assert warm == fresh
+    assert warm[0] == warm[2] != warm[1]
+
+
 def test_expectation_set_guards_the_state_scale():
     # the solve's ints read one bit off their scale F make c'Wc 4 or 1/4,
     # so the normalization check refuses them
     with mp.workdps(50):
         basis, mats, _, (c, F), k = optimized_state(22)
-        forms = build_expectation_forms(basis)
-        expectation_set(basis, c, F, k, mats.W, forms)
+        forms = build_expectation_forms(basis, mats.W)
+        expectation_set(basis, c, F, k, forms)
         for wrong in (F - 1, F + 1):
             with pytest.raises(NormalizationError):
-                expectation_set(basis, c, wrong, k, mats.W, forms)
+                expectation_set(basis, c, wrong, k, forms)
 
 
 @pytest.mark.parametrize("n", [7, 40, 70])

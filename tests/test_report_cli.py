@@ -11,6 +11,8 @@ import sys
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 import hyhe
@@ -21,6 +23,7 @@ from hyhe.config import RunConfig
 from hyhe.constants import default_constants
 from hyhe.report import (CSV_COLUMNS, Row, UsageError, recompute_deltas,
                          run_tables)
+from support import straddles
 
 
 @pytest.fixture(scope="module")
@@ -149,9 +152,9 @@ def test_a_solve_builds_no_expectation_forms(monkeypatch, nuclear_motion):
     real = report.build_expectation_forms
     built = []
 
-    def counting(basis):
+    def counting(basis, *args):
         built.append(len(basis))
-        return real(basis)
+        return real(basis, *args)
 
     monkeypatch.setattr(report, "build_expectation_forms", counting)
     report.solve_single(7, nuclear_motion=nuclear_motion)
@@ -195,6 +198,86 @@ def test_recompute_deltas_blank_without_predecessor():
                                                E_total="-1.95")]
     recompute_deltas(rows)
     assert rows[1].dE_inf == ""
+
+
+def test_recompute_deltas_skips_failed_rows():
+    # each delta is against the previous successful row, at 30 digits
+    rows = [Row(N=1, E_inf="-2.8", E0="-2.7", E_total="-2.75"),
+            Row(N=2, ok=False, error="x"),
+            Row(N=3, E_inf="-2.9000000000000000001", E0="-2.71",
+                E_total="-2.7512345678901234567"),
+            Row(N=4, E_inf="-2.91", E0="-2.72", E_total="-2.76")]
+    recompute_deltas(rows)
+    with mp.workdps(30):
+        for row, prev in ((rows[2], rows[0]), (rows[3], rows[2])):
+            for dcol, col in (("dE_inf", "E_inf"), ("dE0", "E0"),
+                              ("dE_total", "E_total")):
+                assert getattr(row, dcol) == report._fmt(
+                    mp.mpf(getattr(row, col)) - mp.mpf(getattr(prev, col)))
+    assert rows[1].dE_inf == rows[0].dE_inf == ""
+
+
+def _first_up(lo, hi):
+    """The least mpf in (lo, hi] at the working precision that prints as
+    hi does, for lo < hi that print differently: where nstr's 20-digit
+    rounding turns, which lies within about 1e-26 of the decimal boundary
+    (it rounds a truncation to 23 digits)."""
+    up = report._fmt(hi)
+    while True:
+        mid = (lo + hi) / 2
+        if mid in (lo, hi):
+            return hi
+        lo, hi = (lo, mid) if report._fmt(mid) == up else (mid, hi)
+
+
+@st.composite
+def report_cells(draw):
+    """A cell (value, error bound) at the working precision: a value on,
+    or up to 3 working ulps from, a 20-digit rounding boundary (where
+    _fmt's rounding turns) or a 20-digit value, of either sign, its
+    leading digit at 10**-30 to 10**1; some carry 40 digits more than the
+    working precision, as k_opt does.  The bound is 0, up to 3 ulps, or
+    about a 20-digit step."""
+    e = draw(st.integers(-30, 1))
+    m = draw(st.integers(10 ** 19, 10 ** 20 - 1))
+    unit = mp.mpf(10) ** (e - 19)
+    if draw(st.booleans()):
+        edge = (m + mp.mpf(0.5)) * unit
+        point = _first_up(edge * (1 - mp.mpf("1e-24")),
+                          edge * (1 + mp.mpf("1e-24")))
+    else:
+        point = m * unit
+    ulp = mp.ldexp(1, mp.frexp(point)[1] - mp.prec)
+    value = point + draw(st.integers(-3, 3)) * ulp
+    sign = draw(st.sampled_from((1, -1)))
+    extra = draw(st.sampled_from((0, 0, 40)))
+    with mp.workdps(mp.dps + extra):
+        value = sign * (value + draw(st.integers(-99, 99)) * ulp / 100
+                        if extra else value)
+    scale = draw(st.sampled_from((0, 1, 2, 3, "1e-21", "4e-21", "1e-20")))
+    if isinstance(scale, str):
+        return value, abs(value) * mp.mpf(scale)
+    return value, scale * ulp
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from((30, 60)), st.data())
+def test_settled_cells_print_their_checked_string(digits, data):
+    # _settled decides as the two-format rule decides (support.straddles),
+    # names the first cell that straddles a boundary, and gives each cell
+    # of a settled set the string _fmt prints for its value
+    with mp.workdps(digits):
+        drawn = data.draw(st.lists(report_cells(), min_size=1, max_size=4))
+        cells = {f"c{i}": cell for i, cell in enumerate(drawn)}
+        strings, unsettled = report._settled(cells)
+        first = next((name for name, cell in cells.items()
+                      if straddles(*cell)), None)
+        assert unsettled == first
+        if first is None:
+            assert strings == {name: report._fmt(v)
+                               for name, (v, _) in cells.items()}
+        else:
+            assert strings is None
 
 
 def test_cell_bounds_contain_a_rerun_at_20_more_digits():
@@ -483,6 +566,24 @@ def test_cli_verbose_logs_the_k_search_to_stderr():
     assert not logging.getLogger("hyhe").handlers   # removed on close
 
 
+def test_debug_computes_a_callable_argument_only_when_logged(caplog):
+    # a row's normalization error is formatted only for a line that is
+    # logged: debug calls a callable argument only then
+    calls = []
+
+    def norm_err():
+        calls.append(1)
+        return "1e-31"
+
+    with caplog.at_level(logging.INFO, logger="hyhe"):
+        hyhe.debug("expectations: norm_err=%s", norm_err)
+    assert calls == []
+    with caplog.at_level(logging.DEBUG, logger="hyhe"):
+        hyhe.debug("expectations: norm_err=%s", norm_err)
+    assert calls == [1]
+    assert "expectations: norm_err=1e-31" in caplog.text
+
+
 def test_cli_failure_row_exit_code(monkeypatch):
     def boom(n, config, constants, stage=None):
         raise RuntimeError("broken")
@@ -569,3 +670,50 @@ def test_cli_import_path_leaves_out_scipy():
                           text=True, timeout=300,
                           env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0, proc.stderr
+
+
+# --- per-precision constants -------------------------------------------------
+
+def test_importing_hyhe_fills_no_cache():
+    # the constant factors are computed on first use, not at import, so a
+    # run's setup pays for none of them
+    code = (
+        "import hyhe, hyhe.cli\n"
+        "from hyhe import corrections, matrices\n"
+        "print(corrections._factors.cache_info().currsize,\n"
+        "      matrices._factors.cache_info().currsize)\n"
+    )
+    src = os.path.dirname(os.path.dirname(hyhe.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=300,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "0"]
+
+
+def test_cached_constants_never_go_stale():
+    # a row at 30, then 60, then 30 digits, and with alpha overridden (as
+    # --alpha overrides it), gives the expectation values and corrections,
+    # bit for bit, that it gives with every cache emptied first: no factor
+    # cached for one precision or constant set serves another
+    from hyhe import corrections, matrices
+    from hyhe.constants import PhysicalConstants
+    bumped = PhysicalConstants(alpha="7.2973525e-3").validate()
+    runs = [(30, default_constants()), (60, default_constants()),
+            (30, default_constants()), (30, bumped), (60, bumped),
+            (30, default_constants())]
+
+    def values(digits, constants):
+        _, (_, _, exps, br) = report.compute_row(
+            3, RunConfig(precision_digits=digits), constants)
+        return exps, br
+
+    warm = [values(*run) for run in runs]
+    fresh = []
+    for run in runs:
+        corrections._factors.cache_clear()
+        matrices._factors.cache_clear()
+        fresh.append(values(*run))
+    assert warm == fresh
+    assert warm[0] == warm[2] == warm[5] != warm[3]
