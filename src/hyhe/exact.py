@@ -217,8 +217,10 @@ def quadratics(coeffs, groups):
     """
     forms, n = [A for terms in groups for _, A in terms], len(coeffs)
     (bits,) = {A.bits for A in forms}
+    # form by form, which keeps the temporaries at one form's size
+    bound = max(max(int(np.abs(A.limbs[:, :n, :n]).sum(2).max())
+                    for A in forms), 1)
     stack = np.concatenate([A.limbs[:, :n, :n] for A in forms])
-    bound = max(int(np.abs(stack).sum(2).max()), 1)
     products = iter(matvecs(stack, bits, [len(A.limbs) for A in forms],
                             coeffs, bound))
     top, sums = max(map(abs, coeffs)), []
