@@ -32,7 +32,7 @@ from .corrections import CorrectionBreakdown, breit_correction, \
 from .eigen import VariationalResult, ground_state_pair, optimize_k, \
     solve_fixed_k, build_systems
 from .integrals import raw_moment
-from .forms import ExpectationForms, build_expectation_forms
+from .forms import build_expectation_forms
 from .matrices import ExpectationSet, OperatorMatrices, \
     build_operator_matrices, delta_expectations, expectation_set, \
     log_momentum_expectation, p4_expectation
@@ -47,7 +47,7 @@ __all__ = [
     "VariationalResult", "ground_state_pair", "optimize_k", "solve_fixed_k",
     "build_systems",
     "raw_moment",
-    "ExpectationForms", "ExpectationSet", "OperatorMatrices",
+    "ExpectationSet", "OperatorMatrices",
     "build_expectation_forms", "build_operator_matrices",
     "delta_expectations", "expectation_set", "log_momentum_expectation",
     "p4_expectation",

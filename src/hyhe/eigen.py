@@ -10,8 +10,8 @@ The pencil is solved as it stands, with no reduction.  Its forms arrive
 from the assembly as exact Forms (hyhe.exact), in int64 limbs that leave
 room for a chunk's 18-bit limbs, and K_0 = ((M + 1) K + M_pol) / M is
 formed exactly from M's exact value.  One Hamiltonian's W, P and K (or K_0)
-stand in one limb stack, so one int64 matmul with a chunk's limbs gives Wv,
-Pv and Kv exactly (_matvecs, exact.matvecs).
+stand in one exact.Stack, so one int64 matmul with a chunk's limbs gives
+Wv, Pv and Kv exactly (Stack.matvecs).
 
 float64 carries the rest.  numpy's Cholesky of the diagonally scaled W,
 W_ij / sqrt(W_ii W_jj) = Lf Lf', inverted by forward substitution, gives
@@ -53,8 +53,8 @@ digits, 13 at 100 digits) and ends with k converged to the working
 precision, k_err at most about 2**-prec k.
 
 The bases are nested prefixes and T is lower triangular, so the leading
-blocks of a stage's limbs, T and float forms serve every smaller basis
-(PencilSystem.leading).
+blocks of a stage's stack, T and float forms serve every smaller basis as
+views (PencilSystem.leading).
 """
 
 import math
@@ -64,8 +64,8 @@ import numpy as np
 from mpmath import mp
 
 from . import debug
-from .exact import (CHUNK_LIMB, GUARD_BITS, Form, chunk, dot, fixed_mpf,
-                    fixed_quotient, form, join, matvecs, rational, to_mpf)
+from .exact import (CHUNK_LIMB, GUARD_BITS, Stack, chunk, dot, fixed_mpf,
+                    fixed_quotient, form, join, rational, to_mpf)
 
 # The float64 eigenbasis must resolve the lowest gap by this many bits.
 _SEED_BITS = 20
@@ -108,13 +108,6 @@ class VariationalResult:
     eighs: int = 0            # float64 eighs: seed steps plus loop bases
 
 
-def _matvecs(system, v, shift=0):
-    """The lists (Wv, Pv, Kv) 2**shift of exact ints, for a chunk v: one
-    matvecs of the system's limb stack with v's CHUNK_LIMB-bit limbs."""
-    return [[a << shift for a in Av] for Av in matvecs(
-        system.stack, system.bits, system.limbs, v, system.n << system.bits)]
-
-
 def _inverse_factor(Wf):
     """T = Lf^{-1} S for float64 W, with Lf Lf' = S W S, S = diag(W_jj^-1/2).
 
@@ -143,51 +136,40 @@ def _inverse_factor(Wf):
 class PencilSystem:
     """One Hamiltonian's pencil (K, P, W), exact and in float64.
 
-    stack holds the limbs of the Forms W, P and K (K_0 for "0"), in turn
-    limbs = (m_W, m_P, m_K) of width `bits`, over their own `denominators`
-    (D_W, D_P, D_K).  T is the float64 inverse factor of W
-    (_inverse_factor); K_float = T K T' and P_float = T P T' are the float
-    forms whose eigenbasis seeds each solve and carries its corrections.
+    stack is the exact.Stack of the Forms W, P and K (K_0 for "0"), in
+    turn.  T is the float64 inverse factor of W (_inverse_factor);
+    K_float = T K T' and P_float = T P T' are the float forms whose
+    eigenbasis seeds each solve and carries its corrections.
     cond_bits = floor(log2(max W_jj / min pivot)), pivot_j = 1 / T_jj^2,
     is the float64 estimate of W's conditioning.  frac_bits = mp.prec +
     GUARD_BITS is the fixed-point scale of the solve's coefficients.  mu is
     the reduced mass M / (M + 1) in float64 on "0", None on "inf".
     """
 
-    def __init__(self, stack, bits, limbs, denominators, T, K_float,
-                 P_float, label="", mu=None):
-        self.stack, self.n, self.bits = stack, stack.shape[1], bits
-        self.limbs, self.denominators = limbs, denominators
+    def __init__(self, stack, T, K_float, P_float, label="", mu=None):
+        self.stack, self.n = stack, stack.n
         self.T, self.K_float, self.P_float = T, K_float, P_float
         self.label, self.mu = label, mu
-        w_max = max(join(np.diagonal(self.W.limbs, 0, 1, 2).tolist(), bits))
+        W = stack[0]
+        w_max = max(join(np.diagonal(W.limbs, 0, 1, 2).tolist(), W.bits))
         self.cond_bits = math.floor(math.log2(
-            w_max / denominators[0] * (T.diagonal() ** 2).max()))
+            w_max / W.D * (T.diagonal() ** 2).max()))
 
     @property
     def frac_bits(self):
         return mp.prec + GUARD_BITS
 
-    @property
-    def W(self):
-        """The overlap Form, a view of the stack's leading limbs."""
-        return Form(self.stack[:self.limbs[0]], self.bits,
-                    self.denominators[0])
-
     def leading(self, n):
-        """The system of the first n basis terms, 1 <= n <= self.n: the
-        stack's leading blocks are the prefix's exact forms (at the stage's
-        denominators and limb width), T's the prefix's inverse factor."""
+        """The system of the first n basis terms, 1 <= n <= self.n, on views
+        of this one's: the stack's leading blocks are the prefix's exact
+        forms (at the stage's denominators and limb width), T's the
+        prefix's inverse factor."""
         if not 1 <= n <= self.n:
             raise ValueError(f"leading({n}) of a {self.n}-term system: "
                              f"need 1 <= n <= {self.n}")
-        if n == self.n:
-            return self
-        return PencilSystem(np.ascontiguousarray(self.stack[:, :n, :n]),
-                            self.bits, self.limbs, self.denominators,
-                            self.T[:n, :n], self.K_float[:n, :n],
-                            self.P_float[:n, :n], label=self.label,
-                            mu=self.mu)
+        return PencilSystem(self.stack.leading(n), self.T[:n, :n],
+                            self.K_float[:n, :n], self.P_float[:n, :n],
+                            label=self.label, mu=self.mu)
 
 
 def _moving_nucleus_form(K, M_pol, M):
@@ -238,12 +220,8 @@ def build_systems(matrices, mass_ratio=None):
     P_float = congruence(P)
 
     def system(K, label, mu=None):
-        forms = (W, P, K)
-        (bits,) = {A.bits for A in forms}       # one width for one matmul
-        return PencilSystem(np.concatenate([A.limbs for A in forms]), bits,
-                            tuple(len(A.limbs) for A in forms),
-                            tuple(A.D for A in forms), T, congruence(K),
-                            P_float, label=label, mu=mu)
+        return PencilSystem(Stack.of([W, P, K]), T, congruence(K), P_float,
+                            label=label, mu=mu)
 
     systems = {"inf": system(matrices.K, "inf")}
     if mass_ratio is not None:
@@ -268,9 +246,10 @@ def _refine(system, k, trace=None):
     as ints, F = system.frac_bits, and eighs the float64 eigenbases taken.
 
     B is never built; each chunk of c updates the exact accumulators Wc, Pc
-    and Kc by one _matvecs.  R = sum_{i>=1} u_i u_i' / (mu_i - theta)
-    is the approximate inverse from float64 eigh of k K_float + P_float,
-    and each step corrects c by dc_r = -R r, r = Bc - theta Wc on the ints.
+    and Kc by one matvecs of the system's stack.
+    R = sum_{i>=1} u_i u_i' / (mu_i - theta) is the approximate inverse
+    from float64 eigh of k K_float + P_float, and each step corrects c by
+    dc_r = -R r, r = Bc - theta Wc on the ints.
     With a trace, k is free: once per eigenbasis the loop takes
     dc_K = -R (Kc - K_q Wc), grad g from float copies of Pc and Kc and
     h' = grad g . dc_K - 1; each step takes h = g - k on the ints,
@@ -290,7 +269,7 @@ def _refine(system, k, trace=None):
     float64).  c is normalized once, at exit.
     """
     n, F = system.n, system.frac_bits
-    DW, DP, DK = system.denominators
+    DW, DP, DK = system.stack.denominators
     T, prec = system.T, mp.prec
     kq = fixed_mpf(k, F)
     # c, Wc, Pc and Kc at scale 2**F; r and r_K at scale 4**F D,
@@ -330,7 +309,8 @@ def _refine(system, k, trace=None):
     eighs = 1
     dc, shift = chunk(v0 @ T, F)
     c = [v << shift for v in dc.tolist()]
-    Wc, Pc, Kc = _matvecs(system, dc, shift)
+    Wc, Pc, Kc = ([a << shift for a in Av]
+                  for Av in system.stack.matvecs(dc))
     tol = max(map(abs, c)) >> prec
     slope = None                    # (grad g, x_K, t_K, h') of the eigenbasis
     last, steps, k_err = None, 0, None
@@ -385,8 +365,9 @@ def _refine(system, k, trace=None):
                 "(float64 resolves W only to about 50)", trace=trace)
         last, steps = size, steps + 1
         c = [x - (y << shift) for x, y in zip(c, dc.tolist())]
-        Wc, Pc, Kc = ([x - y for x, y in zip(acc, part)] for acc, part
-                      in zip((Wc, Pc, Kc), _matvecs(system, dc, shift)))
+        Wc, Pc, Kc = ([x - (y << shift) for x, y in zip(acc, part)]
+                      for acc, part
+                      in zip((Wc, Pc, Kc), system.stack.matvecs(dc)))
         kq += dkq
         if dkq and abs(dkq) / kq > _FLOAT_ACCEPT:
             B_float, _, V1, lam = eigenbasis()

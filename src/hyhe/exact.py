@@ -6,11 +6,15 @@ solver leaves its state at F = mp.prec + GUARD_BITS.  Every exact matrix
 is a Form, ints over its own denominator in int64 limbs (split, join): the
 assembly's W, P, K and M_pol, K_0 and the expectation forms.  Both builds
 number their monomials in one dense table (code_table) and join their
-limbs at the minimal denominator in one joiner (reduced).  One kernel
-multiplies them (matvecs): a stack of limb matrices times a vector's limbs,
-as wide as the rows' magnitude sums allow, in one int64 matmul joined on
+limbs at the minimal denominator in one joiner (reduced).  Forms of one
+limb width that are multiplied together stand in one Stack: the pencil's
+W, P and K, and a row stage's W, A, B, C, L and L'.  One kernel multiplies
+them (Stack.matvecs): the stack's limb matrices times a vector's limbs, as
+wide as the rows' magnitude sums allow, in one int64 matmul joined on
 Python ints (the operand splitting of K. Ozaki et al., Numer. Algorithms
-59, 95 (2012)), for the solver's chunks and the expectation routes' states.
+59, 95 (2012)), for the solver's chunks and the expectation routes' states
+(quadratics).  The bases are nested prefixes, so a stage's stack serves
+every smaller basis by its leading blocks, which are views.
 """
 
 import math
@@ -107,21 +111,16 @@ def split(values, bound):
     2**(bits j) with bits = 63 - bitlen(bound), 0 <= L[j] < 2**bits below
     the top limb and |L[m-1]| <= 2**bits: limbs times ints whose
     magnitudes add to at most bound sum in int64.  A list wider than int64
-    is split on its ints."""
+    is split as an object array."""
     bits = 63 - bound.bit_length()
-    mask = (1 << bits) - 1
     if isinstance(values, list):
         try:
             values = np.array(values, np.int64)
         except OverflowError:
-            top = -(-max(map(abs, values)).bit_length() // bits) - 1
-            return np.array([[v >> s & mask for v in values]
-                             for s in range(0, top * bits, bits)]
-                            + [[v >> top * bits for v in values]],
-                            np.int64), bits
+            values = np.array(values, object)
     top = max(int(values.max()), -int(values.min())).bit_length()
     L = values >> np.arange(0, max(1, -(-top // bits)) * bits, bits)[:, None]
-    L[:-1] &= mask
+    L[:-1] &= (1 << bits) - 1
     return L.astype(np.int64, copy=False), bits
 
 
@@ -190,52 +189,86 @@ def form(values, n, D, room):
     return Form(L.reshape(-1, n, n), bits, D)
 
 
-def matvecs(stack, bits, counts, x, bound):
-    """The lists A_f x of exact ints, for the forms A_f whose limbs (width
-    bits) stand in the int64 stack, counts[f] of them in turn, and the ints
-    x (as split takes), for a bound on every row's sum_c |stack[j, r, c]|.
-    One int64 matmul takes every product of a limb matrix and a limb of x
-    (split), joined over x's limbs, then over each form's."""
-    n, (X, room) = stack.shape[1], split(x, bound)
-    Y = join((stack @ X.T).transpose(2, 0, 1).reshape(len(X), -1).tolist(),
-             room)
-    rows = iter([Y[j:j + n] for j in range(0, len(Y), n)])
-    return [join([next(rows) for _ in range(m)], bits) for m in counts]
+@dataclass(frozen=True, eq=False)
+class Stack:
+    """Forms of one limb width in one int64 array: limbs, shape
+    (sum m_f, n, n), holds each form's m_f limbs in turn (counts) over its
+    denominator (denominators).  bounds[i] is the largest row sum of |limbs|
+    over the leading (i + 1) x (i + 1) blocks, at least 1: the bound that
+    the product of that prefix needs (matvecs).  Stack.of builds one; its
+    leading blocks (leading) and its member Forms (stack[f]) are views."""
+
+    limbs: np.ndarray
+    bits: int
+    counts: tuple
+    denominators: tuple
+    bounds: tuple
+
+    @classmethod
+    def of(cls, forms):
+        """The Stack of the Forms forms, which share one limb width."""
+        (bits,) = {A.bits for A in forms}
+        # form by form, which keeps the temporaries at one form's size: the
+        # row sums to each column, their running maximum down the rows, and
+        # at (i, i) the bound of the leading (i + 1) x (i + 1) blocks
+        top = 1
+        for A in forms:
+            top = np.maximum(top, np.maximum.accumulate(
+                np.abs(A.limbs).cumsum(2).max(0)).diagonal())
+        return cls(np.concatenate([A.limbs for A in forms]), bits,
+                   tuple(len(A.limbs) for A in forms),
+                   tuple(A.D for A in forms), tuple(top.tolist()))
+
+    @property
+    def n(self):
+        return self.limbs.shape[1]
+
+    def __getitem__(self, f):
+        """The member Form f, a view of its limbs."""
+        start = sum(self.counts[:f])
+        return Form(self.limbs[start:start + self.counts[f]], self.bits,
+                    self.denominators[f])
+
+    def leading(self, n):
+        """The Stack of the forms' leading n x n blocks, a view."""
+        return Stack(self.limbs[:, :n, :n], self.bits, self.counts,
+                     self.denominators, self.bounds[:n])
+
+    def matvecs(self, x):
+        """The lists A_f x of exact ints, for each form A_f in turn and the
+        ints x (as split takes).  One int64 matmul takes every product of a
+        limb matrix and a limb of x (split at the stack's bound), joined
+        over x's limbs, then over each form's."""
+        n, (X, room) = self.n, split(x, self.bounds[-1])
+        Y = join((self.limbs @ X.T).transpose(2, 0, 1).reshape(len(X), -1)
+                 .tolist(), room)
+        rows = iter([Y[j:j + n] for j in range(0, len(Y), n)])
+        return [join([next(rows) for _ in range(m)], self.bits)
+                for m in self.counts]
 
 
-def quadratics(coeffs, groups):
+def quadratics(coeffs, stack, groups):
     """[(c'Mc, max|c| ||Mc||_1) for each group], each rounded down to an
     int, for the ints coeffs c and each group's M = sum_f w_f A_f over its
-    terms, the pairs (w_f, A_f) of an int weight and a Form, all of one
-    limb width.
+    terms, the pairs (w_f, f) of an int weight and a member f of the Stack
+    stack.
 
-    One matvecs takes every A_f c of every group on the forms' leading
-    len(coeffs) blocks, so a form may be a larger stage's, and each Mc is
-    summed exactly over its group's D = lcm(D_f).  A change dc of c moves
-    c'Mc by 2 dc'Mc + dc'M dc, and |dc'Mc| is at most max|dc| ||Mc||_1:
-    the second value bounds it for max|dc| = max|c|.
+    One matvecs of the stack's leading len(coeffs) blocks takes every A_f c,
+    so the stack may be a larger stage's, and each Mc is summed exactly
+    over its group's D = lcm(D_f).  A change dc of c moves c'Mc by
+    2 dc'Mc + dc'M dc, and |dc'Mc| is at most max|dc| ||Mc||_1: the second
+    value bounds it for max|dc| = max|c|.
     """
-    forms, n = [A for terms in groups for _, A in terms], len(coeffs)
-    (bits,) = {A.bits for A in forms}
-    # form by form, which keeps the temporaries at one form's size
-    bound = max(max(int(np.abs(A.limbs[:, :n, :n]).sum(2).max())
-                    for A in forms), 1)
-    stack = np.concatenate([A.limbs[:, :n, :n] for A in forms])
-    products = iter(matvecs(stack, bits, [len(A.limbs) for A in forms],
-                            coeffs, bound))
+    n, D_f = len(coeffs), stack.denominators
+    products = stack.leading(n).matvecs(coeffs)
     top, sums = max(map(abs, coeffs)), []
     for terms in groups:
-        D, Mc = math.lcm(*(A.D for _, A in terms)), [0] * n
-        for (w, A), Ac in zip(terms, products):
-            w *= D // A.D
-            Mc = [x + w * y for x, y in zip(Mc, Ac)]
+        D, Mc = math.lcm(*(D_f[f] for _, f in terms)), [0] * n
+        for w, f in terms:
+            w *= D // D_f[f]
+            Mc = [x + w * y for x, y in zip(Mc, products[f])]
         sums.append((dot(coeffs, Mc) // D, top * sum(map(abs, Mc)) // D))
     return sums
-
-
-def quadratic(coeffs, *terms):
-    """The (c'Mc, max|c| ||Mc||_1) of quadratics for the one group terms."""
-    return quadratics(coeffs, [terms])[0]
 
 
 def lost_bits(total, size):

@@ -9,20 +9,19 @@ each is c'Ac for exact rational matrices A:
 matrices.p4_expectation and matrices.log_momentum_expectation give the
 integrals they stand for.  Each is an exact Form (hyhe.exact) over its
 minimal denominator, which costs a row neither a Python int per entry nor
-an n^2 product of them: with the overlap W at their limb width, a row
-takes all of its quadratic forms in one exact product (exact.quadratics).
-The forms depend on the basis alone, not on the state, k or the
-precision; the bases are nested prefixes, so a stage's forms serve every
-smaller basis by their leading blocks, and a rerun at more digits reads
-the same forms.
+an n^2 product of them: with the overlap W at their limb width they stand
+in one exact.Stack, and a row takes all of its quadratic forms in one
+exact product of its views (exact.quadratics).  The forms depend on the
+basis alone, not on the state, k or the precision; the bases are nested
+prefixes, so a stage's stack serves every smaller basis by its leading
+blocks, and a rerun at more digits reads the same forms.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import STATE_LIMB, Form, code_table, form, reduced, split
+from .exact import STATE_LIMB, Stack, code_table, form, reduced, split
 
 # T = reduced Laplacian of phi = s^l t^q u^n (matrices.p4_expectation), as
 # the coefficients of its 12 monomials phi s^da t^db u^dc at these offsets.
@@ -165,30 +164,17 @@ def _form(Z, bits, D):
     return form(values, Z.shape[1], D, STATE_LIMB)
 
 
-@dataclass(frozen=True)
-class ExpectationForms:
-    """The exact quadratic forms of <p^4> and the log-momentum element on a
-    basis (module docstring), each a Form; on a state c of norm c'Wc,
+def build_expectation_forms(basis, W):
+    """The exact Stack of basis's quadratic forms (module docstring), and so
+    the same at any precision: the overlap W, given as a Form at any limb
+    width (the assembly's), then <p^4>'s A, B and C, then the
+    log-momentum element's L and L', all at STATE_LIMB.  On a state c of
+    norm c'Wc,
 
-      p4            (A, B, C): <p_1^4 + p_2^4>
-                    = k^4 c'(A + zeta(2) B + ln 2 C)c / c'Wc
-      log_momentum  (L, L'):   Q = k^3 c'(L - ln(2k) L')c / c'Wc
-      W             the overlap, at the same limb width, so one product
-                    takes a state's norm with the rest
-                    (matrices.expectation_set); None if not given
+      <p_1^4 + p_2^4> = k^4 c'(A + zeta(2) B + ln 2 C)c / c'Wc
+      Q               = k^3 c'(L - ln(2k) L')c / c'Wc
 
-    Their leading n x n blocks are the forms of the first n basis terms.
-    """
-
-    p4: tuple
-    log_momentum: tuple
-    W: Form = None
-
-
-def build_expectation_forms(basis, W=None):
-    """The ExpectationForms of basis, exact, and so the same at any
-    precision; with W, the overlap Form of basis at any limb width (the
-    assembly's), carried at theirs.
+    and the leading n x n blocks are the forms of the first n basis terms.
 
     The state polynomial is sum c_i phi_i, so T = sum c_i T_i with T_i the
     reduced Laplacian of phi_i, whose 12 monomials sit at fixed offsets from
@@ -228,6 +214,5 @@ def build_expectation_forms(basis, W=None):
     log_momentum = tuple(
         _form(Z + Z.transpose(0, 2, 1), bits, 2 * D)
         for Z, bits, D in _bilinear_parts(phi, angular, _logmom_moments, r))
-    if W is not None:
-        W = form(W.ints(), W.n, W.D, STATE_LIMB)
-    return ExpectationForms(p4=p4, log_momentum=log_momentum, W=W)
+    return Stack.of([form(W.ints(), W.n, W.D, STATE_LIMB), *p4,
+                     *log_momentum])

@@ -44,9 +44,10 @@ throughout.
 
 The expectation values read a solved state as the solve leaves it, ints
 at scale 2**F: the norm c'Wc, <p^4> and the log-momentum element as exact
-quadratic forms of the stage's forms.build_expectation_forms, W among
-them, in one exact product per row (exact.quadratics), the delta
-densities from the sums of each grade's coefficients.  Each value becomes
+quadratic forms, members of the stage's one Stack
+(forms.build_expectation_forms), in one exact product per row of its
+leading blocks (exact.quadratics), the delta densities from the sums of
+each grade's coefficients.  Each value becomes
 one mpf at the end; the constants they read (2/pi, zeta(2) and ln 2) are
 computed once per precision (_factors).
 """
@@ -60,8 +61,8 @@ from mpmath import mp
 
 from . import debug
 from .basis import padd, pscale, pshift
-from .exact import (CHUNK_LIMB, Form, code_table, fixed_mpf, form,
-                    lost_bits, quadratic, quadratics, reduced, split, to_mpf)
+from .exact import (CHUNK_LIMB, Form, Stack, code_table, fixed_mpf, form,
+                    lost_bits, quadratics, reduced, split, to_mpf)
 from .integrals import moment_ratio
 
 # geometric weight polynomials (coordinates s, t, u; keys are exponents)
@@ -241,12 +242,13 @@ def check_normalized(W, coeffs, F):
 
     The state is the ints coeffs at scale 2**F, as a solve leaves it
     (VariationalResult.frac_bits), and c'Wc is summed exactly on them
-    (exact.quadratic) with W the overlap Form, so W may be a larger
+    (exact.quadratics) with W the overlap Form, so W may be a larger
     stage's.  The sum is cut to scale 2**F and made one mpf, exact below 2,
     so |c'Wc - 1| keeps the bits below the working precision.  A state
     read at the wrong scale fails here, so the check also guards F.
     """
-    return _normalized(quadratic(coeffs, (1, W))[0], F)
+    return _normalized(quadratics(coeffs, Stack.of([W]), [((1, 0),)])[0][0],
+                       F)
 
 
 def _normalized(total, F):
@@ -324,20 +326,21 @@ def p4_expectation(forms, coeffs, F, k, wq):
     misses its own (-1)^B: ROADMAP item 2.)
 
     The sum is the quadratic form c'(A + zeta(2) B + ln 2 C)c of the
-    stage's ExpectationForms `forms` on their leading len(coeffs) blocks
-    (exact.quadratic), exact on ints with zeta(2) and ln 2 at scale 2**F,
-    and one mpf at the end; returned with the bits it lost to cancellation.
+    stage's expectation Stack `forms` (forms.build_expectation_forms) on
+    its leading len(coeffs) blocks (exact.quadratics), exact on ints with
+    zeta(2) and ln 2 at scale 2**F, and one mpf at the end; returned with
+    the bits it lost to cancellation.
     """
-    total, size = quadratic(coeffs, *_p4_terms(forms, F))
+    ((total, size),) = quadratics(coeffs, forms, [_p4_terms(F)])
     return (mp.mpf(k) ** 4 * mp.ldexp(total, -3 * F) / wq,
             lost_bits(total, size))
 
 
-def _p4_terms(forms, F):
-    """The terms of c'(A + zeta(2) B + ln 2 C)c 2**F, for exact.quadratic."""
-    A, B, C = forms.p4
+def _p4_terms(F):
+    """The terms of c'(A + zeta(2) B + ln 2 C)c 2**F, for exact.quadratics:
+    A, B and C are members 1, 2 and 3 of the expectation Stack."""
     _, zeta2, ln2 = _factors(mp.prec, F)
-    return (1 << F, A), (zeta2, B), (ln2, C)
+    return (1 << F, 1), (zeta2, 2), (ln2, 3)
 
 
 def log_momentum_expectation(forms, coeffs, F, k, wq):
@@ -363,30 +366,32 @@ def log_momentum_expectation(forms, coeffs, F, k, wq):
     p4_expectation, with ln 2k at scale 2**F.
     """
     km = mp.mpf(k)
-    total, size = quadratic(coeffs, *_log_momentum_terms(forms, F, km))
+    ((total, size),) = quadratics(coeffs, forms,
+                                  [_log_momentum_terms(F, km)])
     return km ** 3 * mp.ldexp(total, -3 * F) / wq, lost_bits(total, size)
 
 
-def _log_momentum_terms(forms, F, km):
-    """The terms of c'(L - ln(2 km) L')c 2**F, for exact.quadratic."""
-    L, L1 = forms.log_momentum
+def _log_momentum_terms(F, km):
+    """The terms of c'(L - ln(2 km) L')c 2**F, for exact.quadratics: L and
+    L' are members 4 and 5 of the expectation Stack."""
     with mp.workprec(F):
         shift = fixed_mpf(-mp.ln(2 * km), F)
-    return (1 << F, L), (shift, L1)
+    return (1 << F, 4), (shift, 5)
 
 
 def expectation_set(basis, coeffs, F, k, forms, k_err=0):
     """All correction-layer expectation values on a normalized state, the
     ints coeffs at scale 2**F of a solve at the working precision, with k
-    within k_err of its root; forms are the ExpectationForms with their
-    overlap W, possibly a larger stage's.  |c'Wc - 1| is logged to the
-    "hyhe" logger at DEBUG.
+    within k_err of its root; forms is the expectation Stack, the overlap W
+    its member 0 (forms.build_expectation_forms), possibly a larger
+    stage's.  |c'Wc - 1| is logged to the "hyhe" logger at DEBUG.
 
-    One exact product takes the six forms' quadratic sums on the state
-    (exact.quadratics): the norm, checked as check_normalized checks it,
-    and the sums of p4_expectation and log_momentum_expectation, which end
-    as those do; the delta densities end as delta_expectations does, with
-    the same k^3 as the log-momentum element.
+    One exact product of the stack's leading blocks takes the six forms'
+    quadratic sums on the state (exact.quadratics): the norm, checked as
+    check_normalized checks it, and the sums of p4_expectation and
+    log_momentum_expectation, which end as those do; the delta densities
+    end as delta_expectations does, with the same k^3 as the log-momentum
+    element.
 
     rel_err bounds the relative error of every value.  The solve stops once
     its correction is at most 2**-prec max|c|, so it leaves each c_j within
@@ -399,8 +404,7 @@ def expectation_set(basis, coeffs, F, k, forms, k_err=0):
     """
     km = mp.mpf(k)
     (norm, _), (p4_total, p4_size), (q_total, q_size) = quadratics(
-        coeffs, [((1, forms.W),), _p4_terms(forms, F),
-                 _log_momentum_terms(forms, F, km)])
+        coeffs, forms, [((1, 0),), _p4_terms(F), _log_momentum_terms(F, km)])
     wq = _normalized(norm, F)
     debug("expectations: norm_err=%s", lambda: mp.nstr(abs(wq - 1), 3))
     k3 = km ** 3

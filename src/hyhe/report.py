@@ -6,7 +6,7 @@ state -> correction breakdown.  Every verb gets its basis, matrices and
 pencil systems from build_stage, the one place where the choice of
 Hamiltonian decides what is assembled; a row's stage (build_row_stage) adds
 the exact forms of <p^4> and the log-momentum element, with the overlap at
-their width, for one exact product per row.  The stage is exact, so it is
+their width, in one stack for one exact product per row.  The stage is exact, so it is
 built with no precision context and serves every precision, and a sweep
 builds one, at its largest N, whose leading blocks serve every row.
 Numeric cells are strings of 20 significant digits, each certified: its
@@ -215,12 +215,13 @@ def build_stage(n, constants, nuclear_motion=True):
 
 def build_row_stage(n, constants):
     """(basis, systems, forms): build_stage's nuclear-motion stage at basis
-    size n, whose systems hold the overlap form, and the ExpectationForms of
-    its basis with that overlap (build_expectation_forms); exact, as the
-    stage is."""
+    size n, whose systems hold the overlap form, and the Stack of its
+    basis's expectation forms with that overlap (build_expectation_forms);
+    exact, as the stage is."""
     basis, mats, systems = build_stage(n, constants)
     del mats            # free the assembly's forms before the new ones
-    return basis, systems, build_expectation_forms(basis, systems["0"].W)
+    return basis, systems, build_expectation_forms(basis,
+                                                   systems["0"].stack[0])
 
 
 def _certified(digits, solve, what):

@@ -6,9 +6,9 @@
 PARENT_SRC and CHANGE_SRC are directories holding a `hyhe` package (a
 checkout's `src`).  Each is imported as a package of its own, so both run
 on one mpmath context and one numpy.  It compares each tree's
-build_row_stage at --stage (its basis, each system's limb stack, T,
-K_float, P_float and cond_bits, and the <p^4> and log-momentum forms),
-and for each precision in --digits and each N in --n, on that stage,
+build_row_stage at --stage (its basis, each system's exact forms, T,
+K_float, P_float and cond_bits, and the expectation forms), and for each
+precision in --digits and each N in --n, on that stage,
 
   - ground_state_pair on the stage's leading systems: every
     VariationalResult field;
@@ -24,8 +24,11 @@ parameters, so a tree whose signature differs is still called as it asks.
 
 An mpf is compared by its _mpf_ tuple, a Form by its limbs, bits and D,
 anything else by ==, recursing through dataclasses, lists, tuples and
-dicts.  Every differing field is printed; the exit status is 1 if any
-differs, else 0.
+dicts.  A stage's exact forms are compared by their ints and denominators
+in turn, whatever layout the tree keeps them in (exact_forms): W, P and K
+of each system, and the overlap W, <p^4>'s A, B and C and the
+log-momentum element's L and L' of the expectation forms.  Every
+differing field is printed; the exit status is 1 if any differs, else 0.
 """
 
 import argparse
@@ -104,13 +107,42 @@ def show(v):
     return text if len(text) <= 80 else text[:77] + "..."
 
 
+def stacked(limbs, counts, denominators, bits):
+    """[(ints, D)] of the forms whose limbs, of width bits, stand in turn
+    in the int64 array limbs, counts[f] of them over denominators[f]."""
+    out, start = [], 0
+    for m, D in zip(counts, denominators):
+        L = limbs[start:start + m].astype(object)
+        ints = sum(L[j] << (bits * j) for j in range(m))
+        out.append((ints.ravel().tolist(), D))
+        start += m
+    return out
+
+
+def exact_forms(held):
+    """[(ints, D)] of the exact forms that a stage part holds, in turn: a
+    system's W, P and K, or the expectation forms' W, A, B, C, L and L'.
+    It reads a stack of forms (limbs, counts, denominators, bits), held
+    alone or as a system's `stack`; a system's int64 `stack` counted by its
+    `limbs`; Forms named W, p4 and log_momentum; or one Form."""
+    if hasattr(held, "p4"):
+        return [f for A in (held.W, *held.p4, *held.log_momentum)
+                for f in exact_forms(A)]
+    if isinstance(getattr(held, "stack", None), np.ndarray):
+        return stacked(held.stack, held.limbs, held.denominators, held.bits)
+    held = getattr(held, "stack", held)
+    if hasattr(held, "counts"):
+        return stacked(held.limbs, held.counts, held.denominators, held.bits)
+    return stacked(held.limbs, (len(held.limbs),), (held.D,), held.bits)
+
+
 def stage_values(stage):
     """The compared parts of a build_row_stage result."""
     basis, systems, forms = stage
-    return {"basis": basis, "p4": forms.p4,
-            "log_momentum": forms.log_momentum,
-            "systems": {label: {name: getattr(system, name) for name in (
-                "stack", "T", "K_float", "P_float", "cond_bits")}
+    return {"basis": basis, "forms": exact_forms(forms),
+            "systems": {label: {"forms": exact_forms(system), **{
+                name: getattr(system, name) for name in (
+                    "T", "K_float", "P_float", "cond_bits")}}
                 for label, system in systems.items()}}
 
 
@@ -125,7 +157,7 @@ def row_values(tree, n, digits, stage, constants):
         res_inf, res_0 = tree["eigen"].ground_state_pair(leading)
         exps = call(tree["matrices"].expectation_set, basis=basis[:n],
                     coeffs=res_0.coeffs, F=res_0.frac_bits, k=res_0.k_opt,
-                    W=leading["0"].W, forms=forms, k_err=res_0.k_err)
+                    forms=forms, k_err=res_0.k_err)
         br = tree["report"].total_energy(res_0.energy, exps, constants,
                                          res_0.energy_err)
     row, _ = report.compute_row(n, config, constants, stage)

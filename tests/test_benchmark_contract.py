@@ -24,7 +24,13 @@ WORKER = os.path.join(CHECKOUT, "perfbench", "worker.py")
     (["--format", "json", "solve", "--n", "3", "--no-nuclear-motion"],
      {"eigen.reduce", "eigen.kopt", "matrices.assemble",
       "report.solve_single"}),
-], ids=["sweep", "solve-clamped"])
+    (["--format", "json", "solve", "--n", "3"],
+     {"eigen.reduce", "eigen.kopt", "matrices.assemble",
+      "report.solve_single"}),
+    (["--format", "json", "corrections", "--n", "3"],
+     {"eigen.reduce", "eigen.ground_state_pair", "eigen.kopt",
+      "matrices.assemble", "matrices.expect", "corrections.total"}),
+], ids=["sweep", "solve-clamped", "solve", "corrections"])
 def test_worker_trace_runs_the_wrapped_names(hyhe_args, spans):
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     proc = subprocess.run(

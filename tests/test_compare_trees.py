@@ -1,10 +1,13 @@
 import os
+from types import SimpleNamespace
 
 import numpy as np
 from mpmath import mp
 
 import hyhe
+from hyhe.constants import default_constants
 from hyhe.exact import form
+from hyhe.report import build_row_stage
 from support import compare_trees
 
 SRC = os.path.dirname(os.path.dirname(hyhe.__file__))
@@ -35,3 +38,33 @@ def test_differences_reads_every_bit():
     assert compare_trees.differences(
         A, form(list(range(9)), 3, 14, 10)) != []
     assert compare_trees.differences(np.arange(3), np.arange(3)) == []
+
+
+def test_stages_compare_by_their_forms_whatever_the_layout():
+    # a stand-in stage in the earlier layout, each system's forms in a bare
+    # int64 `stack` counted by `limbs` and the expectation forms as Forms
+    # named W, p4 and log_momentum, against the same forms in stacks: no
+    # difference; one entry off by one in either layout is one
+    basis, systems, forms = build_row_stage(7, default_constants())
+
+    def earlier(system):
+        stack = system.stack
+        return SimpleNamespace(
+            stack=stack.limbs.copy(), bits=stack.bits, limbs=stack.counts,
+            denominators=stack.denominators, T=system.T,
+            K_float=system.K_float, P_float=system.P_float,
+            cond_bits=system.cond_bits)
+
+    named = SimpleNamespace(W=forms[0], p4=(forms[1], forms[2], forms[3]),
+                            log_momentum=(forms[4], forms[5]))
+    old = (basis, {label: earlier(system)
+                   for label, system in systems.items()}, named)
+    new = (basis, systems, forms)
+    assert compare_trees.differences(compare_trees.stage_values(old),
+                                     compare_trees.stage_values(new)) == []
+    off = earlier(systems["0"])
+    off.stack[-1, 6, 6] += 1
+    found = compare_trees.differences(
+        compare_trees.stage_values((basis, {**old[1], "0": off}, named)),
+        compare_trees.stage_values(new))
+    assert [path for path, _, _ in found] == ["systems.0.forms[2][0][48]"]

@@ -254,10 +254,8 @@ def test_inverse_iteration_step_cap():
         _, systems = systems_n(6)
         system = systems["inf"]
         assert solve_fixed_k(system, 2)[0] < 0
-        noisy = PencilSystem(system.stack, system.bits, system.limbs,
-                             system.denominators, system.T,
-                             system.K_float * 1.05, system.P_float,
-                             label="inf")
+        noisy = PencilSystem(system.stack, system.T, system.K_float * 1.05,
+                             system.P_float, label="inf")
         with pytest.raises(ConvergenceError,
                            match=r"k=2\.0 did not converge: step 2 shrank "
                                  r"it less than 16-fold, with cond_bits=\d+"):
@@ -373,13 +371,13 @@ def test_matvecs_take_narrow_vectors(monkeypatch):
     # stack's int64 sums allow, at F = 215 and F = 1112; it takes one
     # matvec for the seed and one per step
     widths = []
-    matvecs = eigen._matvecs
+    matvecs = exact.Stack.matvecs
 
-    def counted(system, v, shift=0):
+    def counted(stack, v):
         widths.append(int(np.abs(v).max()).bit_length())
-        return matvecs(system, v, shift)
+        return matvecs(stack, v)
 
-    monkeypatch.setattr(eigen, "_matvecs", counted)
+    monkeypatch.setattr(exact.Stack, "matvecs", counted)
     for dps in (50, 320):
         with mp.workdps(dps):
             _, systems = systems_n(13)
@@ -491,6 +489,33 @@ def test_fixed_quotient_is_within_half_a_unit(a, t, h, b):
     assert abs(exact.fixed_quotient(a, t, h, b) - ref) <= Fraction(1, 2)
 
 
+@settings(max_examples=200)
+@given(st.data(), st.integers(1, 300), st.integers(1, 40),
+       st.sampled_from((1, 7, 50 << exact.CHUNK_LIMB, 2 ** 40, 2 ** 53)))
+def test_split_takes_one_path(data, width, count, bound):
+    # a list of ints of 1 to 300 bits, either sign, and the same ints as an
+    # object array, and as an int64 array where they fit, split into the
+    # same limbs: as many as the widest int needs, each below 2**bits but
+    # the signed top one, which join back to the ints
+    top = (1 << width) - 1
+    values = data.draw(st.lists(
+        st.one_of(st.sampled_from((top, -top, 0)), st.integers(-top, top)),
+        min_size=count, max_size=count))
+    L, bits = exact.split(values, bound)
+    assert bits == 63 - bound.bit_length() and L.dtype == np.int64
+    assert exact.join(L.tolist(), bits) == values
+    assert len(L) == max(1, -(-max(map(abs, values)).bit_length() // bits))
+    assert ((L[:-1] >= 0) & (L[:-1] < 1 << bits)).all()
+    assert (np.abs(L[-1]) <= 1 << bits).all()
+    arrays = [np.array(values, object)]
+    if width < 64:
+        arrays.append(np.array(values, np.int64))
+    for array in arrays:
+        L_array, bits_array = exact.split(array, bound)
+        assert bits_array == bits and L_array.dtype == np.int64
+        assert np.array_equal(L_array, L)
+
+
 @functools.lru_cache(maxsize=None)
 def search_and_reference(n, dps, label):
     """optimize_k on the n-term system at dps digits, and again at dps + 20
@@ -569,9 +594,8 @@ def test_float_seed_failures(monkeypatch):
         monkeypatch.setattr(eigen, "_K_INIT", 0.5)
         fallback = optimize_k(system)
         assert abs(fallback.k_opt - seeded.k_opt) < mp.mpf("1e-20")
-        bad = PencilSystem(system.stack, system.bits, system.limbs,
-                           system.denominators, system.T,
-                           system.K_float.copy(), system.P_float)
+        bad = PencilSystem(system.stack, system.T, system.K_float.copy(),
+                           system.P_float)
         bad.K_float[0, 0] = float("nan")
         assert eigen._float_root(bad, 2.0)[0] is None
 
@@ -652,26 +676,29 @@ def test_float_seed_past_n70(monkeypatch):
             == "2.3427513163141567228"
 
 
-def exact_forms(system):
-    """The exact numerators of W, P and K in a system's limb stack."""
-    forms, start, n = [], 0, system.n
-    for m in system.limbs:
+def exact_forms(stack):
+    """The exact numerators of the forms in an exact.Stack, row by row."""
+    forms, start, n = [], 0, stack.n
+    for m in stack.counts:
         flat = exact.join(
-            system.stack[start:start + m].reshape(m, -1).tolist(), system.bits)
+            stack.limbs[start:start + m].reshape(m, -1).tolist(), stack.bits)
         forms.append([flat[i * n:(i + 1) * n] for i in range(n)])
         start += m
     return forms
 
 
 def fields(system):
-    """The exact W, P and K of a system's limb stack, as Fractions."""
+    """The exact W, P and K of a system's stack, as Fractions."""
     return [[[Fraction(v, D) for v in row] for row in A]
-            for A, D in zip(exact_forms(system), system.denominators)]
+            for A, D in zip(exact_forms(system.stack),
+                            system.stack.denominators)]
 
 
 def test_leading_block_is_the_prefix_reduction():
     # the leading 7 x 7 blocks of the 13-term stage's limbs hold the 7-term
-    # stage's exact forms, and its float factor solves to the same E
+    # stage's exact forms, and its float factor solves to the same E; a
+    # prefix's system, and the whole stage's, reads the stage's stack, T
+    # and float forms through views
     with mp.workdps(50):
         _, big = systems_n(13)
         mats7 = build_operator_matrices(enumerate_basis(7))
@@ -686,17 +713,26 @@ def test_leading_block_is_the_prefix_reduction():
             E, *_ = solve_fixed_k(lead, k)
             E_alone, *_ = solve_fixed_k(alone, k)
             assert abs(E - E_alone) <= mp.mpf(2) ** -(mp.prec - 8), label
-            assert big[label].leading(13) is big[label]
+            for n in (1, 7, 13):
+                lead, stage = big[label].leading(n), big[label]
+                assert lead.stack.limbs.shape == (len(stage.stack.limbs), n,
+                                                  n)
+                for name in ("T", "K_float", "P_float"):
+                    assert getattr(lead, name).shape == (n, n)
+                    assert np.shares_memory(getattr(lead, name),
+                                            getattr(stage, name)), (n, name)
+                assert np.shares_memory(lead.stack.limbs, stage.stack.limbs)
+                assert np.shares_memory(lead.stack[2].limbs,
+                                        stage.stack.limbs)
             for n in (0, 14):
                 with pytest.raises(ValueError, match="need 1 <= n <= 13"):
                     big[label].leading(n)
 
 
-def plain_matvecs(system, v, shift=0):
-    """_matvecs' reference: three exact matvecs on Python ints."""
-    v = v.tolist()
-    return [[sum(map(mul, row, v)) << shift for row in A]
-            for A in exact_forms(system)]
+def plain_matvecs(stack, v):
+    """Stack.matvecs' reference: each form's exact matvec on Python ints."""
+    v = [int(x) for x in v]
+    return [[sum(map(mul, row, v)) for row in A] for A in exact_forms(stack)]
 
 
 @settings(max_examples=40, deadline=None)
@@ -708,9 +744,9 @@ def test_limb_matvecs_are_three_exact_matvecs(data, n):
     # of the limb matmul stays exact, up to N = 64.  The same kernel serves
     # the expectation forms: a form as wide as its entries need, up to past
     # 2**53 per row, times a state of 135 to 400 bits of either sign, on
-    # the form, a leading block and two forms stacked.  The entries come
-    # from one drawn seed, since 3 n^2 drawn entries overrun hypothesis'
-    # buffer
+    # the form, a leading block, and two forms stacked, alone and as the
+    # leading blocks of a larger stack.  The entries come from one drawn
+    # seed, since 3 n^2 drawn entries overrun hypothesis' buffer
     rng = random.Random(data.draw(st.integers(0, 2 ** 64 - 1)))
     bits = 63 - (n << exact.CHUNK_LIMB).bit_length()
     widths = (data.draw(st.sampled_from((bits, 2 * bits))),
@@ -721,24 +757,20 @@ def test_limb_matvecs_are_three_exact_matvecs(data, n):
     def plain(A, v):
         return [sum(map(mul, row, v)) for row in A]
 
+    def flat(A):
+        return [x for row in A for x in row]
+
     def product(A, c):
         """A c by the kernel, on the Form A's leading len(c) block, as
-        exact.quadratic reads a form."""
-        L = A.limbs[:, :len(c), :len(c)]
-        return exact.matvecs(L, A.bits, (len(L),), c,
-                             max(int(np.abs(L).sum(2).max()), 1))[0]
+        exact.quadratics reads a form."""
+        return exact.Stack.of([A]).leading(len(c)).matvecs(c)[0]
 
     def check(forms, v):
-        limbed = [exact.form([x for row in A for x in row], n, 1,
-                             exact.CHUNK_LIMB) for A in forms]
+        limbed = [exact.form(flat(A), n, 1, exact.CHUNK_LIMB) for A in forms]
         assert {A.bits for A in limbed} == {bits}
-        system = SimpleNamespace(
-            stack=np.concatenate([A.limbs for A in limbed]), bits=bits,
-            limbs=tuple(len(A.limbs) for A in limbed), n=n)
-        shift = rng.randrange(100)
-        assert eigen._matvecs(system, np.array(v, np.int64), shift) == \
-            plain_matvecs(system, np.array(v, np.int64), shift) == \
-            [[x << shift for x in plain(A, v)] for A in forms]
+        stack = exact.Stack.of(limbed)
+        assert stack.matvecs(np.array(v, np.int64)) == \
+            plain_matvecs(stack, v) == [plain(A, v) for A in forms]
 
     def entry(width):
         top = (1 << width) - 1
@@ -754,20 +786,32 @@ def test_limb_matvecs_are_three_exact_matvecs(data, n):
                   [sv * chunk] * n)
 
     # expectation forms, their row sums past 2**53 from width 54 - bitlen(n),
-    # alone, on a leading block, and stacked as exact.quadratic stacks them
-    width = data.draw(st.integers(1, 80))
+    # alone, on a leading block, and stacked as exact.quadratics stacks them
+    form_widths = (data.draw(st.integers(1, 80)),
+                   data.draw(st.integers(1, 80)))
     A, B = ([[entry(w) for _ in range(n)] for _ in range(n)]
-            for w in (width, data.draw(st.integers(1, 80))))
-    form, form_B = (exact.form([x for row in M for x in row], n, 1,
-                               exact.STATE_LIMB) for M in (A, B))
+            for w in form_widths)
+    form, form_B = (exact.form(flat(M), n, 1, exact.STATE_LIMB)
+                    for M in (A, B))
     c = [entry(data.draw(st.integers(135, 400))) for _ in range(n)]
     m = rng.randint(1, n)
     assert product(form, c) == plain(A, c)
     assert product(form, c[:m]) == plain([row[:m] for row in A[:m]], c[:m])
-    assert exact.quadratic(c, (1, form), (3, form_B))[0] == sum(
-        map(mul, c, plain(A, c))) + 3 * sum(map(mul, c, plain(B, c)))
+    # the larger stack's extra rows and columns are as wide as the forms'
+    extra = rng.randint(1, 8)
+    larger = (exact.form(flat([row + [entry(w) for _ in range(extra)]
+                               for row in M]
+                              + [[entry(w) for _ in range(n + extra)]
+                                 for _ in range(extra)]),
+                         n + extra, 1, exact.STATE_LIMB)
+              for M, w in zip((A, B), form_widths))
+    for stack in (exact.Stack.of([form, form_B]),
+                  exact.Stack.of(list(larger)).leading(n)):
+        assert stack.matvecs(c) == [plain(A, c), plain(B, c)]
+        assert exact.quadratics(c, stack, [((1, 0), (3, 1))])[0][0] == sum(
+            map(mul, c, plain(A, c))) + 3 * sum(map(mul, c, plain(B, c)))
     for sign in (1, -1):
-        top = (1 << width) - 1
+        top = (1 << form_widths[0]) - 1
         full = exact.form([sign * top] * (n * n), n, 1, exact.STATE_LIMB)
         c = [sign * ((1 << 400) - 1)] * n
         assert product(full, c) == [n * top * ((1 << 400) - 1)] * n
@@ -782,7 +826,7 @@ def test_limb_kernel_matches_plain_matvecs(monkeypatch, n, dps):
         for label in ("inf", "0"):
             limb = optimize_k(systems[label])
             with monkeypatch.context() as patch:
-                patch.setattr(eigen, "_matvecs", plain_matvecs)
+                patch.setattr(exact.Stack, "matvecs", plain_matvecs)
                 plain = optimize_k(systems[label])
             for name in ("coeffs", "k_opt", "energy", "iterations",
                          "residual", "k_err", "energy_err"):

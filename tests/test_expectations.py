@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from mpmath import mp
 
@@ -114,8 +115,8 @@ def test_p4_series_vs_quadrature_correlated():
         basis, mats, coeffs, state = normalized_state(5)
         wq = check_normalized(mats.W, *state)
         k = mp.mpf("1.8")
-        series, _ = p4_expectation(build_expectation_forms(basis), *state, k,
-                                   wq)
+        series, _ = p4_expectation(build_expectation_forms(basis, mats.W),
+                                   *state, k, wq)
         f1 = p4_integrand(basis, coeffs)
         quad = k ** 4 * (gauss_tensor_value(f1, n=96)
                          + gauss_tensor_value(lambda s, t, u: f1(s, -t, u),
@@ -151,8 +152,8 @@ def test_p4_correlated_vs_duffy_gauss(n, alternating):
         k = mp.mpf("1.8")
         i_minus, i_plus = duffy_p4_channels(basis, coeffs, nodes=14)
         quad = k ** 4 * (i_minus + i_plus) / wq
-        series, _ = p4_expectation(build_expectation_forms(basis), *state, k,
-                                   wq)
+        series, _ = p4_expectation(build_expectation_forms(basis, mats.W),
+                                   *state, k, wq)
         assert abs(series - quad) < mp.mpf("1e-15") * quad, (
             mp.nstr(series, 20), mp.nstr(quad, 20))
 
@@ -162,8 +163,8 @@ def test_log_momentum_series_vs_quadrature():
         basis, mats, coeffs, state = normalized_state(4)
         wq = check_normalized(mats.W, *state)
         k = mp.mpf("1.7")
-        closed, _ = log_momentum_expectation(build_expectation_forms(basis),
-                                             *state, k, wq)
+        closed, _ = log_momentum_expectation(
+            build_expectation_forms(basis, mats.W), *state, k, wq)
         plain, logu = log_momentum_integrands(basis, coeffs)
         # the plain moment converges to machine precision, the ln(u) corner
         # limits the log moment to ~5 digits on a fixed 96-node rule
@@ -192,7 +193,7 @@ def test_p4_scaling_in_k():
     # the series carries k^4 explicitly; doubling k multiplies by 16
     with mp.workdps(30):
         basis, mats, _, state = normalized_state(3)
-        forms = build_expectation_forms(basis)
+        forms = build_expectation_forms(basis, mats.W)
         wq = check_normalized(mats.W, *state)
         p4_at_2, _ = p4_expectation(forms, *state, 2, wq)
         p4_at_1, _ = p4_expectation(forms, *state, 1, wq)
@@ -211,12 +212,14 @@ def optimized_state(n):
     return basis, mats, coeffs, (res.coeffs, res.frac_bits), res.k_opt
 
 
-def plain_quadratic(c, terms):
-    """exact.quadratic's (c'Mc, max|c| ||Mc||_1) on plain Python ints: each
-    Form's leading block from its ints, over the lcm of the denominators."""
-    n, D = len(c), math.lcm(*(A.D for _, A in terms))
+def plain_quadratic(c, stack, terms):
+    """exact.quadratics' (c'Mc, max|c| ||Mc||_1) of one group on plain
+    Python ints: each member Form's leading block from its ints, over the
+    lcm of the denominators."""
+    forms = [stack[f] for _, f in terms]
+    n, D = len(c), math.lcm(*(A.D for A in forms))
     Mc = [0] * n
-    for w, A in terms:
+    for (w, _), A in zip(terms, forms):
         ints, w = A.ints(), w * (D // A.D)
         for i in range(n):
             Mc[i] += w * sum(ints[i * A.n + j] * c[j] for j in range(n))
@@ -240,12 +243,17 @@ def test_one_product_per_row_is_the_separate_forms(stage_50):
         for n in (1, 7, 22, 40, 50):
             res = optimize_k(systems["0"].leading(n))
             c, F, k = res.coeffs, res.frac_bits, res.k_opt
-            groups = [((1, forms.W),), matrices._p4_terms(forms, F),
-                      matrices._log_momentum_terms(forms, F, mp.mpf(k))]
-            fused = exact.quadratics(c, groups)
-            assert fused == [exact.quadratic(c, *terms) for terms in groups]
-            assert fused == [plain_quadratic(c, terms) for terms in groups]
-            wq = check_normalized(systems["0"].W, c, F)
+            groups = [((1, 0),), matrices._p4_terms(F),
+                      matrices._log_momentum_terms(F, mp.mpf(k))]
+            fused = exact.quadratics(c, forms, groups)
+            # each group alone, its forms in a stack of their own
+            assert fused == [exact.quadratics(
+                c, exact.Stack.of([forms[f] for _, f in terms]),
+                [[(w, i) for i, (w, _) in enumerate(terms)]])[0]
+                for terms in groups]
+            assert fused == [plain_quadratic(c, forms, terms)
+                             for terms in groups]
+            wq = check_normalized(systems["0"].stack[0], c, F)
             d1, dee = delta_expectations(basis[:n], c, F, k, wq)
             p4, p4_lost = p4_expectation(forms, c, F, k, wq)
             q, q_lost = log_momentum_expectation(forms, c, F, k, wq)
@@ -258,10 +266,26 @@ def test_one_product_per_row_is_the_separate_forms(stage_50):
             # refuses it
             off = [x + x // 10 ** 9 for x in c]
             for check in (lambda: expectation_set(basis[:n], off, F, k, forms),
-                          lambda: check_normalized(systems["0"].W, off, F)):
+                          lambda: check_normalized(systems["0"].stack[0], off,
+                                                   F)):
                 with pytest.raises(NormalizationError,
                                    match="state is not normalized"):
                     check()
+
+
+@pytest.mark.parametrize("N", [1, 7, 34, 50])
+def test_prefix_bounds_are_the_row_scans(N):
+    # each stack of a row stage holds, for every prefix n, the largest row
+    # sum of |limbs| over its forms' leading n x n blocks: the bound a row
+    # scanned for itself, form by form
+    basis, systems, forms = build_row_stage(N, default_constants())
+    for stack in (forms, systems["inf"].stack, systems["0"].stack):
+        assert len(stack.bounds) == N
+        for n in range(1, N + 1):
+            scan = max(max(int(np.abs(stack[f].limbs[:, :n, :n]).sum(2).max())
+                           for f in range(len(stack.counts))), 1)
+            assert stack.bounds[n - 1] == stack.leading(n).bounds[-1] == \
+                scan, (N, n)
 
 
 def test_expectation_constants_never_go_stale(stage_50):
@@ -328,7 +352,7 @@ def test_fixed_point_routes_match_mp_oracles(n, dps, state):
             basis, mats, coeffs, ints = normalized_state(n, alternating=True)
             k = mp.mpf("1.85")
         wq = check_normalized(mats.W, *ints)
-        forms = build_expectation_forms(basis)
+        forms = build_expectation_forms(basis, mats.W)
         tol = mp.mpf(10) ** (5 - dps)
         for route, first, oracle in (
                 (delta_expectations, basis, mp_delta_expectations),
@@ -357,7 +381,7 @@ from hyhe.matrices import (build_operator_matrices, check_normalized,
 
 basis = enumerate_basis(20)
 mats = build_operator_matrices(basis)
-forms = build_expectation_forms(basis)
+forms = build_expectation_forms(basis, mats.W)
 for dps in map(int, sys.argv[1:]):
     with mp.workdps(dps):
         system = build_systems(
@@ -404,10 +428,13 @@ def test_forms_match_the_polynomial_routes():
                    F, mp.mpf("1.85"), mp.mpf(1)) for n in (1, 2, 7, 22, 50)]
         for n in range(1, 51):
             res = optimize_k(systems["0"].leading(n))
-            wq = check_normalized(systems["0"].W, res.coeffs, res.frac_bits)
+            wq = check_normalized(systems["0"].stack[0], res.coeffs,
+                                  res.frac_bits)
             states.append((forms, n, res.coeffs, res.frac_bits, res.k_opt,
                            wq))
-        states.append((build_expectation_forms(enumerate_basis(95)), 95,
+        basis_95 = enumerate_basis(95)
+        W_95 = build_operator_matrices(basis_95, mass_polarization=False).W
+        states.append((build_expectation_forms(basis_95, W_95), 95,
                        [rng.randint(-2 ** F, 2 ** F) for _ in range(95)], F,
                        mp.mpf("2.4"), mp.mpf(1)))
         for forms, n, c, F, k, wq in states:

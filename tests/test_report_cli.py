@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
@@ -132,6 +133,25 @@ def test_stage_serves_no_larger_size():
     stage = report.build_row_stage(7, constants)
     with pytest.raises(ValueError, match=r"leading\(13\) of a 7-term"):
         report.compute_row(13, RunConfig(), constants, stage)
+
+
+def test_a_row_on_a_stage_allocates_no_limb_stack(monkeypatch):
+    # a row reads its prebuilt stage's stacks through views: neither its
+    # k-searches nor its expectation product gathers or copies limbs
+    constants = default_constants()
+    stage = report.build_row_stage(13, constants)
+    stacks = []
+    for name in ("concatenate", "ascontiguousarray"):
+        def spy(*args, real=getattr(np, name), **kwargs):
+            out = real(*args, **kwargs)
+            if out.dtype == np.int64 and out.ndim == 3:
+                stacks.append(out.shape)
+            return out
+
+        monkeypatch.setattr(np, name, spy)
+    for n in (7, 13):
+        report.compute_row(n, RunConfig(), constants, stage)
+    assert stacks == []
 
 
 @pytest.mark.parametrize("n", [7, 20])
