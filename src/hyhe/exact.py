@@ -111,16 +111,21 @@ def split(values, bound):
     2**(bits j) with bits = 63 - bitlen(bound), 0 <= L[j] < 2**bits below
     the top limb and |L[m-1]| <= 2**bits: limbs times ints whose
     magnitudes add to at most bound sum in int64.  A list wider than int64
-    is split as an object array."""
+    is split on its ints."""
     bits = 63 - bound.bit_length()
+    mask = (1 << bits) - 1
     if isinstance(values, list):
         try:
             values = np.array(values, np.int64)
         except OverflowError:
-            values = np.array(values, object)
+            top = -(-max(map(abs, values)).bit_length() // bits) - 1
+            return np.array([[v >> s & mask for v in values]
+                             for s in range(0, top * bits, bits)]
+                            + [[v >> top * bits for v in values]],
+                            np.int64), bits
     top = max(int(values.max()), -int(values.min())).bit_length()
     L = values >> np.arange(0, max(1, -(-top // bits)) * bits, bits)[:, None]
-    L[:-1] &= (1 << bits) - 1
+    L[:-1] &= mask
     return L.astype(np.int64, copy=False), bits
 
 

@@ -492,11 +492,12 @@ def test_fixed_quotient_is_within_half_a_unit(a, t, h, b):
 @settings(max_examples=200)
 @given(st.data(), st.integers(1, 300), st.integers(1, 40),
        st.sampled_from((1, 7, 50 << exact.CHUNK_LIMB, 2 ** 40, 2 ** 53)))
-def test_split_takes_one_path(data, width, count, bound):
-    # a list of ints of 1 to 300 bits, either sign, and the same ints as an
-    # object array, and as an int64 array where they fit, split into the
-    # same limbs: as many as the widest int needs, each below 2**bits but
-    # the signed top one, which join back to the ints
+def test_split_is_the_same_for_lists_and_arrays(data, width, count, bound):
+    # a list of ints of 1 to 300 bits, either sign, split on its Python ints
+    # past int64, and the same ints as an object array, and as an int64
+    # array where they fit, split into the same limbs: as many as the
+    # widest int needs, each below 2**bits but the signed top one, which
+    # join back to the ints
     top = (1 << width) - 1
     values = data.draw(st.lists(
         st.one_of(st.sampled_from((top, -top, 0)), st.integers(-top, top)),
