@@ -7,8 +7,9 @@ loses digits.  Euler's constant gamma, which the alpha^3 log-moment term
 carries, is no input: it is computed at the working precision.
 """
 
-import math
 from dataclasses import dataclass
+
+from .exact import rational
 
 
 class ConstantsError(ValueError):
@@ -16,14 +17,16 @@ class ConstantsError(ValueError):
 
 
 def _finite(name, raw):
-    """float(raw), or ConstantsError naming the field if it is not finite."""
+    """raw as a float, or ConstantsError naming the field unless it is a
+    decimal literal in the one grammar that exact.rational reads (float()
+    also takes "nan", "inf" and digits grouped by "_", which mpmath reads
+    otherwise) with a value in float64 range."""
     try:
-        value = float(raw)
-    except (TypeError, ValueError):
-        value = math.nan
-    if not math.isfinite(value):
-        raise ConstantsError(f"{name} must be a finite decimal, got {raw!r}")
-    return value
+        p, q = rational(raw)
+        return p / q
+    except (AttributeError, OverflowError, TypeError, ValueError):
+        raise ConstantsError(f"{name} must be a finite decimal, got {raw!r}"
+                             ) from None
 
 
 @dataclass(frozen=True)

@@ -6,12 +6,12 @@ generalized eigenproblem of the pencil (A(k), W), A(k) = k^2 K + k P.  Each
 solve works with B(k) = k K + P instead: (B, W) has A's eigenvectors and
 theta_A = k theta_B.
 
-The pencil is solved as it stands, with no reduction.  Its forms arrive
-from the assembly as exact Forms (hyhe.exact), in int64 limbs that leave
-room for a chunk's 18-bit limbs, and K_0 = ((M + 1) K + M_pol) / M is
-formed exactly from M's exact value.  One Hamiltonian's W, P and K (or K_0)
-stand in one exact.Stack, so one int64 matmul with a chunk's limbs gives
-Wv, Pv and Kv exactly (Stack.matvecs).
+The pencil is solved as it stands, with no reduction.  Its matrices
+arrive from the assembly as exact (ints, D) pairs (hyhe.exact), and
+K_0 = ((M + 1) K + M_pol) / M is formed exactly from M's exact value.  One
+Hamiltonian's W, P and K (or K_0) are split into one exact.Stack, in int64
+limbs that leave room for a chunk's 18-bit limbs, so one int64 matmul with
+a chunk's limbs gives Wv, Pv and Kv exactly (Stack.matvecs).
 
 float64 carries the rest.  numpy's Cholesky of the diagonally scaled W,
 W_ij / sqrt(W_ii W_jj) = Lf Lf', inverted by forward substitution, gives
@@ -65,7 +65,7 @@ from mpmath import mp
 
 from . import debug
 from .exact import (CHUNK_LIMB, GUARD_BITS, Stack, chunk, dot, fixed_mpf,
-                    fixed_quotient, form, join, rational, to_mpf)
+                    fixed_quotient, rational, to_mpf)
 
 # The float64 eigenbasis must resolve the lowest gap by this many bits.
 _SEED_BITS = 20
@@ -136,24 +136,23 @@ def _inverse_factor(Wf):
 class PencilSystem:
     """One Hamiltonian's pencil (K, P, W), exact and in float64.
 
-    stack is the exact.Stack of the Forms W, P and K (K_0 for "0"), in
-    turn.  T is the float64 inverse factor of W (_inverse_factor);
-    K_float = T K T' and P_float = T P T' are the float forms whose
-    eigenbasis seeds each solve and carries its corrections.
+    stack is the exact.Stack of W, P and K (K_0 for "0"), in turn.  T is
+    the float64 inverse factor of W (_inverse_factor); K_float = T K T' and
+    P_float = T P T' are the float forms whose eigenbasis seeds each solve
+    and carries its corrections.  With W_diag the float64 diagonal of W,
     cond_bits = floor(log2(max W_jj / min pivot)), pivot_j = 1 / T_jj^2,
     is the float64 estimate of W's conditioning.  frac_bits = mp.prec +
     GUARD_BITS is the fixed-point scale of the solve's coefficients.  mu is
     the reduced mass M / (M + 1) in float64 on "0", None on "inf".
     """
 
-    def __init__(self, stack, T, K_float, P_float, label="", mu=None):
+    def __init__(self, stack, T, K_float, P_float, W_diag, label="",
+                 mu=None):
         self.stack, self.n = stack, stack.n
         self.T, self.K_float, self.P_float = T, K_float, P_float
-        self.label, self.mu = label, mu
-        W = stack[0]
-        w_max = max(join(np.diagonal(W.limbs, 0, 1, 2).tolist(), W.bits))
+        self.W_diag, self.label, self.mu = W_diag, label, mu
         self.cond_bits = math.floor(math.log2(
-            w_max / W.D * (T.diagonal() ** 2).max()))
+            W_diag.max() * (T.diagonal() ** 2).max()))
 
     @property
     def frac_bits(self):
@@ -169,49 +168,61 @@ class PencilSystem:
                              f"need 1 <= n <= {self.n}")
         return PencilSystem(self.stack.leading(n), self.T[:n, :n],
                             self.K_float[:n, :n], self.P_float[:n, :n],
-                            label=self.label, mu=self.mu)
+                            self.W_diag[:n], label=self.label, mu=self.mu)
+
+
+def _python_ints(ints):
+    """A pair's ints as a list of Python ints."""
+    return ints.tolist() if isinstance(ints, np.ndarray) else ints
 
 
 def _moving_nucleus_form(K, M_pol, M):
-    """K_0 = ((M + 1) K + M_pol) / M, the Form at K's width, from the Forms
-    K and M_pol and M as an exact (numerator, denominator) pair."""
-    (p, q), D = M, math.lcm(K.D, M_pol.D)
-    a, b = (p + q) * (D // K.D), q * (D // M_pol.D)
-    return form([a * x + b * y for x, y in zip(K.ints(), M_pol.ints())],
-                K.n, p * D, CHUNK_LIMB)
+    """K_0 = ((M + 1) K + M_pol) / M, the (ints, D) pair from the pairs K
+    and M_pol and M as an exact (numerator, denominator) pair."""
+    (p, q), (K, D_K), (M_pol, D_M) = M, K, M_pol
+    D = math.lcm(D_K, D_M)
+    a, b = (p + q) * (D // D_K), q * (D // D_M)
+    return [a * x + b * y for x, y in zip(_python_ints(K),
+                                          _python_ints(M_pol))], p * D
 
 
 def _float_form(A):
-    """The float64 matrix of the Form A, each entry its int over A.D rounded
-    once.  A one-limb form over D = 2**e (W, P and K through N = 50) is its
-    limb's floats, exact below 2**53, scaled by 2**-e; any other is divided
-    entry by entry (int / int stays in range where D and the ints are
-    beyond float64, as K_0's are for an mpf mass ratio at high
-    precision)."""
-    D = A.D
-    if len(A.limbs) == 1 and D & (D - 1) == 0:
-        scale = 2.0 ** (1 - D.bit_length())
-        return np.array(A.limbs[0].tolist(), float) * scale
-    return np.array([v / D for v in A.ints()]).reshape(A.n, A.n)
+    """The float64 n x n matrix of the (ints, D) pair A, each entry its int
+    over D rounded once.  Over D = 2**e (W, P and K) the ints are made
+    floats from a list of Python ints, each rounded once, and scaled by
+    2**-e exactly: a cast inside a numpy ufunc would take a buffer that
+    shows in a run's peak memory.  Over any other D (K_0) each int is
+    divided (int / int stays in range where D and the ints are beyond
+    float64, as K_0's are for an mpf mass ratio at high precision)."""
+    ints, D = A
+    n, ints = math.isqrt(len(ints)), _python_ints(ints)
+    if D & (D - 1) == 0:
+        return (np.array(ints, float).reshape(n, n)
+                * 2.0 ** (1 - D.bit_length()))
+    return np.array([v / D for v in ints]).reshape(n, n)
 
 
 def build_systems(matrices, mass_ratio=None):
-    """Stack the operator pencil's limbs and factor W in float64: the "inf"
-    system always, and the "0" system too when given a mass ratio.
+    """Stack the operator pencil's matrices and factor W in float64: the
+    "inf" system always, and the "0" system too when given a mass ratio.
 
     "inf" is the clamped-nucleus problem (kinetic matrix alone); "0" folds
     nuclear motion in: K_0 = (1 + 1/M) K + (1/M) M_pol, which inherits the
-    k^2 scaling tag.  The Forms are stacked as the assembly gives them;
-    K_0 is formed exactly from K, M_pol and M = mass_ratio (str, int or
-    mpf, read by rational), so a mass ratio needs M_pol.  The "0" system
-    carries the reduced mass mu = M / (M + 1), which seeds its k-search
-    (ground_state_pair).  The systems share T and P_float.
+    k^2 scaling tag.  The assembly's (ints, D) pairs are split into each
+    system's Stack at CHUNK_LIMB; K_0 is formed exactly from K, M_pol and
+    M = mass_ratio (str, int or mpf, read by rational), so a mass ratio
+    needs M_pol.  The "0" system carries the reduced mass mu = M / (M + 1),
+    which seeds its k-search (ground_state_pair).  The systems share T,
+    P_float and W's float64 diagonal, which gives cond_bits.
     """
     if mass_ratio is not None and matrices.M_pol is None:
         raise ValueError("nuclear-motion Hamiltonian needs M_pol: assemble "
                          "with mass_polarization=True")
     W, P = matrices.W, matrices.P
-    T = _inverse_factor(_float_form(W))
+    W_float = _float_form(W)
+    T = _inverse_factor(W_float)
+    W_diag = W_float.diagonal().copy()
+    del W_float         # the n^2 floats go before the stacks are built
 
     def congruence(A):
         A = _float_form(A)
@@ -220,15 +231,16 @@ def build_systems(matrices, mass_ratio=None):
     P_float = congruence(P)
 
     def system(K, label, mu=None):
-        return PencilSystem(Stack.of([W, P, K]), T, congruence(K), P_float,
-                            label=label, mu=mu)
+        return PencilSystem(Stack.of([W, P, K], CHUNK_LIMB), T,
+                            congruence(K), P_float, W_diag, label=label,
+                            mu=mu)
 
     systems = {"inf": system(matrices.K, "inf")}
     if mass_ratio is not None:
         p, q = M = rational(mass_ratio)
         K_0 = _moving_nucleus_form(matrices.K, matrices.M_pol, M)
         systems["0"] = system(K_0, "0", p / (p + q))
-    debug("stage: n=%d cond_bits=%d", W.n, systems["inf"].cond_bits)
+    debug("stage: n=%d cond_bits=%d", len(T), systems["inf"].cond_bits)
     return systems
 
 

@@ -1,22 +1,25 @@
-"""Exact arithmetic: fixed-point ints, exact forms and their one kernel.
+"""Exact arithmetic: fixed-point ints, exact matrices and their one kernel.
 
 A rational is an exact (numerator, denominator) int pair (rational), a
 real at scale 2**F the int round(v 2**F) (fixed, fixed_mpf, to_mpf), as the
-solver leaves its state at F = mp.prec + GUARD_BITS.  Every exact matrix
-is a Form, ints over its own denominator in int64 limbs (split, join): the
-assembly's W, P, K and M_pol, K_0 and the expectation forms.  Both builds
-number their monomials in one dense table (code_table) and join their
-limbs at the minimal denominator in one joiner (reduced).  Forms of one
-limb width that are multiplied together stand in one Stack: the pencil's
-W, P and K, and a row stage's W, A, B, C, L and L'.  One kernel multiplies
-them (Stack.matvecs): the stack's limb matrices times a vector's limbs, as
-wide as the rows' magnitude sums allow, in one int64 matmul joined on
-Python ints (the operand splitting of K. Ozaki et al., Numer. Algorithms
-59, 95 (2012)), for the solver's chunks and the expectation routes' states
-(quadratics).  The bases are nested prefixes, so a stage's stack serves
-every smaller basis by its leading blocks, which are views.
+solver leaves its state at F = mp.prec + GUARD_BITS.  An exact n x n
+matrix travels the same way, as an (ints, D) pair: its n^2 ints row by
+row, an int64 array or, past int64, a list of Python ints, over its
+minimal denominator D.  The assembly's W, P, K and M_pol, K_0 and the
+expectation forms are such pairs.  Both builds number their monomials in
+one dense table (code_table) and join their int64 limb products to a pair
+in one joiner (reduced).  Matrices that are multiplied together stand in
+one Stack, the only holder of limbs (split, join): Stack.of splits its
+pairs at the width the caller leaves room for, the pencil's W, P and K at
+CHUNK_LIMB and a row stage's W, A, B, C, L and L' at STATE_LIMB.  One
+kernel multiplies them (Stack.matvecs): the stack's limb matrices times a
+vector's limbs, as wide as the rows' magnitude sums allow, in one int64
+matmul joined on Python ints (the operand splitting of K. Ozaki et al.,
+Numer. Algorithms 59, 95 (2012)), for the solver's chunks and the
+expectation routes' states (quadratics, and quadratic for one pair).  The bases are nested prefixes,
+so a stage's stack serves every smaller basis by its leading blocks, which
+are views.
 """
-
 import math
 import re
 from dataclasses import dataclass
@@ -29,9 +32,9 @@ from mpmath import mp
 # prefix sum to n carries at most n/2 ulps (n <= 17 at N = 50), and the
 # <p^4> channel sum cancels by a factor of ~70 at N = 50; 32 bits cover both.
 GUARD_BITS = 32
-# The widest entry chunk makes and its limbs, the room the pencil's forms
+# The widest entry chunk makes and its limbs, the room the pencil's stacks
 # leave (39-bit limbs at N = 50: one for W, P or K, two for K_0); and the
-# room an expectation form leaves a state, which keeps it one limb to N = 50
+# room an expectation stack leaves a state, which keeps it one limb to N = 50
 CHUNK_BITS, CHUNK_LIMB, STATE_LIMB = 54, 18, 10
 
 _DECIMAL = re.compile(r"([+-]?\d*)(?:\.(\d*))?(?:e([+-]?\d+))?")
@@ -107,7 +110,7 @@ def chunk(d, scale):
 
 def split(values, bound):
     """(L, bits): the fewest int64 limbs L, shape (m, len(values)), of the
-    ints values (a list, or an int64 or object array), values = sum_j L[j]
+    ints values (an int64 array, or a list of ints), values = sum_j L[j]
     2**(bits j) with bits = 63 - bitlen(bound), 0 <= L[j] < 2**bits below
     the top limb and |L[m-1]| <= 2**bits: limbs times ints whose
     magnitudes add to at most bound sum in int64.  A list wider than int64
@@ -126,7 +129,7 @@ def split(values, bound):
     top = max(int(values.max()), -int(values.min())).bit_length()
     L = values >> np.arange(0, max(1, -(-top // bits)) * bits, bits)[:, None]
     L[:-1] &= mask
-    return L.astype(np.int64, copy=False), bits
+    return L, bits
 
 
 def join(L, bits):
@@ -138,15 +141,19 @@ def join(L, bits):
 
 
 def reduced(L, bits, D):
-    """(values // g, D // g), g = gcd(D, values), for the ints values =
-    sum_j L[j] 2**(bits j) of the int64 limb arrays L: joined in int64
-    where every partial sum fits, else as Python ints in an object array."""
+    """The pair (values // g, D // g), g = gcd(D, values), of the ints
+    values = sum_j L[j] 2**(bits j) of the int64 limb arrays L: an int64
+    array where every partial sum fits, else joined (join) to a list of
+    Python ints."""
     top = max(int(np.abs(x).max()).bit_length() + bits * j
               for j, x in enumerate(L)) + len(L)
-    values = sum((x if top < 63 else x.astype(object)) << (bits * j)
-                 for j, x in enumerate(L))
-    g = math.gcd(D, *values.tolist())
-    return values // g, D // g
+    if top < 63:
+        values = sum(x << (bits * j) for j, x in enumerate(L))
+        g = math.gcd(D, *values.tolist())
+        return values // g, D // g
+    values = join([x.tolist() for x in L], bits)
+    g = math.gcd(D, *values)
+    return [v // g for v in values], D // g
 
 
 def code_table(code_arrays, size):
@@ -168,40 +175,13 @@ def code_table(code_arrays, size):
 
 
 @dataclass(frozen=True, eq=False)
-class Form:
-    """An exact n x n form ints / D: ints = sum_j limbs[j] 2**(bits j), the
-    limbs an (m, n, n) int64 array (split)."""
-
-    limbs: np.ndarray
-    bits: int
-    D: int
-
-    @property
-    def n(self):
-        return self.limbs.shape[1]
-
-    def ints(self):
-        """The ints, as one list row by row."""
-        return join(self.limbs.reshape(len(self.limbs), -1).tolist(),
-                    self.bits)
-
-
-def form(values, n, D, room):
-    """The Form of the n x n ints values (row by row, as split takes) over
-    D, in limbs of 63 - bitlen(n 2**room) bits: n products of them with
-    ints of at most 2**room sum in int64."""
-    L, bits = split(values, n << room)
-    return Form(L.reshape(-1, n, n), bits, D)
-
-
-@dataclass(frozen=True, eq=False)
 class Stack:
-    """Forms of one limb width in one int64 array: limbs, shape
-    (sum m_f, n, n), holds each form's m_f limbs in turn (counts) over its
-    denominator (denominators).  bounds[i] is the largest row sum of |limbs|
-    over the leading (i + 1) x (i + 1) blocks, at least 1: the bound that
-    the product of that prefix needs (matvecs).  Stack.of builds one; its
-    leading blocks (leading) and its member Forms (stack[f]) are views."""
+    """Exact n x n matrices in one int64 array of limbs of one width:
+    limbs, shape (sum m_f, n, n), holds each member's m_f limbs in turn
+    (counts) over its denominator (denominators).  bounds[i] is the largest
+    row sum of |limbs| over the leading (i + 1) x (i + 1) blocks, at least
+    1: the bound that the product of that prefix needs (matvecs).  Stack.of
+    builds one; its leading blocks (leading) are views."""
 
     limbs: np.ndarray
     bits: int
@@ -210,40 +190,39 @@ class Stack:
     bounds: tuple
 
     @classmethod
-    def of(cls, forms):
-        """The Stack of the Forms forms, which share one limb width."""
-        (bits,) = {A.bits for A in forms}
-        # form by form, which keeps the temporaries at one form's size: the
-        # row sums to each column, their running maximum down the rows, and
-        # at (i, i) the bound of the leading (i + 1) x (i + 1) blocks
-        top = 1
-        for A in forms:
+    def of(cls, pairs, room):
+        """The Stack of the (ints, D) pairs of n x n matrices (any
+        iterable, each pair split as it comes), in limbs of
+        63 - bitlen(n 2**room) bits: n products of them with ints of at most
+        2**room sum in int64."""
+        members, denominators, top = [], [], 1
+        for ints, D in pairs:
+            n = math.isqrt(len(ints))
+            L, bits = split(ints, n << room)
+            members.append(L.reshape(-1, n, n))
+            denominators.append(D)
+            # the row sums to each column, their running maximum down the
+            # rows, and at (i, i) the bound of the leading (i + 1) x (i + 1)
+            # blocks
             top = np.maximum(top, np.maximum.accumulate(
-                np.abs(A.limbs).cumsum(2).max(0)).diagonal())
-        return cls(np.concatenate([A.limbs for A in forms]), bits,
-                   tuple(len(A.limbs) for A in forms),
-                   tuple(A.D for A in forms), tuple(top.tolist()))
+                np.abs(members[-1]).cumsum(2).max(0)).diagonal())
+        return cls(np.concatenate(members), bits, tuple(map(len, members)),
+                   tuple(denominators), tuple(top.tolist()))
 
     @property
     def n(self):
         return self.limbs.shape[1]
 
-    def __getitem__(self, f):
-        """The member Form f, a view of its limbs."""
-        start = sum(self.counts[:f])
-        return Form(self.limbs[start:start + self.counts[f]], self.bits,
-                    self.denominators[f])
-
     def leading(self, n):
-        """The Stack of the forms' leading n x n blocks, a view."""
+        """The Stack of the members' leading n x n blocks, a view."""
         return Stack(self.limbs[:, :n, :n], self.bits, self.counts,
                      self.denominators, self.bounds[:n])
 
     def matvecs(self, x):
-        """The lists A_f x of exact ints, for each form A_f in turn and the
-        ints x (as split takes).  One int64 matmul takes every product of a
-        limb matrix and a limb of x (split at the stack's bound), joined
-        over x's limbs, then over each form's."""
+        """The lists A_f x of exact ints, for each member A_f in turn and
+        the ints x (as split takes).  One int64 matmul takes every product
+        of a limb matrix and a limb of x (split at the stack's bound),
+        joined over x's limbs, then over each member's."""
         n, (X, room) = self.n, split(x, self.bounds[-1])
         Y = join((self.limbs @ X.T).transpose(2, 0, 1).reshape(len(X), -1)
                  .tolist(), room)
@@ -274,6 +253,13 @@ def quadratics(coeffs, stack, groups):
             Mc = [x + w * y for x, y in zip(Mc, products[f])]
         sums.append((dot(coeffs, Mc) // D, top * sum(map(abs, Mc)) // D))
     return sums
+
+
+def quadratic(coeffs, A):
+    """c'Ac rounded down to an int, for the ints coeffs c and the (ints, D)
+    pair A, whose leading len(coeffs) block it reads: quadratics on a Stack
+    of A alone, at a state's room (STATE_LIMB)."""
+    return quadratics(coeffs, Stack.of([A], STATE_LIMB), [((1, 0),)])[0][0]
 
 
 def lost_bits(total, size):

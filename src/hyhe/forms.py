@@ -7,10 +7,10 @@ each is c'Ac for exact rational matrices A:
   Q               = k^3 c'(L - ln(2k) L')c / c'Wc
 
 matrices.p4_expectation and matrices.log_momentum_expectation give the
-integrals they stand for.  Each is an exact Form (hyhe.exact) over its
-minimal denominator, which costs a row neither a Python int per entry nor
-an n^2 product of them: with the overlap W at their limb width they stand
-in one exact.Stack, and a row takes all of its quadratic forms in one
+integrals they stand for.  Each is built as an exact (ints, D) pair
+(hyhe.exact) over its minimal denominator and, with the overlap W, split
+into one exact.Stack, which costs a row neither a Python int per entry nor
+an n^2 product of them: a row takes all of its quadratic forms in one
 exact product of its views (exact.quadratics).  The forms depend on the
 basis alone, not on the state, k or the precision; the bases are nested
 prefixes, so a stage's stack serves every smaller basis by its leading
@@ -18,10 +18,11 @@ blocks, and a rerun at more digits reads the same forms.
 """
 
 import math
+from itertools import chain
 
 import numpy as np
 
-from .exact import STATE_LIMB, Stack, code_table, form, reduced, split
+from .exact import STATE_LIMB, Stack, code_table, reduced, split
 
 # T = reduced Laplacian of phi = s^l t^q u^n (matrices.p4_expectation), as
 # the coefficients of its 12 monomials phi s^da t^db u^dc at these offsets.
@@ -129,16 +130,18 @@ def _logmom_moments(a, b, c):
 
 
 def _bilinear_parts(X, Y, moments, r):
-    """Exact int matrices X G Y', one (Z, bits, D) per part of moments, with
-    G[mu, nu] = moments at the monomial keys[mu] + keys'[nu].
+    """Exact int matrices, one (ints, D) pair per part of moments: the
+    symmetric part (X G Y' + Y G X') / 2, which is X G Y' itself when X is
+    Y, with G[mu, nu] = moments at the monomial keys[mu] + keys'[nu].
 
     X and Y are (at, coefficients, keys), each row a term's polynomial:
     X[i, at[i, k]] = coefficients[i, k], the monomials keys as codes of
     radix r.  Each part's numerators are reduced by their gcd with D and
     split into limbs (exact.split) that keep every sum of X G Y' in int64,
-    and the sum of Z and its transpose too; Z holds each limb's product, to
-    join (_form).  The monomial sums are formed one column of X's terms at
-    a time, which keeps the temporaries at n x len(keys').
+    and the sum of X G Y' and its transpose too; Z holds each limb's
+    product, joined to the pair (exact.reduced).  The monomial sums are
+    formed one column of X's terms at a time, which keeps the temporaries
+    at n x len(keys').
     """
     (xi, xc, kx), (yi, yc, ky) = X, Y
     keys, index = code_table((kx[i][:, None] + ky for i in xi.T), r ** 3)
@@ -153,22 +156,17 @@ def _bilinear_parts(X, Y, moments, r):
             for i, c in zip(xi.T, xc.T):
                 XG += c[:, None] * limb[index[kx[i][:, None] + ky]]
             z[:] = sum(c * XG[:, i] for i, c in zip(yi.T, yc.T))
-        yield Z, bits, D // g
-
-
-def _form(Z, bits, D):
-    """The Form of the limb products Z over D (_bilinear_parts) at its
-    minimal denominator (exact.reduced), leaving a state's ints STATE_LIMB
-    bits."""
-    values, D = reduced(Z.reshape(len(Z), -1), bits, D)
-    return form(values, Z.shape[1], D, STATE_LIMB)
+        D //= g
+        if X is not Y:
+            Z, D = Z + Z.transpose(0, 2, 1), 2 * D
+        yield reduced(Z.reshape(len(Z), -1), bits, D)
 
 
 def build_expectation_forms(basis, W):
     """The exact Stack of basis's quadratic forms (module docstring), and so
-    the same at any precision: the overlap W, given as a Form at any limb
-    width (the assembly's), then <p^4>'s A, B and C, then the
-    log-momentum element's L and L', all at STATE_LIMB.  On a state c of
+    the same at any precision: the overlap W, the assembly's (ints, D)
+    pair, then <p^4>'s A, B and C, then the log-momentum element's L and
+    L', split at STATE_LIMB.  On a state c of
     norm c'Wc,
 
       <p_1^4 + p_2^4> = k^4 c'(A + zeta(2) B + ln 2 C)c / c'Wc
@@ -206,13 +204,9 @@ def build_expectation_forms(basis, W):
         return at, coefficients, keys
 
     T = polys(_LAPLACIAN_OFFSETS, _laplacian_coefficients(*exps.T))
-    p4 = tuple(_form(*part)
-               for part in _bilinear_parts(T, T, _p4_moments, r))
     phi = (np.arange(len(exps))[:, None], np.ones((len(exps), 1), np.int64),
            codes)
     angular = polys(_LOGMOM_OFFSETS, _logmom_coefficients(*exps.T))
-    log_momentum = tuple(
-        _form(Z + Z.transpose(0, 2, 1), bits, 2 * D)
-        for Z, bits, D in _bilinear_parts(phi, angular, _logmom_moments, r))
-    return Stack.of([form(W.ints(), W.n, W.D, STATE_LIMB), *p4,
-                     *log_momentum])
+    return Stack.of(chain([W], _bilinear_parts(T, T, _p4_moments, r),
+                          _bilinear_parts(phi, angular, _logmom_moments, r)),
+                    STATE_LIMB)

@@ -61,8 +61,8 @@ from mpmath import mp
 
 from . import debug
 from .basis import padd, pscale, pshift
-from .exact import (CHUNK_LIMB, Form, Stack, code_table, fixed_mpf, form,
-                    lost_bits, quadratics, reduced, split, to_mpf)
+from .exact import (code_table, fixed_mpf, lost_bits, quadratic, quadratics,
+                    reduced, split, to_mpf)
 from .integrals import moment_ratio
 
 # geometric weight polynomials (coordinates s, t, u; keys are exponents)
@@ -102,8 +102,8 @@ class NormalizationError(ValueError):
 
 @dataclass(frozen=True)
 class OperatorMatrices:
-    """Exact operator matrices in volume units, each a Form (hyhe.exact)
-    over its minimal denominator, at the width of the pencil's limbs.
+    """Exact operator matrices in volume units, each an (ints, D) pair
+    (hyhe.exact): its n^2 ints row by row over its minimal denominator.
 
     P is Z times the nuclear attraction plus the electron repulsion.  When
     the trial exponent k is restored the Rayleigh quotient is
@@ -111,10 +111,10 @@ class OperatorMatrices:
     the kinetic one; M_pol is None when it was not assembled.
     """
 
-    W: Form
-    K: Form
-    P: Form
-    M_pol: Form
+    W: tuple
+    K: tuple
+    P: tuple
+    M_pol: tuple
 
 
 def build_operator_matrices(basis, Z=2, mass_polarization=True):
@@ -135,10 +135,10 @@ def build_operator_matrices(basis, Z=2, mass_polarization=True):
     denominators, and split into int64 limbs (exact.split) narrow enough
     for every sum below.  One int64 matmul of every limb with the weights
     gives every integral at each distinct e, and a pair's K and M_pol
-    values are its coefficients dotted with those.  Each form's limbs are
-    joined and divided to its minimal denominator D / gcd(D, values)
-    (exact.reduced), and its n x n entries gathered from the pairs through
-    one symmetric pair index, a Form at the pencil's width (exact.form).
+    values are its coefficients dotted with those.  Each matrix's n x n
+    entries are gathered, limb by limb, from the pairs through one
+    symmetric pair index, then joined and divided to its minimal
+    denominator D / gcd(D, values), an (ints, D) pair (exact.reduced).
     A moment with a negative t power (Q = 0 under the q_i q_j piece, whose
     coefficient is then 0) is read as 0.  Without mass_polarization the
     M_pol pieces are not integrated and M_pol is None.
@@ -190,12 +190,7 @@ def build_operator_matrices(basis, Z=2, mass_polarization=True):
     hi = np.maximum.outer(ar, ar)
     sym = (hi * (hi + 1) // 2 + np.minimum.outer(ar, ar)).ravel()
 
-    def assembled(part):
-        """The symmetric Form of the pair values' limbs part, reduced."""
-        values, D_A = reduced(part, bits, D)
-        return form(values[sym], n, D_A, CHUNK_LIMB)
-
-    W, P, K, *M_pol = map(assembled, parts)
+    W, P, K, *M_pol = (reduced(part[:, sym], bits, D) for part in parts)
     return OperatorMatrices(W=W, K=K, P=P,
                             M_pol=M_pol[0] if mass_polarization else None)
 
@@ -242,13 +237,12 @@ def check_normalized(W, coeffs, F):
 
     The state is the ints coeffs at scale 2**F, as a solve leaves it
     (VariationalResult.frac_bits), and c'Wc is summed exactly on them
-    (exact.quadratics) with W the overlap Form, so W may be a larger
-    stage's.  The sum is cut to scale 2**F and made one mpf, exact below 2,
-    so |c'Wc - 1| keeps the bits below the working precision.  A state
-    read at the wrong scale fails here, so the check also guards F.
+    (exact.quadratic) with W the overlap's (ints, D) pair, so W may be a
+    larger stage's.  The sum is cut to scale 2**F and made one mpf, exact
+    below 2, so |c'Wc - 1| keeps the bits below the working precision.  A
+    state read at the wrong scale fails here, so the check also guards F.
     """
-    return _normalized(quadratics(coeffs, Stack.of([W]), [((1, 0),)])[0][0],
-                       F)
+    return _normalized(quadratic(coeffs, W), F)
 
 
 def _normalized(total, F):

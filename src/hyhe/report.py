@@ -5,10 +5,11 @@ matrices -> both ground states -> expectation values on the nuclear-motion
 state -> correction breakdown.  Every verb gets its basis, matrices and
 pencil systems from build_stage, the one place where the choice of
 Hamiltonian decides what is assembled; a row's stage (build_row_stage) adds
-the exact forms of <p^4> and the log-momentum element, with the overlap at
-their width, in one stack for one exact product per row.  The stage is exact, so it is
-built with no precision context and serves every precision, and a sweep
-builds one, at its largest N, whose leading blocks serve every row.
+the exact forms of <p^4> and the log-momentum element, split with the
+assembly's overlap into one stack for one exact product per row.  The stage
+is exact, so it is built with no precision context and serves every
+precision, and a sweep builds one, at its largest N, whose leading blocks
+serve every row.
 Numeric cells are strings of 20 significant digits, each certified: its
 error bound must leave it on one side of each 20-digit rounding boundary
 (settled), or its solve runs again at twice the digits (_certified, for
@@ -215,13 +216,13 @@ def build_stage(n, constants, nuclear_motion=True):
 
 def build_row_stage(n, constants):
     """(basis, systems, forms): build_stage's nuclear-motion stage at basis
-    size n, whose systems hold the overlap form, and the Stack of its
-    basis's expectation forms with that overlap (build_expectation_forms);
-    exact, as the stage is."""
+    size n, and the Stack of its basis's expectation forms with the
+    assembly's overlap W (build_expectation_forms); exact, as the stage
+    is."""
     basis, mats, systems = build_stage(n, constants)
-    del mats            # free the assembly's forms before the new ones
-    return basis, systems, build_expectation_forms(basis,
-                                                   systems["0"].stack[0])
+    W = mats.W
+    del mats            # free the rest of the assembly before the new forms
+    return basis, systems, build_expectation_forms(basis, W)
 
 
 def _certified(digits, solve, what):

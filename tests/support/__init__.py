@@ -8,10 +8,12 @@ expectation forms, pointwise integrands and the angle route to the
 log-momentum numerator (`matrices`), and the Cartesian probes, product-state closed forms, mpmath
 eigensolve, Fraction assembly, mpf series and Duffy-split Gauss rule
 (`oracles`).  `fixed_state` turns an mpf state into the fixed-point ints
-that the expectation routes read.  The assembly gives each form as exact
-ints over one denominator, an exact `hyhe.exact.Form`; `integer_matrix`,
-`fraction_matrix` and `fraction_forms` convert between that and matrices
-of Fractions, for the tests that read or build forms entry by entry.
+that the expectation routes read.  The assembly gives each matrix as an
+exact (ints, D) pair, its ints row by row over one denominator;
+`integer_matrix`, `fraction_matrix` and `fraction_forms` convert between
+that and matrices of Fractions, for the tests that read or build matrices
+entry by entry, and `members` reads the pairs back out of an
+`hyhe.exact.Stack`.
 `straddles` is the rule that decides whether a report cell is settled,
 and `compare_trees` compares two source trees value by value.
 """
@@ -22,7 +24,7 @@ from fractions import Fraction
 
 from mpmath import mp
 
-from hyhe.exact import CHUNK_LIMB, GUARD_BITS, fixed_mpf, form
+from hyhe.exact import GUARD_BITS, fixed_mpf, join
 
 
 def fixed_state(coeffs):
@@ -33,23 +35,35 @@ def fixed_state(coeffs):
 
 
 def integer_matrix(matrix):
-    """The Form ints / D of a square matrix of Fractions (or ints), at the
-    pencil's limb width as the assembly gives it: D is the lcm of the
+    """The (ints, D) pair of a square matrix of Fractions (or ints), as the
+    assembly gives one: its ints row by row, a list, over D, the lcm of the
     entries' denominators, the minimal one."""
     D = math.lcm(*(v.denominator for row in matrix for v in row))
-    return form([v.numerator * (D // v.denominator) for row in matrix
-                 for v in row], len(matrix), D, CHUNK_LIMB)
+    return [v.numerator * (D // v.denominator) for row in matrix
+            for v in row], D
 
 
 def fraction_matrix(A):
-    """The matrix of Fractions ints / D of a Form A."""
-    ints, n = A.ints(), A.n
-    return [[Fraction(v, A.D) for v in ints[i:i + n]]
+    """The matrix of Fractions ints / D of an (ints, D) pair A."""
+    ints, D = A
+    ints, n = list(map(int, ints)), math.isqrt(len(ints))
+    return [[Fraction(v, D) for v in ints[i:i + n]]
             for i in range(0, n * n, n)]
 
 
+def members(stack):
+    """The (ints, D) pair of each member of an exact.Stack, in turn, its
+    ints a list row by row."""
+    out, start = [], 0
+    for m, D in zip(stack.counts, stack.denominators):
+        limbs = stack.limbs[start:start + m]
+        out.append((join(limbs.reshape(m, -1).tolist(), stack.bits), D))
+        start += m
+    return out
+
+
 def fraction_forms(mats):
-    """OperatorMatrices mats with each Form as a matrix of Fractions (an
+    """OperatorMatrices mats with each pair as a matrix of Fractions (an
     M_pol of None stays None)."""
     return dataclasses.replace(mats, **{
         name: fraction_matrix(getattr(mats, name))

@@ -22,13 +22,13 @@ and for each N in --verbs (default: --n) the JSON output of the `solve`
 calls alternate.  A function's arguments are passed by the names of its
 parameters, so a tree whose signature differs is still called as it asks.
 
-An mpf is compared by its _mpf_ tuple, a Form by its limbs, bits and D,
-anything else by ==, recursing through dataclasses, lists, tuples and
-dicts.  A stage's exact forms are compared by their ints and denominators
-in turn, whatever layout the tree keeps them in (exact_forms): W, P and K
-of each system, and the overlap W, <p^4>'s A, B and C and the
-log-momentum element's L and L' of the expectation forms.  Every
-differing field is printed; the exit status is 1 if any differs, else 0.
+An mpf is compared by its _mpf_ tuple, anything else by ==, recursing
+through dataclasses, lists, tuples and dicts.  A stage's exact forms are
+compared by their ints and denominators in turn, whatever layout the tree
+keeps them in (exact_forms): W, P and K of each system, and the overlap W,
+<p^4>'s A, B and C and the log-momentum element's L and L' of the
+expectation forms.  Every differing field is printed; the exit status is 1
+if any differs, else 0.
 """
 
 import argparse
@@ -71,11 +71,6 @@ def differences(a, b, path=""):
     differ (module docstring)."""
     if hasattr(a, "_mpf_") and hasattr(b, "_mpf_"):
         return [] if a._mpf_ == b._mpf_ else [(path, a, b)]
-    if "Form" in (type(a).__name__, type(b).__name__):
-        same = (type(a).__name__ == type(b).__name__ and a.bits == b.bits
-                and a.D == b.D and a.limbs.dtype == b.limbs.dtype
-                and np.array_equal(a.limbs, b.limbs))
-        return [] if same else [(path, "Form", "Form")]
     if dataclasses.is_dataclass(a) and dataclasses.is_dataclass(b):
         a, b = vars(a), vars(b)
     if isinstance(a, dict) and isinstance(b, dict):
@@ -123,8 +118,10 @@ def exact_forms(held):
     """[(ints, D)] of the exact forms that a stage part holds, in turn: a
     system's W, P and K, or the expectation forms' W, A, B, C, L and L'.
     It reads a stack of forms (limbs, counts, denominators, bits), held
-    alone or as a system's `stack`; a system's int64 `stack` counted by its
-    `limbs`; Forms named W, p4 and log_momentum; or one Form."""
+    alone or as a system's `stack`, as the parent and this tree keep them;
+    and the earlier layouts: a system's int64 `stack` counted by its
+    `limbs`, and single forms (limbs, bits, D) named W, p4 and
+    log_momentum."""
     if hasattr(held, "p4"):
         return [f for A in (held.W, *held.p4, *held.log_momentum)
                 for f in exact_forms(A)]

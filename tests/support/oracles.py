@@ -252,7 +252,7 @@ def duffy_p4_channels(basis, coeffs, nodes=12):
 # ---------------------------------------------------------------------------
 
 def to_mp(form, n):
-    """The leading n x n block of a Form as an mp.matrix."""
+    """The leading n x n block of an (ints, D) pair as an mp.matrix."""
     frac_matrix = fraction_matrix(form)
     out = mp.matrix(n)
     for i in range(n):
@@ -294,7 +294,7 @@ def upper_t_solve(L, x):
 
 def mp_reduce_pencil(matrices, mass_ratio=None):
     """(L, K_red, P_red) by mp.cholesky; K_0 = (1+1/M) K + M_pol/M if M given."""
-    n = matrices.W.n
+    n = math.isqrt(len(matrices.W[0]))
     L = mp.cholesky(to_mp(matrices.W, n))
     K = to_mp(matrices.K, n)
     if mass_ratio is not None:
@@ -383,7 +383,7 @@ def fraction_operator_matrices(basis, Z=2):
     Each element builds its own integrand polynomials with Fraction
     coefficients and integrates them monomial by monomial, exactly as the
     assembly did before it moved to integer coefficients.  Returns an
-    `OperatorMatrices` whose forms are the Fraction matrices reduced by
+    `OperatorMatrices` whose matrices are the Fraction matrices reduced by
     `integer_matrix`, ints over the lcm of their denominators.
     """
     F0, F1 = Fraction(0), Fraction(1)

@@ -18,7 +18,7 @@ from hyhe.eigen import (AssemblyError, ConvergenceError, PencilSystem,
                         build_systems, ground_state_pair, optimize_k,
                         solve_fixed_k)
 from hyhe.matrices import build_operator_matrices, check_normalized
-from support import integer_matrix
+from support import integer_matrix, members
 from support.oracles import (mp_reduce_pencil, mp_solve_fixed_k,
                              plain_optimize_k)
 
@@ -255,7 +255,7 @@ def test_inverse_iteration_step_cap():
         system = systems["inf"]
         assert solve_fixed_k(system, 2)[0] < 0
         noisy = PencilSystem(system.stack, system.T, system.K_float * 1.05,
-                             system.P_float, label="inf")
+                             system.P_float, system.W_diag, label="inf")
         with pytest.raises(ConvergenceError,
                            match=r"k=2\.0 did not converge: step 2 shrank "
                                  r"it less than 16-fold, with cond_bits=\d+"):
@@ -344,13 +344,14 @@ def test_reduction_over_odd_denominators(mass_ratio, dps):
 
 
 def assert_float_forms_divide_entrywise(mats, mass_ratio):
-    # every float form is bit for bit each int divided by D, whether it is
-    # read off its one limb (W, P and K over 256 through N = 50) or divided
+    # every float form is bit for bit each int divided by D, whether its
+    # ints are made floats and scaled (W, P and K over 256) or divided
     K_0 = eigen._moving_nucleus_form(mats.K, mats.M_pol,
                                      exact.rational(mass_ratio))
-    for A in (mats.W, mats.P, mats.K, mats.M_pol, K_0):
-        plain = np.array([v / A.D for v in A.ints()]).reshape(A.n, A.n)
-        assert eigen._float_form(A).tobytes() == plain.tobytes()
+    for ints, D in (mats.W, mats.P, mats.K, mats.M_pol, K_0):
+        n = math.isqrt(len(ints))
+        plain = np.array([int(v) / D for v in ints]).reshape(n, n)
+        assert eigen._float_form((ints, D)).tobytes() == plain.tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 7, 40, 50, 70])
@@ -494,10 +495,9 @@ def test_fixed_quotient_is_within_half_a_unit(a, t, h, b):
        st.sampled_from((1, 7, 50 << exact.CHUNK_LIMB, 2 ** 40, 2 ** 53)))
 def test_split_is_the_same_for_lists_and_arrays(data, width, count, bound):
     # a list of ints of 1 to 300 bits, either sign, split on its Python ints
-    # past int64, and the same ints as an object array, and as an int64
-    # array where they fit, split into the same limbs: as many as the
-    # widest int needs, each below 2**bits but the signed top one, which
-    # join back to the ints
+    # past int64, and the same ints as an int64 array where they fit, split
+    # into the same limbs: as many as the widest int needs, each below
+    # 2**bits but the signed top one, which join back to the ints
     top = (1 << width) - 1
     values = data.draw(st.lists(
         st.one_of(st.sampled_from((top, -top, 0)), st.integers(-top, top)),
@@ -508,11 +508,8 @@ def test_split_is_the_same_for_lists_and_arrays(data, width, count, bound):
     assert len(L) == max(1, -(-max(map(abs, values)).bit_length() // bits))
     assert ((L[:-1] >= 0) & (L[:-1] < 1 << bits)).all()
     assert (np.abs(L[-1]) <= 1 << bits).all()
-    arrays = [np.array(values, object)]
     if width < 64:
-        arrays.append(np.array(values, np.int64))
-    for array in arrays:
-        L_array, bits_array = exact.split(array, bound)
+        L_array, bits_array = exact.split(np.array(values, np.int64), bound)
         assert bits_array == bits and L_array.dtype == np.int64
         assert np.array_equal(L_array, L)
 
@@ -596,7 +593,7 @@ def test_float_seed_failures(monkeypatch):
         fallback = optimize_k(system)
         assert abs(fallback.k_opt - seeded.k_opt) < mp.mpf("1e-20")
         bad = PencilSystem(system.stack, system.T, system.K_float.copy(),
-                           system.P_float)
+                           system.P_float, system.W_diag)
         bad.K_float[0, 0] = float("nan")
         assert eigen._float_root(bad, 2.0)[0] is None
 
@@ -678,14 +675,10 @@ def test_float_seed_past_n70(monkeypatch):
 
 
 def exact_forms(stack):
-    """The exact numerators of the forms in an exact.Stack, row by row."""
-    forms, start, n = [], 0, stack.n
-    for m in stack.counts:
-        flat = exact.join(
-            stack.limbs[start:start + m].reshape(m, -1).tolist(), stack.bits)
-        forms.append([flat[i * n:(i + 1) * n] for i in range(n)])
-        start += m
-    return forms
+    """The exact numerators of the members of an exact.Stack, row by row."""
+    n = stack.n
+    return [[flat[i * n:(i + 1) * n] for i in range(n)]
+            for flat, _ in members(stack)]
 
 
 def fields(system):
@@ -723,8 +716,6 @@ def test_leading_block_is_the_prefix_reduction():
                     assert np.shares_memory(getattr(lead, name),
                                             getattr(stage, name)), (n, name)
                 assert np.shares_memory(lead.stack.limbs, stage.stack.limbs)
-                assert np.shares_memory(lead.stack[2].limbs,
-                                        stage.stack.limbs)
             for n in (0, 14):
                 with pytest.raises(ValueError, match="need 1 <= n <= 13"):
                     big[label].leading(n)
@@ -762,14 +753,15 @@ def test_limb_matvecs_are_three_exact_matvecs(data, n):
         return [x for row in A for x in row]
 
     def product(A, c):
-        """A c by the kernel, on the Form A's leading len(c) block, as
+        """A c by the kernel, on the matrix A's leading len(c) block, as
         exact.quadratics reads a form."""
-        return exact.Stack.of([A]).leading(len(c)).matvecs(c)[0]
+        return exact.Stack.of([(A, 1)], exact.STATE_LIMB).leading(
+            len(c)).matvecs(c)[0]
 
     def check(forms, v):
-        limbed = [exact.form(flat(A), n, 1, exact.CHUNK_LIMB) for A in forms]
-        assert {A.bits for A in limbed} == {bits}
-        stack = exact.Stack.of(limbed)
+        stack = exact.Stack.of([(flat(A), 1) for A in forms],
+                               exact.CHUNK_LIMB)
+        assert stack.bits == bits
         assert stack.matvecs(np.array(v, np.int64)) == \
             plain_matvecs(stack, v) == [plain(A, v) for A in forms]
 
@@ -792,28 +784,26 @@ def test_limb_matvecs_are_three_exact_matvecs(data, n):
                    data.draw(st.integers(1, 80)))
     A, B = ([[entry(w) for _ in range(n)] for _ in range(n)]
             for w in form_widths)
-    form, form_B = (exact.form(flat(M), n, 1, exact.STATE_LIMB)
-                    for M in (A, B))
     c = [entry(data.draw(st.integers(135, 400))) for _ in range(n)]
     m = rng.randint(1, n)
-    assert product(form, c) == plain(A, c)
-    assert product(form, c[:m]) == plain([row[:m] for row in A[:m]], c[:m])
+    assert product(flat(A), c) == plain(A, c)
+    assert product(flat(A), c[:m]) == plain([row[:m] for row in A[:m]],
+                                            c[:m])
     # the larger stack's extra rows and columns are as wide as the forms'
     extra = rng.randint(1, 8)
-    larger = (exact.form(flat([row + [entry(w) for _ in range(extra)]
-                               for row in M]
-                              + [[entry(w) for _ in range(n + extra)]
-                                 for _ in range(extra)]),
-                         n + extra, 1, exact.STATE_LIMB)
+    larger = ((flat([row + [entry(w) for _ in range(extra)] for row in M]
+                    + [[entry(w) for _ in range(n + extra)]
+                       for _ in range(extra)]), 1)
               for M, w in zip((A, B), form_widths))
-    for stack in (exact.Stack.of([form, form_B]),
-                  exact.Stack.of(list(larger)).leading(n)):
+    for stack in (exact.Stack.of([(flat(A), 1), (flat(B), 1)],
+                                 exact.STATE_LIMB),
+                  exact.Stack.of(larger, exact.STATE_LIMB).leading(n)):
         assert stack.matvecs(c) == [plain(A, c), plain(B, c)]
         assert exact.quadratics(c, stack, [((1, 0), (3, 1))])[0][0] == sum(
             map(mul, c, plain(A, c))) + 3 * sum(map(mul, c, plain(B, c)))
     for sign in (1, -1):
         top = (1 << form_widths[0]) - 1
-        full = exact.form([sign * top] * (n * n), n, 1, exact.STATE_LIMB)
+        full = [sign * top] * (n * n)
         c = [sign * ((1 << 400) - 1)] * n
         assert product(full, c) == [n * top * ((1 << 400) - 1)] * n
 

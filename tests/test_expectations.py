@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from hyhe.matrices import (NormalizationError, build_operator_matrices,
                            expectation_set, log_momentum_expectation,
                            p4_expectation)
 from hyhe.report import build_row_stage
-from support import fixed_state, fraction_matrix
+from support import fixed_state, fraction_matrix, members
 from support.integrals import quad_integral
 from support.matrices import (angle_logmom_numerator,
                               log_momentum_integrands, logmom_numerator,
@@ -214,15 +215,15 @@ def optimized_state(n):
 
 def plain_quadratic(c, stack, terms):
     """exact.quadratics' (c'Mc, max|c| ||Mc||_1) of one group on plain
-    Python ints: each member Form's leading block from its ints, over the
-    lcm of the denominators."""
-    forms = [stack[f] for _, f in terms]
-    n, D = len(c), math.lcm(*(A.D for A in forms))
+    Python ints: each member's leading block from its ints, over the lcm of
+    the denominators."""
+    pairs = [members(stack)[f] for _, f in terms]
+    n, D = len(c), math.lcm(*(D_f for _, D_f in pairs))
     Mc = [0] * n
-    for (w, _), A in zip(terms, forms):
-        ints, w = A.ints(), w * (D // A.D)
+    for (w, _), (ints, D_f) in zip(terms, pairs):
+        w *= D // D_f
         for i in range(n):
-            Mc[i] += w * sum(ints[i * A.n + j] * c[j] for j in range(n))
+            Mc[i] += w * sum(ints[i * stack.n + j] * c[j] for j in range(n))
     return (sum(x * y for x, y in zip(c, Mc)) // D,
             max(map(abs, c)) * sum(map(abs, Mc)) // D)
 
@@ -237,8 +238,10 @@ def test_one_product_per_row_is_the_separate_forms(stage_50):
     # forms gives exactly the (total, size) ints of the norm, <p^4> and
     # log-momentum forms taken alone, and of the same sums on plain ints;
     # expectation_set equals the separate routes bit for bit, with the norm
-    # read off the pencil's own W
+    # read off the assembly's W
     basis, systems, forms = stage_50
+    W = build_operator_matrices(basis, mass_polarization=False).W
+    pairs = members(forms)
     with mp.workdps(30):
         for n in (1, 7, 22, 40, 50):
             res = optimize_k(systems["0"].leading(n))
@@ -248,12 +251,13 @@ def test_one_product_per_row_is_the_separate_forms(stage_50):
             fused = exact.quadratics(c, forms, groups)
             # each group alone, its forms in a stack of their own
             assert fused == [exact.quadratics(
-                c, exact.Stack.of([forms[f] for _, f in terms]),
+                c, exact.Stack.of([pairs[f] for _, f in terms],
+                                  exact.STATE_LIMB),
                 [[(w, i) for i, (w, _) in enumerate(terms)]])[0]
                 for terms in groups]
             assert fused == [plain_quadratic(c, forms, terms)
                              for terms in groups]
-            wq = check_normalized(systems["0"].stack[0], c, F)
+            wq = check_normalized(W, c, F)
             d1, dee = delta_expectations(basis[:n], c, F, k, wq)
             p4, p4_lost = p4_expectation(forms, c, F, k, wq)
             q, q_lost = log_momentum_expectation(forms, c, F, k, wq)
@@ -266,26 +270,45 @@ def test_one_product_per_row_is_the_separate_forms(stage_50):
             # refuses it
             off = [x + x // 10 ** 9 for x in c]
             for check in (lambda: expectation_set(basis[:n], off, F, k, forms),
-                          lambda: check_normalized(systems["0"].stack[0], off,
-                                                   F)):
+                          lambda: check_normalized(W, off, F)):
                 with pytest.raises(NormalizationError,
                                    match="state is not normalized"):
                     check()
 
 
-@pytest.mark.parametrize("N", [1, 7, 34, 50])
+@pytest.mark.parametrize("N", [1, 7, 34, 50, 70, 95])
 def test_prefix_bounds_are_the_row_scans(N):
     # each stack of a row stage holds, for every prefix n, the largest row
-    # sum of |limbs| over its forms' leading n x n blocks: the bound a row
-    # scanned for itself, form by form
-    basis, systems, forms = build_row_stage(N, default_constants())
+    # sum of |limbs| over its members' leading n x n blocks: the bound a row
+    # scanned for itself, member by member; and each member is the
+    # assembly's pair: W, P and K, or K_0 = ((M + 1) K + M_pol) / M, with W
+    # member 0 of the forms stack.  At N = 70 W takes two limbs at the
+    # pencil's width, and at N = 95 an expectation form passes int64
+    constants = default_constants()
+    basis, systems, forms = build_row_stage(N, constants)
     for stack in (forms, systems["inf"].stack, systems["0"].stack):
         assert len(stack.bounds) == N
+        ends = np.cumsum(stack.counts)
         for n in range(1, N + 1):
-            scan = max(max(int(np.abs(stack[f].limbs[:, :n, :n]).sum(2).max())
-                           for f in range(len(stack.counts))), 1)
+            scan = max(max(int(np.abs(stack.limbs[end - m:end, :n, :n])
+                               .sum(2).max())
+                           for m, end in zip(stack.counts, ends)), 1)
             assert stack.bounds[n - 1] == stack.leading(n).bounds[-1] == \
                 scan, (N, n)
+    mats = build_operator_matrices(basis)
+    W, P, K, M_pol = ((list(map(int, ints)), D)
+                      for ints, D in (mats.W, mats.P, mats.K, mats.M_pol))
+    assert members(systems["inf"].stack) == [W, P, K]
+    assert members(systems["0"].stack)[:2] == [W, P]
+    (ints, D), = members(systems["0"].stack)[2:]
+    M = Fraction(constants.mass_ratio_M)
+    assert [Fraction(v, D) for v in ints] == [
+        (M + 1) / M * Fraction(k, K[1]) + Fraction(m, M_pol[1]) / M
+        for k, m in zip(K[0], M_pol[0])]
+    assert members(forms)[0] == W
+    assert (systems["inf"].stack.counts[0] == 2) == (N >= 70)
+    assert (max(abs(v) for ints, _ in members(forms)
+                for v in ints).bit_length() > 63) == (N == 95)
 
 
 def test_expectation_constants_never_go_stale(stage_50):
@@ -421,6 +444,7 @@ def test_forms_match_the_polynomial_routes():
     # and on one random 95-term state, whose forms are partly two limbs wide
     # (past N = 50)
     basis, systems, forms = build_row_stage(50, default_constants())
+    W = build_operator_matrices(basis, mass_polarization=False).W
     rng = random.Random(50)
     with mp.workdps(30):
         F = mp.prec + 32
@@ -428,8 +452,7 @@ def test_forms_match_the_polynomial_routes():
                    F, mp.mpf("1.85"), mp.mpf(1)) for n in (1, 2, 7, 22, 50)]
         for n in range(1, 51):
             res = optimize_k(systems["0"].leading(n))
-            wq = check_normalized(systems["0"].stack[0], res.coeffs,
-                                  res.frac_bits)
+            wq = check_normalized(W, res.coeffs, res.frac_bits)
             states.append((forms, n, res.coeffs, res.frac_bits, res.k_opt,
                            wq))
         basis_95 = enumerate_basis(95)

@@ -95,14 +95,14 @@ def test_integer_assembly_matches_fraction_oracle(n, Z):
 
 
 def exact_form(mats, name):
-    """(ints, D) of a Form of mats, for comparing forms."""
-    A = getattr(mats, name)
-    return A.ints(), A.D
+    """The (ints, D) pair of mats, its ints a list, for comparing pairs."""
+    ints, D = getattr(mats, name)
+    return list(map(int, ints)), D
 
 
 @pytest.mark.parametrize("n", [1, 7, 22, 50])
 def test_forms_carry_minimal_power_of_two_denominators(n):
-    # each Form is reduced: D is the lcm of its entries' reduced
+    # each pair is reduced: D is the lcm of its entries' reduced
     # denominators, a power of two of at most 256
     mats = build_operator_matrices(enumerate_basis(n))
     for name in ("W", "K", "P", "M_pol"):
