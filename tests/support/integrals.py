@@ -1,6 +1,7 @@
 """Integral referees: the ln u family, the real-c continuation and quadrature.
 
-None of this runs in the pipeline, which reads `hyhe.integrals.moment_ratio`.
+None of this runs in the pipeline, which reads
+`hyhe.integrals.polynomial_moments`.
 The tests use it to check the closed forms from independent routes:
 
   base_integral(a, b, c)  int e^{-2s} s^a t^b u^c * u(s^2-t^2)

@@ -225,7 +225,7 @@ def polynomial_p4_expectation(basis, coeffs, F, k, wq):
 
     For a monomial s^A t^B u^C of T^2 (s+t) the s integral is
     (A+B+C)!/2^{A+B+C+1} and the t and u integrals are the channel moments
-    of `hyhe.matrices._p4_moments`.  The state's coefficients at scale
+    of `hyhe.forms._p4_moments`.  The state's coefficients at scale
     2**F, T^2 (s+t) exactly at scale 2**(2F) and the channel moments from
     fixed-point prefix sums run on Python ints; one mpf is made at the end.
     """

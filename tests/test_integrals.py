@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from hyhe.integrals import IntegralDomainError, raw_moment
+import hyhe.matrices
+from hyhe.basis import enumerate_basis
+from hyhe.integrals import (IntegralDomainError, moment_ratio,
+                            polynomial_moments, raw_moment)
 from support.integrals import (QuadratureError, base_integral,
                                base_integral_real, k_scaling_exponent,
                                log_base_integral, log_integral_quad_mp,
@@ -38,6 +42,29 @@ def test_domain_guards():
         raw_moment(0, 0, -2)  # b + c + 1 < 0 diverges at u -> 0
     # c = -1 is fine: b + c + 1 = 0 absorbs into the u integral
     assert raw_moment(0, 0, -1) == Fraction(1, 4)
+
+
+def test_polynomial_moments_are_moment_ratio(monkeypatch):
+    # every key the N = 95 assembly reads, and the c = -1 keys over the same
+    # a and b, where b + 1 = b + c + 2 and n!/(b+1)^2 need not be an
+    # integer, as one table over one D, against moment_ratio key by key
+    read = []
+
+    def spy(a, b, c):
+        read.append((a, b, c))
+        return polynomial_moments(a, b, c)
+
+    monkeypatch.setattr(hyhe.matrices, "polynomial_moments", spy)
+    hyhe.matrices.build_operator_matrices(enumerate_basis(95))
+    ((a, b, c),) = read
+    keys = sorted(set(zip(a.tolist(), b.tolist(), c.tolist()))
+                  | {(x, y, -1) for x in range(a.max() + 1)
+                     for y in range(b.max() + 1)})
+    assert any(math.factorial(x + y + 1) % (y + 1) ** 2
+               for x, y, z in keys if z == -1)
+    ((values, D),) = polynomial_moments(*np.array(keys).T)
+    for key, v in zip(keys, values):
+        assert Fraction(v, D) == Fraction(*moment_ratio(*key)), key
 
 
 @pytest.mark.parametrize("a,b,c", [(0, 0, 0), (1, 2, 3), (4, 0, 2), (2, 2, 2)])

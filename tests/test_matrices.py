@@ -111,6 +111,15 @@ def test_forms_carry_minimal_power_of_two_denominators(n):
         assert D & (D - 1) == 0 and D <= 256, (name, D)
 
 
+def test_assembly_pairs_are_int64_where_they_fit():
+    # at N = 70 W, P and K hold 40-43-bit ints and M_pol narrower ones: each
+    # pair's ints come back as an int64 array, not a list of Python ints
+    mats = build_operator_matrices(enumerate_basis(70))
+    for name in ("W", "K", "P", "M_pol"):
+        ints, _ = getattr(mats, name)
+        assert isinstance(ints, np.ndarray) and ints.dtype == np.int64, name
+
+
 def test_clamped_assembly_skips_mass_polarization():
     basis = enumerate_basis(22)
     full = build_operator_matrices(basis)
