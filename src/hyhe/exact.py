@@ -1,29 +1,28 @@
-"""Exact arithmetic: fixed-point ints, exact matrices, their one builder and
-their one kernel.
+"""Exact arithmetic: fixed-point ints, exact matrices and their one kernel.
 
 A rational is an exact (numerator, denominator) int pair (rational), a
 real at scale 2**F the int round(v 2**F) (fixed, fixed_mpf, to_mpf), as the
 solver leaves its state at F = mp.prec + GUARD_BITS.  An exact n x n
 matrix travels the same way, as an (ints, D) pair: its n^2 ints row by
 row, an int64 array or, past int64, a list of Python ints, over its
-minimal denominator D.  One builder makes every such matrix over the
-basis (pair_matrices): each entry is a pair's coefficients times moments
-at the pair's exponent sum plus fixed offsets, which gives the assembly's
-W, P, K and M_pol and the expectation forms, each a table of pair
-coefficients and a moment family.  Matrices that are multiplied together
-stand in one Stack, the only holder of limbs (split, join): Stack.of
-splits its pairs at the width the caller leaves room for, the pencil's W,
-P and K at CHUNK_LIMB and a row stage's W, A, B, C, L and L' at
-STATE_LIMB.  One kernel multiplies them (Stack.matvecs): the stack's limb
-matrices times a vector's limbs, as wide as the rows' magnitude sums
-allow, in one int64 matmul joined on Python ints (the operand splitting
-of K. Ozaki et al., Numer. Algorithms 59, 95 (2012)), for the solver's
-chunks and the expectation routes' states (quadratics, and quadratic for
-one pair).  The bases are nested prefixes, so a stage's stack serves
-every smaller basis by its leading blocks, which are views.
+minimal denominator D.  The assembly's W, P, K and M_pol, K_0 and the
+expectation forms are such pairs.  Both builds number their monomials in
+one dense table (code_table) and join their int64 limb products to a pair
+in one joiner (reduced).  Matrices that are multiplied together stand in
+one Stack, the only holder of limbs (split, join): Stack.of splits its
+pairs at the width the caller leaves room for, the pencil's W, P and K at
+CHUNK_LIMB and a row stage's W, A, B, C, L and L' at STATE_LIMB.  One
+kernel multiplies them (Stack.matvecs): the stack's limb matrices times a
+vector's limbs, as wide as the rows' magnitude sums allow, in one int64
+matmul joined on Python ints (the operand splitting of K. Ozaki et al.,
+Numer. Algorithms 59, 95 (2012)), for the solver's chunks and the
+expectation routes' states (quadratics, and quadratic for one pair).  The bases are nested prefixes,
+so a stage's stack serves every smaller basis by its leading blocks, which
+are views.
 """
 import math
 import re
+from contextlib import suppress
 from dataclasses import dataclass
 from operator import mul
 
@@ -38,8 +37,6 @@ GUARD_BITS = 32
 # leave (39-bit limbs at N = 50: one for W, P or K, two for K_0); and the
 # room an expectation stack leaves a state, which keeps it one limb to N = 50
 CHUNK_BITS, CHUNK_LIMB, STATE_LIMB = 54, 18, 10
-# The table entries of one pair_matrices block, which bound its temporaries
-BLOCK = 1 << 12
 
 _DECIMAL = re.compile(r"([+-]?\d*)(?:\.(\d*))?(?:e([+-]?\d+))?")
 
@@ -147,88 +144,39 @@ def join(L, bits):
 def reduced(L, bits, D):
     """The pair (values // g, D // g), g = gcd(D, values), of the ints
     values = sum_j L[j] 2**(bits j) of the int64 limb arrays L: an int64
-    array where the values are one limb or the reduced ones fit in int64,
-    else a list of Python ints, joined (join) and divided on Python ints."""
-    if len(L) == 1:
-        g = math.gcd(D, *L[0].tolist())
-        return L[0] // g, D // g
+    array where the reduced values fit in it, else a list of Python ints.
+    Limbs whose every partial sum fits are joined in int64, others on
+    Python ints (join)."""
+    top = max(int(np.abs(x).max()).bit_length() + bits * j
+              for j, x in enumerate(L)) + len(L)
+    if top < 63:
+        values = sum(x << (bits * j) for j, x in enumerate(L))
+        g = math.gcd(D, *values.tolist())
+        return values // g, D // g
     values = join([x.tolist() for x in L], bits)
     g = math.gcd(D, *values)
     values = [v // g for v in values]
-    fits = max(map(abs, values)).bit_length() < 64
-    return (np.array(values, np.int64) if fits else values), D // g
+    with suppress(OverflowError):
+        values = np.array(values, np.int64)
+    return values, D // g
 
 
-def pair_matrices(exps, offsets, coefficients, moments):
-    """The exact symmetric n x n matrices, as (ints, D) pairs,
+def code_table(code_arrays, size):
+    """(keys, index): the distinct codes, ascending, of int arrays of codes
+    in [0, size), and the table over [0, size) of each key's position.
 
-      M[i, j] = sum_k C[p, k] m(e_i + e_j + o_k),
-
-    for the basis exponents exps (e_i, shape (n, 3)), the offsets o_k
-    (shape (K, 3)), each pair-coefficient table C and each part m of the
-    moment family moments.  The pairs p = (i, j), j <= i, go row by row,
-    p = i (i + 1) / 2 + j.  coefficients(i, j), for index arrays i and j of
-    some of them, gives each table's rows on those pairs, int64 arrays of
-    shape (len(i), K); moments(a, b, c), on int64 arrays of the keys
-    s^a t^b u^c, gives each part's numerators (ints) over its one D.  The
-    pairs come part by part, and within a part table by table.
-
-    The pairs are taken in blocks of a constant BLOCK table entries, and
-    each of two passes asks for each block's tables once, so a caller may
-    make them as they are read or hold them whole.  The first marks the
-    keys that some pair reads with a nonzero coefficient, and numbers them
-    in one dense table of their codes: each is read once, and no other is
-    read (a key with no such pair may lie outside the family).  Arrays are
-    indexed with intp arrays and written with put there: a boolean mask,
-    an assignment through an index array or an index array of another int
-    type costs numpy a buffer on first use, which shows in a run's peak
-    memory.  Each part's numerators, reduced by their gcd with D, are split
-    into int64 limbs (split) narrow enough that every sum over k stays in
-    int64, and the second pass takes each limb's sums in one int64 matmul
-    per table and block.  Each matrix's n x n entries are gathered from
-    the pairs through one symmetric index, then joined and divided to its
-    minimal denominator (reduced).
+    Here and where the tables are read, arrays are indexed with intp arrays
+    and written with put: a boolean mask, an assignment through an index
+    array or an index array of another int type costs numpy a buffer on
+    first use, which shows in a run's peak memory.
     """
-    n, K = len(exps), len(offsets)
-    i = np.repeat(np.arange(n), np.arange(1, n + 1))
-    j = np.arange(len(i)) - i * (i + 1) // 2
-    lo = offsets.min(0)
-    # every key's (a, b, c) - lo lies in [0, r)
-    r = 2 * int(exps.max()) + int((offsets.max(0) - lo).max()) + 1
-    radix = np.array([r * r, r, 1])
-    sums, shifts = (exps[i] + exps[j]) @ radix, (offsets - lo) @ radix
-    blocks = [slice(p, p + BLOCK // K + 1)
-              for p in range(0, len(i), BLOCK // K + 1)]
-    # the keys read, and the largest row sum of |C|
-    read, bound = np.zeros(r ** 3, bool), 1
-    for block in blocks:
-        codes = (sums[block, None] + shifts).ravel()
-        tables = coefficients(i[block], j[block])
-        for C in tables:
-            read.put(codes[np.flatnonzero(C)], True)
-            bound = max(bound, int(abs(C).sum(1).max()))
-    keys, index = np.flatnonzero(read), np.zeros(r ** 3, np.intp)
+    present = np.zeros(size, bool)
+    for codes in code_arrays:
+        present.put(codes, True)
+    keys = np.flatnonzero(present)
+    index = np.empty(size, np.intp)
     index.put(keys, np.arange(len(keys)))
-    ar = np.arange(n)
-    hi = np.maximum.outer(ar, ar)
-    sym = (hi * (hi + 1) // 2 + np.minimum.outer(ar, ar)).ravel()
-    keys = keys // radix[:, None] % r + lo[:, None]
-    parts = [(split([v // g for v in values], bound), D // g)
-             for values, D in moments(*keys) for g in [math.gcd(D, *values)]]
-    limbs = np.concatenate([L for (L, bits), _ in parts])
-    out = np.empty((len(tables), len(limbs), len(i), 1, 1), np.int64)
-    for block in blocks:
-        at = index[sums[block, None] + shifts]
-        tables = coefficients(i[block], j[block])
-        for m, limb in enumerate(limbs):
-            G = np.take(limb, at)[:, None]
-            for C, part in zip(tables, out):
-                np.matmul(G, C[:, :, None], out=part[m, block])
-    start = 0
-    for (L, bits), D in parts:
-        for part in out:
-            yield reduced(part[start:start + len(L), sym, 0, 0], bits, D)
-        start += len(L)
+    return keys, index
 
 
 @dataclass(frozen=True, eq=False)

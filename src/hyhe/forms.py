@@ -7,9 +7,8 @@ each is c'Ac for exact rational matrices A:
   Q               = k^3 c'(L - ln(2k) L')c / c'Wc
 
 matrices.p4_expectation and matrices.log_momentum_expectation give the
-integrals they stand for.  Each is built as an exact (ints, D) pair over
-its minimal denominator by the one builder of exact matrices
-(exact.pair_matrices) and, with the overlap W, split
+integrals they stand for.  Each is built as an exact (ints, D) pair
+(hyhe.exact) over its minimal denominator and, with the overlap W, split
 into one exact.Stack, which costs a row neither a Python int per entry nor
 an n^2 product of them: a row takes all of its quadratic forms in one
 exact product of its views (exact.quadratics).  The forms depend on the
@@ -23,7 +22,7 @@ from itertools import chain
 
 import numpy as np
 
-from .exact import STATE_LIMB, Stack, pair_matrices
+from .exact import STATE_LIMB, Stack, code_table, reduced, split
 
 # T = reduced Laplacian of phi = s^l t^q u^n (matrices.p4_expectation), as
 # the coefficients of its 12 monomials phi s^da t^db u^dc at these offsets.
@@ -44,16 +43,8 @@ def _laplacian_coefficients(l, q, n):
     return np.array((
         l * (l + 2 * q + 2 * n + 3), -2 * (l + q + n + 2), one, q * (q - 1),
         n * (n + 2 * q + 1), -q * (2 * l + q + 2 * n + 3), 2 * q,
-        -l * (l - 1), 2 * l, -one, -n * (n + 2 * l + 1), 2 * n))
+        -l * (l - 1), 2 * l, -one, -n * (n + 2 * l + 1), 2 * n)).T
 
-
-# The offset sums o_k + o_l of T_i T_j's monomial pairs: the 45 distinct
-# ones, ascending, and o_k + o_l = _P4_OFFSETS[_P4_GROUP[k, l]]
-_P4_SUMS = list(map(tuple, (_LAPLACIAN_OFFSETS[:, None] + _LAPLACIAN_OFFSETS)
-                    .reshape(-1, 3).tolist()))
-_P4_OFFSETS = sorted(set(_P4_SUMS))
-_P4_GROUP = np.array(list(map(_P4_OFFSETS.index, _P4_SUMS))).reshape(12, 12)
-_P4_OFFSETS = np.array(_P4_OFFSETS)
 
 # The angular factor of phi = s^l t^q u^n in the log-momentum numerator
 # (matrices.log_momentum_expectation),
@@ -123,9 +114,7 @@ def _logmom_moments(a, b, c):
 
     With M = a + b + c and d = b + c, plain = M!/(2^{M+1} (b+1) d) and
     log = plain (H_M - 1/d), over 2^{M_max+1} L^2 and 2^{M_max+1} L^3,
-    L = lcm(1 ... M_max + 1), with H_M from integer prefix sums over L;
-    both halved, since the pair coefficients F_i + F_j are twice the
-    numerator's symmetric part (build_expectation_forms).
+    L = lcm(1 ... M_max + 1), with H_M from integer prefix sums over L.
     """
     M, d, b1 = (a + b + c).tolist(), (b + c).tolist(), (b + 1).tolist()
     top = max(M)
@@ -135,27 +124,42 @@ def _logmom_moments(a, b, c):
         H.append(H[-1] + L // j)
     weight = [math.factorial(k) << (top - k) for k in range(top + 1)]
     plain = [weight[k] * (L * L // (x * y)) for k, x, y in zip(M, b1, d)]
-    D = L * L << (top + 2)
+    D = L * L << (top + 1)
     yield [p * (H[k] - L // y) for p, k, y in zip(plain, M, d)], D * L
     yield plain, D
 
 
-def _p4_tables(T):
-    """The pair coefficients of <p^4> over _P4_OFFSETS, as
-    exact.pair_matrices reads them: on the pairs (i, j), those of T_i T_j,
-    T_i = T[:, i] the 12 coefficients of term i's reduced Laplacian, each
-    product of T_i's and T_j's entries added at its offset sum, in 12
-    passes.  They are made as they are read, block by block: held whole,
-    at 45 ints a pair, they would outweigh every other array of a row
-    stage's build."""
+def _bilinear_parts(X, Y, moments, r):
+    """Exact int matrices, one (ints, D) pair per part of moments: the
+    symmetric part (X G Y' + Y G X') / 2, which is X G Y' itself when X is
+    Y, with G[mu, nu] = moments at the monomial keys[mu] + keys'[nu].
 
-    def tables(i, j):
-        Ti, Tj = T[:, i], T[:, j]
-        table = np.zeros((len(_P4_OFFSETS), len(i)), np.int64)
-        for k, group in enumerate(_P4_GROUP):
-            table[group] += Ti[k] * Tj
-        return [table.T]
-    return tables
+    X and Y are (at, coefficients, keys), each row a term's polynomial:
+    X[i, at[i, k]] = coefficients[i, k], the monomials keys as codes of
+    radix r.  Each part's numerators are reduced by their gcd with D and
+    split into limbs (exact.split) that keep every sum of X G Y' in int64,
+    and the sum of X G Y' and its transpose too; Z holds each limb's
+    product, joined to the pair (exact.reduced).  The monomial sums are
+    formed one column of X's terms at a time, which keeps the temporaries
+    at n x len(keys').
+    """
+    (xi, xc, kx), (yi, yc, ky) = X, Y
+    keys, index = code_table((kx[i][:, None] + ky for i in xi.T), r ** 3)
+    bound = 2 * int(abs(xc).sum(1).max()) * int(abs(yc).sum(1).max())
+    for values, D in moments(keys // (r * r), keys // r % r, keys % r):
+        g = math.gcd(D, *values)
+        limbs, bits = split([v // g for v in values], bound)
+        del values
+        Z = np.empty((len(limbs), len(xi), len(yi)), np.int64)
+        for limb, z in zip(limbs, Z):
+            XG = np.zeros((len(xi), len(ky)), np.int64)
+            for i, c in zip(xi.T, xc.T):
+                XG += c[:, None] * limb[index[kx[i][:, None] + ky]]
+            z[:] = sum(c * XG[:, i] for i, c in zip(yi.T, yc.T))
+        D //= g
+        if X is not Y:
+            Z, D = Z + Z.transpose(0, 2, 1), 2 * D
+        yield reduced(Z.reshape(len(Z), -1), bits, D)
 
 
 def build_expectation_forms(basis, W):
@@ -173,20 +177,36 @@ def build_expectation_forms(basis, W):
     The state polynomial is sum c_i phi_i, so T = sum c_i T_i with T_i the
     reduced Laplacian of phi_i, whose 12 monomials sit at fixed offsets from
     phi_i's exponents (_LAPLACIAN_OFFSETS), and <p^4> sums T_i T_j (s+t)
-    against the channel moments: A, B and C take pair coefficients over the
-    45 offset sums of T_i T_j's monomials (_p4_tables) and the rational,
-    zeta(2) and ln 2 parts of the weights at the pair's exponent sum plus
-    each (_p4_moments).  The log-momentum numerator is
-    sum c_i c_j phi_i F_j, F_j phi_j's angular factor (_LOGMOM_OFFSETS), so
-    L and L' are its symmetric part: pair coefficients F_i + F_j, made as
-    they are read, over twice the log and plain weights (_logmom_moments).
-    Each is one exact.pair_matrices call.
+    against the channel moments.  With R[i, mu] the coefficient of monomial
+    mu in T_i, A, B and C are R G R' for the rational, zeta(2) and ln 2
+    parts of G[mu, nu], the weight of monomial mu + nu (_p4_moments).  The
+    log-momentum numerator is sum c_i c_j phi_i F_j, F_j phi_j's angular
+    factor (_LOGMOM_OFFSETS), so L and L' are the symmetrized I G F', G the
+    log and plain weights (_logmom_moments).  Each product is exact on
+    int64 limbs (_bilinear_parts).
     """
-    exps = np.array([(t.l, 2 * t.m, t.n) for t in basis], np.int64)
-    F = _logmom_coefficients(*exps.T)
-    p4 = pair_matrices(exps, _P4_OFFSETS,
-                       _p4_tables(_laplacian_coefficients(*exps.T)),
-                       _p4_moments)
-    logmom = pair_matrices(exps, _LOGMOM_OFFSETS, lambda i, j: [F[i] + F[j]],
-                           _logmom_moments)
-    return Stack.of(chain([W], p4, logmom), STATE_LIMB)
+    exps = np.array([(term.l, 2 * term.m, term.n) for term in basis],
+                    np.int64)
+    # monomial components stay below r in every sum formed here
+    r = 2 * int(exps.max()) + 3
+    radix = np.array([r * r, r, 1])
+    codes = exps @ radix
+
+    def polys(offsets, coefficients):
+        """Term i's polynomial, sum_k coefficients[i, k] s^a t^b u^c at the
+        offsets from its exponents, as (at, coefficients, keys): the monomial
+        at[i, k] of the codes keys."""
+        nonzero = np.flatnonzero(coefficients)
+        monomials = (codes[:, None] + offsets @ radix).ravel()[nonzero]
+        keys, index = code_table([monomials], r ** 3)
+        at = np.zeros(coefficients.shape, np.intp)
+        at.put(nonzero, index[monomials])
+        return at, coefficients, keys
+
+    T = polys(_LAPLACIAN_OFFSETS, _laplacian_coefficients(*exps.T))
+    phi = (np.arange(len(exps))[:, None], np.ones((len(exps), 1), np.int64),
+           codes)
+    angular = polys(_LOGMOM_OFFSETS, _logmom_coefficients(*exps.T))
+    return Stack.of(chain([W], _bilinear_parts(T, T, _p4_moments, r),
+                          _bilinear_parts(phi, angular, _logmom_moments, r)),
+                    STATE_LIMB)

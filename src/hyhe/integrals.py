@@ -8,7 +8,7 @@ polynomial family against the weight e^{-2s} (k = 1 scale):
 The assembly reads it as polynomial_moments, every key it needs over one
 denominator from one factorial table; moment_ratio, one key in lowest
 terms, and raw_moment, its memoized Fraction, serve the referees.  The
-expectation forms read their own families (hyhe.forms).
+expectation forms read their own moment families (hyhe.forms).
 
 The full measure is d tau1 d tau2 = 2 pi^2 u(s^2 - t^2) ds dt du; the 2 pi^2
 is applied by callers (it cancels in every ratio the pipeline forms), and
@@ -47,22 +47,24 @@ def moment_ratio(a, b, c):
     return p // g, q // g
 
 
-def polynomial_moments(a, b, c):
-    """The moments moment_ratio(a, b, c) at int64 arrays of keys in its
-    domain, as the one part of a moment family (exact.pair_matrices): their
-    numerators, a list of ints, over one D.
+def polynomial_moments(keys):
+    """(values, D): moment_ratio(a, b, c) at each key (a, b, c) of the list
+    keys, as ints over their least common denominator D; a key with b < 0
+    reads 0.
 
     Each is n!/(2^(n+1) (b+1)(b+c+2)), n = a+b+c+2, read off one table of
     k! 2^(top-k), top the largest n: that entry over (b+1)(b+c+2) 2^(top+1).
     Where (b+1)(b+c+2) does not divide it (c = -1, where b+1 = b+c+2 and
-    n!/(b+1)^2 need not be an integer) what is left of the divisor goes
-    into D = 2^(top+1) lcm(what is left).
+    n!/(b+1)^2 need not be an integer) what is left of the divisor joins D.
     """
-    n, xy = (a + b + c + 2).tolist(), ((b + 1) * (b + c + 2)).tolist()
-    top = max(n)
+    top = max(a + b + c for a, b, c in keys) + 2
     weight = [math.factorial(k) << (top - k) for k in range(top + 1)]
-    L = math.lcm(*{d // math.gcd(weight[k], d) for k, d in zip(n, xy)})
-    return [([weight[k] * L // d for k, d in zip(n, xy)], L << (top + 1))]
+    ratios = [(weight[a + b + c + 2], (b + 1) * (b + c + 2)) if b >= 0
+              else (0, 1) for a, b, c in keys]
+    L = math.lcm(*(d // math.gcd(w, d) for w, d in ratios))
+    values = [w * L // d for w, d in ratios]
+    g = math.gcd(L << (top + 1), *values)
+    return [v // g for v in values], (L << (top + 1)) // g
 
 
 @lru_cache(maxsize=None)

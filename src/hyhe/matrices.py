@@ -61,8 +61,8 @@ from mpmath import mp
 
 from . import debug
 from .basis import padd, pscale, pshift
-from .exact import (fixed_mpf, lost_bits, pair_matrices, quadratic,
-                    quadratics, to_mpf)
+from .exact import (code_table, fixed_mpf, lost_bits, quadratic, quadratics,
+                    reduced, split, to_mpf)
 from .integrals import polynomial_moments
 
 # geometric weight polynomials (coordinates s, t, u; keys are exponents)
@@ -127,37 +127,71 @@ def build_operator_matrices(basis, Z=2, mass_polarization=True):
 
     over the eight _PIECES; W integrates vol and P the one polynomial
     Z attraction + repulsion.  Every weight is a sum over fixed offsets o,
-    so W, P, K and M_pol are each a table of small-int pair coefficients
-    over the offsets (W's and P's the same for every pair, K's and M_pol's
-    the _PIECES coefficients times the weights) and the polynomial moments
-    at e + o (integrals.polynomial_moments), one exact.pair_matrices call.
-    Without mass_polarization the M_pol pieces are not integrated and M_pol
-    is None.
+    so each integral combines the moments at e + o with small ints.
+
+    The pairs j <= i are whole index arrays, and the distinct e and e + o
+    come from one code table each (exact.code_table).  Each moment is read
+    once, off one factorial table (integrals.polynomial_moments), as an int
+    over D, their least common denominator, and split into int64 limbs
+    (exact.split) narrow enough for every sum below.  One int64 matmul of every limb with the weights
+    gives every integral at each distinct e, and a pair's K and M_pol
+    values are its coefficients dotted with those.  Each matrix's n x n
+    entries are gathered, limb by limb, from the pairs through one
+    symmetric pair index, then joined and divided to its minimal
+    denominator D / gcd(D, values), an (ints, D) pair (exact.reduced).
+    A moment with a negative t power (Q = 0 under the q_i q_j piece, whose
+    coefficient is then 0) is read as 0.  Without mass_polarization the
+    M_pol pieces are not integrated and M_pol is None.
     """
+    n = len(basis)
     exps = np.array([(term.l, 2 * term.m, term.n) for term in basis], np.int64)
-    # W, P, then the pieces of K and of M_pol
+    # the pairs j <= i in turn
+    ar = np.arange(n)
+    i = np.repeat(ar, ar + 1)
+    j = np.arange(len(i)) - i * (i + 1) // 2
+    # exponent sums and _PIECES coefficients of the pairs: X_i X_j =
+    # (l_i l_j / s^2 - L / s + 1) p_i p_j, Y_i Y_j = q_i q_j / t^2, c_i c_j =
+    # n_i n_j / u^2, X_i c_j + X_j c_i = ((l_i n_j + l_j n_i) / s - N) / u
+    # and Y_i c_j + Y_j c_i = (q_i n_j + q_j n_i) / (t u), times p_i p_j
+    (li, qi, ni), (lj, qj, nj) = exps[i].T, exps[j].T
+    sums, L, N = exps[i] + exps[j], li + lj, ni + nj
+    coeffs = np.array((np.ones_like(L), -L, li * lj, qi * qj, ni * nj,
+                       li * nj + lj * ni, -N, qi * nj + qj * ni)).T
+
+    forms = (0, 1) if mass_polarization else (0,)   # K, then M_pol
     columns = [VOLUME, padd(REPULSION_VOLUME, ATTRACTION_VOLUME, Z)]
-    columns += [p[f] for f in range(1 + mass_polarization) for p in _PIECES]
+    columns += [piece[f] for f in forms for piece in _PIECES]
     offsets = sorted({o for poly in columns for o in poly})
-    weights = np.array([[p.get(o, 0) for o in offsets] for p in columns])
-    fixed, pieces = weights[:2], weights[2:].reshape(-1, 8, len(offsets))
+    weights = np.array([[poly.get(o, 0) for poly in columns]
+                        for o in offsets], np.int64)
+    # (a, b, c) + 2 as one code: a, b and c of an e + o lie in [-2, r - 3]
+    r = 2 * int(exps.max()) + 6
+    radix = np.array([r * r, r, 1])
+    codes = (sums + 2) @ radix
+    sums, index = code_table([codes], r ** 3)
+    where = index[codes]
+    codes = sums[:, None] + np.array(offsets) @ radix
+    keys, index = code_table([codes], r ** 3)
+    at = index[codes]
+    del index       # r**3 ints: more than every pair array, at the peak
+    keys = keys[:, None] // radix % r - 2
+    values, D = polynomial_moments(keys.tolist())
+    bound = int(abs(coeffs).sum(1).max()) * int(abs(weights).sum(0).max())
+    limbs, bits = split(values, bound)
 
-    def tables(i, j):
-        """The tables' rows on the pairs (i, j), made as they are read."""
-        # _PIECES coefficients of the pairs: X_i X_j = (l_i l_j / s^2 - L / s
-        # + 1) p_i p_j, Y_i Y_j = q_i q_j / t^2, c_i c_j = n_i n_j / u^2,
-        # X_i c_j + X_j c_i = ((l_i n_j + l_j n_i) / s - N) / u and
-        # Y_i c_j + Y_j c_i = (q_i n_j + q_j n_i) / (t u), times p_i p_j
-        (li, qi, ni), (lj, qj, nj) = exps[i].T, exps[j].T
-        coeffs = np.array((np.ones_like(li), -li - lj, li * lj, qi * qj,
-                           ni * nj, li * nj + lj * ni, -ni - nj,
-                           qi * nj + qj * ni)).T
-        return ([np.broadcast_to(w, (len(i), len(w))) for w in fixed]
-                + [coeffs @ w for w in pieces])
+    # every weight's integral at each pair, limb by limb
+    integrals = (limbs[:, at] @ weights)[:, where]
+    parts = [integrals[..., 0], integrals[..., 1]] + [
+        (coeffs * integrals[..., 2 + 8 * f:10 + 8 * f]).sum(axis=2)
+        for f in forms]
 
-    W, P, K, *M_pol = pair_matrices(exps, np.array(offsets), tables,
-                                    polynomial_moments)
-    return OperatorMatrices(W=W, K=K, P=P, M_pol=M_pol[0] if M_pol else None)
+    # the pair of each entry, row by row
+    hi = np.maximum.outer(ar, ar)
+    sym = (hi * (hi + 1) // 2 + np.minimum.outer(ar, ar)).ravel()
+
+    W, P, K, *M_pol = (reduced(part[:, sym], bits, D) for part in parts)
+    return OperatorMatrices(W=W, K=K, P=P,
+                            M_pol=M_pol[0] if mass_polarization else None)
 
 
 # ---------------------------------------------------------------------------

@@ -47,24 +47,27 @@ def test_domain_guards():
 def test_polynomial_moments_are_moment_ratio(monkeypatch):
     # every key the N = 95 assembly reads, and the c = -1 keys over the same
     # a and b, where b + 1 = b + c + 2 and n!/(b+1)^2 need not be an
-    # integer, as one table over one D, against moment_ratio key by key
+    # integer, as one table over one D, against moment_ratio key by key; a
+    # key with b < 0 (no pair reads it with a nonzero coefficient) reads 0
     read = []
 
-    def spy(a, b, c):
-        read.append((a, b, c))
-        return polynomial_moments(a, b, c)
+    def spy(keys):
+        read.append(keys)
+        return polynomial_moments(keys)
 
     monkeypatch.setattr(hyhe.matrices, "polynomial_moments", spy)
     hyhe.matrices.build_operator_matrices(enumerate_basis(95))
-    ((a, b, c),) = read
-    keys = sorted(set(zip(a.tolist(), b.tolist(), c.tolist()))
-                  | {(x, y, -1) for x in range(a.max() + 1)
-                     for y in range(b.max() + 1)})
+    (keys,) = read
+    keys = sorted(set(map(tuple, keys))
+                  | {(x, y, -1) for x in range(max(k[0] for k in keys) + 1)
+                     for y in range(max(k[1] for k in keys) + 1)})
+    assert any(b < 0 for _, b, _ in keys)
     assert any(math.factorial(x + y + 1) % (y + 1) ** 2
                for x, y, z in keys if z == -1)
-    ((values, D),) = polynomial_moments(*np.array(keys).T)
+    values, D = polynomial_moments(keys)
     for key, v in zip(keys, values):
-        assert Fraction(v, D) == Fraction(*moment_ratio(*key)), key
+        want = Fraction(*moment_ratio(*key)) if key[1] >= 0 else 0
+        assert Fraction(v, D) == want, key
 
 
 @pytest.mark.parametrize("a,b,c", [(0, 0, 0), (1, 2, 3), (4, 0, 2), (2, 2, 2)])
