@@ -30,36 +30,25 @@ class BasisTerm(NamedTuple):
         return self.l + 2 * self.m + self.n
 
 
-def graded_key(term):
-    """Ordering inside a grade: (l, 2m, n) lexicographic ascending.
-
-    This is the order that makes enumerate_basis(3) come out as
-    [(0,0,0), (0,0,1), (1,0,0)] -- u before s at grade 1.
-    """
-    return (term.l, 2 * term.m, term.n)
-
-
 def terms_of_grade(g):
-    out = []
-    for m in range(g // 2 + 1):
-        for l in range(g - 2 * m + 1):
-            out.append(BasisTerm(l, m, g - 2 * m - l))
-    return out
+    """The terms of grade g = l + 2m + n in graded order: (l, 2m, n)
+    lexicographic ascending, which puts u before s at grade 1."""
+    return [BasisTerm(l, m, g - l - 2 * m)
+            for l in range(g + 1) for m in range((g - l) // 2 + 1)]
 
 
 def enumerate_basis(n_basis):
-    """First ``n_basis`` terms in graded order (ascending l + 2m + n).
-
-    Ties inside a grade break by ``graded_key``; the enumeration is a prefix
-    of any larger one (nested bases), which the variational monotonicity
-    tests rely on.
+    """First ``n_basis`` terms in graded order (ascending l + 2m + n, then
+    (l, 2m, n) inside a grade, as terms_of_grade yields them); the
+    enumeration is a prefix of any larger one (nested bases), which the
+    variational monotonicity tests rely on.
     """
     if n_basis < 1:
         raise BasisError(f"n_basis must be >= 1, got {n_basis}")
     terms = []
     g = 0
     while len(terms) < n_basis:
-        terms.extend(sorted(terms_of_grade(g), key=graded_key))
+        terms.extend(terms_of_grade(g))
         g += 1
     return terms[:n_basis]
 

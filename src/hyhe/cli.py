@@ -14,10 +14,13 @@ and each row's working precision and certified digits of E0, with any
 rerun at twice the digits and the cell that was not settled) to stderr;
 stdout is the same with or without it.
 
-Exit codes: 0 all rows ok, 1 at least one row failed, 2 usage error.
+Exit codes: 0 all rows ok, 1 at least one row failed (a sweep prints its
+failure rows; `solve` and `corrections` print one line, "Error: <Type>:
+<message>", to stderr), 2 usage error.
 """
 
 import sys
+from types import SimpleNamespace
 
 import click
 from mpmath import mp
@@ -28,12 +31,6 @@ from .report import (UsageError, certified_digits, compute_row, run_tables,
                      solve_single)
 
 CONTEXT_SETTINGS = {"help_option_names": ["-h", "--help"]}
-
-
-class _App:
-    def __init__(self, config, constants):
-        self.config = config
-        self.constants = constants
 
 
 @click.group(context_settings=CONTEXT_SETTINGS)
@@ -65,7 +62,7 @@ def main(ctx, config_path, precision_digits, alpha, output, verbose):
         constants.validate()
     except (ConfigError, ConstantsError) as exc:
         raise click.UsageError(str(exc))
-    ctx.obj = _App(config, constants)
+    ctx.obj = SimpleNamespace(config=config, constants=constants)
     if verbose:
         _log_to_stderr(ctx)
 
@@ -129,10 +126,8 @@ def sweep(app, n_list):
 def solve(app, n, no_nuclear_motion):
     """Converge one ground state; print E, k_opt, steps, eighs, residual,
     k_err and E_digits."""
-    if app.config.output == "csv":
-        raise click.UsageError("solve supports human or json output")
-    result = solve_single(n, app.config, app.constants,
-                          nuclear_motion=not no_nuclear_motion)
+    result = _run_verb(app, "solve", lambda: solve_single(
+        n, app.config, app.constants, nuclear_motion=not no_nuclear_motion))
     with mp.workdps(app.config.precision_digits):
         fields = {
             "N": n,
@@ -155,9 +150,8 @@ def solve(app, n, no_nuclear_motion):
 @click.pass_obj
 def corrections(app, n):
     """Print the full correction breakdown at one basis size."""
-    if app.config.output == "csv":
-        raise click.UsageError("corrections supports human or json output")
-    _, (_, res_0, exps, br) = compute_row(n, app.config, app.constants)
+    _, (_, res_0, exps, br) = _run_verb(
+        app, "corrections", lambda: compute_row(n, app.config, app.constants))
     with mp.workdps(app.config.precision_digits):
         fields = {
             "N": n,
@@ -182,6 +176,19 @@ def corrections(app, n):
             "delta_vs_experiment": mp.nstr(br.delta_vs_experiment, 6),
         }
     _print_fields(app, fields)
+
+
+def _run_verb(app, verb, run):
+    """run() for a verb that prints fields, which refuses CSV output: if it
+    raises, exit 1 with one line on stderr, "Error: <Type>: <message>", as a
+    sweep's failure row reports it."""
+    if app.config.output == "csv":
+        raise click.UsageError(f"{verb} supports human or json output")
+    try:
+        return run()
+    except Exception as exc:  # noqa: BLE001 - one line, as a failure row
+        click.echo(f"Error: {type(exc).__name__}: {exc}", err=True)
+        sys.exit(1)
 
 
 def _print_fields(app, fields):

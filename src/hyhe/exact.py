@@ -16,12 +16,13 @@ kernel multiplies them (Stack.matvecs): the stack's limb matrices times a
 vector's limbs, as wide as the rows' magnitude sums allow, in one int64
 matmul joined on Python ints (the operand splitting of K. Ozaki et al.,
 Numer. Algorithms 59, 95 (2012)), for the solver's chunks and the
-expectation routes' states (quadratics, and quadratic for one pair).  The bases are nested prefixes,
+expectation routes' states (quadratics).  The bases are nested prefixes,
 so a stage's stack serves every smaller basis by its leading blocks, which
 are views.
 """
 import math
 import re
+import sys
 from contextlib import suppress
 from dataclasses import dataclass
 from operator import mul
@@ -38,6 +39,9 @@ GUARD_BITS = 32
 # room an expectation stack leaves a state, which keeps it one limb to N = 50
 CHUNK_BITS, CHUNK_LIMB, STATE_LIMB = 54, 18, 10
 
+# The limit on the digits int() reads from a str (0: none); before Python
+# 3.10.7, which has no such limit, CPython's later default
+_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 4300)
 _DECIMAL = re.compile(r"([+-]?\d*)(?:\.(\d*))?(?:e([+-]?\d+))?")
 
 
@@ -46,7 +50,9 @@ def rational(v):
     denominator positive: an mpf by its mantissa and exponent, a float by
     its integer ratio, a str as a decimal literal ("7294.299508",
     "-7.294299508E3", "1e3"), and an int or Fraction by its numerator and
-    denominator.  A str that is no decimal literal raises ValueError."""
+    denominator.  A str that is no decimal literal, or whose exponent
+    exceeds the digits int() reads (sys.get_int_max_str_digits()), raises
+    ValueError."""
     if isinstance(v, mp.mpf):
         man, exp = v.man_exp        # man is the magnitude, and odd
         if v < 0:
@@ -60,6 +66,9 @@ def rational(v):
             raise ValueError(f"not a decimal literal: {v!r}")
         frac = m[2] or ""
         p, e = int(m[1] + frac), int(m[3] or 0) - len(frac)
+        # 10**|e| would take unbounded time on a long exponent
+        if abs(e) > (_digit_limit() or abs(e)):
+            raise ValueError(f"decimal exponent out of range: {v!r}")
         p, q = (p * 10 ** e, 1) if e >= 0 else (p, 10 ** -e)
         return p // math.gcd(p, q), q // math.gcd(p, q)
     return v.numerator, v.denominator
@@ -258,13 +267,6 @@ def quadratics(coeffs, stack, groups):
             Mc = [x + w * y for x, y in zip(Mc, products[f])]
         sums.append((dot(coeffs, Mc) // D, top * sum(map(abs, Mc)) // D))
     return sums
-
-
-def quadratic(coeffs, A):
-    """c'Ac rounded down to an int, for the ints coeffs c and the (ints, D)
-    pair A, whose leading len(coeffs) block it reads: quadratics on a Stack
-    of A alone, at a state's room (STATE_LIMB)."""
-    return quadratics(coeffs, Stack.of([A], STATE_LIMB), [((1, 0),)])[0][0]
 
 
 def lost_bits(total, size):

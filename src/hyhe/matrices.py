@@ -61,8 +61,8 @@ from mpmath import mp
 
 from . import debug
 from .basis import padd, pscale, pshift
-from .exact import (code_table, fixed_mpf, lost_bits, quadratic, quadratics,
-                    reduced, split, to_mpf)
+from .exact import (STATE_LIMB, Stack, code_table, fixed_mpf, lost_bits,
+                    quadratics, reduced, split, to_mpf)
 from .integrals import polynomial_moments
 
 # geometric weight polynomials (coordinates s, t, u; keys are exponents)
@@ -236,12 +236,14 @@ def check_normalized(W, coeffs, F):
 
     The state is the ints coeffs at scale 2**F, as a solve leaves it
     (VariationalResult.frac_bits), and c'Wc is summed exactly on them
-    (exact.quadratic) with W the overlap's (ints, D) pair, so W may be a
-    larger stage's.  The sum is cut to scale 2**F and made one mpf, exact
-    below 2, so |c'Wc - 1| keeps the bits below the working precision.  A
-    state read at the wrong scale fails here, so the check also guards F.
+    (exact.quadratics, on a Stack of W alone at a state's room) with W the
+    overlap's (ints, D) pair, so W may be a larger stage's.  The sum is cut
+    to scale 2**F and made one mpf, exact below 2, so |c'Wc - 1| keeps the
+    bits below the working precision.  A state read at the wrong scale fails
+    here, so the check also guards F.
     """
-    return _normalized(quadratic(coeffs, W), F)
+    ((total, _),) = quadratics(coeffs, Stack.of([W], STATE_LIMB), [((1, 0),)])
+    return _normalized(total, F)
 
 
 def _normalized(total, F):

@@ -29,7 +29,7 @@ from mpmath import mp
 
 from . import __version__ as ENGINE_VERSION, debug
 from .basis import enumerate_basis
-from .config import DEFAULT_SWEEP, RunConfig
+from .config import DEFAULT_SWEEP, OUTPUT_FORMATS, RunConfig
 from .constants import default_constants
 from .corrections import total_energy
 from .eigen import build_systems, ground_state_pair, optimize_k
@@ -40,6 +40,8 @@ SCHEMA_VERSION = 5
 
 CSV_COLUMNS = ("N", "E_inf", "dE_inf", "E0", "dE0", "deltaE2", "deltaE3",
                "E_total", "dE_total", "k_opt")
+# the human table's width of each of CSV_COLUMNS
+_WIDTHS = (4, 15, 12, 15, 12, 12, 12, 15, 12, 15)
 
 
 class UsageError(ValueError):
@@ -135,7 +137,7 @@ class ReportDocument:
         return buf.getvalue()
 
     def to_human(self):
-        def num(cell, width=15):
+        def num(cell, width):
             if cell == "":
                 return " " * width
             return f"{float(mp.mpf(cell)):>{width}.8f}"
@@ -147,20 +149,18 @@ class ReportDocument:
         lines.append("config:    " + ", ".join(
             f"{k}={v}" for k, v in sorted(self.config.items())))
         lines.append("")
-        head = (f"{'N':>4} {'E_inf':>15} {'dE_inf':>12} {'E0':>15} {'dE0':>12} "
-                f"{'deltaE2':>12} {'deltaE3':>12} {'E_total':>15} "
-                f"{'dE_total':>12} {'k_opt':>15}")
+        head = " ".join(f"{col:>{width}}"
+                        for col, width in zip(CSV_COLUMNS, _WIDTHS))
         lines.append(head)
         lines.append("-" * len(head))
         for row in self.rows:
+            n = f"{row.N:>{_WIDTHS[0]}}"
             if not row.ok:
-                lines.append(f"{row.N:>4} FAILED: {row.error}")
+                lines.append(f"{n} FAILED: {row.error}")
                 continue
-            lines.append(
-                f"{row.N:>4} {num(row.E_inf)} {num(row.dE_inf, 12)} "
-                f"{num(row.E0)} {num(row.dE0, 12)} {num(row.deltaE2, 12)} "
-                f"{num(row.deltaE3, 12)} {num(row.E_total)} "
-                f"{num(row.dE_total, 12)} {num(row.k_opt)}")
+            lines.append(" ".join([n] + [
+                num(getattr(row, col), width)
+                for col, width in zip(CSV_COLUMNS[1:], _WIDTHS[1:])]))
         lines.append("")
         for row in self.rows:
             if row.ok:
@@ -171,13 +171,10 @@ class ReportDocument:
         return "\n".join(lines) + "\n"
 
     def emit(self, fmt):
-        if fmt == "human":
-            return self.to_human()
-        if fmt == "json":
-            return self.to_json()
-        if fmt == "csv":
-            return self.to_csv()
-        raise UsageError(f"unknown output format {fmt!r}")
+        """The document in fmt, one of OUTPUT_FORMATS, by its to_<fmt>."""
+        if fmt not in OUTPUT_FORMATS:
+            raise UsageError(f"unknown output format {fmt!r}")
+        return getattr(self, f"to_{fmt}")()
 
 
 _DELTA_COLUMNS = (("dE_inf", "E_inf"), ("dE0", "E0"), ("dE_total", "E_total"))

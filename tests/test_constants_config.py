@@ -43,6 +43,7 @@ def test_constants_invariants_rejected(kwargs):
     ("bethe_beta", "nan"), ("E_exp", "nan"), ("E_exp", "-inf"),
     ("alpha", "abc"), ("mass_ratio_M", None),
     ("alpha", "7.297_3e-3"), ("mass_ratio_M", "7_294.3"),
+    ("bethe_beta", "1e-5000"),
 ])
 def test_constants_reject_unparsed_or_nonfinite(name, raw):
     with pytest.raises(ConstantsError, match=name):

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import math
 import random
+import sys
 from fractions import Fraction
 from operator import mul
 from types import SimpleNamespace
@@ -474,6 +475,17 @@ def test_exact_rejects_what_is_no_decimal(v):
         Fraction(v)
     with pytest.raises(ValueError):
         exact.rational(v)
+
+
+def test_exact_refuses_an_exponent_past_the_digit_limit():
+    # 10**|e| for any exponent would take unbounded time; the limit is the
+    # one int() puts on a literal's digits
+    limit = sys.get_int_max_str_digits()
+    assert exact.rational(f"1e{limit}") == (10 ** limit, 1)
+    assert exact.rational(f"1e-{limit}") == (1, 10 ** limit)
+    for v in (f"1e{limit + 1}", f"1e-{limit + 1}", "1e5000", "1e-5000"):
+        with pytest.raises(ValueError, match="exponent"):
+            exact.rational(v)
 
 
 @given(st.integers(), st.integers(1, 2 ** 80), st.integers(0, 300))

@@ -69,10 +69,37 @@ def test_csv_shape(two_row_doc):
     float(parsed[2][1])  # cells parse as numbers
 
 
+HUMAN_HEAD = ("   N           E_inf       dE_inf              E0          dE0"
+              "      deltaE2      deltaE3         E_total     dE_total"
+              "           k_opt")
+
+
 def test_human_rendering(two_row_doc):
     text = two_row_doc.to_human()
     assert "E_total" in text and "-2.84765625" in text
     assert "residual" in text
+    # the table, byte for byte: a header of CSV_COLUMNS, then a row with
+    # its delta cells blank and a row with every cell
+    lines = text.splitlines()
+    head = lines.index(HUMAN_HEAD)
+    assert lines[head + 1:head + 4] == [
+        "-" * len(HUMAN_HEAD),
+        "   1     -2.84765625                  -2.84726591              "
+        "  0.00000407   0.00001841     -2.84724343                   "
+        "1.68726869",
+        "   2     -2.89112072  -0.04346447     -2.89069245  -0.04342655  "
+        "-0.00005085   0.00002006     -2.89072325  -0.04347982      "
+        "1.84936927",
+    ]
+
+
+def test_emit_renders_each_output_format(two_row_doc):
+    for fmt, render in (("human", two_row_doc.to_human),
+                        ("json", two_row_doc.to_json),
+                        ("csv", two_row_doc.to_csv)):
+        assert two_row_doc.emit(fmt) == render()
+    with pytest.raises(UsageError, match="unknown output format 'xml'"):
+        two_row_doc.emit("xml")
 
 
 def test_failure_rows_keep_the_sweep_alive(monkeypatch):
@@ -93,9 +120,34 @@ def test_failure_rows_keep_the_sweep_alive(monkeypatch):
         d = mp.mpf(doc.rows[2].dE_inf)
         expected = mp.mpf(doc.rows[2].E_inf) - mp.mpf(doc.rows[0].E_inf)
         assert abs(d - expected) < mp.mpf("1e-18")
-    assert "FAILED: RuntimeError: boom" in doc.to_human()
+    lines = doc.to_human().splitlines()
+    head = lines.index(HUMAN_HEAD)
+    assert lines[head + 3] == "   2 FAILED: RuntimeError: boom"
     assert [row["ok"] for row in json.loads(doc.to_json())["rows"]] == \
         [True, False, True]
+
+
+def test_a_failed_shared_stage_leaves_each_row_its_own(rows_alone,
+                                                      monkeypatch):
+    # the sweep's stage at N = 13 fails, so each row builds its own stage,
+    # and only the row that fails alone, N = 13, is a failure row
+    real = report.build_row_stage
+    built = []
+
+    def fails_at_13(n, constants):
+        built.append(n)
+        if n == 13:
+            raise RuntimeError("no stage")
+        return real(n, constants)
+
+    monkeypatch.setattr(report, "build_row_stage", fails_at_13)
+    doc = run_tables(n_list=[3, 13, 7])
+    assert built == [13, 3, 13, 7]
+    assert [row.ok for row in doc.rows] == [True, False, True]
+    assert doc.rows[1].error == "RuntimeError: no stage"
+    for row in (doc.rows[0], doc.rows[2]):
+        assert result_cells(row) == result_cells(rows_alone[row.N])
+    assert not doc.all_ok
 
 
 def result_cells(row):
@@ -618,6 +670,21 @@ def test_cli_failure_row_exit_code(monkeypatch):
     result = runner.invoke(main, ["sweep", "--n-list", "1"])
     assert result.exit_code == 1
     assert "FAILED" in result.output
+
+
+@pytest.mark.parametrize("verb, name", [("solve", "solve_single"),
+                                        ("corrections", "compute_row")])
+def test_cli_verb_failure_is_one_line_and_exit_1(verb, name, monkeypatch):
+    # a verb that fails prints one line to stderr, as a failure row reads,
+    # and no traceback
+    def boom(*args, **kwargs):
+        raise RuntimeError("broken")
+
+    monkeypatch.setattr(f"hyhe.cli.{name}", boom)
+    result = runner.invoke(main, [verb, "--n", "3"])
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr == "Error: RuntimeError: broken\n"
 
 
 def test_sweep_imports_neither_fractions_nor_decimal():
