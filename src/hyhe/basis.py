@@ -16,6 +16,13 @@ tests/support.
 from typing import NamedTuple
 
 
+# The largest basis size.  From about N = 195 (the size moves by one with the
+# BLAS thread count) the float64 Cholesky of W fails, and cond_bits reaches
+# 62 by N = 170, so a larger size can only fail, after seconds and hundreds
+# of megabytes (6 s and 740 MB at N = 1000).
+MAX_BASIS = 300
+
+
 class BasisError(ValueError):
     pass
 
@@ -41,10 +48,10 @@ def enumerate_basis(n_basis):
     """First ``n_basis`` terms in graded order (ascending l + 2m + n, then
     (l, 2m, n) inside a grade, as terms_of_grade yields them); the
     enumeration is a prefix of any larger one (nested bases), which the
-    variational monotonicity tests rely on.
+    variational monotonicity tests rely on.  n_basis is at most MAX_BASIS.
     """
-    if n_basis < 1:
-        raise BasisError(f"n_basis must be >= 1, got {n_basis}")
+    if not 1 <= n_basis <= MAX_BASIS:
+        raise BasisError(f"n_basis must be in 1..{MAX_BASIS}, got {n_basis}")
     terms = []
     g = 0
     while len(terms) < n_basis:

@@ -4,8 +4,10 @@ Verbs: `tables` (the default four-size sweep), `sweep --n-list`, `solve --n`,
 `corrections --n`.  Global options pick the config file, precision, alpha
 and output format; each can also come from one environment variable
 (HYHE_CONFIG_PATH, HYHE_PRECISION_DIGITS, HYHE_ALPHA, HYHE_OUTPUT).  An
-option beats its variable, which beats the config file.  The verbs read
-their options from the command line only.  The global `--verbose` flag
+option beats its variable, which beats the config file: click picks the
+option or its variable, and load_config lays that over the file.  The
+verbs read their options from the command line only, and a basis size
+outside 1..MAX_BASIS is a usage error.  The global `--verbose` flag
 sends the "hyhe" logger's DEBUG records (one line per stage with its
 float64 conditioning estimate, the start of each k-search, k = 2 or
 mu k_inf, and its float seed with its width F, one line per correction
@@ -25,7 +27,8 @@ from types import SimpleNamespace
 import click
 from mpmath import mp
 
-from .config import OUTPUT_FORMATS, load_config, with_overrides, ConfigError
+from .basis import MAX_BASIS
+from .config import OUTPUT_FORMATS, load_config, ConfigError
 from .constants import PhysicalConstants, ConstantsError
 from .report import (UsageError, certified_digits, compute_row, run_tables,
                      solve_single)
@@ -53,9 +56,8 @@ CONTEXT_SETTINGS = {"help_option_names": ["-h", "--help"]}
 def main(ctx, config_path, precision_digits, alpha, output, verbose):
     """Helium ground-state energies with relativistic and QED corrections."""
     try:
-        config = load_config(config_path)
-        config = with_overrides(config, precision_digits=precision_digits,
-                                output=output)
+        config = load_config(config_path, precision_digits=precision_digits,
+                             output=output)
         constants = PhysicalConstants()
         if alpha is not None:
             constants = PhysicalConstants(alpha=alpha)
@@ -84,17 +86,13 @@ def _log_to_stderr(ctx):
     ctx.call_on_close(restore)
 
 
-def _emit_document(app, doc):
-    click.echo(doc.emit(app.config.output), nl=False)
-    sys.exit(0 if doc.all_ok else 1)
-
-
 def _run_sweep(app, n_list):
     try:
         doc = run_tables(app.config, app.constants, n_list=n_list)
     except UsageError as exc:
         raise click.UsageError(str(exc))
-    _emit_document(app, doc)
+    click.echo(doc.emit(app.config.output), nl=False)
+    sys.exit(0 if doc.all_ok else 1)
 
 
 @main.command()
@@ -118,7 +116,7 @@ def sweep(app, n_list):
 
 
 @main.command()
-@click.option("--n", "n", type=click.IntRange(min=1), required=True,
+@click.option("--n", "n", type=click.IntRange(1, MAX_BASIS), required=True,
               help="basis size")
 @click.option("--no-nuclear-motion", is_flag=True, default=False,
               help="clamp the nucleus (infinite-mass Hamiltonian)")
@@ -145,7 +143,7 @@ def solve(app, n, no_nuclear_motion):
 
 
 @main.command()
-@click.option("--n", "n", type=click.IntRange(min=1), required=True,
+@click.option("--n", "n", type=click.IntRange(1, MAX_BASIS), required=True,
               help="basis size")
 @click.pass_obj
 def corrections(app, n):

@@ -1,9 +1,9 @@
 """Run configuration: defaults, file loading, validation.
 
 A run's settings come from the defaults or from one config file of flat
-``key = value`` lines with ``#`` comments.  Nothing here reads the
-environment: the CLI does, and layers its HYHE_ variables and options over
-the file (see hyhe.cli).
+``key = value`` lines with ``#`` comments, with overrides laid over it
+(load_config).  Nothing here reads the environment: the CLI does, and passes
+its HYHE_ variables and options as those overrides (see hyhe.cli).
 """
 
 import os
@@ -32,19 +32,6 @@ class RunConfig:
         return self
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
-
-
-def _coerce(key, raw):
-    ftype = _FIELD_TYPES[key]
-    try:
-        if ftype is int:
-            return int(raw)
-        return str(raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config key {key!r}: cannot parse {raw!r}") from exc
-
-
 def parse_config_text(text):
     """Parse flat ``key = value`` lines into a dict (no validation here)."""
     out = {}
@@ -59,13 +46,14 @@ def parse_config_text(text):
     return out
 
 
-def load_config(path=None):
+def load_config(path=None, **overrides):
     """Build a RunConfig from the config file at path (a str or
-    os.PathLike), or the defaults for None.
+    os.PathLike), or the defaults for None, and lay each of overrides (a
+    RunConfig field) that is not None over it.
 
     A file that cannot be read, or is not UTF-8 text, raises ConfigError
-    naming it.  Unknown keys are rejected by name.  Layering environment
-    variables and options over the file is the CLI's job.
+    naming it.  Unknown keys are rejected by name.  The file's values are
+    validated before the overrides replace them, and the result again.
     """
     doc = {}
     if path is not None:
@@ -77,15 +65,16 @@ def load_config(path=None):
                               f"{getattr(exc, 'strerror', None) or exc}"
                               ) from exc
 
-    unknown = set(doc) - set(_FIELD_TYPES)
+    unknown = set(doc) - {f.name for f in fields(RunConfig)}
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(sorted(unknown))}")
 
-    kwargs = {k: _coerce(k, v) for k, v in doc.items()}
-    return RunConfig(**kwargs).validate()
-
-
-def with_overrides(config, **kwargs):
-    """Replace fields (None values ignored) and re-validate."""
-    updates = {k: v for k, v in kwargs.items() if v is not None}
+    if "precision_digits" in doc:
+        try:
+            doc["precision_digits"] = int(doc["precision_digits"])
+        except ValueError as exc:
+            raise ConfigError("config key 'precision_digits': cannot parse "
+                              f"{doc['precision_digits']!r}") from exc
+    config = RunConfig(**doc).validate()
+    updates = {k: v for k, v in overrides.items() if v is not None}
     return replace(config, **updates).validate() if updates else config

@@ -23,6 +23,7 @@ from itertools import chain
 import numpy as np
 
 from .exact import STATE_LIMB, Stack, code_table, reduced, split
+from .integrals import polynomial_moments
 
 # T = reduced Laplacian of phi = s^l t^q u^n (matrices.p4_expectation), as
 # the coefficients of its 12 monomials phi s^da t^db u^dc at these offsets.
@@ -112,19 +113,18 @@ def _logmom_moments(a, b, c):
     log and plain parts in turn, the list of numerators (ints) and the
     part's denominator.
 
-    With M = a + b + c and d = b + c, plain = M!/(2^{M+1} (b+1) d) and
-    log = plain (H_M - 1/d), over 2^{M_max+1} L^2 and 2^{M_max+1} L^3,
-    L = lcm(1 ... M_max + 1), with H_M from integer prefix sums over L.
+    With M = a + b + c and d = b + c, plain = M!/(2^{M+1} (b+1) d) is the
+    polynomial moment at s^a t^b u^{c-2} (integrals.polynomial_moments),
+    ints over its D; log = plain (H_M - 1/d) is over D L,
+    L = lcm(1 ... M_max), with H_M from integer prefix sums over L.
     """
-    M, d, b1 = (a + b + c).tolist(), (b + c).tolist(), (b + 1).tolist()
+    plain, D = polynomial_moments(np.array((a, b, c - 2)).T.tolist())
+    M, d = (a + b + c).tolist(), (b + c).tolist()
     top = max(M)
-    L = math.lcm(*range(1, top + 2))
+    L = math.lcm(*range(1, top + 1))
     H = [0]
     for j in range(1, top + 1):
         H.append(H[-1] + L // j)
-    weight = [math.factorial(k) << (top - k) for k in range(top + 1)]
-    plain = [weight[k] * (L * L // (x * y)) for k, x, y in zip(M, b1, d)]
-    D = L * L << (top + 1)
     yield [p * (H[k] - L // y) for p, k, y in zip(plain, M, d)], D * L
     yield plain, D
 

@@ -6,9 +6,11 @@ polynomial family against the weight e^{-2s} (k = 1 scale):
   moment_ratio(a, b, c)   int e^{-2s} s^a t^b u^c   (p, q; no volume factor)
 
 The assembly reads it as polynomial_moments, every key it needs over one
-denominator from one factorial table; moment_ratio, one key in lowest
-terms, and raw_moment, its memoized Fraction, serve the referees.  The
-expectation forms read their own moment families (hyhe.forms).
+denominator from one factorial table, and so does the log-momentum form, at
+u^{-2}; moment_ratio, one key in lowest terms, and raw_moment, its memoized
+Fraction, serve the referees.  <p^4>'s channel moments and the
+log-momentum element's log factor are the expectation forms' own
+(hyhe.forms).
 
 The full measure is d tau1 d tau2 = 2 pi^2 u(s^2 - t^2) ds dt du; the 2 pi^2
 is applied by callers (it cancels in every ratio the pipeline forms), and

@@ -274,12 +274,6 @@ def delta_expectations(basis, coeffs, F, k, wq):
     2**top, so each double sum is one exact int at scale 2**(2F + top) and
     becomes one mpf.
     """
-    return _coalescence(basis, coeffs, F,
-                        mp.mpf(k) ** 3 * _factors(mp.prec, F)[0] / wq)
-
-
-def _coalescence(basis, coeffs, F, scale):
-    """delta_expectations with its factor scale = 2 k^3 / (pi wq)."""
     grade_sums, pure_sums = {}, {}
     for term, c in zip(basis, coeffs):
         g = term.grade
@@ -296,6 +290,7 @@ def _coalescence(basis, coeffs, F, scale):
 
     # t enters as (-r)^{2m}, even, so r1 and r2 agree exactly; and
     # 2^g (g+2)!/4^{g+3} = weight[g] / 8
+    scale = mp.mpf(k) ** 3 * _factors(mp.prec, F)[0] / wq
     return scale * pair_sum(grade_sums), scale * pair_sum(pure_sums) / 8
 
 
@@ -385,8 +380,7 @@ def expectation_set(basis, coeffs, F, k, forms, k_err=0):
     quadratic sums on the state (exact.quadratics): the norm, checked as
     check_normalized checks it, and the sums of p4_expectation and
     log_momentum_expectation, which end as those do; the delta densities
-    end as delta_expectations does, with the same k^3 as the log-momentum
-    element.
+    are delta_expectations on the state and its norm.
 
     rel_err bounds the relative error of every value.  The solve stops once
     its correction is at most 2**-prec max|c|, so it leaves each c_j within
@@ -402,11 +396,9 @@ def expectation_set(basis, coeffs, F, k, forms, k_err=0):
         coeffs, forms, [((1, 0),), _p4_terms(F), _log_momentum_terms(F, km)])
     wq = _normalized(norm, F)
     debug("expectations: norm_err=%s", lambda: mp.nstr(abs(wq - 1), 3))
-    k3 = km ** 3
-    d1, dee = _coalescence(basis, coeffs, F,
-                           k3 * _factors(mp.prec, F)[0] / wq)
+    d1, dee = delta_expectations(basis, coeffs, F, km, wq)
     p4_pair = km ** 4 * mp.ldexp(p4_total, -3 * F) / wq
-    q = k3 * mp.ldexp(q_total, -3 * F) / wq
+    q = km ** 3 * mp.ldexp(q_total, -3 * F) / wq
     lost = max(lost_bits(p4_total, p4_size), lost_bits(q_total, q_size))
     state_err = mp.eps / 2 + k_err / km
     return ExpectationSet(

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, asdict, replace
 from mpmath import mp
 
 from . import __version__ as ENGINE_VERSION, debug
-from .basis import enumerate_basis
+from .basis import MAX_BASIS, enumerate_basis
 from .config import DEFAULT_SWEEP, OUTPUT_FORMATS, RunConfig
 from .constants import default_constants
 from .corrections import total_energy
@@ -297,8 +297,8 @@ def run_tables(config=None, constants=None, n_list=None):
     One stage at max(n_list) serves every row.  A failing size produces a
     failure row instead of aborting the sweep; all_ok reflects it.  When the
     shared stage itself fails, each size builds its own, so only a size that
-    fails alone gets a failure row.  An explicitly empty sweep is a usage
-    error.
+    fails alone gets a failure row.  An explicitly empty sweep, or a size
+    outside 1..MAX_BASIS, is a usage error.
     """
     config = config or RunConfig()
     constants = constants or default_constants()
@@ -306,8 +306,8 @@ def run_tables(config=None, constants=None, n_list=None):
         n_list = list(DEFAULT_SWEEP)
     if not n_list:
         raise UsageError("empty sweep: need at least one basis size")
-    if any(n < 1 for n in n_list):
-        raise UsageError(f"basis sizes must be >= 1, got {n_list}")
+    if any(not 1 <= n <= MAX_BASIS for n in n_list):
+        raise UsageError(f"basis sizes must be 1..{MAX_BASIS}, got {n_list}")
     try:
         stage = build_row_stage(max(n_list), constants)
     except Exception:  # noqa: BLE001 - the rows retry alone and report

@@ -24,11 +24,11 @@ parameters, so a tree whose signature differs is still called as it asks.
 
 An mpf is compared by its _mpf_ tuple, anything else by ==, recursing
 through dataclasses, lists, tuples and dicts.  A stage's exact forms are
-compared by their ints and denominators in turn, whatever layout the tree
-keeps them in (exact_forms): W, P and K of each system, and the overlap W,
-<p^4>'s A, B and C and the log-momentum element's L and L' of the
-expectation forms.  Every differing field is printed; the exit status is 1
-if any differs, else 0.
+compared by their ints and denominators in turn, read off its stacks
+(exact_forms): W, P and K of each system, and the overlap W, <p^4>'s A, B
+and C and the log-momentum element's L and L' of the expectation forms.
+Every differing field is printed; the exit status is 1 if any differs,
+else 0.
 """
 
 import argparse
@@ -102,35 +102,19 @@ def show(v):
     return text if len(text) <= 80 else text[:77] + "..."
 
 
-def stacked(limbs, counts, denominators, bits):
-    """[(ints, D)] of the forms whose limbs, of width bits, stand in turn
-    in the int64 array limbs, counts[f] of them over denominators[f]."""
-    out, start = [], 0
-    for m, D in zip(counts, denominators):
-        L = limbs[start:start + m].astype(object)
-        ints = sum(L[j] << (bits * j) for j in range(m))
-        out.append((ints.ravel().tolist(), D))
-        start += m
-    return out
-
-
 def exact_forms(held):
     """[(ints, D)] of the exact forms that a stage part holds, in turn: a
     system's W, P and K, or the expectation forms' W, A, B, C, L and L'.
-    It reads a stack of forms (limbs, counts, denominators, bits), held
-    alone or as a system's `stack`, as the parent and this tree keep them;
-    and the earlier layouts: a system's int64 `stack` counted by its
-    `limbs`, and single forms (limbs, bits, D) named W, p4 and
-    log_momentum."""
-    if hasattr(held, "p4"):
-        return [f for A in (held.W, *held.p4, *held.log_momentum)
-                for f in exact_forms(A)]
-    if isinstance(getattr(held, "stack", None), np.ndarray):
-        return stacked(held.stack, held.limbs, held.denominators, held.bits)
-    held = getattr(held, "stack", held)
-    if hasattr(held, "counts"):
-        return stacked(held.limbs, held.counts, held.denominators, held.bits)
-    return stacked(held.limbs, (len(held.limbs),), (held.D,), held.bits)
+    It reads an exact.Stack, held alone or as a system's `stack`: each
+    member's limbs, of width bits, over its denominator."""
+    stack = getattr(held, "stack", held)
+    out, start = [], 0
+    for m, D in zip(stack.counts, stack.denominators):
+        L = stack.limbs[start:start + m].astype(object)
+        ints = sum(L[j] << (stack.bits * j) for j in range(m))
+        out.append((ints.ravel().tolist(), D))
+        start += m
+    return out
 
 
 def stage_values(stage):

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hyhe.basis import BasisError, BasisTerm, enumerate_basis, terms_of_grade
+from hyhe.basis import (MAX_BASIS, BasisError, BasisTerm, enumerate_basis,
+                        terms_of_grade)
 from support.basis import (SteuExpression, basis_expression, grade_counts,
                            pmul, psquare)
 
@@ -46,6 +47,8 @@ def test_terms_of_grade_partition():
 def test_basis_size_must_be_positive():
     with pytest.raises(BasisError):
         enumerate_basis(0)
+    with pytest.raises(BasisError, match=r"1\.\.300"):
+        enumerate_basis(MAX_BASIS + 1)
 
 
 # --- SteuExpression algebra ---------------------------------------------

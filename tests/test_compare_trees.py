@@ -1,11 +1,12 @@
+import dataclasses
 import os
-from types import SimpleNamespace
 
 import numpy as np
 from mpmath import mp
 
 import hyhe
 from hyhe.constants import default_constants
+from hyhe.eigen import PencilSystem
 from hyhe.report import build_row_stage
 from support import compare_trees, members
 
@@ -38,37 +39,22 @@ def test_differences_reads_every_bit():
     assert compare_trees.differences(np.arange(3), np.arange(3)) == []
 
 
-def test_stages_compare_by_their_forms_whatever_the_layout():
-    # a stand-in stage in the earlier layout, each system's forms in a bare
-    # int64 `stack` counted by `limbs` and the expectation forms as single
-    # forms (limbs, bits, D) named W, p4 and log_momentum, against the same
-    # forms in stacks: no difference; one entry off by one in either layout
-    # is one
+def test_stages_compare_by_their_forms():
+    # a stage's exact forms are read off its stacks, alone or as a system's
+    # `stack`: a stage shows no difference against itself, and one entry off
+    # by one in a system's stack is one
     basis, systems, forms = build_row_stage(7, default_constants())
-    ends = np.cumsum(forms.counts)
-    single = [SimpleNamespace(limbs=forms.limbs[end - m:end], bits=forms.bits,
-                              D=D)
-              for m, end, D in zip(forms.counts, ends, forms.denominators)]
-
-    def earlier(system):
-        stack = system.stack
-        return SimpleNamespace(
-            stack=stack.limbs.copy(), bits=stack.bits, limbs=stack.counts,
-            denominators=stack.denominators, T=system.T,
-            K_float=system.K_float, P_float=system.P_float,
-            cond_bits=system.cond_bits)
-
-    named = SimpleNamespace(W=single[0], p4=tuple(single[1:4]),
-                            log_momentum=tuple(single[4:]))
-    assert compare_trees.exact_forms(named) == members(forms)
-    old = (basis, {label: earlier(system)
-                   for label, system in systems.items()}, named)
-    new = (basis, systems, forms)
-    assert compare_trees.differences(compare_trees.stage_values(old),
-                                     compare_trees.stage_values(new)) == []
-    off = earlier(systems["0"])
-    off.stack[-1, 6, 6] += 1
+    stage = (basis, systems, forms)
+    assert compare_trees.exact_forms(forms) == members(forms)
+    assert compare_trees.differences(compare_trees.stage_values(stage),
+                                     compare_trees.stage_values(stage)) == []
+    system = systems["0"]
+    limbs = system.stack.limbs.copy()
+    limbs[-1, 6, 6] += 1
+    off = PencilSystem(dataclasses.replace(system.stack, limbs=limbs),
+                       system.T, system.K_float, system.P_float,
+                       system.W_diag, label=system.label, mu=system.mu)
     found = compare_trees.differences(
-        compare_trees.stage_values((basis, {**old[1], "0": off}, named)),
-        compare_trees.stage_values(new))
+        compare_trees.stage_values((basis, {**systems, "0": off}, forms)),
+        compare_trees.stage_values(stage))
     assert [path for path, _, _ in found] == ["systems.0.forms[2][0][48]"]

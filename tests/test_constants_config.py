@@ -3,7 +3,7 @@ from dataclasses import fields
 import pytest
 
 from hyhe.config import (ConfigError, RunConfig, load_config, parse_config_text,
-                         with_overrides, DEFAULT_SWEEP)
+                         DEFAULT_SWEEP)
 from hyhe.constants import ConstantsError, PhysicalConstants, default_constants
 from hyhe.report import run_tables
 
@@ -133,9 +133,18 @@ def test_load_config_rejects_non_utf8_file(tmp_path):
         load_config(path)
 
 
-def test_with_overrides_ignores_none():
-    cfg = RunConfig()
-    assert with_overrides(cfg, precision_digits=None) is cfg
-    assert with_overrides(cfg, precision_digits=35).precision_digits == 35
+def test_load_config_overrides_ignore_none(tmp_path):
+    # an override of None keeps the file's value, one that is set replaces
+    # it and is validated, and the file's own value is validated before any
+    # override replaces it
+    path = config_file(tmp_path, "precision_digits = 40\n")
+    assert load_config(path, precision_digits=None, output=None) == \
+        RunConfig(precision_digits=40)
+    assert load_config(path, precision_digits=35, output="json") == \
+        RunConfig(precision_digits=35, output="json")
+    assert load_config(None, output="csv") == RunConfig(output="csv")
     with pytest.raises(ConfigError):
-        with_overrides(cfg, precision_digits=10)
+        load_config(path, precision_digits=10)
+    with pytest.raises(ConfigError, match="precision_digits must be >= 30"):
+        load_config(config_file(tmp_path, "precision_digits = 10\n"),
+                    precision_digits=35)

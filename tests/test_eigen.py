@@ -264,13 +264,17 @@ def test_inverse_iteration_step_cap():
 
 
 def test_nonpositive_overlap_rejected():
-    mats = SimpleNamespace(W=integer_matrix([[1, 2], [2, 1]]),
-                           K=integer_matrix([[1, 0], [0, 1]]),
-                           P=integer_matrix([[0] * 2] * 2),
-                           M_pol=integer_matrix([[0] * 2] * 2))
-    with mp.workdps(30):
-        with pytest.raises(ValueError, match="not positive definite"):
-            build_systems(mats)
+    # an indefinite W fails its float64 Cholesky, and a W with a diagonal
+    # entry <= 0 is refused before it
+    for W, match in (([[1, 2], [2, 1]], "not positive definite in float64"),
+                     ([[0, 1], [1, 1]], r"not positive definite \(diagonal")):
+        mats = SimpleNamespace(W=integer_matrix(W),
+                               K=integer_matrix([[1, 0], [0, 1]]),
+                               P=integer_matrix([[0] * 2] * 2),
+                               M_pol=integer_matrix([[0] * 2] * 2))
+        with mp.workdps(30):
+            with pytest.raises(ValueError, match=match):
+                build_systems(mats)
 
 
 def signed_mpf(c, F):

@@ -40,6 +40,8 @@ def test_domain_guards():
         raw_moment(0, -1, 0)
     with pytest.raises(IntegralDomainError):
         raw_moment(0, 0, -2)  # b + c + 1 < 0 diverges at u -> 0
+    with pytest.raises(IntegralDomainError, match="s-integral diverges"):
+        raw_moment(-2, 0, -1)  # a + b + c + 2 < 0 diverges at s -> 0
     # c = -1 is fine: b + c + 1 = 0 absorbs into the u integral
     assert raw_moment(0, 0, -1) == Fraction(1, 4)
 

@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ import hyhe
 import hyhe.report as report
 from hyhe import exact
 from hyhe.cli import main
-from hyhe.config import RunConfig
+from hyhe.config import DEFAULT_SWEEP, RunConfig
 from hyhe.constants import default_constants
 from hyhe.report import (CSV_COLUMNS, Row, UsageError, recompute_deltas,
                          run_tables)
@@ -544,6 +545,42 @@ def test_cli_usage_errors():
     result = runner.invoke(main, ["--alpha", "7.297_3e-3",
                                   "sweep", "--n-list", "1"])
     assert result.exit_code == 2 and "alpha" in result.output
+
+
+@pytest.mark.parametrize("args", [["solve", "--n", "301"],
+                                  ["corrections", "--n", "301"],
+                                  ["sweep", "--n-list", "20,301"]])
+def test_cli_sizes_past_max_basis_are_usage_errors(args):
+    # refused before any stage is built, naming the limit
+    t0 = time.perf_counter()
+    result = runner.invoke(main, args)
+    assert time.perf_counter() - t0 < 1
+    assert result.exit_code == 2, result.output
+    assert "300" in result.output and "Traceback" not in result.output
+
+
+def test_cli_tables_is_the_default_sweep():
+    # the tables verb prints what a sweep of DEFAULT_SWEEP prints, in human
+    # and JSON, wall times masked
+    sweep = ["sweep", "--n-list", ",".join(map(str, DEFAULT_SWEEP))]
+    for fmt in ("human", "json"):
+        outputs = [runner.invoke(main, ["--format", fmt] + verb)
+                   for verb in (["tables"], sweep)]
+        assert [r.exit_code for r in outputs] == [0, 0]
+        tables, swept = (re.sub(r'(wall |"wall_time": ")[0-9.]+', r"\1*",
+                                r.output) for r in outputs)
+        assert tables == swept
+        assert ("N=50:" if fmt == "human" else '"N": 50') in tables
+
+
+def test_cli_config_file_value_that_does_not_parse(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("precision_digits = abc\n")
+    result = runner.invoke(main, ["--config", str(cfg),
+                                  "sweep", "--n-list", "1"])
+    assert result.exit_code == 2
+    assert "config key 'precision_digits': cannot parse 'abc'" in \
+        result.output
 
 
 def test_cli_env_overrides_flow_into_config():
