@@ -33,16 +33,20 @@ class RunConfig:
 
 
 def parse_config_text(text):
-    """Parse flat ``key = value`` lines into a dict (no validation here)."""
-    out = {}
+    """Parse flat ``key = value`` lines into a dict (no validation here).
+    A key set on two lines raises ConfigError naming it and both lines."""
+    out, where = {}, {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ConfigError(f"config line {lineno}: expected 'key = value', got {line!r}")
-        key, _, value = line.partition("=")
-        out[key.strip()] = value.strip()
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key in where:
+            raise ConfigError(f"config key {key!r} set twice: lines "
+                              f"{where[key]} and {lineno}")
+        out[key], where[key] = value, lineno
     return out
 
 
@@ -51,14 +55,16 @@ def load_config(path=None, **overrides):
     os.PathLike), or the defaults for None, and lay each of overrides (a
     RunConfig field) that is not None over it.
 
-    A file that cannot be read, or is not UTF-8 text, raises ConfigError
-    naming it.  Unknown keys are rejected by name.  The file's values are
-    validated before the overrides replace them, and the result again.
+    A file that cannot be read, or is not UTF-8 text (a leading byte-order
+    mark is allowed and skipped), raises ConfigError naming it.  Unknown
+    keys are rejected by name, and a key set twice (parse_config_text).
+    The file's values are validated before the overrides replace them, and
+    the result again.
     """
     doc = {}
     if path is not None:
         try:
-            with open(path, encoding="utf-8") as fh:
+            with open(path, encoding="utf-8-sig") as fh:
                 doc = parse_config_text(fh.read())
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {os.fspath(path)}: "

@@ -26,7 +26,9 @@ E0's own bound.
 Every factor that depends only on the constants and the working precision
 (alpha^2 / 8, pi alpha^2, the alpha^3 coefficients, E_exp) is computed
 once per constant set and precision (_factors), in the order the formulas
-above multiply them.
+above multiply them.  total_energy is the one place the terms are formed:
+it computes every term, sum and error bound of the breakdown from one
+_factors lookup.
 """
 
 from dataclasses import dataclass
@@ -82,42 +84,30 @@ def _factors(constants, prec):
             E_exp=mp.mpf(constants.E_exp))
 
 
-def breit_correction(expectations, constants):
-    """(E1, E2, E3, E4, E5, deltaE2) on the given state."""
-    f = _factors(constants, mp.prec)
-    E1 = f.e1 * (2 * expectations.p4)
-    E2 = mp.mpf(0)
-    E3 = mp.mpf(0)
-    E4 = f.pi_a2 * (constants.Z * expectations.delta_r1
-                    - expectations.delta_r12)
-    E5 = f.two_pi_a2 * expectations.delta_r12
-    return E1, E2, E3, E4, E5, E1 + E2 + E3 + E4 + E5
-
-
-def radiative_correction(expectations, constants):
-    """(r3_nuclear, r3_contact, r3_logmom, deltaE3) on the given state."""
-    f = _factors(constants, mp.prec)
-    if f.alpha == 0:
-        zero = mp.mpf(0)
-        return zero, zero, zero, zero
-    r3n = f.r3n * (2 * expectations.delta_r1)
-    r3c = f.r3c * expectations.delta_r12
-    r3l = f.r3l * expectations.log_momentum
-    return r3n, r3c, r3l, r3n + r3c + r3l
-
-
 def total_energy(E0, expectations, constants, E0_err=0):
     """Assemble the full breakdown around a variational energy E0, which
-    lies within E0_err of the exact one."""
+    lies within E0_err of the exact one: the alpha^2 terms E1 ... E5 and
+    their sum deltaE2, then the alpha^3 parts and their sum deltaE3 (all
+    zero at alpha = 0), each from the module docstring's formulas."""
     E0 = mp.mpf(E0)
-    E1, E2, E3, E4, E5, dE2 = breit_correction(expectations, constants)
-    r3n, r3c, r3l, dE3 = radiative_correction(expectations, constants)
+    f = _factors(constants, mp.prec)
+    Z, d1, dee = constants.Z, expectations.delta_r1, expectations.delta_r12
+    E1 = f.e1 * (2 * expectations.p4)
+    E2 = E3 = mp.mpf(0)
+    E4 = f.pi_a2 * (Z * d1 - dee)
+    E5 = f.two_pi_a2 * dee
+    dE2 = E1 + E2 + E3 + E4 + E5
+    if f.alpha == 0:
+        r3n = r3c = r3l = dE3 = mp.mpf(0)
+    else:
+        r3n = f.r3n * (2 * d1)
+        r3c = f.r3c * dee
+        r3l = f.r3l * expectations.log_momentum
+        dE3 = r3n + r3c + r3l
     E_total = E0 + dE2 + dE3
     # |E4| + |E5| at most, by part: pi alpha^2 (Z delta_r1 - delta_r12)
     # and 2 pi alpha^2 delta_r12
-    contact = _factors(constants, mp.prec).pi_a2 * (
-        constants.Z * abs(expectations.delta_r1)
-        + 3 * abs(expectations.delta_r12))
+    contact = f.pi_a2 * (Z * abs(d1) + 3 * abs(dee))
     rel = expectations.rel_err + 4 * mp.eps
     dE2_err = (abs(E1) + contact) * rel
     dE3_err = (abs(r3n) + abs(r3c) + abs(r3l)) * rel
@@ -125,7 +115,7 @@ def total_energy(E0, expectations, constants, E0_err=0):
         E0=E0, E1=E1, E2=E2, E3=E3, E4=E4, E5=E5, deltaE2=dE2,
         r3_nuclear=r3n, r3_contact=r3c, r3_logmom=r3l, deltaE3=dE3,
         E_total=E_total, uncertainty=abs(dE3) / 2,
-        delta_vs_experiment=E_total - _factors(constants, mp.prec).E_exp,
+        delta_vs_experiment=E_total - f.E_exp,
         deltaE2_err=dE2_err, deltaE3_err=dE3_err,
         E_total_err=(E0_err + dE2_err + dE3_err
                      + (abs(E0) + abs(dE2) + abs(dE3)) * mp.eps))

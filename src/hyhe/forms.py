@@ -60,6 +60,21 @@ def _logmom_coefficients(l, q, n):
     return np.array((n + q, -n - l, l - q, -one, one)).T
 
 
+def _prefix_sums(m):
+    """L = lcm(1 ... m) and the integer prefix sums over L of 1/j and
+    (-1)^{j+1}/j, and over L^2 of their squares, each a list whose entry
+    i sums j = 1 ... i."""
+    L = math.lcm(*range(1, m + 1))
+    H, A, S, AS = [0], [0], [0], [0]
+    for j in range(1, m + 1):
+        x, sign = L // j, 1 if j % 2 else -1
+        H.append(H[-1] + x)
+        A.append(A[-1] + sign * x)
+        S.append(S[-1] + x * x)
+        AS.append(AS[-1] + sign * x * x)
+    return L, H, A, S, AS
+
+
 def _p4_moments(a, b, c):
     """The weights of s^a t^b u^c in T_i T_j for <p^4>: for their rational,
     zeta(2) and ln 2 parts in turn, the list of numerators (ints) and the
@@ -68,19 +83,13 @@ def _p4_moments(a, b, c):
     A monomial s^A t^B u^C of T^2 (s+t) weighs n!/2^{n+1} h(B, C),
     n = A + B + C, with h = (minus + (-1)^B plus) / (C or 1), the two channel
     moments of matrices.p4_expectation; so s^a t^b u^c weighs
-    (n+1)!/2^{n+2} (h(b, c) + h(b + 1, c)), n = a + b + c.  The parts of h
-    are ints over L^2, 2 and L, L = lcm(1 ... max(b + c) + 1), from integer
-    prefix sums over L and L^2.
+    (n+1)!/2^{n+2} (h(b, c) + h(b + 1, c)), n = a + b + c.  That factor is
+    the polynomial family at s^n u^{-1} (integrals.polynomial_moments), read
+    once per order n as ints over its D.  The parts of h are ints over L^2,
+    2 and L, L = lcm(1 ... max(b + c) + 1), from the prefix sums over L and
+    L^2 (_prefix_sums).
     """
-    m = int((b + c).max()) + 1
-    L = math.lcm(*range(1, m + 1))
-    H, A, S, AS = [0], [0], [0], [0]     # sum 1/j, (-1)^{j+1}/j; squared
-    for j in range(1, m + 1):
-        x, sign = L // j, 1 if j % 2 else -1
-        H.append(H[-1] + x)
-        A.append(A[-1] + sign * x)
-        S.append(S[-1] + x * x)
-        AS.append(AS[-1] + sign * x * x)
+    L, H, A, S, AS = _prefix_sums(int((b + c).max()) + 1)
 
     def h(b, c):
         sign = -1 if b % 2 else 1
@@ -100,10 +109,8 @@ def _p4_moments(a, b, c):
     pairs = list(zip(b.tolist(), c.tolist()))
     table = {key: tuple(map(sum, zip(h(*key), h(key[0] + 1, key[1]))))
              for key in set(pairs)}
-    n = (a + b + c + 1).tolist()
-    top = max(n)
-    weight = [math.factorial(k) << (top - k) for k in range(top + 1)]
-    D = 1 << (top + 1)
+    n = (a + b + c).tolist()
+    weight, D = polynomial_moments([(k, 0, -1) for k in range(max(n) + 1)])
     for part, den in enumerate((D * L * L, 2 * D, D * L)):
         yield [weight[k] * table[key][part] for k, key in zip(n, pairs)], den
 
@@ -116,15 +123,12 @@ def _logmom_moments(a, b, c):
     With M = a + b + c and d = b + c, plain = M!/(2^{M+1} (b+1) d) is the
     polynomial moment at s^a t^b u^{c-2} (integrals.polynomial_moments),
     ints over its D; log = plain (H_M - 1/d) is over D L,
-    L = lcm(1 ... M_max), with H_M from integer prefix sums over L.
+    L = lcm(1 ... M_max), with H_M from the prefix sums over L
+    (_prefix_sums).
     """
     plain, D = polynomial_moments(np.array((a, b, c - 2)).T.tolist())
     M, d = (a + b + c).tolist(), (b + c).tolist()
-    top = max(M)
-    L = math.lcm(*range(1, top + 1))
-    H = [0]
-    for j in range(1, top + 1):
-        H.append(H[-1] + L // j)
+    L, H, *_ = _prefix_sums(max(M))
     yield [p * (H[k] - L // y) for p, k, y in zip(plain, M, d)], D * L
     yield plain, D
 

@@ -5,12 +5,14 @@ polynomial family against the weight e^{-2s} (k = 1 scale):
 
   moment_ratio(a, b, c)   int e^{-2s} s^a t^b u^c   (p, q; no volume factor)
 
-The assembly reads it as polynomial_moments, every key it needs over one
-denominator from one factorial table, and so does the log-momentum form, at
-u^{-2}; moment_ratio, one key in lowest terms, and raw_moment, its memoized
-Fraction, serve the referees.  <p^4>'s channel moments and the
-log-momentum element's log factor are the expectation forms' own
-(hyhe.forms).
+polynomial_moments is the package's one s-integral table: the keys a
+caller needs, over one denominator, from one factorial table.  The
+assembly reads it, and so do the log-momentum form, at u^{-2}, and at
+u^{-1} <p^4>'s s-integral factor (n+1)!/2^{n+2} and the delta densities'
+weights (g+2)!/2^{g+3}.  moment_ratio, one key in lowest terms, and
+raw_moment, its memoized Fraction, read the same table and serve the
+referees.  <p^4>'s channel moments and the log-momentum element's log
+factor are the expectation forms' own (hyhe.forms).
 
 The full measure is d tau1 d tau2 = 2 pi^2 u(s^2 - t^2) ds dt du; the 2 pi^2
 is applied by callers (it cancels in every ratio the pipeline forms), and
@@ -36,6 +38,8 @@ def moment_ratio(a, b, c):
     n = a+b+c+2 the moment is n!/(2^(n+1) (b+1) (b+c+2)).
     b must be >= 0 (odd-t projection happens upstream); c may be negative
     as long as b + c + 1 >= 0 and the final Gamma argument is positive.
+    Inside that domain the value is polynomial_moments' at the one key,
+    whose D is then the lowest-terms denominator.
     """
     if b < 0:
         raise IntegralDomainError(f"t-exponent must be >= 0, got b={b}")
@@ -44,15 +48,16 @@ def moment_ratio(a, b, c):
     n = a + b + c + 2  # s-moment order
     if n < 0:
         raise IntegralDomainError(f"s-integral diverges: a+b+c+2 = {n}")
-    p, q = math.factorial(n), (b + 1) * (b + c + 2) << (n + 1)
-    g = math.gcd(p, q)
-    return p // g, q // g
+    (p,), q = polynomial_moments([(a, b, c)])
+    return p, q
 
 
 def polynomial_moments(keys):
     """(values, D): moment_ratio(a, b, c) at each key (a, b, c) of the list
     keys, as ints over their least common denominator D; a key with b < 0
-    reads 0.
+    reads 0.  It holds the package's only factorial table (module
+    docstring); a caller that needs a family at many keys of few orders
+    reads it once per order and indexes into the values.
 
     Each is n!/(2^(n+1) (b+1)(b+c+2)), n = a+b+c+2, read off one table of
     k! 2^(top-k), top the largest n: that entry over (b+1)(b+c+2) 2^(top+1).

@@ -52,7 +52,6 @@ one mpf at the end; the constants they read (2/pi, zeta(2) and ln 2) are
 computed once per precision (_factors).
 """
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -269,10 +268,11 @@ def delta_expectations(basis, coeffs, F, k, wq):
     a pair only through g = g_i + g_j, so the double sums run over grade
     pairs of S_g, the sum of the coefficients of grade g.
 
-    The S_g are ints at scale 2**F, the state's.  With top = 2 g_max + 3
-    each weight (g+2)!/2^{g+3} is the int (g+2)! 2^{top-g-3} at scale
-    2**top, so each double sum is one exact int at scale 2**(2F + top) and
-    becomes one mpf.
+    The S_g are ints at scale 2**F, the state's.  Each weight
+    (g+2)!/2^{g+3} is the polynomial family at s^{g+1} u^{-1}
+    (integrals.polynomial_moments), read for every g up to 2 g_max as ints
+    over one D, a power of two; so each double sum is one exact int at
+    scale 2**(2F) D and becomes one mpf, rounded once.
     """
     grade_sums, pure_sums = {}, {}
     for term, c in zip(basis, coeffs):
@@ -280,13 +280,14 @@ def delta_expectations(basis, coeffs, F, k, wq):
         grade_sums[g] = grade_sums.get(g, 0) + c
         if term.m == 0 and term.n == 0:
             pure_sums[g] = pure_sums.get(g, 0) + c
-    top = 2 * max(grade_sums) + 3
-    weight = [math.factorial(g + 2) << (top - g - 3) for g in range(top - 2)]
+    weight, D = polynomial_moments(
+        [(g + 1, 0, -1) for g in range(2 * max(grade_sums) + 1)])
 
     def pair_sum(sums):
         total = sum(si * sj * weight[gi + gj]
                     for gi, si in sums.items() for gj, sj in sums.items())
-        return mp.ldexp(total, -2 * F - top)
+        # total / (2**(2F) D) in one rounding: D is 2**(D.bit_length() - 1)
+        return mp.ldexp(total, 1 - D.bit_length() - 2 * F)
 
     # t enters as (-r)^{2m}, even, so r1 and r2 agree exactly; and
     # 2^g (g+2)!/4^{g+3} = weight[g] / 8

@@ -17,13 +17,17 @@ precision in --digits and each N in --n, on that stage,
   - total_energy on it: every CorrectionBreakdown field;
   - compute_row on the stage: every Row field but wall_time;
 
-and for each N in --verbs (default: --n) the JSON output of the `solve`
-(both Hamiltonians) and `corrections` verbs at that precision.  The trees'
-calls alternate.  A function's arguments are passed by the names of its
-parameters, so a tree whose signature differs is still called as it asks.
+and for each N in --verbs (default: --n) the JSON and human output of the
+`solve` (both Hamiltonians) and `corrections` verbs at that precision, and
+at each precision the human, CSV and JSON output of one `sweep` over the
+--verbs sizes, each row's wall time masked (the JSON `wall_time` field and
+the human footer's `wall ...s`).  The trees' calls alternate.  A
+function's arguments are passed by the names of its parameters, so a tree
+whose signature differs is still called as it asks.
 
 An mpf is compared by its _mpf_ tuple, anything else by ==, recursing
-through dataclasses, lists, tuples and dicts.  A stage's exact forms are
+through dataclasses, lists, tuples and dicts; JSON output is compared
+parsed, and human and CSV output line by line.  A stage's exact forms are
 compared by their ints and denominators in turn, read off its stacks
 (exact_forms): W, P and K of each system, and the overlap W, <p^4>'s A, B
 and C and the log-momentum element's L and L' of the expectation forms.
@@ -38,6 +42,7 @@ import importlib.util
 import inspect
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -147,21 +152,41 @@ def row_values(tree, n, digits, stage, constants):
             "breakdown": br, "row": row}
 
 
-def verb_values(tree, n, digits):
-    """The JSON output of the solve and corrections verbs at n and digits."""
+def cli_output(tree, args, digits, fmt):
+    """The output of the CLI on args at digits in format fmt, with each
+    row's wall time masked: JSON parsed, anything else as its lines.
+    Raise unless it exits 0."""
     from click.testing import CliRunner
-    runner, out = CliRunner(), {}
-    for name, args in (("solve", ["solve", "--n", str(n)]),
-                       ("solve-clamped", ["solve", "--n", str(n),
-                                          "--no-nuclear-motion"]),
-                       ("corrections", ["corrections", "--n", str(n)])):
-        result = runner.invoke(tree["cli"].main, ["--precision", str(digits),
-                                                  "--format", "json", *args])
-        if result.exit_code != 0:
-            raise RuntimeError(f"{name} --n {n} at {digits} digits exited "
-                               f"{result.exit_code}: {result.output}")
-        out[name] = json.loads(result.output)
-    return out
+    result = CliRunner().invoke(tree["cli"].main, [
+        "--precision", str(digits), "--format", fmt, *args])
+    if result.exit_code != 0:
+        raise RuntimeError(f"{' '.join(args)} ({fmt}) at {digits} digits "
+                           f"exited {result.exit_code}: {result.output}")
+    if fmt != "json":
+        return re.sub(r"wall [0-9.]+s", "wall *s", result.output).splitlines()
+    doc = json.loads(result.output)
+    for row in doc.get("rows", ()):
+        row["wall_time"] = "*"
+    return doc
+
+
+def verb_values(tree, n, digits):
+    """The JSON and human output of the solve and corrections verbs at n
+    and digits."""
+    return {name: {fmt: cli_output(tree, args, digits, fmt)
+                   for fmt in ("json", "human")}
+            for name, args in (
+                ("solve", ["solve", "--n", str(n)]),
+                ("solve-clamped", ["solve", "--n", str(n),
+                                   "--no-nuclear-motion"]),
+                ("corrections", ["corrections", "--n", str(n)]))}
+
+
+def sweep_values(tree, ns, digits):
+    """The human, CSV and JSON output of a sweep over ns at digits."""
+    args = ["sweep", "--n-list", ",".join(map(str, ns))]
+    return {fmt: cli_output(tree, args, digits, fmt)
+            for fmt in ("human", "csv", "json")}
 
 
 def sizes(text):
@@ -192,11 +217,17 @@ def main(argv=None):
         found += 1
         print(f"stage {path}: parent {show(a)} change {show(b)}")
     compared = 0
+    verbs = opts.n if opts.verbs is None else opts.verbs
     for digits in opts.digits:
+        for path, a, b in differences(*(sweep_values(tree, verbs, digits)
+                                        for tree in trees)):
+            found += 1
+            print(f"sweep digits={digits} {path}: parent {show(a)} "
+                  f"change {show(b)}")
         for n in opts.n:
             values = [row_values(tree, n, digits, stage, c)
                       for tree, stage, c in zip(trees, stages, constants)]
-            if n in (opts.n if opts.verbs is None else opts.verbs):
+            if n in verbs:
                 for tree, v in zip(trees, values):
                     v["verbs"] = verb_values(tree, n, digits)
             compared += 1

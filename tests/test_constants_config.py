@@ -101,6 +101,11 @@ def test_parse_config_text_comments_and_errors():
     assert doc == {"precision_digits": "30", "output": "json"}
     with pytest.raises(ConfigError, match="line 2"):
         parse_config_text("precision_digits = 30\nnot a pair\n")
+    # a key set twice names both lines, comments and blank ones counted
+    with pytest.raises(ConfigError, match=r"config key 'precision_digits' "
+                                          r"set twice: lines 2 and 4"):
+        parse_config_text("# run\nprecision_digits = 40\n\n"
+                          "precision_digits = 50\n")
 
 
 def test_load_config_from_text_and_path(tmp_path):

@@ -2,8 +2,7 @@ import pytest
 from mpmath import mp
 
 from hyhe.constants import PhysicalConstants, default_constants
-from hyhe.corrections import (breit_correction, radiative_correction,
-                              total_energy)
+from hyhe.corrections import total_energy
 from hyhe.matrices import ExpectationSet
 
 
@@ -16,51 +15,48 @@ def test_breit_terms_and_sum():
     with mp.workdps(30):
         exps = fake_expectations()
         c = default_constants()
-        E1, E2, E3, E4, E5, dE2 = breit_correction(exps, c)
+        b = total_energy(mp.mpf("-2.9"), exps, c)
         alpha = mp.mpf(c.alpha)
-        assert E1 == -(alpha ** 2) / 8 * (2 * exps.p4)
-        assert E2 == 0 and E3 == 0
-        assert E4 == mp.pi * alpha ** 2 * (2 * exps.delta_r1 - exps.delta_r12)
-        assert E5 == 2 * mp.pi * alpha ** 2 * exps.delta_r12
-        assert dE2 == E1 + E2 + E3 + E4 + E5
+        assert b.E1 == -(alpha ** 2) / 8 * (2 * exps.p4)
+        assert b.E2 == 0 and b.E3 == 0
+        assert b.E4 == mp.pi * alpha ** 2 * (2 * exps.delta_r1
+                                             - exps.delta_r12)
+        assert b.E5 == 2 * mp.pi * alpha ** 2 * exps.delta_r12
+        assert b.deltaE2 == b.E1 + b.E2 + b.E3 + b.E4 + b.E5
 
 
 def test_radiative_terms_and_sum():
     with mp.workdps(30):
         exps = fake_expectations()
         c = default_constants()
-        r3n, r3c, r3l, dE3 = radiative_correction(exps, c)
-        assert dE3 == r3n + r3c + r3l
+        b = total_energy(mp.mpf("-2.9"), exps, c)
+        assert b.deltaE3 == b.r3_nuclear + b.r3_contact + b.r3_logmom
         # signs with the physical constants: nuclear term dominates and is
         # positive, the contact and log-momentum pieces pull it down
-        assert r3n > 0 > r3c
-        assert r3l < 0  # log-momentum expectation is negative here
-        assert dE3 > 0
+        assert b.r3_nuclear > 0 > b.r3_contact
+        assert b.r3_logmom < 0  # log-momentum expectation is negative here
+        assert b.deltaE3 > 0
 
 
 def test_alpha_zero_switches_everything_off():
     with mp.workdps(30):
         exps = fake_expectations()
         c = PhysicalConstants(alpha="0")  # unvalidated on purpose
-        E1, E2, E3, E4, E5, dE2 = breit_correction(exps, c)
-        assert (E1, E2, E3, E4, E5, dE2) == (0, 0, 0, 0, 0, 0)
-        r3n, r3c, r3l, dE3 = radiative_correction(exps, c)
-        assert (r3n, r3c, r3l, dE3) == (0, 0, 0, 0)
-        breakdown = total_energy(mp.mpf("-2.9"), exps, c)
-        assert breakdown.E_total == breakdown.E0
+        b = total_energy(mp.mpf("-2.9"), exps, c)
+        assert (b.E1, b.E2, b.E3, b.E4, b.E5, b.deltaE2) == (0, 0, 0, 0, 0, 0)
+        assert (b.r3_nuclear, b.r3_contact, b.r3_logmom, b.deltaE3) == (
+            0, 0, 0, 0)
+        assert b.E_total == b.E0
 
 
 def test_linearity_in_expectations():
     with mp.workdps(30):
         c = default_constants()
-        one = fake_expectations()
-        two = fake_expectations(dee="0.38")  # doubled <delta(r12)>
-        _, _, _, _, E5_one, _ = breit_correction(one, c)
-        _, _, _, _, E5_two, _ = breit_correction(two, c)
-        assert abs(E5_two - 2 * E5_one) < mp.mpf("1e-30")
-        _, r3c_one, _, _ = radiative_correction(one, c)
-        _, r3c_two, _, _ = radiative_correction(two, c)
-        assert abs(r3c_two - 2 * r3c_one) < mp.mpf("1e-30")
+        one = total_energy(mp.mpf("-2.9"), fake_expectations(), c)
+        # doubled <delta(r12)>
+        two = total_energy(mp.mpf("-2.9"), fake_expectations(dee="0.38"), c)
+        assert abs(two.E5 - 2 * one.E5) < mp.mpf("1e-30")
+        assert abs(two.r3_contact - 2 * one.r3_contact) < mp.mpf("1e-30")
 
 
 def test_breakdown_identities():

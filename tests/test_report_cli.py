@@ -605,6 +605,23 @@ def test_cli_rejects_non_utf8_config_file(tmp_path):
     assert "utf16.cfg: 'utf-8' codec can't decode" in result.output
 
 
+@pytest.mark.parametrize("text, code, shown", [
+    (b"\xef\xbb\xbfprecision_digits = 40\n", 0, '"precision_digits": 40'),
+    (b"precision_digits = 40\nprecision_digits = 50\n", 2,
+     "config key 'precision_digits' set twice: lines 1 and 2"),
+], ids=["byte-order-mark", "repeated-key"])
+def test_cli_config_file_mark_and_repeated_key(tmp_path, text, code, shown):
+    # a leading byte-order mark is skipped, so the run goes at the file's
+    # precision; a key set twice is a usage error naming both lines
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(text)
+    result = runner.invoke(main, ["--config", str(cfg), "--format", "json",
+                                  "sweep", "--n-list", "1"],
+                           env={"HYHE_PRECISION_DIGITS": None})
+    assert result.exit_code == code, result.output
+    assert shown in result.output
+
+
 def test_cli_option_beats_env_beats_config_file(tmp_path):
     # each layer sets both precision and format; the human and JSON reports
     # echo the config the run used
@@ -726,7 +743,8 @@ def test_cli_verb_failure_is_one_line_and_exit_1(verb, name, monkeypatch):
 
 def test_sweep_imports_neither_fractions_nor_decimal():
     # the exact helpers work on (numerator, denominator) int pairs, so a
-    # sweep loads neither module (with decimal, about 0.4 MB resident)
+    # sweep loads neither module (with decimal, about 0.4 MB resident); nor,
+    # without --verbose and in human output, logging or csv
     code = (
         "import sys\n"
         "from hyhe.cli import main\n"
@@ -734,7 +752,8 @@ def test_sweep_imports_neither_fractions_nor_decimal():
         "    main(['sweep', '--n-list', '1,3'])\n"
         "except SystemExit as exit:\n"
         "    assert exit.code == 0, exit.code\n"
-        "print(sorted({'fractions', 'decimal'} & set(sys.modules)))\n"
+        "print(sorted({'fractions', 'decimal', 'logging', 'csv'}\n"
+        "             & set(sys.modules)))\n"
     )
     src = os.path.dirname(os.path.dirname(hyhe.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
