@@ -147,14 +147,15 @@ def solve(app, n, no_nuclear_motion):
               help="basis size")
 @click.pass_obj
 def corrections(app, n):
-    """Print the full correction breakdown at one basis size."""
-    _, (_, res_0, exps, br) = _run_verb(
+    """Print the full correction breakdown at one basis size, with E0,
+    k_opt and E_total the strings its row certified, as a sweep prints."""
+    row, (_, _, exps, br) = _run_verb(
         app, "corrections", lambda: compute_row(n, app.config, app.constants))
     with mp.workdps(app.config.precision_digits):
         fields = {
             "N": n,
-            "E0": mp.nstr(br.E0, 20),
-            "k_opt": mp.nstr(res_0.k_opt, 20),
+            "E0": row.E0,
+            "k_opt": row.k_opt,
             "delta_r1": mp.nstr(exps.delta_r1, 20),
             "delta_r12": mp.nstr(exps.delta_r12, 20),
             "p4_single": mp.nstr(exps.p4, 20),
@@ -169,7 +170,7 @@ def corrections(app, n):
             "r3_contact": mp.nstr(br.r3_contact, 12),
             "r3_logmom": mp.nstr(br.r3_logmom, 12),
             "deltaE3": mp.nstr(br.deltaE3, 12),
-            "E_total": mp.nstr(br.E_total, 20),
+            "E_total": row.E_total,
             "uncertainty": mp.nstr(br.uncertainty, 6),
             "delta_vs_experiment": mp.nstr(br.delta_vs_experiment, 6),
         }

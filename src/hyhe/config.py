@@ -34,15 +34,16 @@ class RunConfig:
 
 def parse_config_text(text):
     """Parse flat ``key = value`` lines into a dict (no validation here).
-    A key set on two lines raises ConfigError naming it and both lines."""
+    A line with no key or no ``=`` raises ConfigError naming it, as does a
+    key set on two lines, naming both."""
     out, where = {}, {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
+        key, eq, value = (part.strip() for part in line.partition("="))
+        if not (key and eq):
             raise ConfigError(f"config line {lineno}: expected 'key = value', got {line!r}")
-        key, _, value = (part.strip() for part in line.partition("="))
         if key in where:
             raise ConfigError(f"config key {key!r} set twice: lines "
                               f"{where[key]} and {lineno}")

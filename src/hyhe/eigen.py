@@ -54,7 +54,10 @@ precision, k_err at most about 2**-prec k.
 
 The bases are nested prefixes and T is lower triangular, so the leading
 blocks of a stage's stack, T and float forms serve every smaller basis as
-views (PencilSystem.leading).
+views (PencilSystem.leading): the prefix's exact forms, but the stage's
+float64 factor, not the prefix's own (numpy's Cholesky of a smaller W
+differs, in T by up to 2e-11 relative), so a row's steps, residual and
+k_err can move with its sweep's largest N.
 """
 
 import math
@@ -112,9 +115,9 @@ def _inverse_factor(Wf):
     """T = Lf^{-1} S for float64 W, with Lf Lf' = S W S, S = diag(W_jj^-1/2).
 
     numpy factors the diagonally scaled W and Lf is inverted by forward
-    substitution, row i from rows < i, so T is lower triangular and its
-    leading blocks are the prefixes' own.  Raises ValueError where float64
-    cannot factor W.
+    substitution, row i from rows < i, so T is lower triangular; only in
+    exact arithmetic are its leading blocks the prefixes' own.  Raises
+    ValueError where float64 cannot factor W.
     """
     d = Wf.diagonal()
     if not (d > 0).all():
@@ -252,10 +255,10 @@ def _float_vector(v):
 
 
 def _refine(system, k, trace=None):
-    """The correction loop on the pencil (B, W), B = k K + P: (kq, theta, c,
-    K_q, residual, steps, k_err, energy_err, eighs), kq, theta = c'Bc / c'Wc
-    and K_q = c'Kc / c'Wc at scale 2**F and c with c'Wc = 1 at scale 2**F,
-    as ints, F = system.frac_bits, and eighs the float64 eigenbases taken.
+    """The correction loop on the pencil (B, W), B = k K + P: (result,
+    K_q, P_q), the loop's VariationalResult (c unsigned, its trace empty
+    at fixed k) and K_q = c'Kc / c'Wc and P_q = theta - k K_q, theta =
+    c'Bc / c'Wc, as ints at scale 2**F, F = system.frac_bits.
 
     B is never built; each chunk of c updates the exact accumulators Wc, Pc
     and Kc by one matvecs of the system's stack.
@@ -385,10 +388,7 @@ def _refine(system, k, trace=None):
             B_float, _, V1, lam = eigenbasis()
             slope, last, eighs = None, None, eighs + 1
     K_q = (cK * DW << F) // (cW * DK)
-    # norm = ||c||_W at scale 4**F; Tr at scale 2**(2F - s) D, and
-    if trace is not None:   # dk: the last Newton step's c term, unapplied
-        k_err = (abs(to_mpf(h, F) / dh) + to_mpf(abs(dkq), F)
-                 + mp.ldexp(kq, -2 * F))
+    # norm = ||c||_W at scale 4**F and Tr at scale 2**(2F - s) D, and
     # W^-1 ~ T'T, so r_W = ||r||_{W^-1} / ||c||_W
     norm = math.isqrt((cW << 2 * F) // DW)
     r_W = mp.ldexp(mp.mpf(float(np.linalg.norm(Tr)) / D_f), t_r + F) / norm
@@ -402,10 +402,17 @@ def _refine(system, k, trace=None):
     if n > 1:
         gap = float(lam[0]) - theta / (1 << F)
         energy_err += 2 * (kq / (1 << F)) * r_W ** 2 / gap
-    if trace is not None:
+    if trace is not None:   # dk: the last Newton step's c term, unapplied
+        k_err = (abs(to_mpf(h, F) / dh) + to_mpf(abs(dkq), F)
+                 + mp.ldexp(kq, -2 * F))
         energy_err += to_mpf(K_q, F) * abs(slope[3]) * k_err ** 2
-    c = [(v << 2 * F) // norm for v in c]
-    return kq, theta, c, K_q, r_W / b_norm, steps, k_err, energy_err, eighs
+    with mp.workprec(kq.bit_length()):
+        k_opt = to_mpf(kq, F)       # kq exactly, which k_err bounds
+    return VariationalResult(
+        energy=E, k_opt=k_opt, coeffs=[(v << 2 * F) // norm for v in c],
+        frac_bits=F, iterations=steps, residual=r_W / b_norm,
+        trace=trace or [], k_err=k_err, energy_err=energy_err,
+        eighs=eighs), K_q, theta - ((kq * K_q) >> F)
 
 
 def solve_fixed_k(system, k):
@@ -414,13 +421,11 @@ def solve_fixed_k(system, k):
     c holds the coefficients, c'Wc = 1, as fixed-point ints at scale
     2**system.frac_bits; the rest are mpf.  E = k theta_B, K_q = c'Kc / c'Wc
     and P_q = theta_B - k K_q, all on the ints.  It runs optimize_k's
-    correction loop with k held fixed.
+    correction loop (_refine) with k held fixed.
     """
-    kq, theta, c, K_q, residual, *_ = _refine(system, k)
-    F = system.frac_bits
-    P_q = theta - ((kq * K_q) >> F)
-    E = to_mpf((kq * theta) >> F, F)
-    return E, c, to_mpf(K_q, F), to_mpf(P_q, F), residual
+    res, K_q, P_q = _refine(system, k)
+    K_q, P_q = (to_mpf(v, res.frac_bits) for v in (K_q, P_q))
+    return res.energy, res.coeffs, K_q, P_q, res.residual
 
 
 def _float_step(system, k):
@@ -479,9 +484,9 @@ def optimize_k(system, k_inf=None):
     mu, when given k_inf, the clamped nucleus's k_opt, and at _K_INIT
     otherwise.  The correction loop (_refine) runs with k free from the
     float64 root k_f found from the start (_float_root), or from the start
-    itself when that fails.  c is signed so that c[0] >= 0; eighs counts
-    the float64 eighs of the seed and the loop.  The start, the float seed
-    and each step are logged to the "hyhe" logger at DEBUG.
+    itself when that fails; its result is returned with c signed so that
+    c[0] >= 0 and the seed's eighs added.  The start, the float seed and
+    each step are logged to the "hyhe" logger at DEBUG.
     """
     if k_inf is None or system.mu is None:
         k_init, start = _K_INIT, "k"
@@ -492,18 +497,11 @@ def optimize_k(system, k_inf=None):
     if k_f is None:
         debug("k-search %s: float root failed; starting at k=%r",
               system.label, k_init)
-    trace = []
-    kq, theta, c, K_q, residual, steps, k_err, energy_err, eighs = _refine(
-        system, k_init if k_f is None else k_f, trace)
-    F = system.frac_bits
-    if c[0] < 0:
-        c = [-v for v in c]
-    with mp.workprec(kq.bit_length()):
-        k_opt = to_mpf(kq, F)       # kq exactly, which k_err bounds
-    return VariationalResult(
-        energy=to_mpf((kq * theta) >> F, F), k_opt=k_opt, coeffs=c,
-        frac_bits=F, iterations=steps, eighs=seed_eighs + eighs,
-        residual=residual, trace=trace, k_err=k_err, energy_err=energy_err)
+    res = _refine(system, k_init if k_f is None else k_f, [])[0]
+    if res.coeffs[0] < 0:
+        res.coeffs = [-v for v in res.coeffs]
+    res.eighs += seed_eighs
+    return res
 
 
 def ground_state_pair(systems):

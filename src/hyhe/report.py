@@ -2,11 +2,11 @@
 
 A report row is one basis size N pushed through the whole chain:
 matrices -> both ground states -> expectation values on the nuclear-motion
-state -> correction breakdown.  Every verb gets its basis, matrices and
+state -> correction breakdown.  Every verb gets its basis, overlap and
 pencil systems from build_stage, the one place where the choice of
 Hamiltonian decides what is assembled; a row's stage (build_row_stage) adds
 the exact forms of <p^4> and the log-momentum element, split with the
-assembly's overlap into one stack for one exact product per row.  The stage
+overlap into one stack for one exact product per row.  The stage
 is exact, so it is built with no precision context and serves every
 precision, and a sweep builds one, at its largest N, whose leading blocks
 serve every row.
@@ -200,25 +200,25 @@ def recompute_deltas(rows):
 
 
 def build_stage(n, constants, nuclear_motion=True):
-    """(basis, matrices, systems) at basis size n, exact and so the same at
-    any precision (build it outside one): a verb's choice of Hamiltonian,
-    the "inf" system always, and with nuclear_motion the mass polarization
-    and the "0" system too (build_systems)."""
+    """(basis, W, systems) at basis size n, exact and so the same at any
+    precision (build it outside one): a verb's choice of Hamiltonian, the
+    "inf" system always, and with nuclear_motion the mass polarization and
+    the "0" system too (build_systems), and the assembly's overlap W, its
+    one matrix a verb reads past the systems.  The rest of the assembly is
+    freed on return."""
     basis = enumerate_basis(n)
     mats = build_operator_matrices(basis, Z=constants.Z,
                                    mass_polarization=nuclear_motion)
-    return basis, mats, build_systems(
+    return basis, mats.W, build_systems(
         mats, mass_ratio=constants.mass_ratio_M if nuclear_motion else None)
 
 
 def build_row_stage(n, constants):
     """(basis, systems, forms): build_stage's nuclear-motion stage at basis
-    size n, and the Stack of its basis's expectation forms with the
-    assembly's overlap W (build_expectation_forms); exact, as the stage
-    is."""
-    basis, mats, systems = build_stage(n, constants)
-    W = mats.W
-    del mats            # free the rest of the assembly before the new forms
+    size n, and the Stack of its basis's expectation forms with the stage's
+    overlap W (build_expectation_forms), built once the rest of the assembly
+    is freed; exact, as the stage is."""
+    basis, W, systems = build_stage(n, constants)
     return basis, systems, build_expectation_forms(basis, W)
 
 

@@ -101,6 +101,10 @@ def test_parse_config_text_comments_and_errors():
     assert doc == {"precision_digits": "30", "output": "json"}
     with pytest.raises(ConfigError, match="line 2"):
         parse_config_text("precision_digits = 30\nnot a pair\n")
+    # so is a line whose key is empty
+    with pytest.raises(ConfigError, match=r"config line 2: expected 'key = "
+                                          r"value', got '= 40'"):
+        parse_config_text("# run\n= 40  # no key\n")
     # a key set twice names both lines, comments and blank ones counted
     with pytest.raises(ConfigError, match=r"config key 'precision_digits' "
                                           r"set twice: lines 2 and 4"):

@@ -580,7 +580,7 @@ def test_k_converges_to_working_precision(n, dps, label):
         assert dist <= res.k_err
         assert mp.nstr(res.k_opt, 20) == mp.nstr(ref.k_opt, 20)
         if n <= 40:
-            steps = eigen._refine(system, res.k_opt)[5]
+            steps = eigen._refine(system, res.k_opt)[0].iterations
             assert res.iterations <= steps + 3, (res.iterations, steps)
 
 

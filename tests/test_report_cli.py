@@ -559,9 +559,27 @@ def test_cli_sizes_past_max_basis_are_usage_errors(args):
     assert "300" in result.output and "Traceback" not in result.output
 
 
+# the default sweep's cells, each at its 20 printed digits: E_inf, E0,
+# deltaE2, deltaE3, E_total and k_opt at each N of DEFAULT_SWEEP
+DEFAULT_SWEEP_CELLS = {
+    20: ("-2.9037123521833017098", "-2.9032925284325082559",
+         "-0.00010201619993165552233", "0.000022254041932394087978",
+         "-2.9033722905905075174", "2.0144961794959568273"),
+    30: ("-2.9037207626197164983", "-2.9033009425485711339",
+         "-0.00010151230806393922207", "0.00002224510428279150916",
+         "-2.9033802097523522816", "2.0890472771007877184"),
+    40: ("-2.903723135517563758", "-2.9033033157155091661",
+         "-0.00010121768473237344709", "0.000022245379195769926108",
+         "-2.9033822880210457696", "2.1350608558343044482"),
+    50: ("-2.9037237019379654316", "-2.9033038825694226464",
+         "-0.00010139032593815274451", "0.000022253487638107067085",
+         "-2.9033830194077226921", "2.2341700119506241494"),
+}
+
+
 def test_cli_tables_is_the_default_sweep():
     # the tables verb prints what a sweep of DEFAULT_SWEEP prints, in human
-    # and JSON, wall times masked
+    # and JSON, wall times masked, and its JSON holds DEFAULT_SWEEP_CELLS
     sweep = ["sweep", "--n-list", ",".join(map(str, DEFAULT_SWEEP))]
     for fmt in ("human", "json"):
         outputs = [runner.invoke(main, ["--format", fmt] + verb)
@@ -571,6 +589,9 @@ def test_cli_tables_is_the_default_sweep():
                                 r.output) for r in outputs)
         assert tables == swept
         assert ("N=50:" if fmt == "human" else '"N": 50') in tables
+    cells = ("E_inf", "E0", "deltaE2", "deltaE3", "E_total", "k_opt")
+    assert {row["N"]: tuple(row[col] for col in cells)
+            for row in json.loads(tables)["rows"]} == DEFAULT_SWEEP_CELLS
 
 
 def test_cli_config_file_value_that_does_not_parse(tmp_path):
@@ -609,10 +630,12 @@ def test_cli_rejects_non_utf8_config_file(tmp_path):
     (b"\xef\xbb\xbfprecision_digits = 40\n", 0, '"precision_digits": 40'),
     (b"precision_digits = 40\nprecision_digits = 50\n", 2,
      "config key 'precision_digits' set twice: lines 1 and 2"),
-], ids=["byte-order-mark", "repeated-key"])
+    (b"= 40\n", 2, "config line 1: expected 'key = value', got '= 40'"),
+], ids=["byte-order-mark", "repeated-key", "empty-key"])
 def test_cli_config_file_mark_and_repeated_key(tmp_path, text, code, shown):
     # a leading byte-order mark is skipped, so the run goes at the file's
-    # precision; a key set twice is a usage error naming both lines
+    # precision; a key set twice is a usage error naming both lines, and a
+    # line with no key one naming its line
     cfg = tmp_path / "run.cfg"
     cfg.write_bytes(text)
     result = runner.invoke(main, ["--config", str(cfg), "--format", "json",
